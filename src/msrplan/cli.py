@@ -7,7 +7,6 @@ parse, or validation errors.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from pathlib import Path
@@ -190,12 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
             "and time-bounded resilience checking."
         ),
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("MSRPLAN_JOBS", "1")),
-        help="branch parallelism limit (verdicts are worker-count independent)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse and audit a scenario file")
@@ -251,9 +244,6 @@ def cli_dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_YES
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
     try:
         return args.func(args)
     except ScenarioError as exc:

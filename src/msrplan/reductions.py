@@ -155,10 +155,7 @@ def parse_qdimacs(text: str) -> Qbf:
         clauses.append(lits)  # type: ignore[arg-type]
     if not saw_problem:
         raise QbfError("missing problem line 'p cnf <vars> <clauses>'")
-    try:
-        return Qbf(tuple(blocks), tuple(clauses))
-    except QbfError:
-        raise
+    return Qbf(tuple(blocks), tuple(clauses))
 
 
 def render_qdimacs(q: Qbf) -> str:

@@ -1,18 +1,16 @@
-"""Time-bounded resilience: decision procedure, witnesses, verification.
+"""Time-bounded resilience: queries, witnesses, serialization, verification.
 
-The checker decides whether some compliant goal trace within the tick budget
-survives up to n adversarial update applications inside the disruption
-window, replanning recursively after each.  The search decomposes along the
-trace: a state is good when it is non-critical, every applicable update at it
-(while the window is open) leads to a recursively resilient state, and either
-the goal is matched or some successor is good.  Verdicts are memoized on
-(abstraction key, updates left, window left), which is the lazy
-candidate-trace iteration with sharing; soundness of the sharing needs a
-progressing scenario.
+`check_resilience` runs the search engine (`search.Checker`) at (n, a, b):
+is there a compliant goal trace within a + b ticks that survives up to n
+adversarial update applications inside the disruption window a, replanning
+recursively after each?  On success the witness tree is rebuilt from the
+moves the engine recorded: the certified trace from each state plus, for
+every admissible update point on it, the witness one update level down.
 
 The verifier is a separate traversal that replays annotations and re-derives
 every obligation; it shares no pruning with the checker and serves as an
-internal oracle for it.
+internal oracle for it.  `enumerate_update_points` is its own enumeration of
+update points, independent of the engine's.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .delta import abstract, delta_key
 from .kernel import (
     MAX_TIMESTAMP,
     Configuration,
@@ -40,8 +37,8 @@ from .rules import (
     is_applicable,
     tick,
 )
-from .scenario import PlanningScenario, infer_dmax
-from .search import _instantaneous_moves, find_compliant_goal_trace
+from .scenario import PlanningScenario
+from .search import Checker, find_compliant_goal_trace, successors
 from .specs import TICK_STEP, Trace, TraceStep, match_spec
 
 DEFAULT_ETA_CAP = 6
@@ -109,227 +106,39 @@ def enumerate_update_points(
     return out
 
 
-class _Checker:
-    """Memoized existence checker plus deterministic witness reconstruction."""
-
-    def __init__(self, scenario: PlanningScenario, b: int, use_memo: bool = True):
-        self.scenario = scenario
-        self.b = b
-        self.m = len(scenario.initial)
-        self.dmax = infer_dmax(scenario)
-        self.use_memo = use_memo
-        self.memo: dict[tuple, bool] = {}
-        self.build_memo: dict[tuple, WitnessTree] = {}
-        self.refutation: tuple[str, ...] = ()
-        # per-configuration caches; states recur across levels and phases
-        self._crit_cache: dict[Configuration, bool] = {}
-        self._intern: dict[tuple, int] = {}
-        self._goal_cache: dict[Configuration, bool] = {}
-        self._dkey_cache: dict[Configuration, tuple] = {}
-        self._updates_cache: dict[Configuration, list] = {}
-        self._moves_cache: dict[Configuration, list] = {}
-
-    # -- shared helpers ------------------------------------------------------
-
-    def _key(self, config: Configuration, n: int, w: int) -> tuple:
-        if not self.use_memo:
-            # no abstraction-level sharing: states collapse only when the
-            # concrete configurations coincide
-            return (config, n, w)
-        ident = self._dkey_cache.get(config)
-        if ident is None:
-            dkey = delta_key(abstract(config, self.dmax))
-            ident = self._intern.setdefault(dkey, len(self._intern))
-            self._dkey_cache[config] = ident
-        return (ident, n, w)
-
-    def _is_critical(self, config: Configuration) -> bool:
-        hit = self._crit_cache.get(config)
-        if hit is None:
-            hit = match_spec(self.scenario.critical_spec, config) is not None
-            self._crit_cache[config] = hit
-        return hit
-
-    def _is_goal(self, config: Configuration) -> bool:
-        hit = self._goal_cache.get(config)
-        if hit is None:
-            hit = match_spec(self.scenario.goal_spec, config) is not None
-            self._goal_cache[config] = hit
-        return hit
-
-    def _update_moves(
-        self, config: Configuration
-    ) -> list[tuple[RuleInstance, Configuration]]:
-        hit = self._updates_cache.get(config)
-        if hit is None:
-            hit = []
-            for rule in self.scenario.update_rules:
-                for inst in find_matches(rule, config, self.scenario.signature):
-                    hit.append((inst, apply_instance(config, inst, trusted=True)))
-            self._updates_cache[config] = hit
-        return hit
-
-    def _updates_covered(self, config: Configuration, n: int, w: int) -> bool:
-        """Every applicable update must lead to an (n-1, w, b)-resilient state."""
-        for inst, updated in self._update_moves(config):
-            if not self.decide(updated, n - 1, w):
-                chain = (
-                    f"update {inst.key()} at t={config.global_time} admits no "
-                    f"({n - 1},{w},{self.b})-resilient reaction",
-                )
-                self.refutation = chain + self.refutation[:8]
-                return False
-        return True
-
-    def _quick_verdict(self, config: Configuration, n: int, w: int) -> Optional[bool]:
-        """Resolve a state without expanding successors, if possible.
-
-        Update coverage is evaluated lazily: only states that otherwise lie on
-        a compliant goal trace pay for it (a state that cannot reach the goal
-        is refuted without running any reaction searches).
-        """
-        if self._is_critical(config):
-            return False
-        if self._is_goal(config):
-            return self._coverage_ok(config, n, w)
-        return None
-
-    def _coverage_ok(self, config: Configuration, n: int, w: int) -> bool:
-        if n > 0 and w >= 0:
-            return self._updates_covered(config, n, w)
-        return True
-
-    # -- phase A: verdicts ----------------------------------------------------
-
-    def decide(self, config: Configuration, n: int, w: int) -> bool:
-        """Does an (n, w, b)-resilient trace from `config` exist?
-
-        Iterative within a level; recursion across update levels only, so the
-        Python stack depth is bounded by n.  In-progress revisits would mean
-        an instantaneous cycle, which progressing rules exclude.
-        """
-        key = self._key(config, n, w)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        verdict = self._quick_verdict(config, n, w)
-        if verdict is not None:
-            self.memo[key] = verdict
-            return verdict
-
-        depth_limit = (max(w, 0) + self.b + 2) * self.m
-        stack: list[list] = [[config, w, key, None]]
-        onstack = {key}
-        pending: Optional[bool] = None
-        while stack:
-            frame = stack[-1]
-            cfg, fw, fkey, moves = frame
-            if pending is True:
-                # some successor is good; the state stands iff its own update
-                # points are covered
-                verdict = self._coverage_ok(cfg, n, fw)
-                self.memo[fkey] = verdict
-                onstack.discard(fkey)
-                stack.pop()
-                pending = verdict
-                continue
-            pending = None
-            if moves is None:
-                moves = frame[3] = iter(self._level_moves(cfg, fw))
-            nxt = next(moves, None)
-            if nxt is None:
-                self.memo[fkey] = False
-                onstack.discard(fkey)
-                stack.pop()
-                pending = False
-                continue
-            cfg2, w2 = nxt
-            key2 = self._key(cfg2, n, w2)
-            hit = self.memo.get(key2)
-            if hit is not None:
-                pending = hit
-                continue
-            if key2 in onstack or len(stack) >= depth_limit:
-                pending = False
-                continue
-            verdict = self._quick_verdict(cfg2, n, w2)
-            if verdict is not None:
-                self.memo[key2] = verdict
-                pending = verdict
-                continue
-            stack.append([cfg2, w2, key2, None])
-            onstack.add(key2)
-        return self.memo[key]
-
-    def _inst_moves(self, config: Configuration) -> list:
-        hit = self._moves_cache.get(config)
-        if hit is None:
-            hit = _instantaneous_moves(self.scenario, config)
-            self._moves_cache[config] = hit
-        return hit
-
-    def _level_moves(self, config: Configuration, w: int):
-        for _inst, nxt in self._inst_moves(config):
-            yield (nxt, w)
-        if w + self.b >= 1:
-            yield (tick(config), w - 1)
-
-    # -- phase B: witness reconstruction --------------------------------------
-
-    def build(self, config: Configuration, n: int, w: int) -> WitnessTree:
-        """Reconstruct the canonical witness for a state known to be good.
-
-        Follows the leftmost decide-approved moves, so the chosen trace is the
-        lexicographically least annotation sequence in the search order.
-        """
-        bkey = (config, n, w)
-        cached = self.build_memo.get(bkey)
-        if cached is not None:
-            return cached
-        depth_limit = (max(w, 0) + self.b + 2) * self.m
-        steps: list[TraceStep] = []
-        children: list[tuple[int, RuleInstance, WitnessTree]] = []
-        covered: set[tuple[Configuration, str]] = set()
-        current = config
-        cur_w = w
-        index = 0
-        while True:
-            if self._is_critical(current):
-                raise EngineError("witness reconstruction entered a critical state")
-            if n > 0 and cur_w >= 0:
-                for inst, updated in self._update_moves(current):
-                    # repeated configurations cover a point only once
-                    dedup = (current, inst.key())
-                    if dedup in covered:
-                        continue
-                    covered.add(dedup)
-                    children.append((index, inst, self.build(updated, n - 1, cur_w)))
-            if self._is_goal(current):
-                break
-            chosen = None
-            for nxt, w2 in self._level_moves(current, cur_w):
-                if self.decide(nxt, n, w2):
-                    chosen = (nxt, w2)
-                    break
-            if chosen is None or len(steps) >= depth_limit:
-                raise EngineError("witness reconstruction lost the certified path")
-            nxt, w2 = chosen
-            steps.append(TraceStep(TICK_STEP if w2 != cur_w else self._annotate(current, nxt), nxt))
-            current, cur_w = nxt, w2
-            index += 1
-        witness = WitnessTree(
-            query=ResilienceQuery(n, max(w, 0), self.b),
-            trace=Trace(config, tuple(steps)),
-            children=tuple(children),
-        )
-        self.build_memo[bkey] = witness
+def _build_witness(
+    checker: Checker,
+    config: Configuration,
+    n: int,
+    w: int,
+    built: dict[tuple, WitnessTree],
+) -> WitnessTree:
+    """The canonical witness for a state `checker` proved good: its certified
+    trace plus a subtree for every admissible update point on it."""
+    bkey = (config, n, w)
+    witness = built.get(bkey)
+    if witness is not None:
         return witness
-
-    def _annotate(self, config: Configuration, result: Configuration) -> RuleInstance:
-        for inst, nxt in self._inst_moves(config):
-            if nxt == result:
-                return inst
-        raise EngineError("no annotation reproduces the chosen step")  # pragma: no cover
+    trace = checker.trace(config, n, w)
+    children: list[tuple[int, RuleInstance, WitnessTree]] = []
+    covered: set[tuple[Configuration, str]] = set()
+    window = w
+    for index, current in enumerate(trace.configurations()):
+        if index and trace.steps[index - 1].is_tick:
+            window -= 1
+        if n == 0 or window < 0:
+            break
+        for inst, updated in successors(checker.scenario, current, "updates"):
+            # repeated configurations cover a point only once
+            dedup = (current, inst.key())
+            if dedup in covered:
+                continue
+            covered.add(dedup)
+            subtree = _build_witness(checker, updated, n - 1, window, built)
+            children.append((index, inst, subtree))
+    witness = WitnessTree(ResilienceQuery(n, w, checker.b), trace, tuple(children))
+    built[bkey] = witness
+    return witness
 
 
 def check_resilience(
@@ -343,8 +152,8 @@ def check_resilience(
 
     Requires a validated progressing planning scenario whose eta measure does
     not exceed the cap (compliance checking costs m^eta).  For n = 0 on a
-    non-progressing scenario the check falls back to plain bounded search
-    with memoization disabled.
+    non-progressing scenario the check falls back to goal search within
+    a + b ticks on exact (configuration-level) keys.
     """
     if query.a < 1:
         raise EngineError("the disruption window a must be positive")
@@ -369,22 +178,17 @@ def check_resilience(
             return ResilienceResult(False, refutation=("no compliant goal trace",))
         return ResilienceResult(True, WitnessTree(query, trace))
 
-    checker = _Checker(scenario, query.b, use_memo=use_memo)
-    ok = checker.decide(scenario.initial, query.n, query.a)
-    if not ok:
+    checker = Checker(scenario, query.b, path_slack=query.b + 2, use_memo=use_memo)
+    if not checker.decide(scenario.initial, query.n, query.a):
         refutation = checker.refutation or ("no compliant goal trace",)
         return ResilienceResult(False, refutation=refutation)
-    witness = checker.build(scenario.initial, query.n, query.a)
+    witness = _build_witness(checker, scenario.initial, query.n, query.a, {})
     return ResilienceResult(True, witness)
 
 
 # ---------------------------------------------------------------------------
 # Witness serialization
 # ---------------------------------------------------------------------------
-
-def _term_to_str(term: Term) -> str:
-    return str(term)
-
 
 _TERM_TOKEN = re.compile(r"#[A-Za-z_][A-Za-z0-9_]*:\d+|[A-Za-z_][A-Za-z0-9_]*|[(),]")
 
@@ -432,7 +236,7 @@ def _step_to_dict(step: TraceStep) -> dict:
     if step.is_tick:
         return {"rule": TICK_STEP}
     sigma = {
-        v: (t if isinstance(t, int) else _term_to_str(t))
+        v: (t if isinstance(t, int) else str(t))
         for v, t in step.instance.bindings
     }
     return {"rule": step.instance.rule.name, "sigma": sigma}
@@ -451,7 +255,7 @@ def witness_to_dict(witness: WitnessTree) -> dict:
                 "instance": {
                     "rule": inst.rule.name,
                     "sigma": {
-                        v: (t if isinstance(t, int) else _term_to_str(t))
+                        v: (t if isinstance(t, int) else str(t))
                         for v, t in inst.bindings
                     },
                 },

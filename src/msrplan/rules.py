@@ -288,9 +288,6 @@ class Rule:
             out |= c.atom.variables()
         return out
 
-    def effective_guard(self) -> tuple[TimeConstraint, ...]:
-        return self.guard
-
     def with_past_consumption(self) -> "Rule":
         """Add the implicit constraints T >= T_i for every consumed fact."""
         present = {(c.left, c.rel, c.right, c.offset) for c in self.guard}
@@ -585,7 +582,7 @@ def find_matches(
     """
     now = config.global_time
     base: Binding = {GLOBAL_TIME_VAR: now}
-    guard = rule.effective_guard()
+    guard = rule.guard
     if not _guard_ok_so_far(guard, base):
         return []
     by_pred = config.by_pred()
@@ -614,7 +611,7 @@ def is_applicable(inst: RuleInstance, config: Configuration) -> bool:
     needed = inst.side_facts() + inst.consumed_facts()
     if not config.contains(needed):
         return False
-    if not all(c.satisfied(_time_view(sigma)) for c in inst.rule.effective_guard()):
+    if not all(c.satisfied(_time_view(sigma)) for c in inst.rule.guard):
         return False
     values = config.values()
     fresh = set(inst.fresh_assignment.values())
@@ -672,7 +669,7 @@ def classify_rule(rule: Rule, sig: Signature) -> RuleClassification:
             f"{len(rule.created)} created"
         )
 
-    dbm = _Dbm(rule.effective_guard())
+    dbm = _Dbm(rule.guard)
     past_ok = True
     if not dbm.satisfiable():
         past_ok = False

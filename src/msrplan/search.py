@@ -1,10 +1,29 @@
-"""Successor enumeration and bounded search for compliant goal traces.
+"""Move enumeration and the one search engine.
 
-The search is an exhaustive depth-first exploration with instantaneous rules
-tried before the time advance, instances in canonical order, and pruning of
-states whose abstraction key was already seen with at least as much tick
-budget.  That pruning is a bisimulation argument and is only sound for
-progressing scenarios, so it is gated on the progressing flag.
+`iter_successors` is the only move enumerator (`successors` is its list
+form): instantaneous rule instances in canonical order, then the time
+advance (system moves), or the update instances (update moves).  The engine
+consumes it lazily, so moves after the first good one are never built.
+
+`Checker` is the only search engine.  `decide(config, n, w)` asks whether a
+compliant goal trace from `config` survives up to n adversarial update
+applications while the disruption window w is open, with b further time
+advances allowed after it closes.  A state is good when it is non-critical,
+every applicable update at it (while the window is open) leads to a state
+that is good one update level down, and either the goal is matched or some
+successor is good.  The search is iterative within a level and recursive
+across levels, so the Python stack depth is bounded by n.  When it proves a
+state good it records the move that proved it, and `trace` follows those
+recorded moves to rebuild the leftmost certified trace.
+
+Memo keys: with `use_memo` a state is keyed on (abstraction key, n, w), which
+shares verdicts between delta-equivalent configurations; that sharing is a
+bisimulation argument and is only sound for progressing scenarios.  Without
+it a state is keyed on (configuration, n, w, remaining path length), which is
+exact for the bounded search even when instantaneous rules form a cycle.
+
+A compliant goal trace within a tick budget is the n=0, b=0 case:
+`find_compliant_goal_trace` runs the engine there.
 """
 
 from __future__ import annotations
@@ -19,6 +38,7 @@ from .scenario import PlanningScenario, infer_dmax
 from .specs import TICK_STEP, Trace, TraceStep, match_spec
 
 Which = Literal["system", "updates", "both"]
+Move = tuple[Union[RuleInstance, str], Configuration, int]
 
 
 def successors(
@@ -29,6 +49,13 @@ def successors(
     Instantaneous instances come first (rules in declaration order, instances
     in canonical order), then the time advance when system moves are included.
     """
+    return list(iter_successors(scenario, config, which))
+
+
+def iter_successors(
+    scenario: PlanningScenario, config: Configuration, which: Which = "system"
+) -> Iterator[tuple[Union[RuleInstance, str], Configuration]]:
+    """`successors`, computed one move at a time as they are consumed."""
     if which == "system":
         rules = scenario.system_rules
     elif which == "updates":
@@ -37,29 +64,177 @@ def successors(
         rules = scenario.system_rules + scenario.update_rules
     else:
         raise EngineError(f"unknown successor selector {which!r}")
-    out: list[tuple[Union[RuleInstance, str], Configuration]] = []
     for rule in rules:
         for inst in find_matches(rule, config, scenario.signature):
-            out.append((inst, apply_instance(config, inst, trusted=True)))
+            yield inst, apply_instance(config, inst, trusted=True)
     if which != "updates":
-        out.append((TICK_STEP, tick(config)))
-    return out
+        yield TICK_STEP, tick(config)
 
 
 @dataclass
 class SearchStats:
-    visited: int = 0
-    pruned: int = 0
+    visited: int = 0  # states the search decided
 
 
-def _instantaneous_moves(
-    scenario: PlanningScenario, config: Configuration
-) -> list[tuple[RuleInstance, Configuration]]:
-    out = []
-    for rule in scenario.system_rules:
-        for inst in find_matches(rule, config, scenario.signature):
-            out.append((inst, apply_instance(config, inst, trusted=True)))
-    return out
+class Checker:
+    """Memoized decision procedure that records the move proving each good
+    state, plus the walk that follows those moves."""
+
+    def __init__(
+        self,
+        scenario: PlanningScenario,
+        b: int,
+        *,
+        path_slack: int,
+        use_memo: bool = True,
+    ):
+        """Paths from a root with window w are bounded by
+        (max(w, 0) + path_slack) * m steps, m the configuration size."""
+        self.scenario = scenario
+        self.b = b
+        self.m = len(scenario.initial)
+        self.path_slack = path_slack
+        self.dmax = infer_dmax(scenario)
+        self.use_memo = use_memo
+        # key -> False, True (a goal state), or the winning move as
+        # (configuration, annotation, successor, successor window, successor key)
+        self.memo: dict[tuple, Union[bool, tuple]] = {}
+        self._intern: dict[tuple, int] = {}
+        self.refutation: tuple[str, ...] = ()
+
+    def _depth_limit(self, w: int) -> int:
+        return (max(w, 0) + self.path_slack) * self.m
+
+    def _key(self, config: Configuration, n: int, w: int, remaining: int) -> tuple:
+        if not self.use_memo:
+            return (config, n, w, remaining)
+        dkey = delta_key(abstract(config, self.dmax))
+        return (self._intern.setdefault(dkey, len(self._intern)), n, w)
+
+    def _moves(self, config: Configuration, w: int) -> Iterator[Move]:
+        """System moves with the window after them; the time advance only
+        while ticks remain (w + b >= 1)."""
+        for annotation, nxt in iter_successors(self.scenario, config):
+            if not isinstance(annotation, str):
+                yield annotation, nxt, w
+            elif w + self.b >= 1:
+                yield annotation, nxt, w - 1
+
+    def _covered(self, config: Configuration, n: int, w: int) -> bool:
+        """Every applicable update must lead to an (n-1, w, b)-resilient state."""
+        if n == 0 or w < 0:
+            return True
+        for inst, updated in iter_successors(self.scenario, config, "updates"):
+            if not self.decide(updated, n - 1, w):
+                chain = (
+                    f"update {inst.key()} at t={config.global_time} admits no "
+                    f"({n - 1},{w},{self.b})-resilient reaction",
+                )
+                self.refutation = chain + self.refutation[:8]
+                return False
+        return True
+
+    def _goal_verdict(self, config: Configuration, n: int, w: int) -> Optional[bool]:
+        """The verdict of a goal state, None for any other state.
+
+        Update coverage is evaluated lazily: only states that otherwise lie on
+        a compliant goal trace pay for it (a state that cannot reach the goal
+        is refuted without running any reaction searches).
+        """
+        if match_spec(self.scenario.goal_spec, config) is None:
+            return None
+        return self._covered(config, n, w)
+
+    def decide(self, config: Configuration, n: int, w: int) -> bool:
+        """Does an (n, w, b)-resilient trace from `config` exist?
+
+        Critical states are refuted before their key is computed.  A successor
+        deeper than the path bound, or one whose key is on the stack, counts
+        as bad without being memoized; neither occurs in a progressing
+        scenario.
+        """
+        critical = self.scenario.critical_spec
+        if match_spec(critical, config) is not None:
+            return False
+        limit = self._depth_limit(w)
+        key = self._key(config, n, w, limit)
+        verdict = self.memo.get(key)
+        if verdict is not None:
+            return bool(verdict)
+        verdict = self._goal_verdict(config, n, w)
+        if verdict is not None:
+            self.memo[key] = verdict
+            return verdict
+
+        # frames: (annotation leading here, configuration, window, key, moves)
+        stack = [(None, config, w, key, self._moves(config, w))]
+        onstack = {key}
+        pending: Union[None, bool, tuple] = None  # verdict of the last successor
+        last: tuple = ()  # that successor as (annotation, configuration, window, key)
+        while stack:
+            frame = stack[-1]
+            _, cfg, fw, fkey, moves = frame
+            if pending:
+                # a good successor proves the state iff its update points are covered
+                verdict = (cfg, *last) if self._covered(cfg, n, fw) else False
+            elif (move := next(moves, None)) is not None:
+                annotation, cfg2, w2 = move
+                if match_spec(critical, cfg2) is not None:
+                    continue
+                key2 = self._key(cfg2, n, w2, limit - len(stack))
+                last = (annotation, cfg2, w2, key2)
+                pending = self.memo.get(key2)
+                if pending is None and key2 not in onstack:
+                    pending = self._goal_verdict(cfg2, n, w2)
+                    if pending is not None:
+                        self.memo[key2] = pending
+                    elif len(stack) < limit:
+                        stack.append((annotation, cfg2, w2, key2, self._moves(cfg2, w2)))
+                        onstack.add(key2)
+                continue
+            else:
+                verdict = False
+            self.memo[fkey] = verdict
+            onstack.discard(fkey)
+            stack.pop()
+            last = (frame[0], cfg, fw, fkey)
+            pending = verdict
+        return bool(self.memo[key])
+
+    def trace(self, config: Configuration, n: int, w: int) -> Trace:
+        """The trace certified by `decide(config, n, w)`, which must hold.
+
+        Follows the recorded winning moves, which are the leftmost
+        decide-approved moves in the search order.  A configuration whose key
+        was first decided for a different (abstraction-equivalent)
+        configuration gets its moves rescanned instead: the move recorded
+        under that key belongs to the other configuration.
+        """
+        limit = self._depth_limit(w)
+        key = self._key(config, n, w, limit)
+        steps: list[TraceStep] = []
+        current = config
+        while True:
+            if match_spec(self.scenario.critical_spec, current) is not None:
+                raise EngineError("witness reconstruction entered a critical state")
+            if match_spec(self.scenario.goal_spec, current) is not None:
+                return Trace(config, tuple(steps))
+            if len(steps) >= limit:
+                raise EngineError("witness reconstruction lost the certified path")
+            entry = self.memo.get(key)
+            if isinstance(entry, tuple) and entry[0] == current:
+                _, annotation, nxt, w, key = entry
+            else:
+                annotation, nxt, w = self._first_good_move(current, n, w)
+                key = self._key(nxt, n, w, limit - len(steps) - 1)
+            steps.append(TraceStep(annotation, nxt))
+            current = nxt
+
+    def _first_good_move(self, config: Configuration, n: int, w: int) -> Move:
+        for move in self._moves(config, w):
+            if self.decide(move[1], n, move[2]):
+                return move
+        raise EngineError("witness reconstruction lost the certified path")
 
 
 def find_compliant_goal_trace(
@@ -72,9 +247,9 @@ def find_compliant_goal_trace(
     """A compliant trace of system rules from the initial configuration to a
     goal configuration using at most `tick_budget` time advances, or None.
 
-    Search is exhaustive up to abstraction equivalence; depth is bounded by
-    (tick_budget + 1) * m, the trace-length bound for progressing scenarios.
-    Memoization requires a progressing scenario.
+    The engine at n=0, b=0: the leftmost such trace in the search order, with
+    length bounded by (tick_budget + 1) * m, the trace-length bound for
+    progressing scenarios.  Memoization requires a progressing scenario.
     """
     if tick_budget < 0:
         raise EngineError("tick budget must be a natural number")
@@ -83,85 +258,16 @@ def find_compliant_goal_trace(
             "abstraction-keyed memoization is sound only for progressing "
             "scenarios; pass use_memo=False"
         )
-    m = len(scenario.initial)
-    dmax = infer_dmax(scenario)
-    depth_limit = (tick_budget + 1) * m
-    # seen: abstraction key -> best tick budget it was explored with
-    seen: dict[tuple, int] = {}
-
-    found = _dfs_goal(
-        scenario,
-        scenario.initial,
-        tick_budget,
-        depth_limit,
-        dmax,
-        seen if use_memo else None,
-        stats,
-    )
-    if found is None:
+    checker = Checker(scenario, 0, path_slack=1, use_memo=use_memo)
+    found = checker.decide(scenario.initial, 0, tick_budget)
+    if stats is not None:
+        stats.visited += len(checker.memo)
+    if not found:
         return None
-    trace = Trace(scenario.initial, tuple(found))
+    trace = checker.trace(scenario.initial, 0, tick_budget)
     if scenario.progressing:
-        _assert_progressing_shape(trace, m)
+        _assert_progressing_shape(trace, len(scenario.initial))
     return trace
-
-
-def _dfs_goal(
-    scenario: PlanningScenario,
-    root: Configuration,
-    budget: int,
-    depth_limit: int,
-    dmax: int,
-    seen: Optional[dict[tuple, int]],
-    stats: Optional[SearchStats],
-) -> Optional[list[TraceStep]]:
-    # Iterative DFS; frames carry (config, remaining budget, move iterator).
-    if match_spec(scenario.critical_spec, root) is not None:
-        return None
-    if match_spec(scenario.goal_spec, root) is not None:
-        return []
-
-    def moves(config: Configuration, remaining: int) -> Iterator[TraceStep]:
-        for inst, nxt in _instantaneous_moves(scenario, config):
-            yield TraceStep(inst, nxt)
-        if remaining > 0:
-            yield TraceStep(TICK_STEP, tick(config))
-
-    if seen is not None:
-        seen[delta_key(abstract(root, dmax))] = budget
-    path: list[TraceStep] = []
-    stack = [(root, budget, moves(root, budget))]
-    while stack:
-        config, remaining, it = stack[-1]
-        step = next(it, None)
-        if step is None:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        if stats is not None:
-            stats.visited += 1
-        nxt = step.result
-        if match_spec(scenario.critical_spec, nxt) is not None:
-            continue
-        nxt_remaining = remaining - 1 if step.is_tick else remaining
-        path.append(step)
-        if match_spec(scenario.goal_spec, nxt) is not None:
-            return path
-        if len(path) >= depth_limit:
-            path.pop()
-            continue
-        if seen is not None:
-            key = delta_key(abstract(nxt, dmax))
-            best = seen.get(key)
-            if best is not None and best >= nxt_remaining:
-                if stats is not None:
-                    stats.pruned += 1
-                path.pop()
-                continue
-            seen[key] = nxt_remaining
-        stack.append((nxt, nxt_remaining, moves(nxt, nxt_remaining)))
-    return None
 
 
 def _assert_progressing_shape(trace: Trace, m: int) -> None:

@@ -265,7 +265,7 @@ def brute_find_matches(
             if not config.contains(needed):
                 continue
             times = {v: t for v, t in sigma.items() if isinstance(t, int)}
-            if not all(c.satisfied(times) for c in rule.effective_guard()):
+            if not all(c.satisfied(times) for c in rule.guard):
                 continue
             sigma.update(fresh_assignment)
             inst = RuleInstance(rule, tuple(sorted(sigma.items())))

@@ -13,6 +13,8 @@ import random
 import time
 from pathlib import Path
 
+import pytest
+
 from conftest import random_scenario, travel_with_start
 from msrplan.delta import abstract, lift, tock, tock_oracle
 from msrplan.kernel import Configuration, TimedFact
@@ -63,6 +65,7 @@ def _oracle_agrees(q: Qbf) -> bool:
     return truth == verdict
 
 
+@pytest.mark.slow
 def test_criterion_1_qbf_oracle_agreement():
     started = time.time()
     blocks = (("e", (1,)), ("a", (2,)), ("e", (3,)))
@@ -309,6 +312,7 @@ def _four_vertex_classes() -> list[Graph]:
     return graphs
 
 
+@pytest.mark.slow
 def test_criterion_6_graph_homomorphism_recognizer():
     started = time.time()
     mism = []

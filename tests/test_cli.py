@@ -191,12 +191,3 @@ class TestDelta:
         assert code == EXIT_YES
         assert out.strip() == "[Time |0| Start |0| Target(here) |inf| Fuse]"
 
-
-class TestJobs:
-    def test_jobs_flag_accepted(self, capsys, minimal_file):
-        code, _ = run(capsys, "--jobs", "4", "goal", minimal_file, "--budget", "2")
-        assert code == EXIT_YES
-
-    def test_jobs_must_be_positive(self, capsys, minimal_file):
-        code, _ = run(capsys, "--jobs", "0", "goal", minimal_file, "--budget", "2")
-        assert code == EXIT_ERROR

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 
 import pytest
 
 from conftest import random_scenario, travel_with_start
+from msrplan.delta import abstract, delta_key
 from msrplan.reductions import Qbf, evaluate_qbf, qbf_to_scenario
 from msrplan.resilience import (
     ResilienceQuery,
@@ -16,9 +18,10 @@ from msrplan.resilience import (
     witness_to_dict,
     witness_to_json,
 )
-from msrplan.rules import EngineError
+from msrplan.rules import EngineError, apply_instance
+from msrplan.scenario import infer_dmax, parse_scenario
 from msrplan.search import find_compliant_goal_trace
-from msrplan.specs import TICK_STEP
+from msrplan.specs import TICK_STEP, replay_errors
 
 Q_GAME = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((1, 2, 3), (-1, -2, -3)))
 Q_FALSE = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((2, 2, 2),))
@@ -248,6 +251,69 @@ class TestWitnesses:
         ok, violations = verify_witness(minimal, ResilienceQuery(0, 1, 0), data)
         assert not ok
         assert any("children present at n=0" in v for v in violations)
+
+
+# A staged walk s0 -> s5 beside a Beat fact refreshed to T+1, with no clock
+# fact forcing the refresh.  Dmax is 1, so a spent token's timestamp drops out
+# of the abstraction two units later: the reactions to `spend` at different
+# moments reach distinct configurations that share a memo key.
+PERIODIC = """
+types stage;
+consts s0: stage, s1: stage, s2: stage, s3: stage, s4: stage, s5: stage;
+predicates Beat: system, At(stage): system, Next(stage, stage): system,
+           Token: system, Used: system, Last(stage): goal, Halt: critical;
+init { Time@0, Beat@0, Token@0, At(s0)@0, Last(s5)@0, Halt@0,
+       Next(s0, s1)@0, Next(s1, s2)@0, Next(s2, s3)@0, Next(s3, s4)@0,
+       Next(s4, s5)@0 }
+rule system beat { consume: Beat@T1; create: Beat@T+1; guard: T1 <= T; }
+rule system step {
+  pre: Next(x, y)@T2;
+  consume: At(x)@T1;
+  create: At(y)@T+1;
+  guard: T1 <= T;
+}
+rule system_update spend { consume: Token@T1; create: Used@T+1; guard: T1 <= T; }
+goal { Last(x)@T1, At(x)@T2, Time@T | T2 < T }
+critical { Time@T, Halt@T1 | T < T1 }
+"""
+
+
+class TestAbstractionSharing:
+    def test_memo_agrees_with_exact_keys(self):
+        scenario = parse_scenario(PERIODIC, "periodic")
+        assert scenario.progressing and infer_dmax(scenario) == 1
+        verdicts = set()
+        for n, a, b in itertools.product((1, 2), (2, 3, 4), (1, 3)):
+            query = ResilienceQuery(n, a, b)
+            memo = check_resilience(scenario, query)
+            exact = check_resilience(scenario, query, use_memo=False)
+            assert memo.resilient == exact.resilient, query
+            verdicts.add(memo.resilient)
+            if not memo.resilient:
+                continue
+            assert verify_witness(scenario, query, memo.witness) == (True, [])
+            assert witness_to_json(memo.witness) == witness_to_json(exact.witness)
+            nodes = list(_walk(memo.witness))
+            for node in nodes:
+                assert not replay_errors(node.trace)
+                for index, inst, sub in node.children:
+                    start = node.trace.config_at(index)
+                    assert sub.trace.initial == apply_instance(start, inst)
+            # the witness walks through distinct configurations with one memo key
+            by_key: dict[tuple, set] = {}
+            for node in nodes:
+                for config in node.trace.configurations():
+                    dkey = delta_key(abstract(config, 1))
+                    key = (node.query.n, config.global_time, dkey)
+                    by_key.setdefault(key, set()).add(config)
+            assert any(len(configs) > 1 for configs in by_key.values()), query
+        assert verdicts == {True, False}
+
+
+def _walk(node):
+    yield node
+    for _, _, sub in node.children:
+        yield from _walk(sub)
 
 
 class TestBudgetOverflow:

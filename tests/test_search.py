@@ -4,14 +4,14 @@ import pytest
 
 from conftest import random_scenario, travel_with_start
 from msrplan.reductions import Qbf, qbf_to_scenario
-from msrplan.rules import EngineError, tick
+from msrplan.rules import EngineError, apply_instance, find_matches, tick
 from msrplan.search import (
     SearchStats,
     find_compliant_goal_trace,
     instantaneous_run_lengths,
     successors,
 )
-from msrplan.specs import check_compliance, match_spec, replay_errors
+from msrplan.specs import TICK_STEP, check_compliance, match_spec, replay_errors
 
 
 class TestSuccessors:
@@ -83,10 +83,28 @@ class TestGoalSearch:
 
     def test_memo_requires_progressing(self):
         scenario = random_scenario(3, progressing=False)
-        if not scenario.progressing:
-            with pytest.raises(EngineError):
-                find_compliant_goal_trace(scenario, 2, use_memo=True)
-        assert find_compliant_goal_trace(scenario, 2, use_memo=False) is not None or True
+        assert not scenario.progressing
+        with pytest.raises(EngineError):
+            find_compliant_goal_trace(scenario, 2, use_memo=True)
+        trace = find_compliant_goal_trace(scenario, 2, use_memo=False)
+        assert _annotations(trace) == _reference_goal_trace(scenario, 2)
+
+    # the leftmost traces of seeds 448 and 533 revisit a configuration; a key
+    # without the remaining path length would cut the revisit as a cycle
+    @pytest.mark.parametrize("seed", [*range(40), 448, 533])
+    def test_exact_keys_match_unmemoized_reference(self, seed):
+        scenario = random_scenario(seed, progressing=False)
+        assert not scenario.progressing
+        for budget in range(3):
+            trace = find_compliant_goal_trace(scenario, budget, use_memo=False)
+            assert _annotations(trace) == _reference_goal_trace(scenario, budget)
+            if trace is None:
+                continue
+            assert trace.initial == scenario.initial
+            assert not replay_errors(trace)
+            assert check_compliance(trace, scenario.critical_spec).ok
+            assert match_spec(scenario.goal_spec, trace.final) is not None
+            assert trace.tick_count() <= budget
 
     def test_returned_traces_satisfy_invariants(self, travel):
         trace = find_compliant_goal_trace(travel, 280)
@@ -112,3 +130,38 @@ class TestGoalSearch:
         stats = SearchStats()
         find_compliant_goal_trace(minimal, 1, stats=stats)
         assert stats.visited > 0
+
+
+def _annotations(trace):
+    if trace is None:
+        return None
+    return [s.instance if s.is_tick else s.instance.key() for s in trace.steps]
+
+
+def _reference_goal_trace(scenario, budget):
+    """Annotations of the first compliant goal trace in canonical move order,
+    by plain recursion over the definition: at most `budget` time advances and
+    at most (budget + 1) * m steps; None if there is none."""
+    limit = (budget + 1) * len(scenario.initial)
+
+    def search(config, remaining, depth):
+        if match_spec(scenario.critical_spec, config) is not None:
+            return None
+        if match_spec(scenario.goal_spec, config) is not None:
+            return []
+        if depth == limit:
+            return None
+        moves = [
+            (inst.key(), apply_instance(config, inst), remaining)
+            for rule in scenario.system_rules
+            for inst in find_matches(rule, config, scenario.signature)
+        ]
+        if remaining > 0:
+            moves.append((TICK_STEP, tick(config), remaining - 1))
+        for label, nxt, left in moves:
+            rest = search(nxt, left, depth + 1)
+            if rest is not None:
+                return [label] + rest
+        return None
+
+    return search(scenario.initial, budget, 0)
