@@ -293,7 +293,7 @@ def fact_size(fact: TimedFact) -> int:
 class Configuration:
     """An immutable multiset of timed facts with one global-time fact."""
 
-    __slots__ = ("_facts", "_canonical", "_hash", "_by_pred")
+    __slots__ = ("_facts", "_canonical", "_hash", "_by_pred", "_time")
 
     def __init__(self, facts: Iterable[TimedFact]):
         ordered = sorted(facts, key=TimedFact.sort_key)
@@ -305,6 +305,7 @@ class Configuration:
             )
         canonical = tuple(ordered)
         object.__setattr__(self, "_canonical", canonical)
+        object.__setattr__(self, "_time", time_facts[0].ts)
         counts: dict[TimedFact, int] = {}
         for f in canonical:
             counts[f] = counts.get(f, 0) + 1
@@ -317,10 +318,7 @@ class Configuration:
 
     @property
     def global_time(self) -> int:
-        for f in self._canonical:
-            if f.pred == TIME_PREDICATE:
-                return f.ts
-        raise KernelError("missing Time fact")  # pragma: no cover
+        return self._time
 
     def canonical_order(self) -> tuple[TimedFact, ...]:
         return self._canonical

@@ -5,13 +5,23 @@ implicit ``Time@T`` pattern plus a side condition (matched but untouched) and
 a consumed multiset; its postcondition recreates the side condition and adds
 created facts at fixed delays from the global time.  The distinguished time
 variable ``T`` always denotes the global time.
+
+Matching runs on a `MatchPlan`, compiled once per rule (`Rule.plan`) and per
+specification pair (`specs.SpecPair.plan`) and kept on that object.  The
+plan fixes the order in which patterns bind their variables, so it knows
+statically which arguments are ground or bound at each step and turns every
+guard constraint into a bound on one step's fact timestamp: an ``=``
+constraint against a bound variable anchors the timestamp exactly, and
+candidates are filtered on it before any binding is made.  A rule plan may
+put anchored patterns first because `find_matches` sorts its instances.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .kernel import (
     MAX_TIMESTAMP,
@@ -288,6 +298,12 @@ class Rule:
             out |= c.atom.variables()
         return out
 
+    @cached_property
+    def plan(self) -> "MatchPlan":
+        """The compiled matcher for the precondition and guard, built on
+        first use and kept with the rule."""
+        return MatchPlan((*self.side, *self.consumed), self.guard, precondition=True)
+
     def with_past_consumption(self) -> "Rule":
         """Add the implicit constraints T >= T_i for every consumed fact."""
         present = {(c.left, c.rel, c.right, c.offset) for c in self.guard}
@@ -430,113 +446,321 @@ def _ground_type_mismatch(var: Variable, ground: Term) -> bool:
     return False  # function results are type-checked at construction
 
 
-def _guard_ok_so_far(guard: tuple[TimeConstraint, ...], sigma: Binding) -> bool:
-    for c in guard:
-        left = sigma.get(c.left)
-        right = sigma.get(c.right)
-        if isinstance(left, int) and isinstance(right, int):
-            if not c.satisfied({c.left: left, c.right: right}):
+class MatchPlan:
+    """A pattern list plus time constraints compiled into a backtracking join.
+
+    Each step matches one pattern against the facts of its predicate.  The
+    binding order is fixed, so which of a pattern's arguments are ground or
+    already bound is known at compile time.  Every constraint is attached to
+    the step where the later of its two variables is bound, as a bound on
+    that step's fact timestamp computed from values bound earlier: each
+    constraint is checked exactly once.  An ``=`` constraint whose other
+    side is already bound (``T1 = T``, ``T1 + 30 = T``, ``T1 = T + 1``)
+    pins the timestamp exactly; this is the step's anchor.  Candidates come
+    in canonical order, which is ascending timestamp, so a step skips facts
+    below its lower bound and stops at the first fact above its upper bound
+    before looking at any argument.  Constraints over a single variable are
+    decided at compile time.
+
+    One binding dict is extended in place.  A step writes only names that no
+    earlier step binds, so backtracking needs no undo.
+    """
+
+    __slots__ = ("steps", "preds", "claims", "never")
+
+    def __init__(
+        self,
+        patterns: Iterable[FactPattern],
+        constraints: Iterable[TimeConstraint],
+        *,
+        precondition: bool = False,
+    ):
+        """With `precondition` the plan matches a rule precondition: the
+        global time ``T`` is bound before matching starts, patterns of a
+        predicate that several patterns share claim distinct fact occurrences
+        (multiset inclusion), and anchored patterns go first, since callers
+        sort what they find.  Otherwise it matches a specification pair:
+        patterns keep declaration order, so the first binding found is the
+        first in that order, and several patterns may collapse onto one fact
+        (recognition asks only that every substituted pattern occurs)."""
+        prebound = (GLOBAL_TIME_VAR,) if precondition else ()
+        remaining = list(patterns)
+        self.never = False  # no binding can ever complete
+        by_var: dict[str, list[TimeConstraint]] = {}
+        for c in constraints:
+            c = c.normalized()
+            if c.left != c.right:
+                by_var.setdefault(c.left, []).append(c)
+                by_var.setdefault(c.right, []).append(c)
+            elif not (0 > c.offset if c.rel == ">" else c.offset == 0):
+                self.never = True
+        time_names = set(prebound)
+        fo_names: set[str] = set()
+        for p in remaining:
+            time_names.add(p.tvar)
+            for a in p.atom.args:
+                if isinstance(a, Variable):
+                    fo_names.add(a.name)
+                elif isinstance(a, FuncApp):
+                    fo_names |= term_variables(a)
+        if not fo_names.isdisjoint(time_names):
+            self.never = True  # a timestamp never equals a term
+        preds = [p.atom.pred for p in remaining]
+        shared = {q for q in preds if preds.count(q) > 1} if precondition else ()
+        self.preds = tuple(dict.fromkeys(preds))
+        self.claims = bool(shared)
+        bound = set(prebound)
+        steps = []
+        while remaining:
+            pat = remaining.pop(_next_pattern(remaining, bound, by_var) if precondition else 0)
+            steps.append(_Step.compile(pat, bound, by_var, pat.atom.pred in shared))
+        self.steps = tuple(steps)
+
+    def bindings(
+        self, config: Configuration, sigma: Binding, *, first: bool = False
+    ) -> list[Binding]:
+        """Every complete extension of `sigma` (only the first with `first`),
+        in step order over the configuration's canonical order."""
+        by_pred = config.by_pred()
+        if self.never:
+            return []
+        for pred in self.preds:
+            if pred not in by_pred:
+                return []
+        if not self.steps:
+            return [dict(sigma)]
+        out: list[Binding] = []
+        available = config.counts() if self.claims else None
+        _extend(self.steps, 0, by_pred, dict(sigma), available, out, first)
+        return out
+
+
+class _Step(NamedTuple):
+    """One pattern of a plan, compiled after the names bound before it.
+
+    `lows` and `highs` hold (name, k) pairs meaning ``ts >= binding[name] +
+    k`` and ``ts <= binding[name] + k`` for the candidate fact's timestamp.
+    `fixed` lists the arguments determined on entry as (position, bound name
+    or None, ground term); `binds` the first occurrences of new variables as
+    (position, name, base type); `dups` their later occurrences as
+    (position, first position).  `whole` is the argument tuple itself when
+    every argument is ground.  A pattern with a non-ground function term
+    instead unifies its `nested` arguments one by one from the `known` names.
+    """
+
+    tvar: Optional[str]  # None when an earlier step binds it
+    pred: str
+    arity: int
+    lows: tuple[tuple[str, int], ...]
+    highs: tuple[tuple[str, int], ...]
+    determined: bool  # every argument is in `fixed`
+    whole: Optional[tuple[Term, ...]]
+    fixed: tuple[tuple[int, Optional[str], Optional[Term]], ...]
+    binds: tuple[tuple[int, str, str], ...]
+    dups: tuple[tuple[int, int], ...]
+    nested: Optional[tuple[Term, ...]]
+    known: tuple[str, ...]
+    claims: bool  # claim a distinct fact occurrence
+
+    @classmethod
+    def compile(
+        cls,
+        pat: FactPattern,
+        bound: set[str],
+        by_var: dict[str, list[TimeConstraint]],
+        claims: bool,
+    ) -> "_Step":
+        """Compile `pat` after the names in `bound`, then add its names to
+        `bound`.  A constraint lands on the step binding its second variable."""
+        lows: list[tuple[str, int]] = []
+        highs: list[tuple[str, int]] = []
+        tvar: Optional[str] = pat.tvar
+        if tvar in bound:
+            lows.append((tvar, 0))
+            highs.append((tvar, 0))
+            tvar = None
+        else:
+            for c in by_var.get(tvar, ()):
+                # c reads `left > right + offset` or `left = right + offset`
+                if c.left == tvar and c.right in bound:
+                    lows.append((c.right, c.offset + (c.rel == ">")))
+                    if c.rel == "=":
+                        highs.append((c.right, c.offset))
+                elif c.right == tvar and c.left in bound:
+                    highs.append((c.left, -c.offset - (c.rel == ">")))
+                    if c.rel == "=":
+                        lows.append((c.left, -c.offset))
+            bound.add(tvar)
+        args = pat.atom.args
+        fixed: list[tuple[int, Optional[str], Optional[Term]]] = []
+        binds: list[tuple[int, str, str]] = []
+        dups: list[tuple[int, int]] = []
+        first_pos: dict[str, int] = {}
+        nested = None
+        known: tuple[str, ...] = ()
+        for pos, a in enumerate(args):
+            if isinstance(a, Variable):
+                if a.name in first_pos:
+                    dups.append((pos, first_pos[a.name]))
+                elif a.name in bound:
+                    fixed.append((pos, a.name, None))
+                else:
+                    first_pos[a.name] = pos
+                    binds.append((pos, a.name, a.base_type))
+            elif is_ground(a):
+                fixed.append((pos, None, a))
+            else:
+                nested = args
+        if nested is not None:
+            names = pat.atom.variables()
+            known = tuple(sorted(names & bound))
+            bound |= names
+            fixed, binds, dups = [], [], []
+        else:
+            bound.update(first_pos)
+        determined = nested is None and len(fixed) == len(args)
+        whole = args if determined and all(n is None for _, n, _ in fixed) else None
+        return cls(
+            tvar, pat.atom.pred, len(args), tuple(lows), tuple(highs), determined,
+            whole, tuple(fixed), tuple(binds), tuple(dups), nested, known, claims,
+        )
+
+
+def _extend(
+    steps: tuple[_Step, ...],
+    i: int,
+    by_pred: dict[str, list[TimedFact]],
+    sigma: Binding,
+    available: Optional[dict[TimedFact, int]],
+    out: list[Binding],
+    first: bool,
+) -> bool:
+    """Match steps[i:] in place on `sigma`, appending a copy of every
+    complete binding to `out`; True once `first` is set and one is found."""
+    (tvar, pred, arity, lows, highs, determined, whole, fixed, binds, dups,
+     nested, known, claims) = steps[i]
+    final = i + 1 == len(steps)
+    lo, hi = 0, MAX_TIMESTAMP
+    for name, k in lows:
+        x = sigma[name] + k
+        if x > lo:
+            lo = x
+    for name, k in highs:
+        x = sigma[name] + k
+        if x < hi:
+            hi = x
+    if lo > hi:
+        return False
+    if determined:
+        if whole is None:
+            whole = tuple([g if n is None else sigma[n] for _, n, g in fixed])
+    else:
+        checks = [(pos, g if n is None else sigma[n]) for pos, n, g in fixed]
+    for fact in by_pred[pred]:
+        ts = fact.ts
+        if ts < lo:
+            continue
+        if ts > hi:
+            break  # ascending timestamps: no later fact fits
+        args = fact.args
+        if determined:
+            if args != whole:
+                continue
+        elif nested is not None:
+            view = _unify_args(nested, args, {n: sigma[n] for n in known})
+            if view is None:
+                continue
+        elif len(args) != arity or not _fits(args, checks, dups, binds):
+            continue
+        if claims:
+            if available[fact] <= 0:
+                continue
+            available[fact] -= 1
+        if tvar is not None:
+            sigma[tvar] = ts
+        for pos, name, _ in binds:
+            sigma[name] = args[pos]
+        if nested is not None:
+            sigma.update(view)
+        if final:
+            out.append(dict(sigma))
+            stop = first
+        else:
+            stop = _extend(steps, i + 1, by_pred, sigma, available, out, first)
+        if claims:
+            available[fact] += 1
+        if stop:
+            return True
+    return False
+
+
+def _fits(
+    args: tuple[Term, ...],
+    checks: list[tuple[int, Term]],
+    dups: tuple[tuple[int, int], ...],
+    binds: tuple[tuple[int, str, str], ...],
+) -> bool:
+    for pos, value in checks:
+        if args[pos] != value:
+            return False
+    for pos, first in dups:
+        if args[pos] != args[first]:
+            return False
+    for pos, _, btype in binds:
+        if btype:
+            g = args[pos]
+            if isinstance(g, (Constant, FreshConstant)) and g.base_type != btype:
                 return False
     return True
 
 
-def _match_patterns(
-    patterns: list[FactPattern],
-    by_pred: dict[str, list[TimedFact]],
-    available: Optional[dict[TimedFact, int]],
-    sigma: Binding,
-    guard: tuple[TimeConstraint, ...],
-    out: list[Binding],
-) -> None:
-    """Backtracking pattern embedding.
+def _unify_args(
+    patterns: tuple[Term, ...], args: tuple[Term, ...], sigma: Binding
+) -> Optional[Binding]:
+    if len(patterns) != len(args):
+        return None
+    for p, g in zip(patterns, args):
+        sigma = _unify(p, g, sigma)
+        if sigma is None:
+            return None
+    return sigma
 
-    With `available` set, pattern occurrences claim distinct fact occurrences
-    (multiset inclusion, as rule preconditions require).  With `available`
-    None, several patterns may collapse onto one fact (specification matching
-    asks only that every substituted pattern occurs).
-    """
-    if not patterns:
-        out.append(dict(sigma))
-        return
-    pat, rest = patterns[0], patterns[1:]
-    bound_ts = sigma.get(pat.tvar)
 
-    # fast path: all arguments already determined, so candidates are filtered
-    # by tuple equality without trial substitutions
-    ground_args: Optional[list[Term]] = []
-    for a in pat.atom.args:
-        if isinstance(a, Variable):
-            b = sigma.get(a.name)
-            if b is None or isinstance(b, int):
-                ground_args = None
-                break
-            ground_args.append(b)
-        elif is_ground(a):
-            ground_args.append(a)
-        else:
-            ground_args = None
-            break
-    if ground_args is not None:
-        wanted = tuple(ground_args)
-        for fact in by_pred.get(pat.atom.pred, ()):
-            if fact.args != wanted:
-                continue
-            if bound_ts is not None and bound_ts != fact.ts:
-                continue
-            if available is not None and available[fact] <= 0:
-                continue
-            if bound_ts is None:
-                next_sigma = dict(sigma)
-                next_sigma[pat.tvar] = fact.ts
-                if not _guard_ok_so_far(guard, next_sigma):
-                    continue
-            else:
-                next_sigma = sigma  # nothing new bound; frames copy on bind
-            if available is None:
-                _match_patterns(rest, by_pred, None, next_sigma, guard, out)
-            else:
-                available[fact] -= 1
-                _match_patterns(rest, by_pred, available, next_sigma, guard, out)
-                available[fact] += 1
-        return
-
-    for fact in by_pred.get(pat.atom.pred, ()):
-        if available is not None and available[fact] <= 0:
-            continue
-        if len(fact.args) != len(pat.atom.args):
-            continue
-        if bound_ts is not None and bound_ts != fact.ts:
-            continue
-        next_sigma: Optional[Binding] = dict(sigma)
-        next_sigma[pat.tvar] = fact.ts
-        for p_arg, g_arg in zip(pat.atom.args, fact.args):
-            next_sigma = _unify(p_arg, g_arg, next_sigma)
-            if next_sigma is None:
-                break
-        if next_sigma is None:
-            continue
-        if not _guard_ok_so_far(guard, next_sigma):
-            continue
-        if available is None:
-            _match_patterns(rest, by_pred, None, next_sigma, guard, out)
-        else:
-            available[fact] -= 1
-            _match_patterns(rest, by_pred, available, next_sigma, guard, out)
-            available[fact] += 1
+def _next_pattern(
+    patterns: list[FactPattern], bound: set[str], by_var: dict[str, list[TimeConstraint]]
+) -> int:
+    """Index of the pattern to match next: the first whose timestamp is
+    anchored, else the first whose timestamp is bounded at all, else the
+    first."""
+    bounded = None
+    for index, pat in enumerate(patterns):
+        tvar = pat.tvar
+        if tvar in bound:
+            return index
+        for c in by_var.get(tvar, ()):
+            if (c.right if c.left == tvar else c.left) in bound:
+                if c.rel == "=":
+                    return index
+                if bounded is None:
+                    bounded = index
+    return bounded or 0
 
 
 def _canonical_fresh(
-    rule: Rule, config: Configuration, sigma: Binding, sig: Optional[Signature]
-) -> Binding:
+    rule: Rule, config: Configuration, sig: Optional[Signature]
+) -> dict[str, FreshConstant]:
+    """The fresh assignment every match of `rule` on `config` gets: each fresh
+    variable, in name order, takes the smallest index of its type absent
+    from the configuration and from earlier fresh variables."""
     fresh_vars = sorted(rule.fresh_vars())
     if not fresh_vars:
-        return sigma
+        return {}
     taken: dict[str, set[int]] = {}
     for v in config.values():
         if isinstance(v, FreshConstant):
             taken.setdefault(v.base_type, set()).add(v.index)
     var_types = _fresh_var_types(rule, sig)
-    out = dict(sigma)
+    out: dict[str, FreshConstant] = {}
     for name in fresh_vars:
         btype = var_types.get(name, "")
         used = taken.setdefault(btype, set())
@@ -578,23 +802,15 @@ def find_matches(
     the deterministic fresh assignment, so the returned set is finite and
     reproducible.  The precondition (side condition plus consumed facts) must
     embed into the configuration as a multiset and the guard must be
-    satisfied.
+    satisfied; `rule.plan` does both in one pass.
     """
-    now = config.global_time
-    base: Binding = {GLOBAL_TIME_VAR: now}
-    guard = rule.guard
-    if not _guard_ok_so_far(guard, base):
+    raw = rule.plan.bindings(config, {GLOBAL_TIME_VAR: config.global_time})
+    if not raw:
         return []
-    by_pred = config.by_pred()
-    available = config.counts()
-    patterns = [*rule.side, *rule.consumed]
-    raw: list[Binding] = []
-    _match_patterns(patterns, by_pred, available, base, guard, raw)
+    fresh = _canonical_fresh(rule, config, sig)
     instances: dict[str, RuleInstance] = {}
     for sigma in raw:
-        if not all(c.satisfied(_time_view(sigma)) for c in guard):
-            continue
-        sigma = _canonical_fresh(rule, config, sigma, sig)
+        sigma.update(fresh)
         inst = RuleInstance(rule, tuple(sorted(sigma.items(), key=lambda kv: kv[0])))
         instances.setdefault(inst.key(), inst)
     return [instances[k] for k in sorted(instances)]
@@ -613,11 +829,13 @@ def is_applicable(inst: RuleInstance, config: Configuration) -> bool:
         return False
     if not all(c.satisfied(_time_view(sigma)) for c in inst.rule.guard):
         return False
-    values = config.values()
-    fresh = set(inst.fresh_assignment.values())
-    if len(fresh) != len(inst.fresh_assignment):
+    assignment = inst.fresh_assignment
+    if not assignment:
+        return True
+    fresh = set(assignment.values())
+    if len(fresh) != len(assignment):
         return False
-    return not (fresh & values)
+    return not (fresh & config.values())
 
 
 def apply_instance(

@@ -53,9 +53,16 @@ def successors(
 
 
 def iter_successors(
-    scenario: PlanningScenario, config: Configuration, which: Which = "system"
+    scenario: PlanningScenario,
+    config: Configuration,
+    which: Which = "system",
+    *,
+    advance: bool = True,
 ) -> Iterator[tuple[Union[RuleInstance, str], Configuration]]:
-    """`successors`, computed one move at a time as they are consumed."""
+    """`successors`, computed one move at a time as they are consumed.
+
+    With `advance` False the time advance is left out and never built.
+    """
     if which == "system":
         rules = scenario.system_rules
     elif which == "updates":
@@ -67,7 +74,7 @@ def iter_successors(
     for rule in rules:
         for inst in find_matches(rule, config, scenario.signature):
             yield inst, apply_instance(config, inst, trusted=True)
-    if which != "updates":
+    if advance and which != "updates":
         yield TICK_STEP, tick(config)
 
 
@@ -114,11 +121,10 @@ class Checker:
     def _moves(self, config: Configuration, w: int) -> Iterator[Move]:
         """System moves with the window after them; the time advance only
         while ticks remain (w + b >= 1)."""
-        for annotation, nxt in iter_successors(self.scenario, config):
-            if not isinstance(annotation, str):
-                yield annotation, nxt, w
-            elif w + self.b >= 1:
-                yield annotation, nxt, w - 1
+        for annotation, nxt in iter_successors(
+            self.scenario, config, advance=w + self.b >= 1
+        ):
+            yield annotation, nxt, w - 1 if isinstance(annotation, str) else w
 
     def _covered(self, config: Configuration, n: int, w: int) -> bool:
         """Every applicable update must lead to an (n-1, w, b)-resilient state."""
@@ -253,7 +259,8 @@ def find_compliant_goal_trace(
     """
     if tick_budget < 0:
         raise EngineError("tick budget must be a natural number")
-    if use_memo and not scenario.progressing:
+    progressing = scenario.progressing
+    if use_memo and not progressing:
         raise EngineError(
             "abstraction-keyed memoization is sound only for progressing "
             "scenarios; pass use_memo=False"
@@ -265,7 +272,7 @@ def find_compliant_goal_trace(
     if not found:
         return None
     trace = checker.trace(scenario.initial, 0, tick_budget)
-    if scenario.progressing:
+    if progressing:
         _assert_progressing_shape(trace, len(scenario.initial))
     return trace
 

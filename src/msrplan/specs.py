@@ -4,23 +4,27 @@ A specification is a set of pairs (pattern multiset, constraint set).  A
 configuration satisfies the specification when some pair has a grounding
 substitution embedding its pattern into the configuration with the
 constraints satisfied.  Recognition is a brute-force enumeration over at most
-m^eta substitutions, which is why the checker tracks the eta measure.
+m^eta substitutions, which is why the checker tracks the eta measure.  Each
+pair is compiled once into a `rules.MatchPlan` that keeps the pattern's
+declaration order and the configuration's canonical order and stops at the
+first complete binding, so the substitution reported for a match is the
+first in that order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .kernel import Configuration, Role, Signature
 from .rules import (
     Binding,
     FactPattern,
+    MatchPlan,
     RuleInstance,
     TimeConstraint,
-    _match_patterns,
-    _time_view,
     apply_instance,
     is_applicable,
     tick,
@@ -51,6 +55,12 @@ class SpecPair:
                     raise SpecError(
                         f"constraint variable {v} does not occur in the pair's pattern"
                     )
+
+    @cached_property
+    def plan(self) -> MatchPlan:
+        """The compiled matcher, built on first use and kept with the pair:
+        declaration order, several patterns may share one fact."""
+        return MatchPlan(self.pattern, self.constraints)
 
     def variables(self) -> set[str]:
         out = {p.tvar for p in self.pattern}
@@ -97,18 +107,14 @@ def eta_measure(spec: ConfigSpec) -> int:
 def match_pair(pair: SpecPair, config: Configuration) -> Optional[Binding]:
     """First grounding substitution embedding the pair into the configuration.
 
-    Enumeration follows the canonical order of the configuration, so the
-    witness substitution is deterministic.  Distinct pattern entries may map
-    onto the same fact: the match requires only that every substituted
-    pattern occurs in the configuration.
+    The pair's plan keeps declaration order and walks candidates in the
+    canonical order of the configuration, stopping at the first complete
+    binding, so the witness substitution is deterministic.  Distinct pattern
+    entries may map onto the same fact: the match requires only that every
+    substituted pattern occurs in the configuration.
     """
-    by_pred = config.by_pred()
-    found: list[Binding] = []
-    _match_patterns(list(pair.pattern), by_pred, None, {}, pair.constraints, found)
-    for sigma in found:
-        if all(c.satisfied(_time_view(sigma)) for c in pair.constraints):
-            return sigma
-    return None
+    found = pair.plan.bindings(config, {}, first=True)
+    return found[0] if found else None
 
 
 def match_spec(

@@ -24,11 +24,13 @@ from msrplan.rules import (
     CreatedFact,
     FactPattern,
     Rule,
+    RuleError,
     RuleInstance,
     RuleRole,
     TimeConstraint,
 )
 from msrplan.scenario import PlanningScenario, load_bundled, parse_scenario
+from msrplan.search import successors
 from msrplan.specs import ConfigSpec, SpecKind, SpecPair
 
 WORKED_EXAMPLE = """
@@ -123,6 +125,106 @@ def _random_rule(
     if progressing:
         rule = rule.with_past_consumption()
     return rule
+
+
+_RELATIONS = (">", ">=", "=", "<=", "<")
+
+
+def _random_patterns(
+    rng: random.Random, count: int, tvars: list[str]
+) -> list[FactPattern]:
+    """Patterns that often repeat the previous predicate or time variable."""
+    preds = list(_PRED_POOL.items())
+    out: list[FactPattern] = []
+    for _ in range(count):
+        if out and rng.random() < 0.5:
+            pred = out[-1].atom.pred
+            arity = _PRED_POOL[pred]
+        else:
+            pred, arity = rng.choice(preds)
+        tvar = rng.choice(tvars) if out and rng.random() < 0.2 else f"T{len(out) + 1}"
+        out.append(FactPattern(_random_atom(rng, pred, arity), tvar))
+        tvars.append(tvar)
+    return out
+
+
+def _random_constraints(
+    rng: random.Random, tvars: list[str], pattern_tvars: list[str]
+) -> list[TimeConstraint]:
+    """All five relations with offsets, plus equality chains T_i = T_{i-1} + k
+    and links from the last pattern back to the first, which let a reordering
+    matcher move the last pattern forward."""
+    out: list[TimeConstraint] = []
+    for prev, cur in zip(pattern_tvars, pattern_tvars[1:]):
+        if prev != cur and rng.random() < 0.5:
+            out.append(TimeConstraint(cur, "=", prev, rng.randint(-1, 1)))
+    if len(set(pattern_tvars)) > 2 and rng.random() < 0.5:
+        out.append(TimeConstraint(pattern_tvars[-1], "=", pattern_tvars[0]))
+    for _ in range(rng.randint(0, 2)):
+        left, right = rng.choice(tvars), rng.choice(tvars)
+        out.append(TimeConstraint(left, rng.choice(_RELATIONS), right, rng.randint(-2, 2)))
+    return out
+
+
+def random_guarded_rule(rng: random.Random, name: str) -> Rule:
+    """A rule for the anchored and multiset matching paths.
+
+    Unlike `_random_rule` it draws side conditions, repeated predicates and
+    time variables, guards over all five relations with offsets (including
+    anchors on the global time), equality chains between pattern time
+    variables, and fresh variables in the created facts.
+    """
+    while True:
+        tvars = [GLOBAL_TIME_VAR]
+        patterns = _random_patterns(rng, rng.choice((1, 2, 2, 3)), tvars)
+        n_side = rng.randint(0, len(patterns) - 1)
+        side, consumed = patterns[:n_side], patterns[n_side:]
+        guard = _random_constraints(rng, sorted(set(tvars)), [p.tvar for p in patterns])
+        if rng.random() < 0.6:
+            anchored = rng.choice(patterns).tvar
+            # T1 = T - k and T = T1 + k anchor from either side
+            if rng.random() < 0.5:
+                guard.append(TimeConstraint(anchored, "=", GLOBAL_TIME_VAR, rng.randint(-2, 0)))
+            else:
+                guard.append(TimeConstraint(GLOBAL_TIME_VAR, "=", anchored, rng.randint(0, 2)))
+        created = []
+        for _ in range(len(consumed)):
+            pred, arity = rng.choice(list(_PRED_POOL.items()))
+            atom = _random_atom(rng, pred, arity)
+            if arity and rng.random() < 0.3:
+                atom = Atom(pred, (Variable("n", arity[0]),) + atom.args[1:])
+            created.append(CreatedFact(atom, rng.randint(0, 2)))
+        try:
+            return Rule(name, tuple(side), tuple(consumed), tuple(created), tuple(guard))
+        except RuleError:
+            continue
+
+
+def random_spec(rng: random.Random, kind: SpecKind) -> ConfigSpec:
+    """One to three pairs over the random-scenario predicates, with shared
+    variables, repeated predicates and constraints over all five relations."""
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        tvars: list[str] = []
+        patterns = _random_patterns(rng, rng.randint(1, 3), tvars)
+        constraints = _random_constraints(
+            rng, sorted(set(tvars)), [p.tvar for p in patterns]
+        )
+        pairs.append(SpecPair(tuple(patterns), tuple(constraints)))
+    return ConfigSpec(kind, tuple(pairs))
+
+
+def explored_states(scenario: PlanningScenario, limit: int) -> list[Configuration]:
+    """Up to `limit` configurations reachable by system and update moves,
+    breadth first from the initial one."""
+    seen = [scenario.initial]
+    index = 0
+    while index < len(seen) and len(seen) < limit:
+        for _, nxt in successors(scenario, seen[index], "both"):
+            if nxt not in seen and len(seen) < limit:
+                seen.append(nxt)
+        index += 1
+    return seen
 
 
 def random_scenario(

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_find_matches, random_scenario
+from conftest import (
+    brute_find_matches,
+    explored_states,
+    random_guarded_rule,
+    random_scenario,
+)
 from msrplan.kernel import Configuration, Constant, Role, TimedFact, Variable, make_signature
 from msrplan.rules import (
     Atom,
@@ -362,6 +369,30 @@ class TestBruteForceAgreement:
                 assert engine == brute_find_matches(rule, config, scenario.signature)
             for _, nxt in successors(scenario, config, "system")[:2]:
                 frontier.append(nxt)
+
+    def test_guarded_rules_equal_brute_enumeration(self):
+        """Anchored guards, offsets, equality chains, side conditions,
+        repeated predicates and fresh variables, on initial and explored
+        states (including states holding fresh constants)."""
+        rng = random.Random(11)
+        mismatches = []
+        matched = 0
+        for seed in range(30):
+            scenario = random_scenario(seed, progressing=False, with_updates=True)
+            rules = [random_guarded_rule(rng, f"g{i}") for i in range(10)]
+            configs = explored_states(scenario, 8)
+            for rule in rules:
+                for inst in find_matches(rule, scenario.initial, scenario.signature)[:1]:
+                    configs.append(apply_instance(scenario.initial, inst))
+            for config in configs:
+                for rule in rules:
+                    engine = {i.key() for i in find_matches(rule, config, scenario.signature)}
+                    brute = brute_find_matches(rule, config, scenario.signature)
+                    matched += bool(engine)
+                    if engine != brute:
+                        mismatches.append((seed, str(rule), str(config), engine, brute))
+        assert not mismatches, mismatches[:3]
+        assert matched > 100  # the generator must reach the matching paths
 
 
 class TestBalancePreservation:

@@ -239,3 +239,69 @@ class TestRoleContainment:
         )
         problems = bogus.check_roles(travel.signature)
         assert problems and "critical" in problems[0]
+
+
+def _substitution_corpus():
+    """(label, spec, configuration) triples: random multi-pair specs and the
+    random scenarios' own specs over explored random-scenario states, travel's
+    specs over explored travel states, and criterion-6-style graph pairs."""
+    import random
+
+    from conftest import explored_states, random_spec
+    from msrplan.reductions import Graph, graph_to_goal_instance
+    from msrplan.scenario import load_bundled
+
+    rng = random.Random(2024)
+    for seed in range(30):
+        scenario = random_scenario(seed, progressing=seed % 2 == 0, with_updates=True)
+        specs = [scenario.goal_spec, scenario.critical_spec]
+        specs += [random_spec(rng, SpecKind.GOAL) for _ in range(3)]
+        for i, config in enumerate(explored_states(scenario, 12)):
+            for j, spec in enumerate(specs):
+                yield f"random {seed} state {i} spec {j}", spec, config
+    travel = load_bundled("travel.msr")
+    for i, config in enumerate(explored_states(travel, 40)):
+        for j, spec in enumerate((travel.goal_spec, travel.critical_spec)):
+            yield f"travel state {i} spec {j}", spec, config
+    rng = random.Random(66)
+    for i in range(300):
+        nv_g, nv_k = rng.randint(1, 5), rng.randint(1, 5)
+        graphs = []
+        for nv in (nv_g, nv_k):
+            names = "abcde"[:nv]
+            edges = tuple((u, v) for u in names for v in names if rng.random() < 0.35)
+            graphs.append(Graph(tuple(names), edges))
+        scenario, config = graph_to_goal_instance(*graphs)
+        yield f"graph {i}", scenario.goal_spec, config
+        [pair] = scenario.goal_spec.pairs
+        if len(pair.pattern) > 2:
+            # every edge fact has timestamp 0, so linking the last edge to the
+            # first keeps the matches but would let a reordering matcher
+            # visit that edge second and report another homomorphism
+            link = TimeConstraint(pair.pattern[-1].tvar, "=", pair.pattern[0].tvar)
+            linked = ConfigSpec(SpecKind.GOAL, (SpecPair(pair.pattern, (link,)),))
+            yield f"graph {i} linked", linked, config
+
+
+class TestSubstitutionPin:
+    def test_first_substitution_digest(self):
+        """Which (pair index, substitution) `match_spec` returns is the
+        graph-goal output and the `Violation` payload; the digest was taken
+        from the matcher that enumerated every binding before keeping the
+        first, and a first-binding matcher must reproduce it."""
+        import hashlib
+
+        lines = []
+        hits = 0
+        for label, spec, config in _substitution_corpus():
+            hit = match_spec(spec, config)
+            if hit is None:
+                lines.append(f"{label}\tNone")
+            else:
+                hits += 1
+                lines.append(f"{label}\t{hit[0]}\t{sorted(hit[1].items())!r}")
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert (len(lines), hits) == (2344, 851)
+        assert digest == (
+            "6e0b9b5a8b20433328631a9913a9239752bac6eda6fed0b15fe539682e0e435c"
+        )
