@@ -331,11 +331,8 @@ class Configuration:
         cached = self._by_pred
         if cached is None:
             cached = {}
-            seen = set()
-            for f in self._canonical:
-                if f in seen:
-                    continue
-                seen.add(f)
+            # the counts dict holds the distinct facts in canonical order
+            for f in self._facts:
                 cached.setdefault(f.pred, []).append(f)
             object.__setattr__(self, "_by_pred", cached)
         return cached

@@ -16,11 +16,14 @@ across levels, so the Python stack depth is bounded by n.  When it proves a
 state good it records the move that proved it, and `trace` follows those
 recorded moves to rebuild the leftmost certified trace.
 
-Memo keys: with `use_memo` a state is keyed on (abstraction key, n, w), which
-shares verdicts between delta-equivalent configurations; that sharing is a
-bisimulation argument and is only sound for progressing scenarios.  Without
-it a state is keyed on (configuration, n, w, remaining path length), which is
-exact for the bounded search even when instantaneous rules form a cycle.
+Memo keys: with `use_memo` a state is keyed on (canonical fact tuple, n, w).
+Within one `Checker` the window fixes the clock (global time + w is the same
+for every key), so the time abstraction of `delta` could never merge two such
+keys and the search does not compute it.  These keys omit the remaining path
+length, so they are sound only when no cutoff can fire, which holds in
+progressing scenarios; a cutoff there raises `EngineError`.  Without
+`use_memo` the remaining path length is appended to the key, which is exact
+for the bounded search even when instantaneous rules form a cycle.
 
 A compliant goal trace within a tick budget is the n=0, b=0 case:
 `find_compliant_goal_trace` runs the engine there.
@@ -31,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional, Union
 
-from .delta import abstract, delta_key
 from .kernel import Configuration
 from .rules import EngineError, RuleInstance, apply_instance, find_matches, tick
-from .scenario import PlanningScenario, infer_dmax
+from .scenario import PlanningScenario
 from .specs import TICK_STEP, Trace, TraceStep, match_spec
 
 Which = Literal["system", "updates", "both"]
@@ -101,22 +103,27 @@ class Checker:
         self.b = b
         self.m = len(scenario.initial)
         self.path_slack = path_slack
-        self.dmax = infer_dmax(scenario)
         self.use_memo = use_memo
         # key -> False, True (a goal state), or the winning move as
-        # (configuration, annotation, successor, successor window, successor key)
+        # (annotation, successor, successor key)
         self.memo: dict[tuple, Union[bool, tuple]] = {}
-        self._intern: dict[tuple, int] = {}
         self.refutation: tuple[str, ...] = ()
 
     def _depth_limit(self, w: int) -> int:
         return (max(w, 0) + self.path_slack) * self.m
 
     def _key(self, config: Configuration, n: int, w: int, remaining: int) -> tuple:
-        if not self.use_memo:
-            return (config, n, w, remaining)
-        dkey = delta_key(abstract(config, self.dmax))
-        return (self._intern.setdefault(dkey, len(self._intern)), n, w)
+        # the fact tuple, not the Configuration: refuted states are not kept alive
+        if self.use_memo:
+            return (config.canonical_order(), n, w)
+        return (config.canonical_order(), n, w, remaining)
+
+    def _cutoff(self, reason: str) -> None:
+        """A successor the bounded search cannot expand.  Exact keys carry the
+        remaining path length, so there it just counts as bad; memo keys do
+        not, so there it is an error (unreachable in progressing scenarios)."""
+        if self.use_memo:
+            raise EngineError(f"memoized search {reason}; pass use_memo=False")
 
     def _moves(self, config: Configuration, w: int) -> Iterator[Move]:
         """System moves with the window after them; the time advance only
@@ -155,9 +162,8 @@ class Checker:
         """Does an (n, w, b)-resilient trace from `config` exist?
 
         Critical states are refuted before their key is computed.  A successor
-        deeper than the path bound, or one whose key is on the stack, counts
-        as bad without being memoized; neither occurs in a progressing
-        scenario.
+        deeper than the path bound, or one whose key is on the stack, is a
+        cutoff (see `_cutoff`); neither occurs in a progressing scenario.
         """
         critical = self.scenario.critical_spec
         if match_spec(critical, config) is not None:
@@ -176,34 +182,40 @@ class Checker:
         stack = [(None, config, w, key, self._moves(config, w))]
         onstack = {key}
         pending: Union[None, bool, tuple] = None  # verdict of the last successor
-        last: tuple = ()  # that successor as (annotation, configuration, window, key)
+        last: tuple = ()  # that successor as (annotation, configuration, key)
         while stack:
             frame = stack[-1]
             _, cfg, fw, fkey, moves = frame
             if pending:
                 # a good successor proves the state iff its update points are covered
-                verdict = (cfg, *last) if self._covered(cfg, n, fw) else False
+                verdict = last if self._covered(cfg, n, fw) else False
             elif (move := next(moves, None)) is not None:
                 annotation, cfg2, w2 = move
                 if match_spec(critical, cfg2) is not None:
                     continue
                 key2 = self._key(cfg2, n, w2, limit - len(stack))
-                last = (annotation, cfg2, w2, key2)
+                last = (annotation, cfg2, key2)
                 pending = self.memo.get(key2)
-                if pending is None and key2 not in onstack:
-                    pending = self._goal_verdict(cfg2, n, w2)
-                    if pending is not None:
-                        self.memo[key2] = pending
-                    elif len(stack) < limit:
-                        stack.append((annotation, cfg2, w2, key2, self._moves(cfg2, w2)))
-                        onstack.add(key2)
+                if pending is not None:
+                    continue
+                if key2 in onstack:
+                    self._cutoff("revisited a state on its stack")
+                    continue
+                pending = self._goal_verdict(cfg2, n, w2)
+                if pending is not None:
+                    self.memo[key2] = pending
+                elif len(stack) < limit:
+                    stack.append((annotation, cfg2, w2, key2, self._moves(cfg2, w2)))
+                    onstack.add(key2)
+                else:
+                    self._cutoff("reached its path bound")
                 continue
             else:
                 verdict = False
             self.memo[fkey] = verdict
             onstack.discard(fkey)
             stack.pop()
-            last = (frame[0], cfg, fw, fkey)
+            last = (frame[0], cfg, fkey)
             pending = verdict
         return bool(self.memo[key])
 
@@ -211,36 +223,16 @@ class Checker:
         """The trace certified by `decide(config, n, w)`, which must hold.
 
         Follows the recorded winning moves, which are the leftmost
-        decide-approved moves in the search order.  A configuration whose key
-        was first decided for a different (abstraction-equivalent)
-        configuration gets its moves rescanned instead: the move recorded
-        under that key belongs to the other configuration.
+        decide-approved moves in the search order, to a goal state.
         """
-        limit = self._depth_limit(w)
-        key = self._key(config, n, w, limit)
+        key = self._key(config, n, w, self._depth_limit(w))
         steps: list[TraceStep] = []
-        current = config
-        while True:
-            if match_spec(self.scenario.critical_spec, current) is not None:
-                raise EngineError("witness reconstruction entered a critical state")
-            if match_spec(self.scenario.goal_spec, current) is not None:
-                return Trace(config, tuple(steps))
-            if len(steps) >= limit:
+        while (entry := self.memo.get(key)) is not True:
+            if not isinstance(entry, tuple):
                 raise EngineError("witness reconstruction lost the certified path")
-            entry = self.memo.get(key)
-            if isinstance(entry, tuple) and entry[0] == current:
-                _, annotation, nxt, w, key = entry
-            else:
-                annotation, nxt, w = self._first_good_move(current, n, w)
-                key = self._key(nxt, n, w, limit - len(steps) - 1)
+            annotation, nxt, key = entry
             steps.append(TraceStep(annotation, nxt))
-            current = nxt
-
-    def _first_good_move(self, config: Configuration, n: int, w: int) -> Move:
-        for move in self._moves(config, w):
-            if self.decide(move[1], n, move[2]):
-                return move
-        raise EngineError("witness reconstruction lost the certified path")
+        return Trace(config, tuple(steps))
 
 
 def find_compliant_goal_trace(
@@ -262,8 +254,8 @@ def find_compliant_goal_trace(
     progressing = scenario.progressing
     if use_memo and not progressing:
         raise EngineError(
-            "abstraction-keyed memoization is sound only for progressing "
-            "scenarios; pass use_memo=False"
+            "memoized search is sound only for progressing scenarios; "
+            "pass use_memo=False"
         )
     checker = Checker(scenario, 0, path_slack=1, use_memo=use_memo)
     found = checker.decide(scenario.initial, 0, tick_budget)

@@ -96,6 +96,19 @@ class TestConfigurationInvariants:
         with pytest.raises(KernelError):
             fact("P", MAX_TIMESTAMP + 1)
 
+    def test_by_pred_groups_distinct_facts_in_canonical_order(self):
+        a, b = Constant("a", "t"), Constant("b", "t")
+        c = Configuration(
+            [fact("P", 2, b), fact("Q", 1), fact("P", 1, a), fact("P", 2, b),
+             fact("Time", 0), fact("Q", 1), fact("P", 1, b)]
+        )
+        assert c.by_pred() == {
+            "Time": [fact("Time", 0)],
+            "P": [fact("P", 1, a), fact("P", 1, b), fact("P", 2, b)],
+            "Q": [fact("Q", 1)],
+        }
+        assert list(c.by_pred()) == ["Time", "P", "Q"]
+
     def test_rendering(self):
         c = Configuration(
             [fact("Time", 5), fact("P", 3, Constant("a", "t"))]

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from conftest import random_scenario, travel_with_start
+from msrplan import resilience
 from msrplan.delta import abstract, delta_key
+from msrplan.kernel import TIME_PREDICATE
 from msrplan.reductions import Qbf, evaluate_qbf, qbf_to_scenario
 from msrplan.resilience import (
     ResilienceQuery,
@@ -256,7 +258,7 @@ class TestWitnesses:
 # A staged walk s0 -> s5 beside a Beat fact refreshed to T+1, with no clock
 # fact forcing the refresh.  Dmax is 1, so a spent token's timestamp drops out
 # of the abstraction two units later: the reactions to `spend` at different
-# moments reach distinct configurations that share a memo key.
+# moments reach distinct configurations that share an abstraction key.
 PERIODIC = """
 types stage;
 consts s0: stage, s1: stage, s2: stage, s3: stage, s4: stage, s5: stage;
@@ -279,6 +281,10 @@ critical { Time@T, Halt@T1 | T < T1 }
 
 
 class TestAbstractionSharing:
+    """The checker keys its memo on concrete configurations.  On a scenario
+    where the time abstraction would merge states, its witnesses must still
+    agree with those of exact keys."""
+
     def test_memo_agrees_with_exact_keys(self):
         scenario = parse_scenario(PERIODIC, "periodic")
         assert scenario.progressing and infer_dmax(scenario) == 1
@@ -299,7 +305,7 @@ class TestAbstractionSharing:
                 for index, inst, sub in node.children:
                     start = node.trace.config_at(index)
                     assert sub.trace.initial == apply_instance(start, inst)
-            # the witness walks through distinct configurations with one memo key
+            # the abstraction would merge distinct configurations on the witness
             by_key: dict[tuple, set] = {}
             for node in nodes:
                 for config in node.trace.configurations():
@@ -308,6 +314,39 @@ class TestAbstractionSharing:
                     by_key.setdefault(key, set()).add(config)
             assert any(len(configs) > 1 for configs in by_key.values()), query
         assert verdicts == {True, False}
+
+
+PERIODIC_CASES = [(1, 2, 1), (1, 4, 3), (2, 3, 1), (2, 4, 3)]
+
+
+class TestMemoKeyClock:
+    """Within one checker the window fixes the clock: every memo key has the
+    same global time + w, so the time abstraction's shift invariance could
+    never merge two keys.  The concrete memo key rests on this."""
+
+    def test_time_plus_window_is_fixed(self, monkeypatch, travel):
+        checkers = []
+
+        class Recording(resilience.Checker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                checkers.append(self)
+
+        monkeypatch.setattr(resilience, "Checker", Recording)
+        periodic = parse_scenario(PERIODIC, "periodic")
+        cases = [(periodic, ResilienceQuery(*nab)) for nab in PERIODIC_CASES]
+        cases.append((travel, ResilienceQuery(1, 12, 220)))
+        for scenario, query in cases:
+            check_resilience(scenario, query)
+        assert len(checkers) == len(cases)
+        for (scenario, query), checker in zip(cases, checkers):
+            assert checker.memo
+            clocks = {_clock(facts) + w for facts, _, w in checker.memo}
+            assert clocks == {scenario.initial.global_time + query.a}, query
+
+
+def _clock(facts):
+    return next(f.ts for f in facts if f.pred == TIME_PREDICATE)
 
 
 def _walk(node):

@@ -5,7 +5,9 @@ import pytest
 from conftest import random_scenario, travel_with_start
 from msrplan.reductions import Qbf, qbf_to_scenario
 from msrplan.rules import EngineError, apply_instance, find_matches, tick
+from msrplan.scenario import parse_scenario
 from msrplan.search import (
+    Checker,
     SearchStats,
     find_compliant_goal_trace,
     instantaneous_run_lengths,
@@ -130,6 +132,37 @@ class TestGoalSearch:
         stats = SearchStats()
         find_compliant_goal_trace(minimal, 1, stats=stats)
         assert stats.visited > 0
+
+
+# Two instantaneous rules that undo each other: the search returns to the
+# initial configuration without a time advance, so the scenario is not
+# progressing.
+CYCLE = """
+predicates P: system, Q: system, Done: goal, Halt: critical;
+init { Time@0, P@0, Halt@0 }
+rule system fwd { consume: P@T1; create: Q@T; guard: T1 <= T; }
+rule system back { consume: Q@T1; create: P@T; guard: T1 <= T; }
+goal { Done@T1 }
+critical { Time@T, Halt@T1 | T < T1 }
+"""
+
+
+class TestCutoffs:
+    # path slack 1 at w=1 leaves room for the cycle; path slack 0 at w=0
+    # bounds paths at 0 steps, so the first successor is past the bound
+    @pytest.mark.parametrize(
+        "path_slack, w, reason",
+        [(1, 1, "state on its stack"), (0, 0, "path bound")],
+    )
+    def test_memo_cutoff_is_an_error(self, path_slack, w, reason):
+        scenario = parse_scenario(CYCLE, "cycle")
+        assert not scenario.progressing
+        checker = Checker(scenario, 0, path_slack=path_slack, use_memo=True)
+        with pytest.raises(EngineError, match=reason):
+            checker.decide(scenario.initial, 0, w)
+        # exact keys carry the remaining path length: the cutoff is a verdict
+        exact = Checker(scenario, 0, path_slack=path_slack, use_memo=False)
+        assert exact.decide(scenario.initial, 0, w) is False
 
 
 def _annotations(trace):
