@@ -12,9 +12,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
-from .kernel import Configuration, Constant, Role, TimedFact, Variable, make_signature
+from .kernel import (
+    Configuration,
+    Constant,
+    Role,
+    Signature,
+    TimedFact,
+    Variable,
+    make_signature,
+)
 from .rules import (
     Atom,
     CreatedFact,
@@ -129,7 +138,11 @@ def parse_qdimacs(text: str) -> Qbf:
             continue
         if line.startswith("p"):
             fields = line.split()
-            if fields[:2] != ["p", "cnf"] or len(fields) != 4:
+            if (
+                fields[:2] != ["p", "cnf"]
+                or len(fields) != 4
+                or not all(f.isdecimal() for f in fields[2:])
+            ):
                 raise QbfError(f"line {lineno}: malformed problem line")
             saw_problem = True
             continue
@@ -159,8 +172,8 @@ def parse_qdimacs(text: str) -> Qbf:
 
 
 def render_qdimacs(q: Qbf) -> str:
-    nvars = len(q.variables)
-    lines = [f"p cnf {nvars} {len(q.clauses)}"]
+    # QDIMACS gives the largest variable index, not the variable count
+    lines = [f"p cnf {max(q.variables)} {len(q.clauses)}"]
     for quant, block_vars in q.blocks:
         lines.append(" ".join([quant, *map(str, block_vars), "0"]))
     for clause in q.clauses:
@@ -172,28 +185,29 @@ def render_qdimacs(q: Qbf) -> str:
 # Formula -> planning scenario
 # ---------------------------------------------------------------------------
 
+# Scenarios are assembled from pieces built once per shape and shared across
+# formulas: a piece depends only on the few values its builder takes, never on
+# the clause set as a whole.  Sharing is safe because rules and specs are
+# frozen and nothing writes to a signature after `make_signature`; a shared
+# rule compiles its plan and classifies itself once.  Criterion 1's population
+# needs 11 assignment rules, 2 win rules, 386 elimination rules, 54 signatures
+# and 5 goal specs; each builder keeps at most this many pieces.
+PIECE_CACHE_SIZE = 1024
+
+_TRUE = Constant("true", "bool")
+_FALSE = Constant("false", "bool")
+
+
 def _bool_var(name: str) -> Variable:
     return Variable(name, "bool")
 
 
-def qbf_to_scenario(q: Qbf) -> PlanningScenario:
-    """The alternating-assignment construction.
+def _eq_t(tvars: Iterable[str]) -> tuple[TimeConstraint, ...]:
+    return tuple(TimeConstraint(tv, "=", "T") for tv in tvars)
 
-    The scenario has one existential-assignment system rule per existential
-    block, one win rule per universal block (letting the base trace stop at a
-    pending universal turn), three clause-elimination rules per clause, and
-    one universal-assignment update rule per universal block.  All guards pin
-    the involved facts to the current instant, so nothing fires after time 0.
-    """
-    rounds = len(q.blocks)  # 2n + 1
-    n = q.n
-    m = len(q.clauses)
-    k = len(q.variables)
-    var_pos: dict[int, tuple[int, int]] = {}  # variable -> (block i, offset j)
-    for i, (_, block_vars) in enumerate(q.blocks, start=1):
-        for j, v in enumerate(block_vars, start=1):
-            var_pos[v] = (i, j)
 
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _qbf_signature(block_sizes: tuple[int, ...], m: int) -> Signature:
     predicates: dict[str, tuple[str, ...]] = {
         "B": ("bool",),
         "T": ("bool",),
@@ -208,13 +222,12 @@ def qbf_to_scenario(q: Qbf) -> PlanningScenario:
         "W": Role.GOAL,
         "Junk": Role.SYSTEM,
     }
-    for i in range(rounds + 1):
+    for i in range(len(block_sizes) + 1):
         predicates[f"Rnd{i}"] = ()
         roles[f"Rnd{i}"] = Role.SYSTEM
-    for i in range(1, rounds + 1):
+    for i, k_i in enumerate(block_sizes, start=1):
         predicates[f"Unk{i}"] = ()
         roles[f"Unk{i}"] = Role.SYSTEM
-        k_i = len(q.blocks[i - 1][1])
         predicates[f"Val{i}"] = ("bool",) * k_i
         roles[f"Val{i}"] = Role.SYSTEM
     for j in range(1, m + 1):
@@ -222,127 +235,162 @@ def qbf_to_scenario(q: Qbf) -> PlanningScenario:
         roles[f"IC{j}"] = Role.SYSTEM
         predicates[f"Sat{j}"] = ()
         roles[f"Sat{j}"] = Role.SYSTEM
-
-    signature = make_signature(
+    return make_signature(
         base_types=["bool"],
         constants={"true": "bool", "false": "bool"},
         predicates=predicates,
         roles=roles,
     )
-    true_c = Constant("true", "bool")
-    false_c = Constant("false", "bool")
 
-    def eq_t(tvars: Iterable[str]) -> tuple[TimeConstraint, ...]:
-        return tuple(TimeConstraint(tv, "=", "T") for tv in tvars)
 
-    def assign_rule(i: int, role: RuleRole) -> Rule:
-        k_i = len(q.blocks[i - 1][1])
-        ys = [_bool_var(f"y{j}") for j in range(1, k_i + 1)]
-        side = tuple(
-            FactPattern(Atom("B", (y,)), f"T{j}") for j, y in enumerate(ys, start=1)
-        )
-        consumed = (
-            FactPattern(Atom(f"Rnd{i - 1}"), f"T{k_i + 1}"),
-            FactPattern(Atom(f"Unk{i}"), f"T{k_i + 2}"),
-            FactPattern(Atom("Junk"), f"T{k_i + 3}"),
-        )
-        created = (
-            CreatedFact(Atom(f"Rnd{i}"), 0),
-            CreatedFact(Atom(f"Val{i}", tuple(ys)), 0),
-            CreatedFact(Atom("Junk"), 1),
-        )
-        guard = eq_t(f"T{j}" for j in range(1, k_i + 4))
-        prefix = "assign_e" if role is RuleRole.SYSTEM else "assign_a"
-        return Rule(f"{prefix}_{i}", side, consumed, created, guard, role).with_past_consumption()
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _assign_rule(i: int, k_i: int, role: RuleRole) -> Rule:
+    """Block i's assignment: a system rule for an existential block, an
+    update rule for a universal one."""
+    ys = [_bool_var(f"y{j}") for j in range(1, k_i + 1)]
+    side = tuple(
+        FactPattern(Atom("B", (y,)), f"T{j}") for j, y in enumerate(ys, start=1)
+    )
+    consumed = (
+        FactPattern(Atom(f"Rnd{i - 1}"), f"T{k_i + 1}"),
+        FactPattern(Atom(f"Unk{i}"), f"T{k_i + 2}"),
+        FactPattern(Atom("Junk"), f"T{k_i + 3}"),
+    )
+    created = (
+        CreatedFact(Atom(f"Rnd{i}"), 0),
+        CreatedFact(Atom(f"Val{i}", tuple(ys)), 0),
+        CreatedFact(Atom("Junk"), 1),
+    )
+    guard = _eq_t(f"T{j}" for j in range(1, k_i + 4))
+    prefix = "assign_e" if role is RuleRole.SYSTEM else "assign_a"
+    return Rule(f"{prefix}_{i}", side, consumed, created, guard, role).with_past_consumption()
 
-    def win_rule(i: int) -> Rule:
-        consumed = (
-            FactPattern(Atom(f"Rnd{i - 1}"), "T1"),
-            FactPattern(Atom(f"Unk{i}"), "T2"),
-            FactPattern(Atom("Junk"), "T3"),
-        )
-        created = (
-            CreatedFact(Atom("W"), 0),
-            CreatedFact(Atom("Junk"), 0),
-            CreatedFact(Atom("Junk"), 1),
-        )
-        return Rule(
-            f"win_{i}", (), consumed, created, eq_t(["T1", "T2", "T3"]), RuleRole.SYSTEM
-        ).with_past_consumption()
 
-    def elim_rule(lit: int, clause_index: int, position: int) -> Rule:
-        i, j = var_pos[abs(lit)]
-        k_i = len(q.blocks[i - 1][1])
-        args = tuple(
-            _bool_var("b") if offset == j else _bool_var(f"y{offset}")
-            for offset in range(1, k_i + 1)
-        )
-        truth_pred = "T" if lit > 0 else "F"
-        side = (
-            FactPattern(Atom(f"Val{i}", args), "T1"),
-            FactPattern(Atom(truth_pred, (_bool_var("b"),)), "T2"),
-            FactPattern(Atom(f"Rnd{rounds}"), "T3"),
-        )
-        consumed = (
-            FactPattern(Atom(f"IC{clause_index}"), "T4"),
-            FactPattern(Atom("Junk"), "T5"),
-        )
-        created = (
-            CreatedFact(Atom(f"Sat{clause_index}"), 0),
-            CreatedFact(Atom("Junk"), 1),
-        )
-        name = f"{'pos' if lit > 0 else 'neg'}_elim_{clause_index}_{position}"
-        return Rule(
-            name, side, consumed, created,
-            eq_t(["T1", "T2", "T3", "T4", "T5"]), RuleRole.SYSTEM,
-        ).with_past_consumption()
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _win_rule(i: int) -> Rule:
+    """The base trace may stop at universal block i's pending turn."""
+    consumed = (
+        FactPattern(Atom(f"Rnd{i - 1}"), "T1"),
+        FactPattern(Atom(f"Unk{i}"), "T2"),
+        FactPattern(Atom("Junk"), "T3"),
+    )
+    created = (
+        CreatedFact(Atom("W"), 0),
+        CreatedFact(Atom("Junk"), 0),
+        CreatedFact(Atom("Junk"), 1),
+    )
+    return Rule(
+        f"win_{i}", (), consumed, created, _eq_t(["T1", "T2", "T3"]), RuleRole.SYSTEM
+    ).with_past_consumption()
+
+
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _elim_rule(
+    i: int, j: int, k_i: int, rounds: int, positive: bool, clause_index: int, position: int
+) -> Rule:
+    """Clause `clause_index` is satisfied by its literal at `position`, which
+    reads variable j of block i (of k_i variables) with the given sign."""
+    args = tuple(
+        _bool_var("b") if offset == j else _bool_var(f"y{offset}")
+        for offset in range(1, k_i + 1)
+    )
+    truth_pred = "T" if positive else "F"
+    side = (
+        FactPattern(Atom(f"Val{i}", args), "T1"),
+        FactPattern(Atom(truth_pred, (_bool_var("b"),)), "T2"),
+        FactPattern(Atom(f"Rnd{rounds}"), "T3"),
+    )
+    consumed = (
+        FactPattern(Atom(f"IC{clause_index}"), "T4"),
+        FactPattern(Atom("Junk"), "T5"),
+    )
+    created = (
+        CreatedFact(Atom(f"Sat{clause_index}"), 0),
+        CreatedFact(Atom("Junk"), 1),
+    )
+    name = f"{'pos' if positive else 'neg'}_elim_{clause_index}_{position}"
+    return Rule(
+        name, side, consumed, created,
+        _eq_t(["T1", "T2", "T3", "T4", "T5"]), RuleRole.SYSTEM,
+    ).with_past_consumption()
+
+
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _goal_spec(m: int) -> ConfigSpec:
+    """A universal turn was left pending, or every clause is satisfied."""
+    return ConfigSpec(
+        SpecKind.GOAL,
+        (
+            SpecPair((FactPattern(Atom("W"), "T1"),)),
+            SpecPair(
+                (
+                    FactPattern(Atom("T", (_TRUE,)), "T0"),
+                    *(
+                        FactPattern(Atom(f"Sat{j}"), f"T{j}")
+                        for j in range(1, m + 1)
+                    ),
+                )
+            ),
+        ),
+    )
+
+
+def qbf_to_scenario(q: Qbf) -> PlanningScenario:
+    """The alternating-assignment construction.
+
+    The scenario has one existential-assignment system rule per existential
+    block, one win rule per universal block (letting the base trace stop at a
+    pending universal turn), three clause-elimination rules per clause, and
+    one universal-assignment update rule per universal block.  All guards pin
+    the involved facts to the current instant, so nothing fires after time 0.
+    Rules, signature and goal specification come from the shared builders
+    above; the initial configuration is built for each formula.
+    """
+    rounds = len(q.blocks)  # 2n + 1
+    n = q.n
+    m = len(q.clauses)
+    k = len(q.variables)
+    block_sizes = tuple(len(vs) for _, vs in q.blocks)
+    var_pos: dict[int, tuple[int, int]] = {}  # variable -> (block i, offset j)
+    for i, (_, block_vars) in enumerate(q.blocks, start=1):
+        for j, v in enumerate(block_vars, start=1):
+            var_pos[v] = (i, j)
 
     system_rules: list[Rule] = []
     update_rules: list[Rule] = []
-    for i in range(1, rounds + 1):
+    for i, k_i in enumerate(block_sizes, start=1):
         if i % 2 == 1:
-            system_rules.append(assign_rule(i, RuleRole.SYSTEM))
+            system_rules.append(_assign_rule(i, k_i, RuleRole.SYSTEM))
         else:
-            system_rules.append(win_rule(i))
-            update_rules.append(assign_rule(i, RuleRole.SYSTEM_UPDATE))
+            system_rules.append(_win_rule(i))
+            update_rules.append(_assign_rule(i, k_i, RuleRole.SYSTEM_UPDATE))
     for clause_index, clause in enumerate(q.clauses, start=1):
         for position, lit in enumerate(clause, start=1):
-            system_rules.append(elim_rule(lit, clause_index, position))
-
-    goal_pairs = (
-        SpecPair((FactPattern(Atom("W"), "T1"),)),
-        SpecPair(
-            (
-                FactPattern(Atom("T", (true_c,)), "T0"),
-                *(
-                    FactPattern(Atom(f"Sat{j}"), f"T{j}")
-                    for j in range(1, m + 1)
-                ),
+            i, j = var_pos[abs(lit)]
+            system_rules.append(
+                _elim_rule(i, j, block_sizes[i - 1], rounds, lit > 0, clause_index, position)
             )
-        ),
-    )
 
     facts = [
         TimedFact("Time", (), 0),
         TimedFact("Rnd0", (), 0),
-        TimedFact("T", (true_c,), 0),
-        TimedFact("F", (false_c,), 0),
+        TimedFact("T", (_TRUE,), 0),
+        TimedFact("F", (_FALSE,), 0),
     ]
     facts += [TimedFact(f"Unk{i}", (), 0) for i in range(1, rounds + 1)]
     facts += [TimedFact(f"IC{j}", (), 0) for j in range(1, m + 1)]
-    facts += [TimedFact("B", (true_c,), 0)] * (2 * k)
-    facts += [TimedFact("B", (false_c,), 0)] * (2 * k)
+    facts += [TimedFact("B", (_TRUE,), 0)] * (2 * k)
+    facts += [TimedFact("B", (_FALSE,), 0)] * (2 * k)
     facts += [TimedFact("Junk", (), 0)] * (2 * n + m + 1)
 
-    max_val_arity = max((len(vs) for _, vs in q.blocks), default=0)
     return PlanningScenario(
-        signature=signature,
+        signature=_qbf_signature(block_sizes, m),
         system_rules=tuple(system_rules),
         update_rules=tuple(update_rules),
-        goal_spec=ConfigSpec(SpecKind.GOAL, goal_pairs),
+        goal_spec=_goal_spec(m),
         critical_spec=ConfigSpec(SpecKind.CRITICAL, ()),
         initial=Configuration(facts),
-        fact_size_bound=1 + max(max_val_arity, 1),
+        fact_size_bound=1 + max(block_sizes),
     )
 
 

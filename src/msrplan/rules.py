@@ -224,9 +224,23 @@ class _Dbm:
         return self._dist[self._idx[b]][self._idx[a]] <= 0
 
 
+class ProgressCheck(NamedTuple):
+    """The classification checks that read only the rule (`Rule.progress`)."""
+
+    balanced: bool
+    progressing: bool
+    violations: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class Rule:
-    """An instantaneous guarded rewrite with a role tag."""
+    """An instantaneous guarded rewrite with a role tag.
+
+    A rule may be shared by several scenarios (the QBF generator reuses its
+    rules across formulas).  Its cached properties, `plan` and `progress`,
+    are computed from the rule alone, so sharing them is sound; anything
+    that depends on a signature is computed per call.
+    """
 
     name: str
     side: tuple[FactPattern, ...]
@@ -303,6 +317,39 @@ class Rule:
         """The compiled matcher for the precondition and guard, built on
         first use and kept with the rule."""
         return MatchPlan((*self.side, *self.consumed), self.guard, precondition=True)
+
+    @cached_property
+    def progress(self) -> ProgressCheck:
+        """The balanced and progressing checks of `classify_rule`, with their
+        violations, computed on first use and kept with the rule."""
+        violations: list[str] = []
+        balanced = len(self.consumed) == len(self.created)
+        if not balanced:
+            violations.append(
+                f"progressing(i)/balanced: {len(self.consumed)} consumed vs "
+                f"{len(self.created)} created"
+            )
+
+        dbm = _Dbm(self.guard)
+        past_ok = True
+        if not dbm.satisfiable():
+            past_ok = False
+            violations.append("progressing(ii): guard is unsatisfiable")
+        else:
+            for p in self.consumed:
+                if not dbm.entails_ge(GLOBAL_TIME_VAR, p.tvar):
+                    past_ok = False
+                    violations.append(
+                        f"progressing(ii): consumed fact {p} may lie in the future"
+                    )
+        future_created = any(c.delay >= 1 for c in self.created)
+        if not future_created:
+            violations.append(
+                "progressing(iii): no created fact with timestamp greater than the "
+                "global time"
+            )
+        progressing = balanced and past_ok and future_created
+        return ProgressCheck(balanced, progressing, tuple(violations))
 
     def with_past_consumption(self) -> "Rule":
         """Add the implicit constraints T >= T_i for every consumed fact."""
@@ -877,43 +924,17 @@ def classify_rule(rule: Rule, sig: Signature) -> RuleClassification:
     counts; progressing when additionally every consumed fact is constrained
     to the past or present and at least one created fact lies strictly in the
     future.  Role validity enforces which predicate classes the rule may
-    consume or create given its role tag.
+    consume or create given its role tag.  The first two read only the rule
+    and are kept on it (`Rule.progress`); roles come from `sig`, so they are
+    checked on every call.
     """
-    violations: list[str] = []
-    balanced = len(rule.consumed) == len(rule.created)
-    if not balanced:
-        violations.append(
-            f"progressing(i)/balanced: {len(rule.consumed)} consumed vs "
-            f"{len(rule.created)} created"
-        )
-
-    dbm = _Dbm(rule.guard)
-    past_ok = True
-    if not dbm.satisfiable():
-        past_ok = False
-        violations.append("progressing(ii): guard is unsatisfiable")
-    else:
-        for p in rule.consumed:
-            if not dbm.entails_ge(GLOBAL_TIME_VAR, p.tvar):
-                past_ok = False
-                violations.append(
-                    f"progressing(ii): consumed fact {p} may lie in the future"
-                )
-    future_created = any(c.delay >= 1 for c in rule.created)
-    if not future_created:
-        violations.append(
-            "progressing(iii): no created fact with timestamp greater than the "
-            "global time"
-        )
-    progressing = balanced and past_ok and future_created
-
+    balanced, progressing, violations = rule.progress
     role_violations = _role_violations(rule, sig)
-    violations.extend(role_violations)
     return RuleClassification(
         balanced=balanced,
         progressing=progressing,
         role_valid=not role_violations,
-        violations=tuple(violations),
+        violations=violations + tuple(role_violations),
     )
 
 

@@ -29,6 +29,7 @@ from msrplan.rules import (
     RuleRole,
     TimeConstraint,
 )
+from msrplan.reductions import Qbf
 from msrplan.scenario import PlanningScenario, load_bundled, parse_scenario
 from msrplan.search import successors
 from msrplan.specs import ConfigSpec, SpecKind, SpecPair
@@ -293,6 +294,58 @@ def random_scenario(
         initial=Configuration(facts),
         fact_size_bound=3,
     )
+
+
+# ---------------------------------------------------------------------------
+# QBF generator inputs
+# ---------------------------------------------------------------------------
+
+E1_A2_E3 = (("e", (1,)), ("a", (2,)), ("e", (3,)))
+
+
+def random_formula(
+    rng: random.Random, n: int, max_block: int, max_clauses: int
+) -> Qbf:
+    """Criterion 1's random shape: 2n+1 alternating blocks of 1..max_block
+    variables and 1..max_clauses clauses over them."""
+    blocks = []
+    var = 1
+    for i in range(2 * n + 1):
+        size = rng.randint(1, max_block)
+        blocks.append(("e" if i % 2 == 0 else "a", tuple(range(var, var + size))))
+        var += size
+    pool = [v for _, vs in blocks for v in vs]
+    clauses = tuple(
+        tuple(rng.choice(pool) * rng.choice((1, -1)) for _ in range(3))
+        for _ in range(rng.randint(1, max_clauses))
+    )
+    return Qbf(tuple(blocks), clauses)
+
+
+def qbf_mix(seed: int = 5) -> list[Qbf]:
+    """A seeded, shuffled mix of generator inputs.
+
+    It interleaves the `e1 a2 e3` prefix with 0-3 clauses, criterion 1's
+    random n=0/1/2 shapes and blocks of 1-4 variables, so that one block
+    index, variable offset, clause index and literal position recur under
+    other block sizes, round counts and signs.
+    """
+    rng = random.Random(seed)
+    literals = (1, -1, 2, -2, 3, -3)
+    clauses = sorted(
+        {tuple(sorted(c)) for c in itertools.combinations_with_replacement(literals, 3)}
+    )
+    formulas = [
+        Qbf(E1_A2_E3, tuple(rng.sample(clauses, size)))
+        for size in range(4)
+        for _ in range(8)
+    ]
+    for n, max_block, count in ((0, 3, 12), (1, 2, 16), (2, 2, 12)):
+        formulas += [random_formula(rng, n, max_block, 4) for _ in range(count)]
+    for n in (0, 1, 2):
+        formulas += [random_formula(rng, n, 4, 4) for _ in range(10)]
+    rng.shuffle(formulas)
+    return formulas
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_scenario, travel_with_start
+from conftest import random_formula, random_scenario, travel_with_start
 from msrplan.delta import abstract, lift, tock, tock_oracle
 from msrplan.kernel import Configuration, TimedFact
 from msrplan.reductions import (
@@ -42,21 +42,6 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def _report(criterion: int, detail: str, started: float) -> None:
     print(f"criterion {criterion} PASS: {detail} ({time.time() - started:.1f}s)")
-
-
-def _random_formula(rng: random.Random, n: int, max_block: int, max_clauses: int) -> Qbf:
-    blocks = []
-    var = 1
-    for i in range(2 * n + 1):
-        size = rng.randint(1, max_block)
-        blocks.append(("e" if i % 2 == 0 else "a", tuple(range(var, var + size))))
-        var += size
-    pool = [v for _, vs in blocks for v in vs]
-    clauses = tuple(
-        tuple(rng.choice(pool) * rng.choice((1, -1)) for _ in range(3))
-        for _ in range(rng.randint(1, max_clauses))
-    )
-    return Qbf(tuple(blocks), clauses)
 
 
 def _oracle_agrees(q: Qbf) -> bool:
@@ -90,17 +75,17 @@ def test_criterion_1_qbf_oracle_agreement():
 
     rng = random.Random(20260810)
     for _ in range(200):
-        q = _random_formula(rng, 1, 2, 4)
+        q = random_formula(rng, 1, 2, 4)
         checked += 1
         if not _oracle_agrees(q):
             mismatches.append(q)
     for _ in range(25):
-        q = _random_formula(rng, 0, 3, 4)
+        q = random_formula(rng, 0, 3, 4)
         checked += 1
         if not _oracle_agrees(q):
             mismatches.append(q)
     for _ in range(10):
-        q = _random_formula(rng, 2, 2, 4)
+        q = random_formula(rng, 2, 2, 4)
         checked += 1
         if not _oracle_agrees(q):
             mismatches.append(q)
@@ -249,10 +234,10 @@ def test_criterion_5_resilience_monotonicity(travel):
     for t0 in (45, 60, 110):
         corpus.append((travel_with_start(travel, t0), 1, 12, 220))
     for _ in range(12):
-        q = _random_formula(rng, 1, 1, 3)
+        q = random_formula(rng, 1, 1, 3)
         corpus.append((qbf_to_scenario(q), 1, 1, 0))
     for _ in range(3):
-        q = _random_formula(rng, 2, 1, 3)
+        q = random_formula(rng, 2, 1, 3)
         corpus.append((qbf_to_scenario(q), 2, 1, 0))
     checked = 0
     for scenario, n, a, b in corpus:
@@ -414,7 +399,7 @@ def test_criterion_8_witness_soundness(travel, minimal):
     ]
     qbf_cases = 0
     while qbf_cases < 10:
-        q = _random_formula(rng, 1, 1, 3)
+        q = random_formula(rng, 1, 1, 3)
         scenario = qbf_to_scenario(q)
         if evaluate_qbf(q):
             cases.append((scenario, ResilienceQuery(1, 1, 0)))

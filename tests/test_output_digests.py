@@ -1,6 +1,6 @@
-"""Byte-level regression pins for CLI output.
+"""Byte-level regression pins for CLI and QBF generator output.
 
-Each digest was taken from the output of the implementation that had a
+Each CLI digest was taken from the output of the implementation that had a
 separate goal search beside the resilience checker; the single-engine
 implementation must reproduce those bytes exactly.  The travel witness is
 about 261 KB, so digests are stored instead of golden files.
@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+from conftest import qbf_mix
 from msrplan.cli import EXIT_YES, cli_dispatch
+from msrplan.reductions import qbf_to_msr_text
 from msrplan.scenario import bundled_text
 
 # e1 a2 e3 a4 e5: two universal blocks, so the witness nests two update levels
@@ -74,4 +76,14 @@ def test_qbf_witness_json(capsys, tmp_path):
     assert len(data) == 9422
     assert _sha256(data) == (
         "2fc179db23e487708580c2cd2e36a44ebc260a013ad845264eb17c405699d1f4"
+    )
+
+
+def test_qbf_generator_text_over_mix():
+    # taken from the generator that built fresh rules for every formula; the
+    # mix makes a piece shared on too small a key show up in another formula
+    text = "".join(qbf_to_msr_text(q) for q in qbf_mix())
+    assert len(text) == 271909
+    assert _sha256(text) == (
+        "292f33278d1ec53024446518fb0cd386453028f10c08ec814edbba5dc4a69043"
     )

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from conftest import E1_A2_E3, qbf_mix, random_formula
+from msrplan import rules
 from msrplan.reductions import (
     Graph,
     Qbf,
@@ -22,22 +24,6 @@ from msrplan.rules import EngineError
 from msrplan.scenario import parse_scenario, validate_scenario
 from msrplan.search import find_compliant_goal_trace
 from msrplan.specs import match_spec
-
-
-def random_formula(rng: random.Random, n: int, max_block: int, max_clauses: int) -> Qbf:
-    blocks = []
-    var = 1
-    for i in range(2 * n + 1):
-        size = rng.randint(1, max_block)
-        blocks.append(("e" if i % 2 == 0 else "a", tuple(range(var, var + size))))
-        var += size
-    pool = [v for _, vs in blocks for v in vs]
-    clauses = []
-    for _ in range(rng.randint(1, max_clauses)):
-        clauses.append(
-            tuple(rng.choice(pool) * rng.choice((1, -1)) for _ in range(3))
-        )
-    return Qbf(tuple(blocks), tuple(clauses))
 
 
 class TestEvaluate:
@@ -93,6 +79,17 @@ class TestQdimacs:
 
     def test_comments_ignored(self):
         assert parse_qdimacs("c hi\n" + self.TEXT).clauses == ((1, 2, 3), (-1, -2, -3))
+
+    def test_problem_line_counts_must_be_natural(self):
+        for counts in ("foo bar", "3 -2", "3 2.0"):
+            with pytest.raises(QbfError, match="malformed problem line"):
+                parse_qdimacs(self.TEXT.replace("p cnf 3 2", f"p cnf {counts}"))
+
+    def test_render_gives_largest_variable_index(self):
+        q = Qbf((("e", (1,)), ("a", (5,)), ("e", (3,))), ((1, -5, 3),))
+        text = render_qdimacs(q)
+        assert text.splitlines()[0] == "p cnf 5 1"
+        assert parse_qdimacs(text) == q
 
 
 class TestConstruction:
@@ -157,6 +154,24 @@ class TestConstruction:
         q = Qbf((("e", (1,)), ("a", (2, 3)), ("e", (4,))), ((1, -2, 4), (3, 3, -4)))
         scenario = qbf_to_scenario(q)
         assert parse_scenario(qbf_to_msr_text(q)) == scenario
+        for q in qbf_mix():
+            assert parse_scenario(qbf_to_msr_text(q)) == qbf_to_scenario(q), q
+
+    def test_formulas_with_one_prefix_share_rules(self, monkeypatch):
+        first = qbf_to_scenario(Qbf(E1_A2_E3, ((1, -2, 3), (-1, 2, 2))))
+        assert first.progressing
+        second = qbf_to_scenario(Qbf(E1_A2_E3, ((1, -2, 3),)))
+        assert all(
+            a is b for a, b in zip(second.system_rules, first.system_rules)
+        )
+        assert second.update_rules[0] is first.update_rules[0]
+        assert second.initial is not first.initial
+
+        def no_dbm(*args, **kwargs):
+            raise AssertionError("a shared rule was classified again")
+
+        monkeypatch.setattr(rules, "_Dbm", no_dbm)
+        assert second.progressing
 
     def test_parameter_insensitivity(self):
         rng = random.Random(21)

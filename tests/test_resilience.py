@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_scenario, travel_with_start
 from msrplan import resilience
@@ -20,10 +22,10 @@ from msrplan.resilience import (
     witness_to_dict,
     witness_to_json,
 )
-from msrplan.rules import EngineError, apply_instance
+from msrplan.rules import EngineError, apply_instance, find_matches, tick
 from msrplan.scenario import infer_dmax, parse_scenario
 from msrplan.search import find_compliant_goal_trace
-from msrplan.specs import TICK_STEP, replay_errors
+from msrplan.specs import TICK_STEP, match_spec, replay_errors
 
 Q_GAME = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((1, 2, 3), (-1, -2, -3)))
 Q_FALSE = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((2, 2, 2),))
@@ -278,6 +280,69 @@ rule system_update spend { consume: Token@T1; create: Used@T+1; guard: T1 <= T; 
 goal { Last(x)@T1, At(x)@T2, Time@T | T2 < T }
 critical { Time@T, Halt@T1 | T < T1 }
 """
+
+
+def _reference_resilient(scenario, query) -> bool:
+    """(n,a,b)-resilience by plain recursion over the definition in the
+    search module's docstring, without memoization: a state is good when it
+    is non-critical, every update applicable while the window is open leads
+    to a state good one level down, and either the goal is matched or some
+    system move leads to a good state.  Time advances close the window and
+    are allowed while w + b >= 1; each level's paths are bounded by
+    (max(w, 0) + b + 2) * m steps."""
+    critical, goal = scenario.critical_spec, scenario.goal_spec
+    m = len(scenario.initial)
+    b = query.b
+
+    def results(config, rules):
+        return [
+            apply_instance(config, inst)
+            for rule in rules
+            for inst in find_matches(rule, config, scenario.signature)
+        ]
+
+    def covered(config, n, w):
+        if n == 0 or w < 0:
+            return True
+        steps = (max(w, 0) + b + 2) * m
+        return all(
+            good(updated, n - 1, w, steps)
+            for updated in results(config, scenario.update_rules)
+        )
+
+    def good(config, n, w, steps):
+        if match_spec(critical, config) is not None:
+            return False
+        if not covered(config, n, w):
+            return False
+        if match_spec(goal, config) is not None:
+            return True
+        if steps == 0:
+            return False
+        moves = [(nxt, w) for nxt in results(config, scenario.system_rules)]
+        if w + b >= 1:
+            moves.append((tick(config), w - 1))
+        return any(good(nxt, n, w2, steps - 1) for nxt, w2 in moves)
+
+    return good(scenario.initial, query.n, query.a, (query.a + b + 2) * m)
+
+
+class TestDifferentialOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.booleans(),
+        st.integers(0, 1),
+        st.integers(1, 2),
+        st.integers(0, 1),
+    )
+    def test_checker_matches_unmemoized_reference(self, seed, updates, n, a, b):
+        scenario = random_scenario(seed, progressing=True, with_updates=updates)
+        query = ResilienceQuery(n, a, b)
+        result = check_resilience(scenario, query)
+        assert result.resilient == _reference_resilient(scenario, query)
+        if result.resilient:
+            assert verify_witness(scenario, query, result.witness) == (True, [])
 
 
 class TestAbstractionSharing:

@@ -343,6 +343,33 @@ class TestClassification:
         assert not c.role_valid
         assert any("goal-update" in v for v in c.violations)
 
+    def test_roles_are_checked_per_signature(self):
+        # the same rule object under two signatures: the rule-only half of the
+        # classification is kept on the rule, the role half must not be
+        rule = Rule(
+            "grow",
+            (),
+            (FactPattern(Atom("N"), "T1"),),
+            (CreatedFact(Atom("M"), 1), CreatedFact(Atom("N"), 2)),
+            (),
+        ).with_past_consumption()
+        goal_n = make_signature(
+            ["t"], {}, {"N": (), "M": ()}, {"N": Role.GOAL, "M": Role.SYSTEM}
+        )
+        for _ in range(2):
+            plain = classify_rule(rule, simple_sig())
+            assert plain.role_valid
+            assert plain.violations == (
+                "progressing(i)/balanced: 1 consumed vs 2 created",
+            )
+            goal = classify_rule(rule, goal_n)
+            assert not goal.role_valid
+            assert goal.violations == (
+                "progressing(i)/balanced: 1 consumed vs 2 created",
+                "role(system): consumes N, a planning fact",
+                "role(system): creates N, a planning fact",
+            )
+
 
 class TestBruteForceAgreement:
     def test_matches_equal_brute_enumeration(self):
