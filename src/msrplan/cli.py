@@ -94,9 +94,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_goal(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.file)
-    trace = find_compliant_goal_trace(
-        scenario, args.budget, use_memo=scenario.progressing
-    )
+    trace = find_compliant_goal_trace(scenario, args.budget)
     if trace is None:
         print("no compliant goal trace within budget")
         return EXIT_NO

@@ -128,10 +128,14 @@ def evaluate_qbf(q: Qbf, *, var_guard: int = DEFAULT_VAR_GUARD) -> bool:
 # ---------------------------------------------------------------------------
 
 def parse_qdimacs(text: str) -> Qbf:
-    """Prenex 3-CNF in QDIMACS-style text with e/a block headers."""
+    """Prenex 3-CNF in QDIMACS-style text with e/a block headers.
+
+    The problem line's counts are checked: no quantified variable may exceed
+    its variable count, and the clause count must match it exactly.
+    """
     blocks: list[tuple[str, tuple[int, ...]]] = []
     clauses: list[tuple[int, int, int]] = []
-    saw_problem = False
+    problem: Optional[tuple[int, int, int]] = None  # line, variables, clauses
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -144,7 +148,7 @@ def parse_qdimacs(text: str) -> Qbf:
                 or not all(f.isdecimal() for f in fields[2:])
             ):
                 raise QbfError(f"line {lineno}: malformed problem line")
-            saw_problem = True
+            problem = (lineno, int(fields[2]), int(fields[3]))
             continue
         fields = line.split()
         if fields[0] in ("e", "a"):
@@ -166,8 +170,18 @@ def parse_qdimacs(text: str) -> Qbf:
         if len(lits) != 3:
             raise QbfError(f"line {lineno}: clauses must have 3 literals")
         clauses.append(lits)  # type: ignore[arg-type]
-    if not saw_problem:
+    if problem is None:
         raise QbfError("missing problem line 'p cnf <vars> <clauses>'")
+    lineno, n_vars, n_clauses = problem
+    top = max((v for _, block_vars in blocks for v in block_vars), default=0)
+    if top > n_vars:
+        raise QbfError(
+            f"line {lineno}: variable {top} exceeds the declared {n_vars} variables"
+        )
+    if len(clauses) != n_clauses:
+        raise QbfError(
+            f"line {lineno}: {len(clauses)} clauses where {n_clauses} are declared"
+        )
     return Qbf(tuple(blocks), tuple(clauses))
 
 

@@ -3,7 +3,9 @@
 `check_resilience` runs the search engine (`search.Checker`) at (n, a, b):
 is there a compliant goal trace within a + b ticks that survives up to n
 adversarial update applications inside the disruption window a, replanning
-recursively after each?  On success the witness tree is rebuilt from the
+recursively after each?  Progressing scenarios take any n; other scenarios
+only n = 0, goal reachability within a + b ticks, which the same engine
+decides on exact keys.  On success the witness tree is rebuilt from the
 moves the engine recorded: the certified trace from each state plus, for
 every admissible update point on it, the witness one update level down.
 
@@ -38,10 +40,10 @@ from .rules import (
     tick,
 )
 from .scenario import PlanningScenario
-from .search import Checker, find_compliant_goal_trace, successors
+from .search import Checker, successors
 from .specs import TICK_STEP, Trace, TraceStep, match_spec
 
-DEFAULT_ETA_CAP = 6
+ETA_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,6 @@ class WitnessTree:
     query: ResilienceQuery
     trace: Trace
     children: tuple[tuple[int, RuleInstance, "WitnessTree"], ...] = ()
-
-    def child_map(self) -> dict[tuple[int, str], tuple[RuleInstance, "WitnessTree"]]:
-        return {(i, inst.key()): (inst, sub) for i, inst, sub in self.children}
 
 
 @dataclass(frozen=True)
@@ -114,14 +113,19 @@ def _build_witness(
     built: dict[tuple, WitnessTree],
 ) -> WitnessTree:
     """The canonical witness for a state `checker` proved good: its certified
-    trace plus a subtree for every admissible update point on it."""
+    trace plus a subtree for every admissible update point on it.
+
+    No (configuration, instance) pair repeats within one trace: a progressing
+    trace never revisits a configuration (each instantaneous step lowers the
+    number of non-`Time` facts at or before the global time, each time
+    advance moves the clock), and other scenarios only reach n = 0, where a
+    node has no children."""
     bkey = (config, n, w)
     witness = built.get(bkey)
     if witness is not None:
         return witness
     trace = checker.trace(config, n, w)
     children: list[tuple[int, RuleInstance, WitnessTree]] = []
-    covered: set[tuple[Configuration, str]] = set()
     window = w
     for index, current in enumerate(trace.configurations()):
         if index and trace.steps[index - 1].is_tick:
@@ -129,11 +133,6 @@ def _build_witness(
         if n == 0 or window < 0:
             break
         for inst, updated in successors(checker.scenario, current, "updates"):
-            # repeated configurations cover a point only once
-            dedup = (current, inst.key())
-            if dedup in covered:
-                continue
-            covered.add(dedup)
             subtree = _build_witness(checker, updated, n - 1, window, built)
             children.append((index, inst, subtree))
     witness = WitnessTree(ResilienceQuery(n, w, checker.b), trace, tuple(children))
@@ -142,43 +141,29 @@ def _build_witness(
 
 
 def check_resilience(
-    scenario: PlanningScenario,
-    query: ResilienceQuery,
-    *,
-    eta_cap: int = DEFAULT_ETA_CAP,
-    use_memo: bool = True,
+    scenario: PlanningScenario, query: ResilienceQuery
 ) -> ResilienceResult:
     """Decide (n,a,b)-resilience; emit a witness tree on success.
 
-    Requires a validated progressing planning scenario whose eta measure does
-    not exceed the cap (compliance checking costs m^eta).  For n = 0 on a
-    non-progressing scenario the check falls back to goal search within
-    a + b ticks on exact (configuration-level) keys.
+    Requires a validated planning scenario whose eta measure does not exceed
+    `ETA_CAP` (compliance checking costs m^eta), and a progressing one when
+    n > 0.
     """
     if query.a < 1:
         raise EngineError("the disruption window a must be positive")
     eta = scenario.eta()
-    if eta > eta_cap:
+    if eta > ETA_CAP:
         raise EngineError(
             f"critical specification uses {eta} variables per pair; cap is "
-            f"{eta_cap} (compliance is brute force in m^eta)"
+            f"{ETA_CAP} (compliance is brute force in m^eta)"
         )
     if scenario.initial.global_time + query.a + query.b > MAX_TIMESTAMP:
         raise EngineError("tick budget overflows the timestamp range")
-    progressing = scenario.progressing
-    if not progressing:
-        if query.n > 0:
-            raise EngineError(
-                "resilience checking requires a progressing planning scenario"
-            )
-        trace = find_compliant_goal_trace(
-            scenario, query.a + query.b, use_memo=False
+    checker = Checker(scenario, query.b)
+    if query.n > 0 and not checker.progressing:
+        raise EngineError(
+            "resilience checking requires a progressing planning scenario"
         )
-        if trace is None:
-            return ResilienceResult(False, refutation=("no compliant goal trace",))
-        return ResilienceResult(True, WitnessTree(query, trace))
-
-    checker = Checker(scenario, query.b, path_slack=query.b + 2, use_memo=use_memo)
     if not checker.decide(scenario.initial, query.n, query.a):
         refutation = checker.refutation or ("no compliant goal trace",)
         return ResilienceResult(False, refutation=refutation)

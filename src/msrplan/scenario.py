@@ -721,14 +721,6 @@ def parse_scenario(text: str, filename: str = "<scenario>") -> PlanningScenario:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-def _format_constraint(c: TimeConstraint) -> str:
-    if c.offset > 0:
-        return f"{c.left} {c.rel} {c.right} + {c.offset}"
-    if c.offset < 0:
-        return f"{c.left} {c.rel} {c.right} - {-c.offset}"
-    return f"{c.left} {c.rel} {c.right}"
-
-
 def pretty_print(scenario: PlanningScenario) -> str:
     """Canonical text form; parsing it back reproduces the scenario."""
     sig = scenario.signature
@@ -764,24 +756,15 @@ def pretty_print(scenario: PlanningScenario) -> str:
             lines.append("  create: " + ", ".join(str(c) for c in rule.created) + ";")
         written = [c for c in rule.guard if not c.implicit]
         if written:
-            lines.append(
-                "  guard: " + ", ".join(_format_constraint(c) for c in written) + ";"
-            )
+            lines.append("  guard: " + ", ".join(str(c) for c in written) + ";")
         lines.append("}")
         out.append("\n".join(lines))
     out.append("")
     for pair in scenario.goal_spec.pairs:
-        out.append("goal { " + _format_pair(pair) + " }")
+        out.append(f"goal {{ {pair} }}")
     for pair in scenario.critical_spec.pairs:
-        out.append("critical { " + _format_pair(pair) + " }")
+        out.append(f"critical {{ {pair} }}")
     return "\n".join(out) + "\n"
-
-
-def _format_pair(pair: SpecPair) -> str:
-    body = ", ".join(str(p) for p in pair.pattern)
-    if pair.constraints:
-        body += " | " + ", ".join(_format_constraint(c) for c in pair.constraints)
-    return body
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,15 @@ across levels, so the Python stack depth is bounded by n.  When it proves a
 state good it records the move that proved it, and `trace` follows those
 recorded moves to rebuild the leftmost certified trace.
 
-Memo keys: with `use_memo` a state is keyed on (canonical fact tuple, n, w).
-Within one `Checker` the window fixes the clock (global time + w is the same
-for every key), so the time abstraction of `delta` could never merge two such
-keys and the search does not compute it.  These keys omit the remaining path
-length, so they are sound only when no cutoff can fire, which holds in
-progressing scenarios; a cutoff there raises `EngineError`.  Without
-`use_memo` the remaining path length is appended to the key, which is exact
-for the bounded search even when instantaneous rules form a cycle.
+The scenario configures the engine.  In a progressing scenario a state is
+keyed on (canonical fact tuple, n, w).  Within one `Checker` the window fixes
+the clock (global time + w is the same for every key), so the time
+abstraction of `delta` could never merge two such keys and the search does
+not compute it.  These keys omit the remaining path length, so they are sound
+only when no cutoff can fire, which holds in progressing scenarios; a cutoff
+there raises `EngineError`.  In any other scenario the remaining path length
+is appended to the key, which is exact for the bounded search even when
+instantaneous rules form a cycle.
 
 A compliant goal trace within a tick budget is the n=0, b=0 case:
 `find_compliant_goal_trace` runs the engine there.
@@ -89,32 +90,28 @@ class Checker:
     """Memoized decision procedure that records the move proving each good
     state, plus the walk that follows those moves."""
 
-    def __init__(
-        self,
-        scenario: PlanningScenario,
-        b: int,
-        *,
-        path_slack: int,
-        use_memo: bool = True,
-    ):
-        """Paths from a root with window w are bounded by
-        (max(w, 0) + path_slack) * m steps, m the configuration size."""
+    def __init__(self, scenario: PlanningScenario, b: int):
+        """Paths from a root with window w are bounded by (w + b + 1) * m
+        steps, m the configuration size.  In a progressing scenario every
+        instantaneous step lowers the number of non-`Time` facts timestamped
+        at or before the global time, so at most m - 1 such steps occur per
+        instant; with at most w + b time advances a path has at most
+        (w + b) + (w + b + 1) * (m - 1) < (w + b + 1) * m steps."""
         self.scenario = scenario
         self.b = b
         self.m = len(scenario.initial)
-        self.path_slack = path_slack
-        self.use_memo = use_memo
+        self.progressing = scenario.progressing
         # key -> False, True (a goal state), or the winning move as
         # (annotation, successor, successor key)
         self.memo: dict[tuple, Union[bool, tuple]] = {}
         self.refutation: tuple[str, ...] = ()
 
     def _depth_limit(self, w: int) -> int:
-        return (max(w, 0) + self.path_slack) * self.m
+        return (w + self.b + 1) * self.m
 
     def _key(self, config: Configuration, n: int, w: int, remaining: int) -> tuple:
         # the fact tuple, not the Configuration: refuted states are not kept alive
-        if self.use_memo:
+        if self.progressing:
             return (config.canonical_order(), n, w)
         return (config.canonical_order(), n, w, remaining)
 
@@ -122,8 +119,8 @@ class Checker:
         """A successor the bounded search cannot expand.  Exact keys carry the
         remaining path length, so there it just counts as bad; memo keys do
         not, so there it is an error (unreachable in progressing scenarios)."""
-        if self.use_memo:
-            raise EngineError(f"memoized search {reason}; pass use_memo=False")
+        if self.progressing:
+            raise EngineError(f"memoized search {reason}")
 
     def _moves(self, config: Configuration, w: int) -> Iterator[Move]:
         """System moves with the window after them; the time advance only
@@ -239,7 +236,6 @@ def find_compliant_goal_trace(
     scenario: PlanningScenario,
     tick_budget: int,
     *,
-    use_memo: bool = True,
     stats: Optional[SearchStats] = None,
 ) -> Optional[Trace]:
     """A compliant trace of system rules from the initial configuration to a
@@ -247,24 +243,18 @@ def find_compliant_goal_trace(
 
     The engine at n=0, b=0: the leftmost such trace in the search order, with
     length bounded by (tick_budget + 1) * m, the trace-length bound for
-    progressing scenarios.  Memoization requires a progressing scenario.
+    progressing scenarios.
     """
     if tick_budget < 0:
         raise EngineError("tick budget must be a natural number")
-    progressing = scenario.progressing
-    if use_memo and not progressing:
-        raise EngineError(
-            "memoized search is sound only for progressing scenarios; "
-            "pass use_memo=False"
-        )
-    checker = Checker(scenario, 0, path_slack=1, use_memo=use_memo)
+    checker = Checker(scenario, 0)
     found = checker.decide(scenario.initial, 0, tick_budget)
     if stats is not None:
         stats.visited += len(checker.memo)
     if not found:
         return None
     trace = checker.trace(scenario.initial, 0, tick_budget)
-    if progressing:
+    if checker.progressing:
         _assert_progressing_shape(trace, len(scenario.initial))
     return trace
 

@@ -176,9 +176,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def extended(self, step: TraceStep) -> "Trace":
-        return Trace(self.initial, self.steps + (step,))
-
     def format_lines(self) -> list[str]:
         lines = []
         for k, step in enumerate(self.steps, start=1):

@@ -28,11 +28,14 @@ from msrplan.rules import (
     RuleInstance,
     RuleRole,
     TimeConstraint,
+    apply_instance,
+    find_matches,
+    tick,
 )
 from msrplan.reductions import Qbf
 from msrplan.scenario import PlanningScenario, load_bundled, parse_scenario
 from msrplan.search import successors
-from msrplan.specs import ConfigSpec, SpecKind, SpecPair
+from msrplan.specs import TICK_STEP, ConfigSpec, SpecKind, SpecPair, match_spec
 
 WORKED_EXAMPLE = """
 types city loc status eid ref fid;
@@ -294,6 +297,42 @@ def random_scenario(
         initial=Configuration(facts),
         fact_size_bound=3,
     )
+
+
+def trace_annotations(trace) -> list | None:
+    """A trace's step labels: `Tick` or the instance key; None for no trace."""
+    if trace is None:
+        return None
+    return [s.instance if s.is_tick else s.instance.key() for s in trace.steps]
+
+
+def reference_goal_trace(scenario: PlanningScenario, budget: int) -> list | None:
+    """Annotations of the first compliant goal trace in canonical move order,
+    by plain recursion over the definition: at most `budget` time advances and
+    at most (budget + 1) * m steps; None if there is none."""
+    limit = (budget + 1) * len(scenario.initial)
+
+    def search(config, remaining, depth):
+        if match_spec(scenario.critical_spec, config) is not None:
+            return None
+        if match_spec(scenario.goal_spec, config) is not None:
+            return []
+        if depth == limit:
+            return None
+        moves = [
+            (inst.key(), apply_instance(config, inst), remaining)
+            for rule in scenario.system_rules
+            for inst in find_matches(rule, config, scenario.signature)
+        ]
+        if remaining > 0:
+            moves.append((TICK_STEP, tick(config), remaining - 1))
+        for label, nxt, left in moves:
+            rest = search(nxt, left, depth + 1)
+            if rest is not None:
+                return [label] + rest
+        return None
+
+    return search(scenario.initial, budget, 0)
 
 
 # ---------------------------------------------------------------------------

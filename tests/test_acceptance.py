@@ -15,7 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_formula, random_scenario, travel_with_start
+from conftest import (
+    random_formula,
+    random_scenario,
+    reference_goal_trace,
+    trace_annotations,
+    travel_with_start,
+)
 from msrplan.delta import abstract, lift, tock, tock_oracle
 from msrplan.kernel import Configuration, TimedFact
 from msrplan.reductions import (
@@ -214,12 +220,11 @@ def test_criterion_4_delta_bisimulation():
         checked += 1
         assert tock(d) == tock_oracle(d)
 
-    # existence verdicts with and without abstraction memoization
+    # memoized traces against an unmemoized reference, step by step
     for seed in range(100):
         scenario = random_scenario(3000 + seed, progressing=True)
-        with_memo = find_compliant_goal_trace(scenario, 3, use_memo=True)
-        without = find_compliant_goal_trace(scenario, 3, use_memo=False)
-        assert (with_memo is None) == (without is None), seed
+        trace = find_compliant_goal_trace(scenario, 3)
+        assert trace_annotations(trace) == reference_goal_trace(scenario, 3), seed
     _report(
         4,
         "bisimulation on 100 scenarios, 10000 Tock boundary cases, memo parity",

@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from conftest import qbf_mix
-from msrplan.cli import EXIT_YES, cli_dispatch
+from conftest import qbf_mix, random_scenario
+from msrplan.cli import EXIT_NO, EXIT_YES, cli_dispatch
 from msrplan.reductions import qbf_to_msr_text
-from msrplan.scenario import bundled_text
+from msrplan.scenario import bundled_text, pretty_print
 
 # e1 a2 e3 a4 e5: two universal blocks, so the witness nests two update levels
 QDIMACS_TWO_UPDATES = (
@@ -87,3 +87,48 @@ def test_qbf_generator_text_over_mix():
     assert _sha256(text) == (
         "292f33278d1ec53024446518fb0cd386453028f10c08ec814edbba5dc4a69043"
     )
+
+
+def test_non_progressing_goal_and_base_case(capsys, tmp_path, monkeypatch):
+    # taken from the implementation whose resilience check answered n=0 on a
+    # non-progressing scenario through a separate goal search; seed 533's
+    # leftmost trace revisits a configuration
+    scenario = random_scenario(533, progressing=False)
+    assert not scenario.progressing
+    monkeypatch.chdir(tmp_path)
+    Path("np.msr").write_text(pretty_print(scenario), encoding="utf-8")
+
+    def run(*argv):
+        code = cli_dispatch(list(argv))
+        return code, capsys.readouterr().out
+
+    code, out = run("goal", "np.msr", "--budget", "3")
+    assert code == EXIT_YES
+    assert len(out) == 210
+    assert _sha256(out) == (
+        "3e9fdf69e45ca930eb6cab4cb67b34a077351b77b4c7e857ea768456161c1504"
+    )
+    assert run("goal", "np.msr", "--budget", "1") == (
+        EXIT_NO, "no compliant goal trace within budget\n"
+    )
+
+    code, out = run(
+        "resilience", "np.msr", "-n", "0", "-a", "1", "-b", "2",
+        "--witness", "w.json",
+    )
+    assert (code, out) == (
+        EXIT_YES, "resilient at (n=0, a=1, b=2)\nwitness written to w.json\n"
+    )
+    data = Path("w.json").read_bytes()
+    assert len(data) == 480
+    assert _sha256(data) == (
+        "331ef51e042e6220b2e8f02058f7993a1e582d01c0a1357ae3e2f1275adfef01"
+    )
+    code, out = run(
+        "resilience", "np.msr", "-n", "0", "-a", "1", "-b", "0",
+        "--witness", "w2.json",
+    )
+    assert (code, out) == (
+        EXIT_NO, "not resilient at (n=0, a=1, b=0)\n  no compliant goal trace\n"
+    )
+    assert not Path("w2.json").exists()

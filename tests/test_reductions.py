@@ -85,6 +85,19 @@ class TestQdimacs:
             with pytest.raises(QbfError, match="malformed problem line"):
                 parse_qdimacs(self.TEXT.replace("p cnf 3 2", f"p cnf {counts}"))
 
+    def test_problem_line_counts_must_match(self):
+        # p cnf 1 7 over variables 1-5 and one clause
+        text = "p cnf 1 7\ne 1 2 0\na 3 4 0\ne 5 0\n1 3 5 0\n"
+        with pytest.raises(QbfError, match="line 1: variable 5 exceeds"):
+            parse_qdimacs(text)
+        with pytest.raises(QbfError, match="line 1: 1 clauses where 7"):
+            parse_qdimacs(text.replace("p cnf 1 7", "p cnf 5 7"))
+        with pytest.raises(QbfError, match="line 2: 1 clauses where 0"):
+            parse_qdimacs("c counts\n" + text.replace("p cnf 1 7", "p cnf 5 0"))
+        assert parse_qdimacs(text.replace("p cnf 1 7", "p cnf 5 1")).clauses == (
+            (1, 3, 5),
+        )
+
     def test_render_gives_largest_variable_index(self):
         q = Qbf((("e", (1,)), ("a", (5,)), ("e", (3,))), ((1, -5, 3),))
         text = render_qdimacs(q)

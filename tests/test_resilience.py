@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
 import random
 
@@ -23,7 +24,7 @@ from msrplan.resilience import (
     witness_to_json,
 )
 from msrplan.rules import EngineError, apply_instance, find_matches, tick
-from msrplan.scenario import infer_dmax, parse_scenario
+from msrplan.scenario import bundled_text, infer_dmax, parse_scenario
 from msrplan.search import find_compliant_goal_trace
 from msrplan.specs import TICK_STEP, match_spec, replay_errors
 
@@ -42,9 +43,20 @@ class TestQueryValidation:
         with pytest.raises(EngineError):
             check_resilience(minimal, ResilienceQuery(0, 0, 5))
 
-    def test_eta_cap_refusal(self, minimal):
-        with pytest.raises(EngineError):
-            check_resilience(minimal, ResilienceQuery(0, 1, 0), eta_cap=0)
+    def test_eta_cap_refusal(self):
+        def with_critical_variables(count):
+            pattern = ", ".join(f"Fuse@T{i}" for i in range(1, count + 1))
+            text = bundled_text("minimal.msr").replace(
+                "critical { Time@T, Fuse@T }", f"critical {{ {pattern} }}"
+            )
+            scenario = parse_scenario(text, "minimal")
+            assert scenario.eta() == count
+            return scenario
+
+        # the cap is 6: six variables per pair are decided, seven refused
+        check_resilience(with_critical_variables(6), ResilienceQuery(0, 1, 0))
+        with pytest.raises(EngineError, match="7 variables per pair; cap is 6"):
+            check_resilience(with_critical_variables(7), ResilienceQuery(0, 1, 0))
 
     def test_non_progressing_refused_for_positive_n(self):
         scenario = random_scenario(1, progressing=False)
@@ -56,7 +68,7 @@ class TestQueryValidation:
     def test_non_progressing_base_case_falls_back(self):
         scenario = random_scenario(1, progressing=False)
         result = check_resilience(scenario, ResilienceQuery(0, 2, 1))
-        expected = find_compliant_goal_trace(scenario, 3, use_memo=False)
+        expected = find_compliant_goal_trace(scenario, 3)
         assert result.resilient == (expected is not None)
 
 
@@ -131,12 +143,6 @@ class TestCheckResilience:
         final_index = len(result.witness.trace.steps)
         points = enumerate_update_points(scenario, result.witness.trace, 1)
         assert all(i <= final_index for i, _, _ in points)
-
-    def test_memoization_can_be_disabled(self):
-        scenario = qbf_to_scenario(Q_GAME)
-        a = check_resilience(scenario, ResilienceQuery(1, 1, 0), use_memo=True)
-        b = check_resilience(scenario, ResilienceQuery(1, 1, 0), use_memo=False)
-        assert a.resilient == b.resilient
 
 
 class TestMonotonicity:
@@ -348,22 +354,23 @@ class TestDifferentialOracle:
 class TestAbstractionSharing:
     """The checker keys its memo on concrete configurations.  On a scenario
     where the time abstraction would merge states, its witnesses must still
-    agree with those of exact keys."""
+    equal those of exact keys: the digest below was taken from witnesses
+    built on keys that also carried the remaining path length."""
 
     def test_memo_agrees_with_exact_keys(self):
         scenario = parse_scenario(PERIODIC, "periodic")
         assert scenario.progressing and infer_dmax(scenario) == 1
         verdicts = set()
+        outputs = []
         for n, a, b in itertools.product((1, 2), (2, 3, 4), (1, 3)):
             query = ResilienceQuery(n, a, b)
             memo = check_resilience(scenario, query)
-            exact = check_resilience(scenario, query, use_memo=False)
-            assert memo.resilient == exact.resilient, query
             verdicts.add(memo.resilient)
             if not memo.resilient:
+                outputs.append("not resilient\n")
                 continue
+            outputs.append(witness_to_json(memo.witness))
             assert verify_witness(scenario, query, memo.witness) == (True, [])
-            assert witness_to_json(memo.witness) == witness_to_json(exact.witness)
             nodes = list(_walk(memo.witness))
             for node in nodes:
                 assert not replay_errors(node.trace)
@@ -379,6 +386,11 @@ class TestAbstractionSharing:
                     by_key.setdefault(key, set()).add(config)
             assert any(len(configs) > 1 for configs in by_key.values()), query
         assert verdicts == {True, False}
+        text = "".join(outputs)
+        assert len(text) == 93132
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "037ca5b7c68ceacd2a237ba25eb1acc434617143e9bd7f915862e196c33e6c52"
+        )
 
 
 PERIODIC_CASES = [(1, 2, 1), (1, 4, 3), (2, 3, 1), (2, 4, 3)]

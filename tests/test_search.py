@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import random_scenario, travel_with_start
+from conftest import (
+    random_scenario,
+    reference_goal_trace,
+    trace_annotations,
+    travel_with_start,
+)
 from msrplan.reductions import Qbf, qbf_to_scenario
-from msrplan.rules import EngineError, apply_instance, find_matches, tick
-from msrplan.scenario import parse_scenario
+from msrplan.rules import EngineError, tick
+from msrplan.scenario import PlanningScenario, parse_scenario
 from msrplan.search import (
     Checker,
     SearchStats,
@@ -13,7 +18,7 @@ from msrplan.search import (
     instantaneous_run_lengths,
     successors,
 )
-from msrplan.specs import TICK_STEP, check_compliance, match_spec, replay_errors
+from msrplan.specs import check_compliance, match_spec, replay_errors
 
 
 class TestSuccessors:
@@ -86,10 +91,12 @@ class TestGoalSearch:
     def test_memo_requires_progressing(self):
         scenario = random_scenario(3, progressing=False)
         assert not scenario.progressing
-        with pytest.raises(EngineError):
-            find_compliant_goal_trace(scenario, 2, use_memo=True)
-        trace = find_compliant_goal_trace(scenario, 2, use_memo=False)
-        assert _annotations(trace) == _reference_goal_trace(scenario, 2)
+        checker = Checker(scenario, 0)
+        checker.decide(scenario.initial, 0, 2)
+        # keys carry the remaining path length
+        assert {len(key) for key in checker.memo} == {4}
+        trace = find_compliant_goal_trace(scenario, 2)
+        assert trace_annotations(trace) == reference_goal_trace(scenario, 2)
 
     # the leftmost traces of seeds 448 and 533 revisit a configuration; a key
     # without the remaining path length would cut the revisit as a cycle
@@ -98,8 +105,8 @@ class TestGoalSearch:
         scenario = random_scenario(seed, progressing=False)
         assert not scenario.progressing
         for budget in range(3):
-            trace = find_compliant_goal_trace(scenario, budget, use_memo=False)
-            assert _annotations(trace) == _reference_goal_trace(scenario, budget)
+            trace = find_compliant_goal_trace(scenario, budget)
+            assert trace_annotations(trace) == reference_goal_trace(scenario, budget)
             if trace is None:
                 continue
             assert trace.initial == scenario.initial
@@ -119,14 +126,10 @@ class TestGoalSearch:
         assert len(trace) <= (280 + 1) * m
 
     def test_memoization_agreement_sample(self):
-        agree = 0
         for seed in range(30):
             scenario = random_scenario(seed, progressing=True)
-            with_memo = find_compliant_goal_trace(scenario, 3, use_memo=True)
-            without = find_compliant_goal_trace(scenario, 3, use_memo=False)
-            assert (with_memo is None) == (without is None), seed
-            agree += 1
-        assert agree == 30
+            trace = find_compliant_goal_trace(scenario, 3)
+            assert trace_annotations(trace) == reference_goal_trace(scenario, 3), seed
 
     def test_stats_reported(self, minimal):
         stats = SearchStats()
@@ -146,55 +149,33 @@ goal { Done@T1 }
 critical { Time@T, Halt@T1 | T < T1 }
 """
 
+# A -> B -> C -> D within one instant, m = 3: at w = 0, b = 0 the path bound
+# (w + b + 1) * m = 3 holds the configurations A, B and C on the search stack,
+# so the fourth one, D, lies past it.
+CHAIN = """
+predicates A: system, B: system, C: system, D: system, Done: goal,
+           Halt: critical;
+init { Time@0, A@0, Halt@0 }
+rule system ab { consume: A@T1; create: B@T; guard: T1 <= T; }
+rule system bc { consume: B@T1; create: C@T; guard: T1 <= T; }
+rule system cd { consume: C@T1; create: D@T; guard: T1 <= T; }
+goal { Done@T1 }
+critical { Time@T, Halt@T1 | T < T1 }
+"""
+
 
 class TestCutoffs:
-    # path slack 1 at w=1 leaves room for the cycle; path slack 0 at w=0
-    # bounds paths at 0 steps, so the first successor is past the bound
     @pytest.mark.parametrize(
-        "path_slack, w, reason",
-        [(1, 1, "state on its stack"), (0, 0, "path bound")],
+        "text, w, reason",
+        [(CYCLE, 1, "state on its stack"), (CHAIN, 0, "path bound")],
+        ids=["state on its stack", "path bound"],
     )
-    def test_memo_cutoff_is_an_error(self, path_slack, w, reason):
-        scenario = parse_scenario(CYCLE, "cycle")
+    def test_memo_cutoff_is_an_error(self, monkeypatch, text, w, reason):
+        scenario = parse_scenario(text, "cutoff")
         assert not scenario.progressing
-        checker = Checker(scenario, 0, path_slack=path_slack, use_memo=True)
-        with pytest.raises(EngineError, match=reason):
-            checker.decide(scenario.initial, 0, w)
         # exact keys carry the remaining path length: the cutoff is a verdict
-        exact = Checker(scenario, 0, path_slack=path_slack, use_memo=False)
-        assert exact.decide(scenario.initial, 0, w) is False
-
-
-def _annotations(trace):
-    if trace is None:
-        return None
-    return [s.instance if s.is_tick else s.instance.key() for s in trace.steps]
-
-
-def _reference_goal_trace(scenario, budget):
-    """Annotations of the first compliant goal trace in canonical move order,
-    by plain recursion over the definition: at most `budget` time advances and
-    at most (budget + 1) * m steps; None if there is none."""
-    limit = (budget + 1) * len(scenario.initial)
-
-    def search(config, remaining, depth):
-        if match_spec(scenario.critical_spec, config) is not None:
-            return None
-        if match_spec(scenario.goal_spec, config) is not None:
-            return []
-        if depth == limit:
-            return None
-        moves = [
-            (inst.key(), apply_instance(config, inst), remaining)
-            for rule in scenario.system_rules
-            for inst in find_matches(rule, config, scenario.signature)
-        ]
-        if remaining > 0:
-            moves.append((TICK_STEP, tick(config), remaining - 1))
-        for label, nxt, left in moves:
-            rest = search(nxt, left, depth + 1)
-            if rest is not None:
-                return [label] + rest
-        return None
-
-    return search(scenario.initial, budget, 0)
+        assert Checker(scenario, 0).decide(scenario.initial, 0, w) is False
+        # memo keys do not, so there the same cutoff is an error
+        monkeypatch.setattr(PlanningScenario, "progressing", True)
+        with pytest.raises(EngineError, match=reason):
+            Checker(scenario, 0).decide(scenario.initial, 0, w)
