@@ -36,7 +36,7 @@ from .rules import (
 from .scenario import PlanningScenario, pretty_print
 from .specs import ConfigSpec, SpecKind, SpecPair
 
-DEFAULT_VAR_GUARD = 16
+VAR_GUARD = 16
 
 
 class QbfError(ValueError):
@@ -92,16 +92,16 @@ class Qbf:
         return tuple(v for _, vs in self.blocks for v in vs)
 
 
-def evaluate_qbf(q: Qbf, *, var_guard: int = DEFAULT_VAR_GUARD) -> bool:
+def evaluate_qbf(q: Qbf) -> bool:
     """Exact truth value by exhaustive game-tree evaluation.
 
     Existential blocks pick some assignment, universal blocks must win under
     all assignments.  Exponential; guarded by a total variable count.
     """
-    if len(q.variables) > var_guard:
+    if len(q.variables) > VAR_GUARD:
         raise EngineError(
             f"formula has {len(q.variables)} variables; evaluation guard is "
-            f"{var_guard}"
+            f"{VAR_GUARD}"
         )
 
     def matrix(assignment: dict[int, bool]) -> bool:
@@ -461,20 +461,14 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(edges))
 
 
-_VERTEX_SIGNATURES: dict[int, "object"] = {}
-
-
-def _vertex_signature(n: int):
-    sig = _VERTEX_SIGNATURES.get(n)
-    if sig is None:
-        sig = make_signature(
-            base_types=["vertex"],
-            constants={f"kv_{i}": "vertex" for i in range(n)},
-            predicates={"R": ("vertex", "vertex")},
-            roles={"R": Role.GOAL},
-        )
-        _VERTEX_SIGNATURES[n] = sig
-    return sig
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _vertex_signature(n: int) -> Signature:
+    return make_signature(
+        base_types=["vertex"],
+        constants={f"kv_{i}": "vertex" for i in range(n)},
+        predicates={"R": ("vertex", "vertex")},
+        roles={"R": Role.GOAL},
+    )
 
 
 def graph_to_goal_instance(

@@ -109,7 +109,6 @@ def _build_witness(
     checker: Checker,
     config: Configuration,
     n: int,
-    w: int,
     built: dict[tuple, WitnessTree],
 ) -> WitnessTree:
     """The canonical witness for a state `checker` proved good: its certified
@@ -120,22 +119,21 @@ def _build_witness(
     number of non-`Time` facts at or before the global time, each time
     advance moves the clock), and other scenarios only reach n = 0, where a
     node has no children."""
-    bkey = (config, n, w)
+    bkey = (config, n)
     witness = built.get(bkey)
     if witness is not None:
         return witness
-    trace = checker.trace(config, n, w)
+    trace = checker.trace(config, n)
     children: list[tuple[int, RuleInstance, WitnessTree]] = []
-    window = w
     for index, current in enumerate(trace.configurations()):
-        if index and trace.steps[index - 1].is_tick:
-            window -= 1
-        if n == 0 or window < 0:
+        if n == 0 or current.global_time > checker.deadline:
             break
         for inst, updated in successors(checker.scenario, current, "updates"):
-            subtree = _build_witness(checker, updated, n - 1, window, built)
+            subtree = _build_witness(checker, updated, n - 1, built)
             children.append((index, inst, subtree))
-    witness = WitnessTree(ResilienceQuery(n, w, checker.b), trace, tuple(children))
+    window = checker.deadline - config.global_time
+    query = ResilienceQuery(n, window, checker.b)
+    witness = WitnessTree(query, trace, tuple(children))
     built[bkey] = witness
     return witness
 
@@ -159,15 +157,15 @@ def check_resilience(
         )
     if scenario.initial.global_time + query.a + query.b > MAX_TIMESTAMP:
         raise EngineError("tick budget overflows the timestamp range")
-    checker = Checker(scenario, query.b)
+    checker = Checker(scenario, query.a, query.b)
     if query.n > 0 and not checker.progressing:
         raise EngineError(
             "resilience checking requires a progressing planning scenario"
         )
-    if not checker.decide(scenario.initial, query.n, query.a):
+    if not checker.decide(scenario.initial, query.n):
         refutation = checker.refutation or ("no compliant goal trace",)
         return ResilienceResult(False, refutation=refutation)
-    witness = _build_witness(checker, scenario.initial, query.n, query.a, {})
+    witness = _build_witness(checker, scenario.initial, query.n, {})
     return ResilienceResult(True, witness)
 
 
@@ -217,14 +215,15 @@ def parse_ground_term(text: str, sig: Signature) -> Term:
     return term
 
 
+def _instance_to_dict(inst: RuleInstance) -> dict:
+    sigma = {v: (t if isinstance(t, int) else str(t)) for v, t in inst.bindings}
+    return {"rule": inst.rule.name, "sigma": sigma}
+
+
 def _step_to_dict(step: TraceStep) -> dict:
     if step.is_tick:
         return {"rule": TICK_STEP}
-    sigma = {
-        v: (t if isinstance(t, int) else str(t))
-        for v, t in step.instance.bindings
-    }
-    return {"rule": step.instance.rule.name, "sigma": sigma}
+    return _instance_to_dict(step.instance)
 
 
 def witness_to_dict(witness: WitnessTree) -> dict:
@@ -237,13 +236,7 @@ def witness_to_dict(witness: WitnessTree) -> dict:
         "children": [
             {
                 "step": i,
-                "instance": {
-                    "rule": inst.rule.name,
-                    "sigma": {
-                        v: (t if isinstance(t, int) else str(t))
-                        for v, t in inst.bindings
-                    },
-                },
+                "instance": _instance_to_dict(inst),
                 "subtree": witness_to_dict(sub),
             }
             for i, inst, sub in children

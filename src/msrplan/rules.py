@@ -794,7 +794,7 @@ def _next_pattern(
 
 
 def _canonical_fresh(
-    rule: Rule, config: Configuration, sig: Optional[Signature]
+    rule: Rule, config: Configuration, sig: Signature
 ) -> dict[str, FreshConstant]:
     """The fresh assignment every match of `rule` on `config` gets: each fresh
     variable, in name order, takes the smallest index of its type absent
@@ -819,7 +819,7 @@ def _canonical_fresh(
     return out
 
 
-def _fresh_var_types(rule: Rule, sig: Optional[Signature]) -> dict[str, str]:
+def _fresh_var_types(rule: Rule, sig: Signature) -> dict[str, str]:
     types: dict[str, str] = {}
     for c in rule.created:
         _collect_var_types(c.atom, sig, types)
@@ -828,10 +828,8 @@ def _fresh_var_types(rule: Rule, sig: Optional[Signature]) -> dict[str, str]:
     return types
 
 
-def _collect_var_types(atom: Atom, sig: Optional[Signature], types: dict[str, str]) -> None:
-    expected: tuple[str, ...] = ()
-    if sig is not None and atom.pred in sig.predicates:
-        expected = sig.predicates[atom.pred]
+def _collect_var_types(atom: Atom, sig: Signature, types: dict[str, str]) -> None:
+    expected = sig.predicates.get(atom.pred, ())
     for i, arg in enumerate(atom.args):
         if isinstance(arg, Variable):
             if arg.base_type:
@@ -841,7 +839,7 @@ def _collect_var_types(atom: Atom, sig: Optional[Signature], types: dict[str, st
 
 
 def find_matches(
-    rule: Rule, config: Configuration, sig: Optional[Signature] = None
+    rule: Rule, config: Configuration, sig: Signature
 ) -> list[RuleInstance]:
     """All instances of `rule` applicable to `config`, canonically ordered.
 

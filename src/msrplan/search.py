@@ -5,26 +5,28 @@ form): instantaneous rule instances in canonical order, then the time
 advance (system moves), or the update instances (update moves).  The engine
 consumes it lazily, so moves after the first good one are never built.
 
-`Checker` is the only search engine.  `decide(config, n, w)` asks whether a
-compliant goal trace from `config` survives up to n adversarial update
-applications while the disruption window w is open, with b further time
-advances allowed after it closes.  A state is good when it is non-critical,
-every applicable update at it (while the window is open) leads to a state
-that is good one update level down, and either the goal is matched or some
-successor is good.  The search is iterative within a level and recursive
-across levels, so the Python stack depth is bounded by n.  When it proves a
-state good it records the move that proved it, and `trace` follows those
-recorded moves to rebuild the leftmost certified trace.
+`Checker` is the only search engine.  It is built for one query: updates
+are admitted until `deadline`, a ticks after the initial configuration, and
+time advances until `horizon`, b ticks after that.  `decide(config, n)` asks
+whether a compliant goal trace from `config` survives up to n adversarial
+update applications.  The window left at a state is the deadline minus its
+global time, which its `Time` fact carries, so no window is passed along.  A
+state is good when it is non-critical, every update applicable at it (while
+its clock is at or before the deadline) leads to a state that is good one
+update level down, and either the goal is matched or some successor is good.
+The search is iterative within a level and recursive across levels, so the
+Python stack depth is bounded by n.  When it proves a state good it records
+the move that proved it, and `trace` follows those recorded moves to rebuild
+the leftmost certified trace.
 
 The scenario configures the engine.  In a progressing scenario a state is
-keyed on (canonical fact tuple, n, w).  Within one `Checker` the window fixes
-the clock (global time + w is the same for every key), so the time
-abstraction of `delta` could never merge two such keys and the search does
-not compute it.  These keys omit the remaining path length, so they are sound
-only when no cutoff can fire, which holds in progressing scenarios; a cutoff
-there raises `EngineError`.  In any other scenario the remaining path length
-is appended to the key, which is exact for the bounded search even when
-instantaneous rules form a cycle.
+keyed on (canonical fact tuple, n).  The fact tuple holds the clock, which
+fixes the window left, so the time abstraction of `delta` could never merge
+two such keys and the search does not compute it.  These keys omit the
+remaining path length, so they are sound only when no cutoff can fire, which
+holds in progressing scenarios; a cutoff there raises `EngineError`.  In any
+other scenario the remaining path length is appended to the key, which is
+exact for the bounded search even when instantaneous rules form a cycle.
 
 A compliant goal trace within a tick budget is the n=0, b=0 case:
 `find_compliant_goal_trace` runs the engine there.
@@ -41,7 +43,6 @@ from .scenario import PlanningScenario
 from .specs import TICK_STEP, Trace, TraceStep, match_spec
 
 Which = Literal["system", "updates", "both"]
-Move = tuple[Union[RuleInstance, str], Configuration, int]
 
 
 def successors(
@@ -87,18 +88,20 @@ class SearchStats:
 
 
 class Checker:
-    """Memoized decision procedure that records the move proving each good
-    state, plus the walk that follows those moves."""
+    """Memoized decision procedure for one (a, b) query that records the move
+    proving each good state, plus the walk that follows those moves."""
 
-    def __init__(self, scenario: PlanningScenario, b: int):
-        """Paths from a root with window w are bounded by (w + b + 1) * m
+    def __init__(self, scenario: PlanningScenario, a: int, b: int):
+        """Paths from a root at time t are bounded by (horizon - t + 1) * m
         steps, m the configuration size.  In a progressing scenario every
         instantaneous step lowers the number of non-`Time` facts timestamped
         at or before the global time, so at most m - 1 such steps occur per
-        instant; with at most w + b time advances a path has at most
-        (w + b) + (w + b + 1) * (m - 1) < (w + b + 1) * m steps."""
+        instant; with k = horizon - t time advances a path has at most
+        k + (k + 1) * (m - 1) < (k + 1) * m steps."""
         self.scenario = scenario
         self.b = b
+        self.deadline = scenario.initial.global_time + a
+        self.horizon = self.deadline + b
         self.m = len(scenario.initial)
         self.progressing = scenario.progressing
         # key -> False, True (a goal state), or the winning move as
@@ -106,14 +109,15 @@ class Checker:
         self.memo: dict[tuple, Union[bool, tuple]] = {}
         self.refutation: tuple[str, ...] = ()
 
-    def _depth_limit(self, w: int) -> int:
-        return (w + self.b + 1) * self.m
+    def _depth_limit(self, config: Configuration) -> int:
+        return (self.horizon - config.global_time + 1) * self.m
 
-    def _key(self, config: Configuration, n: int, w: int, remaining: int) -> tuple:
-        # the fact tuple, not the Configuration: refuted states are not kept alive
+    def _key(self, config: Configuration, n: int, remaining: int) -> tuple:
+        # the fact tuple, not the Configuration: refuted states are not kept
+        # alive; its Time fact fixes the window left
         if self.progressing:
-            return (config.canonical_order(), n, w)
-        return (config.canonical_order(), n, w, remaining)
+            return (config.canonical_order(), n)
+        return (config.canonical_order(), n, remaining)
 
     def _cutoff(self, reason: str) -> None:
         """A successor the bounded search cannot expand.  Exact keys carry the
@@ -122,29 +126,23 @@ class Checker:
         if self.progressing:
             raise EngineError(f"memoized search {reason}")
 
-    def _moves(self, config: Configuration, w: int) -> Iterator[Move]:
-        """System moves with the window after them; the time advance only
-        while ticks remain (w + b >= 1)."""
-        for annotation, nxt in iter_successors(
-            self.scenario, config, advance=w + self.b >= 1
-        ):
-            yield annotation, nxt, w - 1 if isinstance(annotation, str) else w
-
-    def _covered(self, config: Configuration, n: int, w: int) -> bool:
-        """Every applicable update must lead to an (n-1, w, b)-resilient state."""
-        if n == 0 or w < 0:
+    def _covered(self, config: Configuration, n: int) -> bool:
+        """Every update applicable by the deadline must lead to a state that
+        is resilient one update level down."""
+        if n == 0 or config.global_time > self.deadline:
             return True
         for inst, updated in iter_successors(self.scenario, config, "updates"):
-            if not self.decide(updated, n - 1, w):
+            if not self.decide(updated, n - 1):
+                window = self.deadline - config.global_time
                 chain = (
                     f"update {inst.key()} at t={config.global_time} admits no "
-                    f"({n - 1},{w},{self.b})-resilient reaction",
+                    f"({n - 1},{window},{self.b})-resilient reaction",
                 )
                 self.refutation = chain + self.refutation[:8]
                 return False
         return True
 
-    def _goal_verdict(self, config: Configuration, n: int, w: int) -> Optional[bool]:
+    def _goal_verdict(self, config: Configuration, n: int) -> Optional[bool]:
         """The verdict of a goal state, None for any other state.
 
         Update coverage is evaluated lazily: only states that otherwise lie on
@@ -153,10 +151,10 @@ class Checker:
         """
         if match_spec(self.scenario.goal_spec, config) is None:
             return None
-        return self._covered(config, n, w)
+        return self._covered(config, n)
 
-    def decide(self, config: Configuration, n: int, w: int) -> bool:
-        """Does an (n, w, b)-resilient trace from `config` exist?
+    def decide(self, config: Configuration, n: int) -> bool:
+        """Does a resilient trace from `config` with n updates left exist?
 
         Critical states are refuted before their key is computed.  A successor
         deeper than the path bound, or one whose key is on the stack, is a
@@ -165,32 +163,37 @@ class Checker:
         critical = self.scenario.critical_spec
         if match_spec(critical, config) is not None:
             return False
-        limit = self._depth_limit(w)
-        key = self._key(config, n, w, limit)
+        limit = self._depth_limit(config)
+        key = self._key(config, n, limit)
         verdict = self.memo.get(key)
         if verdict is not None:
             return bool(verdict)
-        verdict = self._goal_verdict(config, n, w)
+        verdict = self._goal_verdict(config, n)
         if verdict is not None:
             self.memo[key] = verdict
             return verdict
 
-        # frames: (annotation leading here, configuration, window, key, moves)
-        stack = [(None, config, w, key, self._moves(config, w))]
+        # frames: (annotation leading here, configuration, key, moves); the
+        # time advance is offered while the clock is short of the horizon
+        horizon = self.horizon
+        moves = iter_successors(
+            self.scenario, config, advance=config.global_time < horizon
+        )
+        stack = [(None, config, key, moves)]
         onstack = {key}
         pending: Union[None, bool, tuple] = None  # verdict of the last successor
         last: tuple = ()  # that successor as (annotation, configuration, key)
         while stack:
             frame = stack[-1]
-            _, cfg, fw, fkey, moves = frame
+            _, cfg, fkey, moves = frame
             if pending:
                 # a good successor proves the state iff its update points are covered
-                verdict = last if self._covered(cfg, n, fw) else False
+                verdict = last if self._covered(cfg, n) else False
             elif (move := next(moves, None)) is not None:
-                annotation, cfg2, w2 = move
+                annotation, cfg2 = move
                 if match_spec(critical, cfg2) is not None:
                     continue
-                key2 = self._key(cfg2, n, w2, limit - len(stack))
+                key2 = self._key(cfg2, n, limit - len(stack))
                 last = (annotation, cfg2, key2)
                 pending = self.memo.get(key2)
                 if pending is not None:
@@ -198,11 +201,14 @@ class Checker:
                 if key2 in onstack:
                     self._cutoff("revisited a state on its stack")
                     continue
-                pending = self._goal_verdict(cfg2, n, w2)
+                pending = self._goal_verdict(cfg2, n)
                 if pending is not None:
                     self.memo[key2] = pending
                 elif len(stack) < limit:
-                    stack.append((annotation, cfg2, w2, key2, self._moves(cfg2, w2)))
+                    moves = iter_successors(
+                        self.scenario, cfg2, advance=cfg2.global_time < horizon
+                    )
+                    stack.append((annotation, cfg2, key2, moves))
                     onstack.add(key2)
                 else:
                     self._cutoff("reached its path bound")
@@ -216,13 +222,13 @@ class Checker:
             pending = verdict
         return bool(self.memo[key])
 
-    def trace(self, config: Configuration, n: int, w: int) -> Trace:
-        """The trace certified by `decide(config, n, w)`, which must hold.
+    def trace(self, config: Configuration, n: int) -> Trace:
+        """The trace certified by `decide(config, n)`, which must hold.
 
         Follows the recorded winning moves, which are the leftmost
         decide-approved moves in the search order, to a goal state.
         """
-        key = self._key(config, n, w, self._depth_limit(w))
+        key = self._key(config, n, self._depth_limit(config))
         steps: list[TraceStep] = []
         while (entry := self.memo.get(key)) is not True:
             if not isinstance(entry, tuple):
@@ -247,13 +253,13 @@ def find_compliant_goal_trace(
     """
     if tick_budget < 0:
         raise EngineError("tick budget must be a natural number")
-    checker = Checker(scenario, 0)
-    found = checker.decide(scenario.initial, 0, tick_budget)
+    checker = Checker(scenario, tick_budget, 0)
+    found = checker.decide(scenario.initial, 0)
     if stats is not None:
         stats.visited += len(checker.memo)
     if not found:
         return None
-    trace = checker.trace(scenario.initial, 0, tick_budget)
+    trace = checker.trace(scenario.initial, 0)
     if checker.progressing:
         _assert_progressing_shape(trace, len(scenario.initial))
     return trace
@@ -261,17 +267,11 @@ def find_compliant_goal_trace(
 
 def _assert_progressing_shape(trace: Trace, m: int) -> None:
     """Between consecutive time advances at most m instantaneous steps occur."""
-    run = 0
-    for step in trace.steps:
-        if step.is_tick:
-            run = 0
-        else:
-            run += 1
-            if run > m:
-                raise EngineError(
-                    "progressing bound violated: more than m instantaneous "
-                    "steps between consecutive time advances"
-                )
+    if max(instantaneous_run_lengths(trace)) > m:
+        raise EngineError(
+            "progressing bound violated: more than m instantaneous "
+            "steps between consecutive time advances"
+        )
 
 
 def instantaneous_run_lengths(trace: Trace) -> list[int]:

@@ -126,6 +126,15 @@ class TestCheckResilience:
         assert result.refutation
         assert "assign_a_2" in result.refutation[0]
 
+    def test_refutation_names_the_window_left(self, travel):
+        # the delay at t=120 falls on the deadline 108 + 12: no window is left
+        late = travel_with_start(travel, 108)
+        result = check_resilience(late, ResilienceQuery(1, 12, 220))
+        assert not result.resilient
+        assert result.refutation[0].endswith(
+            "at t=120 admits no (0,0,220)-resilient reaction"
+        )
+
     def test_base_case_equals_goal_search(self, travel, minimal):
         cases = [minimal, travel_with_start(travel, 45), travel_with_start(travel, 121)]
         cases += [random_scenario(s, progressing=True) for s in range(8)]
@@ -397,9 +406,9 @@ PERIODIC_CASES = [(1, 2, 1), (1, 4, 3), (2, 3, 1), (2, 4, 3)]
 
 
 class TestMemoKeyClock:
-    """Within one checker the window fixes the clock: every memo key has the
-    same global time + w, so the time abstraction's shift invariance could
-    never merge two keys.  The concrete memo key rests on this."""
+    """A checker is built for one query and reads the window left at a state
+    off its clock: memo keys hold no window, and every witness node's window
+    plus its start time is the query's deadline."""
 
     def test_time_plus_window_is_fixed(self, monkeypatch, travel):
         checkers = []
@@ -414,12 +423,21 @@ class TestMemoKeyClock:
         cases = [(periodic, ResilienceQuery(*nab)) for nab in PERIODIC_CASES]
         cases.append((travel, ResilienceQuery(1, 12, 220)))
         for scenario, query in cases:
-            check_resilience(scenario, query)
-        assert len(checkers) == len(cases)
-        for (scenario, query), checker in zip(cases, checkers):
+            result = check_resilience(scenario, query)
+            t0 = scenario.initial.global_time
+            starts = set()
+            for node in _walk(result.witness) if result.resilient else ():
+                start = node.trace.initial.global_time
+                assert node.query.a == t0 + query.a - start, query
+                starts.add(start)
+            # a resilient witness holds updates later than its root's time
+            assert len(starts) != 1, query
+            assert len(checkers) == 1
+            checker = checkers.pop()
             assert checker.memo
-            clocks = {_clock(facts) + w for facts, _, w in checker.memo}
-            assert clocks == {scenario.initial.global_time + query.a}, query
+            for facts, n in checker.memo:
+                assert 0 <= n <= query.n, query
+                assert t0 <= _clock(facts) <= t0 + query.a + query.b, query
 
 
 def _clock(facts):

@@ -91,10 +91,10 @@ class TestGoalSearch:
     def test_memo_requires_progressing(self):
         scenario = random_scenario(3, progressing=False)
         assert not scenario.progressing
-        checker = Checker(scenario, 0)
-        checker.decide(scenario.initial, 0, 2)
+        checker = Checker(scenario, 2, 0)
+        checker.decide(scenario.initial, 0)
         # keys carry the remaining path length
-        assert {len(key) for key in checker.memo} == {4}
+        assert {len(key) for key in checker.memo} == {3}
         trace = find_compliant_goal_trace(scenario, 2)
         assert trace_annotations(trace) == reference_goal_trace(scenario, 2)
 
@@ -149,8 +149,8 @@ goal { Done@T1 }
 critical { Time@T, Halt@T1 | T < T1 }
 """
 
-# A -> B -> C -> D within one instant, m = 3: at w = 0, b = 0 the path bound
-# (w + b + 1) * m = 3 holds the configurations A, B and C on the search stack,
+# A -> B -> C -> D within one instant, m = 3: at a = 0, b = 0 the path bound
+# (a + b + 1) * m = 3 holds the configurations A, B and C on the search stack,
 # so the fourth one, D, lies past it.
 CHAIN = """
 predicates A: system, B: system, C: system, D: system, Done: goal,
@@ -166,16 +166,16 @@ critical { Time@T, Halt@T1 | T < T1 }
 
 class TestCutoffs:
     @pytest.mark.parametrize(
-        "text, w, reason",
+        "text, a, reason",
         [(CYCLE, 1, "state on its stack"), (CHAIN, 0, "path bound")],
         ids=["state on its stack", "path bound"],
     )
-    def test_memo_cutoff_is_an_error(self, monkeypatch, text, w, reason):
+    def test_memo_cutoff_is_an_error(self, monkeypatch, text, a, reason):
         scenario = parse_scenario(text, "cutoff")
         assert not scenario.progressing
         # exact keys carry the remaining path length: the cutoff is a verdict
-        assert Checker(scenario, 0).decide(scenario.initial, 0, w) is False
+        assert Checker(scenario, a, 0).decide(scenario.initial, 0) is False
         # memo keys do not, so there the same cutoff is an error
         monkeypatch.setattr(PlanningScenario, "progressing", True)
         with pytest.raises(EngineError, match=reason):
-            Checker(scenario, 0).decide(scenario.initial, 0, w)
+            Checker(scenario, a, 0).decide(scenario.initial, 0)
