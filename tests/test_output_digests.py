@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from conftest import qbf_mix, random_scenario
 from msrplan.cli import EXIT_NO, EXIT_YES, cli_dispatch
 from msrplan.reductions import qbf_to_msr_text
@@ -132,3 +134,32 @@ def test_non_progressing_goal_and_base_case(capsys, tmp_path, monkeypatch):
         EXIT_NO, "not resilient at (n=0, a=1, b=0)\n  no compliant goal trace\n"
     )
     assert not Path("w2.json").exists()
+
+
+def _bundled(tmp_path: Path, name: str) -> str:
+    path = tmp_path / name
+    path.write_text(bundled_text(name), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, seed, ticks, size, digest",
+    [
+        ("travel.msr", 0, 40, 1668,
+         "35cbf1038a59089e6c37d8b26496d9e20d7387b7318a7eeeec265c14acc25213"),
+        ("travel.msr", 7, 40, 1704,
+         "1d72e12c8681dfc5523a2a2f36239005f98b5bbd77f7920752e9397fbfd15ab3"),
+        ("minimal.msr", 0, 10, 365,
+         "daae38868a47bb9c788b3fa92fc2c9d779ef749801e736d76b14ec84075cfbc9"),
+        ("minimal.msr", 7, 10, 411,
+         "431de7adaa1f5754032d7956d163eba06975680035f861a4d693c3c20c00333d"),
+    ],
+)
+def test_trace_stdout(capsys, tmp_path, name, seed, ticks, size, digest):
+    # taken from the trace command that rendered each step's σ itself
+    code = cli_dispatch([
+        "trace", _bundled(tmp_path, name), "--seed", str(seed), "--ticks", str(ticks)
+    ])
+    out = capsys.readouterr().out
+    assert code == EXIT_YES
+    assert (len(out), _sha256(out)) == (size, digest)

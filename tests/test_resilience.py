@@ -272,6 +272,121 @@ class TestWitnesses:
         assert any("children present at n=0" in v for v in violations)
 
 
+_DROP = object()
+
+
+def _put(*path_and_value):
+    """A witness mutation that sets (or, with _DROP, deletes) one entry."""
+    *path, value = path_and_value
+
+    def mutate(data: dict) -> None:
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+
+    return mutate
+
+
+def _use_update_in_trace(data: dict) -> None:
+    data["trace"][0] = copy.deepcopy(data["children"][0]["instance"])
+
+
+def _repeat_child(data: dict) -> None:
+    data["children"].append(copy.deepcopy(data["children"][0]))
+
+
+def _land_before_tick(data: dict) -> None:
+    # land at T=0 finds Mid@1, but its implicit guard T1 <= T fails
+    hop, _, land = data["trace"]
+    land["sigma"]["T"] = 0
+    data["trace"] = [hop, land]
+
+
+def _tick_into_fuse(data: dict) -> None:
+    data["trace"] += [{"rule": TICK_STEP}] * 5  # Fuse@6 turns critical at t=6
+
+
+# (scenario, mutation, start of the expected violation); "game" is Q_GAME at
+# (1,1,0), whose root has two children, "minimal" the bundled file at (1,2,1)
+REJECTIONS = [
+    ("game", _put("query", []), "root: malformed query"),
+    ("game", _put("trace", {}), "root: malformed trace"),
+    ("game", _put("trace", 0, "Tick?"), "root.trace[0]: malformed step"),
+    ("game", _put("trace", 0, "rule", "fly"), "root.trace[0]: unknown rule 'fly'"),
+    ("game", _put("trace", 0, "sigma", [0]), "root.trace[0]: malformed substitution"),
+    ("game", _put("trace", 0, "sigma", "T1", True),
+     "root.trace[0]: binding T1 is neither timestamp nor term"),
+    ("game", _put("trace", 0, "sigma", "T1", 0.5),
+     "root.trace[0]: binding T1 is neither timestamp nor term"),
+    ("game", _put("trace", 0, "sigma", "y1", _DROP),
+     "root.trace[0]: substitution misses ['y1']"),
+    ("game", _put("trace", 0, "sigma", "y1", "maybe"),
+     "root.trace[0]: unknown constant 'maybe' in witness"),
+    ("game", _put("trace", 0, "sigma", "y1", "true$"),
+     "root.trace[0]: unparseable term 'true$'"),
+    ("game", _put("trace", 0, "sigma", "y1", "true false"),
+     "root.trace[0]: unparseable term 'true false'"),
+    ("game", _put("trace", 0, "sigma", "y1", "f(true"),
+     "root.trace[0]: unparseable term 'f(true'"),
+    ("game", _put("trace", 0, "sigma", "y1", "f("),
+     "root.trace[0]: unparseable term 'f('"),
+    ("game", _put("trace", 0, "sigma", "y1", "#bool:0"),
+     "root.trace[0]: instance does not re-apply"),
+    ("game", _put("trace", 0, "sigma", "y1", "f(true, false)"),
+     "root.trace[0]: instance does not re-apply"),
+    ("game", _use_update_in_trace,
+     "root.trace[0]: trace uses non-system rule assign_a_2"),
+    ("minimal", _land_before_tick, "root.trace[1]: instance does not re-apply"),
+    ("minimal", _tick_into_fuse, "root: not compliant at step 8"),
+    ("game", _put("trace", []), "root: trace does not end in a goal configuration"),
+    ("game", _put("children", {}), "root: malformed children"),
+    ("game", _put("children", 0, "instance", "assign_a_2"),
+     "root.children[0]: malformed update point"),
+    ("game", _put("children", 0, "instance", "rule", "fly"),
+     "root.children[0]: unknown rule 'fly'"),
+    ("game", _repeat_child, "root.children[2]: duplicate update point"),
+    ("game", _put("children", 0, "subtree", _DROP),
+     "root.children[0]: missing subtree"),
+    ("game", _put("children", 0, "subtree", "trace", 0, "rule", "fly"),
+     "root.children[0].trace[0]: unknown rule 'fly'"),
+]
+
+
+class TestWitnessRejections:
+    @pytest.fixture(scope="class")
+    def emitted(self, minimal):
+        cases = {
+            "game": (qbf_to_scenario(Q_GAME), ResilienceQuery(1, 1, 0)),
+            "minimal": (minimal, ResilienceQuery(1, 2, 1)),
+        }
+        out = {}
+        for name, (scenario, query) in cases.items():
+            result = check_resilience(scenario, query)
+            out[name] = (scenario, query, witness_to_dict(result.witness))
+        return out
+
+    @pytest.mark.parametrize(
+        "name, mutate, expected", REJECTIONS,
+        ids=[f"{i}-{e.split(': ', 1)[1][:24]}" for i, (_, _, e) in enumerate(REJECTIONS)],
+    )
+    def test_mutated_witness_names_its_violation(self, emitted, name, mutate, expected):
+        scenario, query, data = emitted[name]
+        assert verify_witness(scenario, query, data) == (True, [])
+        mutated = copy.deepcopy(data)
+        mutate(mutated)
+        ok, violations = verify_witness(scenario, query, mutated)
+        assert not ok
+        assert any(v.startswith(expected) for v in violations), violations
+
+    def test_witness_file_must_hold_an_object(self):
+        with pytest.raises(EngineError, match="must contain a JSON object"):
+            witness_from_json("[]")
+
+
 # A staged walk s0 -> s5 beside a Beat fact refreshed to T+1, with no clock
 # fact forcing the refresh.  Dmax is 1, so a spent token's timestamp drops out
 # of the abstraction two units later: the reactions to `spend` at different

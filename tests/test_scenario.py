@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import random
+import re
+
 import pytest
 
 from conftest import WORKED_EXAMPLE
 from msrplan.scenario import (
     ScenarioError,
+    bundled_text,
     infer_dmax,
     parse_scenario,
     pretty_print,
@@ -236,3 +241,111 @@ class TestBounds:
         assert not scenario.inject_past
         # without implicit past-consumption the rule may consume future facts
         assert not validate_scenario(scenario).progressing
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics digest
+# ---------------------------------------------------------------------------
+
+# whitespace and comments are kept as pieces so mutants keep their layout
+_PIECE = re.compile(r"\s+|#[^\n]*|\d+d\d+:\d+|\w+|<=|>=|.", re.S)
+_EXTRA_PIECES = (
+    "Time", "T", "x", "rule", "init", "pre", "consume", "create", "guard",
+    "system", "goal", "critical", "(", ")", ",", ";", ":", "@", "+", "-", "|",
+    "{", "}", "<", "=", "0", "7", "3d25:00", "$",
+)
+
+# diagnostics the token mutations rarely or never produce
+_HANDWRITTEN = (
+    "types t t;\ninit { Time@0 }\n",
+    "types t;\nconsts a: t, a: t;\ninit { Time@0 }\n",
+    "types t;\npredicates P: system, P: goal;\ninit { Time@0 }\n",
+    "types t;\npredicates Time: system;\ninit { Time@0 }\n",
+    "types t;\npredicates P: system;\ninit { Time@0, P@0 }\n"
+    "rule system r { consume: P@T1; create: P@T+1; }\n"
+    "rule system r { consume: P@T1; create: P@T+2; }\n",
+    "types t;\npredicates P: system;\ninit { Time@0, P@0 }\n"
+    "rule system r { pre: Time@T1; consume: P@T2; create: P@T+1; }\n",
+    "types t;\npredicates P: system;\ninit { Time@0, P@0 }\n"
+    "rule system r { consume: Time@T1, P@T2; create: P@T+1; }\n",
+    "types t;\npredicates P: system;\ninit { Time@0, P@0 }\n"
+    "rule system r { consume: P@T1; create: P@T+1, Time@T+1; }\n",
+    "types t;\ninit { Time@0d24:00 }\n",
+    "types t;\ninit { Time@1d00:60 }\n",
+    "types t;\npredicates P: system;\ninit { Time@0, P@0 }\n"
+    "rule system r { consume: P@T1; create: P@T+0d25:00; }\n",
+    "types t;\ninit { Time@0 }\n$\n",
+    "types t;\ninit { Time@0 ~ }\n",
+    "types t; consts a: t;\npredicates P(t): system;\n"
+    "init { Time@0, P(b)@0, P(a, a)@0, P@0 }\n",
+    "types t u; consts a: t;\npredicates P(u): system;\ninit { Time@0, P(a)@0 }\n",
+    "types t; consts a: t;\npredicates P(t): system, G: goal;\ninit { Time@0 }\n"
+    "rule system r { consume: P(f(x))@T1; create: P(a)@T+1; }\n",
+    "types t; consts a: t;\npredicates P(t): system, G: goal;\ninit { Time@0 }\n"
+    "goal { G@T1 | T2 < T1 }\n",
+    "types t;\npredicates P: system, G: goal;\ninit { Time@0 }\n"
+    "rule system r { consume: P@T1; create: P@T+1; guard: T1 ~ T; }\n",
+    "types t;\npredicates P: system;\ninit { Time@0 }\n"
+    "rule system r { consume: P@T1; create: P@T1; }\n",
+    "types t;\npredicates P: system;\ninit { Time@0 }\n"
+    "rule update r { consume: P@T1; create: P@T+1; when: T1 <= T; }\n",
+    "types t;\noption fast;\nbound facts x;\ninit { Time@0 }\n",
+    "types t;\npredicates P: boss;\ninit { Time@0, Time@1 }\n",
+    "types t;\npredicates P: system;\ninit { Time@0 }\ngoal { P@T1 }\n",
+    "types t; consts a: t;\npredicates P(t): system;\ninit { Time@0, P(f(a))@0 }\n",
+    "types t;\ninit { Time@0, Time@1 }\n",
+    "types t;\n",
+)
+
+
+def _diagnostics_corpus() -> list[str]:
+    """Seeded one- and two-token deletes, replaces and inserts of the bundled
+    scenarios and the worked example, then the handwritten cases."""
+    corpus = []
+    sources = (
+        ("travel", bundled_text("travel.msr"), 500),
+        ("minimal", bundled_text("minimal.msr"), 800),
+        ("worked", WORKED_EXAMPLE, 700),
+    )
+    for seed, (_, text, count) in enumerate(sources):
+        rng = random.Random(seed)
+        pieces = _PIECE.findall(text)
+        slots = [
+            i for i, p in enumerate(pieces)
+            if not p.isspace() and not p.startswith("#")
+        ]
+        vocab = sorted({pieces[i] for i in slots} | set(_EXTRA_PIECES))
+        for _ in range(count):
+            out = list(pieces)
+            for _ in range(rng.randint(1, 2)):
+                i = rng.choice(slots)
+                op = rng.randrange(3)
+                if op == 0:
+                    out[i] = ""
+                elif op == 1:
+                    out[i] = rng.choice(vocab)
+                else:
+                    out[i] = out[i] + " " + rng.choice(vocab)
+            corpus.append("".join(out))
+    corpus.extend(_HANDWRITTEN)
+    return corpus
+
+
+def _render_diagnostics(text: str) -> str:
+    try:
+        parse_scenario(text, "m.msr")
+    except ScenarioError as exc:
+        return str(exc)
+    return "OK"
+
+
+def test_diagnostics_digest():
+    # taken with the parser that had separate atom parsers for init facts and
+    # patterns, a hand-written loop per list, and its own global-time checks;
+    # text, line, column and order of every diagnostic must stay the same
+    rendered = [_render_diagnostics(text) for text in _diagnostics_corpus()]
+    assert len(rendered) == 2000 + len(_HANDWRITTEN)
+    digest = hashlib.sha256("\n\x00".join(rendered).encode("utf-8")).hexdigest()
+    assert digest == (
+        "d6423d68cda37173d967843d49e7e41ab90dd0d04c677df07ae6a7c215639e8c"
+    )
