@@ -38,7 +38,7 @@ from .scenario import (
     validate_scenario,
 )
 from .search import find_compliant_goal_trace, successors
-from .specs import SpecError, match_spec
+from .specs import SpecError, TraceStep, match_spec
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -65,30 +65,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     ticks = 0
     step = 0
     while ticks < args.ticks:
-        moves = successors(scenario, config, "system")
-        if not moves:
-            print(f"stuck at t={config.global_time}")
-            break
-        annotation, nxt = rng.choice(moves)
+        # the time advance is always among the moves, so the walk never sticks
+        taken = TraceStep(*rng.choice(successors(scenario, config)))
         step += 1
-        if isinstance(annotation, str):
+        if taken.is_tick:
             ticks += 1
-            sigma = "{}"
-            name = annotation
-        else:
-            name = annotation.rule.name
-            sigma = "{" + ", ".join(f"{v}={t}" for v, t in sorted(annotation.bindings)) + "}"
         marks = []
-        if match_spec(scenario.goal_spec, nxt) is not None:
+        if match_spec(scenario.goal_spec, taken.result) is not None:
             marks.append("goal")
-        if match_spec(scenario.critical_spec, nxt) is not None:
+        if match_spec(scenario.critical_spec, taken.result) is not None:
             marks.append("critical")
         suffix = f"  [{', '.join(marks)}]" if marks else ""
-        print(
-            f"{step}: {name} σ={sigma} ⇒ |S|={len(nxt)} "
-            f"t={nxt.global_time}{suffix}"
-        )
-        config = nxt
+        print(f"{step}: {taken}{suffix}")
+        config = taken.result
     return EXIT_YES
 
 

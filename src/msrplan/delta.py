@@ -2,9 +2,11 @@
 
 Two configurations are equivalent (for a given truncation bound) exactly when
 their abstractions coincide; the abstraction is invariant under uniform time
-shifts.  These keys drive memoization in the bounded searches, which is sound
-for progressing scenarios by the bisimulation between concrete traces and
-traces over abstractions.
+shifts.  For progressing scenarios concrete traces and traces over
+abstractions are bisimilar.  The search does not key its memo on these
+abstractions: it keys on concrete configurations, whose clock fixes the
+window left, so the abstraction could never merge two of its keys.  They
+serve the `delta` command and the bisimulation checks.
 """
 
 from __future__ import annotations

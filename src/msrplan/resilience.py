@@ -126,7 +126,7 @@ def _build_witness(
     trace = checker.trace(config, n)
     children: list[tuple[int, RuleInstance, WitnessTree]] = []
     for index, current in enumerate(trace.configurations()):
-        if n == 0 or current.global_time > checker.deadline:
+        if not checker.admits_updates(current, n):
             break
         for inst, updated in successors(checker.scenario, current, "updates"):
             subtree = _build_witness(checker, updated, n - 1, built)

@@ -253,14 +253,14 @@ class Rule:
         for p in (*self.side, *self.consumed):
             if p.atom.pred == TIME_PREDICATE:
                 raise RuleError(
-                    f"rule {self.name}: the global-time fact cannot appear in "
-                    "side conditions or be consumed; rules do not modify the "
-                    "global time"
+                    f"rule {self.name}: rules may not mention the global-time "
+                    "fact in pre or consume; it is matched implicitly and never "
+                    "modified"
                 )
         for c in self.created:
             if c.atom.pred == TIME_PREDICATE:
                 raise RuleError(
-                    f"rule {self.name}: the global-time fact cannot be created"
+                    f"rule {self.name}: rules may not create the global-time fact"
                 )
         pre_tvars = self.pre_time_vars()
         for c in self.guard:
@@ -513,7 +513,7 @@ class MatchPlan:
     earlier step binds, so backtracking needs no undo.
     """
 
-    __slots__ = ("steps", "preds", "claims", "never")
+    __slots__ = ("steps", "preds", "claims", "never", "precondition")
 
     def __init__(
         self,
@@ -530,6 +530,7 @@ class MatchPlan:
         patterns keep declaration order, so the first binding found is the
         first in that order, and several patterns may collapse onto one fact
         (recognition asks only that every substituted pattern occurs)."""
+        self.precondition = precondition
         prebound = (GLOBAL_TIME_VAR,) if precondition else ()
         remaining = list(patterns)
         self.never = False  # no binding can ever complete
@@ -563,22 +564,23 @@ class MatchPlan:
             steps.append(_Step.compile(pat, bound, by_var, pat.atom.pred in shared))
         self.steps = tuple(steps)
 
-    def bindings(
-        self, config: Configuration, sigma: Binding, *, first: bool = False
-    ) -> list[Binding]:
-        """Every complete extension of `sigma` (only the first with `first`),
-        in step order over the configuration's canonical order."""
+    def bindings(self, config: Configuration) -> list[Binding]:
+        """The complete bindings in step order over the configuration's
+        canonical order.  A precondition's plan starts from ``T`` bound to the
+        global time and finds every binding; a specification pair's plan
+        starts empty and stops at the first."""
         by_pred = config.by_pred()
         if self.never:
             return []
         for pred in self.preds:
             if pred not in by_pred:
                 return []
+        sigma = {GLOBAL_TIME_VAR: config.global_time} if self.precondition else {}
         if not self.steps:
-            return [dict(sigma)]
+            return [sigma]
         out: list[Binding] = []
         available = config.counts() if self.claims else None
-        _extend(self.steps, 0, by_pred, dict(sigma), available, out, first)
+        _extend(self.steps, 0, by_pred, sigma, available, out, not self.precondition)
         return out
 
 
@@ -849,7 +851,7 @@ def find_matches(
     embed into the configuration as a multiset and the guard must be
     satisfied; `rule.plan` does both in one pass.
     """
-    raw = rule.plan.bindings(config, {GLOBAL_TIME_VAR: config.global_time})
+    raw = rule.plan.bindings(config)
     if not raw:
         return []
     fresh = _canonical_fresh(rule, config, sig)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .kernel import (
     TIME_PREDICATE,
@@ -172,6 +172,8 @@ _RULE_ROLES = {
 }
 _RELS = {"<", "<=", "=", ">=", ">"}
 
+_T = TypeVar("_T")
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -208,16 +210,19 @@ class _Parser:
         self.error(tok, message)
         raise ScenarioError(self.diags)
 
+    def unexpected(self, tok: Token, what: str) -> "ScenarioError":
+        return self.fail(tok, f"expected {what}, found {tok.text or 'end of file'!r}")
+
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
-            raise self.fail(tok, f"expected {text!r}, found {tok.text or 'end of file'!r}")
+            raise self.unexpected(tok, repr(text))
         return tok
 
     def expect_ident(self, what: str) -> Token:
         tok = self.next()
         if tok.kind != "ident":
-            raise self.fail(tok, f"expected {what}, found {tok.text or 'end of file'!r}")
+            raise self.unexpected(tok, what)
         return tok
 
     def expect_nat(self, what: str = "a number") -> int:
@@ -226,61 +231,55 @@ class _Parser:
             return int(tok.text)
         if tok.kind == "clock":
             return _clock_value(tok.text, tok, self.diags)
-        raise self.fail(tok, f"expected {what}, found {tok.text or 'end of file'!r}")
+        raise self.unexpected(tok, what)
 
     # -- top level -----------------------------------------------------------
 
     def parse(self) -> None:
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
-            if tok.text == "types":
-                self.parse_types()
-            elif tok.text == "consts":
-                self.parse_consts()
-            elif tok.text == "predicates":
-                self.parse_predicates()
-            elif tok.text == "bound":
-                self.parse_bound()
-            elif tok.text == "option":
-                self.parse_option()
-            elif tok.text == "init":
-                self.parse_init()
-            elif tok.text == "rule":
-                self.parse_rule()
-            elif tok.text == "goal":
-                self.parse_spec_block(SpecKind.GOAL)
-            elif tok.text == "critical":
-                self.parse_spec_block(SpecKind.CRITICAL)
-            else:
+        sections = {
+            "types": self.parse_types,
+            "consts": self.parse_consts,
+            "predicates": self.parse_predicates,
+            "bound": self.parse_bound,
+            "option": self.parse_option,
+            "init": self.parse_init,
+            "rule": self.parse_rule,
+            "goal": self.parse_spec_block,
+            "critical": self.parse_spec_block,
+        }
+        while (tok := self.peek()).kind != "eof":
+            section = sections.get(tok.text)
+            if section is None:
                 raise self.fail(
-                    tok,
-                    "expected one of: types, consts, predicates, bound, option, "
-                    f"init, rule, goal, critical; found {tok.text!r}",
+                    tok, f"expected one of: {', '.join(sections)}; found {tok.text!r}"
                 )
+            section()
 
     def parse_types(self) -> None:
         self.expect("types")
         while self.peek().kind == "ident":
-            name = self.next().text
-            if name in self.types:
-                self.error(self.tokens[self.pos - 1], f"duplicate type {name}")
+            tok = self.next()
+            if tok.text in self.types:
+                self.error(tok, f"duplicate type {tok.text}")
             else:
-                self.types.append(name)
+                self.types.append(tok.text)
         self.expect(";")
+
+    def parse_type_name(self) -> str:
+        tok = self.expect_ident("a type name")
+        if tok.text not in self.types:
+            self.error(tok, f"unknown type {tok.text}")
+        return tok.text
 
     def parse_consts(self) -> None:
         self.expect("consts")
         while self.peek().text != ";":
             name_tok = self.expect_ident("a constant name")
             self.expect(":")
-            type_tok = self.expect_ident("a type name")
-            if type_tok.text not in self.types:
-                self.error(type_tok, f"unknown type {type_tok.text}")
+            ctype = self.parse_type_name()
             if name_tok.text in self.consts:
                 self.error(name_tok, f"duplicate constant {name_tok.text}")
-            self.consts[name_tok.text] = type_tok.text
+            self.consts[name_tok.text] = ctype
             if self.peek().text == ",":
                 self.next()
         self.expect(";")
@@ -293,15 +292,7 @@ class _Parser:
             args: list[str] = []
             if self.peek().text == "(":
                 self.next()
-                while True:
-                    t = self.expect_ident("a type name")
-                    if t.text not in self.types:
-                        self.error(t, f"unknown type {t.text}")
-                    args.append(t.text)
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
+                args = self.items(self.parse_type_name)
                 self.expect(")")
             self.expect(":")
             role_tok = self.expect_ident("a role (system, goal, or critical)")
@@ -335,131 +326,89 @@ class _Parser:
             self.error(tok, f"unknown option {tok.text}")
         self.expect(";")
 
-    # -- terms and atoms ------------------------------------------------------
-
-    def parse_ground_term(self, expected_type: Optional[str]) -> Optional[Term]:
-        tok = self.expect_ident("a constant")
-        if self.peek().text == "(":
-            raise self.fail(
-                tok, "function terms are not supported in scenario files"
-            )
-        if tok.text not in self.consts:
-            self.error(tok, f"undeclared constant {tok.text}")
-            return None
-        if expected_type is not None and self.consts[tok.text] != expected_type:
-            self.error(
-                tok,
-                f"constant {tok.text} has type {self.consts[tok.text]}, "
-                f"expected {expected_type}",
-            )
-        return Constant(tok.text, self.consts[tok.text])
-
-    def parse_init_fact(self) -> Optional[TimedFact]:
-        name_tok = self.expect_ident("a predicate name")
-        name = name_tok.text
-        args: list[Term] = []
-        arity: Optional[tuple[str, ...]]
-        if name == TIME_PREDICATE:
-            arity = ()
-        else:
-            arity = self.preds.get(name)
-            if arity is None:
-                self.error(name_tok, f"undeclared predicate {name}")
-        if self.peek().text == "(":
-            self.next()
-            index = 0
-            while True:
-                expected = None
-                if arity is not None and index < len(arity):
-                    expected = arity[index]
-                term = self.parse_ground_term(expected)
-                if term is not None:
-                    args.append(term)
-                index += 1
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
-            self.expect(")")
-            if arity is not None and index != len(arity):
-                self.error(name_tok, f"predicate {name} expects {len(arity)} arguments")
-        elif arity:
-            self.error(name_tok, f"predicate {name} expects {len(arity)} arguments")
-        self.expect("@")
-        ts = self.expect_nat("a timestamp")
-        if arity is None or len(args) != len(arity):
-            return None
-        return TimedFact(name, tuple(args), ts)
-
     def parse_init(self) -> None:
         self.expect("init")
         self.expect("{")
         self.saw_init = True
         while self.peek().text != "}":
-            fact = self.parse_init_fact()
-            if fact is not None:
-                self.init_facts.append(fact)
+            atom = self.parse_atom(None)
+            self.expect("@")
+            ts = self.expect_nat("a timestamp")
+            if atom is not None and not atom.variables():
+                self.init_facts.append(TimedFact(atom.pred, atom.args, ts))
             if self.peek().text == ",":
                 self.next()
         self.expect("}")
 
-    def parse_atom(self, var_types: dict[str, tuple[str, Token]]) -> Optional[Atom]:
+    # -- lists, terms and atoms -----------------------------------------------
+
+    def items(self, parse_item: Callable[[], Optional[_T]]) -> list[_T]:
+        """One or more comma-separated items, leaving out those that failed
+        to parse (None)."""
+        out = []
+        while True:
+            item = parse_item()
+            if item is not None:
+                out.append(item)
+            if self.peek().text != ",":
+                return out
+            self.next()
+
+    def parse_term(
+        self, var_types: Optional[dict[str, str]], expected: Optional[str]
+    ) -> Term:
+        """A constant, or in a pattern a variable (see `parse_atom`)."""
+        tok = self.expect_ident("a constant" if var_types is None else "a term")
+        if self.peek().text == "(":
+            raise self.fail(tok, "function terms are not supported in scenario files")
+        name = tok.text
+        if name in self.consts:
+            ctype = self.consts[name]
+            if expected is not None and ctype != expected:
+                self.error(tok, f"constant {name} has type {ctype}, expected {expected}")
+            return Constant(name, ctype)
+        if var_types is None:
+            self.error(tok, f"undeclared constant {name}")
+            return Variable(name, "")
+        # Undeclared identifiers in patterns are variables typed by their
+        # position.
+        seen = var_types.get(name)
+        if seen is None:
+            if expected is not None:
+                var_types[name] = expected
+            return Variable(name, expected or "")
+        if expected is not None and expected != seen:
+            self.error(
+                tok,
+                f"variable {name} used at type {expected} but previously at type {seen}",
+            )
+        return Variable(name, seen)
+
+    def parse_atom(self, var_types: Optional[dict[str, str]]) -> Optional[Atom]:
+        """``Pred`` or ``Pred(t1, ..., tk)``.  Patterns pass the types their
+        variables have had so far.  Init facts pass None: each argument must
+        be a declared constant, and one that is not is reported and left as a
+        variable, so the caller drops the fact."""
         name_tok = self.expect_ident("a predicate name")
         name = name_tok.text
-        arity = self.preds.get(name)
-        if name == TIME_PREDICATE:
-            arity = ()
-        elif arity is None:
+        arity = () if name == TIME_PREDICATE else self.preds.get(name)
+        if arity is None:
             self.error(name_tok, f"undeclared predicate {name}")
         args: list[Term] = []
-        count = 0
         if self.peek().text == "(":
             self.next()
-            while True:
-                tok = self.expect_ident("a term")
-                if self.peek().text == "(":
-                    raise self.fail(tok, "function terms are not supported in scenario files")
-                expected = None
-                if arity is not None and count < len(arity):
-                    expected = arity[count]
-                if tok.text in self.consts:
-                    ctype = self.consts[tok.text]
-                    if expected is not None and ctype != expected:
-                        self.error(
-                            tok,
-                            f"constant {tok.text} has type {ctype}, expected {expected}",
-                        )
-                    args.append(Constant(tok.text, ctype))
-                else:
-                    # Undeclared identifiers in patterns are variables typed by
-                    # their position.
-                    seen = var_types.get(tok.text)
-                    vtype = expected or (seen[0] if seen else "")
-                    if seen is not None and expected is not None and seen[0] != expected:
-                        self.error(
-                            tok,
-                            f"variable {tok.text} used at type {expected} but "
-                            f"previously at type {seen[0]}",
-                        )
-                        vtype = seen[0]
-                    if seen is None and vtype:
-                        var_types[tok.text] = (vtype, tok)
-                    args.append(Variable(tok.text, vtype))
-                count += 1
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
+            expected = iter(arity or ())
+            args = self.items(lambda: self.parse_term(var_types, next(expected, None)))
             self.expect(")")
-        if arity is not None and count != len(arity):
-            self.error(name_tok, f"predicate {name} expects {len(arity)} arguments")
-            return None
         if arity is None:
+            return None
+        if len(args) != len(arity):
+            self.error(name_tok, f"predicate {name} expects {len(arity)} arguments")
             return None
         return Atom(name, tuple(args))
 
     def parse_pattern(
-        self, var_types: dict[str, tuple[str, Token]], tvars: set[str]
+        self, var_types: dict[str, str], tvars: set[str]
     ) -> Optional[FactPattern]:
         atom = self.parse_atom(var_types)
         self.expect("@")
@@ -469,20 +418,7 @@ class _Parser:
             return None
         return FactPattern(atom, tok.text)
 
-    def parse_patterns(
-        self, var_types: dict[str, tuple[str, Token]], tvars: set[str]
-    ) -> list[FactPattern]:
-        out = []
-        while True:
-            p = self.parse_pattern(var_types, tvars)
-            if p is not None:
-                out.append(p)
-            if self.peek().text == ",":
-                self.next()
-                continue
-            return out
-
-    def parse_create(self, var_types: dict[str, tuple[str, Token]]) -> Optional[CreatedFact]:
+    def parse_create(self, var_types: dict[str, str]) -> Optional[CreatedFact]:
         atom = self.parse_atom(var_types)
         self.expect("@")
         tok = self.peek()
@@ -531,17 +467,6 @@ class _Parser:
             return None
         return TimeConstraint(left, rel_tok.text, right, roff - loff)
 
-    def parse_constraints(self, tvars: set[str], scope: str) -> list[TimeConstraint]:
-        out = []
-        while True:
-            c = self.parse_constraint(tvars, scope)
-            if c is not None:
-                out.append(c)
-            if self.peek().text == ",":
-                self.next()
-                continue
-            return out
-
     def parse_rule(self) -> None:
         self.expect("rule")
         role_tok = self.expect_ident("a rule role")
@@ -555,32 +480,25 @@ class _Parser:
             role = RuleRole.SYSTEM
         name_tok = self.expect_ident("a rule name")
         self.expect("{")
-        var_types: dict[str, tuple[str, Token]] = {}
+        var_types: dict[str, str] = {}
         tvars: set[str] = {GLOBAL_TIME_VAR}
         side: list[FactPattern] = []
         consumed: list[FactPattern] = []
         created: list[CreatedFact] = []
         guard: list[TimeConstraint] = []
-        guard_toks: list[Token] = []
         while self.peek().text != "}":
             clause_tok = self.expect_ident("a rule clause")
             self.expect(":")
             if clause_tok.text == "pre":
-                side.extend(self.parse_patterns(var_types, tvars))
+                side += self.items(lambda: self.parse_pattern(var_types, tvars))
             elif clause_tok.text == "consume":
-                consumed.extend(self.parse_patterns(var_types, tvars))
+                consumed += self.items(lambda: self.parse_pattern(var_types, tvars))
             elif clause_tok.text == "create":
-                while True:
-                    c = self.parse_create(var_types)
-                    if c is not None:
-                        created.append(c)
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
+                created += self.items(lambda: self.parse_create(var_types))
             elif clause_tok.text == "guard":
-                guard_toks.append(clause_tok)
-                guard.extend(self.parse_constraints(tvars, "rule's precondition"))
+                guard += self.items(
+                    lambda: self.parse_constraint(tvars, "rule's precondition")
+                )
             else:
                 raise self.fail(
                     clause_tok,
@@ -589,22 +507,6 @@ class _Parser:
                 )
             self.expect(";")
         self.expect("}")
-        for p in (*side, *consumed):
-            if p.atom.pred == TIME_PREDICATE:
-                self.error(
-                    name_tok,
-                    f"rule {name_tok.text}: rules may not mention the global-time "
-                    "fact in pre or consume; it is matched implicitly and never "
-                    "modified",
-                )
-                return
-        for c in created:
-            if c.atom.pred == TIME_PREDICATE:
-                self.error(
-                    name_tok,
-                    f"rule {name_tok.text}: rules may not create the global-time fact",
-                )
-                return
         try:
             rule = Rule(
                 name=name_tok.text,
@@ -624,16 +526,19 @@ class _Parser:
             return
         self.rules.append(rule)
 
-    def parse_spec_block(self, kind: SpecKind) -> None:
-        head = self.next()  # goal | critical
+    def parse_spec_block(self) -> None:
+        head = self.next()
+        kind = SpecKind(head.text)
         self.expect("{")
-        var_types: dict[str, tuple[str, Token]] = {}
+        var_types: dict[str, str] = {}
         tvars: set[str] = set()
-        pattern = self.parse_patterns(var_types, tvars)
+        pattern = self.items(lambda: self.parse_pattern(var_types, tvars))
         constraints: list[TimeConstraint] = []
         if self.peek().text == "|":
             self.next()
-            constraints = self.parse_constraints(tvars, "pair's pattern")
+            constraints = self.items(
+                lambda: self.parse_constraint(tvars, "pair's pattern")
+            )
         self.expect("}")
         try:
             pair = SpecPair(tuple(pattern), tuple(constraints))

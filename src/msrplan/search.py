@@ -126,10 +126,15 @@ class Checker:
         if self.progressing:
             raise EngineError(f"memoized search {reason}")
 
+    def admits_updates(self, config: Configuration, n: int) -> bool:
+        """Updates are admitted while some are left and the clock is at or
+        before the deadline."""
+        return n > 0 and config.global_time <= self.deadline
+
     def _covered(self, config: Configuration, n: int) -> bool:
-        """Every update applicable by the deadline must lead to a state that
-        is resilient one update level down."""
-        if n == 0 or config.global_time > self.deadline:
+        """Every update applicable at an admitting state must lead to a state
+        that is resilient one update level down."""
+        if not self.admits_updates(config, n):
             return True
         for inst, updated in iter_successors(self.scenario, config, "updates"):
             if not self.decide(updated, n - 1):

@@ -104,27 +104,21 @@ def eta_measure(spec: ConfigSpec) -> int:
     return max(len(pair.variables()) for pair in spec.pairs)
 
 
-def match_pair(pair: SpecPair, config: Configuration) -> Optional[Binding]:
-    """First grounding substitution embedding the pair into the configuration.
+def match_spec(
+    spec: ConfigSpec, config: Configuration
+) -> Optional[tuple[int, Binding]]:
+    """First (pair index, substitution) witnessing the specification, if any.
 
-    The pair's plan keeps declaration order and walks candidates in the
+    A pair's plan keeps declaration order and walks candidates in the
     canonical order of the configuration, stopping at the first complete
     binding, so the witness substitution is deterministic.  Distinct pattern
     entries may map onto the same fact: the match requires only that every
     substituted pattern occurs in the configuration.
     """
-    found = pair.plan.bindings(config, {}, first=True)
-    return found[0] if found else None
-
-
-def match_spec(
-    spec: ConfigSpec, config: Configuration
-) -> Optional[tuple[int, Binding]]:
-    """First (pair index, substitution) witnessing the specification, if any."""
     for i, pair in enumerate(spec.pairs):
-        sigma = match_pair(pair, config)
-        if sigma is not None:
-            return (i, sigma)
+        found = pair.plan.bindings(config)
+        if found:
+            return (i, found[0])
     return None
 
 
@@ -147,6 +141,11 @@ class TraceStep:
         if self.is_tick:
             return TICK_STEP
         return self.instance.rule.name
+
+    def __str__(self) -> str:
+        """``name σ={...} ⇒ |S|=size t=time``; a tick renders as ``Tick σ={}``."""
+        move = f"{TICK_STEP} σ={{}}" if self.is_tick else str(self.instance)
+        return f"{move} ⇒ |S|={len(self.result)} t={self.result.global_time}"
 
 
 @dataclass(frozen=True)
@@ -177,20 +176,7 @@ class Trace:
         return len(self.steps)
 
     def format_lines(self) -> list[str]:
-        lines = []
-        for k, step in enumerate(self.steps, start=1):
-            cfg = step.result
-            if step.is_tick:
-                sigma = "{}"
-                name = TICK_STEP
-            else:
-                name = step.instance.rule.name
-                inner = ", ".join(f"{v}={t}" for v, t in sorted(step.instance.bindings))
-                sigma = "{" + inner + "}"
-            lines.append(
-                f"{k}: {name} σ={sigma} ⇒ |S|={len(cfg)} t={cfg.global_time}"
-            )
-        return lines
+        return [f"{k}: {step}" for k, step in enumerate(self.steps, start=1)]
 
 
 def replay_errors(trace: Trace) -> list[str]:
