@@ -9,7 +9,6 @@ from .kernel import (
     Signature,
     TimedFact,
     Variable,
-    canonical_order,
     clock_convert,
     clock_invert,
     fact_size,

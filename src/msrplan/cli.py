@@ -66,7 +66,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     step = 0
     while ticks < args.ticks:
         # the time advance is always among the moves, so the walk never sticks
-        taken = TraceStep(*rng.choice(successors(scenario, config)))
+        taken = TraceStep(*rng.choice(list(successors(config, scenario.system_rules))))
         step += 1
         if taken.is_tick:
             ticks += 1

@@ -321,6 +321,7 @@ class Configuration:
         return self._time
 
     def canonical_order(self) -> tuple[TimedFact, ...]:
+        """The facts in the stable total order of `TimedFact.sort_key`."""
         return self._canonical
 
     def counts(self) -> dict[TimedFact, int]:
@@ -391,15 +392,6 @@ class Configuration:
         return "{ " + inner + " }"
 
     __repr__ = __str__
-
-
-def canonical_order(config: Configuration) -> tuple[TimedFact, ...]:
-    """Stable total order on a configuration's facts.
-
-    Primary key is the timestamp; among equal timestamps the global-time fact
-    comes first, then facts sort by predicate name and argument spelling.
-    """
-    return config.canonical_order()
 
 
 def clock_convert(days: int, hours: int, minutes: int) -> int:

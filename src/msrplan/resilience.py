@@ -33,6 +33,7 @@ from .kernel import (
 )
 from .rules import (
     EngineError,
+    Rule,
     RuleInstance,
     apply_instance,
     find_matches,
@@ -96,7 +97,7 @@ def enumerate_update_points(
         if config.global_time - t0 > window:
             continue
         for rule in scenario.update_rules:
-            for inst in find_matches(rule, config, scenario.signature):
+            for inst in find_matches(rule, config):
                 dedup = (config, inst.key())
                 if dedup in seen:
                     continue
@@ -128,7 +129,8 @@ def _build_witness(
     for index, current in enumerate(trace.configurations()):
         if not checker.admits_updates(current, n):
             break
-        for inst, updated in successors(checker.scenario, current, "updates"):
+        updates = successors(current, checker.scenario.update_rules, advance=False)
+        for inst, updated in updates:
             subtree = _build_witness(checker, updated, n - 1, built)
             children.append((index, inst, subtree))
     window = checker.deadline - config.global_time
@@ -261,11 +263,14 @@ def witness_from_json(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _instance_from_dict(
-    scenario: PlanningScenario, data: dict, where: str, violations: list[str]
+    scenario: PlanningScenario,
+    rules: dict[str, Rule],
+    data: dict,
+    where: str,
+    violations: list[str],
 ) -> Optional[RuleInstance]:
-    rules = {r.name: r for r in scenario.rules()}
     name = data.get("rule")
-    rule = rules.get(name)
+    rule = rules.get(name) if isinstance(name, str) else None
     if rule is None:
         violations.append(f"{where}: unknown rule {name!r}")
         return None
@@ -296,6 +301,7 @@ def _instance_from_dict(
 
 def _replay_node_trace(
     scenario: PlanningScenario,
+    rules: dict[str, Rule],
     start: Configuration,
     steps: list,
     where: str,
@@ -312,7 +318,7 @@ def _replay_node_trace(
             current = tick(current)
             out.append(TraceStep(TICK_STEP, current))
             continue
-        inst = _instance_from_dict(scenario, raw, label, violations)
+        inst = _instance_from_dict(scenario, rules, raw, label, violations)
         if inst is None:
             return None
         if inst.rule.role.value != "system":
@@ -321,7 +327,7 @@ def _replay_node_trace(
         if not is_applicable(inst, current):
             violations.append(f"{label}: instance does not re-apply")
             return None
-        current = apply_instance(current, inst)
+        current = apply_instance(current, inst, trusted=True)
         out.append(TraceStep(inst, current))
     return Trace(start, tuple(out))
 
@@ -341,12 +347,14 @@ def verify_witness(
     """
     data = witness_to_dict(witness) if isinstance(witness, WitnessTree) else witness
     violations: list[str] = []
-    _verify_node(scenario, scenario.initial, query, data, "root", violations)
+    rules = {r.name: r for r in scenario.rules()}
+    _verify_node(scenario, rules, scenario.initial, query, data, "root", violations)
     return (not violations, violations)
 
 
 def _verify_node(
     scenario: PlanningScenario,
+    rules: dict[str, Rule],
     start: Configuration,
     query: ResilienceQuery,
     node: dict,
@@ -366,7 +374,7 @@ def _verify_node(
     if not isinstance(steps, list):
         violations.append(f"{where}: malformed trace")
         return
-    trace = _replay_node_trace(scenario, start, steps, where, violations)
+    trace = _replay_node_trace(scenario, rules, start, steps, where, violations)
     if trace is None:
         return
     for index, config in enumerate(trace.configurations()):
@@ -395,15 +403,15 @@ def _verify_node(
     seen_keys: set[tuple[int, str]] = set()
     for c_index, child in enumerate(children):
         label = f"{where}.children[{c_index}]"
-        if not isinstance(child, dict) or not isinstance(child.get("instance"), dict):
+        step = child.get("step") if isinstance(child, dict) else None
+        # type(), not isinstance(): a JSON true is not a step index
+        if type(step) is not int or not isinstance(child.get("instance"), dict):
             violations.append(f"{label}: malformed update point")
             continue
-        inst = _instance_from_dict(
-            scenario, child.get("instance", {}), label, violations
-        )
+        inst = _instance_from_dict(scenario, rules, child["instance"], label, violations)
         if inst is None:
             continue
-        key = (child.get("step"), inst.key())
+        key = (step, inst.key())
         if key not in expected_map:
             violations.append(f"{label}: unknown update point {key}")
             continue
@@ -412,13 +420,13 @@ def _verify_node(
             continue
         seen_keys.add(key)
         point_inst, updated = expected_map[key]
-        d = trace.config_at(child["step"]).global_time - start.global_time
+        d = trace.config_at(step).global_time - start.global_time
         child_query = ResilienceQuery(query.n - 1, query.a - d, query.b)
         subtree = child.get("subtree")
         if not isinstance(subtree, dict):
             violations.append(f"{label}: missing subtree")
             continue
-        _verify_node(scenario, updated, child_query, subtree, label, violations)
+        _verify_node(scenario, rules, updated, child_query, subtree, label, violations)
     for key in expected_map:
         if key not in seen_keys:
             violations.append(f"{where}: uncovered update point {key}")

@@ -36,6 +36,7 @@ from .kernel import (
     TimedFact,
     Variable,
     is_ground,
+    subterms,
     term_variables,
 )
 
@@ -237,9 +238,9 @@ class Rule:
     """An instantaneous guarded rewrite with a role tag.
 
     A rule may be shared by several scenarios (the QBF generator reuses its
-    rules across formulas).  Its cached properties, `plan` and `progress`,
-    are computed from the rule alone, so sharing them is sound; anything
-    that depends on a signature is computed per call.
+    rules across formulas).  Its cached properties, `plan`, `progress` and
+    `fresh`, are computed from the rule alone, so sharing them is sound;
+    anything that depends on a signature is computed per call.
     """
 
     name: str
@@ -262,6 +263,9 @@ class Rule:
                 raise RuleError(
                     f"rule {self.name}: rules may not create the global-time fact"
                 )
+        for name, btype in self.fresh:
+            if not btype:
+                raise RuleError(f"rule {self.name}: fresh variable {name} has no type")
         pre_tvars = self.pre_time_vars()
         for c in self.guard:
             for v in c.variables():
@@ -317,6 +321,18 @@ class Rule:
         """The compiled matcher for the precondition and guard, built on
         first use and kept with the rule."""
         return MatchPlan((*self.side, *self.consumed), self.guard, precondition=True)
+
+    @cached_property
+    def fresh(self) -> tuple[tuple[str, str], ...]:
+        """Fresh variables by name, each typed by its first created occurrence."""
+        names = self.fresh_vars()
+        types: dict[str, str] = {}
+        for c in self.created:
+            for arg in c.atom.args:
+                for t in subterms(arg):
+                    if isinstance(t, Variable) and t.name in names:
+                        types.setdefault(t.name, t.base_type)
+        return tuple(sorted(types.items()))
 
     @cached_property
     def progress(self) -> ProgressCheck:
@@ -423,7 +439,7 @@ class RuleInstance:
 
     @property
     def fresh_assignment(self) -> dict[str, FreshConstant]:
-        fresh = self.rule.fresh_vars()
+        fresh = dict(self.rule.fresh)
         return {
             v: t for v, t in self.bindings if v in fresh and isinstance(t, FreshConstant)
         }
@@ -795,23 +811,18 @@ def _next_pattern(
     return bounded or 0
 
 
-def _canonical_fresh(
-    rule: Rule, config: Configuration, sig: Signature
-) -> dict[str, FreshConstant]:
+def _canonical_fresh(rule: Rule, config: Configuration) -> dict[str, FreshConstant]:
     """The fresh assignment every match of `rule` on `config` gets: each fresh
     variable, in name order, takes the smallest index of its type absent
     from the configuration and from earlier fresh variables."""
-    fresh_vars = sorted(rule.fresh_vars())
-    if not fresh_vars:
+    if not rule.fresh:
         return {}
     taken: dict[str, set[int]] = {}
     for v in config.values():
         if isinstance(v, FreshConstant):
             taken.setdefault(v.base_type, set()).add(v.index)
-    var_types = _fresh_var_types(rule, sig)
     out: dict[str, FreshConstant] = {}
-    for name in fresh_vars:
-        btype = var_types.get(name, "")
+    for name, btype in rule.fresh:
         used = taken.setdefault(btype, set())
         index = 0
         while index in used:
@@ -821,28 +832,7 @@ def _canonical_fresh(
     return out
 
 
-def _fresh_var_types(rule: Rule, sig: Signature) -> dict[str, str]:
-    types: dict[str, str] = {}
-    for c in rule.created:
-        _collect_var_types(c.atom, sig, types)
-    for p in (*rule.side, *rule.consumed):
-        _collect_var_types(p.atom, sig, types)
-    return types
-
-
-def _collect_var_types(atom: Atom, sig: Signature, types: dict[str, str]) -> None:
-    expected = sig.predicates.get(atom.pred, ())
-    for i, arg in enumerate(atom.args):
-        if isinstance(arg, Variable):
-            if arg.base_type:
-                types.setdefault(arg.name, arg.base_type)
-            elif i < len(expected):
-                types.setdefault(arg.name, expected[i])
-
-
-def find_matches(
-    rule: Rule, config: Configuration, sig: Signature
-) -> list[RuleInstance]:
+def find_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     """All instances of `rule` applicable to `config`, canonically ordered.
 
     Instances are identified up to fresh-constant renaming: each match gets
@@ -854,7 +844,7 @@ def find_matches(
     raw = rule.plan.bindings(config)
     if not raw:
         return []
-    fresh = _canonical_fresh(rule, config, sig)
+    fresh = _canonical_fresh(rule, config)
     instances: dict[str, RuleInstance] = {}
     for sigma in raw:
         sigma.update(fresh)
@@ -892,7 +882,8 @@ def apply_instance(
 
     Side-condition facts and the global-time fact are untouched.  A stale
     instance (no longer applicable to `config`) is rejected; `trusted` skips
-    that re-check for instances just produced by find_matches on `config`.
+    that re-check for instances just produced by find_matches on `config` or
+    just checked by the caller.
     """
     if not trusted and not is_applicable(inst, config):
         raise EngineError(f"stale instance {inst.key()} on {config}")

@@ -333,9 +333,13 @@ class _Parser:
         while self.peek().text != "}":
             atom = self.parse_atom(None)
             self.expect("@")
+            ts_tok = self.peek()
             ts = self.expect_nat("a timestamp")
             if atom is not None and not atom.variables():
-                self.init_facts.append(TimedFact(atom.pred, atom.args, ts))
+                try:
+                    self.init_facts.append(TimedFact(atom.pred, atom.args, ts))
+                except KernelError as exc:  # a timestamp out of range
+                    self.error(ts_tok, str(exc))
             if self.peek().text == ",":
                 self.next()
         self.expect("}")

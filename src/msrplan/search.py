@@ -1,9 +1,11 @@
 """Move enumeration and the one search engine.
 
-`iter_successors` is the only move enumerator (`successors` is its list
-form): instantaneous rule instances in canonical order, then the time
-advance (system moves), or the update instances (update moves).  The engine
-consumes it lazily, so moves after the first good one are never built.
+`successors(config, rules)` is the only move enumerator: the instances of
+the given rules in canonical order, then the time advance.  It reads only
+the rules and the configuration.  The engine passes the system rules for
+system moves and the update rules without the time advance for update
+moves, and consumes the moves lazily, so moves after the first good one are
+never built.
 
 `Checker` is the only search engine.  It is built for one query: updates
 are admitted until `deadline`, a ticks after the initial configuration, and
@@ -35,50 +37,24 @@ A compliant goal trace within a tick budget is the n=0, b=0 case:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .kernel import Configuration
-from .rules import EngineError, RuleInstance, apply_instance, find_matches, tick
+from .rules import EngineError, Rule, RuleInstance, apply_instance, find_matches, tick
 from .scenario import PlanningScenario
 from .specs import TICK_STEP, Trace, TraceStep, match_spec
 
-Which = Literal["system", "updates", "both"]
-
 
 def successors(
-    scenario: PlanningScenario, config: Configuration, which: Which = "system"
-) -> list[tuple[Union[RuleInstance, str], Configuration]]:
-    """All canonical one-step moves from `config`, in deterministic order.
-
-    Instantaneous instances come first (rules in declaration order, instances
-    in canonical order), then the time advance when system moves are included.
-    """
-    return list(iter_successors(scenario, config, which))
-
-
-def iter_successors(
-    scenario: PlanningScenario,
-    config: Configuration,
-    which: Which = "system",
-    *,
-    advance: bool = True,
+    config: Configuration, rules: Iterable[Rule], *, advance: bool = True
 ) -> Iterator[tuple[Union[RuleInstance, str], Configuration]]:
-    """`successors`, computed one move at a time as they are consumed.
-
-    With `advance` False the time advance is left out and never built.
-    """
-    if which == "system":
-        rules = scenario.system_rules
-    elif which == "updates":
-        rules = scenario.update_rules
-    elif which == "both":
-        rules = scenario.system_rules + scenario.update_rules
-    else:
-        raise EngineError(f"unknown successor selector {which!r}")
+    """The one-step moves from `config`, built one at a time as they are
+    consumed: each rule's instances in canonical order, rules in the order
+    given, then the time advance unless `advance` is False."""
     for rule in rules:
-        for inst in find_matches(rule, config, scenario.signature):
+        for inst in find_matches(rule, config):
             yield inst, apply_instance(config, inst, trusted=True)
-    if advance and which != "updates":
+    if advance:
         yield TICK_STEP, tick(config)
 
 
@@ -136,7 +112,8 @@ class Checker:
         that is resilient one update level down."""
         if not self.admits_updates(config, n):
             return True
-        for inst, updated in iter_successors(self.scenario, config, "updates"):
+        updates = successors(config, self.scenario.update_rules, advance=False)
+        for inst, updated in updates:
             if not self.decide(updated, n - 1):
                 window = self.deadline - config.global_time
                 chain = (
@@ -181,9 +158,8 @@ class Checker:
         # frames: (annotation leading here, configuration, key, moves); the
         # time advance is offered while the clock is short of the horizon
         horizon = self.horizon
-        moves = iter_successors(
-            self.scenario, config, advance=config.global_time < horizon
-        )
+        rules = self.scenario.system_rules
+        moves = successors(config, rules, advance=config.global_time < horizon)
         stack = [(None, config, key, moves)]
         onstack = {key}
         pending: Union[None, bool, tuple] = None  # verdict of the last successor
@@ -210,9 +186,7 @@ class Checker:
                 if pending is not None:
                     self.memo[key2] = pending
                 elif len(stack) < limit:
-                    moves = iter_successors(
-                        self.scenario, cfg2, advance=cfg2.global_time < horizon
-                    )
+                    moves = successors(cfg2, rules, advance=cfg2.global_time < horizon)
                     stack.append((annotation, cfg2, key2, moves))
                     onstack.add(key2)
                 else:

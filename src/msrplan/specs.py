@@ -191,7 +191,7 @@ def replay_errors(trace: Trace) -> list[str]:
                 errors.append(f"step {i + 1}: instance {step.instance.key()} not applicable")
                 current = step.result
                 continue
-            expected = apply_instance(current, step.instance)
+            expected = apply_instance(current, step.instance, trusted=True)
         if expected != step.result:
             errors.append(f"step {i + 1}: recorded configuration does not match replay")
         current = step.result

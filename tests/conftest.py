@@ -224,7 +224,7 @@ def explored_states(scenario: PlanningScenario, limit: int) -> list[Configuratio
     seen = [scenario.initial]
     index = 0
     while index < len(seen) and len(seen) < limit:
-        for _, nxt in successors(scenario, seen[index], "both"):
+        for _, nxt in successors(seen[index], scenario.rules()):
             if nxt not in seen and len(seen) < limit:
                 seen.append(nxt)
         index += 1
@@ -322,7 +322,7 @@ def reference_goal_trace(scenario: PlanningScenario, budget: int) -> list | None
         moves = [
             (inst.key(), apply_instance(config, inst), remaining)
             for rule in scenario.system_rules
-            for inst in find_matches(rule, config, scenario.signature)
+            for inst in find_matches(rule, config)
         ]
         if remaining > 0:
             moves.append((TICK_STEP, tick(config), remaining - 1))

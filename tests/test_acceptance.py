@@ -110,9 +110,7 @@ def test_criterion_2_worked_example_golden(worked_example):
     for _ in range(43):
         config = tick(config)
     lines.append(f"after 43 ticks: {config}")
-    instances = find_matches(
-        worked_example.system_rules[0], config, worked_example.signature
-    )
+    instances = find_matches(worked_example.system_rules[0], config)
     assert len(instances) == 1
     lines.append(f"instance: {instances[0].key()}")
     result = apply_instance(config, instances[0])
@@ -139,7 +137,7 @@ def test_criterion_3_balance_and_progressing_invariants():
             visited += 1
             if len(config) != m:
                 violations.append(("balance", seed, str(config)))
-            for _, nxt in successors(scenario, config, "both"):
+            for _, nxt in successors(config, scenario.rules()):
                 if visited + len(frontier) < 40:
                     frontier.append(nxt)
 
@@ -151,7 +149,7 @@ def test_criterion_3_balance_and_progressing_invariants():
         config = scenario.initial
         run = 0
         for _ in range(25):
-            moves = successors(scenario, config, "system")
+            moves = list(successors(config, scenario.system_rules))
             if not moves:
                 break
             annotation, config = rng.choice(moves)
@@ -186,18 +184,18 @@ def test_criterion_4_delta_bisimulation():
             concrete = sorted(
                 str(abstract(apply_instance(config, inst), dmax))
                 for rule in scenario.system_rules
-                for inst in find_matches(rule, config, scenario.signature)
+                for inst in find_matches(rule, config)
             )
             abstracted = sorted(
                 str(abstract(apply_instance(lifted, inst), dmax))
                 for rule in scenario.system_rules
-                for inst in find_matches(rule, lifted, scenario.signature)
+                for inst in find_matches(rule, lifted)
             )
             assert concrete == abstracted, seed
             assert abstract(tick(config), dmax) == tock(abstract(config, dmax)), seed
             if depth < 12:
                 for rule in scenario.system_rules:
-                    for inst in find_matches(rule, config, scenario.signature)[:2]:
+                    for inst in find_matches(rule, config)[:2]:
                         frontier.append((apply_instance(config, inst), depth + 1))
                 frontier.append((tick(config), depth + 1))
 

@@ -151,7 +151,7 @@ class TestProgressingDelta:
         config = worked_example.initial
         for _ in range(43):
             config = tick(config)
-        [inst] = find_matches(board, config, worked_example.signature)
+        [inst] = find_matches(board, config)
         dmax = infer_dmax(worked_example)
         before = abstract(config, dmax)
         after = abstract(apply_instance(config, inst), dmax)
@@ -194,17 +194,17 @@ class TestBisimulation:
                 concrete = sorted(
                     str(abstract(apply_instance(config, i), dmax))
                     for r in scenario.system_rules
-                    for i in find_matches(r, config, scenario.signature)
+                    for i in find_matches(r, config)
                 )
                 abstracted = sorted(
                     str(abstract(apply_instance(lifted, i), dmax))
                     for r in scenario.system_rules
-                    for i in find_matches(r, lifted, scenario.signature)
+                    for i in find_matches(r, lifted)
                 )
                 assert concrete == abstracted, seed
                 assert abstract(tick(config), dmax) == tock(abstract(config, dmax))
                 for r in scenario.system_rules:
-                    for inst in find_matches(r, config, scenario.signature)[:2]:
+                    for inst in find_matches(r, config)[:2]:
                         frontier.append(apply_instance(config, inst))
 
     def test_spec_transfer_under_time_shift(self):

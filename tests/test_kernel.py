@@ -13,7 +13,6 @@ from msrplan.kernel import (
     MAX_TIMESTAMP,
     Role,
     TimedFact,
-    canonical_order,
     clock_convert,
     clock_invert,
     fact_size,
@@ -29,26 +28,26 @@ def fact(pred: str, ts: int, *args) -> TimedFact:
 class TestCanonicalOrder:
     def test_timestamp_sort(self):
         c = Configuration([fact("Q", 9), fact("Time", 5), fact("P", 3)])
-        assert [f.pred for f in canonical_order(c)] == ["P", "Time", "Q"]
+        assert [f.pred for f in c.canonical_order()] == ["P", "Time", "Q"]
 
     def test_time_first_then_alphabetical(self):
         c = Configuration([fact("Time", 5), fact("B", 5), fact("A", 5)])
-        assert [f.pred for f in canonical_order(c)] == ["Time", "A", "B"]
+        assert [f.pred for f in c.canonical_order()] == ["Time", "A", "B"]
 
     def test_multiplicity_preserved(self):
         c = Configuration([fact("P", 3), fact("P", 3), fact("Time", 5)])
-        assert [f.pred for f in canonical_order(c)] == ["P", "P", "Time"]
+        assert [f.pred for f in c.canonical_order()] == ["P", "P", "Time"]
 
     def test_argument_spelling_breaks_ties(self):
         a, b = Constant("a", "t"), Constant("b", "t")
         c = Configuration([fact("P", 1, b), fact("P", 1, a), fact("Time", 0)])
-        assert [f.args for f in canonical_order(c)] == [(), (a,), (b,)]
+        assert [f.args for f in c.canonical_order()] == [(), (a,), (b,)]
 
     def test_fresh_constants_after_declared(self):
         a = Constant("zz", "t")
         f0 = FreshConstant("t", 0)
         c = Configuration([fact("P", 1, f0), fact("P", 1, a), fact("Time", 0)])
-        assert [f.args for f in canonical_order(c)] == [(), (a,), (f0,)]
+        assert [f.args for f in c.canonical_order()] == [(), (a,), (f0,)]
         assert str(f0) == "#t:0"
 
     @given(
@@ -62,18 +61,18 @@ class TestCanonicalOrder:
     def test_permutation_and_stability(self, items, time_ts):
         facts = [fact(p, ts) for p, ts in items] + [fact("Time", time_ts)]
         c = Configuration(facts)
-        ordered = canonical_order(c)
+        ordered = c.canonical_order()
         assert sorted(ordered, key=lambda f: (f.pred, f.ts)) == sorted(
             facts, key=lambda f: (f.pred, f.ts)
         )
         # idempotent: rebuilding from the ordered sequence reproduces it
-        assert canonical_order(Configuration(ordered)) == ordered
+        assert Configuration(ordered).canonical_order() == ordered
         # equal multisets give identical sequences
         import random
 
         shuffled = list(facts)
         random.Random(0).shuffle(shuffled)
-        assert canonical_order(Configuration(shuffled)) == ordered
+        assert Configuration(shuffled).canonical_order() == ordered
 
 
 class TestConfigurationInvariants:

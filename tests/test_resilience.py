@@ -353,6 +353,14 @@ REJECTIONS = [
      "root.children[0]: missing subtree"),
     ("game", _put("children", 0, "subtree", "trace", 0, "rule", "fly"),
      "root.children[0].trace[0]: unknown rule 'fly'"),
+    ("game", _put("children", 0, "step", [0]),
+     "root.children[0]: malformed update point"),
+    ("game", _put("children", 0, "step", True),
+     "root.children[0]: malformed update point"),
+    ("game", _put("children", 0, "instance", "rule", {"a": 1}),
+     "root.children[0]: unknown rule {'a': 1}"),
+    ("minimal", _put("trace", 0, "rule", ["hop"]),
+     "root.trace[0]: unknown rule ['hop']"),
 ]
 
 
@@ -428,7 +436,7 @@ def _reference_resilient(scenario, query) -> bool:
         return [
             apply_instance(config, inst)
             for rule in rules
-            for inst in find_matches(rule, config, scenario.signature)
+            for inst in find_matches(rule, config)
         ]
 
     def covered(config, n, w):

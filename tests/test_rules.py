@@ -37,7 +37,7 @@ def fact(pred: str, ts: int, *args) -> TimedFact:
 class TestWorkedExample:
     def test_blocked_before_departure(self, worked_example):
         board = worked_example.system_rules[0]
-        assert find_matches(board, worked_example.initial, worked_example.signature) == []
+        assert find_matches(board, worked_example.initial) == []
 
     def test_unique_instance_after_43_ticks(self, worked_example):
         board = worked_example.system_rules[0]
@@ -45,7 +45,7 @@ class TestWorkedExample:
         for _ in range(43):
             config = tick(config)
         assert config.global_time == 5245
-        insts = find_matches(board, config, worked_example.signature)
+        insts = find_matches(board, config)
         assert len(insts) == 1
         sigma = insts[0].sigma
         assert str(sigma["a"]) == "id14"
@@ -58,7 +58,7 @@ class TestWorkedExample:
         config = worked_example.initial
         for _ in range(43):
             config = tick(config)
-        [inst] = find_matches(board, config, worked_example.signature)
+        [inst] = find_matches(board, config)
         result = apply_instance(config, inst)
         assert str(result) == (
             "{ Attended(main,no)@0, Time@5245, Flight2(id14,FRA,DBV)@5245, "
@@ -98,7 +98,6 @@ def simple_sig():
 
 class TestMatching:
     def test_multiset_multiplicity(self):
-        sig = simple_sig()
         rule = Rule(
             "two",
             (),
@@ -110,14 +109,13 @@ class TestMatching:
             (),
         )
         one_p = Configuration([fact("Time", 0), fact("P", 0, Constant("a", "t"))])
-        assert find_matches(rule, one_p, sig) == []
+        assert find_matches(rule, one_p) == []
         two_p = Configuration(
             [fact("Time", 0), fact("P", 0, Constant("a", "t")), fact("P", 0, Constant("a", "t"))]
         )
-        assert len(find_matches(rule, two_p, sig)) == 1
+        assert len(find_matches(rule, two_p)) == 1
 
     def test_fresh_constants_are_injective_and_deterministic(self):
-        sig = simple_sig()
         rule = Rule(
             "mint",
             (),
@@ -126,10 +124,10 @@ class TestMatching:
             (),
         ).with_past_consumption()
         config = Configuration([fact("Time", 0), fact("N", 0), fact("N", 0)])
-        [inst] = find_matches(rule, config, sig)
+        [inst] = find_matches(rule, config)
         assert str(inst.fresh_assignment["w"]) == "#t:0"
         after = apply_instance(config, inst)
-        [inst2] = find_matches(rule, after, sig)
+        [inst2] = find_matches(rule, after)
         assert str(inst2.fresh_assignment["w"]) == "#t:1"
         final = apply_instance(after, inst2)
         names = sorted(str(f) for f in final if f.pred == "P")
@@ -138,7 +136,6 @@ class TestMatching:
     def test_fresh_never_collides_with_configuration_values(self):
         from msrplan.kernel import FreshConstant
 
-        sig = simple_sig()
         rule = Rule(
             "mint",
             (),
@@ -149,11 +146,10 @@ class TestMatching:
         config = Configuration(
             [fact("Time", 0), fact("N", 0), fact("P", 0, FreshConstant("t", 0))]
         )
-        [inst] = find_matches(rule, config, sig)
+        [inst] = find_matches(rule, config)
         assert inst.fresh_assignment["w"] == FreshConstant("t", 1)
 
     def test_stale_instance_rejected(self):
-        sig = simple_sig()
         rule = Rule(
             "eat",
             (),
@@ -162,13 +158,12 @@ class TestMatching:
             (),
         ).with_past_consumption()
         config = Configuration([fact("Time", 0), fact("N", 0)])
-        [inst] = find_matches(rule, config, sig)
+        [inst] = find_matches(rule, config)
         after = apply_instance(config, inst)
         with pytest.raises(EngineError):
             apply_instance(after, inst)
 
     def test_apply_is_pure(self):
-        sig = simple_sig()
         rule = Rule(
             "eat",
             (),
@@ -177,20 +172,13 @@ class TestMatching:
             (),
         ).with_past_consumption()
         config = Configuration([fact("Time", 0), fact("N", 0)])
-        [inst] = find_matches(rule, config, sig)
+        [inst] = find_matches(rule, config)
         assert apply_instance(config, inst) == apply_instance(config, inst)
         assert config.count(fact("N", 0)) == 1  # input untouched
 
     def test_function_terms_unify(self):
         from msrplan.kernel import FuncApp
 
-        sig = make_signature(
-            ["t"],
-            {"a": "t"},
-            {"P": ("t",), "M": ()},
-            {"P": Role.SYSTEM, "M": Role.SYSTEM},
-            functions={"f": (("t",), "t")},
-        )
         rule = Rule(
             "peel",
             (),
@@ -200,7 +188,7 @@ class TestMatching:
         ).with_past_consumption()
         wrapped = FuncApp("f", (Constant("a", "t"),))
         config = Configuration([fact("Time", 0), fact("P", 0, wrapped)])
-        [inst] = find_matches(rule, config, sig)
+        [inst] = find_matches(rule, config)
         assert inst.sigma["x"] == Constant("a", "t")
         result = apply_instance(config, inst)
         assert fact("P", 1, Constant("a", "t")) in result.counts()
@@ -228,6 +216,27 @@ class TestRuleWellFormedness:
                 (CreatedFact(Atom("M"), 1),),
                 (TimeConstraint("T9", ">", "T"),),
             )
+
+    def test_fresh_variables_must_be_typed(self):
+        from msrplan.kernel import FuncApp
+
+        with pytest.raises(RuleError, match="rule mint: fresh variable w has no type"):
+            Rule(
+                "mint",
+                (),
+                (FactPattern(Atom("N"), "T1"),),
+                (CreatedFact(Atom("P", (Variable("w", ""),)), 1),),
+                (),
+            )
+        # a fresh variable nested in a function term is typed where it occurs
+        nested = Rule(
+            "wrap",
+            (),
+            (FactPattern(Atom("N"), "T1"),),
+            (CreatedFact(Atom("P", (FuncApp("f", (Variable("w", "t"),)),)), 1),),
+            (),
+        )
+        assert nested.fresh == (("w", "t"),)
 
     def test_noop_rewrites_banned(self):
         # consuming and recreating the same formula at the current instant
@@ -378,7 +387,7 @@ class TestBruteForceAgreement:
             scenario = random_scenario(seed, progressing=(seed % 2 == 0))
             config = scenario.initial
             for rule in scenario.system_rules:
-                engine = {i.key() for i in find_matches(rule, config, scenario.signature)}
+                engine = {i.key() for i in find_matches(rule, config)}
                 brute = brute_find_matches(rule, config, scenario.signature)
                 if engine != brute:
                     mismatches.append((seed, rule.name, engine, brute))
@@ -392,9 +401,9 @@ class TestBruteForceAgreement:
             config = frontier.pop()
             seen += 1
             for rule in scenario.system_rules:
-                engine = {i.key() for i in find_matches(rule, config, scenario.signature)}
+                engine = {i.key() for i in find_matches(rule, config)}
                 assert engine == brute_find_matches(rule, config, scenario.signature)
-            for _, nxt in successors(scenario, config, "system")[:2]:
+            for _, nxt in list(successors(config, scenario.system_rules))[:2]:
                 frontier.append(nxt)
 
     def test_guarded_rules_equal_brute_enumeration(self):
@@ -409,11 +418,11 @@ class TestBruteForceAgreement:
             rules = [random_guarded_rule(rng, f"g{i}") for i in range(10)]
             configs = explored_states(scenario, 8)
             for rule in rules:
-                for inst in find_matches(rule, scenario.initial, scenario.signature)[:1]:
+                for inst in find_matches(rule, scenario.initial)[:1]:
                     configs.append(apply_instance(scenario.initial, inst))
             for config in configs:
                 for rule in rules:
-                    engine = {i.key() for i in find_matches(rule, config, scenario.signature)}
+                    engine = {i.key() for i in find_matches(rule, config)}
                     brute = brute_find_matches(rule, config, scenario.signature)
                     matched += bool(engine)
                     if engine != brute:
@@ -433,6 +442,6 @@ class TestBalancePreservation:
                 config = frontier.pop()
                 visited += 1
                 assert len(config) == m
-                for _, nxt in successors(scenario, config, "both"):
+                for _, nxt in successors(config, scenario.rules()):
                     if visited + len(frontier) < 60:
                         frontier.append(nxt)

@@ -146,6 +146,16 @@ class TestDiagnostics:
         )
         assert any("hours out of range" in d.message for d in err.diagnostics)
 
+    def test_init_timestamp_out_of_range_is_located(self):
+        err = self.parse_error(
+            "types t;\npredicates Fuse: system;\n"
+            "init { Time@0, Fuse@99999999999999999999999 }\nrule\n"
+        )
+        assert [d.render("bad.msr") for d in err.diagnostics] == [
+            "bad.msr:3:21: timestamp 99999999999999999999999 out of range",
+            "bad.msr:5:1: expected a rule role, found 'end of file'",
+        ]
+
     def test_function_terms_rejected_in_files(self):
         err = self.parse_error(
             """

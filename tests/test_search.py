@@ -23,36 +23,32 @@ from msrplan.specs import check_compliance, match_spec, replay_errors
 
 class TestSuccessors:
     def test_blocked_departure_leaves_only_tick(self, worked_example):
-        moves = successors(worked_example, worked_example.initial, "system")
+        moves = list(successors(worked_example.initial, worked_example.system_rules))
         assert [m[0] for m in moves] == ["Tick"]
 
     def test_departure_moment_offers_instance_then_tick(self, worked_example):
         config = worked_example.initial
         for _ in range(43):
             config = tick(config)
-        moves = successors(worked_example, config, "system")
+        moves = list(successors(config, worked_example.system_rules))
         labels = [m[0] if isinstance(m[0], str) else m[0].rule.name for m in moves]
         assert labels == ["board", "Tick"]
 
     def test_generated_initial_state_offers_one_rule_family(self):
         q = Qbf((("e", (1, 2)), ("a", (3,)), ("e", (4,))), ((1, 3, 4),))
         scenario = qbf_to_scenario(q)
-        moves = successors(scenario, scenario.initial, "system")
+        moves = list(successors(scenario.initial, scenario.system_rules))
         labels = [m[0] if isinstance(m[0], str) else m[0].rule.name for m in moves]
         # one instance per assignment to the first block, then the time advance
         assert labels == ["assign_e_1"] * 4 + ["Tick"]
 
     def test_updates_exclude_tick(self, travel):
-        moves = successors(travel, travel.initial, "updates")
+        moves = list(successors(travel.initial, travel.update_rules, advance=False))
         assert all(not isinstance(m[0], str) for m in moves)
 
-    def test_unknown_selector(self, travel):
-        with pytest.raises(EngineError):
-            successors(travel, travel.initial, "everything")
-
     def test_deterministic_order(self, travel):
-        first = successors(travel, travel.initial, "both")
-        second = successors(travel, travel.initial, "both")
+        first = list(successors(travel.initial, travel.rules()))
+        second = list(successors(travel.initial, travel.rules()))
         keys = lambda ms: [
             m[0] if isinstance(m[0], str) else m[0].key() for m in ms
         ]

@@ -206,7 +206,7 @@ class TestBruteAgreement:
         for seed in range(25):
             scenario = random_scenario(seed, progressing=(seed % 2 == 0))
             configs = [scenario.initial]
-            for _, nxt in successors(scenario, scenario.initial, "system")[:3]:
+            for _, nxt in list(successors(scenario.initial, scenario.system_rules))[:3]:
                 configs.append(nxt)
             for config in configs:
                 if len(config) > 8:
