@@ -1,13 +1,18 @@
 """Terms, timestamped facts, and configurations for timed multiset rewriting.
 
 A configuration is a multiset of timestamped facts containing exactly one
-occurrence of the global-time fact ``Time@t``.  All values here are immutable
-and safe to share between concurrent searches.
+occurrence of the global-time fact ``Time@t``.  It is stored as its canonical
+tuple, the facts in sort-key order; multiset counts, the hash and the
+per-predicate groups are computed from that tuple on first use, and each
+successor is built from its parent's tuple by bisection rather than a fresh
+sort.  All values here are immutable and safe to share between concurrent
+searches.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -291,27 +296,40 @@ def fact_size(fact: TimedFact) -> int:
 
 
 class Configuration:
-    """An immutable multiset of timed facts with one global-time fact."""
+    """An immutable multiset of timed facts with one global-time fact.
 
-    __slots__ = ("_facts", "_canonical", "_hash", "_by_pred", "_time")
+    The state is the canonical tuple: the facts sorted stably by
+    `TimedFact.sort_key`, duplicates kept.  The multiset counts, the hash and
+    the per-predicate groups are computed from it on first use.  `replace`
+    builds a successor from its parent's tuple without sorting it again.
+    """
+
+    __slots__ = ("_canonical", "_time", "_counts", "_hash", "_by_pred")
 
     def __init__(self, facts: Iterable[TimedFact]):
-        ordered = sorted(facts, key=TimedFact.sort_key)
-        time_facts = [f for f in ordered if f.pred == TIME_PREDICATE]
-        if len(time_facts) != 1:
-            raise KernelError(
-                f"configuration must contain exactly one {TIME_PREDICATE} fact, "
-                f"got {len(time_facts)}"
-            )
-        canonical = tuple(ordered)
-        object.__setattr__(self, "_canonical", canonical)
-        object.__setattr__(self, "_time", time_facts[0].ts)
-        counts: dict[TimedFact, int] = {}
-        for f in canonical:
-            counts[f] = counts.get(f, 0) + 1
-        object.__setattr__(self, "_facts", counts)
-        object.__setattr__(self, "_hash", hash(canonical))
-        object.__setattr__(self, "_by_pred", None)
+        canonical = tuple(sorted(facts, key=TimedFact.sort_key))
+        times = [f.ts for f in canonical if f.pred == TIME_PREDICATE]
+        if len(times) != 1:
+            raise KernelError(_time_count_message(len(times)))
+        self._fill(canonical, times[0])
+
+    @classmethod
+    def _from_canonical(
+        cls, canonical: tuple[TimedFact, ...], time: int
+    ) -> "Configuration":
+        """A configuration over facts already in canonical order, whose one
+        global-time fact is at `time`; nothing is sorted or checked."""
+        config = object.__new__(cls)
+        config._fill(canonical, time)
+        return config
+
+    def _fill(self, canonical: tuple[TimedFact, ...], time: int) -> None:
+        init = object.__setattr__
+        init(self, "_canonical", canonical)
+        init(self, "_time", time)
+        init(self, "_counts", None)
+        init(self, "_hash", None)
+        init(self, "_by_pred", None)
 
     def __setattr__(self, *_args) -> None:  # pragma: no cover
         raise AttributeError("Configuration is immutable")
@@ -324,29 +342,46 @@ class Configuration:
         """The facts in the stable total order of `TimedFact.sort_key`."""
         return self._canonical
 
+    def _multiset(self) -> dict[TimedFact, int]:
+        counts = self._counts
+        if counts is None:
+            counts = {}
+            for f in self._canonical:
+                counts[f] = counts.get(f, 0) + 1
+            object.__setattr__(self, "_counts", counts)
+        return counts
+
     def counts(self) -> dict[TimedFact, int]:
-        return dict(self._facts)
+        return dict(self._multiset())
 
     def by_pred(self) -> dict[str, list[TimedFact]]:
         """Distinct facts grouped by predicate, in canonical order (cached)."""
         cached = self._by_pred
         if cached is None:
             cached = {}
-            # the counts dict holds the distinct facts in canonical order
-            for f in self._facts:
+            prev_hash, prev = None, None
+            for f in self._canonical:
+                # equal facts have equal keys, and over one signature no
+                # other fact shares their key, so copies sit side by side;
+                # the stored hashes rule most neighbours out before `==` runs
+                h = f._hash  # type: ignore[attr-defined]
+                if h == prev_hash and f == prev:
+                    continue
                 cached.setdefault(f.pred, []).append(f)
+                prev_hash, prev = h, f
             object.__setattr__(self, "_by_pred", cached)
         return cached
 
     def count(self, fact: TimedFact) -> int:
-        return self._facts.get(fact, 0)
+        return self._multiset().get(fact, 0)
 
     def contains(self, facts: Iterable[TimedFact]) -> bool:
         """Multiset inclusion of `facts` in this configuration."""
         need: dict[TimedFact, int] = {}
         for f in facts:
             need[f] = need.get(f, 0) + 1
-        return all(self._facts.get(f, 0) >= n for f, n in need.items())
+        have = self._multiset()
+        return all(have.get(f, 0) >= n for f, n in need.items())
 
     def values(self) -> set[Union[GroundTerm, int]]:
         """All ground terms (including subterms) and timestamps occurring here."""
@@ -360,20 +395,38 @@ class Configuration:
     def replace(
         self, removed: Iterable[TimedFact], added: Iterable[TimedFact]
     ) -> "Configuration":
-        counts = dict(self._facts)
+        """The configuration with `removed` taken out and `added` put in.
+
+        The result equals `Configuration` over the remaining facts in
+        canonical order followed by `added`: each added fact goes after the
+        facts whose sort keys equal its own, as the stable sort puts it.
+        """
+        facts = list(self._canonical)
+        key = TimedFact.sort_key
+        time = self._time
+        times = 1
         for f in removed:
-            have = counts.get(f, 0)
-            if have <= 0:
-                raise KernelError(f"cannot remove absent fact {f}")
-            if have == 1:
-                del counts[f]
+            k = f.sort_key()
+            i = bisect_left(facts, k, key=key)
+            # facts with equal keys may still differ (a constant's type is
+            # not part of its key), so the match is confirmed with ==
+            while i < len(facts) and facts[i].sort_key() == k:
+                if facts[i] == f:
+                    del facts[i]
+                    break
+                i += 1
             else:
-                counts[f] = have - 1
-        out: list[TimedFact] = []
-        for f, n in counts.items():
-            out.extend([f] * n)
-        out.extend(added)
-        return Configuration(out)
+                raise KernelError(f"cannot remove absent fact {f}")
+            if f.pred == TIME_PREDICATE:
+                times -= 1
+        for f in added:
+            insort_right(facts, f, key=key)
+            if f.pred == TIME_PREDICATE:
+                times += 1
+                time = f.ts
+        if times != 1:
+            raise KernelError(_time_count_message(times))
+        return Configuration._from_canonical(tuple(facts), time)
 
     def __len__(self) -> int:
         return len(self._canonical)
@@ -385,13 +438,23 @@ class Configuration:
         return isinstance(other, Configuration) and self._canonical == other._canonical
 
     def __hash__(self) -> int:
-        return self._hash
+        cached = self._hash
+        if cached is None:
+            cached = hash(self._canonical)
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __str__(self) -> str:
         inner = ", ".join(str(f) for f in self._canonical)
         return "{ " + inner + " }"
 
     __repr__ = __str__
+
+
+def _time_count_message(count: int) -> str:
+    return (
+        f"configuration must contain exactly one {TIME_PREDICATE} fact, got {count}"
+    )
 
 
 def clock_convert(days: int, hours: int, minutes: int) -> int:

@@ -438,11 +438,10 @@ class RuleInstance:
         return dict(self.bindings)
 
     @property
-    def fresh_assignment(self) -> dict[str, FreshConstant]:
+    def fresh_assignment(self) -> dict[str, Union[Term, int]]:
+        """What each bound fresh variable of the rule holds."""
         fresh = dict(self.rule.fresh)
-        return {
-            v: t for v, t in self.bindings if v in fresh and isinstance(t, FreshConstant)
-        }
+        return {v: t for v, t in self.bindings if v in fresh}
 
     def key(self) -> str:
         inner = ",".join(f"{v}={t}" for v, t in sorted(self.bindings))
@@ -866,13 +865,16 @@ def is_applicable(inst: RuleInstance, config: Configuration) -> bool:
         return False
     if not all(c.satisfied(_time_view(sigma)) for c in inst.rule.guard):
         return False
-    assignment = inst.fresh_assignment
-    if not assignment:
+    if not inst.rule.fresh:
         return True
-    fresh = set(assignment.values())
-    if len(fresh) != len(assignment):
-        return False
-    return not (fresh & config.values())
+    # each fresh variable holds a fresh constant of its own type, no two the
+    # same, and none already in the configuration
+    fresh = [sigma.get(v) for v, _ in inst.rule.fresh]
+    for term, (_, btype) in zip(fresh, inst.rule.fresh):
+        if not isinstance(term, FreshConstant) or term.base_type != btype:
+            return False
+    distinct = set(fresh)
+    return len(distinct) == len(fresh) and not (distinct & config.values())
 
 
 def apply_instance(

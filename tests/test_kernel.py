@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import explored_states, random_scenario
 from msrplan.kernel import (
     Configuration,
     Constant,
@@ -19,6 +23,9 @@ from msrplan.kernel import (
     make_signature,
     term_sort_key,
 )
+from msrplan.reductions import Qbf, qbf_to_scenario
+from msrplan.rules import tick
+from msrplan.scenario import load_bundled
 
 
 def fact(pred: str, ts: int, *args) -> TimedFact:
@@ -113,6 +120,151 @@ class TestConfigurationInvariants:
             [fact("Time", 5), fact("P", 3, Constant("a", "t"))]
         )
         assert str(c) == "{ P(a)@3, Time@5 }"
+
+
+def _explored_configurations() -> list[Configuration]:
+    """Reachable states of random scenarios, travel and a QBF-generated
+    scenario, as a move would hand them to `replace`."""
+    scenarios = [
+        random_scenario(seed, progressing=seed % 2 == 0, with_updates=True)
+        for seed in range(12)
+    ]
+    scenarios.append(load_bundled("travel.msr"))
+    scenarios.append(
+        qbf_to_scenario(
+            Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((1, 2, 3), (-1, -2, -3)))
+        )
+    )
+    return [c for s in scenarios for c in explored_states(s, 15)]
+
+
+def _twin(f: TimedFact) -> TimedFact:
+    """A fact with `f`'s sort key that differs from `f`: its constants keep
+    their names but change type (a constant's type is not in the key)."""
+    args = tuple(
+        Constant(a.name, a.base_type + "2") if isinstance(a, Constant) else a
+        for a in f.args
+    )
+    return TimedFact(f.pred, args, f.ts)
+
+
+def _replaced_reference(config, removed, added) -> Configuration:
+    remaining = list(config.canonical_order())
+    for f in removed:
+        remaining.remove(f)
+    return Configuration([*remaining, *added])
+
+
+def _assert_multiset_views(c: Configuration) -> None:
+    """Every view of `c` agrees with one read off its canonical tuple."""
+    facts = c.canonical_order()
+    assert [f.ts for f in facts if f.pred == "Time"] == [c.global_time]
+    assert hash(c) == hash(facts)
+    expected = Counter(facts)
+    assert c.counts() == dict(expected)
+    assert all(c.count(f) == n for f, n in expected.items())
+    assert c.contains(facts) and c.contains(facts[1:])
+    assert not c.contains([*facts, facts[0]])
+    groups: dict[str, list[TimedFact]] = {}
+    for f in facts:
+        group = groups.setdefault(f.pred, [])
+        if f not in group:
+            group.append(f)
+    assert c.by_pred() == groups
+    assert list(c.by_pred()) == list(groups)
+
+
+class TestReplace:
+    """`replace` builds the child from the parent's order; it must equal a
+    configuration built from scratch over the remaining facts, in canonical
+    order, followed by the added ones."""
+
+    def _cases(self, config: Configuration, rng: random.Random):
+        """(removed, added, whether an added fact has a differing twin)."""
+        facts = list(config.canonical_order())
+        time = next(f for f in facts if f.pred == "Time")
+        others = [f for f in facts if f.pred != "Time"]
+        later = time.at(time.ts + 1)
+        # the clock fact taken out and its successor put in, alone or with more
+        yield [time], [later], False
+        yield [time], [later, *rng.sample(others, min(2, len(others)))], False
+        if not others:
+            return
+        # duplicates: copies of present facts added, one of a pair removed
+        dup = rng.choice(others)
+        yield [], [dup, dup], False
+        yield [dup], [dup, dup.at(dup.ts + 1)], False
+        yield rng.sample(others, min(3, len(others))), [dup.at(time.ts + 2)], False
+        # an added fact whose key equals a present one's but which differs;
+        # it goes in after any added copy of `base`, since copies sit side
+        # by side only where no twin lies between them
+        base = rng.choice(others)
+        twin = _twin(base)
+        yield [], [twin], twin != base
+        yield [rng.choice(others)], [base, twin], twin != base
+
+    def test_equals_configuration_built_from_scratch(self):
+        rng = random.Random(10)
+        configs = _explored_configurations()
+        checked = twins = 0
+        for config in configs:
+            _assert_multiset_views(config)
+            for removed, added, twinned in self._cases(config, rng):
+                got = config.replace(removed, added)
+                want = _replaced_reference(config, removed, added)
+                assert got.canonical_order() == want.canonical_order()
+                assert got.global_time == want.global_time
+                assert got == want and hash(got) == hash(want)
+                assert got.by_pred() == want.by_pred()
+                _assert_multiset_views(got)
+                checked += 1
+                twins += twinned
+            assert tick(config) == _replaced_reference(
+                config,
+                [f for f in config if f.pred == "Time"],
+                [TimedFact("Time", (), config.global_time + 1)],
+            )
+        assert len(configs) > 150 and checked > 1000 and twins > 100
+
+    def test_removing_a_twin_takes_out_that_fact(self):
+        a, a2 = Constant("a", "t"), Constant("a", "u")
+        p, p2 = fact("P", 1, a), fact("P", 1, a2)
+        base = Configuration([fact("Time", 0), p, p])
+        both = base.replace([], [p2])
+        assert both.canonical_order() == (fact("Time", 0), p, p, p2)
+        p3 = fact("P", 1, Constant("a", "v"))
+        assert base.replace([], [p3, p2]).canonical_order() == (fact("Time", 0), p, p, p3, p2)
+        assert both.replace([], [p3]).canonical_order() == (fact("Time", 0), p, p, p2, p3)
+        assert both.replace([p2], []) == base
+        assert both.replace([p], []).canonical_order() == (fact("Time", 0), p, p2)
+        with pytest.raises(KernelError, match=r"^cannot remove absent fact P\(a\)@1$"):
+            base.replace([p2], [])
+
+    def test_errors_keep_their_messages(self):
+        c = Configuration([fact("Time", 4), fact("P", 1), fact("P", 1)])
+        with pytest.raises(KernelError, match=r"^cannot remove absent fact Q@1$"):
+            c.replace([fact("Q", 1)], [])
+        with pytest.raises(KernelError, match=r"^cannot remove absent fact P@1$"):
+            c.replace([fact("P", 1)] * 3, [])
+        with pytest.raises(KernelError, match=r"^cannot remove absent fact Time@5$"):
+            c.replace([fact("Time", 5)], [fact("Time", 6)])
+        one = r"^configuration must contain exactly one Time fact, got "
+        with pytest.raises(KernelError, match=one + "2$"):
+            c.replace([], [fact("Time", 5)])
+        with pytest.raises(KernelError, match=one + "0$"):
+            c.replace([fact("Time", 4)], [fact("P", 2)])
+        with pytest.raises(KernelError, match=one + "0$"):
+            Configuration([fact("P", 1)])
+
+    def test_counts_returns_a_copy(self):
+        p = fact("P", 1)
+        c = Configuration([fact("Time", 0), p])
+        child = c.replace([], [p])
+        for config, n in ((c, 1), (child, 2)):
+            config.counts()[p] = 7
+            config.counts().clear()
+            assert config.count(p) == n and config.counts()[p] == n
+            assert config.contains([p] * n) and not config.contains([p] * (n + 1))
 
 
 class TestClockConvert:

@@ -310,8 +310,22 @@ def _tick_into_fuse(data: dict) -> None:
     data["trace"] += [{"rule": TICK_STEP}] * 5  # Fuse@6 turns critical at t=6
 
 
+# One rule whose created fact holds a fresh variable, beside a declared
+# constant already in the configuration.
+FRESH = """
+types t;
+consts a: t;
+predicates N: system, P(t): system, G(t): goal, K: critical;
+init { Time@0, N@0, P(a)@0 }
+rule system make { consume: N@T1; create: G(w)@T+1; }
+goal { G(x)@T1 }
+critical { K@T1 }
+"""
+
+
 # (scenario, mutation, start of the expected violation); "game" is Q_GAME at
-# (1,1,0), whose root has two children, "minimal" the bundled file at (1,2,1)
+# (1,1,0), whose root has two children, "minimal" the bundled file at (1,2,1),
+# "fresh" the FRESH scenario at (0,1,0), whose trace binds w to #t:0
 REJECTIONS = [
     ("game", _put("query", []), "root: malformed query"),
     ("game", _put("trace", {}), "root: malformed trace"),
@@ -361,6 +375,10 @@ REJECTIONS = [
      "root.children[0]: unknown rule {'a': 1}"),
     ("minimal", _put("trace", 0, "rule", ["hop"]),
      "root.trace[0]: unknown rule ['hop']"),
+    ("fresh", _put("trace", 0, "sigma", "w", "a"),
+     "root.trace[0]: instance does not re-apply"),
+    ("fresh", _put("trace", 0, "sigma", "w", "#u:0"),
+     "root.trace[0]: instance does not re-apply"),
 ]
 
 
@@ -370,6 +388,7 @@ class TestWitnessRejections:
         cases = {
             "game": (qbf_to_scenario(Q_GAME), ResilienceQuery(1, 1, 0)),
             "minimal": (minimal, ResilienceQuery(1, 2, 1)),
+            "fresh": (parse_scenario(FRESH, "fresh"), ResilienceQuery(0, 1, 0)),
         }
         out = {}
         for name, (scenario, query) in cases.items():

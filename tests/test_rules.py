@@ -149,6 +149,44 @@ class TestMatching:
         [inst] = find_matches(rule, config)
         assert inst.fresh_assignment["w"] == FreshConstant("t", 1)
 
+    def test_applicable_only_with_distinct_unused_fresh_constants_of_their_type(self):
+        from msrplan.kernel import FreshConstant
+        from msrplan.rules import RuleInstance, is_applicable
+
+        rule = Rule(
+            "mint2",
+            (),
+            (FactPattern(Atom("N"), "T1"),),
+            (CreatedFact(Atom("P", (Variable("v", "t"),)), 1),
+             CreatedFact(Atom("P", (Variable("w", "t"),)), 1)),
+            (),
+        ).with_past_consumption()
+        a, used = Constant("a", "t"), FreshConstant("t", 0)
+        config = Configuration(
+            [fact("Time", 0), fact("N", 0), fact("P", 0, a), fact("P", 0, used)]
+        )
+        [inst] = find_matches(rule, config)
+        assert inst.fresh_assignment == {
+            "v": FreshConstant("t", 1), "w": FreshConstant("t", 2)
+        }
+        assert is_applicable(inst, config)
+
+        def rebound(**terms) -> RuleInstance:
+            sigma = {**inst.sigma, **terms}
+            return RuleInstance(rule, tuple(sorted(sigma.items())))
+
+        assert is_applicable(rebound(w=FreshConstant("t", 7)), config)
+        for bad in (
+            rebound(w=a),  # a declared constant already in the configuration
+            rebound(w=Constant("b", "t")),  # a declared constant, even if absent
+            rebound(w=FreshConstant("u", 2)),  # a fresh constant of another type
+            rebound(w=FreshConstant("t", 1)),  # the same constant as v
+            rebound(w=used),  # a fresh constant already in the configuration
+        ):
+            assert not is_applicable(bad, config)
+        missing = RuleInstance(rule, tuple(b for b in inst.bindings if b[0] != "w"))
+        assert not is_applicable(missing, config)
+
     def test_stale_instance_rejected(self):
         rule = Rule(
             "eat",
