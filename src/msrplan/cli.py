@@ -11,7 +11,7 @@ import random
 import sys
 from pathlib import Path
 
-from .delta import abstract
+from .delta import DeltaError, abstract
 from .kernel import KernelError
 from .reductions import (
     QbfError,
@@ -115,7 +115,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
             print(f"witness written to {args.witness}")
         return EXIT_YES
     print(f"not resilient at (n={query.n}, a={query.a}, b={query.b})")
-    for line in result.refutation[:6]:
+    for line in result.refutation:
         print(f"  {line}")
     return EXIT_NO
 
@@ -237,10 +237,10 @@ def cli_dispatch(argv: list[str]) -> int:
         for d in exc.diagnostics:
             print(d.render(exc.filename), file=sys.stderr)
         return EXIT_ERROR
-    except (EngineError, RuleError, SpecError, KernelError, QbfError) as exc:
+    except (EngineError, RuleError, SpecError, KernelError, QbfError, DeltaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -119,11 +119,12 @@ def subterms(term: Term) -> Iterator[Term]:
 def term_sort_key(term: Term) -> tuple:
     """Total order on ground terms by preorder spelling.
 
-    Declared constants compare before fresh constants; fresh constants compare
-    by base type then generation index.
+    Declared constants compare before fresh constants; declared constants
+    compare by name then base type, fresh constants by base type then
+    generation index.  Two terms have equal keys exactly when they are equal.
     """
     if isinstance(term, Constant):
-        return (0, term.name)
+        return (0, term.name, term.base_type)
     if isinstance(term, FreshConstant):
         return (1, term.base_type, term.index)
     if isinstance(term, FuncApp):
@@ -182,11 +183,6 @@ class Signature:
 
     def role(self, pred: str) -> Role:
         return self.predicate_roles[pred]
-
-    def constant(self, name: str) -> Constant:
-        if name not in self.constants:
-            raise KernelError(f"undeclared constant {name}")
-        return Constant(name, self.constants[name])
 
     def term_type(self, term: Term) -> str:
         if isinstance(term, (Constant, FreshConstant, Variable)):
@@ -267,7 +263,7 @@ class TimedFact:
 
     def sort_key(self) -> tuple:
         # Timestamp ascending; Time first among equal timestamps; then
-        # predicate name and argument spelling.
+        # predicate name and arguments.  A total order: equal keys, equal facts.
         key = self._sort_key  # type: ignore[attr-defined]
         if key is None:
             key = (
@@ -298,8 +294,9 @@ def fact_size(fact: TimedFact) -> int:
 class Configuration:
     """An immutable multiset of timed facts with one global-time fact.
 
-    The state is the canonical tuple: the facts sorted stably by
-    `TimedFact.sort_key`, duplicates kept.  The multiset counts, the hash and
+    The state is the canonical tuple: the facts sorted by `TimedFact.sort_key`,
+    a total order on facts, duplicates kept; configurations holding the same
+    multiset have the same tuple.  The multiset counts, the hash and
     the per-predicate groups are computed from it on first use.  `replace`
     builds a successor from its parent's tuple without sorting it again.
     """
@@ -339,7 +336,7 @@ class Configuration:
         return self._time
 
     def canonical_order(self) -> tuple[TimedFact, ...]:
-        """The facts in the stable total order of `TimedFact.sort_key`."""
+        """The facts in the total order of `TimedFact.sort_key`."""
         return self._canonical
 
     def _multiset(self) -> dict[TimedFact, int]:
@@ -361,8 +358,7 @@ class Configuration:
             cached = {}
             prev_hash, prev = None, None
             for f in self._canonical:
-                # equal facts have equal keys, and over one signature no
-                # other fact shares their key, so copies sit side by side;
+                # facts with equal keys are equal, so copies sit side by side;
                 # the stored hashes rule most neighbours out before `==` runs
                 h = f._hash  # type: ignore[attr-defined]
                 if h == prev_hash and f == prev:
@@ -397,26 +393,19 @@ class Configuration:
     ) -> "Configuration":
         """The configuration with `removed` taken out and `added` put in.
 
-        The result equals `Configuration` over the remaining facts in
-        canonical order followed by `added`: each added fact goes after the
-        facts whose sort keys equal its own, as the stable sort puts it.
+        The result equals `Configuration` over the remaining facts and
+        `added`: each removed fact is found by bisection and each added fact
+        inserted by it, so nothing is sorted again.
         """
         facts = list(self._canonical)
         key = TimedFact.sort_key
         time = self._time
         times = 1
         for f in removed:
-            k = f.sort_key()
-            i = bisect_left(facts, k, key=key)
-            # facts with equal keys may still differ (a constant's type is
-            # not part of its key), so the match is confirmed with ==
-            while i < len(facts) and facts[i].sort_key() == k:
-                if facts[i] == f:
-                    del facts[i]
-                    break
-                i += 1
-            else:
+            i = bisect_left(facts, f.sort_key(), key=key)
+            if i == len(facts) or facts[i] != f:
                 raise KernelError(f"cannot remove absent fact {f}")
+            del facts[i]
             if f.pred == TIME_PREDICATE:
                 times -= 1
         for f in added:

@@ -252,7 +252,10 @@ def witness_to_json(witness: Union[WitnessTree, dict]) -> str:
 
 
 def witness_from_json(text: str) -> dict:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise EngineError(f"witness file is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise EngineError("witness file must contain a JSON object")
     return data

@@ -41,6 +41,7 @@ from .kernel import (
 )
 
 GLOBAL_TIME_VAR = "T"
+TICK_STEP = "Tick"  # a time advance's step label, so no rule may take the name
 
 
 class RuleError(ValueError):
@@ -251,6 +252,8 @@ class Rule:
     role: RuleRole = RuleRole.SYSTEM
 
     def __post_init__(self) -> None:
+        if self.name == TICK_STEP:
+            raise RuleError(f"rule name {TICK_STEP} is reserved for the time advance")
         for p in (*self.side, *self.consumed):
             if p.atom.pred == TIME_PREDICATE:
                 raise RuleError(
@@ -386,17 +389,16 @@ class Rule:
         return replace(self, guard=self.guard + tuple(extra))
 
     def __str__(self) -> str:
-        parts = []
-        if self.side:
-            parts.append("pre: " + ", ".join(str(p) for p in self.side))
-        if self.consumed:
-            parts.append("consume: " + ", ".join(str(p) for p in self.consumed))
-        if self.created:
-            parts.append("create: " + ", ".join(str(c) for c in self.created))
-        written = [c for c in self.guard if not c.implicit]
-        if written:
-            parts.append("guard: " + ", ".join(str(c) for c in written))
-        return f"rule {self.role.value} {self.name} {{ " + "; ".join(parts) + " }"
+        """The rule's block in a scenario file, without implicit constraints."""
+        written = tuple(c for c in self.guard if not c.implicit)
+        lines = [f"rule {self.role.value} {self.name} {{"]
+        for clause, items in zip(
+            ("pre", "consume", "create", "guard"),
+            (self.side, self.consumed, self.created, written),
+        ):
+            if items:
+                lines.append(f"  {clause}: " + ", ".join(map(str, items)) + ";")
+        return "\n".join([*lines, "}"])
 
 
 Binding = dict[str, Union[Term, int]]
@@ -844,12 +846,11 @@ def find_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     if not raw:
         return []
     fresh = _canonical_fresh(rule, config)
-    instances: dict[str, RuleInstance] = {}
+    instances = []
     for sigma in raw:
         sigma.update(fresh)
-        inst = RuleInstance(rule, tuple(sorted(sigma.items(), key=lambda kv: kv[0])))
-        instances.setdefault(inst.key(), inst)
-    return [instances[k] for k in sorted(instances)]
+        instances.append(RuleInstance(rule, tuple(sorted(sigma.items()))))
+    return sorted(instances, key=RuleInstance.key)
 
 
 def _time_view(sigma: Binding) -> dict[str, int]:

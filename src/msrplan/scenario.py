@@ -655,19 +655,7 @@ def pretty_print(scenario: PlanningScenario) -> str:
     facts = ",\n  ".join(str(f) for f in scenario.initial.canonical_order())
     out.append("init {\n  " + facts + "\n}")
     out.append("")
-    for rule in (*scenario.system_rules, *scenario.update_rules):
-        lines = [f"rule {rule.role.value} {rule.name} {{"]
-        if rule.side:
-            lines.append("  pre: " + ", ".join(str(p) for p in rule.side) + ";")
-        if rule.consumed:
-            lines.append("  consume: " + ", ".join(str(p) for p in rule.consumed) + ";")
-        if rule.created:
-            lines.append("  create: " + ", ".join(str(c) for c in rule.created) + ";")
-        written = [c for c in rule.guard if not c.implicit]
-        if written:
-            lines.append("  guard: " + ", ".join(str(c) for c in written) + ";")
-        lines.append("}")
-        out.append("\n".join(lines))
+    out.extend(str(rule) for rule in (*scenario.system_rules, *scenario.update_rules))
     out.append("")
     for pair in scenario.goal_spec.pairs:
         out.append(f"goal {{ {pair} }}")

@@ -109,18 +109,20 @@ class Checker:
 
     def _covered(self, config: Configuration, n: int) -> bool:
         """Every update applicable at an admitting state must lead to a state
-        that is resilient one update level down."""
+        that is resilient one update level down.  On failure `refutation` is
+        one chain: the defeating update, then what the inner decision left."""
         if not self.admits_updates(config, n):
             return True
         updates = successors(config, self.scenario.update_rules, advance=False)
         for inst, updated in updates:
+            self.refutation = ()
             if not self.decide(updated, n - 1):
                 window = self.deadline - config.global_time
                 chain = (
                     f"update {inst.key()} at t={config.global_time} admits no "
                     f"({n - 1},{window},{self.b})-resilient reaction",
                 )
-                self.refutation = chain + self.refutation[:8]
+                self.refutation = chain + self.refutation
                 return False
         return True
 

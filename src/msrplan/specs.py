@@ -20,6 +20,7 @@ from typing import Iterator, Optional, Union
 
 from .kernel import Configuration, Role, Signature
 from .rules import (
+    TICK_STEP,
     Binding,
     FactPattern,
     MatchPlan,
@@ -120,9 +121,6 @@ def match_spec(
         if found:
             return (i, found[0])
     return None
-
-
-TICK_STEP = "Tick"
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,41 @@ class TestResilience:
         assert code == EXIT_ERROR
 
 
+class TestMalformedInput:
+    """Each malformed input exits 2 with one `error:` line on stderr."""
+
+    @staticmethod
+    def error_line(capsys, *argv: str) -> str:
+        code = cli_dispatch(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        return line
+
+    def test_delta_rejects_dmax_zero(self, capsys, minimal_file):
+        line = self.error_line(capsys, "delta", minimal_file, "--dmax", "0")
+        assert line == "error: dmax must be at least 1"
+
+    def test_verify_rejects_a_witness_that_is_not_json(
+        self, capsys, minimal_file, tmp_path
+    ):
+        witness = tmp_path / "w.json"
+        witness.write_text("{ not json", encoding="utf-8")
+        line = self.error_line(
+            capsys,
+            "resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1",
+            "--verify", str(witness),
+        )
+        assert line.startswith("error: witness file is not JSON: ")
+
+    def test_undecodable_input_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.msr"
+        bad.write_bytes(b"types t;\n# caf\xe9\n")
+        line = self.error_line(capsys, "validate", str(bad))
+        assert "can't decode byte 0xe9" in line
+
+
 class TestQbfPipeline:
     def test_eval_exit_codes(self, capsys, tmp_path):
         f_true = tmp_path / "t.qdimacs"

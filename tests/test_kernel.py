@@ -115,6 +115,15 @@ class TestConfigurationInvariants:
         }
         assert list(c.by_pred()) == ["Time", "P", "Q"]
 
+    def test_same_facts_in_any_order_are_one_configuration(self):
+        # facts that differ only in a constant's type still have distinct keys
+        a, b = fact("G0", 0, Constant("a", "obj")), fact("G0", 0, Constant("a", "obj2"))
+        time = fact("Time", 0)
+        one, other = Configuration([time, a, b, a]), Configuration([time, a, a, b])
+        assert one == other and hash(one) == hash(other)
+        assert one.canonical_order() == (time, a, a, b)
+        assert one.by_pred()["G0"] == [a, b]
+
     def test_rendering(self):
         c = Configuration(
             [fact("Time", 5), fact("P", 3, Constant("a", "t"))]
@@ -139,8 +148,8 @@ def _explored_configurations() -> list[Configuration]:
 
 
 def _twin(f: TimedFact) -> TimedFact:
-    """A fact with `f`'s sort key that differs from `f`: its constants keep
-    their names but change type (a constant's type is not in the key)."""
+    """A fact that differs from `f` only in its constants' types: they keep
+    their names."""
     args = tuple(
         Constant(a.name, a.base_type + "2") if isinstance(a, Constant) else a
         for a in f.args
@@ -195,9 +204,7 @@ class TestReplace:
         yield [], [dup, dup], False
         yield [dup], [dup, dup.at(dup.ts + 1)], False
         yield rng.sample(others, min(3, len(others))), [dup.at(time.ts + 2)], False
-        # an added fact whose key equals a present one's but which differs;
-        # it goes in after any added copy of `base`, since copies sit side
-        # by side only where no twin lies between them
+        # an added fact that differs from a present one only in a constant's type
         base = rng.choice(others)
         twin = _twin(base)
         yield [], [twin], twin != base
@@ -233,7 +240,7 @@ class TestReplace:
         both = base.replace([], [p2])
         assert both.canonical_order() == (fact("Time", 0), p, p, p2)
         p3 = fact("P", 1, Constant("a", "v"))
-        assert base.replace([], [p3, p2]).canonical_order() == (fact("Time", 0), p, p, p3, p2)
+        assert base.replace([], [p3, p2]).canonical_order() == (fact("Time", 0), p, p, p2, p3)
         assert both.replace([], [p3]).canonical_order() == (fact("Time", 0), p, p, p2, p3)
         assert both.replace([p2], []) == base
         assert both.replace([p], []).canonical_order() == (fact("Time", 0), p, p2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenario, travel_with_start
+from conftest import qbf_mix, random_scenario, travel_with_start
 from msrplan import resilience
 from msrplan.delta import abstract, delta_key
 from msrplan.kernel import TIME_PREDICATE
@@ -134,6 +134,20 @@ class TestCheckResilience:
         assert result.refutation[0].endswith(
             "at t=120 admits no (0,0,220)-resilient reaction"
         )
+
+    def test_refutation_is_one_chain(self):
+        # one line per update level on the failing path: no stale lines left
+        # by other failed branches, none repeated
+        refuted = 0
+        for q in qbf_mix():
+            result = check_resilience(qbf_to_scenario(q), ResilienceQuery(q.n, 1, 0))
+            if result.resilient or q.n == 0:
+                continue
+            refuted += 1
+            lines = result.refutation
+            assert 1 <= len(lines) <= q.n
+            assert len(set(lines)) == len(lines)
+        assert refuted >= 5
 
     def test_base_case_equals_goal_search(self, travel, minimal):
         cases = [minimal, travel_with_start(travel, 45), travel_with_start(travel, 121)]

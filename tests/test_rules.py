@@ -115,6 +115,23 @@ class TestMatching:
         )
         assert len(find_matches(rule, two_p)) == 1
 
+    def test_each_binding_once_over_constants_that_share_a_name(self):
+        a, a2 = Constant("a", "obj"), Constant("a", "obj2")
+        config = Configuration(
+            [fact("Time", 0), fact("G0", 0, a), fact("G0", 0, a2), fact("G0", 0, a)]
+        )
+        # an untyped variable binds either constant; the two bindings render
+        # alike but are distinct instances
+        for btype, expected in (("obj", [a]), ("", [a, a2])):
+            rule = Rule(
+                "take",
+                (),
+                (FactPattern(Atom("G0", (Variable("x", btype),)), "T1"),),
+                (CreatedFact(Atom("N"), 1),),
+                (),
+            )
+            assert [i.sigma["x"] for i in find_matches(rule, config)] == expected
+
     def test_fresh_constants_are_injective_and_deterministic(self):
         rule = Rule(
             "mint",
@@ -244,6 +261,11 @@ class TestRuleWellFormedness:
             )
         with pytest.raises(RuleError):
             Rule("bad", (), (), (CreatedFact(Atom("Time"), 1),), ())
+
+    def test_tick_is_reserved(self):
+        # a witness step naming such a rule would replay as a time advance
+        with pytest.raises(RuleError, match="^rule name Tick is reserved for the time advance$"):
+            Rule("Tick", (), (FactPattern(Atom("N"), "T1"),), (CreatedFact(Atom("M"), 1),), ())
 
     def test_guard_variables_must_occur_in_precondition(self):
         with pytest.raises(RuleError):

@@ -156,6 +156,13 @@ class TestDiagnostics:
             "bad.msr:5:1: expected a rule role, found 'end of file'",
         ]
 
+    def test_tick_rule_name_is_located(self):
+        text = bundled_text("minimal.msr").replace("rule system hop", "rule system Tick")
+        err = self.parse_error(text)
+        assert [d.render("bad.msr") for d in err.diagnostics] == [
+            "bad.msr:21:13: rule name Tick is reserved for the time advance",
+        ]
+
     def test_function_terms_rejected_in_files(self):
         err = self.parse_error(
             """
