@@ -45,9 +45,16 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
+def _read(path: str) -> str:
+    """The text of an input file; an error names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
+
+
 def _load_scenario(path: str) -> PlanningScenario:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_scenario(text, filename=path)
+    return parse_scenario(_read(path), filename=path)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -97,7 +104,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.file)
     query = ResilienceQuery(args.n, args.a, args.b)
     if args.verify:
-        data = witness_from_json(Path(args.verify).read_text(encoding="utf-8"))
+        data = witness_from_json(_read(args.verify))
         ok, violations = verify_witness(scenario, query, data)
         if ok:
             print("witness verified")
@@ -121,14 +128,14 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
 
 def _cmd_qbf_eval(args: argparse.Namespace) -> int:
-    q = parse_qdimacs(Path(args.file).read_text(encoding="utf-8"))
+    q = parse_qdimacs(_read(args.file))
     value = evaluate_qbf(q)
     print("true" if value else "false")
     return EXIT_YES if value else EXIT_NO
 
 
 def _cmd_qbf_gen(args: argparse.Namespace) -> int:
-    q = parse_qdimacs(Path(args.file).read_text(encoding="utf-8"))
+    q = parse_qdimacs(_read(args.file))
     text = qbf_to_msr_text(q)
     Path(args.output).write_text(text, encoding="utf-8")
     print(f"scenario written to {args.output} (blocks={len(q.blocks)}, clauses={len(q.clauses)})")
@@ -136,8 +143,8 @@ def _cmd_qbf_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_goal(args: argparse.Namespace) -> int:
-    g = parse_graph(Path(args.pattern).read_text(encoding="utf-8"))
-    k = parse_graph(Path(args.target).read_text(encoding="utf-8"))
+    g = parse_graph(_read(args.pattern))
+    k = parse_graph(_read(args.target))
     scenario, config = graph_to_goal_instance(g, k)
     hit = match_spec(scenario.goal_spec, config)
     if args.brute:
@@ -240,7 +247,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except (EngineError, RuleError, SpecError, KernelError, QbfError, DeltaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -6,7 +6,10 @@ tuple, the facts in sort-key order; multiset counts, the hash and the
 per-predicate groups are computed from that tuple on first use, and each
 successor is built from its parent's tuple by bisection rather than a fresh
 sort.  All values here are immutable and safe to share between concurrent
-searches.
+searches.  The match plans that rules and specifications keep
+(`rules.MatchPlan`) change in one way only: each counts its calls and, once
+hot, sets its generated function once.  The counter is not locked, since a
+lost increment only delays generation.
 """
 
 from __future__ import annotations

@@ -471,32 +471,44 @@ def _vertex_signature(n: int) -> Signature:
     )
 
 
-def graph_to_goal_instance(
-    g: Graph, k: Graph
-) -> tuple[PlanningScenario, Configuration]:
-    """Encode `does a homomorphism g -> k exist` as goal recognition.
-
-    The goal pattern carries one edge atom per edge of `g` over per-vertex
-    variables; the configuration holds the edges of `k` as ground facts.  The
-    pattern matches the configuration exactly when a homomorphism exists.
-    """
-    if not g.vertices or not k.vertices:
+def graph_goal_spec(g: Graph) -> ConfigSpec:
+    """The goal specification with one edge atom per edge of `g` over
+    per-vertex variables; it matches `graph_host(k)` exactly when a
+    homomorphism g -> k exists."""
+    if not g.vertices:
         raise QbfError("graphs must be nonempty")
-    signature = _vertex_signature(len(k.vertices))
-    k_const = {
-        name: Constant(f"kv_{i}", "vertex") for i, name in enumerate(k.vertices)
-    }
     g_var = {name: Variable(f"x{i}", "vertex") for i, name in enumerate(g.vertices)}
     pattern = tuple(
         FactPattern(Atom("R", (g_var[u], g_var[v])), f"T{idx}")
         for idx, (u, v) in enumerate(g.edges, start=1)
     )
-    goal = ConfigSpec(SpecKind.GOAL, (SpecPair(pattern),))
+    return ConfigSpec(SpecKind.GOAL, (SpecPair(pattern),))
+
+
+def graph_host(k: Graph) -> Configuration:
+    """The configuration holding the edges of `k` as ground facts."""
+    if not k.vertices:
+        raise QbfError("graphs must be nonempty")
+    k_const = {
+        name: Constant(f"kv_{i}", "vertex") for i, name in enumerate(k.vertices)
+    }
     facts = [TimedFact("Time", (), 0)]
     facts += [TimedFact("R", (k_const[u], k_const[v]), 0) for u, v in k.edges]
-    config = Configuration(facts)
+    return Configuration(facts)
+
+
+def graph_to_goal_instance(
+    g: Graph, k: Graph
+) -> tuple[PlanningScenario, Configuration]:
+    """Encode `does a homomorphism g -> k exist` as goal recognition.
+
+    The goal pattern `graph_goal_spec(g)` matches the configuration
+    `graph_host(k)` exactly when a homomorphism exists.
+    """
+    goal = graph_goal_spec(g)
+    config = graph_host(k)
     scenario = PlanningScenario(
-        signature=signature,
+        signature=_vertex_signature(len(k.vertices)),
         system_rules=(),
         update_rules=(),
         goal_spec=goal,

@@ -12,7 +12,9 @@ every admissible update point on it, the witness one update level down.
 The verifier is a separate traversal that replays annotations and re-derives
 every obligation; it shares no pruning with the checker and serves as an
 internal oracle for it.  `enumerate_update_points` is its own enumeration of
-update points, independent of the engine's.
+update points, independent of the engine's.  Both match only through the
+match plans' interpreter (`interpret_matches`, `specs.interpret_spec`),
+never through the functions the engine generates for hot plans.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ from .rules import (
     Rule,
     RuleInstance,
     apply_instance,
-    find_matches,
+    interpret_matches,
     is_applicable,
     tick,
 )
 from .scenario import PlanningScenario
 from .search import Checker, successors
-from .specs import TICK_STEP, Trace, TraceStep, match_spec
+from .specs import TICK_STEP, Trace, TraceStep, interpret_spec
 
 ETA_CAP = 6
 
@@ -97,7 +99,7 @@ def enumerate_update_points(
         if config.global_time - t0 > window:
             continue
         for rule in scenario.update_rules:
-            for inst in find_matches(rule, config):
+            for inst in interpret_matches(rule, config):
                 dedup = (config, inst.key())
                 if dedup in seen:
                     continue
@@ -381,10 +383,10 @@ def _verify_node(
     if trace is None:
         return
     for index, config in enumerate(trace.configurations()):
-        if match_spec(scenario.critical_spec, config) is not None:
+        if interpret_spec(scenario.critical_spec, config) is not None:
             violations.append(f"{where}: not compliant at step {index}")
             return
-    if match_spec(scenario.goal_spec, trace.final) is None:
+    if interpret_spec(scenario.goal_spec, trace.final) is None:
         violations.append(f"{where}: trace does not end in a goal configuration")
         return
     if trace.tick_count() > query.a + query.b:

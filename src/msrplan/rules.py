@@ -14,6 +14,18 @@ guard constraint into a bound on one step's fact timestamp: an ``=``
 constraint against a bound variable anchors the timestamp exactly, and
 candidates are filtered on it before any binding is made.  A rule plan may
 put anchored patterns first because `find_matches` sorts its instances.
+
+A plan runs in two tiers.  A cold plan is interpreted: `_extend` walks its
+steps.  After `HOT_CALLS` calls the plan emits Python source from the same
+steps, one ``for`` loop per step with bounds, positions and ground terms as
+locals or constants, and compiles it; a plan longer than `CHAIN_STEPS`
+steps chains several such functions, since Python rejects more than 20
+nested blocks.  Generation costs as much as a few hundred interpreted calls,
+so a specification built for a single query (the graph reduction builds one
+per pair) stays interpreted, and so does a plan with a non-ground function
+term.  The witness verifier matches only through the interpreter
+(`MatchPlan.interpret`, `interpret_matches`), so the oracle that certifies
+the engine never runs generated code.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .kernel import (
     MAX_TIMESTAMP,
@@ -42,6 +54,15 @@ from .kernel import (
 
 GLOBAL_TIME_VAR = "T"
 TICK_STEP = "Tick"  # a time advance's step label, so no rule may take the name
+
+# Emitting and compiling a plan's function takes 0.2-1.2 ms, as long as about
+# 200 interpreted calls (1-4 us each), so a plan is generated on its 200th
+# call: one matched once per query never pays for generation.
+HOT_CALLS = 200
+
+# Python rejects more than 20 statically nested blocks; a generated function
+# holds at most this many step loops and hands the rest to the next one.
+CHAIN_STEPS = 10
 
 
 class RuleError(ValueError):
@@ -526,11 +547,20 @@ class MatchPlan:
     before looking at any argument.  Constraints over a single variable are
     decided at compile time.
 
-    One binding dict is extended in place.  A step writes only names that no
-    earlier step binds, so backtracking needs no undo.
+    The interpreter extends one binding dict in place.  A step writes only
+    names that no earlier step binds, so backtracking needs no undo.
+
+    `bindings` counts its calls and interprets until the count reaches
+    `HOT_CALLS`; then it generates the plan's function (`generate`) and runs
+    that from then on.  `interpret` never counts and never generates: it is
+    the verifier's entry.  The count is the plan's only state that changes
+    during matching, besides the generated function set once; a lost
+    increment under concurrent use only delays generation.
     """
 
-    __slots__ = ("steps", "preds", "claims", "never", "precondition")
+    __slots__ = (
+        "steps", "preds", "claims", "never", "precondition", "calls", "run", "source",
+    )
 
     def __init__(
         self,
@@ -580,12 +610,41 @@ class MatchPlan:
             pat = remaining.pop(_next_pattern(remaining, bound, by_var) if precondition else 0)
             steps.append(_Step.compile(pat, bound, by_var, pat.atom.pred in shared))
         self.steps = tuple(steps)
+        self.calls = 0
+        self.source: Optional[str] = None  # the generated source, once hot
+        # the function `bindings` runs; a plan that cannot be generated
+        # starts on the interpreter for good
+        self.run: Optional[Callable[[Configuration], list[Binding]]] = None
+        if self.never or not self.steps or any(s.nested is not None for s in self.steps):
+            self.run = self.interpret
 
     def bindings(self, config: Configuration) -> list[Binding]:
         """The complete bindings in step order over the configuration's
         canonical order.  A precondition's plan starts from ``T`` bound to the
         global time and finds every binding; a specification pair's plan
-        starts empty and stops at the first."""
+        starts empty and stops at the first.  Both tiers return the same
+        list, key order included."""
+        run = self.run
+        if run is None:
+            self.calls += 1
+            if self.calls < HOT_CALLS:
+                return self.interpret(config)
+            run = self.generate()
+        return run(config)
+
+    def generate(self) -> Callable[[Configuration], list[Binding]]:
+        """Emit and compile this plan's function, keep it and its source on
+        the plan, and return it.  Only a plan whose `run` is still None may
+        be generated: one that can match, has steps, and holds no nested
+        function term."""
+        source, namespace = _emit(self)
+        exec(compile(source, "<match plan>", "exec"), namespace)
+        self.source = source
+        self.run = namespace["match"]
+        return self.run
+
+    def interpret(self, config: Configuration) -> list[Binding]:
+        """`bindings` on the interpreter alone."""
         by_pred = config.by_pred()
         if self.never:
             return []
@@ -792,6 +851,144 @@ def _unify_args(
     return sigma
 
 
+def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
+    """Python source of `plan`'s function ``match(config)`` and the namespace
+    it runs in, which holds the plan's ground terms and tuples.
+
+    The function does what `interpret` does, step for step: one ``for``
+    loop per step over the facts of its predicate, the step's timestamp
+    bounds and argument tuple computed before its loop, each bound name kept
+    in a local, and one dict literal per complete binding, whose keys follow
+    the order in which the interpreter inserts them."""
+    namespace: dict[str, object] = {"_TYPED": (Constant, FreshConstant)}
+    facts = {pred: f"p{j}" for j, pred in enumerate(plan.preds)}
+    names: dict[str, str] = {}  # binding name -> local, in binding order
+    first = not plan.precondition
+    passed = [*facts.values(), *(["available"] if plan.claims else []), "out"]
+    parts: list[list[str]] = []
+
+    def const(value: object) -> str:
+        name = f"k{len(namespace) - 1}"
+        namespace[name] = value
+        return name
+
+    def local(name: str) -> str:
+        names[name] = f"v{len(names)}"
+        return names[name]
+
+    def bound(
+        lines: list[str],
+        pad: str,
+        target: str,
+        pairs: tuple[tuple[str, int], ...],
+        pick: Callable[[int, int], int],
+    ) -> Optional[str]:
+        """A local or expression holding one side of a step's timestamp
+        bound, computed before its loop; None for no bound.  Of several
+        offsets from one name only the tightest is kept."""
+        tightest: dict[str, int] = {}
+        for n, k in pairs:
+            tightest[n] = pick(k, tightest.get(n, k))
+        terms = [
+            f"{names[n]} + {k}" if k > 0 else f"{names[n]} - {-k}" if k else names[n]
+            for n, k in tightest.items()
+        ]
+        if not terms:
+            return None
+        if terms[0].isidentifier() and len(terms) == 1:
+            return terms[0]
+        value = terms[0] if len(terms) == 1 else f"{pick.__name__}({', '.join(terms)})"
+        lines.append(f"{pad}{target} = {value}")
+        return target
+
+    def emit(lines: list[str], i: int, start: int, depth: int, done: str) -> None:
+        """Steps i.. at `depth`; `done` ends a search stopped at its first binding."""
+        pad = "    " * depth
+        if i == len(plan.steps):
+            items = ", ".join(f"{n!r}: {v}" for n, v in names.items())
+            lines.append(f"{pad}out.append({{{items}}})")
+            if first:
+                lines.append(pad + done)
+            return
+        if i - start == CHAIN_STEPS:
+            params = ", ".join([*passed, *names.values()])
+            call = f"part{len(parts) + 1}({params})"
+            part = [f"def part{len(parts) + 1}({params}):"]
+            parts.append(part)
+            lines += [f"{pad}if {call}:", f"{pad}    {done}"] if first else [pad + call]
+            emit(part, i, i, 1, "return True")
+            return
+        step = plan.steps[i]
+        lo = bound(lines, pad, f"lo{i}", step.lows, max)
+        hi = bound(lines, pad, f"hi{i}", step.highs, min)
+        if step.determined:
+            if step.whole is not None:
+                whole = const(step.whole)
+            else:
+                items = [const(g) if n is None else names[n] for _, n, g in step.fixed]
+                whole = f"w{i}"
+                comma = "," if len(items) == 1 else ""
+                lines.append(f"{pad}{whole} = ({', '.join(items)}{comma})")
+        fact = f"f{i}"
+        lines.append(f"{pad}for {fact} in {facts[step.pred]}:")
+        pad += "    "
+        ts = f"t{i}" if step.tvar is None else local(step.tvar)
+        lines.append(f"{pad}{ts} = {fact}.ts")
+        if lo is not None:
+            lines += [f"{pad}if {ts} < {lo}:", f"{pad}    continue"]
+        if hi is not None:
+            lines += [f"{pad}if {ts} > {hi}:", f"{pad}    break"]
+        if step.determined:
+            lines += [f"{pad}if {fact}.args != {whole}:", f"{pad}    continue"]
+        else:
+            args = f"a{i}"
+            tests = [f"len({args}) != {step.arity}"]
+            tests += [
+                f"{args}[{pos}] != {const(g) if n is None else names[n]}"
+                for pos, n, g in step.fixed
+            ]
+            tests += [f"{args}[{pos}] != {args}[{other}]" for pos, other in step.dups]
+            lines += [
+                f"{pad}{args} = {fact}.args",
+                f"{pad}if {' or '.join(tests)}:",
+                f"{pad}    continue",
+            ]
+            for pos, name, btype in step.binds:
+                value = local(name)
+                lines.append(f"{pad}{value} = {args}[{pos}]")
+                if btype:
+                    lines += [
+                        f"{pad}if isinstance({value}, _TYPED)"
+                        f" and {value}.base_type != {btype!r}:",
+                        f"{pad}    continue",
+                    ]
+        if step.claims:
+            lines += [
+                f"{pad}if available[{fact}] <= 0:",
+                f"{pad}    continue",
+                f"{pad}available[{fact}] -= 1",
+            ]
+        emit(lines, i + 1, start, depth + 1, done)
+        if step.claims:
+            lines.append(f"{pad}available[{fact}] += 1")
+
+    lines = ["def match(config):", "    by_pred = config.by_pred()"]
+    for pred, var in facts.items():
+        lines += [
+            f"    {var} = by_pred.get({pred!r})",
+            f"    if {var} is None:",
+            "        return []",
+        ]
+    lines.append("    out = []")
+    if plan.precondition:
+        lines.append(f"    {local(GLOBAL_TIME_VAR)} = config.global_time")
+    if plan.claims:
+        lines.append("    available = config.counts()")
+    emit(lines, 0, 0, 1, "return out")
+    lines.append("    return out")
+    return "\n".join(line for part in (lines, *parts) for line in part) + "\n", namespace
+
+
 def _next_pattern(
     patterns: list[FactPattern], bound: set[str], by_var: dict[str, list[TimeConstraint]]
 ) -> int:
@@ -842,7 +1039,16 @@ def find_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     embed into the configuration as a multiset and the guard must be
     satisfied; `rule.plan` does both in one pass.
     """
-    raw = rule.plan.bindings(config)
+    return _instances(rule, config, rule.plan.bindings(config))
+
+
+def interpret_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
+    """`find_matches` on the plan's interpreter alone, which never runs
+    generated code: the entry of the witness verifier."""
+    return _instances(rule, config, rule.plan.interpret(config))
+
+
+def _instances(rule: Rule, config: Configuration, raw: list[Binding]) -> list[RuleInstance]:
     if not raw:
         return []
     fresh = _canonical_fresh(rule, config)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .kernel import Configuration, Role, Signature
 from .rules import (
@@ -116,8 +116,24 @@ def match_spec(
     entries may map onto the same fact: the match requires only that every
     substituted pattern occurs in the configuration.
     """
+    return _first_match(spec, config, MatchPlan.bindings)
+
+
+def interpret_spec(
+    spec: ConfigSpec, config: Configuration
+) -> Optional[tuple[int, Binding]]:
+    """`match_spec` on the plans' interpreter alone, which never runs
+    generated code: the entry of the witness verifier."""
+    return _first_match(spec, config, MatchPlan.interpret)
+
+
+def _first_match(
+    spec: ConfigSpec,
+    config: Configuration,
+    run: Callable[[MatchPlan, Configuration], list[Binding]],
+) -> Optional[tuple[int, Binding]]:
     for i, pair in enumerate(spec.pairs):
-        found = pair.plan.bindings(config)
+        found = run(pair.plan, config)
         if found:
             return (i, found[0])
     return None
@@ -217,11 +233,12 @@ class ComplianceResult:
 
 
 def check_compliance(trace: Trace, critical: ConfigSpec) -> ComplianceResult:
-    """OK iff no configuration in the trace (including the initial one) is critical."""
+    """OK iff no configuration in the trace (including the initial one) is
+    critical.  A checker of traces, it matches on the interpreter alone."""
     if critical.kind is not SpecKind.CRITICAL:
         raise SpecError("compliance is checked against a critical specification")
     for index, config in enumerate(trace.configurations()):
-        hit = match_spec(critical, config)
+        hit = interpret_spec(critical, config)
         if hit is not None:
             pair_index, sigma = hit
             return ComplianceResult(

@@ -23,12 +23,14 @@ from conftest import (
     travel_with_start,
 )
 from msrplan.delta import abstract, lift, tock, tock_oracle
-from msrplan.kernel import Configuration, TimedFact
+from msrplan.kernel import Configuration, Constant, TimedFact, Variable
 from msrplan.reductions import (
     Graph,
     Qbf,
     brute_force_homomorphism,
     evaluate_qbf,
+    graph_goal_spec,
+    graph_host,
     graph_to_goal_instance,
     qbf_to_scenario,
 )
@@ -38,10 +40,10 @@ from msrplan.resilience import (
     verify_witness,
     witness_to_dict,
 )
-from msrplan.rules import apply_instance, find_matches, tick
+from msrplan.rules import Atom, FactPattern, apply_instance, find_matches, tick
 from msrplan.scenario import infer_dmax
 from msrplan.search import find_compliant_goal_trace, instantaneous_run_lengths, successors
-from msrplan.specs import TICK_STEP, match_spec
+from msrplan.specs import TICK_STEP, ConfigSpec, SpecKind, SpecPair, match_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -302,15 +304,27 @@ def _four_vertex_classes() -> list[Graph]:
 
 @pytest.mark.slow
 def test_criterion_6_graph_homomorphism_recognizer():
+    """Each pattern's specification is built once in the outer loop and each
+    host configuration once before the loops, as `graph_to_goal_instance`
+    composes them; every specification then serves enough pairs to have its
+    match plan generated, so the oracle also checks generated (and, past
+    `CHAIN_STEPS` edges, chained) plans."""
     started = time.time()
     mism = []
 
-    def check(g: Graph, k: Graph) -> None:
-        scenario, config = graph_to_goal_instance(g, k)
-        engine = match_spec(scenario.goal_spec, config) is not None
+    def check(spec, host, g: Graph, k: Graph) -> None:
+        engine = match_spec(spec, host) is not None
         oracle = brute_force_homomorphism(g, k) is not None
         if engine != oracle:
             mism.append((g, k))
+
+    def sweep(graphs: list[Graph]) -> int:
+        hosts = [(k, graph_host(k)) for k in graphs]
+        for g in graphs:
+            spec = graph_goal_spec(g)
+            for k, host in hosts:
+                check(spec, host, g, k)
+        return len(graphs) ** 2
 
     # exhaustive over every labeled digraph pair with up to 3 vertices each
     small = []
@@ -318,18 +332,10 @@ def test_criterion_6_graph_homomorphism_recognizer():
         names = "abc"[:n]
         for edges in _all_digraphs(n):
             small.append(Graph(tuple(names), edges))
-    pairs = 0
-    for g in small:
-        for k in small:
-            check(g, k)
-            pairs += 1
+    pairs = sweep(small)
 
     # all 4-vertex digraph pairs, reduced to isomorphism classes
-    classes = _four_vertex_classes()
-    for g in classes:
-        for k in classes:
-            check(g, k)
-            pairs += 1
+    pairs += sweep(_four_vertex_classes())
 
     # 500 random pairs with up to 5 vertices
     rng = random.Random(66)
@@ -347,7 +353,9 @@ def test_criterion_6_graph_homomorphism_recognizer():
             for v in "abcde"[:nv_k]
             if rng.random() < 0.35
         )
-        check(Graph(tuple("abcde"[:nv_g]), g_edges), Graph(tuple("abcde"[:nv_k]), k_edges))
+        g = Graph(tuple("abcde"[:nv_g]), g_edges)
+        k = Graph(tuple("abcde"[:nv_k]), k_edges)
+        check(graph_goal_spec(g), graph_host(k), g, k)
         pairs += 1
 
     triangle = Graph(("a", "b", "c"), (("a", "b"), ("b", "c"), ("c", "a")))
@@ -357,7 +365,42 @@ def test_criterion_6_graph_homomorphism_recognizer():
     pairs += 1
 
     assert not mism, mism[:3]
+    assert pairs == 328_925
     _report(6, f"{pairs} graph pairs agree with the brute-force oracle", started)
+
+
+def _per_pair_instance(g: Graph, k: Graph) -> tuple[ConfigSpec, Configuration]:
+    """The goal and configuration criterion 6 used to build for every pair,
+    written out as the reference for the pieces built once per graph."""
+    k_const = {name: Constant(f"kv_{i}", "vertex") for i, name in enumerate(k.vertices)}
+    g_var = {name: Variable(f"x{i}", "vertex") for i, name in enumerate(g.vertices)}
+    pattern = tuple(
+        FactPattern(Atom("R", (g_var[u], g_var[v])), f"T{idx}")
+        for idx, (u, v) in enumerate(g.edges, start=1)
+    )
+    facts = [TimedFact("Time", (), 0)]
+    facts += [TimedFact("R", (k_const[u], k_const[v]), 0) for u, v in k.edges]
+    return ConfigSpec(SpecKind.GOAL, (SpecPair(pattern),)), Configuration(facts)
+
+
+def test_criterion_6_pieces_compose_like_the_instance():
+    """`graph_goal_spec` and `graph_host`, built once per graph, equal the
+    per-pair construction, and `graph_to_goal_instance` composes them, on a
+    slice of criterion 6's small pairs."""
+    small = [
+        Graph(tuple("abc"[:n]), edges)
+        for n in (1, 2, 3)
+        for edges in _all_digraphs(n)
+    ]
+    hosts = [(k, graph_host(k)) for k in small[5::41]]
+    for g in small[::37]:
+        spec = graph_goal_spec(g)
+        for k, host in hosts:
+            goal, config = _per_pair_instance(g, k)
+            assert spec == goal and host == config
+            scenario, initial = graph_to_goal_instance(g, k)
+            assert scenario.goal_spec == goal and initial == scenario.initial == config
+            assert match_spec(spec, host) == match_spec(goal, config)
 
 
 def test_criterion_7_travel_qualitative_pattern(travel):

@@ -172,6 +172,30 @@ class TestMalformedInput:
         line = self.error_line(capsys, "validate", str(bad))
         assert "can't decode byte 0xe9" in line
 
+    def test_undecodable_scenario_is_named(self, capsys, minimal_file, tmp_path):
+        bad = tmp_path / "bad.msr"
+        bad.write_bytes(b"\xff\xfe")
+        witness = tmp_path / "w.json"
+        witness.write_text("{}", encoding="utf-8")
+        line = self.error_line(
+            capsys,
+            "resilience", str(bad), "-n", "1", "-a", "2", "-b", "1",
+            "--verify", str(witness),
+        )
+        assert line.startswith(f"error: {bad}: ")
+        assert "can't decode byte 0xff" in line
+
+    def test_undecodable_witness_is_named(self, capsys, minimal_file, tmp_path):
+        witness = tmp_path / "w.json"
+        witness.write_bytes(b"\xff\xfe")
+        line = self.error_line(
+            capsys,
+            "resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1",
+            "--verify", str(witness),
+        )
+        assert line.startswith(f"error: {witness}: ")
+        assert "can't decode byte 0xff" in line
+
 
 class TestQbfPipeline:
     def test_eval_exit_codes(self, capsys, tmp_path):

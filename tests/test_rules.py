@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -9,15 +12,28 @@ from hypothesis import strategies as st
 from conftest import (
     brute_find_matches,
     explored_states,
+    qbf_mix,
     random_guarded_rule,
     random_scenario,
+    random_spec,
 )
 from msrplan.kernel import Configuration, Constant, Role, TimedFact, Variable, make_signature
+from msrplan.reductions import (
+    Graph,
+    brute_force_homomorphism,
+    graph_goal_spec,
+    graph_host,
+    qbf_to_scenario,
+)
+from msrplan.resilience import ResilienceQuery, check_resilience, verify_witness
 from msrplan.rules import (
+    CHAIN_STEPS,
+    HOT_CALLS,
     Atom,
     CreatedFact,
     EngineError,
     FactPattern,
+    MatchPlan,
     Rule,
     RuleError,
     RuleRole,
@@ -27,7 +43,9 @@ from msrplan.rules import (
     find_matches,
     tick,
 )
+from msrplan.scenario import load_bundled
 from msrplan.search import successors
+from msrplan.specs import SpecKind
 
 
 def fact(pred: str, ts: int, *args) -> TimedFact:
@@ -505,3 +523,158 @@ class TestBalancePreservation:
                 for _, nxt in successors(config, scenario.rules()):
                     if visited + len(frontier) < 60:
                         frontier.append(nxt)
+
+
+def _fresh_plans(scenario) -> list[MatchPlan]:
+    """New plans for every rule and specification pair of `scenario`, so no
+    test sees a tier that another one brought about."""
+    plans = [
+        MatchPlan((*r.side, *r.consumed), r.guard, precondition=True)
+        for r in scenario.rules()
+    ]
+    for spec in (scenario.goal_spec, scenario.critical_spec):
+        plans += [MatchPlan(pair.pattern, pair.constraints) for pair in spec.pairs]
+    return plans
+
+
+def _same_tiers(plans: list[MatchPlan], configs: list[Configuration]) -> int:
+    """Assert that each generated plan returns what its interpreter returns,
+    list and key order included; the number of bindings compared."""
+    found = 0
+    for plan in plans:
+        if plan.run is not None:  # stays interpreted
+            continue
+        generated = plan.generate()
+        for config in configs:
+            want = plan.interpret(config)
+            got = generated(config)
+            assert [list(b.items()) for b in got] == [list(b.items()) for b in want], (
+                plan.source
+            )
+            found += len(want)
+    return found
+
+
+class TestGeneratedTier:
+    """The generated tier of `MatchPlan` against its interpreter."""
+
+    def test_scenario_plans(self, travel, minimal):
+        scenarios = [travel, minimal]
+        scenarios += [
+            random_scenario(seed, progressing=seed % 2 == 0, with_updates=True)
+            for seed in range(40)
+        ]
+        found = 0
+        for scenario in scenarios:
+            found += _same_tiers(_fresh_plans(scenario), explored_states(scenario, 60))
+        assert found > 1000
+
+    def test_qbf_plans(self):
+        found = 0
+        for formula in qbf_mix()[:40]:
+            scenario = qbf_to_scenario(formula)
+            found += _same_tiers(_fresh_plans(scenario), explored_states(scenario, 30))
+        assert found > 1000
+
+    def test_random_rule_and_spec_plans(self):
+        rng = random.Random(12)
+        found = 0
+        for seed in range(60):
+            scenario = random_scenario(seed, progressing=seed % 3 == 0, with_updates=True)
+            states = explored_states(scenario, 40)
+            plans = []
+            for k in range(4):
+                rule = random_guarded_rule(rng, f"g{k}")
+                plans.append(MatchPlan((*rule.side, *rule.consumed), rule.guard, precondition=True))
+                pair = random_spec(rng, SpecKind.GOAL).pairs[0]
+                plans.append(MatchPlan(pair.pattern, pair.constraints))
+            found += _same_tiers(plans, states)
+        assert found > 1000
+
+    def test_long_graph_spec_chains(self):
+        rng = random.Random(21)
+        names = tuple("abcde")
+        edges = tuple((u, v) for u in names for v in names)[:22]
+        g = Graph(names, edges)
+        [pair] = graph_goal_spec(g).pairs
+        assert len(pair.pattern) > 2 * CHAIN_STEPS
+        hosts = [Graph(("u",), (("u", "u"),)), Graph(names, edges)]
+        for _ in range(20):
+            vertices = tuple("uvwxyz"[: rng.randint(2, 6)])
+            hosts.append(
+                Graph(vertices, tuple((u, v) for u in vertices for v in vertices if rng.random() < 0.6))
+            )
+        plan = MatchPlan(pair.pattern, pair.constraints)
+        assert _same_tiers([plan], [graph_host(k) for k in hosts]) >= 2
+        assert plan.source.count("\ndef part") == 2
+        for k in hosts:
+            hit = plan.run(graph_host(k))
+            assert bool(hit) == (brute_force_homomorphism(g, k) is not None)
+
+    def test_travel_system_plans_turn_hot(self):
+        scenario = load_bundled("travel.msr")
+        assert all(r.plan.source is None for r in scenario.rules())
+        assert check_resilience(scenario, ResilienceQuery(1, 12, 220)).resilient
+        assert all(r.plan.source is not None for r in scenario.system_rules)
+
+    def test_verifier_runs_no_generated_code(self):
+        """Every plan the check used, hot or not, is generated and then made
+        to raise; the verifier still accepts the witness."""
+        scenario = load_bundled("travel.msr")
+        query = ResilienceQuery(1, 12, 220)
+        result = check_resilience(scenario, query)
+
+        def broken(config):
+            raise AssertionError("generated code ran")
+
+        plans = [r.plan for r in scenario.rules()] + [
+            pair.plan
+            for spec in (scenario.goal_spec, scenario.critical_spec)
+            for pair in spec.pairs
+        ]
+        for plan in plans:
+            if plan.run is None:
+                plan.generate()
+            plan.run = broken
+        with pytest.raises(AssertionError, match="generated code ran"):
+            find_matches(scenario.system_rules[0], scenario.initial)
+        assert verify_witness(scenario, query, result.witness) == (True, [])
+
+    def test_shared_plan_under_threads(self, travel):
+        """Threads share one cold plan past `HOT_CALLS`: every call returns
+        the interpreter's bindings, and the plan ends generated however its
+        counter's increments interleave."""
+        rule = travel.system_rules[0]
+        plan = MatchPlan((*rule.side, *rule.consumed), rule.guard, precondition=True)
+        states = explored_states(travel, 40)
+        want = [plan.interpret(c) for c in states]
+        wrong: list[int] = []
+
+        def work() -> None:
+            for _ in range(HOT_CALLS // len(states) + 2):
+                for c, expected in zip(states, want):
+                    if plan.bindings(c) != expected:
+                        wrong.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert plan.source is not None
+
+    def test_generated_source_is_pinned(self, worked_example):
+        board = worked_example.system_rules[0]
+        plan = MatchPlan((*board.side, *board.consumed), board.guard, precondition=True)
+        plan.generate()
+        digest = hashlib.sha256(plan.source.encode()).hexdigest()
+        assert digest == (
+            "3e29ad2e8c536b0b5875961b0cc504281b86a5c60e89cf7f9023d9ce29ec85a7"
+        ), plan.source
