@@ -2,11 +2,14 @@
 
 A configuration is a multiset of timestamped facts containing exactly one
 occurrence of the global-time fact ``Time@t``.  It is stored as its canonical
-tuple, the facts in sort-key order; multiset counts, the hash and the
-per-predicate groups are computed from that tuple on first use, and each
-successor is built from its parent's tuple by bisection rather than a fresh
-sort.  All values here are immutable and safe to share between concurrent
-searches.  The match plans that rules and specifications keep
+tuple, the facts in sort-key order, with a multiset hash, the sum of its fact
+hashes.  A fact computes its sort key and hash when it is built.  Each
+successor is built from its parent plus the change (Zobrist's incremental
+hashing applied to the whole state): the parent's tuple is bisected, its hash
+updated by the removed and added facts, and its per-predicate groups, when
+computed, copied with only the changed predicates' lists rebuilt.  All values
+here are immutable and safe to share between concurrent searches: a parent's
+lists are never mutated.  The match plans that rules and specifications keep
 (`rules.MatchPlan`) change in one way only: each counts its calls and, once
 hot, sets its generated function once.  The counter is not locked, since a
 lost increment only delays generation.
@@ -15,8 +18,9 @@ lost increment only delays generation.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort_right
+from bisect import bisect_left, bisect_right, insort_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
 TIME_PREDICATE = "Time"
@@ -238,7 +242,13 @@ def make_signature(
 
 @dataclass(frozen=True)
 class TimedFact:
-    """A ground atomic fact with a natural-number timestamp."""
+    """A ground atomic fact with a natural-number timestamp.
+
+    Its hash and its sort key are computed when it is built: facts are
+    hashed and ordered constantly during search.  The sort key orders by
+    timestamp ascending, `Time` first among equal timestamps, then predicate
+    name and arguments.  It is a total order: equal keys, equal facts.
+    """
 
     pred: str
     args: tuple[GroundTerm, ...]
@@ -250,9 +260,13 @@ class TimedFact:
         for a in self.args:
             if not is_ground(a):
                 raise KernelError(f"fact argument {a} is not ground")
-        # facts are hashed and re-sorted constantly during search
         object.__setattr__(self, "_hash", hash((self.pred, self.args, self.ts)))
-        object.__setattr__(self, "_sort_key", None)
+        object.__setattr__(self, "sort_key", (
+            self.ts,
+            0 if self.pred == TIME_PREDICATE else 1,
+            self.pred,
+            tuple(map(term_sort_key, self.args)),
+        ))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -264,25 +278,17 @@ class TimedFact:
     def at(self, ts: int) -> "TimedFact":
         return TimedFact(self.pred, self.args, ts)
 
-    def sort_key(self) -> tuple:
-        # Timestamp ascending; Time first among equal timestamps; then
-        # predicate name and arguments.  A total order: equal keys, equal facts.
-        key = self._sort_key  # type: ignore[attr-defined]
-        if key is None:
-            key = (
-                self.ts,
-                0 if self.pred == TIME_PREDICATE else 1,
-                self.pred,
-                tuple(term_sort_key(a) for a in self.args),
-            )
-            object.__setattr__(self, "_sort_key", key)
-        return key
-
     def __str__(self) -> str:
         if self.args:
             inner = ",".join(str(a) for a in self.args)
             return f"{self.pred}({inner})@{self.ts}"
         return f"{self.pred}@{self.ts}"
+
+
+# C-level accessors for sorting, bisecting and hashing facts
+_SORT_KEY = attrgetter("sort_key")
+_FACT_HASH = attrgetter("_hash")
+_HASH_MASK = 2**64 - 1
 
 
 def fact_size(fact: TimedFact) -> int:
@@ -297,49 +303,55 @@ def fact_size(fact: TimedFact) -> int:
 class Configuration:
     """An immutable multiset of timed facts with one global-time fact.
 
-    The state is the canonical tuple: the facts sorted by `TimedFact.sort_key`,
-    a total order on facts, duplicates kept; configurations holding the same
-    multiset have the same tuple.  The multiset counts, the hash and
-    the per-predicate groups are computed from it on first use.  `replace`
-    builds a successor from its parent's tuple without sorting it again.
+    The state is the canonical tuple: the facts sorted by their sort keys, a
+    total order on facts, duplicates kept; configurations holding the same
+    multiset have the same tuple.  The hash is a multiset hash, the sum of
+    the fact hashes mod 2**64, computed when the configuration is built.
+    The multiset counts and the per-predicate groups are computed from the
+    tuple on first use.  `replace` builds a successor in O(changes) Python
+    steps: it bisects the parent's tuple, updates the parent's hash by the
+    removed and added facts, and inherits the parent's groups when they are
+    computed, copying only the lists of the predicates that change.
     """
 
-    __slots__ = ("_canonical", "_time", "_counts", "_hash", "_by_pred")
+    __slots__ = ("_canonical", "_clock", "_hash", "_counts", "_by_pred")
 
     def __init__(self, facts: Iterable[TimedFact]):
-        canonical = tuple(sorted(facts, key=TimedFact.sort_key))
-        times = [f.ts for f in canonical if f.pred == TIME_PREDICATE]
-        if len(times) != 1:
-            raise KernelError(_time_count_message(len(times)))
-        self._fill(canonical, times[0])
+        canonical = tuple(sorted(facts, key=_SORT_KEY))
+        clocks = [f for f in canonical if f.pred == TIME_PREDICATE]
+        if len(clocks) != 1:
+            raise KernelError(_time_count_message(len(clocks)))
+        digest = sum(map(_FACT_HASH, canonical)) & _HASH_MASK
+        self._fill(canonical, clocks[0], digest, None)
 
-    @classmethod
-    def _from_canonical(
-        cls, canonical: tuple[TimedFact, ...], time: int
-    ) -> "Configuration":
-        """A configuration over facts already in canonical order, whose one
-        global-time fact is at `time`; nothing is sorted or checked."""
-        config = object.__new__(cls)
-        config._fill(canonical, time)
-        return config
-
-    def _fill(self, canonical: tuple[TimedFact, ...], time: int) -> None:
+    def _fill(
+        self,
+        canonical: tuple[TimedFact, ...],
+        clock: TimedFact,
+        digest: int,
+        groups: Optional[dict[str, list[TimedFact]]],
+    ) -> None:
         init = object.__setattr__
         init(self, "_canonical", canonical)
-        init(self, "_time", time)
+        init(self, "_clock", clock)
+        init(self, "_hash", digest)
         init(self, "_counts", None)
-        init(self, "_hash", None)
-        init(self, "_by_pred", None)
+        init(self, "_by_pred", groups)
 
     def __setattr__(self, *_args) -> None:  # pragma: no cover
         raise AttributeError("Configuration is immutable")
 
     @property
     def global_time(self) -> int:
-        return self._time
+        return self._clock.ts
+
+    @property
+    def clock(self) -> TimedFact:
+        """The one global-time fact."""
+        return self._clock
 
     def canonical_order(self) -> tuple[TimedFact, ...]:
-        """The facts in the total order of `TimedFact.sort_key`."""
+        """The facts in the total order of their sort keys."""
         return self._canonical
 
     def _multiset(self) -> dict[TimedFact, int]:
@@ -355,7 +367,8 @@ class Configuration:
         return dict(self._multiset())
 
     def by_pred(self) -> dict[str, list[TimedFact]]:
-        """Distinct facts grouped by predicate, in canonical order (cached)."""
+        """Distinct facts grouped by predicate, each group in canonical order
+        (cached; the order of the predicates is unspecified)."""
         cached = self._by_pred
         if cached is None:
             cached = {}
@@ -398,27 +411,53 @@ class Configuration:
 
         The result equals `Configuration` over the remaining facts and
         `added`: each removed fact is found by bisection and each added fact
-        inserted by it, so nothing is sorted again.
+        inserted by it, so nothing is sorted again.  When this configuration's
+        groups are computed, the result's are too: a group changes only when
+        a fact's last copy leaves or its first copy comes in, and a changed
+        group is a copy, so this configuration's lists are never mutated.
         """
         facts = list(self._canonical)
-        key = TimedFact.sort_key
-        time = self._time
+        clock = self._clock
+        digest = self._hash
+        inherited = groups = self._by_pred
+        if groups is not None:
+            groups = dict(groups)
         times = 1
         for f in removed:
-            i = bisect_left(facts, f.sort_key(), key=key)
-            if i == len(facts) or facts[i] != f:
+            key = f.sort_key
+            i = bisect_left(facts, key, key=_SORT_KEY)
+            if i == len(facts) or facts[i].sort_key != key:
                 raise KernelError(f"cannot remove absent fact {f}")
             del facts[i]
+            digest -= f._hash  # type: ignore[attr-defined]
             if f.pred == TIME_PREDICATE:
                 times -= 1
+            if groups is not None and (i == len(facts) or facts[i].sort_key != key):
+                # its last copy left
+                if len(groups[f.pred]) == 1:
+                    del groups[f.pred]
+                else:
+                    group = _own_group(groups, inherited, f.pred)
+                    del group[bisect_left(group, key, key=_SORT_KEY)]
         for f in added:
-            insort_right(facts, f, key=key)
+            key = f.sort_key
+            i = bisect_right(facts, key, key=_SORT_KEY)
+            facts.insert(i, f)
+            digest += f._hash  # type: ignore[attr-defined]
             if f.pred == TIME_PREDICATE:
                 times += 1
-                time = f.ts
+                clock = f
+            if groups is not None and (i == 0 or facts[i - 1].sort_key != key):
+                # its first copy came in
+                if f.pred not in groups:
+                    groups[f.pred] = [f]
+                else:
+                    insort_right(_own_group(groups, inherited, f.pred), f, key=_SORT_KEY)
         if times != 1:
             raise KernelError(_time_count_message(times))
-        return Configuration._from_canonical(tuple(facts), time)
+        child = object.__new__(Configuration)
+        child._fill(tuple(facts), clock, digest & _HASH_MASK, groups)
+        return child
 
     def __len__(self) -> int:
         return len(self._canonical)
@@ -427,20 +466,33 @@ class Configuration:
         return iter(self._canonical)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Configuration) and self._canonical == other._canonical
+        return (
+            isinstance(other, Configuration)
+            and self._hash == other._hash
+            and self._canonical == other._canonical
+        )
 
     def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash(self._canonical)
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return self._hash
 
     def __str__(self) -> str:
         inner = ", ".join(str(f) for f in self._canonical)
         return "{ " + inner + " }"
 
     __repr__ = __str__
+
+
+def _own_group(
+    groups: dict[str, list[TimedFact]],
+    inherited: dict[str, list[TimedFact]],
+    pred: str,
+) -> list[TimedFact]:
+    """The list of `pred` in `groups`, first replaced by a copy if it is
+    still the one in `inherited`."""
+    group = groups[pred]
+    if group is inherited.get(pred):
+        group = groups[pred] = list(group)
+    return group
 
 
 def _time_count_message(count: int) -> str:

@@ -559,7 +559,8 @@ class MatchPlan:
     """
 
     __slots__ = (
-        "steps", "preds", "claims", "never", "precondition", "calls", "run", "source",
+        "steps", "patterns", "preds", "claims", "never", "precondition", "calls", "run",
+        "source",
     )
 
     def __init__(
@@ -606,10 +607,13 @@ class MatchPlan:
         self.claims = bool(shared)
         bound = set(prebound)
         steps = []
+        ordered = []
         while remaining:
             pat = remaining.pop(_next_pattern(remaining, bound, by_var) if precondition else 0)
             steps.append(_Step.compile(pat, bound, by_var, pat.atom.pred in shared))
+            ordered.append(pat)
         self.steps = tuple(steps)
+        self.patterns = tuple(ordered)  # in step order
         self.calls = 0
         self.source: Optional[str] = None  # the generated source, once hot
         # the function `bindings` runs; a plan that cannot be generated
@@ -636,9 +640,11 @@ class MatchPlan:
         """Emit and compile this plan's function, keep it and its source on
         the plan, and return it.  Only a plan whose `run` is still None may
         be generated: one that can match, has steps, and holds no nested
-        function term."""
+        function term.  The code is compiled under a file name that lists
+        the plan's patterns in step order, so profiles tell plans apart."""
         source, namespace = _emit(self)
-        exec(compile(source, "<match plan>", "exec"), namespace)
+        filename = f"<match plan {', '.join(map(str, self.patterns))}>"
+        exec(compile(source, filename, "exec"), namespace)
         self.source = source
         self.run = namespace["match"]
         return self.run
@@ -1056,7 +1062,9 @@ def _instances(rule: Rule, config: Configuration, raw: list[Binding]) -> list[Ru
     for sigma in raw:
         sigma.update(fresh)
         instances.append(RuleInstance(rule, tuple(sorted(sigma.items()))))
-    return sorted(instances, key=RuleInstance.key)
+    if len(instances) > 1:
+        instances.sort(key=RuleInstance.key)
+    return instances
 
 
 def _time_view(sigma: Binding) -> dict[str, int]:
@@ -1101,12 +1109,10 @@ def apply_instance(
 
 def tick(config: Configuration) -> Configuration:
     """Advance the global time by one."""
-    now = config.global_time
-    if now >= MAX_TIMESTAMP:
+    clock = config.clock
+    if clock.ts >= MAX_TIMESTAMP:
         raise EngineError("global time overflow")
-    old = TimedFact(TIME_PREDICATE, (), now)
-    new = TimedFact(TIME_PREDICATE, (), now + 1)
-    return config.replace([old], [new])
+    return config.replace((clock,), (clock.at(clock.ts + 1),))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,11 @@ fixes the window left, so the time abstraction of `delta` could never merge
 two such keys and the search does not compute it.  These keys omit the
 remaining path length, so they are sound only when no cutoff can fire, which
 holds in progressing scenarios; a cutoff there raises `EngineError`.  In any
-other scenario the remaining path length is appended to the key, which is
+other scenario the remaining path length is added to the key, which is
 exact for the bounded search even when instantaneous rules form a cycle.
+A key (`StateKey`) is hashed once, from the configuration's multiset hash,
+which each move updates from the facts it changes; memo and stack probes
+then cost one Python call each instead of one per fact.
 
 A compliant goal trace within a tick budget is the n=0, b=0 case:
 `find_compliant_goal_trace` runs the engine there.
@@ -58,6 +61,36 @@ def successors(
         yield TICK_STEP, tick(config)
 
 
+class StateKey:
+    """A memo key: a configuration's fact tuple, the update level n, and the
+    remaining path length (None where keys omit it), hashed once.
+
+    It holds the fact tuple, not the `Configuration`, so refuted states are
+    not kept alive.  Its hash mixes the configuration's multiset hash with n
+    and the remaining length, so a probe makes one Python call however many
+    facts the tuple holds."""
+
+    __slots__ = ("facts", "n", "remaining", "_hash")
+
+    def __init__(self, config: Configuration, n: int, remaining: Optional[int]):
+        self.facts = config.canonical_order()
+        self.n = n
+        self.remaining = remaining
+        self._hash = hash((hash(config), n, remaining))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, StateKey)
+            and self._hash == other._hash
+            and self.n == other.n
+            and self.remaining == other.remaining
+            and self.facts == other.facts
+        )
+
+
 @dataclass
 class SearchStats:
     visited: int = 0  # states the search decided
@@ -82,18 +115,14 @@ class Checker:
         self.progressing = scenario.progressing
         # key -> False, True (a goal state), or the winning move as
         # (annotation, successor, successor key)
-        self.memo: dict[tuple, Union[bool, tuple]] = {}
+        self.memo: dict[StateKey, Union[bool, tuple]] = {}
         self.refutation: tuple[str, ...] = ()
 
     def _depth_limit(self, config: Configuration) -> int:
         return (self.horizon - config.global_time + 1) * self.m
 
-    def _key(self, config: Configuration, n: int, remaining: int) -> tuple:
-        # the fact tuple, not the Configuration: refuted states are not kept
-        # alive; its Time fact fixes the window left
-        if self.progressing:
-            return (config.canonical_order(), n)
-        return (config.canonical_order(), n, remaining)
+    def _key(self, config: Configuration, n: int, remaining: int) -> StateKey:
+        return StateKey(config, n, None if self.progressing else remaining)
 
     def _cutoff(self, reason: str) -> None:
         """A successor the bounded search cannot expand.  Exact keys carry the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import explored_states, random_scenario
+from conftest import explored_states, qbf_mix, random_scenario
 from msrplan.kernel import (
     Configuration,
     Constant,
@@ -26,6 +26,7 @@ from msrplan.kernel import (
 from msrplan.reductions import Qbf, qbf_to_scenario
 from msrplan.rules import tick
 from msrplan.scenario import load_bundled
+from msrplan.search import successors
 
 
 def fact(pred: str, ts: int, *args) -> TimedFact:
@@ -168,7 +169,7 @@ def _assert_multiset_views(c: Configuration) -> None:
     """Every view of `c` agrees with one read off its canonical tuple."""
     facts = c.canonical_order()
     assert [f.ts for f in facts if f.pred == "Time"] == [c.global_time]
-    assert hash(c) == hash(facts)
+    assert hash(c) == hash(Configuration(facts))
     expected = Counter(facts)
     assert c.counts() == dict(expected)
     assert all(c.count(f) == n for f, n in expected.items())
@@ -180,7 +181,6 @@ def _assert_multiset_views(c: Configuration) -> None:
         if f not in group:
             group.append(f)
     assert c.by_pred() == groups
-    assert list(c.by_pred()) == list(groups)
 
 
 class TestReplace:
@@ -272,6 +272,35 @@ class TestReplace:
             config.counts().clear()
             assert config.count(p) == n and config.counts()[p] == n
             assert config.contains([p] * n) and not config.contains([p] * (n + 1))
+
+
+def _views(c: Configuration) -> tuple:
+    """The hash, the groups (lists copied) and the counts of `c`."""
+    return hash(c), {p: list(g) for p, g in c.by_pred().items()}, c.counts()
+
+
+class TestInheritedViews:
+    """A successor updates its parent's hash and, once the parent's groups
+    are computed, inherits them; both must equal those of the configuration
+    built from scratch over its facts, and the parent's views must not
+    change."""
+
+    def test_successor_chains(self):
+        scenarios = [load_bundled("travel.msr")]
+        scenarios += [qbf_to_scenario(formula) for formula in qbf_mix()[:12]]
+        children = 0
+        for scenario in scenarios:
+            # explored states are themselves children of states with groups
+            for parent in explored_states(scenario, 40):
+                parent.by_pred()
+                before = _views(parent)
+                assert before == _views(Configuration(parent.canonical_order()))
+                for _, child in successors(parent, scenario.rules()):
+                    assert child._by_pred is not None  # the inherited path ran
+                    assert _views(child) == _views(Configuration(child.canonical_order()))
+                    children += 1
+                assert _views(parent) == before
+        assert children > 1000
 
 
 class TestClockConvert:

@@ -591,9 +591,9 @@ class TestMemoKeyClock:
             assert len(checkers) == 1
             checker = checkers.pop()
             assert checker.memo
-            for facts, n in checker.memo:
-                assert 0 <= n <= query.n, query
-                assert t0 <= _clock(facts) <= t0 + query.a + query.b, query
+            for key in checker.memo:
+                assert key.remaining is None and 0 <= key.n <= query.n, query
+                assert t0 <= _clock(key.facts) <= t0 + query.a + query.b, query
 
 
 def _clock(facts):

@@ -617,6 +617,17 @@ class TestGeneratedTier:
         assert check_resilience(scenario, ResilienceQuery(1, 12, 220)).resilient
         assert all(r.plan.source is not None for r in scenario.system_rules)
 
+    def test_hot_plans_have_their_own_file_names(self):
+        """Profiles label generated code by file name; each plan's lists its
+        patterns in step order."""
+        scenario = load_bundled("travel.msr")
+        assert check_resilience(scenario, ResilienceQuery(1, 12, 220)).resilient
+        plans = [r.plan for r in scenario.system_rules if r.plan.source is not None]
+        names = [plan.run.__code__.co_filename for plan in plans]
+        assert len(plans) >= 2 and len(set(names)) == len(names)
+        first = plans[0]
+        assert names[0] == f"<match plan {', '.join(map(str, first.patterns))}>"
+
     def test_verifier_runs_no_generated_code(self):
         """Every plan the check used, hot or not, is generated and then made
         to raise; the verifier still accepts the witness."""

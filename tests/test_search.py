@@ -90,7 +90,7 @@ class TestGoalSearch:
         checker = Checker(scenario, 2, 0)
         checker.decide(scenario.initial, 0)
         # keys carry the remaining path length
-        assert {len(key) for key in checker.memo} == {3}
+        assert all(key.remaining is not None for key in checker.memo)
         trace = find_compliant_goal_trace(scenario, 2)
         assert trace_annotations(trace) == reference_goal_trace(scenario, 2)
 
