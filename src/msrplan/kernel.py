@@ -244,10 +244,12 @@ def make_signature(
 class TimedFact:
     """A ground atomic fact with a natural-number timestamp.
 
-    Its hash and its sort key are computed when it is built: facts are
-    hashed and ordered constantly during search.  The sort key orders by
-    timestamp ascending, `Time` first among equal timestamps, then predicate
-    name and arguments.  It is a total order: equal keys, equal facts.
+    Its sort key and hash are computed when it is built: facts are hashed
+    and ordered constantly during search.  The sort key orders by timestamp
+    ascending, `Time` first among equal timestamps, then predicate name and
+    arguments.  It is a total order: equal keys, equal facts, so the fact's
+    hash is its sort key's, which hashes built-in tuples only and calls no
+    Python-level ``__hash__``.
     """
 
     pred: str
@@ -257,16 +259,16 @@ class TimedFact:
     def __post_init__(self) -> None:
         if self.ts < 0 or self.ts > MAX_TIMESTAMP:
             raise KernelError(f"timestamp {self.ts} out of range")
-        for a in self.args:
-            if not is_ground(a):
-                raise KernelError(f"fact argument {a} is not ground")
-        object.__setattr__(self, "_hash", hash((self.pred, self.args, self.ts)))
-        object.__setattr__(self, "sort_key", (
-            self.ts,
-            0 if self.pred == TIME_PREDICATE else 1,
-            self.pred,
-            tuple(map(term_sort_key, self.args)),
-        ))
+        try:
+            keys = tuple(map(term_sort_key, self.args))
+        except KernelError:
+            for a in self.args:
+                if not is_ground(a):
+                    raise KernelError(f"fact argument {a} is not ground") from None
+            raise
+        sort_key = (self.ts, 0 if self.pred == TIME_PREDICATE else 1, self.pred, keys)
+        object.__setattr__(self, "sort_key", sort_key)
+        object.__setattr__(self, "_hash", hash(sort_key))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]

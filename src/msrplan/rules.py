@@ -26,12 +26,22 @@ per pair) stays interpreted, and so does a plan with a non-ground function
 term.  The witness verifier matches only through the interpreter
 (`MatchPlan.interpret`, `interpret_matches`), so the oracle that certifies
 the engine never runs generated code.
+
+A move reuses what its match found.  A rule's plan returns each binding
+with the fact objects it matched for the consumed patterns, and the
+instances of `find_matches` carry them, so `apply_instance` hands them to
+`Configuration.replace` instead of grounding them again; created facts are
+filled into a template each rule compiles once (`Rule.creation`).  Only
+that path reads carried facts.  `is_applicable`, `consumed_facts`, trace
+replay (`specs.replay_errors`) and the witness verifier ground every
+consumed fact from the substitution, and `interpret_matches` returns
+instances without facts.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -344,7 +354,27 @@ class Rule:
     def plan(self) -> "MatchPlan":
         """The compiled matcher for the precondition and guard, built on
         first use and kept with the rule."""
-        return MatchPlan((*self.side, *self.consumed), self.guard, precondition=True)
+        return MatchPlan(
+            (*self.side, *self.consumed), self.guard,
+            precondition=True, consumed=len(self.consumed),
+        )
+
+    @cached_property
+    def creation(self) -> tuple[tuple[str, Optional[tuple], int, Atom], ...]:
+        """The created atoms compiled once, as (predicate, slots, delay,
+        atom): each slot is (variable name, None) or (None, ground term).
+        Slots are None for an atom with a non-ground function term, which
+        `ground_atom` grounds instead."""
+        out = []
+        for c in self.created:
+            slots: Optional[tuple] = tuple(
+                (a.name, None) if isinstance(a, Variable) else (None, a)
+                for a in c.atom.args
+            )
+            if not all(n is not None or is_ground(g) for n, g in slots):
+                slots = None
+            out.append((c.atom.pred, slots, c.delay, c.atom))
+        return tuple(out)
 
     @cached_property
     def fresh(self) -> tuple[tuple[str, str], ...]:
@@ -451,10 +481,18 @@ class RuleInstance:
     global ``T``) to timestamps and first-order variables to ground terms,
     with fresh variables sent injectively to fresh constants absent from the
     matched configuration.
+
+    An instance from `find_matches` also carries `facts`: the fact objects
+    its match found for the consumed patterns, in the rule's consumed order.
+    They are neither compared nor shown, and only `apply_instance` reads
+    them.  Every check (`is_applicable`, `consumed_facts`, trace replay, the
+    witness verifier) grounds the substitution instead, so carried facts
+    that disagree with it cannot pass one.
     """
 
     rule: Rule
     bindings: tuple[tuple[str, Union[Term, int]], ...]
+    facts: Optional[tuple[TimedFact, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def sigma(self) -> Binding:
@@ -479,14 +517,19 @@ class RuleInstance:
         return [ground_atom(p.atom, sigma, _ts_of(sigma, p.tvar)) for p in self.rule.side]
 
     def created_facts(self) -> list[TimedFact]:
+        """The created facts, filled into the rule's `creation` template."""
         sigma = self.sigma
         now = _ts_of(sigma, GLOBAL_TIME_VAR)
         out = []
-        for c in self.rule.created:
-            ts = now + c.delay
+        for pred, slots, delay, atom in self.rule.creation:
+            ts = now + delay
             if ts > MAX_TIMESTAMP:
                 raise EngineError("created timestamp overflow")
-            out.append(ground_atom(c.atom, sigma, ts))
+            if slots is None:
+                out.append(ground_atom(atom, sigma, ts))
+            else:
+                args = tuple([g if n is None else sigma[n] for n, g in slots])
+                out.append(TimedFact(pred, args, ts))
         return out
 
     def __str__(self) -> str:
@@ -550,6 +593,11 @@ class MatchPlan:
     The interpreter extends one binding dict in place.  A step writes only
     names that no earlier step binds, so backtracking needs no undo.
 
+    A precondition's plan knows which of its patterns the rule consumes and
+    returns each binding with the fact objects matched for them, in the
+    rule's consumed order; both tiers return the same objects.  A
+    specification pair's plan returns bindings alone and keeps no facts.
+
     `bindings` counts its calls and interprets until the count reaches
     `HOT_CALLS`; then it generates the plan's function (`generate`) and runs
     that from then on.  `interpret` never counts and never generates: it is
@@ -559,8 +607,8 @@ class MatchPlan:
     """
 
     __slots__ = (
-        "steps", "patterns", "preds", "claims", "never", "precondition", "calls", "run",
-        "source",
+        "steps", "patterns", "preds", "claims", "never", "precondition", "consumed",
+        "calls", "run", "source",
     )
 
     def __init__(
@@ -569,6 +617,7 @@ class MatchPlan:
         constraints: Iterable[TimeConstraint],
         *,
         precondition: bool = False,
+        consumed: int = 0,
     ):
         """With `precondition` the plan matches a rule precondition: the
         global time ``T`` is bound before matching starts, patterns of a
@@ -577,10 +626,16 @@ class MatchPlan:
         sort what they find.  Otherwise it matches a specification pair:
         patterns keep declaration order, so the first binding found is the
         first in that order, and several patterns may collapse onto one fact
-        (recognition asks only that every substituted pattern occurs)."""
+        (recognition asks only that every substituted pattern occurs).  The
+        last `consumed` patterns of a precondition are the rule's consumed
+        ones, whose matched facts each binding returns."""
         self.precondition = precondition
+        self.consumed = consumed
         prebound = (GLOBAL_TIME_VAR,) if precondition else ()
         remaining = list(patterns)
+        # each pattern's index in the consumed order, None for the others
+        slots: list[Optional[int]] = [None] * (len(remaining) - consumed)
+        slots += range(consumed)
         self.never = False  # no binding can ever complete
         by_var: dict[str, list[TimeConstraint]] = {}
         for c in constraints:
@@ -609,8 +664,10 @@ class MatchPlan:
         steps = []
         ordered = []
         while remaining:
-            pat = remaining.pop(_next_pattern(remaining, bound, by_var) if precondition else 0)
-            steps.append(_Step.compile(pat, bound, by_var, pat.atom.pred in shared))
+            index = _next_pattern(remaining, bound, by_var) if precondition else 0
+            pat = remaining.pop(index)
+            claims = pat.atom.pred in shared
+            steps.append(_Step.compile(pat, bound, by_var, claims, slots.pop(index)))
             ordered.append(pat)
         self.steps = tuple(steps)
         self.patterns = tuple(ordered)  # in step order
@@ -618,16 +675,18 @@ class MatchPlan:
         self.source: Optional[str] = None  # the generated source, once hot
         # the function `bindings` runs; a plan that cannot be generated
         # starts on the interpreter for good
-        self.run: Optional[Callable[[Configuration], list[Binding]]] = None
+        self.run: Optional[Callable[[Configuration], list]] = None
         if self.never or not self.steps or any(s.nested is not None for s in self.steps):
             self.run = self.interpret
 
-    def bindings(self, config: Configuration) -> list[Binding]:
+    def bindings(self, config: Configuration) -> list:
         """The complete bindings in step order over the configuration's
         canonical order.  A precondition's plan starts from ``T`` bound to the
-        global time and finds every binding; a specification pair's plan
-        starts empty and stops at the first.  Both tiers return the same
-        list, key order included."""
+        global time and finds every binding, each paired with the facts it
+        matched for the consumed patterns, in their order: a list of
+        (binding, facts).  A specification pair's plan starts empty and stops
+        at the first binding, which it returns alone.  Both tiers return the
+        same list, key order and fact objects included."""
         run = self.run
         if run is None:
             self.calls += 1
@@ -636,7 +695,7 @@ class MatchPlan:
             run = self.generate()
         return run(config)
 
-    def generate(self) -> Callable[[Configuration], list[Binding]]:
+    def generate(self) -> Callable[[Configuration], list]:
         """Emit and compile this plan's function, keep it and its source on
         the plan, and return it.  Only a plan whose `run` is still None may
         be generated: one that can match, has steps, and holds no nested
@@ -649,7 +708,7 @@ class MatchPlan:
         self.run = namespace["match"]
         return self.run
 
-    def interpret(self, config: Configuration) -> list[Binding]:
+    def interpret(self, config: Configuration) -> list:
         """`bindings` on the interpreter alone."""
         by_pred = config.by_pred()
         if self.never:
@@ -658,11 +717,12 @@ class MatchPlan:
             if pred not in by_pred:
                 return []
         sigma = {GLOBAL_TIME_VAR: config.global_time} if self.precondition else {}
+        held = [None] * self.consumed if self.precondition else None
         if not self.steps:
-            return [sigma]
-        out: list[Binding] = []
+            return [sigma if held is None else (sigma, ())]
+        out: list = []
         available = config.counts() if self.claims else None
-        _extend(self.steps, 0, by_pred, sigma, available, out, not self.precondition)
+        _extend(self.steps, 0, by_pred, sigma, available, held, out)
         return out
 
 
@@ -677,6 +737,8 @@ class _Step(NamedTuple):
     (position, first position).  `whole` is the argument tuple itself when
     every argument is ground.  A pattern with a non-ground function term
     instead unifies its `nested` arguments one by one from the `known` names.
+    `slot` is the pattern's index among a rule's consumed patterns, None for
+    a side condition or a specification pattern.
     """
 
     tvar: Optional[str]  # None when an earlier step binds it
@@ -692,6 +754,7 @@ class _Step(NamedTuple):
     nested: Optional[tuple[Term, ...]]
     known: tuple[str, ...]
     claims: bool  # claim a distinct fact occurrence
+    slot: Optional[int]
 
     @classmethod
     def compile(
@@ -700,6 +763,7 @@ class _Step(NamedTuple):
         bound: set[str],
         by_var: dict[str, list[TimeConstraint]],
         claims: bool,
+        slot: Optional[int],
     ) -> "_Step":
         """Compile `pat` after the names in `bound`, then add its names to
         `bound`.  A constraint lands on the step binding its second variable."""
@@ -753,7 +817,7 @@ class _Step(NamedTuple):
         whole = args if determined and all(n is None for _, n, _ in fixed) else None
         return cls(
             tvar, pat.atom.pred, len(args), tuple(lows), tuple(highs), determined,
-            whole, tuple(fixed), tuple(binds), tuple(dups), nested, known, claims,
+            whole, tuple(fixed), tuple(binds), tuple(dups), nested, known, claims, slot,
         )
 
 
@@ -763,13 +827,16 @@ def _extend(
     by_pred: dict[str, list[TimedFact]],
     sigma: Binding,
     available: Optional[dict[TimedFact, int]],
-    out: list[Binding],
-    first: bool,
+    held: Optional[list[Optional[TimedFact]]],
+    out: list,
 ) -> bool:
-    """Match steps[i:] in place on `sigma`, appending a copy of every
-    complete binding to `out`; True once `first` is set and one is found."""
+    """Match steps[i:] in place on `sigma`.  A precondition's plan passes
+    `held`, where each consumed step puts its fact, and gets a copy of every
+    complete binding with the held facts appended to `out`; a specification
+    pair's plan passes None, gets the first binding alone, and True once it
+    is found."""
     (tvar, pred, arity, lows, highs, determined, whole, fixed, binds, dups,
-     nested, known, claims) = steps[i]
+     nested, known, claims, slot) = steps[i]
     final = i + 1 == len(steps)
     lo, hi = 0, MAX_TIMESTAMP
     for name, k in lows:
@@ -813,11 +880,13 @@ def _extend(
             sigma[name] = args[pos]
         if nested is not None:
             sigma.update(view)
+        if slot is not None:
+            held[slot] = fact
         if final:
-            out.append(dict(sigma))
-            stop = first
+            stop = held is None
+            out.append(dict(sigma) if stop else (dict(sigma), tuple(held)))
         else:
-            stop = _extend(steps, i + 1, by_pred, sigma, available, out, first)
+            stop = _extend(steps, i + 1, by_pred, sigma, available, held, out)
         if claims:
             available[fact] += 1
         if stop:
@@ -865,10 +934,13 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
     loop per step over the facts of its predicate, the step's timestamp
     bounds and argument tuple computed before its loop, each bound name kept
     in a local, and one dict literal per complete binding, whose keys follow
-    the order in which the interpreter inserts them."""
+    the order in which the interpreter inserts them.  A precondition's plan
+    pairs it with the tuple of its consumed steps' loop variables, which a
+    chained function is passed along with the bound names."""
     namespace: dict[str, object] = {"_TYPED": (Constant, FreshConstant)}
     facts = {pred: f"p{j}" for j, pred in enumerate(plan.preds)}
     names: dict[str, str] = {}  # binding name -> local, in binding order
+    carried: dict[int, str] = {}  # consumed slot -> loop variable
     first = not plan.precondition
     passed = [*facts.values(), *(["available"] if plan.claims else []), "out"]
     parts: list[list[str]] = []
@@ -912,12 +984,15 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
         pad = "    " * depth
         if i == len(plan.steps):
             items = ", ".join(f"{n!r}: {v}" for n, v in names.items())
-            lines.append(f"{pad}out.append({{{items}}})")
             if first:
-                lines.append(pad + done)
+                lines += [f"{pad}out.append({{{items}}})", pad + done]
+            else:
+                held = ", ".join(carried[k] for k in range(plan.consumed))
+                comma = "," if plan.consumed == 1 else ""
+                lines.append(f"{pad}out.append(({{{items}}}, ({held}{comma})))")
             return
         if i - start == CHAIN_STEPS:
-            params = ", ".join([*passed, *names.values()])
+            params = ", ".join([*passed, *names.values(), *carried.values()])
             call = f"part{len(parts) + 1}({params})"
             part = [f"def part{len(parts) + 1}({params}):"]
             parts.append(part)
@@ -936,6 +1011,8 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
                 comma = "," if len(items) == 1 else ""
                 lines.append(f"{pad}{whole} = ({', '.join(items)}{comma})")
         fact = f"f{i}"
+        if step.slot is not None:
+            carried[step.slot] = fact
         lines.append(f"{pad}for {fact} in {facts[step.pred]}:")
         pad += "    "
         ts = f"t{i}" if step.tvar is None else local(step.tvar)
@@ -1043,25 +1120,31 @@ def find_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     the deterministic fresh assignment, so the returned set is finite and
     reproducible.  The precondition (side condition plus consumed facts) must
     embed into the configuration as a multiset and the guard must be
-    satisfied; `rule.plan` does both in one pass.
+    satisfied; `rule.plan` does both in one pass.  Each instance carries the
+    facts its match consumes, for `apply_instance`.
     """
-    return _instances(rule, config, rule.plan.bindings(config))
+    return _instances(rule, config, rule.plan.bindings(config), True)
 
 
 def interpret_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     """`find_matches` on the plan's interpreter alone, which never runs
-    generated code: the entry of the witness verifier."""
-    return _instances(rule, config, rule.plan.interpret(config))
+    generated code: the entry of the witness verifier.  Its instances carry
+    no facts, so applying them grounds every consumed fact."""
+    return _instances(rule, config, rule.plan.interpret(config), False)
 
 
-def _instances(rule: Rule, config: Configuration, raw: list[Binding]) -> list[RuleInstance]:
+def _instances(rule: Rule, config: Configuration, raw: list, carry: bool) -> list[RuleInstance]:
+    """Instances from a rule plan's (binding, facts) pairs, carrying the
+    facts when `carry` is set."""
     if not raw:
         return []
     fresh = _canonical_fresh(rule, config)
     instances = []
-    for sigma in raw:
+    for sigma, facts in raw:
         sigma.update(fresh)
-        instances.append(RuleInstance(rule, tuple(sorted(sigma.items()))))
+        instances.append(
+            RuleInstance(rule, tuple(sorted(sigma.items())), facts if carry else None)
+        )
     if len(instances) > 1:
         instances.sort(key=RuleInstance.key)
     return instances
@@ -1100,11 +1183,17 @@ def apply_instance(
     Side-condition facts and the global-time fact are untouched.  A stale
     instance (no longer applicable to `config`) is rejected; `trusted` skips
     that re-check for instances just produced by find_matches on `config` or
-    just checked by the caller.
+    just checked by the caller.  The consumed facts are the ones the
+    instance carries from `find_matches`, which `replace` then finds without
+    building them again; an instance without them (from the verifier, a
+    replayed trace or a witness) grounds them from its substitution.
     """
     if not trusted and not is_applicable(inst, config):
         raise EngineError(f"stale instance {inst.key()} on {config}")
-    return config.replace(inst.consumed_facts(), inst.created_facts())
+    removed = inst.facts
+    if removed is None:
+        removed = inst.consumed_facts()
+    return config.replace(removed, inst.created_facts())
 
 
 def tick(config: Configuration) -> Configuration:

@@ -194,18 +194,21 @@ class Trace:
 
 
 def replay_errors(trace: Trace) -> list[str]:
-    """Check that every step's configuration is the exact result of its annotation."""
+    """Check that every step's configuration is the exact result of its
+    annotation, rebuilt from the step's substitution alone: facts an engine
+    instance carries are never read."""
     errors = []
     current = trace.initial
     for i, step in enumerate(trace.steps):
         if step.is_tick:
             expected = tick(current)
         else:
-            if not is_applicable(step.instance, current):
-                errors.append(f"step {i + 1}: instance {step.instance.key()} not applicable")
+            inst = RuleInstance(step.instance.rule, step.instance.bindings)
+            if not is_applicable(inst, current):
+                errors.append(f"step {i + 1}: instance {inst.key()} not applicable")
                 current = step.result
                 continue
-            expected = apply_instance(current, step.instance, trusted=True)
+            expected = apply_instance(current, inst, trusted=True)
         if expected != step.result:
             errors.append(f"step {i + 1}: recorded configuration does not match replay")
         current = step.result

@@ -17,6 +17,7 @@ from msrplan.kernel import (
     MAX_TIMESTAMP,
     Role,
     TimedFact,
+    Variable,
     clock_convert,
     clock_invert,
     fact_size,
@@ -102,6 +103,14 @@ class TestConfigurationInvariants:
             fact("P", -1)
         with pytest.raises(KernelError):
             fact("P", MAX_TIMESTAMP + 1)
+
+    def test_non_ground_argument_is_named(self):
+        """A fact names its first non-ground argument, nested or not."""
+        a, x = Constant("a", "t"), Variable("x", "t")
+        with pytest.raises(KernelError, match=r"^fact argument x is not ground$"):
+            fact("P", 0, a, x)
+        with pytest.raises(KernelError, match=r"^fact argument f\(a,x\) is not ground$"):
+            fact("P", 0, FuncApp("f", (a, x)), x)
 
     def test_by_pred_groups_distinct_facts_in_canonical_order(self):
         a, b = Constant("a", "t"), Constant("b", "t")

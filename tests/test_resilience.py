@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import qbf_mix, random_scenario, travel_with_start
-from msrplan import resilience
+from msrplan import resilience, search
 from msrplan.delta import abstract, delta_key
 from msrplan.kernel import TIME_PREDICATE
 from msrplan.reductions import Qbf, evaluate_qbf, qbf_to_scenario
@@ -612,3 +613,77 @@ class TestBudgetOverflow:
 
         with pytest.raises(EngineError):
             check_resilience(minimal, ResilienceQuery(0, MAX_TIMESTAMP, 1))
+
+
+# `lose` consumes Key, and `open` needs Key as a side condition afterwards, so
+# no compliant goal trace exists.  An engine that consumed some other fact in
+# place of Key would find one.  `open` creates at T, so the scenario is not
+# progressing and its search keys are exact: a tampered engine revisits
+# states, which there count as bad instead of raising.
+CARRIED_TRAP = """
+types token;
+consts here: token;
+predicates
+  Key: system, Spare: system, Moved: system,
+  Reached(token): system, Target(token): goal, Fuse: critical;
+init { Time@0, Key@0, Spare@0, Target(here)@0, Fuse@9 }
+rule system lose {
+  consume: Key@T1;
+  create: Moved@T+1;
+}
+rule system open {
+  pre: Key@T1;
+  consume: Moved@T2;
+  create: Reached(here)@T;
+}
+goal { Target(x)@T1, Reached(x)@T2 }
+critical { Time@T, Fuse@T }
+"""
+
+
+class TestTamperedCarriedFacts:
+    """The facts a `find_matches` instance carries are read only when the
+    engine applies it; trace replay and the witness verifier rebuild each
+    step from its substitution, so carried facts swapped for another fact of
+    the configuration cannot pass them."""
+
+    @pytest.fixture
+    def tampered(self, monkeypatch):
+        """The engine's move enumerator, with each carried fact swapped for
+        the first other non-`Time` fact of the configuration."""
+        real = search.find_matches
+
+        def swapped(rule, config):
+            out = []
+            for inst in real(rule, config):
+                facts = tuple(
+                    next(g for g in config if g.pred != TIME_PREDICATE and g != f)
+                    for f in inst.facts
+                )
+                out.append(dataclasses.replace(inst, facts=facts))
+            return out
+
+        monkeypatch.setattr(search, "find_matches", swapped)
+
+    def test_untampered_engine_finds_no_trace(self):
+        scenario = parse_scenario(CARRIED_TRAP, "trap")
+        assert find_compliant_goal_trace(scenario, 3) is None
+        assert not check_resilience(scenario, ResilienceQuery(0, 3, 0)).resilient
+
+    def test_replay_rejects_the_tampered_trace(self, tampered):
+        scenario = parse_scenario(CARRIED_TRAP, "trap")
+        trace = find_compliant_goal_trace(scenario, 3)
+        assert trace is not None
+        assert replay_errors(trace) == [
+            "step 1: recorded configuration does not match replay",
+            "step 3: recorded configuration does not match replay",
+        ]
+
+    def test_verifier_rejects_the_tampered_witness(self, tampered):
+        scenario = parse_scenario(CARRIED_TRAP, "trap")
+        query = ResilienceQuery(0, 3, 0)
+        result = check_resilience(scenario, query)
+        assert result.resilient
+        ok, violations = verify_witness(scenario, query, result.witness)
+        assert not ok
+        assert violations == ["root.trace[2]: instance does not re-apply"]

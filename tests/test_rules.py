@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -36,11 +37,13 @@ from msrplan.rules import (
     MatchPlan,
     Rule,
     RuleError,
+    RuleInstance,
     RuleRole,
     TimeConstraint,
     apply_instance,
     classify_rule,
     find_matches,
+    interpret_matches,
     tick,
 )
 from msrplan.scenario import load_bundled
@@ -265,6 +268,32 @@ class TestMatching:
         assert inst.sigma["x"] == Constant("a", "t")
         result = apply_instance(config, inst)
         assert fact("P", 1, Constant("a", "t")) in result.counts()
+
+    def test_created_function_terms(self):
+        """Created atoms fill variables, constants and ground function terms
+        into the rule's template; a non-ground function term is grounded."""
+        from msrplan.kernel import FuncApp
+
+        x, a = Variable("x", "t"), Constant("a", "t")
+        rule = Rule(
+            "wrap",
+            (),
+            (FactPattern(Atom("P", (x,)), "T1"),),
+            (
+                CreatedFact(Atom("Q", (FuncApp("f", (x,)), a)), 2),
+                CreatedFact(Atom("R", (FuncApp("g", (a,)), x, a)), 1),
+            ),
+            (),
+        ).with_past_consumption()
+        assert [slots for _, slots, _, _ in rule.creation] == [
+            None,
+            ((None, FuncApp("g", (a,))), ("x", None), (None, a)),
+        ]
+        config = Configuration([fact("Time", 0), fact("P", 0, a)])
+        [inst] = find_matches(rule, config)
+        want = [fact("Q", 2, FuncApp("f", (a,)), a), fact("R", 1, FuncApp("g", (a,)), a, a)]
+        assert inst.created_facts() == want
+        assert apply_instance(config, inst) == Configuration([fact("Time", 0), *want])
 
 
 class TestRuleWellFormedness:
@@ -525,13 +554,17 @@ class TestBalancePreservation:
                         frontier.append(nxt)
 
 
+def _rule_plan(rule: Rule) -> MatchPlan:
+    """A new plan for `rule`'s precondition, built as `Rule.plan` builds it."""
+    return MatchPlan(
+        (*rule.side, *rule.consumed), rule.guard, precondition=True, consumed=len(rule.consumed)
+    )
+
+
 def _fresh_plans(scenario) -> list[MatchPlan]:
     """New plans for every rule and specification pair of `scenario`, so no
     test sees a tier that another one brought about."""
-    plans = [
-        MatchPlan((*r.side, *r.consumed), r.guard, precondition=True)
-        for r in scenario.rules()
-    ]
+    plans = [_rule_plan(r) for r in scenario.rules()]
     for spec in (scenario.goal_spec, scenario.critical_spec):
         plans += [MatchPlan(pair.pattern, pair.constraints) for pair in spec.pairs]
     return plans
@@ -539,7 +572,9 @@ def _fresh_plans(scenario) -> list[MatchPlan]:
 
 def _same_tiers(plans: list[MatchPlan], configs: list[Configuration]) -> int:
     """Assert that each generated plan returns what its interpreter returns,
-    list and key order included; the number of bindings compared."""
+    list and key order included, and for a precondition the same fact
+    objects, each one of the configuration's distinct facts (`by_pred`); the
+    number of bindings compared."""
     found = 0
     for plan in plans:
         if plan.run is not None:  # stays interpreted
@@ -548,9 +583,19 @@ def _same_tiers(plans: list[MatchPlan], configs: list[Configuration]) -> int:
         for config in configs:
             want = plan.interpret(config)
             got = generated(config)
-            assert [list(b.items()) for b in got] == [list(b.items()) for b in want], (
-                plan.source
-            )
+            if plan.precondition:
+                assert [(list(b.items()), f) for b, f in got] == [
+                    (list(b.items()), f) for b, f in want
+                ], plan.source
+                present = {id(f) for group in config.by_pred().values() for f in group}
+                for (_, held), (_, expected) in zip(got, want):
+                    assert len(held) == plan.consumed
+                    for f, g in zip(held, expected):
+                        assert f is g and id(f) in present, plan.source
+            else:
+                assert [list(b.items()) for b in got] == [list(b.items()) for b in want], (
+                    plan.source
+                )
             found += len(want)
     return found
 
@@ -585,7 +630,7 @@ class TestGeneratedTier:
             plans = []
             for k in range(4):
                 rule = random_guarded_rule(rng, f"g{k}")
-                plans.append(MatchPlan((*rule.side, *rule.consumed), rule.guard, precondition=True))
+                plans.append(_rule_plan(rule))
                 pair = random_spec(rng, SpecKind.GOAL).pairs[0]
                 plans.append(MatchPlan(pair.pattern, pair.constraints))
             found += _same_tiers(plans, states)
@@ -655,8 +700,7 @@ class TestGeneratedTier:
         """Threads share one cold plan past `HOT_CALLS`: every call returns
         the interpreter's bindings, and the plan ends generated however its
         counter's increments interleave."""
-        rule = travel.system_rules[0]
-        plan = MatchPlan((*rule.side, *rule.consumed), rule.guard, precondition=True)
+        plan = _rule_plan(travel.system_rules[0])
         states = explored_states(travel, 40)
         want = [plan.interpret(c) for c in states]
         wrong: list[int] = []
@@ -682,10 +726,84 @@ class TestGeneratedTier:
         assert plan.source is not None
 
     def test_generated_source_is_pinned(self, worked_example):
-        board = worked_example.system_rules[0]
-        plan = MatchPlan((*board.side, *board.consumed), board.guard, precondition=True)
+        plan = _rule_plan(worked_example.system_rules[0])
         plan.generate()
         digest = hashlib.sha256(plan.source.encode()).hexdigest()
         assert digest == (
-            "3e29ad2e8c536b0b5875961b0cc504281b86a5c60e89cf7f9023d9ce29ec85a7"
+            "25dd02ca00b2a29b1d7d24b6024bfc27bcbb2e519d304dc7e88f574762dc3b36"
         ), plan.source
+
+
+def _chain_rule() -> tuple[Rule, Configuration]:
+    """A rule of 12 patterns at ``T``, 4 side and 8 consumed, so its generated
+    plan matches consumed patterns both before and inside its chained part,
+    and a configuration holding 8 of its matches."""
+    patterns = [FactPattern(Atom(f"P{k}", (Variable(f"x{k}", "obj"),)), "T") for k in range(12)]
+    rule = Rule(
+        "chain", tuple(patterns[:4]), tuple(patterns[4:]), (CreatedFact(Atom("Done"), 1),), ()
+    )
+    a, b = Constant("a", "obj"), Constant("b", "obj")
+    facts = [fact("Time", 0)] + [fact(f"P{k}", 0, a) for k in range(12)]
+    facts += [fact(f"P{k}", 0, b) for k in (0, 5, 11)]
+    return rule, Configuration(facts)
+
+
+class TestCarriedFacts:
+    """What a precondition's plan returns next to each binding: the facts it
+    matched for the consumed patterns, which `find_matches` instances carry."""
+
+    def _check(self, scenario, configs: list[Configuration], checked: Counter) -> None:
+        """Carried facts equal the grounded ones, and the configuration built
+        from them equals the one built from grounded facts; counts the
+        instances checked by tier, "generated" or "interpreted"."""
+        for config in configs:
+            present = {id(f) for group in config.by_pred().values() for f in group}
+            for rule in scenario.rules():
+                found = find_matches(rule, config)
+                assert [i.key() for i in found] == [
+                    i.key() for i in interpret_matches(rule, config)
+                ]
+                for inst in found:
+                    plain = RuleInstance(inst.rule, inst.bindings)
+                    assert plain == inst and plain.facts is None
+                    assert list(inst.facts) == plain.consumed_facts()
+                    assert all(id(f) in present for f in inst.facts)
+                    carried = apply_instance(config, inst)
+                    grounded = apply_instance(config, plain)
+                    assert carried == grounded
+                    assert carried.canonical_order() == grounded.canonical_order()
+                    assert hash(carried) == hash(grounded)
+                    checked["interpreted" if rule.plan.source is None else "generated"] += 1
+
+    def test_explored_states(self, travel):
+        checked: Counter = Counter()
+        self._check(travel, explored_states(travel, 60), checked)
+        for formula in qbf_mix()[:40]:
+            scenario = qbf_to_scenario(formula)
+            self._check(scenario, explored_states(scenario, 30), checked)
+        for seed in range(40):
+            scenario = random_scenario(seed, progressing=seed % 2 == 0, with_updates=True)
+            self._check(scenario, explored_states(scenario, 40), checked)
+        # which plans are hot depends on the tests run before; both tiers occur
+        assert checked["generated"] > 200 and checked["interpreted"] > 500, checked
+        assert sum(checked.values()) > 4000
+
+    def test_verifier_instances_carry_nothing(self, travel):
+        for config in explored_states(travel, 20):
+            for rule in travel.rules():
+                assert all(i.facts is None for i in interpret_matches(rule, config))
+
+    def test_chained_parts_carry_earlier_facts(self):
+        rule, config = _chain_rule()
+        plan = rule.plan
+        plan.generate()
+        assert plan.source.count("\ndef part") == 1
+        assert _same_tiers([_rule_plan(rule)], [config]) == 8
+        found = find_matches(rule, config)
+        assert len(found) == 8
+        for inst in found:
+            assert [f.pred for f in inst.facts] == [f"P{k}" for k in range(4, 12)]
+            assert list(inst.facts) == RuleInstance(rule, inst.bindings).consumed_facts()
+            after = apply_instance(config, inst)
+            assert after == apply_instance(config, RuleInstance(rule, inst.bindings))
+            assert len(after) == len(config) - 8 + 1
