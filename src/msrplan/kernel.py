@@ -3,13 +3,15 @@
 A configuration is a multiset of timestamped facts containing exactly one
 occurrence of the global-time fact ``Time@t``.  It is stored as its canonical
 tuple, the facts in sort-key order, with a multiset hash, the sum of its fact
-hashes.  A fact computes its sort key and hash when it is built.  Each
-successor is built from its parent plus the change (Zobrist's incremental
-hashing applied to the whole state): the parent's tuple is bisected, its hash
-updated by the removed and added facts, and its per-predicate groups, when
-computed, copied with only the changed predicates' lists rebuilt.  All values
-here are immutable and safe to share between concurrent searches: a parent's
-lists are never mutated.  The match plans that rules and specifications keep
+hashes.  A ground term computes its sort key when it is built, and a fact
+its own from those, and its hash; facts and configurations are slotted and
+fill their slots through member descriptors, not per-field
+``object.__setattr__`` calls.  Each successor is built from its parent plus
+the change (Zobrist's incremental hashing applied to the whole state): the
+parent's tuple is bisected, its hash updated by the removed and added facts,
+and its per-predicate groups, when computed, copied with only the changed
+predicates' lists rebuilt.  All values here are immutable and safe to share
+between concurrent searches: a parent's lists are never mutated.  The match plans that rules and specifications keep
 (`rules.MatchPlan`) change in one way only: each counts its calls and, once
 hot, sets its generated function once.  The counter is not locked, since a
 lost increment only delays generation.
@@ -51,6 +53,9 @@ class Constant:
     name: str
     base_type: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", (0, self.name, self.base_type))
+
     def __str__(self) -> str:
         return self.name
 
@@ -66,6 +71,9 @@ class FreshConstant:
 
     base_type: str
     index: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", (1, self.base_type, self.index))
 
     def __str__(self) -> str:
         return f"#{self.base_type}:{self.index}"
@@ -89,12 +97,23 @@ class FuncApp:
     func: str
     args: tuple["Term", ...]
 
+    def __post_init__(self) -> None:
+        try:
+            key = (2, self.func, tuple(map(_TERM_KEY, self.args)))
+        except AttributeError:
+            return  # not ground: it has no key
+        object.__setattr__(self, "_key", key)
+
     def __str__(self) -> str:
         return f"{self.func}({','.join(str(a) for a in self.args)})"
 
 
 Term = Union[Constant, FreshConstant, Variable, FuncApp]
 GroundTerm = Union[Constant, FreshConstant, FuncApp]
+
+# A ground term's sort key, computed when the term is built; a variable, or
+# a function term over one, has none
+_TERM_KEY = attrgetter("_key")
 
 
 def is_ground(term: Term) -> bool:
@@ -129,13 +148,14 @@ def term_sort_key(term: Term) -> tuple:
     Declared constants compare before fresh constants; declared constants
     compare by name then base type, fresh constants by base type then
     generation index.  Two terms have equal keys exactly when they are equal.
+    Each ground term computes its key once, when it is built.
     """
-    if isinstance(term, Constant):
-        return (0, term.name, term.base_type)
-    if isinstance(term, FreshConstant):
-        return (1, term.base_type, term.index)
+    key = getattr(term, "_key", None)
+    if key is not None:
+        return key
     if isinstance(term, FuncApp):
-        return (2, term.func, tuple(term_sort_key(a) for a in term.args))
+        for a in term.args:
+            term_sort_key(a)  # names the innermost term without a key
     raise KernelError(f"cannot order non-ground term {term}")
 
 
@@ -240,51 +260,100 @@ def make_signature(
     )
 
 
-@dataclass(frozen=True)
 class TimedFact:
     """A ground atomic fact with a natural-number timestamp.
 
-    Its sort key and hash are computed when it is built: facts are hashed
-    and ordered constantly during search.  The sort key orders by timestamp
-    ascending, `Time` first among equal timestamps, then predicate name and
-    arguments.  It is a total order: equal keys, equal facts, so the fact's
-    hash is its sort key's, which hashes built-in tuples only and calls no
-    Python-level ``__hash__``.
+    Immutable: its slots are filled once, through their member descriptors,
+    and assignment raises.  Its sort key and hash are computed when it is
+    built: facts are hashed and ordered constantly during search.  The sort
+    key orders by timestamp ascending, `Time` first among equal timestamps,
+    then predicate name and arguments; each argument contributes the key it
+    computed when it was built.  It is a total order: equal keys, equal
+    facts, so equality compares keys and the hash is the key's, which hashes
+    built-in tuples only and calls no Python-level ``__hash__``.
     """
 
+    __slots__ = ("pred", "args", "ts", "sort_key", "_hash")
     pred: str
     args: tuple[GroundTerm, ...]
     ts: int
+    sort_key: tuple
+    _hash: int
 
-    def __post_init__(self) -> None:
-        if self.ts < 0 or self.ts > MAX_TIMESTAMP:
-            raise KernelError(f"timestamp {self.ts} out of range")
+    def __init__(self, pred: str, args: tuple[GroundTerm, ...], ts: int):
+        if ts < 0 or ts > MAX_TIMESTAMP:
+            raise KernelError(f"timestamp {ts} out of range")
         try:
-            keys = tuple(map(term_sort_key, self.args))
-        except KernelError:
-            for a in self.args:
-                if not is_ground(a):
-                    raise KernelError(f"fact argument {a} is not ground") from None
-            raise
-        sort_key = (self.ts, 0 if self.pred == TIME_PREDICATE else 1, self.pred, keys)
-        object.__setattr__(self, "sort_key", sort_key)
-        object.__setattr__(self, "_hash", hash(sort_key))
+            keys = tuple(map(_TERM_KEY, args))
+        except AttributeError:
+            raise _not_ground(args) from None
+        _fill_fact(self, pred, args, ts, keys)
+
+    def __setattr__(self, *_args) -> None:
+        raise AttributeError("TimedFact is immutable")
+
+    def __delattr__(self, *_args) -> None:
+        raise AttributeError("TimedFact is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TimedFact:
+            return NotImplemented
+        return self.sort_key == other.sort_key  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (TimedFact, (self.pred, self.args, self.ts))
+
+    def __repr__(self) -> str:
+        return f"TimedFact(pred={self.pred!r}, args={self.args!r}, ts={self.ts!r})"
 
     @property
     def untimed(self) -> tuple[str, tuple[GroundTerm, ...]]:
         return (self.pred, self.args)
 
     def at(self, ts: int) -> "TimedFact":
-        return TimedFact(self.pred, self.args, ts)
+        """The same fact at timestamp `ts`, reusing its argument keys."""
+        if ts < 0 or ts > MAX_TIMESTAMP:
+            raise KernelError(f"timestamp {ts} out of range")
+        fact = _new(TimedFact)
+        _fill_fact(fact, self.pred, self.args, ts, self.sort_key[3])
+        return fact
 
     def __str__(self) -> str:
         if self.args:
             inner = ",".join(str(a) for a in self.args)
             return f"{self.pred}({inner})@{self.ts}"
         return f"{self.pred}@{self.ts}"
+
+
+_new = object.__new__
+_SET_PRED = TimedFact.pred.__set__  # type: ignore[attr-defined]
+_SET_ARGS = TimedFact.args.__set__  # type: ignore[attr-defined]
+_SET_TS = TimedFact.ts.__set__  # type: ignore[attr-defined]
+_SET_SORT_KEY = TimedFact.sort_key.__set__  # type: ignore[attr-defined]
+_SET_FACT_HASH = TimedFact._hash.__set__  # type: ignore[attr-defined]
+
+
+def _fill_fact(fact: TimedFact, pred: str, args: tuple, ts: int, keys: tuple) -> None:
+    sort_key = (ts, 0 if pred == TIME_PREDICATE else 1, pred, keys)
+    _SET_PRED(fact, pred)
+    _SET_ARGS(fact, args)
+    _SET_TS(fact, ts)
+    _SET_SORT_KEY(fact, sort_key)
+    _SET_FACT_HASH(fact, hash(sort_key))
+
+
+def _not_ground(args: tuple) -> KernelError:
+    """The error for fact arguments one of which has no sort key: it names
+    the first non-ground argument, or else what `term_sort_key` rejects."""
+    for a in args:
+        if not is_ground(a):
+            return KernelError(f"fact argument {a} is not ground")
+    for a in args:
+        term_sort_key(a)
+    raise AssertionError("every argument has a sort key")  # pragma: no cover
 
 
 # C-level accessors for sorting, bisecting and hashing facts
@@ -310,10 +379,12 @@ class Configuration:
     multiset have the same tuple.  The hash is a multiset hash, the sum of
     the fact hashes mod 2**64, computed when the configuration is built.
     The multiset counts and the per-predicate groups are computed from the
-    tuple on first use.  `replace` builds a successor in O(changes) Python
-    steps: it bisects the parent's tuple, updates the parent's hash by the
-    removed and added facts, and inherits the parent's groups when they are
-    computed, copying only the lists of the predicates that change.
+    tuple on first use; a group holds each distinct fact once, as the
+    object of its first copy in the tuple.  `replace` builds a successor in
+    O(changes) Python steps: it bisects the parent's tuple, updates the
+    parent's hash by the removed and added facts, and inherits the parent's
+    groups when they are computed, copying only the lists of the predicates
+    that change.
     """
 
     __slots__ = ("_canonical", "_clock", "_hash", "_counts", "_by_pred")
@@ -333,12 +404,11 @@ class Configuration:
         digest: int,
         groups: Optional[dict[str, list[TimedFact]]],
     ) -> None:
-        init = object.__setattr__
-        init(self, "_canonical", canonical)
-        init(self, "_clock", clock)
-        init(self, "_hash", digest)
-        init(self, "_counts", None)
-        init(self, "_by_pred", groups)
+        _SET_CANONICAL(self, canonical)
+        _SET_CLOCK(self, clock)
+        _SET_CONFIG_HASH(self, digest)
+        _SET_COUNTS(self, None)
+        _SET_GROUPS(self, groups)
 
     def __setattr__(self, *_args) -> None:  # pragma: no cover
         raise AttributeError("Configuration is immutable")
@@ -362,7 +432,7 @@ class Configuration:
             counts = {}
             for f in self._canonical:
                 counts[f] = counts.get(f, 0) + 1
-            object.__setattr__(self, "_counts", counts)
+            _SET_COUNTS(self, counts)
         return counts
 
     def counts(self) -> dict[TimedFact, int]:
@@ -378,12 +448,12 @@ class Configuration:
             for f in self._canonical:
                 # facts with equal keys are equal, so copies sit side by side;
                 # the stored hashes rule most neighbours out before `==` runs
-                h = f._hash  # type: ignore[attr-defined]
+                h = f._hash
                 if h == prev_hash and f == prev:
                     continue
                 cached.setdefault(f.pred, []).append(f)
                 prev_hash, prev = h, f
-            object.__setattr__(self, "_by_pred", cached)
+            _SET_GROUPS(self, cached)
         return cached
 
     def count(self, fact: TimedFact) -> int:
@@ -413,10 +483,13 @@ class Configuration:
 
         The result equals `Configuration` over the remaining facts and
         `added`: each removed fact is found by bisection and each added fact
-        inserted by it, so nothing is sorted again.  When this configuration's
-        groups are computed, the result's are too: a group changes only when
-        a fact's last copy leaves or its first copy comes in, and a changed
-        group is a copy, so this configuration's lists are never mutated.
+        inserted by it, so nothing is sorted again.  A removal takes out the
+        fact's last copy and an added copy goes after the present ones, so
+        the first copy stays where it was.  When this configuration's groups
+        are computed, the result's are too: a group changes only when a
+        fact's last copy leaves or its first copy comes in, so each group
+        keeps the object of the tuple's first copy, and a changed group is a
+        copy, so this configuration's lists are never mutated.
         """
         facts = list(self._canonical)
         clock = self._clock
@@ -427,15 +500,15 @@ class Configuration:
         times = 1
         for f in removed:
             key = f.sort_key
-            i = bisect_left(facts, key, key=_SORT_KEY)
-            if i == len(facts) or facts[i].sort_key != key:
+            i = bisect_right(facts, key, key=_SORT_KEY) - 1
+            if i < 0 or facts[i].sort_key != key:
                 raise KernelError(f"cannot remove absent fact {f}")
             del facts[i]
-            digest -= f._hash  # type: ignore[attr-defined]
+            digest -= f._hash
             if f.pred == TIME_PREDICATE:
                 times -= 1
-            if groups is not None and (i == len(facts) or facts[i].sort_key != key):
-                # its last copy left
+            if groups is not None and (i == 0 or facts[i - 1].sort_key != key):
+                # no copy is left
                 if len(groups[f.pred]) == 1:
                     del groups[f.pred]
                 else:
@@ -445,7 +518,7 @@ class Configuration:
             key = f.sort_key
             i = bisect_right(facts, key, key=_SORT_KEY)
             facts.insert(i, f)
-            digest += f._hash  # type: ignore[attr-defined]
+            digest += f._hash
             if f.pred == TIME_PREDICATE:
                 times += 1
                 clock = f
@@ -457,7 +530,7 @@ class Configuration:
                     insort_right(_own_group(groups, inherited, f.pred), f, key=_SORT_KEY)
         if times != 1:
             raise KernelError(_time_count_message(times))
-        child = object.__new__(Configuration)
+        child = _new(Configuration)
         child._fill(tuple(facts), clock, digest & _HASH_MASK, groups)
         return child
 
@@ -482,6 +555,13 @@ class Configuration:
         return "{ " + inner + " }"
 
     __repr__ = __str__
+
+
+_SET_CANONICAL = Configuration._canonical.__set__  # type: ignore[attr-defined]
+_SET_CLOCK = Configuration._clock.__set__  # type: ignore[attr-defined]
+_SET_CONFIG_HASH = Configuration._hash.__set__  # type: ignore[attr-defined]
+_SET_COUNTS = Configuration._counts.__set__  # type: ignore[attr-defined]
+_SET_GROUPS = Configuration._by_pred.__set__  # type: ignore[attr-defined]
 
 
 def _own_group(

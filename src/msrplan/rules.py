@@ -23,9 +23,14 @@ steps chains several such functions, since Python rejects more than 20
 nested blocks.  Generation costs as much as a few hundred interpreted calls,
 so a specification built for a single query (the graph reduction builds one
 per pair) stays interpreted, and so does a plan with a non-ground function
-term.  The witness verifier matches only through the interpreter
-(`MatchPlan.interpret`, `interpret_matches`), so the oracle that certifies
-the engine never runs generated code.
+term.  Once a plan is hot, `find_matches` and `specs.match_spec` call its
+generated function directly, so a (state, rule) or (state, pair) match
+costs one call into the layer and one into that function, which reads the
+configuration's groups and clock from their slots; `MatchPlan.bindings`,
+which counts calls, is the entry of cold plans only.  The witness verifier
+matches only through the interpreter (`MatchPlan.interpret`,
+`interpret_matches`), so the oracle that certifies the engine never runs
+generated code.
 
 A move reuses what its match found.  A rule's plan returns each binding
 with the fact objects it matched for the consumed patterns, and the
@@ -473,7 +478,7 @@ def ground_atom(atom: Atom, sigma: Binding, ts: int) -> TimedFact:
     return TimedFact(atom.pred, args, ts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleInstance:
     """A rule paired with a total ground substitution.
 
@@ -482,8 +487,10 @@ class RuleInstance:
     with fresh variables sent injectively to fresh constants absent from the
     matched configuration.
 
-    An instance from `find_matches` also carries `facts`: the fact objects
-    its match found for the consumed patterns, in the rule's consumed order.
+    `find_matches` fills its instances' slots through their descriptors,
+    bypassing the dataclass constructor.  An instance from it also carries
+    `facts`: the fact objects its match found for the consumed patterns, in
+    the rule's consumed order.
     They are neither compared nor shown, and only `apply_instance` reads
     them.  Every check (`is_applicable`, `consumed_facts`, trace replay, the
     witness verifier) grounds the substitution instead, so carried facts
@@ -599,11 +606,12 @@ class MatchPlan:
     specification pair's plan returns bindings alone and keeps no facts.
 
     `bindings` counts its calls and interprets until the count reaches
-    `HOT_CALLS`; then it generates the plan's function (`generate`) and runs
-    that from then on.  `interpret` never counts and never generates: it is
-    the verifier's entry.  The count is the plan's only state that changes
-    during matching, besides the generated function set once; a lost
-    increment under concurrent use only delays generation.
+    `HOT_CALLS`; then it generates the plan's function (`generate`) and sets
+    `run`, which the engine's callers then call directly.  `interpret` never
+    counts and never generates: it is the verifier's entry.  The count is the
+    plan's only state that changes during matching, besides the generated
+    function set once; a lost increment under concurrent use only delays
+    generation.
     """
 
     __slots__ = (
@@ -934,9 +942,12 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
     loop per step over the facts of its predicate, the step's timestamp
     bounds and argument tuple computed before its loop, each bound name kept
     in a local, and one dict literal per complete binding, whose keys follow
-    the order in which the interpreter inserts them.  A precondition's plan
-    pairs it with the tuple of its consumed steps' loop variables, which a
-    chained function is passed along with the bound names."""
+    the order in which the interpreter inserts them.  It reads the
+    configuration's groups from their slot, calling `by_pred` only when they
+    were never computed, and the global time from the clock's slot.  A
+    precondition's plan pairs it with the tuple of its consumed steps' loop
+    variables, which a chained function is passed along with the bound
+    names."""
     namespace: dict[str, object] = {"_TYPED": (Constant, FreshConstant)}
     facts = {pred: f"p{j}" for j, pred in enumerate(plan.preds)}
     names: dict[str, str] = {}  # binding name -> local, in binding order
@@ -1055,7 +1066,12 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
         if step.claims:
             lines.append(f"{pad}available[{fact}] += 1")
 
-    lines = ["def match(config):", "    by_pred = config.by_pred()"]
+    lines = [
+        "def match(config):",
+        "    by_pred = config._by_pred",
+        "    if by_pred is None:",
+        "        by_pred = config.by_pred()",
+    ]
     for pred, var in facts.items():
         lines += [
             f"    {var} = by_pred.get({pred!r})",
@@ -1064,7 +1080,7 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
         ]
     lines.append("    out = []")
     if plan.precondition:
-        lines.append(f"    {local(GLOBAL_TIME_VAR)} = config.global_time")
+        lines.append(f"    {local(GLOBAL_TIME_VAR)} = config._clock.ts")
     if plan.claims:
         lines.append("    available = config.counts()")
     emit(lines, 0, 0, 1, "return out")
@@ -1120,31 +1136,44 @@ def find_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     the deterministic fresh assignment, so the returned set is finite and
     reproducible.  The precondition (side condition plus consumed facts) must
     embed into the configuration as a multiset and the guard must be
-    satisfied; `rule.plan` does both in one pass.  Each instance carries the
-    facts its match consumes, for `apply_instance`.
+    satisfied; `rule.plan` does both in one pass, through its generated
+    function directly once it is hot.  Each instance carries the facts its
+    match consumes, for `apply_instance`.
     """
-    return _instances(rule, config, rule.plan.bindings(config), True)
+    plan = rule.plan
+    run = plan.run
+    raw = plan.bindings(config) if run is None else run(config)
+    return _instances(rule, config, raw, True) if raw else []
 
 
 def interpret_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     """`find_matches` on the plan's interpreter alone, which never runs
     generated code: the entry of the witness verifier.  Its instances carry
     no facts, so applying them grounds every consumed fact."""
-    return _instances(rule, config, rule.plan.interpret(config), False)
+    raw = rule.plan.interpret(config)
+    return _instances(rule, config, raw, False) if raw else []
+
+
+_new = object.__new__
+_SET_RULE = RuleInstance.rule.__set__  # type: ignore[attr-defined]
+_SET_BINDINGS = RuleInstance.bindings.__set__  # type: ignore[attr-defined]
+_SET_FACTS = RuleInstance.facts.__set__  # type: ignore[attr-defined]
 
 
 def _instances(rule: Rule, config: Configuration, raw: list, carry: bool) -> list[RuleInstance]:
-    """Instances from a rule plan's (binding, facts) pairs, carrying the
-    facts when `carry` is set."""
-    if not raw:
-        return []
+    """Instances from a rule plan's nonempty list of (binding, facts) pairs,
+    carrying the facts when `carry` is set.  Each is filled through its
+    slots' descriptors, as the dataclass constructor would fill it."""
     fresh = _canonical_fresh(rule, config)
     instances = []
     for sigma, facts in raw:
-        sigma.update(fresh)
-        instances.append(
-            RuleInstance(rule, tuple(sorted(sigma.items())), facts if carry else None)
-        )
+        if fresh:
+            sigma.update(fresh)
+        inst = _new(RuleInstance)
+        _SET_RULE(inst, rule)
+        _SET_BINDINGS(inst, tuple(sorted(sigma.items())))
+        _SET_FACTS(inst, facts if carry else None)
+        instances.append(inst)
     if len(instances) > 1:
         instances.sort(key=RuleInstance.key)
     return instances

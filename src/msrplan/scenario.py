@@ -81,7 +81,9 @@ class PlanningScenario:
 
     @property
     def progressing(self) -> bool:
-        return all(c.progressing for c in self.classify().values())
+        """Every rule is progressing: `classify`'s verdict, read from the
+        checks each rule keeps (`Rule.progress`), without the role checks."""
+        return all(r.progress.progressing for r in self.rules())
 
     def eta(self) -> int:
         return eta_measure(self.critical_spec)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .kernel import Configuration, Role, Signature
 from .rules import (
@@ -114,9 +114,17 @@ def match_spec(
     canonical order of the configuration, stopping at the first complete
     binding, so the witness substitution is deterministic.  Distinct pattern
     entries may map onto the same fact: the match requires only that every
-    substituted pattern occurs in the configuration.
+    substituted pattern occurs in the configuration.  A hot plan's
+    generated function is called directly; a cold one goes through
+    `MatchPlan.bindings`, which counts its calls.
     """
-    return _first_match(spec, config, MatchPlan.bindings)
+    for i, pair in enumerate(spec.pairs):
+        plan = pair.plan
+        run = plan.run
+        found = plan.bindings(config) if run is None else run(config)
+        if found:
+            return (i, found[0])
+    return None
 
 
 def interpret_spec(
@@ -124,16 +132,8 @@ def interpret_spec(
 ) -> Optional[tuple[int, Binding]]:
     """`match_spec` on the plans' interpreter alone, which never runs
     generated code: the entry of the witness verifier."""
-    return _first_match(spec, config, MatchPlan.interpret)
-
-
-def _first_match(
-    spec: ConfigSpec,
-    config: Configuration,
-    run: Callable[[MatchPlan, Configuration], list[Binding]],
-) -> Optional[tuple[int, Binding]]:
     for i, pair in enumerate(spec.pairs):
-        found = run(pair.plan, config)
+        found = pair.plan.interpret(config)
         if found:
             return (i, found[0])
     return None

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -22,6 +24,7 @@ from msrplan.kernel import (
     clock_invert,
     fact_size,
     make_signature,
+    subterms,
     term_sort_key,
 )
 from msrplan.reductions import Qbf, qbf_to_scenario
@@ -296,7 +299,7 @@ class TestInheritedViews:
 
     def test_successor_chains(self):
         scenarios = [load_bundled("travel.msr")]
-        scenarios += [qbf_to_scenario(formula) for formula in qbf_mix()[:12]]
+        scenarios += [_distinct_copies(qbf_to_scenario(formula)) for formula in qbf_mix()[:12]]
         children = 0
         for scenario in scenarios:
             # explored states are themselves children of states with groups
@@ -304,12 +307,120 @@ class TestInheritedViews:
                 parent.by_pred()
                 before = _views(parent)
                 assert before == _views(Configuration(parent.canonical_order()))
+                _assert_groups_hold_first_copies(parent)
                 for _, child in successors(parent, scenario.rules()):
                     assert child._by_pred is not None  # the inherited path ran
                     assert _views(child) == _views(Configuration(child.canonical_order()))
+                    _assert_groups_hold_first_copies(child)
                     children += 1
                 assert _views(parent) == before
         assert children > 1000
+
+
+def _distinct_copies(scenario):
+    """`scenario` with every initial fact built anew, so that the copies of
+    a fact (the QBF generator repeats `Junk` and `B` facts) are equal but
+    distinct objects, as the copies a move creates are."""
+    facts = [TimedFact(f.pred, f.args, f.ts) for f in scenario.initial]
+    return scenario.with_initial(Configuration(facts))
+
+
+def _assert_groups_hold_first_copies(c: Configuration) -> None:
+    """Each fact in a group is, by identity, the first of its copies in the
+    canonical tuple, which a removal leaves in place."""
+    first: dict[tuple, TimedFact] = {}
+    for f in c.canonical_order():
+        first.setdefault(f.sort_key, f)
+    for group in c.by_pred().values():
+        for f in group:
+            assert f is first[f.sort_key], f
+
+
+def _reference_key(term) -> tuple:
+    """A ground term's sort key by its definition, from the term's fields."""
+    if isinstance(term, Constant):
+        return (0, term.name, term.base_type)
+    if isinstance(term, FreshConstant):
+        return (1, term.base_type, term.index)
+    assert isinstance(term, FuncApp)
+    return (2, term.func, tuple(map(_reference_key, term.args)))
+
+
+def _facts_with_terms() -> list[TimedFact]:
+    """The facts of explored states, each also wrapped into ground function
+    terms next to a fresh constant, so every kind of ground term occurs."""
+    out = []
+    for k, config in enumerate(_explored_configurations()):
+        for f in config:
+            out.append(f)
+            fresh = FreshConstant("obj", k % 3)
+            wrapped = (FuncApp("f", f.args), FuncApp("g", (FuncApp("h", f.args), fresh)))
+            out.append(TimedFact("W", wrapped, f.ts))
+    return out
+
+
+class TestFactContract:
+    """A fact is slotted and immutable; its sort key is computed from the
+    keys its ground arguments computed when they were built, and its
+    equality and hash follow that key."""
+
+    def test_assignment_raises(self):
+        f = fact("P", 1, Constant("a", "t"))
+        for name in ("pred", "args", "ts", "sort_key", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, 2)
+        with pytest.raises(AttributeError):
+            del f.ts
+        assert (f.pred, f.ts, str(f)) == ("P", 1, "P(a)@1")
+
+    def test_sort_key_from_argument_keys(self):
+        facts = _facts_with_terms()
+        kinds = set()
+        for f in facts:
+            keys = tuple(map(term_sort_key, f.args))
+            assert keys == tuple(map(_reference_key, f.args))
+            assert f.sort_key == (f.ts, 0 if f.pred == "Time" else 1, f.pred, keys)
+            assert f.at(f.ts + 1).sort_key == (f.ts + 1, *f.sort_key[1:])
+            kinds.update(type(t) for a in f.args for t in subterms(a))
+        assert kinds == {Constant, FreshConstant, FuncApp} and len(facts) > 1000
+
+    def test_equality_and_hash_follow_the_sort_key(self):
+        facts = _facts_with_terms()[:400]
+        equal = 0
+        for f in facts:
+            assert hash(f) == hash(f.sort_key)
+            for g in facts:
+                assert (f == g) == (f.sort_key == g.sort_key)
+                assert (f != g) == (f.sort_key != g.sort_key)
+                equal += f == g and f is not g
+        assert equal > 100
+        a, a2 = Constant("a", "t"), Constant("a", "u")
+        assert fact("P", 1, a) == fact("P", 1, Constant("a", "t"))
+        assert fact("P", 1, a) != fact("P", 2, a)
+        assert fact("P", 1, a) != fact("P", 1, a2)
+        assert fact("P", 1, a) != fact("Q", 1, a)
+        assert fact("P", 1, FreshConstant("t", 0)) != fact("P", 1, FreshConstant("t", 1))
+        assert fact("P", 1, a) != ("P", (a,), 1)
+
+    def test_error_messages_are_unchanged(self):
+        a, x = Constant("a", "t"), Variable("x", "t")
+        for ts in (-1, MAX_TIMESTAMP + 1):
+            with pytest.raises(KernelError, match=rf"^timestamp {ts} out of range$"):
+                fact("P", ts, a)
+        with pytest.raises(KernelError, match=rf"^timestamp {MAX_TIMESTAMP + 1} out of range$"):
+            fact("P", MAX_TIMESTAMP, a).at(MAX_TIMESTAMP + 1)
+        with pytest.raises(KernelError, match=r"^fact argument x is not ground$"):
+            fact("P", 0, a, x)
+        with pytest.raises(KernelError, match=r"^fact argument f\(a,g\(x\)\) is not ground$"):
+            fact("P", 0, FuncApp("f", (a, FuncApp("g", (x,)))))
+        with pytest.raises(KernelError, match=r"^cannot order non-ground term x$"):
+            term_sort_key(FuncApp("f", (a, x)))
+
+    def test_copies_are_equal_facts(self):
+        f = fact("P", 3, FuncApp("f", (Constant("a", "t"), FreshConstant("t", 2))))
+        for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert copied == f and hash(copied) == hash(f) and copied.sort_key == f.sort_key
+        assert repr(fact("P", 1)) == "TimedFact(pred='P', args=(), ts=1)"
 
 
 class TestClockConvert:

@@ -725,12 +725,32 @@ class TestGeneratedTier:
         assert not wrong
         assert plan.source is not None
 
+    def test_plans_compute_groups_never_computed(self, travel):
+        """A generated plan reads the configuration's groups from their slot;
+        on a configuration whose groups were never computed it computes
+        them, and finds what it finds once they are."""
+        scenarios = [travel] + [qbf_to_scenario(formula) for formula in qbf_mix()[:10]]
+        found = 0
+        for scenario in scenarios:
+            plans = [plan for plan in _fresh_plans(scenario) if plan.run is None]
+            for plan in plans:
+                plan.generate()
+            for config in explored_states(scenario, 30):
+                for plan in plans:
+                    bare = Configuration(config.canonical_order())
+                    assert bare._by_pred is None
+                    got = plan.run(bare)
+                    assert bare._by_pred is not None
+                    assert got == plan.run(bare) == plan.run(config) == plan.interpret(config)
+                    found += len(got)
+        assert found > 500
+
     def test_generated_source_is_pinned(self, worked_example):
         plan = _rule_plan(worked_example.system_rules[0])
         plan.generate()
         digest = hashlib.sha256(plan.source.encode()).hexdigest()
         assert digest == (
-            "25dd02ca00b2a29b1d7d24b6024bfc27bcbb2e519d304dc7e88f574762dc3b36"
+            "e8cf7e0dfaba16b410784a6798e9515036add5aeb8ac7c094a72d335afd89bbe"
         ), plan.source
 
 

@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from conftest import WORKED_EXAMPLE
+from conftest import WORKED_EXAMPLE, qbf_mix, random_scenario
+from msrplan.reductions import qbf_to_scenario
 from msrplan.scenario import (
     ScenarioError,
     bundled_text,
@@ -34,6 +35,22 @@ class TestParseBundled:
         assert report.eta == 1
         assert len(minimal.system_rules) == 2
         assert minimal.update_rules == ()
+
+    def test_progressing_agrees_with_classify(self, travel, minimal):
+        """`progressing` reads each rule's kept checks; it must give the
+        verdict of the full classification, role checks aside."""
+        scenarios = [travel, minimal]
+        scenarios += [qbf_to_scenario(formula) for formula in qbf_mix()]
+        scenarios += [
+            random_scenario(seed, progressing=seed % 2 == 0, with_updates=True)
+            for seed in range(40)
+        ]
+        verdicts = []
+        for scenario in scenarios:
+            want = all(c.progressing for c in scenario.classify().values())
+            assert scenario.progressing == want
+            verdicts.append(want)
+        assert verdicts.count(True) > 40 and verdicts.count(False) > 5
 
     def test_rule_classification_table(self, travel):
         report = validate_scenario(travel)
