@@ -1,20 +1,23 @@
 """Terms, timestamped facts, and configurations for timed multiset rewriting.
 
 A configuration is a multiset of timestamped facts containing exactly one
-occurrence of the global-time fact ``Time@t``.  It is stored as its canonical
-tuple, the facts in sort-key order, with a multiset hash, the sum of its fact
-hashes.  A ground term computes its sort key when it is built, and a fact
-its own from those, and its hash; facts and configurations are slotted and
-fill their slots through member descriptors, not per-field
-``object.__setattr__`` calls.  Each successor is built from its parent plus
-the change (Zobrist's incremental hashing applied to the whole state): the
-parent's tuple is bisected, its hash updated by the removed and added facts,
-and its per-predicate groups, when computed, copied with only the changed
-predicates' lists rebuilt.  All values here are immutable and safe to share
-between concurrent searches: a parent's lists are never mutated.  The match plans that rules and specifications keep
-(`rules.MatchPlan`) change in one way only: each counts its calls and, once
-hot, sets its generated function once.  The counter is not locked, since a
-lost increment only delays generation.
+occurrence of the global-time fact ``Time@t``, its clock.  It is stored as the
+tuple of its other facts in sort-key order, the clock apart, and a multiset
+hash, the sum of all its fact hashes.  A ground term computes its sort key
+when it is built, and a fact its own from those, and its hash; facts and
+configurations are slotted and fill their slots through member descriptors,
+not per-field ``object.__setattr__`` calls.  Each successor is built from its
+parent plus the change (Zobrist's incremental hashing applied to the whole
+state).  A time advance swaps the clock alone: it shares the parent's tuple
+and groups, and its hash is the parent's with the two clocks' hashes
+swapped.  A rule application bisects the parent's tuple, updates its hash
+by the removed and added facts, and copies its per-predicate groups, when
+computed, with only the changed predicates' lists rebuilt.  All values here
+are immutable and safe to share between concurrent searches: a parent's
+tuple and lists are never mutated.  The match plans that rules and
+specifications keep (`rules.MatchPlan`) change in one way only: each counts
+its calls and, once hot, sets its generated function once.  The counter is
+not locked, since a lost increment only delays generation.
 """
 
 from __future__ import annotations
@@ -374,37 +377,43 @@ def fact_size(fact: TimedFact) -> int:
 class Configuration:
     """An immutable multiset of timed facts with one global-time fact.
 
-    The state is the canonical tuple: the facts sorted by their sort keys, a
-    total order on facts, duplicates kept; configurations holding the same
-    multiset have the same tuple.  The hash is a multiset hash, the sum of
-    the fact hashes mod 2**64, computed when the configuration is built.
-    The multiset counts and the per-predicate groups are computed from the
-    tuple on first use; a group holds each distinct fact once, as the
-    object of its first copy in the tuple.  `replace` builds a successor in
-    O(changes) Python steps: it bisects the parent's tuple, updates the
-    parent's hash by the removed and added facts, and inherits the parent's
-    groups when they are computed, copying only the lists of the predicates
-    that change.
+    It is held as four things: the tuple of its non-`Time` facts sorted by
+    their sort keys, a total order on facts, duplicates kept; its clock, the
+    `Time` fact; a multiset hash, the sum of the hashes of all its facts,
+    `Time` included, mod 2**64; and its per-predicate groups of non-`Time`
+    facts.  Configurations holding the same multiset have the same tuple,
+    clock and hash.  The public views put the clock back: `canonical_order()`
+    inserts it at its sort position, and iteration, `len`, `str`, the counts
+    and equality count it as one fact.  The multiset counts and the groups
+    are computed from the tuple on first use; a group holds each distinct
+    fact once, as the object of its first copy in the tuple.
+
+    A successor is built in O(changes) Python steps.  `at` moves the clock
+    alone: it shares this configuration's tuple and groups and updates the
+    hash by the swap of the clock.  `replace` bisects the tuple, updates the
+    hash by the removed and added facts, and inherits the groups when they
+    are computed, copying only the lists of the predicates that change.
     """
 
-    __slots__ = ("_canonical", "_clock", "_hash", "_counts", "_by_pred")
+    __slots__ = ("_facts", "_clock", "_hash", "_counts", "_by_pred")
 
     def __init__(self, facts: Iterable[TimedFact]):
-        canonical = tuple(sorted(facts, key=_SORT_KEY))
+        canonical = sorted(facts, key=_SORT_KEY)
         clocks = [f for f in canonical if f.pred == TIME_PREDICATE]
         if len(clocks) != 1:
             raise KernelError(_time_count_message(len(clocks)))
+        others = tuple(f for f in canonical if f.pred != TIME_PREDICATE)
         digest = sum(map(_FACT_HASH, canonical)) & _HASH_MASK
-        self._fill(canonical, clocks[0], digest, None)
+        self._fill(others, _nullary(clocks[0]), digest, None)
 
     def _fill(
         self,
-        canonical: tuple[TimedFact, ...],
+        facts: tuple[TimedFact, ...],
         clock: TimedFact,
         digest: int,
         groups: Optional[dict[str, list[TimedFact]]],
     ) -> None:
-        _SET_CANONICAL(self, canonical)
+        _SET_FACTS(self, facts)
         _SET_CLOCK(self, clock)
         _SET_CONFIG_HASH(self, digest)
         _SET_COUNTS(self, None)
@@ -423,14 +432,17 @@ class Configuration:
         return self._clock
 
     def canonical_order(self) -> tuple[TimedFact, ...]:
-        """The facts in the total order of their sort keys."""
-        return self._canonical
+        """All facts in the total order of their sort keys: the clock goes
+        before the first other fact not earlier than it."""
+        facts, clock = self._facts, self._clock
+        i = bisect_left(facts, clock.ts, key=_TS)
+        return (*facts[:i], clock, *facts[i:])
 
     def _multiset(self) -> dict[TimedFact, int]:
         counts = self._counts
         if counts is None:
-            counts = {}
-            for f in self._canonical:
+            counts = {self._clock: 1}
+            for f in self._facts:
                 counts[f] = counts.get(f, 0) + 1
             _SET_COUNTS(self, counts)
         return counts
@@ -439,13 +451,14 @@ class Configuration:
         return dict(self._multiset())
 
     def by_pred(self) -> dict[str, list[TimedFact]]:
-        """Distinct facts grouped by predicate, each group in canonical order
-        (cached; the order of the predicates is unspecified)."""
+        """Distinct non-`Time` facts grouped by predicate, each group in
+        canonical order (cached; the order of the predicates is
+        unspecified)."""
         cached = self._by_pred
         if cached is None:
             cached = {}
             prev_hash, prev = None, None
-            for f in self._canonical:
+            for f in self._facts:
                 # facts with equal keys are equal, so copies sit side by side;
                 # the stored hashes rule most neighbours out before `==` runs
                 h = f._hash
@@ -469,12 +482,24 @@ class Configuration:
 
     def values(self) -> set[Union[GroundTerm, int]]:
         """All ground terms (including subterms) and timestamps occurring here."""
-        out: set[Union[GroundTerm, int]] = set()
-        for f in self._canonical:
+        out: set[Union[GroundTerm, int]] = {self._clock.ts}
+        for f in self._facts:
             out.add(f.ts)
             for a in f.args:
                 out.update(subterms(a))
         return out
+
+    def at(self, time: int) -> "Configuration":
+        """The same facts with the global time at `time`.  The result shares
+        this configuration's tuple and groups and builds only its clock; its
+        hash is this one's with the old clock's hash swapped for the new
+        one's."""
+        clock = self._clock
+        later = clock.at(time)
+        child = _new(Configuration)
+        digest = (self._hash - clock._hash + later._hash) & _HASH_MASK
+        child._fill(self._facts, later, digest, self._by_pred)
+        return child
 
     def replace(
         self, removed: Iterable[TimedFact], added: Iterable[TimedFact]
@@ -489,10 +514,12 @@ class Configuration:
         are computed, the result's are too: a group changes only when a
         fact's last copy leaves or its first copy comes in, so each group
         keeps the object of the tuple's first copy, and a changed group is a
-        copy, so this configuration's lists are never mutated.
+        copy, so this configuration's lists are never mutated.  A `Time`
+        fact may be removed and added like any other, but a move never
+        passes one: `at` moves the clock.
         """
-        facts = list(self._canonical)
-        clock = self._clock
+        facts = list(self._facts)
+        clock: Optional[TimedFact] = self._clock
         digest = self._hash
         inherited = groups = self._by_pred
         if groups is not None:
@@ -500,13 +527,17 @@ class Configuration:
         times = 1
         for f in removed:
             key = f.sort_key
+            digest -= f._hash
+            if f.pred == TIME_PREDICATE:
+                if clock is None or key != clock.sort_key:
+                    raise KernelError(f"cannot remove absent fact {f}")
+                clock = None
+                times -= 1
+                continue
             i = bisect_right(facts, key, key=_SORT_KEY) - 1
             if i < 0 or facts[i].sort_key != key:
                 raise KernelError(f"cannot remove absent fact {f}")
             del facts[i]
-            digest -= f._hash
-            if f.pred == TIME_PREDICATE:
-                times -= 1
             if groups is not None and (i == 0 or facts[i - 1].sort_key != key):
                 # no copy is left
                 if len(groups[f.pred]) == 1:
@@ -516,12 +547,13 @@ class Configuration:
                     del group[bisect_left(group, key, key=_SORT_KEY)]
         for f in added:
             key = f.sort_key
-            i = bisect_right(facts, key, key=_SORT_KEY)
-            facts.insert(i, f)
             digest += f._hash
             if f.pred == TIME_PREDICATE:
+                clock = _nullary(f)
                 times += 1
-                clock = f
+                continue
+            i = bisect_right(facts, key, key=_SORT_KEY)
+            facts.insert(i, f)
             if groups is not None and (i == 0 or facts[i - 1].sort_key != key):
                 # its first copy came in
                 if f.pred not in groups:
@@ -535,33 +567,43 @@ class Configuration:
         return child
 
     def __len__(self) -> int:
-        return len(self._canonical)
+        return len(self._facts) + 1
 
     def __iter__(self) -> Iterator[TimedFact]:
-        return iter(self._canonical)
+        return iter(self.canonical_order())
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Configuration)
             and self._hash == other._hash
-            and self._canonical == other._canonical
+            and self._clock == other._clock
+            and self._facts == other._facts
         )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        inner = ", ".join(str(f) for f in self._canonical)
+        inner = ", ".join(str(f) for f in self.canonical_order())
         return "{ " + inner + " }"
 
     __repr__ = __str__
 
 
-_SET_CANONICAL = Configuration._canonical.__set__  # type: ignore[attr-defined]
+_SET_FACTS = Configuration._facts.__set__  # type: ignore[attr-defined]
 _SET_CLOCK = Configuration._clock.__set__  # type: ignore[attr-defined]
 _SET_CONFIG_HASH = Configuration._hash.__set__  # type: ignore[attr-defined]
 _SET_COUNTS = Configuration._counts.__set__  # type: ignore[attr-defined]
 _SET_GROUPS = Configuration._by_pred.__set__  # type: ignore[attr-defined]
+_TS = attrgetter("ts")
+
+
+def _nullary(clock: TimedFact) -> TimedFact:
+    """`clock`, a `Time` fact, checked to have no arguments: the global time
+    alone tells two clocks apart."""
+    if clock.args:
+        raise KernelError(f"{TIME_PREDICATE} takes no arguments, got {clock}")
+    return clock
 
 
 def _own_group(

@@ -64,6 +64,7 @@ from .kernel import (
     Variable,
     is_ground,
     subterms,
+    term_sort_key,
     term_variables,
 )
 
@@ -722,7 +723,7 @@ class MatchPlan:
         if self.never:
             return []
         for pred in self.preds:
-            if pred not in by_pred:
+            if pred not in by_pred and pred != TIME_PREDICATE:
                 return []
         sigma = {GLOBAL_TIME_VAR: config.global_time} if self.precondition else {}
         held = [None] * self.consumed if self.precondition else None
@@ -730,7 +731,7 @@ class MatchPlan:
             return [sigma if held is None else (sigma, ())]
         out: list = []
         available = config.counts() if self.claims else None
-        _extend(self.steps, 0, by_pred, sigma, available, held, out)
+        _extend(self.steps, 0, by_pred, (config.clock,), sigma, available, held, out)
         return out
 
 
@@ -833,16 +834,18 @@ def _extend(
     steps: tuple[_Step, ...],
     i: int,
     by_pred: dict[str, list[TimedFact]],
+    clock: tuple[TimedFact],
     sigma: Binding,
     available: Optional[dict[TimedFact, int]],
     held: Optional[list[Optional[TimedFact]]],
     out: list,
 ) -> bool:
-    """Match steps[i:] in place on `sigma`.  A precondition's plan passes
-    `held`, where each consumed step puts its fact, and gets a copy of every
-    complete binding with the held facts appended to `out`; a specification
-    pair's plan passes None, gets the first binding alone, and True once it
-    is found."""
+    """Match steps[i:] in place on `sigma`.  A step walks its predicate's
+    group, or `clock`, the configuration's clock alone, for a `Time`
+    pattern.  A precondition's plan passes `held`, where each consumed step
+    puts its fact, and gets a copy of every complete binding with the held
+    facts appended to `out`; a specification pair's plan passes None, gets
+    the first binding alone, and True once it is found."""
     (tvar, pred, arity, lows, highs, determined, whole, fixed, binds, dups,
      nested, known, claims, slot) = steps[i]
     final = i + 1 == len(steps)
@@ -862,7 +865,7 @@ def _extend(
             whole = tuple([g if n is None else sigma[n] for _, n, g in fixed])
     else:
         checks = [(pos, g if n is None else sigma[n]) for pos, n, g in fixed]
-    for fact in by_pred[pred]:
+    for fact in by_pred.get(pred, clock):  # only `Time` has no group here
         ts = fact.ts
         if ts < lo:
             continue
@@ -894,7 +897,7 @@ def _extend(
             stop = held is None
             out.append(dict(sigma) if stop else (dict(sigma), tuple(held)))
         else:
-            stop = _extend(steps, i + 1, by_pred, sigma, available, held, out)
+            stop = _extend(steps, i + 1, by_pred, clock, sigma, available, held, out)
         if claims:
             available[fact] += 1
         if stop:
@@ -936,18 +939,21 @@ def _unify_args(
 
 def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
     """Python source of `plan`'s function ``match(config)`` and the namespace
-    it runs in, which holds the plan's ground terms and tuples.
+    it runs in, which holds the sort keys of the plan's ground terms.
 
     The function does what `interpret` does, step for step: one ``for``
     loop per step over the facts of its predicate, the step's timestamp
-    bounds and argument tuple computed before its loop, each bound name kept
+    bounds and argument keys computed before its loop, each bound name kept
     in a local, and one dict literal per complete binding, whose keys follow
-    the order in which the interpreter inserts them.  It reads the
+    the order in which the interpreter inserts them.  A fact's arguments are
+    tested by comparing their keys (`TimedFact.sort_key` holds them) with
+    the keys of the ground or bound terms expected there: keys are total, so
+    this is term equality, decided on built-in tuples.  It reads the
     configuration's groups from their slot, calling `by_pred` only when they
-    were never computed, and the global time from the clock's slot.  A
-    precondition's plan pairs it with the tuple of its consumed steps' loop
-    variables, which a chained function is passed along with the bound
-    names."""
+    were never computed, and its clock from the clock's slot: a `Time`
+    pattern's loop runs over the clock alone.  A precondition's plan pairs
+    each binding with the tuple of its consumed steps' loop variables, which
+    a chained function is passed along with the bound names."""
     namespace: dict[str, object] = {"_TYPED": (Constant, FreshConstant)}
     facts = {pred: f"p{j}" for j, pred in enumerate(plan.preds)}
     names: dict[str, str] = {}  # binding name -> local, in binding order
@@ -1013,14 +1019,23 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
         step = plan.steps[i]
         lo = bound(lines, pad, f"lo{i}", step.lows, max)
         hi = bound(lines, pad, f"hi{i}", step.highs, min)
-        if step.determined:
-            if step.whole is not None:
-                whole = const(step.whole)
-            else:
-                items = [const(g) if n is None else names[n] for _, n, g in step.fixed]
+        # arguments are tested through their terms' keys, which compare in C;
+        # the key of a bound term is read before the loop
+        whole = None
+        keys: list[str] = []
+        if step.whole is not None:
+            whole = const(tuple(map(term_sort_key, step.whole)))
+        else:
+            for pos, n, g in step.fixed:
+                if n is None:
+                    keys.append(const(term_sort_key(g)))
+                else:
+                    keys.append(f"x{i}_{pos}")
+                    lines.append(f"{pad}x{i}_{pos} = {names[n]}._key")
+            if step.determined:
                 whole = f"w{i}"
-                comma = "," if len(items) == 1 else ""
-                lines.append(f"{pad}{whole} = ({', '.join(items)}{comma})")
+                comma = "," if len(keys) == 1 else ""
+                lines.append(f"{pad}{whole} = ({', '.join(keys)}{comma})")
         fact = f"f{i}"
         if step.slot is not None:
             carried[step.slot] = fact
@@ -1032,21 +1047,20 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
             lines += [f"{pad}if {ts} < {lo}:", f"{pad}    continue"]
         if hi is not None:
             lines += [f"{pad}if {ts} > {hi}:", f"{pad}    break"]
-        if step.determined:
-            lines += [f"{pad}if {fact}.args != {whole}:", f"{pad}    continue"]
+        if whole is not None:
+            lines += [f"{pad}if {fact}.sort_key[3] != {whole}:", f"{pad}    continue"]
         else:
-            args = f"a{i}"
-            tests = [f"len({args}) != {step.arity}"]
-            tests += [
-                f"{args}[{pos}] != {const(g) if n is None else names[n]}"
-                for pos, n, g in step.fixed
-            ]
-            tests += [f"{args}[{pos}] != {args}[{other}]" for pos, other in step.dups]
+            args, held = f"a{i}", f"s{i}"
+            tests = [f"len({held}) != {step.arity}"]
+            tests += [f"{held}[{pos}] != {key}" for (pos, _, _), key in zip(step.fixed, keys)]
+            tests += [f"{held}[{pos}] != {held}[{other}]" for pos, other in step.dups]
             lines += [
-                f"{pad}{args} = {fact}.args",
+                f"{pad}{held} = {fact}.sort_key[3]",
                 f"{pad}if {' or '.join(tests)}:",
                 f"{pad}    continue",
             ]
+            if step.binds:
+                lines.append(f"{pad}{args} = {fact}.args")
             for pos, name, btype in step.binds:
                 value = local(name)
                 lines.append(f"{pad}{value} = {args}[{pos}]")
@@ -1073,6 +1087,9 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
         "        by_pred = config.by_pred()",
     ]
     for pred, var in facts.items():
+        if pred == TIME_PREDICATE:
+            lines.append(f"    {var} = (config._clock,)")
+            continue
         lines += [
             f"    {var} = by_pred.get({pred!r})",
             f"    if {var} is None:",
@@ -1226,11 +1243,11 @@ def apply_instance(
 
 
 def tick(config: Configuration) -> Configuration:
-    """Advance the global time by one."""
-    clock = config.clock
-    if clock.ts >= MAX_TIMESTAMP:
+    """Advance the global time by one: the same facts under the next clock."""
+    later = config.global_time + 1
+    if later > MAX_TIMESTAMP:
         raise EngineError("global time overflow")
-    return config.replace((clock,), (clock.at(clock.ts + 1),))
+    return config.at(later)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,14 @@ update level down, and either the goal is matched or some successor is good.
 The search is iterative within a level and recursive across levels, so the
 Python stack depth is bounded by n.  When it proves a state good it records
 the move that proved it, and `trace` follows those recorded moves to rebuild
-the leftmost certified trace.
+the leftmost certified trace.  A tick changes only the clock of a state that
+is neither critical nor a goal, so its result is checked against the
+specification pairs that mention `Time` alone.
 
 The scenario configures the engine.  In a progressing scenario a state is
-keyed on (canonical fact tuple, n).  The fact tuple holds the clock, which
-fixes the window left, so the time abstraction of `delta` could never merge
-two such keys and the search does not compute it.  These keys omit the
+keyed on (non-`Time` fact tuple, clock, n).  The clock fixes the window
+left, so the time abstraction of `delta` could never merge two such keys
+and the search does not compute it.  These keys omit the
 remaining path length, so they are sound only when no cutoff can fire, which
 holds in progressing scenarios; a cutoff there raises `EngineError`.  In any
 other scenario the remaining path length is added to the key, which is
@@ -45,7 +47,7 @@ from typing import Iterable, Iterator, Optional, Union
 from .kernel import Configuration
 from .rules import EngineError, Rule, RuleInstance, apply_instance, find_matches, tick
 from .scenario import PlanningScenario
-from .specs import TICK_STEP, Trace, TraceStep, match_spec
+from .specs import TICK_STEP, ConfigSpec, Trace, TraceStep, match_spec
 
 
 def successors(
@@ -62,21 +64,24 @@ def successors(
 
 
 class StateKey:
-    """A memo key: a configuration's fact tuple, the update level n, and the
-    remaining path length (None where keys omit it), hashed once.
+    """A memo key: a configuration's non-`Time` fact tuple and global time,
+    the update level n, and the remaining path length (None where keys omit
+    it), hashed once.
 
-    It holds the fact tuple, not the `Configuration`, so refuted states are
-    not kept alive.  Its hash mixes the configuration's multiset hash with n
-    and the remaining length, so a probe makes one Python call however many
-    facts the tuple holds."""
+    It holds the configuration's parts, read from their slots, not the
+    `Configuration`, so refuted states are not kept alive; a tick successor
+    shares its parent's tuple.  Its hash mixes the configuration's multiset
+    hash with n and the remaining length, so a probe makes one Python call
+    however many facts the tuple holds."""
 
-    __slots__ = ("facts", "n", "remaining", "_hash")
+    __slots__ = ("facts", "time", "n", "remaining", "_hash")
 
     def __init__(self, config: Configuration, n: int, remaining: Optional[int]):
-        self.facts = config.canonical_order()
+        self.facts = config._facts
+        self.time = config._clock.ts
         self.n = n
         self.remaining = remaining
-        self._hash = hash((hash(config), n, remaining))
+        self._hash = hash((config._hash, n, remaining))
 
     def __hash__(self) -> int:
         return self._hash
@@ -87,6 +92,7 @@ class StateKey:
             and self._hash == other._hash
             and self.n == other.n
             and self.remaining == other.remaining
+            and self.time == other.time
             and self.facts == other.facts
         )
 
@@ -155,14 +161,17 @@ class Checker:
                 return False
         return True
 
-    def _goal_verdict(self, config: Configuration, n: int) -> Optional[bool]:
-        """The verdict of a goal state, None for any other state.
+    def _goal_verdict(
+        self, config: Configuration, n: int, goal: Optional[ConfigSpec]
+    ) -> Optional[bool]:
+        """The verdict of a state that matches `goal`, None for any other
+        state and when `goal` is None.
 
         Update coverage is evaluated lazily: only states that otherwise lie on
         a compliant goal trace pay for it (a state that cannot reach the goal
         is refuted without running any reaction searches).
         """
-        if match_spec(self.scenario.goal_spec, config) is None:
+        if goal is None or match_spec(goal, config) is None:
             return None
         return self._covered(config, n)
 
@@ -172,8 +181,16 @@ class Checker:
         Critical states are refuted before their key is computed.  A successor
         deeper than the path bound, or one whose key is on the stack, is a
         cutoff (see `_cutoff`); neither occurs in a progressing scenario.
+
+        Every frame on the stack is neither critical nor a goal, and a tick
+        changes only the clock, so a specification pair that does not read
+        the clock cannot start matching after a tick: a frame's tick
+        successor is checked against the pairs that mention `Time` alone
+        (`ConfigSpec.clocked`).  The root and the results of updates and
+        system moves are checked against every pair.
         """
         critical = self.scenario.critical_spec
+        goal = self.scenario.goal_spec
         if match_spec(critical, config) is not None:
             return False
         limit = self._depth_limit(config)
@@ -181,7 +198,7 @@ class Checker:
         verdict = self.memo.get(key)
         if verdict is not None:
             return bool(verdict)
-        verdict = self._goal_verdict(config, n)
+        verdict = self._goal_verdict(config, n, goal)
         if verdict is not None:
             self.memo[key] = verdict
             return verdict
@@ -190,6 +207,7 @@ class Checker:
         # time advance is offered while the clock is short of the horizon
         horizon = self.horizon
         rules = self.scenario.system_rules
+        every, after_tick = (critical, goal), (critical.clocked, goal.clocked)
         moves = successors(config, rules, advance=config.global_time < horizon)
         stack = [(None, config, key, moves)]
         onstack = {key}
@@ -203,7 +221,8 @@ class Checker:
                 verdict = last if self._covered(cfg, n) else False
             elif (move := next(moves, None)) is not None:
                 annotation, cfg2 = move
-                if match_spec(critical, cfg2) is not None:
+                critical2, goal2 = after_tick if annotation is TICK_STEP else every
+                if critical2 is not None and match_spec(critical2, cfg2) is not None:
                     continue
                 key2 = self._key(cfg2, n, limit - len(stack))
                 last = (annotation, cfg2, key2)
@@ -213,7 +232,7 @@ class Checker:
                 if key2 in onstack:
                     self._cutoff("revisited a state on its stack")
                     continue
-                pending = self._goal_verdict(cfg2, n)
+                pending = self._goal_verdict(cfg2, n, goal2)
                 if pending is not None:
                     self.memo[key2] = pending
                 elif len(stack) < limit:

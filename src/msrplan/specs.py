@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
-from .kernel import Configuration, Role, Signature
+from .kernel import TIME_PREDICATE, Configuration, Role, Signature
 from .rules import (
     TICK_STEP,
     Binding,
@@ -92,6 +92,17 @@ class ConfigSpec:
                     f"{self.kind.value} pair {i} contains no {wanted.value} predicate"
                 )
         return problems
+
+    @cached_property
+    def clocked(self) -> Optional["ConfigSpec"]:
+        """The specification of the pairs that mention `Time`, the only ones
+        whose match a change of the clock alone can alter; None when no
+        pair does."""
+        pairs = tuple(
+            pair for pair in self.pairs
+            if any(p.atom.pred == TIME_PREDICATE for p in pair.pattern)
+        )
+        return ConfigSpec(self.kind, pairs) if pairs else None
 
 
 def eta_measure(spec: ConfigSpec) -> int:

@@ -306,16 +306,19 @@ def trace_annotations(trace) -> list | None:
     return [s.instance if s.is_tick else s.instance.key() for s in trace.steps]
 
 
-def reference_goal_trace(scenario: PlanningScenario, budget: int) -> list | None:
+def reference_goal_trace(
+    scenario: PlanningScenario, budget: int, matches=match_spec
+) -> list | None:
     """Annotations of the first compliant goal trace in canonical move order,
     by plain recursion over the definition: at most `budget` time advances and
-    at most (budget + 1) * m steps; None if there is none."""
+    at most (budget + 1) * m steps; None if there is none.  `matches(spec,
+    config)` recognizes a specification, None for no match."""
     limit = (budget + 1) * len(scenario.initial)
 
     def search(config, remaining, depth):
-        if match_spec(scenario.critical_spec, config) is not None:
+        if matches(scenario.critical_spec, config) is not None:
             return None
-        if match_spec(scenario.goal_spec, config) is not None:
+        if matches(scenario.goal_spec, config) is not None:
             return []
         if depth == limit:
             return None
@@ -465,6 +468,12 @@ def brute_find_matches(
             inst = RuleInstance(rule, tuple(sorted(sigma.items())))
             keys.add(inst.key())
     return keys
+
+
+def brute_spec_match(spec: ConfigSpec, config: Configuration) -> tuple | None:
+    """`brute_match_spec` in the shape of `match_spec`'s result: a placeholder
+    match, or None."""
+    return ((), {}) if brute_match_spec(spec, config) else None
 
 
 def brute_match_spec(spec: ConfigSpec, config: Configuration) -> bool:

@@ -28,7 +28,7 @@ from msrplan.kernel import (
     term_sort_key,
 )
 from msrplan.reductions import Qbf, qbf_to_scenario
-from msrplan.rules import tick
+from msrplan.rules import EngineError, tick
 from msrplan.scenario import load_bundled
 from msrplan.search import successors
 
@@ -121,12 +121,12 @@ class TestConfigurationInvariants:
             [fact("P", 2, b), fact("Q", 1), fact("P", 1, a), fact("P", 2, b),
              fact("Time", 0), fact("Q", 1), fact("P", 1, b)]
         )
+        # the clock is held apart from the groups
         assert c.by_pred() == {
-            "Time": [fact("Time", 0)],
             "P": [fact("P", 1, a), fact("P", 1, b), fact("P", 2, b)],
             "Q": [fact("Q", 1)],
         }
-        assert list(c.by_pred()) == ["Time", "P", "Q"]
+        assert list(c.by_pred()) == ["P", "Q"]
 
     def test_same_facts_in_any_order_are_one_configuration(self):
         # facts that differ only in a constant's type still have distinct keys
@@ -189,6 +189,8 @@ def _assert_multiset_views(c: Configuration) -> None:
     assert not c.contains([*facts, facts[0]])
     groups: dict[str, list[TimedFact]] = {}
     for f in facts:
+        if f.pred == "Time":
+            continue  # the clock is held apart from the groups
         group = groups.setdefault(f.pred, [])
         if f not in group:
             group.append(f)
@@ -284,6 +286,49 @@ class TestReplace:
             config.counts().clear()
             assert config.count(p) == n and config.counts()[p] == n
             assert config.contains([p] * n) and not config.contains([p] * (n + 1))
+
+
+class TestTick:
+    """A tick builds only a new clock: it shares its parent's non-`Time`
+    tuple and groups, and equals the configuration built from scratch over
+    its facts in every public view."""
+
+    def test_shares_the_tuple_and_the_groups(self):
+        for config in _explored_configurations():
+            config.by_pred()
+            later = tick(config)
+            assert later._facts is config._facts
+            assert later._by_pred is config._by_pred
+            assert later.global_time == config.global_time + 1
+
+    def test_equals_configuration_built_from_scratch(self):
+        configs = _explored_configurations()
+        for config in configs:
+            later = tick(config)
+            facts = [f for f in config if f.pred != "Time"]
+            want = Configuration([*facts, fact("Time", config.global_time + 1)])
+            assert later == want and hash(later) == hash(want)
+            assert later.canonical_order() == want.canonical_order()
+            assert later.by_pred() == want.by_pred()
+            assert later.counts() == want.counts()
+            assert str(later) == str(want)
+            assert len(later) == len(config) == len(facts) + 1
+        assert len(configs) > 150
+
+    def test_overflow_is_checked(self):
+        last = Configuration([fact("Time", MAX_TIMESTAMP - 1), fact("P", 0)])
+        assert tick(last).global_time == MAX_TIMESTAMP
+        with pytest.raises(EngineError, match=r"^global time overflow$"):
+            tick(tick(last))
+        with pytest.raises(KernelError, match=rf"^timestamp {MAX_TIMESTAMP + 1} out of range$"):
+            last.at(MAX_TIMESTAMP + 1)
+
+    def test_time_is_nullary(self):
+        clock = TimedFact("Time", (Constant("a", "t"),), 0)
+        with pytest.raises(KernelError, match=r"^Time takes no arguments, got Time\(a\)@0$"):
+            Configuration([clock])
+        with pytest.raises(KernelError, match=r"^Time takes no arguments"):
+            Configuration([fact("Time", 0)]).replace([fact("Time", 0)], [clock])
 
 
 def _views(c: Configuration) -> tuple:

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qbf_mix, random_scenario, travel_with_start
+from conftest import (
+    brute_spec_match,
+    qbf_mix,
+    random_scenario,
+    reference_goal_trace,
+    trace_annotations,
+    travel_with_start,
+)
 from msrplan import resilience, search
 from msrplan.delta import abstract, delta_key
 from msrplan.kernel import TIME_PREDICATE
@@ -454,14 +461,15 @@ critical { Time@T, Halt@T1 | T < T1 }
 """
 
 
-def _reference_resilient(scenario, query) -> bool:
+def _reference_resilient(scenario, query, matches=match_spec) -> bool:
     """(n,a,b)-resilience by plain recursion over the definition in the
     search module's docstring, without memoization: a state is good when it
     is non-critical, every update applicable while the window is open leads
     to a state good one level down, and either the goal is matched or some
     system move leads to a good state.  Time advances close the window and
     are allowed while w + b >= 1; each level's paths are bounded by
-    (max(w, 0) + b + 2) * m steps."""
+    (max(w, 0) + b + 2) * m steps.  `matches(spec, config)` recognizes a
+    specification, None for no match."""
     critical, goal = scenario.critical_spec, scenario.goal_spec
     m = len(scenario.initial)
     b = query.b
@@ -483,11 +491,11 @@ def _reference_resilient(scenario, query) -> bool:
         )
 
     def good(config, n, w, steps):
-        if match_spec(critical, config) is not None:
+        if matches(critical, config) is not None:
             return False
         if not covered(config, n, w):
             return False
-        if match_spec(goal, config) is not None:
+        if matches(goal, config) is not None:
             return True
         if steps == 0:
             return False
@@ -515,6 +523,52 @@ class TestDifferentialOracle:
         assert result.resilient == _reference_resilient(scenario, query)
         if result.resilient:
             assert verify_witness(scenario, query, result.witness) == (True, [])
+
+
+# A goal pair and a critical pair that read the clock, next to pairs that do
+# not.  `Grown(x)` matches the first goal pair only two ticks after it was
+# created and the fuse burns at time 4, so both change their match on tick
+# successors alone, which the checker re-checks against these pairs only.
+CLOCKED = """
+types token;
+consts here: token, there: token;
+predicates Seed(token): system, Grown(token): goal, Fuse: critical;
+init { Time@0, Seed(here)@0, Seed(there)@1, Fuse@4 }
+rule system plant { consume: Seed(x)@T1; create: Grown(x)@T+1; guard: T1 <= T; }
+rule system_update blight { consume: Grown(x)@T1; create: Seed(x)@T+1; guard: T1 <= T; }
+goal { Grown(x)@T1, Time@T | T >= T1 + 2 }
+goal { Grown(here)@T1, Grown(there)@T2 | T1 > T2 }
+critical { Time@T, Fuse@T1 | T >= T1 }
+critical { Fuse@T1, Grown(there)@T2, Seed(here)@T3 | T2 < T3 }
+"""
+
+
+class TestClockedPairs:
+    """After a tick the checker re-checks only the specification pairs that
+    mention `Time`; where a goal pair does, it must still decide as the
+    definition does with brute-force recognition."""
+
+    def test_decides_as_the_brute_force_reference(self):
+        scenario = parse_scenario(CLOCKED, "clocked")
+        assert scenario.goal_spec.clocked.pairs == scenario.goal_spec.pairs[:1]
+        assert scenario.critical_spec.clocked.pairs == scenario.critical_spec.pairs[:1]
+        verdicts = set()
+        for n, a, b in itertools.product((0, 1, 2), (1, 2, 3), (0, 1, 2)):
+            query = ResilienceQuery(n, a, b)
+            result = check_resilience(scenario, query)
+            assert result.resilient == _reference_resilient(
+                scenario, query, brute_spec_match
+            ), query
+            verdicts.add(result.resilient)
+        assert verdicts == {True, False}
+        traces = [
+            trace_annotations(find_compliant_goal_trace(scenario, budget))
+            for budget in range(6)
+        ]
+        assert traces == [
+            reference_goal_trace(scenario, budget, brute_spec_match) for budget in range(6)
+        ]
+        assert traces[0] is None and traces[-1] is not None
 
 
 class TestAbstractionSharing:
@@ -594,11 +648,8 @@ class TestMemoKeyClock:
             assert checker.memo
             for key in checker.memo:
                 assert key.remaining is None and 0 <= key.n <= query.n, query
-                assert t0 <= _clock(key.facts) <= t0 + query.a + query.b, query
-
-
-def _clock(facts):
-    return next(f.ts for f in facts if f.pred == TIME_PREDICATE)
+                assert t0 <= key.time <= t0 + query.a + query.b, query
+                assert all(f.pred != TIME_PREDICATE for f in key.facts), query
 
 
 def _walk(node):

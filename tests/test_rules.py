@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import sys
 import threading
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_find_matches,
+    brute_match_spec,
     explored_states,
     qbf_mix,
     random_guarded_rule,
@@ -48,7 +50,7 @@ from msrplan.rules import (
 )
 from msrplan.scenario import load_bundled
 from msrplan.search import successors
-from msrplan.specs import SpecKind
+from msrplan.specs import ConfigSpec, SpecKind, SpecPair
 
 
 def fact(pred: str, ts: int, *args) -> TimedFact:
@@ -636,6 +638,75 @@ class TestGeneratedTier:
             found += _same_tiers(plans, states)
         assert found > 1000
 
+    def test_time_pattern_plans(self, travel):
+        """Specification pairs that mention `Time` anywhere: a `Time`
+        pattern binds its variable from the clock on both tiers, also when
+        it is not first, when there are two, and when an earlier step
+        constrains it."""
+        clock = lambda tvar: FactPattern(Atom("Time"), tvar)
+        beat = FactPattern(Atom("ClockBeat"), "T1")
+        deadline = FactPattern(Atom("Deadline", (Variable("e", "eid"),)), "T2")
+        pairs = [
+            ((beat, clock("T")), (TimeConstraint("T1", "<", "T"),)),
+            ((clock("T"), beat, clock("T3")), (TimeConstraint("T3", "<", "T1"),)),
+            ((beat, clock("T")), (TimeConstraint("T", "=", "T1", -1),)),
+            (
+                (deadline, beat, clock("T")),
+                (TimeConstraint("T", "<=", "T2", -60), TimeConstraint("T", ">=", "T1", -1)),
+            ),
+        ]
+        plans = [MatchPlan(pattern, constraints) for pattern, constraints in pairs]
+        assert _same_tiers(plans, explored_states(travel, 80)) > 100
+        rng = random.Random(16)
+        found = 0
+        for seed in range(60):
+            scenario = random_scenario(seed, progressing=seed % 2 == 0, with_updates=True)
+            plans = []
+            for _ in range(4):
+                pair = random_spec(rng, SpecKind.GOAL).pairs[0]
+                pattern = list(pair.pattern)
+                others = [p.tvar for p in pattern]
+                for tvar in ("T", "T9")[: rng.randint(1, 2)]:
+                    pattern.insert(rng.randint(0, len(pattern)), clock(tvar))
+                link = TimeConstraint(
+                    "T", rng.choice(("<", "<=", "=", ">=", ">")), rng.choice(others),
+                    rng.randint(-2, 2),
+                )
+                plans.append(MatchPlan(pattern, (*pair.constraints, link)))
+            found += _same_tiers(plans, explored_states(scenario, 30))
+        assert found > 200
+
+    def test_type_twins_on_both_tiers(self):
+        """Constants that share a name but not a type are different terms on
+        both tiers: the generated tier compares argument keys, which hold the
+        type, where the interpreter compares terms."""
+        a, a2, b = Constant("a", "obj"), Constant("a", "obj2"), Constant("b", "obj")
+        x, y = Variable("x", ""), Variable("y", "")
+        patterns = [
+            (FactPattern(Atom("Q", (a, y)), "T1"),),
+            (FactPattern(Atom("Q", (a, b)), "T1"),),
+            (FactPattern(Atom("P", (x,)), "T1"), FactPattern(Atom("Q", (x, y)), "T2")),
+            (FactPattern(Atom("P", (x,)), "T1"), FactPattern(Atom("Q", (b, x)), "T2")),
+            (FactPattern(Atom("Q", (x, x)), "T1"),),
+        ]
+        pool = [fact("P", 0, a), fact("P", 0, a2), fact("Q", 0, a, b), fact("Q", 0, a2, b),
+                fact("Q", 0, b, a2), fact("Q", 0, a, a2), fact("Q", 0, a2, a2)]
+        configs = [
+            Configuration([fact("Time", 0), *facts])
+            for k in (1, 2, 3) for facts in itertools.combinations(pool, k)
+        ]
+        plans = [MatchPlan(pattern, ()) for pattern in patterns]
+        plans += [
+            MatchPlan(pattern, (), precondition=True, consumed=len(pattern))
+            for pattern in patterns
+        ]
+        assert _same_tiers(plans, configs) > 100
+        for pattern, plan in zip(patterns, plans):
+            spec = ConfigSpec(SpecKind.GOAL, (SpecPair(pattern),))
+            hits = [bool(plan.run(c)) for c in configs]
+            assert hits == [brute_match_spec(spec, c) for c in configs]
+            assert 0 < sum(hits) < len(configs)
+
     def test_long_graph_spec_chains(self):
         rng = random.Random(21)
         names = tuple("abcde")
@@ -750,7 +821,7 @@ class TestGeneratedTier:
         plan.generate()
         digest = hashlib.sha256(plan.source.encode()).hexdigest()
         assert digest == (
-            "e8cf7e0dfaba16b410784a6798e9515036add5aeb8ac7c094a72d335afd89bbe"
+            "cfae6bb25d92cd11f7460a991ccee6052d617ace3149295f439934d03d22d33f"
         ), plan.source
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import (
+    explored_states,
     random_scenario,
     reference_goal_trace,
     trace_annotations,
@@ -14,6 +15,7 @@ from msrplan.scenario import PlanningScenario, parse_scenario
 from msrplan.search import (
     Checker,
     SearchStats,
+    StateKey,
     find_compliant_goal_trace,
     instantaneous_run_lengths,
     successors,
@@ -175,3 +177,26 @@ class TestCutoffs:
         monkeypatch.setattr(PlanningScenario, "progressing", True)
         with pytest.raises(EngineError, match=reason):
             Checker(scenario, a, 0).decide(scenario.initial, 0)
+
+
+class TestStateKey:
+    """A memo key holds a configuration's non-`Time` tuple and its clock, so
+    configurations that differ only in their clock, such as a state and its
+    tick successor, never share a key or a memo entry."""
+
+    def test_the_clock_tells_keys_apart(self, travel):
+        for config in explored_states(travel, 40):
+            key, later = StateKey(config, 1, None), StateKey(tick(config), 1, None)
+            assert later.facts is key.facts and later.time == key.time + 1
+            assert later != key
+            later._hash = key._hash  # a hash collision: equality decides
+            assert later != key and len({key: 1, later: 2}) == 2
+
+    def test_tick_successors_get_their_own_entries(self, travel):
+        checker = Checker(travel_with_start(travel, 60), 12, 220)
+        assert checker.decide(checker.scenario.initial, 1)
+        times: dict[tuple, set] = {}
+        for key in checker.memo:
+            times.setdefault((key.facts, key.n), set()).add(key.time)
+        assert sum(len(t) for t in times.values()) == len(checker.memo)
+        assert sum(len(t) > 1 for t in times.values()) > 100
