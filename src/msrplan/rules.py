@@ -17,13 +17,14 @@ put anchored patterns first because `find_matches` sorts its instances.
 
 A plan runs in two tiers.  A cold plan is interpreted: `_extend` walks its
 steps.  After `HOT_CALLS` calls the plan emits Python source from the same
-steps, one ``for`` loop per step with bounds, positions and ground terms as
-locals or constants, and compiles it; a plan longer than `CHAIN_STEPS`
-steps chains several such functions, since Python rejects more than 20
-nested blocks.  Generation costs as much as a few hundred interpreted calls,
-so a specification built for a single query (the graph reduction builds one
-per pair) stays interpreted, and so does a plan with a non-ground function
-term.  Once a plan is hot, `find_matches` and `specs.match_spec` call its
+steps, one function with one ``for`` loop per step and bounds, positions
+and argument keys as locals or constants, and compiles it.  Both tiers test
+a fact's arguments by comparing sort keys, never calling a term's
+``__eq__``.  Generation costs as much as a few hundred interpreted calls, so
+a specification built for a single query (the graph reduction builds one
+per pair) stays interpreted.  So do a plan with a non-ground function term
+and one of more than `MAX_LOOPS` steps, since CPython rejects more nested
+loops.  Once a plan is hot, `find_matches` and `specs.match_spec` call its
 generated function directly, so a (state, rule) or (state, pair) match
 costs one call into the layer and one into that function, which reads the
 configuration's groups and clock from their slots; `MatchPlan.bindings`,
@@ -76,9 +77,9 @@ TICK_STEP = "Tick"  # a time advance's step label, so no rule may take the name
 # call: one matched once per query never pays for generation.
 HOT_CALLS = 200
 
-# Python rejects more than 20 statically nested blocks; a generated function
-# holds at most this many step loops and hands the rest to the next one.
-CHAIN_STEPS = 10
+# CPython rejects more than 20 statically nested blocks, and a generated
+# function nests one loop per step, so a longer plan stays interpreted.
+MAX_LOOPS = 20
 
 
 class RuleError(ValueError):
@@ -685,7 +686,8 @@ class MatchPlan:
         # the function `bindings` runs; a plan that cannot be generated
         # starts on the interpreter for good
         self.run: Optional[Callable[[Configuration], list]] = None
-        if self.never or not self.steps or any(s.nested is not None for s in self.steps):
+        nested = any(s.nested is not None for s in self.steps)
+        if self.never or nested or not 0 < len(self.steps) <= MAX_LOOPS:
             self.run = self.interpret
 
     def bindings(self, config: Configuration) -> list:
@@ -707,9 +709,10 @@ class MatchPlan:
     def generate(self) -> Callable[[Configuration], list]:
         """Emit and compile this plan's function, keep it and its source on
         the plan, and return it.  Only a plan whose `run` is still None may
-        be generated: one that can match, has steps, and holds no nested
-        function term.  The code is compiled under a file name that lists
-        the plan's patterns in step order, so profiles tell plans apart."""
+        be generated: one that can match, has one to `MAX_LOOPS` steps, and
+        holds no nested function term.  The code is compiled under a file
+        name that lists the plan's patterns in step order, so profiles tell
+        plans apart."""
         source, namespace = _emit(self)
         filename = f"<match plan {', '.join(map(str, self.patterns))}>"
         exec(compile(source, filename, "exec"), namespace)
@@ -740,12 +743,13 @@ class _Step(NamedTuple):
 
     `lows` and `highs` hold (name, k) pairs meaning ``ts >= binding[name] +
     k`` and ``ts <= binding[name] + k`` for the candidate fact's timestamp.
-    `fixed` lists the arguments determined on entry as (position, bound name
-    or None, ground term); `binds` the first occurrences of new variables as
-    (position, name, base type); `dups` their later occurrences as
-    (position, first position).  `whole` is the argument tuple itself when
-    every argument is ground.  A pattern with a non-ground function term
-    instead unifies its `nested` arguments one by one from the `known` names.
+    `fixed` lists the arguments determined on entry as (position, bound name,
+    None) or (position, None, the ground term's sort key); `binds` the first
+    occurrences of new variables as (position, name, base type); `dups` their
+    later occurrences as (position, first position).  `whole` is the tuple of
+    the arguments' keys when every argument is ground.  A pattern with a
+    non-ground function term instead unifies its `nested` arguments one by
+    one from the `known` names.
     `slot` is the pattern's index among a rule's consumed patterns, None for
     a side condition or a specification pattern.
     """
@@ -756,8 +760,8 @@ class _Step(NamedTuple):
     lows: tuple[tuple[str, int], ...]
     highs: tuple[tuple[str, int], ...]
     determined: bool  # every argument is in `fixed`
-    whole: Optional[tuple[Term, ...]]
-    fixed: tuple[tuple[int, Optional[str], Optional[Term]], ...]
+    whole: Optional[tuple[tuple, ...]]
+    fixed: tuple[tuple[int, Optional[str], Optional[tuple]], ...]
     binds: tuple[tuple[int, str, str], ...]
     dups: tuple[tuple[int, int], ...]
     nested: Optional[tuple[Term, ...]]
@@ -796,7 +800,7 @@ class _Step(NamedTuple):
                         lows.append((c.left, -c.offset))
             bound.add(tvar)
         args = pat.atom.args
-        fixed: list[tuple[int, Optional[str], Optional[Term]]] = []
+        fixed: list[tuple[int, Optional[str], Optional[tuple]]] = []
         binds: list[tuple[int, str, str]] = []
         dups: list[tuple[int, int]] = []
         first_pos: dict[str, int] = {}
@@ -812,7 +816,7 @@ class _Step(NamedTuple):
                     first_pos[a.name] = pos
                     binds.append((pos, a.name, a.base_type))
             elif is_ground(a):
-                fixed.append((pos, None, a))
+                fixed.append((pos, None, term_sort_key(a)))
             else:
                 nested = args
         if nested is not None:
@@ -823,7 +827,9 @@ class _Step(NamedTuple):
         else:
             bound.update(first_pos)
         determined = nested is None and len(fixed) == len(args)
-        whole = args if determined and all(n is None for _, n, _ in fixed) else None
+        whole = None
+        if determined and all(n is None for _, n, _ in fixed):
+            whole = tuple(g for _, _, g in fixed)
         return cls(
             tvar, pat.atom.pred, len(args), tuple(lows), tuple(highs), determined,
             whole, tuple(fixed), tuple(binds), tuple(dups), nested, known, claims, slot,
@@ -845,7 +851,8 @@ def _extend(
     pattern.  A precondition's plan passes `held`, where each consumed step
     puts its fact, and gets a copy of every complete binding with the held
     facts appended to `out`; a specification pair's plan passes None, gets
-    the first binding alone, and True once it is found."""
+    the first binding alone, and True once it is found.  Arguments are
+    compared through sort keys, a bound term's kept in its ``_key``."""
     (tvar, pred, arity, lows, highs, determined, whole, fixed, binds, dups,
      nested, known, claims, slot) = steps[i]
     final = i + 1 == len(steps)
@@ -862,9 +869,9 @@ def _extend(
         return False
     if determined:
         if whole is None:
-            whole = tuple([g if n is None else sigma[n] for _, n, g in fixed])
+            whole = tuple([g if n is None else sigma[n]._key for _, n, g in fixed])
     else:
-        checks = [(pos, g if n is None else sigma[n]) for pos, n, g in fixed]
+        checks = [(pos, g if n is None else sigma[n]._key) for pos, n, g in fixed]
     for fact in by_pred.get(pred, clock):  # only `Time` has no group here
         ts = fact.ts
         if ts < lo:
@@ -873,13 +880,13 @@ def _extend(
             break  # ascending timestamps: no later fact fits
         args = fact.args
         if determined:
-            if args != whole:
+            if fact.sort_key[3] != whole:
                 continue
         elif nested is not None:
             view = _unify_args(nested, args, {n: sigma[n] for n in known})
             if view is None:
                 continue
-        elif len(args) != arity or not _fits(args, checks, dups, binds):
+        elif len(args) != arity or not _fits(args, fact.sort_key[3], checks, dups, binds):
             continue
         if claims:
             if available[fact] <= 0:
@@ -907,15 +914,16 @@ def _extend(
 
 def _fits(
     args: tuple[Term, ...],
-    checks: list[tuple[int, Term]],
+    keys: tuple[tuple, ...],
+    checks: list[tuple[int, tuple]],
     dups: tuple[tuple[int, int], ...],
     binds: tuple[tuple[int, str, str], ...],
 ) -> bool:
-    for pos, value in checks:
-        if args[pos] != value:
+    for pos, key in checks:
+        if keys[pos] != key:
             return False
     for pos, first in dups:
-        if args[pos] != args[first]:
+        if keys[pos] != keys[first]:
             return False
     for pos, _, btype in binds:
         if btype:
@@ -942,25 +950,24 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
     it runs in, which holds the sort keys of the plan's ground terms.
 
     The function does what `interpret` does, step for step: one ``for``
-    loop per step over the facts of its predicate, the step's timestamp
-    bounds and argument keys computed before its loop, each bound name kept
-    in a local, and one dict literal per complete binding, whose keys follow
-    the order in which the interpreter inserts them.  A fact's arguments are
-    tested by comparing their keys (`TimedFact.sort_key` holds them) with
-    the keys of the ground or bound terms expected there: keys are total, so
-    this is term equality, decided on built-in tuples.  It reads the
-    configuration's groups from their slot, calling `by_pred` only when they
-    were never computed, and its clock from the clock's slot: a `Time`
-    pattern's loop runs over the clock alone.  A precondition's plan pairs
-    each binding with the tuple of its consumed steps' loop variables, which
-    a chained function is passed along with the bound names."""
+    loop per step over the facts of its predicate, nested in the previous
+    step's loop, the step's timestamp bounds and argument keys computed
+    before its loop, each bound name kept in a local, and one dict literal
+    per complete binding, whose keys follow the order in which the
+    interpreter inserts them.  A fact's arguments are tested as the
+    interpreter tests them, by comparing their keys (`TimedFact.sort_key`
+    holds them) with the keys the step stores for its ground arguments and
+    the ``_key`` of each bound term: keys are total, so this is term
+    equality, decided on built-in tuples.  It reads the configuration's
+    groups from their slot, calling `by_pred` only when they were never
+    computed, and its clock from the clock's slot: a `Time` pattern's loop
+    runs over the clock alone.  A precondition's plan pairs each binding
+    with the tuple of its consumed steps' loop variables."""
     namespace: dict[str, object] = {"_TYPED": (Constant, FreshConstant)}
     facts = {pred: f"p{j}" for j, pred in enumerate(plan.preds)}
     names: dict[str, str] = {}  # binding name -> local, in binding order
     carried: dict[int, str] = {}  # consumed slot -> loop variable
     first = not plan.precondition
-    passed = [*facts.values(), *(["available"] if plan.claims else []), "out"]
-    parts: list[list[str]] = []
 
     def const(value: object) -> str:
         name = f"k{len(namespace) - 1}"
@@ -996,39 +1003,30 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
         lines.append(f"{pad}{target} = {value}")
         return target
 
-    def emit(lines: list[str], i: int, start: int, depth: int, done: str) -> None:
-        """Steps i.. at `depth`; `done` ends a search stopped at its first binding."""
+    def emit(lines: list[str], i: int, depth: int) -> None:
+        """Steps i.. at `depth`."""
         pad = "    " * depth
         if i == len(plan.steps):
             items = ", ".join(f"{n!r}: {v}" for n, v in names.items())
             if first:
-                lines += [f"{pad}out.append({{{items}}})", pad + done]
+                lines += [f"{pad}out.append({{{items}}})", f"{pad}return out"]
             else:
                 held = ", ".join(carried[k] for k in range(plan.consumed))
                 comma = "," if plan.consumed == 1 else ""
                 lines.append(f"{pad}out.append(({{{items}}}, ({held}{comma})))")
             return
-        if i - start == CHAIN_STEPS:
-            params = ", ".join([*passed, *names.values(), *carried.values()])
-            call = f"part{len(parts) + 1}({params})"
-            part = [f"def part{len(parts) + 1}({params}):"]
-            parts.append(part)
-            lines += [f"{pad}if {call}:", f"{pad}    {done}"] if first else [pad + call]
-            emit(part, i, i, 1, "return True")
-            return
         step = plan.steps[i]
         lo = bound(lines, pad, f"lo{i}", step.lows, max)
         hi = bound(lines, pad, f"hi{i}", step.highs, min)
-        # arguments are tested through their terms' keys, which compare in C;
         # the key of a bound term is read before the loop
         whole = None
         keys: list[str] = []
         if step.whole is not None:
-            whole = const(tuple(map(term_sort_key, step.whole)))
+            whole = const(step.whole)
         else:
             for pos, n, g in step.fixed:
                 if n is None:
-                    keys.append(const(term_sort_key(g)))
+                    keys.append(const(g))
                 else:
                     keys.append(f"x{i}_{pos}")
                     lines.append(f"{pad}x{i}_{pos} = {names[n]}._key")
@@ -1076,7 +1074,7 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
                 f"{pad}    continue",
                 f"{pad}available[{fact}] -= 1",
             ]
-        emit(lines, i + 1, start, depth + 1, done)
+        emit(lines, i + 1, depth + 1)
         if step.claims:
             lines.append(f"{pad}available[{fact}] += 1")
 
@@ -1100,9 +1098,9 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
         lines.append(f"    {local(GLOBAL_TIME_VAR)} = config._clock.ts")
     if plan.claims:
         lines.append("    available = config.counts()")
-    emit(lines, 0, 0, 1, "return out")
+    emit(lines, 0, 1)
     lines.append("    return out")
-    return "\n".join(line for part in (lines, *parts) for line in part) + "\n", namespace
+    return "\n".join(lines) + "\n", namespace
 
 
 def _next_pattern(

@@ -26,14 +26,16 @@ specification pairs that mention `Time` alone.
 The scenario configures the engine.  In a progressing scenario a state is
 keyed on (non-`Time` fact tuple, clock, n).  The clock fixes the window
 left, so the time abstraction of `delta` could never merge two such keys
-and the search does not compute it.  These keys omit the
-remaining path length, so they are sound only when no cutoff can fire, which
-holds in progressing scenarios; a cutoff there raises `EngineError`.  In any
-other scenario the remaining path length is added to the key, which is
-exact for the bounded search even when instantaneous rules form a cycle.
+and the search does not compute it.  These keys omit the remaining path
+length, so they are sound only when the search's one cutoff, its path
+bound, cannot fire, which holds in progressing scenarios; the cutoff there
+raises `EngineError`.  In any other scenario the remaining path length is
+added to the key, which is exact for the bounded search even when
+instantaneous rules form a cycle: a state revisited along a path is
+expanded again with less length left, until the path bound refutes it.
 A key (`StateKey`) is hashed once, from the configuration's multiset hash,
-which each move updates from the facts it changes; memo and stack probes
-then cost one Python call each instead of one per fact.
+which each move updates from the facts it changes; a memo probe then costs
+one Python call instead of one per fact.
 
 A compliant goal trace within a tick budget is the n=0, b=0 case:
 `find_compliant_goal_trace` runs the engine there.
@@ -130,13 +132,6 @@ class Checker:
     def _key(self, config: Configuration, n: int, remaining: int) -> StateKey:
         return StateKey(config, n, None if self.progressing else remaining)
 
-    def _cutoff(self, reason: str) -> None:
-        """A successor the bounded search cannot expand.  Exact keys carry the
-        remaining path length, so there it just counts as bad; memo keys do
-        not, so there it is an error (unreachable in progressing scenarios)."""
-        if self.progressing:
-            raise EngineError(f"memoized search {reason}")
-
     def admits_updates(self, config: Configuration, n: int) -> bool:
         """Updates are admitted while some are left and the clock is at or
         before the deadline."""
@@ -178,9 +173,17 @@ class Checker:
     def decide(self, config: Configuration, n: int) -> bool:
         """Does a resilient trace from `config` with n updates left exist?
 
-        Critical states are refuted before their key is computed.  A successor
-        deeper than the path bound, or one whose key is on the stack, is a
-        cutoff (see `_cutoff`); neither occurs in a progressing scenario.
+        Critical states are refuted before their key is computed.  The one
+        cutoff is the path bound: a successor that would lie deeper than it
+        is not expanded.  Exact keys carry the remaining path length, so
+        there the successor just counts as bad; memo keys do not, so there
+        the cutoff raises `EngineError`, and it never fires in a progressing
+        scenario.  No check for a successor already on the stack stands
+        beside it.  With exact keys a successor's key holds less remaining
+        length than every key on the stack, so it never equals one.  With
+        memo keys a revisit cannot happen in a progressing scenario; were it
+        to happen, the search would repeat the same moves until the path
+        bound raised.
 
         Every frame on the stack is neither critical nor a goal, and a tick
         changes only the clock, so a specification pair that does not read
@@ -210,7 +213,6 @@ class Checker:
         every, after_tick = (critical, goal), (critical.clocked, goal.clocked)
         moves = successors(config, rules, advance=config.global_time < horizon)
         stack = [(None, config, key, moves)]
-        onstack = {key}
         pending: Union[None, bool, tuple] = None  # verdict of the last successor
         last: tuple = ()  # that successor as (annotation, configuration, key)
         while stack:
@@ -229,23 +231,18 @@ class Checker:
                 pending = self.memo.get(key2)
                 if pending is not None:
                     continue
-                if key2 in onstack:
-                    self._cutoff("revisited a state on its stack")
-                    continue
                 pending = self._goal_verdict(cfg2, n, goal2)
                 if pending is not None:
                     self.memo[key2] = pending
                 elif len(stack) < limit:
                     moves = successors(cfg2, rules, advance=cfg2.global_time < horizon)
                     stack.append((annotation, cfg2, key2, moves))
-                    onstack.add(key2)
-                else:
-                    self._cutoff("reached its path bound")
+                elif self.progressing:
+                    raise EngineError("memoized search reached its path bound")
                 continue
             else:
                 verdict = False
             self.memo[fkey] = verdict
-            onstack.discard(fkey)
             stack.pop()
             last = (frame[0], cfg, fkey)
             pending = verdict

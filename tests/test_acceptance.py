@@ -307,8 +307,8 @@ def test_criterion_6_graph_homomorphism_recognizer():
     """Each pattern's specification is built once in the outer loop and each
     host configuration once before the loops, as `graph_to_goal_instance`
     composes them; every specification then serves enough pairs to have its
-    match plan generated, so the oracle also checks generated (and, past
-    `CHAIN_STEPS` edges, chained) plans."""
+    match plan generated, so the oracle also checks generated plans, each
+    one function of at most 12 nested loops here."""
     started = time.time()
     mism = []
 

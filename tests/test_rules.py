@@ -20,7 +20,15 @@ from conftest import (
     random_scenario,
     random_spec,
 )
-from msrplan.kernel import Configuration, Constant, Role, TimedFact, Variable, make_signature
+from msrplan.kernel import (
+    Configuration,
+    Constant,
+    FreshConstant,
+    Role,
+    TimedFact,
+    Variable,
+    make_signature,
+)
 from msrplan.reductions import (
     Graph,
     brute_force_homomorphism,
@@ -30,8 +38,8 @@ from msrplan.reductions import (
 )
 from msrplan.resilience import ResilienceQuery, check_resilience, verify_witness
 from msrplan.rules import (
-    CHAIN_STEPS,
     HOT_CALLS,
+    MAX_LOOPS,
     Atom,
     CreatedFact,
     EngineError,
@@ -42,6 +50,7 @@ from msrplan.rules import (
     RuleInstance,
     RuleRole,
     TimeConstraint,
+    _emit,
     apply_instance,
     classify_rule,
     find_matches,
@@ -50,7 +59,7 @@ from msrplan.rules import (
 )
 from msrplan.scenario import load_bundled
 from msrplan.search import successors
-from msrplan.specs import ConfigSpec, SpecKind, SpecPair
+from msrplan.specs import ConfigSpec, SpecKind, SpecPair, interpret_spec
 
 
 def fact(pred: str, ts: int, *args) -> TimedFact:
@@ -707,25 +716,66 @@ class TestGeneratedTier:
             assert hits == [brute_match_spec(spec, c) for c in configs]
             assert 0 < sum(hits) < len(configs)
 
-    def test_long_graph_spec_chains(self):
+    def test_interpreter_compares_keys_not_terms(self, travel, monkeypatch):
+        """The interpreter decides argument equality on sort keys, as the
+        generated tier does: matching explored travel states and graph pairs
+        on it calls no constant's ``__eq__``."""
+        calls = Counter()
+        for cls in (Constant, FreshConstant):
+            def counted(self, other, eq=cls.__eq__, name=cls.__name__):
+                calls[name] += 1
+                return eq(self, other)
+            monkeypatch.setattr(cls, "__eq__", counted)
+        found = 0
+        for config in explored_states(travel, 60):
+            for rule in travel.rules():
+                found += len(interpret_matches(rule, config))
+            for spec in (travel.goal_spec, travel.critical_spec):
+                found += interpret_spec(spec, config) is not None
+        names = tuple("abc")
+        graphs = [
+            Graph(names, edges)
+            for edges in itertools.combinations([(u, v) for u in names for v in names], 3)
+        ][::7]
+        for g in graphs:
+            spec = graph_goal_spec(g)
+            for k in graphs:
+                found += interpret_spec(spec, graph_host(k)) is not None
+        assert found > 100
+        assert not calls, calls
+
+    def test_loop_limit_boundary(self):
+        """A graph specification of `MAX_LOOPS` edges turns hot as one
+        function; with one edge more its function would not compile, so that
+        plan stays interpreted however often it is called.  Both plans agree
+        with the brute-force oracle."""
         rng = random.Random(21)
         names = tuple("abcde")
-        edges = tuple((u, v) for u in names for v in names)[:22]
-        g = Graph(names, edges)
-        [pair] = graph_goal_spec(g).pairs
-        assert len(pair.pattern) > 2 * CHAIN_STEPS
-        hosts = [Graph(("u",), (("u", "u"),)), Graph(names, edges)]
+        every = tuple((u, v) for u in names for v in names)
+        hosts = [Graph(("u",), (("u", "u"),)), Graph(names, every)]
         for _ in range(20):
             vertices = tuple("uvwxyz"[: rng.randint(2, 6)])
             hosts.append(
                 Graph(vertices, tuple((u, v) for u in vertices for v in vertices if rng.random() < 0.6))
             )
-        plan = MatchPlan(pair.pattern, pair.constraints)
-        assert _same_tiers([plan], [graph_host(k) for k in hosts]) >= 2
-        assert plan.source.count("\ndef part") == 2
-        for k in hosts:
-            hit = plan.run(graph_host(k))
-            assert bool(hit) == (brute_force_homomorphism(g, k) is not None)
+        configs = [graph_host(k) for k in hosts]
+        for size in (MAX_LOOPS, MAX_LOOPS + 1):
+            g = Graph(names, every[:size])
+            [pair] = graph_goal_spec(g).pairs
+            assert len(pair.pattern) == size
+            plan = MatchPlan(pair.pattern, pair.constraints)
+            want = [brute_force_homomorphism(g, k) is not None for k in hosts]
+            assert 0 < sum(want) < len(hosts)
+            for _ in range(HOT_CALLS // len(configs) + 1):
+                assert [bool(plan.bindings(c)) for c in configs] == want
+            if size == MAX_LOOPS:
+                assert plan.source is not None
+                assert plan.source.count("def ") == 1
+                assert _same_tiers([MatchPlan(pair.pattern, pair.constraints)], configs) >= 2
+            else:
+                assert plan.source is None
+                with pytest.raises(SyntaxError):
+                    compile(_emit(plan)[0], "<too deep>", "exec")
 
     def test_travel_system_plans_turn_hot(self):
         scenario = load_bundled("travel.msr")
@@ -825,13 +875,12 @@ class TestGeneratedTier:
         ), plan.source
 
 
-def _chain_rule() -> tuple[Rule, Configuration]:
-    """A rule of 12 patterns at ``T``, 4 side and 8 consumed, so its generated
-    plan matches consumed patterns both before and inside its chained part,
-    and a configuration holding 8 of its matches."""
+def _long_rule() -> tuple[Rule, Configuration]:
+    """A rule of 12 patterns at ``T``, 4 side and 8 consumed, and a
+    configuration holding 8 of its matches."""
     patterns = [FactPattern(Atom(f"P{k}", (Variable(f"x{k}", "obj"),)), "T") for k in range(12)]
     rule = Rule(
-        "chain", tuple(patterns[:4]), tuple(patterns[4:]), (CreatedFact(Atom("Done"), 1),), ()
+        "long", tuple(patterns[:4]), tuple(patterns[4:]), (CreatedFact(Atom("Done"), 1),), ()
     )
     a, b = Constant("a", "obj"), Constant("b", "obj")
     facts = [fact("Time", 0)] + [fact(f"P{k}", 0, a) for k in range(12)]
@@ -884,11 +933,13 @@ class TestCarriedFacts:
             for rule in travel.rules():
                 assert all(i.facts is None for i in interpret_matches(rule, config))
 
-    def test_chained_parts_carry_earlier_facts(self):
-        rule, config = _chain_rule()
+    def test_long_plan_carries_every_fact(self):
+        """A 12-step plan is generated as one function whose bindings carry
+        the facts of all 8 consumed steps."""
+        rule, config = _long_rule()
         plan = rule.plan
         plan.generate()
-        assert plan.source.count("\ndef part") == 1
+        assert plan.source.count("def ") == 1
         assert _same_tiers([_rule_plan(rule)], [config]) == 8
         found = find_matches(rule, config)
         assert len(found) == 8

@@ -163,19 +163,20 @@ critical { Time@T, Halt@T1 | T < T1 }
 
 
 class TestCutoffs:
-    @pytest.mark.parametrize(
-        "text, a, reason",
-        [(CYCLE, 1, "state on its stack"), (CHAIN, 0, "path bound")],
-        ids=["state on its stack", "path bound"],
-    )
-    def test_memo_cutoff_is_an_error(self, monkeypatch, text, a, reason):
+    """The path bound is the search's one cutoff.  A cycle of instantaneous
+    moves revisits a state on the stack; the search keeps expanding it until
+    the path bound, which refutes it with exact keys and raises with memo
+    keys."""
+
+    @pytest.mark.parametrize("text, a", [(CYCLE, 1), (CHAIN, 0)], ids=["cycle", "path bound"])
+    def test_memo_cutoff_is_an_error(self, monkeypatch, text, a):
         scenario = parse_scenario(text, "cutoff")
         assert not scenario.progressing
         # exact keys carry the remaining path length: the cutoff is a verdict
         assert Checker(scenario, a, 0).decide(scenario.initial, 0) is False
         # memo keys do not, so there the same cutoff is an error
         monkeypatch.setattr(PlanningScenario, "progressing", True)
-        with pytest.raises(EngineError, match=reason):
+        with pytest.raises(EngineError, match="reached its path bound"):
             Checker(scenario, a, 0).decide(scenario.initial, 0)
 
 
