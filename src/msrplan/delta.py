@@ -98,14 +98,14 @@ def delta_key(d: DeltaRep) -> tuple:
     return (d.dmax, d.facts, d.gaps)
 
 
-def lift(d: DeltaRep, base_time: int = 0) -> Configuration:
+def lift(d: DeltaRep) -> Configuration:
     """Canonical concrete representative of an abstraction.
 
-    The first fact is placed at `base_time`; finite gaps place successors at
+    The first fact is placed at time 0; finite gaps place successors at
     the exact difference and infinite gaps at ``dmax + 1``.  Abstracting the
     result reproduces the input.
     """
-    ts = base_time
+    ts = 0
     facts: list[TimedFact] = []
     for i, (pred, args) in enumerate(d.facts):
         if i > 0:

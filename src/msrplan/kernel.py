@@ -8,16 +8,18 @@ when it is built, and a fact its own from those, and its hash; facts and
 configurations are slotted and fill their slots through member descriptors,
 not per-field ``object.__setattr__`` calls.  Each successor is built from its
 parent plus the change (Zobrist's incremental hashing applied to the whole
-state).  A time advance swaps the clock alone: it shares the parent's tuple
-and groups, and its hash is the parent's with the two clocks' hashes
-swapped.  A rule application bisects the parent's tuple, updates its hash
-by the removed and added facts, and copies its per-predicate groups, when
-computed, with only the changed predicates' lists rebuilt.  All values here
-are immutable and safe to share between concurrent searches: a parent's
-tuple and lists are never mutated.  The match plans that rules and
-specifications keep (`rules.MatchPlan`) change in one way only: each counts
-its calls and, once hot, sets its generated function once.  The counter is
-not locked, since a lost increment only delays generation.
+state).  As in the timed MSR, where only the tick advances global time,
+only `Configuration.at` moves the clock: a time advance swaps the clock
+alone, shares the parent's tuple and groups, and its hash is the parent's
+with the two clocks' hashes swapped.  A rule application (`replace`) keeps
+the clock, bisects the parent's tuple, updates its hash by the removed and
+added facts, and copies its per-predicate groups, when computed, with only
+the changed predicates' lists rebuilt.  All values here are immutable and
+safe to share between concurrent searches: a parent's tuple and lists are
+never mutated.  The match plans that rules and specifications keep
+(`rules.MatchPlan`) change in one way only: each counts its calls and, once
+hot, sets its generated function once, in place of its cold entry.  The
+counter is not locked, since a lost increment only delays generation.
 """
 
 from __future__ import annotations
@@ -390,9 +392,10 @@ class Configuration:
 
     A successor is built in O(changes) Python steps.  `at` moves the clock
     alone: it shares this configuration's tuple and groups and updates the
-    hash by the swap of the clock.  `replace` bisects the tuple, updates the
-    hash by the removed and added facts, and inherits the groups when they
-    are computed, copying only the lists of the predicates that change.
+    hash by the swap of the clock.  It is the only clock mover: `replace`
+    keeps the clock, bisects the tuple, updates the hash by the removed and
+    added facts, and inherits the groups when they are computed, copying
+    only the lists of the predicates that change.
     """
 
     __slots__ = ("_facts", "_clock", "_hash", "_counts", "_by_pred")
@@ -401,10 +404,16 @@ class Configuration:
         canonical = sorted(facts, key=_SORT_KEY)
         clocks = [f for f in canonical if f.pred == TIME_PREDICATE]
         if len(clocks) != 1:
-            raise KernelError(_time_count_message(len(clocks)))
+            raise KernelError(
+                f"configuration must contain exactly one {TIME_PREDICATE} fact, "
+                f"got {len(clocks)}"
+            )
+        # the global time alone tells two clocks apart
+        if clocks[0].args:
+            raise KernelError(f"{TIME_PREDICATE} takes no arguments, got {clocks[0]}")
         others = tuple(f for f in canonical if f.pred != TIME_PREDICATE)
         digest = sum(map(_FACT_HASH, canonical)) & _HASH_MASK
-        self._fill(others, _nullary(clocks[0]), digest, None)
+        self._fill(others, clocks[0], digest, None)
 
     def _fill(
         self,
@@ -514,26 +523,18 @@ class Configuration:
         are computed, the result's are too: a group changes only when a
         fact's last copy leaves or its first copy comes in, so each group
         keeps the object of the tuple's first copy, and a changed group is a
-        copy, so this configuration's lists are never mutated.  A `Time`
-        fact may be removed and added like any other, but a move never
-        passes one: `at` moves the clock.
+        copy, so this configuration's lists are never mutated.  The result
+        keeps this configuration's clock: only `at` moves it, so an added
+        `Time` fact is rejected, and a removed one is absent from the tuple.
         """
         facts = list(self._facts)
-        clock: Optional[TimedFact] = self._clock
         digest = self._hash
         inherited = groups = self._by_pred
         if groups is not None:
             groups = dict(groups)
-        times = 1
         for f in removed:
             key = f.sort_key
             digest -= f._hash
-            if f.pred == TIME_PREDICATE:
-                if clock is None or key != clock.sort_key:
-                    raise KernelError(f"cannot remove absent fact {f}")
-                clock = None
-                times -= 1
-                continue
             i = bisect_right(facts, key, key=_SORT_KEY) - 1
             if i < 0 or facts[i].sort_key != key:
                 raise KernelError(f"cannot remove absent fact {f}")
@@ -546,12 +547,10 @@ class Configuration:
                     group = _own_group(groups, inherited, f.pred)
                     del group[bisect_left(group, key, key=_SORT_KEY)]
         for f in added:
+            if f.pred == TIME_PREDICATE:
+                raise KernelError(f"cannot add {f}: only `at` moves the clock")
             key = f.sort_key
             digest += f._hash
-            if f.pred == TIME_PREDICATE:
-                clock = _nullary(f)
-                times += 1
-                continue
             i = bisect_right(facts, key, key=_SORT_KEY)
             facts.insert(i, f)
             if groups is not None and (i == 0 or facts[i - 1].sort_key != key):
@@ -560,10 +559,8 @@ class Configuration:
                     groups[f.pred] = [f]
                 else:
                     insort_right(_own_group(groups, inherited, f.pred), f, key=_SORT_KEY)
-        if times != 1:
-            raise KernelError(_time_count_message(times))
         child = _new(Configuration)
-        child._fill(tuple(facts), clock, digest & _HASH_MASK, groups)
+        child._fill(tuple(facts), self._clock, digest & _HASH_MASK, groups)
         return child
 
     def __len__(self) -> int:
@@ -598,14 +595,6 @@ _SET_GROUPS = Configuration._by_pred.__set__  # type: ignore[attr-defined]
 _TS = attrgetter("ts")
 
 
-def _nullary(clock: TimedFact) -> TimedFact:
-    """`clock`, a `Time` fact, checked to have no arguments: the global time
-    alone tells two clocks apart."""
-    if clock.args:
-        raise KernelError(f"{TIME_PREDICATE} takes no arguments, got {clock}")
-    return clock
-
-
 def _own_group(
     groups: dict[str, list[TimedFact]],
     inherited: dict[str, list[TimedFact]],
@@ -617,12 +606,6 @@ def _own_group(
     if group is inherited.get(pred):
         group = groups[pred] = list(group)
     return group
-
-
-def _time_count_message(count: int) -> str:
-    return (
-        f"configuration must contain exactly one {TIME_PREDICATE} fact, got {count}"
-    )
 
 
 def clock_convert(days: int, hours: int, minutes: int) -> int:

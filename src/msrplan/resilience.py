@@ -44,7 +44,7 @@ from .rules import (
 )
 from .scenario import PlanningScenario
 from .search import Checker, successors
-from .specs import TICK_STEP, Trace, TraceStep, interpret_spec
+from .specs import TICK_STEP, Trace, TraceStep, check_compliance, interpret_spec
 
 ETA_CAP = 6
 
@@ -77,9 +77,6 @@ class ResilienceResult:
     resilient: bool
     witness: Optional[WitnessTree] = None
     refutation: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:  # pragma: no cover
-        return self.resilient
 
 
 def enumerate_update_points(
@@ -283,12 +280,21 @@ def _instance_from_dict(
     if not isinstance(sigma, dict):
         violations.append(f"{where}: malformed substitution")
         return None
+    # the substitution binds exactly the rule's variables, each time
+    # variable to a timestamp and each first-order one to a term
+    wanted = rule.all_variables()
+    times = rule.pre_time_vars()
     bindings = []
     try:
         for var in sorted(sigma):
             value = sigma[var]
             if isinstance(value, bool) or not isinstance(value, (int, str)):
                 raise EngineError(f"binding {var} is neither timestamp nor term")
+            if var not in wanted:
+                raise EngineError(f"binding {var} names no variable of rule {rule.name}")
+            if isinstance(value, int) != (var in times):
+                kind = "a timestamp" if var in times else "a term"
+                raise EngineError(f"binding {var} must be {kind}")
             if isinstance(value, int):
                 bindings.append((var, value))
             else:
@@ -296,12 +302,11 @@ def _instance_from_dict(
     except EngineError as exc:
         violations.append(f"{where}: {exc}")
         return None
-    inst = RuleInstance(rule, tuple(bindings))
-    missing = rule.all_variables() - {v for v, _ in bindings}
+    missing = wanted - {v for v, _ in bindings}
     if missing:
         violations.append(f"{where}: substitution misses {sorted(missing)}")
         return None
-    return inst
+    return RuleInstance(rule, tuple(bindings))
 
 
 def _replay_node_trace(
@@ -382,10 +387,11 @@ def _verify_node(
     trace = _replay_node_trace(scenario, rules, start, steps, where, violations)
     if trace is None:
         return
-    for index, config in enumerate(trace.configurations()):
-        if interpret_spec(scenario.critical_spec, config) is not None:
-            violations.append(f"{where}: not compliant at step {index}")
-            return
+    compliance = check_compliance(trace, scenario.critical_spec)
+    if not compliance.ok:
+        index = compliance.violation.step_index
+        violations.append(f"{where}: not compliant at step {index}")
+        return
     if interpret_spec(scenario.goal_spec, trace.final) is None:
         violations.append(f"{where}: trace does not end in a goal configuration")
         return

@@ -24,11 +24,12 @@ a fact's arguments by comparing sort keys, never calling a term's
 a specification built for a single query (the graph reduction builds one
 per pair) stays interpreted.  So do a plan with a non-ground function term
 and one of more than `MAX_LOOPS` steps, since CPython rejects more nested
-loops.  Once a plan is hot, `find_matches` and `specs.match_spec` call its
-generated function directly, so a (state, rule) or (state, pair) match
-costs one call into the layer and one into that function, which reads the
-configuration's groups and clock from their slots; `MatchPlan.bindings`,
-which counts calls, is the entry of cold plans only.  The witness verifier
+loops.  The plan chooses its own tier: `find_matches` and
+`specs.match_spec` call `MatchPlan.bindings` and test no tier.  On a cold
+plan that is the counting method; on a hot one it is the generated function,
+stored under the same name, so a (state, rule) or (state, pair) match costs
+one call into the layer and one into that function, which reads the
+configuration's groups and clock from their slots.  The witness verifier
 matches only through the interpreter (`MatchPlan.interpret`,
 `interpret_matches`), so the oracle that certifies the engine never runs
 generated code.
@@ -143,7 +144,8 @@ class CreatedFact:
         return f"{self.atom}@{GLOBAL_TIME_VAR}"
 
 
-_REL_SET = {">", ">=", "=", "<=", "<"}
+# the relations a time constraint may use, as written in a scenario
+RELATIONS = frozenset({">", ">=", "=", "<=", "<"})
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class TimeConstraint:
     implicit: bool = False  # injected past-consumption constraint, not written
 
     def __post_init__(self) -> None:
-        if self.rel not in _REL_SET:
+        if self.rel not in RELATIONS:
             raise RuleError(f"unknown relation {self.rel!r}")
 
     def normalized(self) -> "TimeConstraint":
@@ -607,19 +609,19 @@ class MatchPlan:
     rule's consumed order; both tiers return the same objects.  A
     specification pair's plan returns bindings alone and keeps no facts.
 
-    `bindings` counts its calls and interprets until the count reaches
-    `HOT_CALLS`; then it generates the plan's function (`generate`) and sets
-    `run`, which the engine's callers then call directly.  `interpret` never
-    counts and never generates: it is the verifier's entry.  The count is the
-    plan's only state that changes during matching, besides the generated
-    function set once; a lost increment under concurrent use only delays
-    generation.
+    A plan chooses its own tier behind one entry, `bindings`.  On a cold
+    plan that is the method, which counts its calls and interprets until the
+    count reaches `HOT_CALLS`, then generates the plan's function
+    (`generate`).  The function is stored under the same name and shadows
+    the method, so a hot plan costs one attribute read and one call.  The
+    plan never holds a bound method of itself, so it is no reference cycle
+    and its last reference frees it (the graph reduction builds one plan per
+    query).  A plan that cannot be generated has `generable` false and
+    interprets for good.  `interpret` never counts and never generates: it
+    is the verifier's entry.  The count is the plan's only state that
+    changes during matching, besides the generated function set once; a
+    lost increment under concurrent use only delays generation.
     """
-
-    __slots__ = (
-        "steps", "patterns", "preds", "claims", "never", "precondition", "consumed",
-        "calls", "run", "source",
-    )
 
     def __init__(
         self,
@@ -683,12 +685,8 @@ class MatchPlan:
         self.patterns = tuple(ordered)  # in step order
         self.calls = 0
         self.source: Optional[str] = None  # the generated source, once hot
-        # the function `bindings` runs; a plan that cannot be generated
-        # starts on the interpreter for good
-        self.run: Optional[Callable[[Configuration], list]] = None
         nested = any(s.nested is not None for s in self.steps)
-        if self.never or nested or not 0 < len(self.steps) <= MAX_LOOPS:
-            self.run = self.interpret
+        self.generable = not (self.never or nested) and 0 < len(self.steps) <= MAX_LOOPS
 
     def bindings(self, config: Configuration) -> list:
         """The complete bindings in step order over the configuration's
@@ -697,28 +695,28 @@ class MatchPlan:
         matched for the consumed patterns, in their order: a list of
         (binding, facts).  A specification pair's plan starts empty and stops
         at the first binding, which it returns alone.  Both tiers return the
-        same list, key order and fact objects included."""
-        run = self.run
-        if run is None:
+        same list, key order and fact objects included.  This method is the
+        cold tier; once the plan is generated, its function takes the name."""
+        if self.generable:
             self.calls += 1
-            if self.calls < HOT_CALLS:
-                return self.interpret(config)
-            run = self.generate()
-        return run(config)
+            if self.calls >= HOT_CALLS:
+                return self.generate()(config)
+        return self.interpret(config)
 
     def generate(self) -> Callable[[Configuration], list]:
         """Emit and compile this plan's function, keep it and its source on
-        the plan, and return it.  Only a plan whose `run` is still None may
-        be generated: one that can match, has one to `MAX_LOOPS` steps, and
-        holds no nested function term.  The code is compiled under a file
-        name that lists the plan's patterns in step order, so profiles tell
-        plans apart."""
+        the plan, as `bindings` and `source`, and return it.  Only a
+        `generable` plan may be generated: one that can match, has one to
+        `MAX_LOOPS` steps, and holds no nested function term.  The code is
+        compiled under a file name that lists the plan's patterns in step
+        order, so profiles tell plans apart."""
         source, namespace = _emit(self)
         filename = f"<match plan {', '.join(map(str, self.patterns))}>"
         exec(compile(source, filename, "exec"), namespace)
         self.source = source
-        self.run = namespace["match"]
-        return self.run
+        # taken out of its own globals, so the function is no cycle either
+        self.bindings = match = namespace.pop("match")
+        return match
 
     def interpret(self, config: Configuration) -> list:
         """`bindings` on the interpreter alone."""
@@ -1099,6 +1097,7 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
     if plan.claims:
         lines.append("    available = config.counts()")
     emit(lines, 0, 1)
+    del emit  # a recursive closure refers to itself and, through it, to the plan
     lines.append("    return out")
     return "\n".join(lines) + "\n", namespace
 
@@ -1151,13 +1150,11 @@ def find_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     the deterministic fresh assignment, so the returned set is finite and
     reproducible.  The precondition (side condition plus consumed facts) must
     embed into the configuration as a multiset and the guard must be
-    satisfied; `rule.plan` does both in one pass, through its generated
-    function directly once it is hot.  Each instance carries the facts its
-    match consumes, for `apply_instance`.
+    satisfied; `rule.plan` does both in one pass, on the tier the plan
+    chose.  Each instance carries the facts its match consumes, for
+    `apply_instance`.
     """
-    plan = rule.plan
-    run = plan.run
-    raw = plan.bindings(config) if run is None else run(config)
+    raw = rule.plan.bindings(config)
     return _instances(rule, config, raw, True) if raw else []
 
 

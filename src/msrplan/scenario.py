@@ -29,6 +29,7 @@ from .kernel import (
 )
 from .rules import (
     GLOBAL_TIME_VAR,
+    RELATIONS,
     Atom,
     CreatedFact,
     FactPattern,
@@ -172,7 +173,6 @@ _RULE_ROLES = {
     "system_update": RuleRole.SYSTEM_UPDATE,
     "goal_update": RuleRole.GOAL_UPDATE,
 }
-_RELS = {"<", "<=", "=", ">=", ">"}
 
 _T = TypeVar("_T")
 
@@ -466,7 +466,7 @@ class _Parser:
 
         left, loff = side()
         rel_tok = self.next()
-        if rel_tok.text not in _RELS:
+        if rel_tok.text not in RELATIONS:
             raise self.fail(rel_tok, f"expected a relation, found {rel_tok.text!r}")
         right, roff = side()
         if left is None or right is None:
@@ -584,7 +584,7 @@ class _Parser:
                 signature.check_fact_args(f.pred, f.args)
         except KernelError as exc:
             raise ScenarioError([Diagnostic(1, 1, str(exc))]) from exc
-        inferred = _max_fact_size(self.init_facts, self.rules, default=1)
+        inferred = _max_fact_size(self.init_facts, self.rules)
         bound = self.bound if self.bound is not None else inferred
         return PlanningScenario(
             signature=signature,
@@ -603,16 +603,14 @@ def _atom_size(atom: Atom) -> int:
     return 1 + len(atom.args)  # variables stand for terms of size >= 1
 
 
-def _max_fact_size(
-    init_facts: Iterable[TimedFact], rules: Iterable[Rule], default: int
-) -> int:
+def _max_fact_size(init_facts: Iterable[TimedFact], rules: Iterable[Rule]) -> int:
     sizes = [fact_size(f) for f in init_facts]
     for r in rules:
         for p in (*r.side, *r.consumed):
             sizes.append(_atom_size(p.atom))
         for c in r.created:
             sizes.append(_atom_size(c.atom))
-    return max(sizes, default=default)
+    return max(sizes, default=1)
 
 
 def parse_scenario(text: str, filename: str = "<scenario>") -> PlanningScenario:
@@ -754,8 +752,7 @@ def validate_scenario(scenario: PlanningScenario) -> ValidationReport:
 
 def load_bundled(name: str) -> PlanningScenario:
     """Parse one of the scenario files shipped with the package."""
-    text = resources.files("msrplan.data").joinpath(name).read_text(encoding="utf-8")
-    return parse_scenario(text, filename=name)
+    return parse_scenario(bundled_text(name), filename=name)
 
 
 def bundled_text(name: str) -> str:

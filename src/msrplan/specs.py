@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
-from .kernel import TIME_PREDICATE, Configuration, Role, Signature
+from .kernel import TIME_PREDICATE, Configuration
 from .rules import (
     TICK_STEP,
     Binding,
@@ -81,18 +81,6 @@ class ConfigSpec:
     kind: SpecKind
     pairs: tuple[SpecPair, ...] = ()
 
-    def check_roles(self, sig: Signature) -> list[str]:
-        """Each pair must mention at least one predicate of the matching role."""
-        wanted = Role.GOAL if self.kind is SpecKind.GOAL else Role.CRITICAL
-        problems = []
-        for i, pair in enumerate(self.pairs):
-            roles = {sig.role(p.atom.pred) for p in pair.pattern}
-            if wanted not in roles:
-                problems.append(
-                    f"{self.kind.value} pair {i} contains no {wanted.value} predicate"
-                )
-        return problems
-
     @cached_property
     def clocked(self) -> Optional["ConfigSpec"]:
         """The specification of the pairs that mention `Time`, the only ones
@@ -125,14 +113,11 @@ def match_spec(
     canonical order of the configuration, stopping at the first complete
     binding, so the witness substitution is deterministic.  Distinct pattern
     entries may map onto the same fact: the match requires only that every
-    substituted pattern occurs in the configuration.  A hot plan's
-    generated function is called directly; a cold one goes through
-    `MatchPlan.bindings`, which counts its calls.
+    substituted pattern occurs in the configuration.  Each plan runs on the
+    tier it chose (`MatchPlan.bindings`).
     """
     for i, pair in enumerate(spec.pairs):
-        plan = pair.plan
-        run = plan.run
-        found = plan.bindings(config) if run is None else run(config)
+        found = pair.plan.bindings(config)
         if found:
             return (i, found[0])
     return None

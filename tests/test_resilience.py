@@ -401,6 +401,15 @@ REJECTIONS = [
      "root.trace[0]: instance does not re-apply"),
     ("fresh", _put("trace", 0, "sigma", "w", "#u:0"),
      "root.trace[0]: instance does not re-apply"),
+    # a substitution binds exactly the rule's variables, each of its kind
+    ("minimal", _put("trace", 0, "sigma", "zz", "here"),
+     "root.trace[0]: binding zz names no variable of rule hop"),
+    ("minimal", _put("trace", 0, "sigma", "T9", 5),
+     "root.trace[0]: binding T9 names no variable of rule hop"),
+    ("minimal", _put("trace", 0, "sigma", "T1", "here"),
+     "root.trace[0]: binding T1 must be a timestamp"),
+    ("game", _put("trace", 0, "sigma", "y1", 1),
+     "root.trace[0]: binding y1 must be a term"),
 ]
 
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 import hashlib
 import itertools
 import random
 import sys
 import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -59,7 +62,7 @@ from msrplan.rules import (
 )
 from msrplan.scenario import load_bundled
 from msrplan.search import successors
-from msrplan.specs import ConfigSpec, SpecKind, SpecPair, interpret_spec
+from msrplan.specs import ConfigSpec, SpecKind, SpecPair, interpret_spec, match_spec
 
 
 def fact(pred: str, ts: int, *args) -> TimedFact:
@@ -588,7 +591,7 @@ def _same_tiers(plans: list[MatchPlan], configs: list[Configuration]) -> int:
     number of bindings compared."""
     found = 0
     for plan in plans:
-        if plan.run is not None:  # stays interpreted
+        if not plan.generable:  # stays interpreted
             continue
         generated = plan.generate()
         for config in configs:
@@ -712,7 +715,7 @@ class TestGeneratedTier:
         assert _same_tiers(plans, configs) > 100
         for pattern, plan in zip(patterns, plans):
             spec = ConfigSpec(SpecKind.GOAL, (SpecPair(pattern),))
-            hits = [bool(plan.run(c)) for c in configs]
+            hits = [bool(plan.bindings(c)) for c in configs]
             assert hits == [brute_match_spec(spec, c) for c in configs]
             assert 0 < sum(hits) < len(configs)
 
@@ -789,14 +792,77 @@ class TestGeneratedTier:
         scenario = load_bundled("travel.msr")
         assert check_resilience(scenario, ResilienceQuery(1, 12, 220)).resilient
         plans = [r.plan for r in scenario.system_rules if r.plan.source is not None]
-        names = [plan.run.__code__.co_filename for plan in plans]
+        names = [plan.bindings.__code__.co_filename for plan in plans]
         assert len(plans) >= 2 and len(set(names)) == len(names)
         first = plans[0]
         assert names[0] == f"<match plan {', '.join(map(str, first.patterns))}>"
 
+    def test_a_cold_plan_turns_hot_through_its_one_entry(self, travel):
+        """`find_matches` reaches a rule's plan through `bindings` alone:
+        the method counts and interprets up to `HOT_CALLS` calls, then the
+        generated function takes its name and counts nothing."""
+        rule = dataclasses.replace(travel.system_rules[0])  # a plan of its own
+        plan = rule.plan
+        states = explored_states(travel, 40)
+
+        def agree(config: Configuration) -> None:
+            got = [i.key() for i in find_matches(rule, config)]
+            assert got == [i.key() for i in interpret_matches(rule, config)]
+
+        for k in range(HOT_CALLS):
+            assert plan.source is None and "bindings" not in vars(plan)
+            agree(states[k % len(states)])
+        assert plan.calls == HOT_CALLS and plan.source is not None
+        hot = vars(plan)["bindings"]
+        assert hot.__code__.co_filename.startswith("<match plan ")
+        for config in states:
+            agree(config)
+        assert plan.calls == HOT_CALLS and vars(plan)["bindings"] is hot
+
+    def test_callers_test_no_tier(self, travel):
+        """`find_matches` and `match_spec` call a plan's `bindings`, cold
+        or hot, once per rule or pair and nothing else of the plan."""
+        rule = dataclasses.replace(travel.system_rules[0])
+        spec = ConfigSpec(SpecKind.GOAL, tuple(map(dataclasses.replace, travel.goal_spec.pairs)))
+        plans = [rule.plan] + [pair.plan for pair in spec.pairs]
+        for hot in (False, True):
+            calls = []
+            for plan in plans:
+                if hot:
+                    plan.generate()
+                plan.bindings = lambda config, plan=plan: calls.append(plan) or []
+            assert find_matches(rule, travel.initial) == []
+            assert match_spec(spec, travel.initial) is None
+            assert calls == plans
+            assert all(plan.calls == 0 for plan in plans)
+
+    def test_plans_are_no_reference_cycles(self, travel):
+        """A plan, cold, hot or never generable, and a hot plan's function
+        are freed by their last reference, without the cycle collector: the
+        graph reduction builds one plan per query."""
+        states = explored_states(travel, 10)
+        never = (FactPattern(Atom("ClockBeat"), "T1"),), (TimeConstraint("T1", ">", "T1"),)
+        gc.disable()
+        try:
+            for tier in ("cold", "hot", "never"):
+                if tier == "never":
+                    plan = MatchPlan(*never)
+                    assert not plan.generable
+                else:
+                    plan = _rule_plan(travel.system_rules[0])
+                refs = [weakref.ref(plan)]
+                if tier == "hot":
+                    refs.append(weakref.ref(plan.generate()))
+                for config in states:
+                    plan.bindings(config)
+                del plan
+                assert [ref() for ref in refs] == [None] * len(refs), tier
+        finally:
+            gc.enable()
+
     def test_verifier_runs_no_generated_code(self):
-        """Every plan the check used, hot or not, is generated and then made
-        to raise; the verifier still accepts the witness."""
+        """Every plan the check used, hot or not, is made to raise on its
+        one entry; the verifier still accepts the witness."""
         scenario = load_bundled("travel.msr")
         query = ResilienceQuery(1, 12, 220)
         result = check_resilience(scenario, query)
@@ -810,9 +876,7 @@ class TestGeneratedTier:
             for pair in spec.pairs
         ]
         for plan in plans:
-            if plan.run is None:
-                plan.generate()
-            plan.run = broken
+            plan.bindings = broken
         with pytest.raises(AssertionError, match="generated code ran"):
             find_matches(scenario.system_rules[0], scenario.initial)
         assert verify_witness(scenario, query, result.witness) == (True, [])
@@ -853,16 +917,17 @@ class TestGeneratedTier:
         scenarios = [travel] + [qbf_to_scenario(formula) for formula in qbf_mix()[:10]]
         found = 0
         for scenario in scenarios:
-            plans = [plan for plan in _fresh_plans(scenario) if plan.run is None]
+            plans = [plan for plan in _fresh_plans(scenario) if plan.generable]
             for plan in plans:
                 plan.generate()
             for config in explored_states(scenario, 30):
                 for plan in plans:
                     bare = Configuration(config.canonical_order())
                     assert bare._by_pred is None
-                    got = plan.run(bare)
+                    got = plan.bindings(bare)
                     assert bare._by_pred is not None
-                    assert got == plan.run(bare) == plan.run(config) == plan.interpret(config)
+                    assert got == plan.bindings(bare) == plan.bindings(config)
+                    assert got == plan.interpret(config)
                     found += len(got)
         assert found > 500
 

@@ -230,17 +230,6 @@ class TestBruteAgreement:
             assert engine == (brute_force_homomorphism(g, k) is not None)
 
 
-class TestRoleContainment:
-    def test_pairs_must_mention_matching_role(self, travel):
-        assert travel.critical_spec.check_roles(travel.signature) == []
-        bogus = ConfigSpec(
-            SpecKind.CRITICAL,
-            (SpecPair((FactPattern(Atom("At", (Variable("x", "city"), Variable("y", "place"))), "T1"),)),),
-        )
-        problems = bogus.check_roles(travel.signature)
-        assert problems and "critical" in problems[0]
-
-
 def _substitution_corpus():
     """(label, spec, configuration) triples: random multi-pair specs and the
     random scenarios' own specs over explored random-scenario states, travel's
