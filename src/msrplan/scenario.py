@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Iterable, Optional, TypeVar
 
@@ -40,6 +41,7 @@ from .rules import (
     TimeConstraint,
     classify_rule,
 )
+from .relax import Relaxation
 from .specs import ConfigSpec, SpecError, SpecKind, SpecPair, eta_measure
 
 
@@ -85,6 +87,12 @@ class PlanningScenario:
         """Every rule is progressing: `classify`'s verdict, read from the
         checks each rule keeps (`Rule.progress`), without the role checks."""
         return all(r.progress.progressing for r in self.rules())
+
+    @cached_property
+    def relaxation(self) -> Relaxation:
+        """The timed relaxation of the system rules and the goal, prepared
+        on first use and kept with the scenario."""
+        return Relaxation(self.system_rules, self.goal_spec)
 
     def eta(self) -> int:
         return eta_measure(self.critical_spec)

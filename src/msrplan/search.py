@@ -37,6 +37,19 @@ A key (`StateKey`) is hashed once, from the configuration's multiset hash,
 which each move updates from the facts it changes; a memo probe then costs
 one Python call instead of one per fact.
 
+Before it expands a state the engine asks the scenario's timed relaxation
+(`relax.Relaxation`) whether a compliant goal trace from it can reach the
+goal by the horizon.  It asks at decision roots (the query root and each
+update's result) and at the results of system moves whose rule creates or
+consumes a predicate the relaxation reads; never after a tick or a move
+that leaves those predicates alone, such as the clock rule, and only while
+at least two ticks are left, where a call costs less than the search it can
+save.  A refuted root is memoized as bad; a refuted successor is a bad move
+without a memo entry.  The relaxation is sound, so a refuted state reaches
+no goal state: its subtree holds no good state and calls no update coverage
+check.  The recorded moves, witnesses and refutation chains are therefore
+the same as those of the search without it.
+
 A compliant goal trace within a tick budget is the n=0, b=0 case:
 `find_compliant_goal_trace` runs the engine there.
 """
@@ -46,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .kernel import Configuration
+from .kernel import MAX_TIMESTAMP, Configuration
 from .rules import EngineError, Rule, RuleInstance, apply_instance, find_matches, tick
 from .scenario import PlanningScenario
 from .specs import TICK_STEP, ConfigSpec, Trace, TraceStep, match_spec
@@ -170,6 +183,19 @@ class Checker:
             return None
         return self._covered(config, n)
 
+    def _dead(self, config: Configuration, rule: Optional[Rule] = None) -> bool:
+        """Does the scenario's relaxation prove that no goal state is
+        reachable from `config` by the horizon?  Asked only while at least
+        two ticks are left, where the search it saves outweighs its cost,
+        and, for the result of a move by `rule`, only if that rule changes
+        a predicate the relaxation reads."""
+        if config.global_time + 2 > self.horizon:
+            return False
+        relaxation = self.scenario.relaxation
+        if rule is not None and rule.name not in relaxation.touching:
+            return False
+        return not relaxation.possible(config, self.horizon)
+
     def decide(self, config: Configuration, n: int) -> bool:
         """Does a resilient trace from `config` with n updates left exist?
 
@@ -191,6 +217,10 @@ class Checker:
         successor is checked against the pairs that mention `Time` alone
         (`ConfigSpec.clocked`).  The root and the results of updates and
         system moves are checked against every pair.
+
+        A non-goal state that `_dead` refutes is bad without a search: the
+        root is memoized as bad, a successor is a bad move without a memo
+        entry.
         """
         critical = self.scenario.critical_spec
         goal = self.scenario.goal_spec
@@ -202,6 +232,8 @@ class Checker:
         if verdict is not None:
             return bool(verdict)
         verdict = self._goal_verdict(config, n, goal)
+        if verdict is None and self._dead(config):
+            verdict = False
         if verdict is not None:
             self.memo[key] = verdict
             return verdict
@@ -234,6 +266,8 @@ class Checker:
                 pending = self._goal_verdict(cfg2, n, goal2)
                 if pending is not None:
                     self.memo[key2] = pending
+                elif annotation is not TICK_STEP and self._dead(cfg2, annotation.rule):
+                    pending = False  # a bad move, decided without a memo entry
                 elif len(stack) < limit:
                     moves = successors(cfg2, rules, advance=cfg2.global_time < horizon)
                     stack.append((annotation, cfg2, key2, moves))
@@ -279,6 +313,8 @@ def find_compliant_goal_trace(
     """
     if tick_budget < 0:
         raise EngineError("tick budget must be a natural number")
+    if scenario.initial.global_time + tick_budget > MAX_TIMESTAMP:
+        raise EngineError("tick budget overflows the timestamp range")
     checker = Checker(scenario, tick_budget, 0)
     found = checker.decide(scenario.initial, 0)
     if stats is not None:

@@ -68,6 +68,15 @@ class TestTraceAndGoal:
         code, out = run(capsys, "goal", minimal_file, "--budget", "0")
         assert code == EXIT_NO
 
+    @pytest.mark.parametrize("command", [
+        ("goal", "--budget", str(2**63)),
+        ("resilience", "-n", "0", "-a", "1", "-b", str(2**63 - 1)),
+    ], ids=["goal", "resilience"])
+    def test_budget_overflow_is_an_error(self, capsys, minimal_file, command):
+        code, out = run(capsys, command[0], minimal_file, *command[1:])
+        assert code == EXIT_ERROR
+        assert "error: tick budget overflows the timestamp range" in out
+
 
 class TestResilience:
     def test_positive_with_witness(self, capsys, minimal_file, tmp_path):

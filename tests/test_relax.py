@@ -1,0 +1,148 @@
+"""The timed relaxation: soundness against the engine, where the checker
+consults it, and the search effort it saves."""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from conftest import explored_states, random_scenario, random_spec, travel_with_start
+from msrplan.relax import Relaxation
+from msrplan.resilience import ResilienceQuery, check_resilience
+from msrplan.scenario import parse_scenario
+from msrplan.search import Checker, SearchStats, find_compliant_goal_trace
+from msrplan.specs import ConfigSpec, SpecKind
+
+
+def _corpus(seeds: range):
+    """Random scenarios with updates, progressing or not, each with its own
+    goal; the progressing ones also with a random goal whose constraints use
+    all five relations, so that facts are needed later than their earliest
+    timestamp.  (Without memo keys the confirming search of a random goal
+    can take seconds.)"""
+    for seed in seeds:
+        for progressing in (True, False):
+            scenario = random_scenario(seed, progressing=progressing, with_updates=True)
+            yield seed, scenario
+            if progressing:
+                goal = random_spec(random.Random(seed), SpecKind.GOAL)
+                yield seed, replace(scenario, goal_spec=goal)
+
+
+class TestSoundness:
+    def test_every_dead_answer_is_confirmed_by_the_engine(self, monkeypatch):
+        """A state the relaxation calls dead has no compliant goal trace by
+        the horizon even without the critical specification: the engine at
+        n=0, with the relaxation answering "possible", finds none."""
+        real = Relaxation.possible
+        monkeypatch.setattr(Relaxation, "possible", lambda self, config, horizon: True)
+        no_critical = ConfigSpec(SpecKind.CRITICAL, ())
+        checked = alive = 0
+        for seed, scenario in _corpus(range(30)):
+            relaxation = scenario.relaxation
+            if relaxation.trivial:
+                continue
+            free = replace(scenario, critical_spec=no_critical)
+            for config in explored_states(scenario, 40):
+                t = config.global_time
+                for horizon in range(t + 2, t + 6):
+                    if real(relaxation, config, horizon):
+                        alive += 1
+                        continue
+                    checker = Checker(free.with_initial(config), horizon - t, 0)
+                    assert not checker.decide(config, 0), (seed, str(config), horizon)
+                    checked += 1
+        assert checked >= 1000 and alive >= 1000
+
+    def test_a_fact_may_be_needed_after_its_earliest_timestamp(self):
+        """The goal needs `Grown(here)` later than `Grown(there)`, so `here`
+        must be planted after its earliest firing; a relaxation that kept
+        created facts at their earliest timestamps would refute the start."""
+        scenario = parse_scenario(
+            """
+            types token;
+            consts here: token, there: token;
+            predicates Seed(token): system, Grown(token): goal, Fuse: critical;
+            init { Time@0, Seed(here)@0, Seed(there)@1, Fuse@9 }
+            rule system plant { consume: Seed(x)@T1; create: Grown(x)@T+1; }
+            goal { Grown(here)@T1, Grown(there)@T2 | T1 > T2 }
+            critical { Time@T, Fuse@T }
+            """,
+            "later",
+        )
+        assert scenario.relaxation.possible(scenario.initial, 2)
+        trace = find_compliant_goal_trace(scenario, 2)
+        assert trace is not None and trace.final.global_time == 2
+
+    def test_a_fresh_variable_makes_every_state_possible(self):
+        """`mint` creates a token it names afresh, so the relaxation cannot
+        bound the facts it reaches and answers "possible", although `Key`
+        is never created; with a declared constant instead it proves the
+        goal unreachable."""
+        text = """
+        types token;
+        consts here: token;
+        predicates Start: system, Tok(token): system, Key: system,
+                   Target: goal, Fuse: critical;
+        init { Time@0, Start@0, Target@0, Fuse@9 }
+        rule system mint { consume: Start@T1; create: Tok(n)@T+1; }
+        goal { Target@T1, Tok(x)@T2, Key@T3 }
+        critical { Time@T, Fuse@T }
+        """
+        fresh = parse_scenario(text, "fresh")
+        named = parse_scenario(text.replace("Tok(n)", "Tok(here)"), "named")
+        assert fresh.relaxation.trivial and not named.relaxation.trivial
+        assert fresh.relaxation.possible(fresh.initial, 8)
+        assert not named.relaxation.possible(named.initial, 8)
+        for scenario in (fresh, named):
+            assert find_compliant_goal_trace(scenario, 8) is None
+
+
+class TestWhereItIsConsulted:
+    def test_travel_reads_no_clock_rule(self, travel):
+        relaxation = travel.relaxation
+        assert relaxation.relevant == {"At", "Done", "Event", "Flight1", "Flight2"}
+        assert relaxation.creatable == {"At", "Done"}
+        assert "advance_clock" not in relaxation.touching
+        assert len(relaxation.touching) == len(travel.system_rules) - 1
+
+    def test_never_prepared_with_one_tick_left(self, travel):
+        # a=1, b=0 leaves one tick, as every query of criterion 1 does
+        scenario = travel_with_start(travel, 60)
+        check_resilience(scenario, ResilienceQuery(1, 1, 0))
+        assert "relaxation" not in scenario.__dict__
+        check_resilience(scenario, ResilienceQuery(1, 2, 0))
+        assert "relaxation" in scenario.__dict__
+
+
+class TestEffort:
+    """States decided (memo entries) on the benchmark's travel queries; at
+    the parent commit without the relaxation they were 307 per query at
+    start 121, 29,204 over the travel grid and 24,218 over the goal grid."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_start_121_decides_only_its_root(self, travel, n):
+        scenario = travel_with_start(travel, 121)
+        checker = Checker(scenario, 12, 220)
+        assert not checker.decide(scenario.initial, n)
+        assert len(checker.memo) == 1
+
+    def test_travel_grid(self, travel):
+        decided = 0
+        for start in (42, 60, 107, 108, 120, 121):
+            scenario = travel_with_start(travel, start)
+            for n in (0, 1, 2):
+                checker = Checker(scenario, 12, 220)
+                checker.decide(scenario.initial, n)
+                decided += len(checker.memo)
+        assert decided <= 12_000
+
+    def test_goal_grid(self, travel):
+        stats = SearchStats()
+        for start in (41, 42, 45, 60, 110, 120, 121):
+            scenario = travel_with_start(travel, start)
+            for budget in (220, 232, 260):
+                find_compliant_goal_trace(scenario, budget, stats=stats)
+        assert stats.visited <= 6_500

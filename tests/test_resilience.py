@@ -521,9 +521,9 @@ class TestDifferentialOracle:
     @given(
         st.integers(0, 10_000),
         st.booleans(),
-        st.integers(0, 1),
+        st.integers(0, 2),
         st.integers(1, 2),
-        st.integers(0, 1),
+        st.integers(0, 3),
     )
     def test_checker_matches_unmemoized_reference(self, seed, updates, n, a, b):
         scenario = random_scenario(seed, progressing=True, with_updates=updates)
