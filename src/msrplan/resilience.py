@@ -37,9 +37,10 @@ from .rules import (
     EngineError,
     Rule,
     RuleInstance,
+    RuleRole,
     apply_instance,
     interpret_matches,
-    is_applicable,
+    reapply,
     tick,
 )
 from .scenario import PlanningScenario
@@ -267,6 +268,7 @@ def witness_from_json(text: str) -> dict:
 def _instance_from_dict(
     scenario: PlanningScenario,
     rules: dict[str, Rule],
+    terms: dict[str, Term],
     data: dict,
     where: str,
     violations: list[str],
@@ -282,8 +284,8 @@ def _instance_from_dict(
         return None
     # the substitution binds exactly the rule's variables, each time
     # variable to a timestamp and each first-order one to a term
-    wanted = rule.all_variables()
-    times = rule.pre_time_vars()
+    wanted = rule.all_variables
+    times = rule.pre_time_vars
     bindings = []
     try:
         for var in sorted(sigma):
@@ -295,15 +297,17 @@ def _instance_from_dict(
             if isinstance(value, int) != (var in times):
                 kind = "a timestamp" if var in times else "a term"
                 raise EngineError(f"binding {var} must be {kind}")
-            if isinstance(value, int):
-                bindings.append((var, value))
-            else:
-                bindings.append((var, parse_ground_term(value, scenario.signature)))
+            if isinstance(value, str):
+                term = terms.get(value)
+                if term is None:
+                    term = terms[value] = parse_ground_term(value, scenario.signature)
+                value = term
+            bindings.append((var, value))
     except EngineError as exc:
         violations.append(f"{where}: {exc}")
         return None
-    missing = wanted - {v for v, _ in bindings}
-    if missing:
+    if len(bindings) < len(wanted):
+        missing = wanted - dict(bindings).keys()
         violations.append(f"{where}: substitution misses {sorted(missing)}")
         return None
     return RuleInstance(rule, tuple(bindings))
@@ -312,6 +316,7 @@ def _instance_from_dict(
 def _replay_node_trace(
     scenario: PlanningScenario,
     rules: dict[str, Rule],
+    terms: dict[str, Term],
     start: Configuration,
     steps: list,
     where: str,
@@ -320,24 +325,24 @@ def _replay_node_trace(
     current = start
     out: list[TraceStep] = []
     for k, raw in enumerate(steps):
+        if isinstance(raw, dict) and raw.get("rule") == TICK_STEP:
+            current = tick(current)
+            out.append(TraceStep(TICK_STEP, current))
+            continue
         label = f"{where}.trace[{k}]"
         if not isinstance(raw, dict):
             violations.append(f"{label}: malformed step")
             return None
-        if raw.get("rule") == TICK_STEP:
-            current = tick(current)
-            out.append(TraceStep(TICK_STEP, current))
-            continue
-        inst = _instance_from_dict(scenario, rules, raw, label, violations)
+        inst = _instance_from_dict(scenario, rules, terms, raw, label, violations)
         if inst is None:
             return None
-        if inst.rule.role.value != "system":
+        if inst.rule.role is not RuleRole.SYSTEM:
             violations.append(f"{label}: trace uses non-system rule {inst.rule.name}")
             return None
-        if not is_applicable(inst, current):
+        current = reapply(inst, current)
+        if current is None:
             violations.append(f"{label}: instance does not re-apply")
             return None
-        current = apply_instance(current, inst, trusted=True)
         out.append(TraceStep(inst, current))
     return Trace(start, tuple(out))
 
@@ -358,13 +363,16 @@ def verify_witness(
     data = witness_to_dict(witness) if isinstance(witness, WitnessTree) else witness
     violations: list[str] = []
     rules = {r.name: r for r in scenario.rules()}
-    _verify_node(scenario, rules, scenario.initial, query, data, "root", violations)
+    # each term text is parsed once per call, against this scenario's signature
+    terms: dict[str, Term] = {}
+    _verify_node(scenario, rules, terms, scenario.initial, query, data, "root", violations)
     return (not violations, violations)
 
 
 def _verify_node(
     scenario: PlanningScenario,
     rules: dict[str, Rule],
+    terms: dict[str, Term],
     start: Configuration,
     query: ResilienceQuery,
     node: dict,
@@ -384,7 +392,7 @@ def _verify_node(
     if not isinstance(steps, list):
         violations.append(f"{where}: malformed trace")
         return
-    trace = _replay_node_trace(scenario, rules, start, steps, where, violations)
+    trace = _replay_node_trace(scenario, rules, terms, start, steps, where, violations)
     if trace is None:
         return
     compliance = check_compliance(trace, scenario.critical_spec)
@@ -419,7 +427,9 @@ def _verify_node(
         if type(step) is not int or not isinstance(child.get("instance"), dict):
             violations.append(f"{label}: malformed update point")
             continue
-        inst = _instance_from_dict(scenario, rules, child["instance"], label, violations)
+        inst = _instance_from_dict(
+            scenario, rules, terms, child["instance"], label, violations
+        )
         if inst is None:
             continue
         key = (step, inst.key())
@@ -437,7 +447,9 @@ def _verify_node(
         if not isinstance(subtree, dict):
             violations.append(f"{label}: missing subtree")
             continue
-        _verify_node(scenario, rules, updated, child_query, subtree, label, violations)
+        _verify_node(
+            scenario, rules, terms, updated, child_query, subtree, label, violations
+        )
     for key in expected_map:
         if key not in seen_keys:
             violations.append(f"{where}: uncovered update point {key}")

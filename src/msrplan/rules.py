@@ -39,10 +39,11 @@ with the fact objects it matched for the consumed patterns, and the
 instances of `find_matches` carry them, so `apply_instance` hands them to
 `Configuration.replace` instead of grounding them again; created facts are
 filled into a template each rule compiles once (`Rule.creation`).  Only
-that path reads carried facts.  `is_applicable`, `consumed_facts`, trace
-replay (`specs.replay_errors`) and the witness verifier ground every
-consumed fact from the substitution, and `interpret_matches` returns
-instances without facts.
+that path reads carried facts.  Every check grounds the substitution
+instead, and one function makes it: `is_applicable` asks it, and `reapply`,
+the entry of trace replay (`specs.replay_errors`) and the witness verifier,
+applies the instance with the facts it grounded, each step's facts built
+once.  `interpret_matches` returns instances without facts.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ class Rule:
         for name, btype in self.fresh:
             if not btype:
                 raise RuleError(f"rule {self.name}: fresh variable {name} has no type")
-        pre_tvars = self.pre_time_vars()
+        pre_tvars = self.pre_time_vars
         for c in self.guard:
             for v in c.variables():
                 if v not in pre_tvars:
@@ -335,29 +336,21 @@ class Rule:
                     "in consumed and created; write it as a side condition"
                 )
 
-    def pre_time_vars(self) -> set[str]:
-        out = {GLOBAL_TIME_VAR}
-        for p in (*self.side, *self.consumed):
-            out.add(p.tvar)
-        return out
+    @cached_property
+    def pre_time_vars(self) -> frozenset[str]:
+        return frozenset({GLOBAL_TIME_VAR, *(p.tvar for p in (*self.side, *self.consumed))})
 
-    def pre_fo_vars(self) -> set[str]:
-        out: set[str] = set()
-        for p in (*self.side, *self.consumed):
-            out |= p.atom.variables()
-        return out
+    @cached_property
+    def pre_fo_vars(self) -> frozenset[str]:
+        return frozenset().union(*(p.atom.variables() for p in (*self.side, *self.consumed)))
 
-    def fresh_vars(self) -> set[str]:
-        created_vars: set[str] = set()
-        for c in self.created:
-            created_vars |= c.atom.variables()
-        return created_vars - self.pre_fo_vars()
+    @cached_property
+    def fresh_vars(self) -> frozenset[str]:
+        return frozenset().union(*(c.atom.variables() for c in self.created)) - self.pre_fo_vars
 
-    def all_variables(self) -> set[str]:
-        out = self.pre_time_vars() | self.pre_fo_vars()
-        for c in self.created:
-            out |= c.atom.variables()
-        return out
+    @cached_property
+    def all_variables(self) -> frozenset[str]:
+        return self.pre_time_vars | self.pre_fo_vars | self.fresh_vars
 
     @cached_property
     def plan(self) -> "MatchPlan":
@@ -388,7 +381,7 @@ class Rule:
     @cached_property
     def fresh(self) -> tuple[tuple[str, str], ...]:
         """Fresh variables by name, each typed by its first created occurrence."""
-        names = self.fresh_vars()
+        names = self.fresh_vars
         types: dict[str, str] = {}
         for c in self.created:
             for arg in c.atom.args:
@@ -495,10 +488,10 @@ class RuleInstance:
     bypassing the dataclass constructor.  An instance from it also carries
     `facts`: the fact objects its match found for the consumed patterns, in
     the rule's consumed order.
-    They are neither compared nor shown, and only `apply_instance` reads
-    them.  Every check (`is_applicable`, `consumed_facts`, trace replay, the
-    witness verifier) grounds the substitution instead, so carried facts
-    that disagree with it cannot pass one.
+    They are neither compared nor shown, and only a trusted
+    `apply_instance` reads them.  Every check (`is_applicable`, `reapply`,
+    trace replay, the witness verifier) grounds the substitution instead,
+    so carried facts that disagree with it cannot pass one.
     """
 
     rule: Rule
@@ -520,28 +513,10 @@ class RuleInstance:
         return f"{self.rule.name}{{{inner}}}"
 
     def consumed_facts(self) -> list[TimedFact]:
-        sigma = self.sigma
-        return [ground_atom(p.atom, sigma, _ts_of(sigma, p.tvar)) for p in self.rule.consumed]
-
-    def side_facts(self) -> list[TimedFact]:
-        sigma = self.sigma
-        return [ground_atom(p.atom, sigma, _ts_of(sigma, p.tvar)) for p in self.rule.side]
+        return _ground(self.rule.consumed, self.sigma)
 
     def created_facts(self) -> list[TimedFact]:
-        """The created facts, filled into the rule's `creation` template."""
-        sigma = self.sigma
-        now = _ts_of(sigma, GLOBAL_TIME_VAR)
-        out = []
-        for pred, slots, delay, atom in self.rule.creation:
-            ts = now + delay
-            if ts > MAX_TIMESTAMP:
-                raise EngineError("created timestamp overflow")
-            if slots is None:
-                out.append(ground_atom(atom, sigma, ts))
-            else:
-                args = tuple([g if n is None else sigma[n] for n, g in slots])
-                out.append(TimedFact(pred, args, ts))
-        return out
+        return _created(self.rule, self.sigma)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{v}={t}" for v, t in sorted(self.bindings))
@@ -553,6 +528,26 @@ def _ts_of(sigma: Binding, tvar: str) -> int:
     if not isinstance(value, int):
         raise RuleError(f"time variable {tvar} bound to non-timestamp {value}")
     return value
+
+
+def _ground(patterns: tuple[FactPattern, ...], sigma: Binding) -> list[TimedFact]:
+    return [ground_atom(p.atom, sigma, _ts_of(sigma, p.tvar)) for p in patterns]
+
+
+def _created(rule: Rule, sigma: Binding) -> list[TimedFact]:
+    """The created facts, filled into the rule's `creation` template."""
+    now = _ts_of(sigma, GLOBAL_TIME_VAR)
+    out = []
+    for pred, slots, delay, atom in rule.creation:
+        ts = now + delay
+        if ts > MAX_TIMESTAMP:
+            raise EngineError("created timestamp overflow")
+        if slots is None:
+            out.append(ground_atom(atom, sigma, ts))
+        else:
+            args = tuple([g if n is None else sigma[n] for n, g in slots])
+            out.append(TimedFact(pred, args, ts))
+    return out
 
 
 def _unify(pattern: Term, ground: Term, sigma: Binding) -> Optional[Binding]:
@@ -1191,29 +1186,53 @@ def _instances(rule: Rule, config: Configuration, raw: list, carry: bool) -> lis
     return instances
 
 
-def _time_view(sigma: Binding) -> dict[str, int]:
-    return {v: t for v, t in sigma.items() if isinstance(t, int)}
+def _applicable(
+    inst: RuleInstance, config: Configuration
+) -> Optional[tuple[Binding, list[TimedFact]]]:
+    """The substitution of `inst` and its consumed facts, each built once
+    from the bindings, when `inst` applies to `config`; else None.  It
+    applies when its `T` is the global time, its side and consumed facts
+    are in `config` as a multiset, its guard holds, and each fresh variable
+    holds a fresh constant of its own type, no two the same and none
+    already in `config`."""
+    rule = inst.rule
+    sigma = dict(inst.bindings)
+    if _ts_of(sigma, GLOBAL_TIME_VAR) != config.global_time:
+        return None
+    side = _ground(rule.side, sigma)
+    consumed = _ground(rule.consumed, sigma)
+    if not config.contains(side + consumed):
+        return None
+    # every guard variable occurs in the precondition, so grounding found
+    # it bound to a timestamp
+    for c in rule.guard:
+        if not c.satisfied(sigma):
+            return None
+    if rule.fresh:
+        fresh = [sigma.get(v) for v, _ in rule.fresh]
+        for term, (_, btype) in zip(fresh, rule.fresh):
+            if not isinstance(term, FreshConstant) or term.base_type != btype:
+                return None
+        distinct = set(fresh)
+        if len(distinct) != len(fresh) or distinct & config.values():
+            return None
+    return sigma, consumed
 
 
 def is_applicable(inst: RuleInstance, config: Configuration) -> bool:
-    sigma = inst.sigma
-    if _ts_of(sigma, GLOBAL_TIME_VAR) != config.global_time:
-        return False
-    needed = inst.side_facts() + inst.consumed_facts()
-    if not config.contains(needed):
-        return False
-    if not all(c.satisfied(_time_view(sigma)) for c in inst.rule.guard):
-        return False
-    if not inst.rule.fresh:
-        return True
-    # each fresh variable holds a fresh constant of its own type, no two the
-    # same, and none already in the configuration
-    fresh = [sigma.get(v) for v, _ in inst.rule.fresh]
-    for term, (_, btype) in zip(fresh, inst.rule.fresh):
-        if not isinstance(term, FreshConstant) or term.base_type != btype:
-            return False
-    distinct = set(fresh)
-    return len(distinct) == len(fresh) and not (distinct & config.values())
+    return _applicable(inst, config) is not None
+
+
+def reapply(inst: RuleInstance, config: Configuration) -> Optional[Configuration]:
+    """`inst` applied to `config` when it applies there (`is_applicable`),
+    else None.  It removes the consumed facts its check grounded from the
+    bindings, so facts an instance carries are never read: the entry of
+    trace replay and the witness verifier."""
+    checked = _applicable(inst, config)
+    if checked is None:
+        return None
+    sigma, consumed = checked
+    return config.replace(consumed, _created(inst.rule, sigma))
 
 
 def apply_instance(
@@ -1222,19 +1241,21 @@ def apply_instance(
     """Apply a rule instance: remove consumed facts, add created ones.
 
     Side-condition facts and the global-time fact are untouched.  A stale
-    instance (no longer applicable to `config`) is rejected; `trusted` skips
-    that re-check for instances just produced by find_matches on `config` or
-    just checked by the caller.  The consumed facts are the ones the
-    instance carries from `find_matches`, which `replace` then finds without
-    building them again; an instance without them (from the verifier, a
-    replayed trace or a witness) grounds them from its substitution.
+    instance (no longer applicable to `config`) is rejected through
+    `reapply`.  `trusted` skips that check for instances just produced by
+    find_matches on `config`: it removes the consumed facts the instance
+    carries, which `replace` then finds without building them again, and
+    grounds them from the substitution only for an instance without them.
     """
-    if not trusted and not is_applicable(inst, config):
-        raise EngineError(f"stale instance {inst.key()} on {config}")
+    if not trusted:
+        result = reapply(inst, config)
+        if result is None:
+            raise EngineError(f"stale instance {inst.key()} on {config}")
+        return result
     removed = inst.facts
     if removed is None:
         removed = inst.consumed_facts()
-    return config.replace(removed, inst.created_facts())
+    return config.replace(removed, _created(inst.rule, inst.sigma))
 
 
 def tick(config: Configuration) -> Configuration:

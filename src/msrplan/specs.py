@@ -26,8 +26,7 @@ from .rules import (
     MatchPlan,
     RuleInstance,
     TimeConstraint,
-    apply_instance,
-    is_applicable,
+    reapply,
     tick,
 )
 
@@ -199,12 +198,11 @@ def replay_errors(trace: Trace) -> list[str]:
         if step.is_tick:
             expected = tick(current)
         else:
-            inst = RuleInstance(step.instance.rule, step.instance.bindings)
-            if not is_applicable(inst, current):
-                errors.append(f"step {i + 1}: instance {inst.key()} not applicable")
+            expected = reapply(step.instance, current)
+            if expected is None:
+                errors.append(f"step {i + 1}: instance {step.instance.key()} not applicable")
                 current = step.result
                 continue
-            expected = apply_instance(current, inst, trusted=True)
         if expected != step.result:
             errors.append(f"step {i + 1}: recorded configuration does not match replay")
         current = step.result

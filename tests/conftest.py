@@ -425,11 +425,11 @@ def brute_find_matches(
             if isinstance(arg, Variable):
                 fo_vars[arg.name] = arg.base_type
     tvars = sorted({p.tvar for p in (*rule.side, *rule.consumed)})
-    fresh_sorted = sorted(rule.fresh_vars())
+    fresh_sorted = sorted(rule.fresh_vars)
     fresh_types: dict[str, str] = {}
     for c in rule.created:
         for arg in c.atom.args:
-            if isinstance(arg, Variable) and arg.name in rule.fresh_vars():
+            if isinstance(arg, Variable) and arg.name in rule.fresh_vars:
                 fresh_types.setdefault(arg.name, arg.base_type)
     taken: dict[str, set[int]] = {}
     for v in terms:

@@ -410,6 +410,9 @@ REJECTIONS = [
      "root.trace[0]: binding T1 must be a timestamp"),
     ("game", _put("trace", 0, "sigma", "y1", 1),
      "root.trace[0]: binding y1 must be a term"),
+    # a step at another time than the clock's, although its guard holds there
+    ("minimal", _put("trace", 0, "sigma", "T", 1),
+     "root.trace[0]: instance does not re-apply"),
 ]
 
 
@@ -443,6 +446,25 @@ class TestWitnessRejections:
     def test_witness_file_must_hold_an_object(self):
         with pytest.raises(EngineError, match="must contain a JSON object"):
             witness_from_json("[]")
+
+    def test_term_texts_are_read_against_each_signature(self):
+        """Two scenarios spell one witness alike, with `a` of another type in
+        each: each verifies under its own signature, in either order."""
+        text = """
+        types {ty};
+        consts a: {ty};
+        predicates P({ty}): system, G({ty}): goal, K: critical;
+        init {{ Time@0, P(a)@0 }}
+        rule system go {{ consume: P(x)@T1; create: G(x)@T+1; }}
+        goal {{ G(x)@T1 }}
+        critical {{ K@T1 }}
+        """
+        query = ResilienceQuery(0, 1, 0)
+        scenarios = [parse_scenario(text.format(ty=ty), ty) for ty in ("t", "u")]
+        witnesses = [witness_to_dict(check_resilience(s, query).witness) for s in scenarios]
+        assert witnesses[0] == witnesses[1]
+        for scenario in (*scenarios, *reversed(scenarios)):
+            assert verify_witness(scenario, query, witnesses[0]) == (True, [])
 
 
 # A staged walk s0 -> s5 beside a Beat fact refreshed to T+1, with no clock

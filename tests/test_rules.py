@@ -58,10 +58,12 @@ from msrplan.rules import (
     classify_rule,
     find_matches,
     interpret_matches,
+    is_applicable,
+    reapply,
     tick,
 )
 from msrplan.scenario import load_bundled
-from msrplan.search import successors
+from msrplan.search import find_compliant_goal_trace, successors
 from msrplan.specs import ConfigSpec, SpecKind, SpecPair, interpret_spec, match_spec
 
 
@@ -973,7 +975,7 @@ class TestCarriedFacts:
                     assert plain == inst and plain.facts is None
                     assert list(inst.facts) == plain.consumed_facts()
                     assert all(id(f) in present for f in inst.facts)
-                    carried = apply_instance(config, inst)
+                    carried = apply_instance(config, inst, trusted=True)
                     grounded = apply_instance(config, plain)
                     assert carried == grounded
                     assert carried.canonical_order() == grounded.canonical_order()
@@ -1011,6 +1013,71 @@ class TestCarriedFacts:
         for inst in found:
             assert [f.pred for f in inst.facts] == [f"P{k}" for k in range(4, 12)]
             assert list(inst.facts) == RuleInstance(rule, inst.bindings).consumed_facts()
-            after = apply_instance(config, inst)
+            after = apply_instance(config, inst, trusted=True)
             assert after == apply_instance(config, RuleInstance(rule, inst.bindings))
             assert len(after) == len(config) - 8 + 1
+
+
+def _variants(inst: RuleInstance, constants: list[Constant]) -> list[RuleInstance]:
+    """`inst` with one binding changed: a timestamp shifted by -1 or +1, a
+    term swapped for the next declared constant or the next fresh one."""
+    out = []
+    for k, (var, value) in enumerate(inst.bindings):
+        if isinstance(value, int):
+            others = [t for t in (value - 1, value + 1) if t >= 0]
+        elif isinstance(value, FreshConstant):
+            others = [FreshConstant(value.base_type, value.index + 1)]
+        else:
+            others = [constants[(constants.index(value) + 1) % len(constants)]]
+        for other in others:
+            bindings = (*inst.bindings[:k], (var, other), *inst.bindings[k + 1:])
+            out.append(RuleInstance(inst.rule, bindings))
+    return out
+
+
+class TestReapply:
+    """`reapply`, `is_applicable` and `apply_instance` make one check: they
+    agree on every match and on every match with one binding changed, and a
+    changed instance applies exactly when the matcher finds it too."""
+
+    def _check(self, scenario, configs: list[Configuration]) -> Counter:
+        constants = sorted(
+            (Constant(n, t) for n, t in scenario.signature.constants.items()),
+            key=lambda c: c.name,
+        )
+        seen: Counter = Counter()
+        for config in configs:
+            for rule in scenario.rules():
+                found = find_matches(rule, config)
+                for inst in found:
+                    assert reapply(inst, config) == apply_instance(config, inst, trusted=True)
+                    for variant in [inst, *_variants(inst, constants)]:
+                        got = reapply(variant, config)
+                        assert is_applicable(variant, config) == (got is not None)
+                        try:
+                            applied = apply_instance(config, variant)
+                        except EngineError:
+                            applied = None
+                        assert applied == got
+                        if got is not None:
+                            trusted = apply_instance(config, variant, trusted=True)
+                            assert got.canonical_order() == trusted.canonical_order()
+                            assert got == trusted and hash(got) == hash(trusted)
+                        # the matcher finds every applicable instance with
+                        # the canonical fresh constants
+                        if variant.fresh_assignment == inst.fresh_assignment:
+                            assert (got is not None) == (variant in found)
+                        seen["applies" if got is not None else "rejected"] += 1
+        return seen
+
+    def test_travel_and_qbf_states(self, travel):
+        # the states near the start, and those a goal trace passes through,
+        # where `ride_to_airport`'s guard T1 <= T also holds one unit later
+        trace = find_compliant_goal_trace(travel, 232)
+        states = [*explored_states(travel, 400), *trace.configurations()]
+        seen = self._check(travel, states)
+        assert seen["applies"] > 300 and seen["rejected"] > 1500, seen
+        for formula in qbf_mix():
+            scenario = qbf_to_scenario(formula)
+            seen += self._check(scenario, explored_states(scenario, 3))
+        assert seen["applies"] > 3000 and seen["rejected"] > 8000, seen
