@@ -520,10 +520,18 @@ def graph_to_goal_instance(
 
 
 def brute_force_homomorphism(g: Graph, k: Graph) -> Optional[dict[str, str]]:
-    """Exhaustive search over all vertex maps; the independent oracle."""
-    k_edges = set(k.edges)
-    for image in itertools.product(k.vertices, repeat=len(g.vertices)):
-        mapping = dict(zip(g.vertices, image))
-        if all((mapping[u], mapping[v]) in k_edges for u, v in g.edges):
-            return mapping
+    """Exhaustive search over all vertex maps; the independent oracle.
+
+    Maps are tried in `itertools.product` order over host vertex indices,
+    and each is tested edge by edge up to its first missing image."""
+    g_index = {v: i for i, v in enumerate(g.vertices)}
+    k_index = {v: i for i, v in enumerate(k.vertices)}
+    pattern = [(g_index[u], g_index[v]) for u, v in g.edges]
+    host = {(k_index[u], k_index[v]) for u, v in k.edges}
+    for image in itertools.product(range(len(k.vertices)), repeat=len(g.vertices)):
+        for u, v in pattern:
+            if (image[u], image[v]) not in host:
+                break
+        else:
+            return {x: k.vertices[i] for x, i in zip(g.vertices, image)}
     return None

@@ -29,6 +29,18 @@ what a `Time` pattern binds.  A relevant rule with a fresh variable could
 build unboundedly many facts, so with one the relaxation always answers
 True; so it does when a relevant rule or goal pattern holds a function
 term over variables, which no scenario file can write.
+
+The answer is monotone in time.  `project` splits what `possible` reads of
+a configuration into a time-free signature (the exact-predicate facts with
+their timestamps, and the argument keys of the creatable-predicate facts)
+and the earliest timestamp of each such key.  Take two configurations with
+one signature, where the second has a clock t >= t0 and no earliest
+timestamp before the first's.  Firing times lie in [t, horizon] and a
+creatable fact holds on [earliest, oo), so every relaxed derivation from
+the second is one from the first; the fixpoint computes the least earliest
+times, so if `possible` refutes the first by a horizon it refutes the
+second by that horizon too.  `search.Checker` answers from its refutations
+through this lemma instead of calling `possible` again.
 """
 
 from __future__ import annotations
@@ -195,6 +207,7 @@ class Relaxation:
         self.relevant = frozenset(relevant)
         self.creatable = frozenset(c.atom.pred for r in rules for c in r.created) & relevant
         self.exact = self.relevant - self.creatable
+        self._order = (tuple(sorted(self.exact)), tuple(sorted(self.creatable)))
         # the system moves that can change a relevant predicate
         self.touching = frozenset(
             r.name for r in system_rules
@@ -226,6 +239,21 @@ class Relaxation:
                 sorted({p.tvar for p in pair.pattern if p.atom.pred == TIME_PREDICATE}),
             )).feasible
         ]
+
+    def project(self, config: Configuration) -> tuple[tuple, tuple[int, ...]]:
+        """What `possible` reads of `config` besides its clock: a time-free
+        signature, and the earliest timestamp of each creatable key in the
+        signature's order (see the module docstring)."""
+        groups = config.by_pred()
+        exact_preds, creatable_preds = self._order
+        exact = tuple(f.sort_key for p in exact_preds for f in groups.get(p, ()))
+        earliest: dict[tuple, int] = {}
+        for pred in creatable_preds:
+            for f in groups.get(pred, ()):
+                # ascending timestamps: the first copy is the earliest
+                earliest.setdefault((pred, f.sort_key[3]), f.ts)
+        keys = tuple(sorted(earliest))
+        return (exact, keys), tuple([earliest[k] for k in keys])
 
     def possible(self, config: Configuration, horizon: int) -> bool:
         """False only if no compliant goal trace of system moves and time

@@ -302,6 +302,8 @@ def _instance_from_dict(
                 if term is None:
                     term = terms[value] = parse_ground_term(value, scenario.signature)
                 value = term
+            elif not 0 <= value <= MAX_TIMESTAMP:
+                raise EngineError(f"binding {var}: timestamp {value} out of range")
             bindings.append((var, value))
     except EngineError as exc:
         violations.append(f"{where}: {exc}")
@@ -383,10 +385,12 @@ def _verify_node(
     if not isinstance(q, dict):
         violations.append(f"{where}: malformed query")
         return
-    if (q.get("n"), q.get("a"), q.get("b")) != (query.n, query.a, query.b):
+    said = (q.get("n"), q.get("a"), q.get("b"))
+    # type(), not only ==: a JSON true equals 1
+    if said != (query.n, query.a, query.b) or any(type(v) is not int for v in said):
         violations.append(
-            f"{where}: query mismatch: node says ({q.get('n')},{q.get('a')},"
-            f"{q.get('b')}), expected ({query.n},{query.a},{query.b})"
+            f"{where}: query mismatch: node says ({said[0]},{said[1]},{said[2]}), "
+            f"expected ({query.n},{query.a},{query.b})"
         )
     steps = node.get("trace", [])
     if not isinstance(steps, list):

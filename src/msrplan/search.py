@@ -48,7 +48,14 @@ save.  A refuted root is memoized as bad; a refuted successor is a bad move
 without a memo entry.  The relaxation is sound, so a refuted state reaches
 no goal state: its subtree holds no good state and calls no update coverage
 check.  The recorded moves, witnesses and refutation chains are therefore
-the same as those of the search without it.
+the same as those of the search without it.  Each checker also stores the
+relaxation's refutations, keyed on the time-free signature of
+`Relaxation.project`, and a stored one answers for every state it
+dominates: one with its signature, a clock no earlier and no earliest
+timestamp earlier.  The relaxation is monotone in those (see `relax`), so
+the store says dead only where the relaxation would, and outputs do not
+change.  The store serves one query and one horizon; nothing is kept
+across queries.
 
 A compliant goal trace within a tick budget is the n=0, b=0 case:
 `find_compliant_goal_trace` runs the engine there.
@@ -57,6 +64,7 @@ A compliant goal trace within a tick budget is the n=0, b=0 case:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Iterator, Optional, Union
 
 from .kernel import MAX_TIMESTAMP, Configuration
@@ -138,6 +146,8 @@ class Checker:
         # (annotation, successor, successor key)
         self.memo: dict[StateKey, Union[bool, tuple]] = {}
         self.refutation: tuple[str, ...] = ()
+        # relaxation signature -> (clock, earliest times) of refuted states
+        self.refuted: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
 
     def _depth_limit(self, config: Configuration) -> int:
         return (self.horizon - config.global_time + 1) * self.m
@@ -188,13 +198,25 @@ class Checker:
         reachable from `config` by the horizon?  Asked only while at least
         two ticks are left, where the search it saves outweighs its cost,
         and, for the result of a move by `rule`, only if that rule changes
-        a predicate the relaxation reads."""
+        a predicate the relaxation reads.  A stored refutation that
+        dominates `config` answers without a relaxation call; otherwise the
+        relaxation runs and its refutation is stored.  It answers True only
+        where the relaxation would refute, so memo entries and recorded
+        moves are those of the search that asks the relaxation every time."""
         if config.global_time + 2 > self.horizon:
             return False
         relaxation = self.scenario.relaxation
-        if rule is not None and rule.name not in relaxation.touching:
+        if relaxation.trivial or (rule is not None and rule.name not in relaxation.touching):
             return False
-        return not relaxation.possible(config, self.horizon)
+        t = config.global_time
+        signature, earliest = relaxation.project(config)
+        for t0, earliest0 in self.refuted.get(signature, ()):
+            if t0 <= t and all(map(le, earliest0, earliest)):
+                return True
+        if relaxation.possible(config, self.horizon):
+            return False
+        self.refuted.setdefault(signature, []).append((t, earliest))
+        return True
 
     def decide(self, config: Configuration, n: int) -> bool:
         """Does a resilient trace from `config` with n updates left exist?

@@ -125,6 +125,32 @@ class TestResilience:
         assert code == EXIT_NO
         assert "tick budget" in out
 
+    @pytest.mark.parametrize(
+        "path, value, clause",
+        [
+            (("trace", 0, "sigma", "T1"), -1, "binding T1: timestamp -1 out of range"),
+            (("trace", 0, "sigma", "T1"), 10**20, "timestamp 100000000000000000000 out"),
+            (("query", "b"), True, "root: query mismatch: node says (1,2,True)"),
+        ],
+        ids=["T1=-1", "T1=10**20", "b=true"],
+    )
+    def test_verify_names_a_malformed_value_at_its_place(
+        self, capsys, minimal_file, tmp_path, path, value, clause
+    ):
+        """Exit 1 with the violation, not 2 with an unlocated error."""
+        witness = tmp_path / "w.json"
+        query = ("-n", "1", "-a", "2", "-b", "1")
+        run(capsys, "resilience", minimal_file, *query, "--witness", str(witness))
+        data = json.loads(witness.read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        witness.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run(capsys, "resilience", minimal_file, *query, "--verify", str(witness))
+        assert code == EXIT_NO
+        assert clause in out
+
     def test_negative_verdict_exit_code(self, capsys, tmp_path):
         scenario = tmp_path / "s.msr"
         scenario.write_text(

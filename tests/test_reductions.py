@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -238,6 +240,49 @@ class TestGraphs:
     def test_nonempty_required(self):
         with pytest.raises(QbfError):
             graph_to_goal_instance(Graph((), ()), Graph(("u",), ()))
+
+
+class TestHomomorphismOracle:
+    def test_returned_maps_digest(self):
+        """The oracle's answers, each map in its key order or `null`, over
+        every pair of labeled 2-vertex digraphs and 700 seeded random pairs
+        of 1-5 vertices with shuffled vertex orders and disjoint names; the
+        digest was taken with the dict-per-map oracle, so a rewrite must
+        find the same first map in `itertools.product` order."""
+        small = [
+            [Graph(tuple(names), edges) for edges in _digraphs(names)]
+            for names in ("ab", "uv")
+        ]
+        pairs = [(g, k) for g in small[0] for k in small[1]]
+        rng = random.Random(2024)
+        for _ in range(700):
+            density = rng.choice((0.2, 0.35, 0.5, 0.7))
+            g = _shuffled_graph(rng, "abcde"[: rng.randint(1, 5)], density)
+            k = _shuffled_graph(rng, "vwxyz"[: rng.randint(1, 5)], density)
+            pairs.append((g, k))
+        answers = [brute_force_homomorphism(g, k) for g, k in pairs]
+        assert 200 < sum(m is None for m in answers) < len(answers) - 200
+        text = "\n".join(json.dumps(m) for m in answers)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == (
+            "0236e6a8ef3d9c42599c42eaee2671484f53cc09be83aab9ef28f476a683c3cb"
+        )
+
+
+def _digraphs(names: str) -> list[tuple[tuple[str, str], ...]]:
+    slots = [(u, v) for u in names for v in names]
+    return [
+        tuple(s for i, s in enumerate(slots) if mask >> i & 1)
+        for mask in range(1 << len(slots))
+    ]
+
+
+def _shuffled_graph(rng: random.Random, names: str, density: float) -> Graph:
+    vertices = list(names)
+    rng.shuffle(vertices)
+    edges = [(u, v) for u in vertices for v in vertices if rng.random() < density]
+    rng.shuffle(edges)
+    return Graph(tuple(vertices), tuple(edges))
 
 
 def _random_graph(rng: random.Random, names: str) -> Graph:

@@ -413,6 +413,13 @@ REJECTIONS = [
     # a step at another time than the clock's, although its guard holds there
     ("minimal", _put("trace", 0, "sigma", "T", 1),
      "root.trace[0]: instance does not re-apply"),
+    # time bindings outside the timestamp range, in a trace and in an update
+    ("minimal", _put("trace", 0, "sigma", "T1", -1),
+     "root.trace[0]: binding T1: timestamp -1 out of range"),
+    ("minimal", _put("trace", 0, "sigma", "T1", 10**20),
+     "root.trace[0]: binding T1: timestamp 100000000000000000000 out of range"),
+    ("game", _put("children", 0, "instance", "sigma", "T", 2**63),
+     f"root.children[0]: binding T: timestamp {2**63} out of range"),
 ]
 
 
@@ -442,6 +449,22 @@ class TestWitnessRejections:
         ok, violations = verify_witness(scenario, query, mutated)
         assert not ok
         assert any(v.startswith(expected) for v in violations), violations
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("field", ["n", "a", "b"])
+    def test_query_fields_are_integers_not_booleans(self, emitted, field, flag):
+        """JSON true and false equal 1 and 0 in Python: a node that says
+        `true` where its query has 1 is still a mismatch."""
+        scenario, query, data = emitted["game"]
+        query = dataclasses.replace(query, **{field: int(flag)})
+        mutated = copy.deepcopy(data)
+        mismatch = "root: query mismatch"
+        mutated["query"][field] = int(flag)
+        _, violations = verify_witness(scenario, query, mutated)
+        assert not any(v.startswith(mismatch) for v in violations)
+        mutated["query"][field] = flag
+        _, violations = verify_witness(scenario, query, mutated)
+        assert any(v.startswith(mismatch) for v in violations), violations
 
     def test_witness_file_must_hold_an_object(self):
         with pytest.raises(EngineError, match="must contain a JSON object"):
