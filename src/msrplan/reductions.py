@@ -148,7 +148,10 @@ def parse_qdimacs(text: str) -> Qbf:
                 or not all(f.isdecimal() for f in fields[2:])
             ):
                 raise QbfError(f"line {lineno}: malformed problem line")
-            problem = (lineno, int(fields[2]), int(fields[3]))
+            try:
+                problem = (lineno, int(fields[2]), int(fields[3]))
+            except ValueError as exc:  # more digits than `int` converts
+                raise QbfError(f"line {lineno}: {exc}") from None
             continue
         fields = line.split()
         if fields[0] in ("e", "a"):

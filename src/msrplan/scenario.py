@@ -237,11 +237,15 @@ class _Parser:
 
     def expect_nat(self, what: str = "a number") -> int:
         tok = self.next()
-        if tok.kind == "number":
-            return int(tok.text)
-        if tok.kind == "clock":
+        if tok.kind not in ("number", "clock"):
+            raise self.unexpected(tok, what)
+        try:
+            if tok.kind == "number":
+                return int(tok.text)
             return _clock_value(tok.text, tok, self.diags)
-        raise self.unexpected(tok, what)
+        except ValueError:  # more digits than `int` converts
+            self.error(tok, f"number of {len(tok.text)} digits out of range")
+            return 0
 
     # -- top level -----------------------------------------------------------
 

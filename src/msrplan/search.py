@@ -2,10 +2,9 @@
 
 `successors(config, rules)` is the only move enumerator: the instances of
 the given rules in canonical order, then the time advance.  It reads only
-the rules and the configuration.  The engine passes the system rules for
-system moves and the update rules without the time advance for update
-moves, and consumes the moves lazily, so moves after the first good one are
-never built.
+the rules and the configuration.  The engine passes the system rules, or
+the update rules without the time advance, and consumes the moves lazily,
+so moves after the first good one are never built.
 
 `Checker` is the only search engine.  It is built for one query: updates
 are admitted until `deadline`, a ticks after the initial configuration, and
@@ -19,43 +18,37 @@ update level down, and either the goal is matched or some successor is good.
 The search is iterative within a level and recursive across levels, so the
 Python stack depth is bounded by n.  When it proves a state good it records
 the move that proved it, and `trace` follows those recorded moves to rebuild
-the leftmost certified trace.  A tick changes only the clock of a state that
-is neither critical nor a goal, so its result is checked against the
-specification pairs that mention `Time` alone.
+the leftmost certified trace.
 
-The scenario configures the engine.  In a progressing scenario a state is
-keyed on (non-`Time` fact tuple, clock, n).  The clock fixes the window
-left, so the time abstraction of `delta` could never merge two such keys
-and the search does not compute it.  These keys omit the remaining path
-length, so they are sound only when the search's one cutoff, its path
-bound, cannot fire, which holds in progressing scenarios; the cutoff there
-raises `EngineError`.  In any other scenario the remaining path length is
-added to the key, which is exact for the bounded search even when
-instantaneous rules form a cycle: a state revisited along a path is
-expanded again with less length left, until the path bound refutes it.
-A key (`StateKey`) is hashed once, from the configuration's multiset hash,
-which each move updates from the facts it changes; a memo probe then costs
-one Python call instead of one per fact.
+The scenario configures the engine.  In a progressing scenario the search
+is depth first and its memo is keyed on (configuration, n).  The clock
+fixes the window left, so the time abstraction of `delta` could never merge
+two such keys and the search does not compute it.  A key omits the
+remaining path length, which is sound because the search's one cutoff, its
+path bound, cannot fire in a progressing scenario; reaching it raises
+`EngineError`.  A configuration's hash is its multiset hash, which each move
+updates from the facts it changes, so a memo probe costs one Python call
+however many facts the configuration holds.
+
+Any other scenario is decided at n = 0 alone: goal reachability within the
+path bound L, where instantaneous moves may revisit a state.  A state is
+good with r steps left exactly when its goal distance, the fewest moves to
+a goal state, is at most r, so the engine computes goal distances over the
+states within L, each explored once, breadth first, with no memo entry.
 
 Before it expands a state the engine asks the scenario's timed relaxation
-(`relax.Relaxation`) whether a compliant goal trace from it can reach the
-goal by the horizon.  It asks at decision roots (the query root and each
-update's result) and at the results of system moves whose rule creates or
-consumes a predicate the relaxation reads; never after a tick or a move
-that leaves those predicates alone, such as the clock rule, and only while
-at least two ticks are left, where a call costs less than the search it can
-save.  A refuted root is memoized as bad; a refuted successor is a bad move
-without a memo entry.  The relaxation is sound, so a refuted state reaches
-no goal state: its subtree holds no good state and calls no update coverage
-check.  The recorded moves, witnesses and refutation chains are therefore
-the same as those of the search without it.  Each checker also stores the
-relaxation's refutations, keyed on the time-free signature of
-`Relaxation.project`, and a stored one answers for every state it
-dominates: one with its signature, a clock no earlier and no earliest
-timestamp earlier.  The relaxation is monotone in those (see `relax`), so
-the store says dead only where the relaxation would, and outputs do not
-change.  The store serves one query and one horizon; nothing is kept
-across queries.
+(`relax.Relaxation`) whether a goal state is reachable from it by the
+horizon: at decision roots (the query root and each update's result) and,
+depth first, at the results of system moves whose rule changes a predicate
+the relaxation reads, and only while at least two ticks are left, where a
+call costs less than the search it can save.  The relaxation is sound, so a
+refuted state reaches no goal state and calls no update coverage check: the
+recorded moves, witnesses and refutation chains are those of the search
+without it.  A checker stores the refutations, keyed on the time-free
+signature of `Relaxation.project`, and one answers for every state it
+dominates: same signature, clock and earliest timestamps no earlier.  The
+relaxation is monotone in those (see `relax`), so outputs do not change.
+The store serves one query and one horizon; nothing is kept across queries.
 
 A compliant goal trace within a tick budget is the n=0, b=0 case:
 `find_compliant_goal_trace` runs the engine there.
@@ -86,48 +79,16 @@ def successors(
         yield TICK_STEP, tick(config)
 
 
-class StateKey:
-    """A memo key: a configuration's non-`Time` fact tuple and global time,
-    the update level n, and the remaining path length (None where keys omit
-    it), hashed once.
-
-    It holds the configuration's parts, read from their slots, not the
-    `Configuration`, so refuted states are not kept alive; a tick successor
-    shares its parent's tuple.  Its hash mixes the configuration's multiset
-    hash with n and the remaining length, so a probe makes one Python call
-    however many facts the tuple holds."""
-
-    __slots__ = ("facts", "time", "n", "remaining", "_hash")
-
-    def __init__(self, config: Configuration, n: int, remaining: Optional[int]):
-        self.facts = config._facts
-        self.time = config._clock.ts
-        self.n = n
-        self.remaining = remaining
-        self._hash = hash((config._hash, n, remaining))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, StateKey)
-            and self._hash == other._hash
-            and self.n == other.n
-            and self.remaining == other.remaining
-            and self.time == other.time
-            and self.facts == other.facts
-        )
-
-
 @dataclass
 class SearchStats:
-    visited: int = 0  # states the search decided
+    visited: int = 0  # states decided depth first or explored breadth first
 
 
 class Checker:
-    """Memoized decision procedure for one (a, b) query that records the move
-    proving each good state, plus the walk that follows those moves."""
+    """Decision procedure for one (a, b) query, plus the walk that rebuilds
+    the trace certifying a good state: memoized depth-first search that
+    records the move proving each good state in a progressing scenario,
+    goal distances in any other."""
 
     def __init__(self, scenario: PlanningScenario, a: int, b: int):
         """Paths from a root at time t are bounded by (horizon - t + 1) * m
@@ -140,20 +101,22 @@ class Checker:
         self.b = b
         self.deadline = scenario.initial.global_time + a
         self.horizon = self.deadline + b
+        if self.horizon > MAX_TIMESTAMP:
+            raise EngineError("tick budget overflows the timestamp range")
         self.m = len(scenario.initial)
         self.progressing = scenario.progressing
-        # key -> False, True (a goal state), or the winning move as
-        # (annotation, successor, successor key)
-        self.memo: dict[StateKey, Union[bool, tuple]] = {}
+        # (configuration, n) -> False, True (a goal state), or the winning
+        # move as (annotation, successor)
+        self.memo: dict[tuple[Configuration, int], Union[bool, tuple]] = {}
+        # otherwise each explored state's kept moves, and goal distances
+        self.moves: dict[Configuration, list[tuple]] = {}
+        self.distance: dict[Configuration, int] = {}
         self.refutation: tuple[str, ...] = ()
         # relaxation signature -> (clock, earliest times) of refuted states
         self.refuted: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
 
     def _depth_limit(self, config: Configuration) -> int:
         return (self.horizon - config.global_time + 1) * self.m
-
-    def _key(self, config: Configuration, n: int, remaining: int) -> StateKey:
-        return StateKey(config, n, None if self.progressing else remaining)
 
     def admits_updates(self, config: Configuration, n: int) -> bool:
         """Updates are admitted while some are left and the clock is at or
@@ -183,26 +146,18 @@ class Checker:
         self, config: Configuration, n: int, goal: Optional[ConfigSpec]
     ) -> Optional[bool]:
         """The verdict of a state that matches `goal`, None for any other
-        state and when `goal` is None.
-
-        Update coverage is evaluated lazily: only states that otherwise lie on
-        a compliant goal trace pay for it (a state that cannot reach the goal
-        is refuted without running any reaction searches).
-        """
+        state and when `goal` is None.  Only goal states pay for update
+        coverage: a state that cannot reach the goal runs no reaction search."""
         if goal is None or match_spec(goal, config) is None:
             return None
         return self._covered(config, n)
 
     def _dead(self, config: Configuration, rule: Optional[Rule] = None) -> bool:
         """Does the scenario's relaxation prove that no goal state is
-        reachable from `config` by the horizon?  Asked only while at least
-        two ticks are left, where the search it saves outweighs its cost,
-        and, for the result of a move by `rule`, only if that rule changes
-        a predicate the relaxation reads.  A stored refutation that
-        dominates `config` answers without a relaxation call; otherwise the
-        relaxation runs and its refutation is stored.  It answers True only
-        where the relaxation would refute, so memo entries and recorded
-        moves are those of the search that asks the relaxation every time."""
+        reachable from `config` by the horizon?  Asked while at least two
+        ticks are left and, after a move by `rule`, only if that rule changes
+        a predicate the relaxation reads.  A stored refutation dominating
+        `config` answers without a call; a new refutation is stored."""
         if config.global_time + 2 > self.horizon:
             return False
         relaxation = self.scenario.relaxation
@@ -221,17 +176,11 @@ class Checker:
     def decide(self, config: Configuration, n: int) -> bool:
         """Does a resilient trace from `config` with n updates left exist?
 
-        Critical states are refuted before their key is computed.  The one
-        cutoff is the path bound: a successor that would lie deeper than it
-        is not expanded.  Exact keys carry the remaining path length, so
-        there the successor just counts as bad; memo keys do not, so there
-        the cutoff raises `EngineError`, and it never fires in a progressing
-        scenario.  No check for a successor already on the stack stands
-        beside it.  With exact keys a successor's key holds less remaining
-        length than every key on the stack, so it never equals one.  With
-        memo keys a revisit cannot happen in a progressing scenario; were it
-        to happen, the search would repeat the same moves until the path
-        bound raised.
+        Critical states are refuted before the memo is probed.  A scenario
+        that is not progressing is decided at n = 0 alone, by goal distance
+        (`_reaches_goal`).  Otherwise the search is depth first, and reaching
+        its path bound raises `EngineError`.  No progressing path revisits a
+        state, so that never happens and no on-stack check is needed.
 
         Every frame on the stack is neither critical nor a goal, and a tick
         changes only the clock, so a specification pair that does not read
@@ -241,15 +190,16 @@ class Checker:
         system moves are checked against every pair.
 
         A non-goal state that `_dead` refutes is bad without a search: the
-        root is memoized as bad, a successor is a bad move without a memo
-        entry.
+        root is memoized as bad, a successor is a bad move without an entry.
         """
-        critical = self.scenario.critical_spec
-        goal = self.scenario.goal_spec
+        if n and not self.progressing:
+            raise EngineError("resilience checking requires a progressing planning scenario")
+        critical, goal = self.scenario.critical_spec, self.scenario.goal_spec
         if match_spec(critical, config) is not None:
             return False
-        limit = self._depth_limit(config)
-        key = self._key(config, n, limit)
+        if not self.progressing:
+            return self._reaches_goal(config)
+        key = (config, n)
         verdict = self.memo.get(key)
         if verdict is not None:
             return bool(verdict)
@@ -260,64 +210,121 @@ class Checker:
             self.memo[key] = verdict
             return verdict
 
-        # frames: (annotation leading here, configuration, key, moves); the
-        # time advance is offered while the clock is short of the horizon
-        horizon = self.horizon
+        # frames: (annotation leading here, configuration, moves); the time
+        # advance is offered while the clock is short of the horizon
+        horizon, limit = self.horizon, self._depth_limit(config)
         rules = self.scenario.system_rules
         every, after_tick = (critical, goal), (critical.clocked, goal.clocked)
         moves = successors(config, rules, advance=config.global_time < horizon)
-        stack = [(None, config, key, moves)]
+        stack = [(None, config, moves)]
         pending: Union[None, bool, tuple] = None  # verdict of the last successor
-        last: tuple = ()  # that successor as (annotation, configuration, key)
+        last: tuple = ()  # that successor as (annotation, configuration)
         while stack:
             frame = stack[-1]
-            _, cfg, fkey, moves = frame
+            _, cfg, moves = frame
             if pending:
                 # a good successor proves the state iff its update points are covered
                 verdict = last if self._covered(cfg, n) else False
             elif (move := next(moves, None)) is not None:
-                annotation, cfg2 = move
+                annotation, cfg2 = last = move
                 critical2, goal2 = after_tick if annotation is TICK_STEP else every
                 if critical2 is not None and match_spec(critical2, cfg2) is not None:
                     continue
-                key2 = self._key(cfg2, n, limit - len(stack))
-                last = (annotation, cfg2, key2)
-                pending = self.memo.get(key2)
+                pending = self.memo.get((cfg2, n))
                 if pending is not None:
                     continue
                 pending = self._goal_verdict(cfg2, n, goal2)
                 if pending is not None:
-                    self.memo[key2] = pending
+                    self.memo[cfg2, n] = pending
                 elif annotation is not TICK_STEP and self._dead(cfg2, annotation.rule):
                     pending = False  # a bad move, decided without a memo entry
-                elif len(stack) < limit:
-                    moves = successors(cfg2, rules, advance=cfg2.global_time < horizon)
-                    stack.append((annotation, cfg2, key2, moves))
-                elif self.progressing:
+                elif len(stack) == limit:
                     raise EngineError("memoized search reached its path bound")
+                else:
+                    moves = successors(cfg2, rules, advance=cfg2.global_time < horizon)
+                    stack.append((annotation, cfg2, moves))
                 continue
             else:
                 verdict = False
-            self.memo[fkey] = verdict
+            self.memo[cfg, n] = verdict
             stack.pop()
-            last = (frame[0], cfg, fkey)
+            last = frame[:2]
             pending = verdict
         return bool(self.memo[key])
 
-    def trace(self, config: Configuration, n: int) -> Trace:
-        """The trace certified by `decide(config, n)`, which must hold.
+    def _reaches_goal(self, root: Configuration) -> bool:
+        """Is a goal state within the path bound L of `root`, a non-critical
+        state of a non-progressing scenario, through non-critical states?
 
-        Follows the recorded winning moves, which are the leftmost
-        decide-approved moves in the search order, to a goal state.
-        """
-        key = self._key(config, n, self._depth_limit(config))
+        Explores the states within L breadth first, each once, keeping each
+        expanded state's non-critical moves in `successors` order (checked
+        as in `decide`); goal states are not expanded.  Goal distances then
+        run backward from the goal states.  A path of k <= L - d steps from
+        a state at depth d stays within L, so a distance is exact up to the
+        steps left, and the root's is the depth of the nearest goal state."""
+        critical, goal = self.scenario.critical_spec, self.scenario.goal_spec
+        every, after_tick = (critical, goal), (critical.clocked, goal.clocked)
+        horizon, rules = self.horizon, self.scenario.system_rules
+        self.moves = moves = {root: []}
+        self.distance = distance = {}
+        if match_spec(goal, root) is not None:
+            distance[root] = 0
+            return True
+        if self._dead(root):
+            return False
+        before: dict[Configuration, list[Configuration]] = {}
+        level, depth, limit = [root], 0, self._depth_limit(root)
+        while level and depth < limit:
+            reached, depth = [], depth + 1
+            for cfg in level:
+                for move in successors(cfg, rules, advance=cfg.global_time < horizon):
+                    annotation, cfg2 = move
+                    critical2, goal2 = after_tick if annotation is TICK_STEP else every
+                    if critical2 is not None and match_spec(critical2, cfg2) is not None:
+                        continue
+                    moves[cfg].append(move)
+                    before.setdefault(cfg2, []).append(cfg)
+                    if cfg2 in moves:
+                        continue
+                    moves[cfg2] = []
+                    if goal2 is not None and match_spec(goal2, cfg2) is not None:
+                        distance[cfg2] = 0
+                    else:
+                        reached.append(cfg2)
+            level = reached
+        level, depth = list(distance), 0
+        while level:
+            reached, depth = [], depth + 1
+            for cfg2 in level:
+                for cfg in before.get(cfg2, ()):
+                    if cfg not in distance:
+                        distance[cfg] = depth
+                        reached.append(cfg)
+            level = reached
+        return root in distance
+
+    def trace(self, config: Configuration, n: int) -> Trace:
+        """The trace certified by `decide(config, n)`, which must hold: the
+        recorded winning moves, the leftmost decide-approved ones in search
+        order.  Without a memo it takes, with r steps left, the leftmost kept
+        move to a state at goal distance below r, the move a search keyed on
+        (state, steps left) records."""
         steps: list[TraceStep] = []
-        while (entry := self.memo.get(key)) is not True:
+        state, left, distance = config, self._depth_limit(config), self.distance
+        while True:
+            if self.progressing:
+                entry = self.memo.get((state, n))
+            else:  # True at a goal state; a state without a distance reaches none
+                kept = self.moves.get(state, ())
+                entry = distance.get(state) == 0 or next(
+                    (m for m in kept if distance.get(m[1], left) < left), None
+                )
+            if entry is True:
+                return Trace(config, tuple(steps))
             if not isinstance(entry, tuple):
                 raise EngineError("witness reconstruction lost the certified path")
-            annotation, nxt, key = entry
-            steps.append(TraceStep(annotation, nxt))
-        return Trace(config, tuple(steps))
+            steps.append(TraceStep(*entry))
+            state, left = entry[1], left - 1
 
 
 def find_compliant_goal_trace(
@@ -335,27 +342,20 @@ def find_compliant_goal_trace(
     """
     if tick_budget < 0:
         raise EngineError("tick budget must be a natural number")
-    if scenario.initial.global_time + tick_budget > MAX_TIMESTAMP:
-        raise EngineError("tick budget overflows the timestamp range")
     checker = Checker(scenario, tick_budget, 0)
     found = checker.decide(scenario.initial, 0)
     if stats is not None:
-        stats.visited += len(checker.memo)
+        stats.visited += len(checker.memo) + len(checker.moves)
     if not found:
         return None
     trace = checker.trace(scenario.initial, 0)
-    if checker.progressing:
-        _assert_progressing_shape(trace, len(scenario.initial))
-    return trace
-
-
-def _assert_progressing_shape(trace: Trace, m: int) -> None:
-    """Between consecutive time advances at most m instantaneous steps occur."""
-    if max(instantaneous_run_lengths(trace)) > m:
+    # between consecutive time advances at most m instantaneous steps occur
+    if checker.progressing and max(instantaneous_run_lengths(trace)) > checker.m:
         raise EngineError(
             "progressing bound violated: more than m instantaneous "
             "steps between consecutive time advances"
         )
+    return trace
 
 
 def instantaneous_run_lengths(trace: Trace) -> list[int]:

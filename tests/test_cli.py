@@ -232,6 +232,56 @@ class TestMalformedInput:
         assert "can't decode byte 0xff" in line
 
 
+    # `int` converts at most 4,300 digits (sys.get_int_max_str_digits)
+    @pytest.mark.parametrize("stamp", ["9" * 5000, "9" * 5000 + "d1:00"], ids=["number", "clock"])
+    def test_overlong_timestamp_is_a_located_diagnostic(
+        self, capsys, minimal_file, tmp_path, stamp
+    ):
+        bad = tmp_path / "big.msr"
+        text = Path(minimal_file).read_text(encoding="utf-8")
+        bad.write_text(text.replace("Fuse@6", f"Fuse@{stamp}"), encoding="utf-8")
+        code = cli_dispatch(["validate", str(bad)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == f"{bad}:18:8: number of {len(stamp)} digits out of range\n"
+
+    def test_overlong_problem_line_count(self, capsys, tmp_path):
+        formula = tmp_path / "big.qdimacs"
+        formula.write_text(f"p cnf {'9' * 5000} 1\ne 1 0\n1 1 1 0\n", encoding="utf-8")
+        line = self.error_line(capsys, "qbf", "eval", str(formula))
+        assert line.startswith("error: line 1: ") and "5000 digits" in line
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"query": {"n": %s}}' % ("9" * 5000), "[" * 100_000 + "]" * 100_000],
+        ids=["digits", "nesting"],
+    )
+    def test_verify_rejects_json_beyond_the_reader(
+        self, capsys, minimal_file, tmp_path, text
+    ):
+        witness = tmp_path / "w.json"
+        witness.write_text(text, encoding="utf-8")
+        line = self.error_line(
+            capsys,
+            "resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1",
+            "--verify", str(witness),
+        )
+        assert line.startswith("error: witness file exceeds the JSON reader's limits: ")
+
+    def test_verify_names_an_overlong_fresh_index(self, capsys, travel_file, tmp_path):
+        """A readable witness whose term does not parse: exit 1 at its step."""
+        witness = tmp_path / "w.json"
+        query = ("-n", "0", "-a", "12", "-b", "220")
+        run(capsys, "resilience", travel_file, *query, "--witness", str(witness))
+        data = json.loads(witness.read_text(encoding="utf-8"))
+        data["trace"][3]["sigma"]["a"] = "#loc:" + "9" * 5000
+        witness.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run(capsys, "resilience", travel_file, *query, "--verify", str(witness))
+        assert (code, out) == (
+            EXIT_NO, "root.trace[3]: fresh constant index of 5000 digits out of range\n"
+        )
+
+
 class TestQbfPipeline:
     def test_eval_exit_codes(self, capsys, tmp_path):
         f_true = tmp_path / "t.qdimacs"

@@ -515,6 +515,76 @@ critical { Time@T, Halt@T1 | T < T1 }
 """
 
 
+# The 18 values a fuzzed witness field may be replaced by.
+FUZZ_VALUES = (
+    None, True, False, 0, 1, -1, 2, 2**62, -(2**62), 0.5,
+    "", "Tick", "a", "#t:0", [], [None], {}, {"rule": "Tick"},
+)
+
+
+def _fuzz(rng: random.Random, data: dict) -> dict:
+    """A copy of a witness with one or two edits: a value replaced by one of
+    `FUZZ_VALUES`, an integer shifted by 1 or 2**62 either way, a key
+    deleted, or a list item duplicated."""
+    data = copy.deepcopy(data)
+    for _ in range(rng.randint(1, 2)):
+        spots = []  # (container, key or index, value) below the root
+        todo = [data]
+        while todo:
+            node = todo.pop()
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                spots.append((node, key, value))
+                if isinstance(value, (dict, list)):
+                    todo.append(value)
+        if not spots:
+            break
+        node, key, value = rng.choice(spots)
+        edits = ["replace", "delete" if isinstance(node, dict) else "duplicate"]
+        if type(value) is int:
+            edits.append("shift")
+        edit = rng.choice(edits)
+        if edit == "replace":
+            node[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+        elif edit == "shift":
+            node[key] = value + rng.choice((1, -1, 2**62, -(2**62)))
+        elif edit == "delete":
+            del node[key]
+        else:
+            node.insert(key, copy.deepcopy(value))
+    return data
+
+
+class TestVerifierFuzz:
+    """The verifier reads untrusted files, so it must answer every JSON
+    object with a verdict and its violations, never raise.  Seeded mutants of
+    three witnesses: nearly all are rejected.  One that verifies may be a
+    no-op edit (an empty `children` deleted) or another valid witness (a time
+    advance duplicated within the budget), so only their share is bounded."""
+
+    def test_every_mutant_gets_a_verdict(self, minimal, travel):
+        q = qbf_mix()[25]
+        assert q.n == 2
+        cases = [
+            (minimal, ResilienceQuery(1, 2, 1), 600),
+            (travel, ResilienceQuery(1, 12, 220), 8),
+            (qbf_to_scenario(q), ResilienceQuery(2, 1, 0), 300),
+        ]
+        rng = random.Random(2024)
+        for scenario, query, count in cases:
+            result = check_resilience(scenario, query)
+            data = witness_to_dict(result.witness)
+            assert verify_witness(scenario, query, data) == (True, [])
+            accepted = 0
+            for _ in range(count):
+                mutant = _fuzz(rng, data)
+                ok, violations = verify_witness(scenario, query, mutant)
+                assert type(ok) is bool and type(violations) is list, query
+                assert ok == (not violations), query
+                accepted += ok
+            assert accepted <= count // 10, query
+
+
 def _reference_resilient(scenario, query, matches=match_spec) -> bool:
     """(n,a,b)-resilience by plain recursion over the definition in the
     search module's docstring, without memoization: a state is good when it
@@ -700,10 +770,9 @@ class TestMemoKeyClock:
             assert len(checkers) == 1
             checker = checkers.pop()
             assert checker.memo
-            for key in checker.memo:
-                assert key.remaining is None and 0 <= key.n <= query.n, query
-                assert t0 <= key.time <= t0 + query.a + query.b, query
-                assert all(f.pred != TIME_PREDICATE for f in key.facts), query
+            for config, n in checker.memo:
+                assert 0 <= n <= query.n, query
+                assert t0 <= config.global_time <= t0 + query.a + query.b, query
 
 
 def _walk(node):

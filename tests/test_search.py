@@ -1,26 +1,33 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+from dataclasses import replace
+
 import pytest
 
 from conftest import (
     explored_states,
     random_scenario,
+    random_spec,
     reference_goal_trace,
     trace_annotations,
     travel_with_start,
 )
+from msrplan.kernel import Configuration
 from msrplan.reductions import Qbf, qbf_to_scenario
+from msrplan.relax import Relaxation
 from msrplan.rules import EngineError, tick
 from msrplan.scenario import PlanningScenario, parse_scenario
 from msrplan.search import (
     Checker,
     SearchStats,
-    StateKey,
     find_compliant_goal_trace,
     instantaneous_run_lengths,
     successors,
 )
-from msrplan.specs import check_compliance, match_spec, replay_errors
+from msrplan.specs import ConfigSpec, SpecKind, check_compliance, match_spec, replay_errors
 
 
 class TestSuccessors:
@@ -91,13 +98,13 @@ class TestGoalSearch:
         assert not scenario.progressing
         checker = Checker(scenario, 2, 0)
         checker.decide(scenario.initial, 0)
-        # keys carry the remaining path length
-        assert all(key.remaining is not None for key in checker.memo)
+        # decided by goal distance over the explored states, without a memo
+        assert not checker.memo and checker.moves
         trace = find_compliant_goal_trace(scenario, 2)
         assert trace_annotations(trace) == reference_goal_trace(scenario, 2)
 
-    # the leftmost traces of seeds 448 and 533 revisit a configuration; a key
-    # without the remaining path length would cut the revisit as a cycle
+    # the leftmost traces of seeds 448 and 533 revisit a configuration, which
+    # the walk along goal distances must reproduce
     @pytest.mark.parametrize("seed", [*range(40), 448, 533])
     def test_exact_keys_match_unmemoized_reference(self, seed):
         scenario = random_scenario(seed, progressing=False)
@@ -133,6 +140,13 @@ class TestGoalSearch:
         stats = SearchStats()
         find_compliant_goal_trace(minimal, 1, stats=stats)
         assert stats.visited > 0
+        # a non-progressing search counts the states it explored breadth first
+        scenario = random_scenario(533, progressing=False)
+        stats = SearchStats()
+        assert find_compliant_goal_trace(scenario, 3, stats=stats) is not None
+        checker = Checker(scenario, 3, 0)
+        assert checker.decide(scenario.initial, 0)
+        assert stats.visited == len(checker.moves) > 1
 
 
 # Two instantaneous rules that undo each other: the search returns to the
@@ -164,40 +178,89 @@ critical { Time@T, Halt@T1 | T < T1 }
 
 class TestCutoffs:
     """The path bound is the search's one cutoff.  A cycle of instantaneous
-    moves revisits a state on the stack; the search keeps expanding it until
-    the path bound, which refutes it with exact keys and raises with memo
-    keys."""
+    moves revisits a state on the stack; the depth-first search keeps
+    expanding it until the path bound, which raises.  Goal distances decide
+    the same scenarios, since each state is explored once."""
 
     @pytest.mark.parametrize("text, a", [(CYCLE, 1), (CHAIN, 0)], ids=["cycle", "path bound"])
     def test_memo_cutoff_is_an_error(self, monkeypatch, text, a):
         scenario = parse_scenario(text, "cutoff")
         assert not scenario.progressing
-        # exact keys carry the remaining path length: the cutoff is a verdict
+        # goal distances: no goal state within the path bound
         assert Checker(scenario, a, 0).decide(scenario.initial, 0) is False
-        # memo keys do not, so there the same cutoff is an error
+        # the depth-first search memoizes without the remaining path length,
+        # so there the same cutoff is an error
         monkeypatch.setattr(PlanningScenario, "progressing", True)
         with pytest.raises(EngineError, match="reached its path bound"):
             Checker(scenario, a, 0).decide(scenario.initial, 0)
 
 
 class TestStateKey:
-    """A memo key holds a configuration's non-`Time` tuple and its clock, so
-    configurations that differ only in their clock, such as a state and its
-    tick successor, never share a key or a memo entry."""
+    """A memo key is (configuration, n).  A configuration's hash and equality
+    read its clock, so a state and its tick successor, which share their
+    non-`Time` fact tuple, never share a key or a memo entry."""
 
     def test_the_clock_tells_keys_apart(self, travel):
         for config in explored_states(travel, 40):
-            key, later = StateKey(config, 1, None), StateKey(tick(config), 1, None)
-            assert later.facts is key.facts and later.time == key.time + 1
-            assert later != key
-            later._hash = key._hash  # a hash collision: equality decides
-            assert later != key and len({key: 1, later: 2}) == 2
+            later = tick(config)
+            assert later._facts is config._facts
+            assert later.global_time == config.global_time + 1
+            key, later_key = (config, 1), (later, 1)
+            assert later_key != key
+            Configuration._hash.__set__(later, config._hash)  # a hash collision
+            assert hash(later_key) == hash(key)
+            assert later_key != key and len({key: 1, later_key: 2}) == 2
 
     def test_tick_successors_get_their_own_entries(self, travel):
         checker = Checker(travel_with_start(travel, 60), 12, 220)
         assert checker.decide(checker.scenario.initial, 1)
         times: dict[tuple, set] = {}
-        for key in checker.memo:
-            times.setdefault((key.facts, key.n), set()).add(key.time)
+        for config, n in checker.memo:
+            times.setdefault((config._facts, n), set()).add(config.global_time)
         assert sum(len(t) for t in times.values()) == len(checker.memo)
         assert sum(len(t) > 1 for t in times.values()) > 100
+
+
+class TestGoalDistance:
+    """A non-progressing scenario is decided by goal distance over the states
+    within the path bound, each explored once."""
+
+    def test_traces_equal_the_exact_key_search(self):
+        """Taken from the depth-first search that keyed states on the
+        remaining path length too: the annotations of 620 goal searches."""
+        lines = []
+        for seed in [*range(60), 448, 533]:
+            for updates in (False, True):
+                scenario = random_scenario(seed, progressing=False, with_updates=updates)
+                assert not scenario.progressing
+                for budget in range(5):
+                    trace = find_compliant_goal_trace(scenario, budget)
+                    lines.append(json.dumps(trace_annotations(trace)))
+        assert sum(line != "null" for line in lines) == 295
+        text = "\n".join(lines) + "\n"
+        assert len(text) == 12820
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "c7f14098ac882f729b41b45f12f9ccf74618e7fc2da3caf764687dea048d8364"
+        )
+
+    def test_each_state_is_explored_once(self, monkeypatch):
+        """Seed 14 with a random goal and no critical specification, the
+        relaxation answering "possible": 160 decisions over 40 roots and
+        horizons t+2..t+5.  Their states number 5,055; the search keyed on
+        the remaining path length made 141,888 memo entries."""
+        monkeypatch.setattr(Relaxation, "possible", lambda self, config, horizon: True)
+        scenario = random_scenario(14, progressing=False, with_updates=True)
+        free = replace(
+            scenario,
+            goal_spec=random_spec(random.Random(14), SpecKind.GOAL),
+            critical_spec=ConfigSpec(SpecKind.CRITICAL, ()),
+        )
+        assert not free.progressing
+        stats = SearchStats()
+        verdicts = [
+            find_compliant_goal_trace(free.with_initial(config), budget, stats=stats)
+            for config in explored_states(scenario, 40)
+            for budget in range(2, 6)
+        ]
+        assert verdicts == [None] * 160
+        assert stats.visited <= 5_055
