@@ -157,14 +157,14 @@ def _cmd_graph_goal(args: argparse.Namespace) -> int:
         print("no homomorphism")
         return EXIT_NO
     _, sigma = hit
-    g_var = {f"x{i}": name for i, name in enumerate(g.vertices)}
+    # every pattern vertex in declaration order; one no edge constrains
+    # (the pattern binds no variable for it) maps to the host's first vertex
     k_const = {f"kv_{i}": name for i, name in enumerate(k.vertices)}
-    mapping = {
-        g_var[v]: k_const[str(t)]
-        for v, t in sorted(sigma.items())
-        if v in g_var
-    }
-    print("homomorphism:", ", ".join(f"{u}->{w}" for u, w in mapping.items()))
+    images = [
+        k_const[str(sigma[f"x{i}"])] if f"x{i}" in sigma else k.vertices[0]
+        for i in range(len(g.vertices))
+    ]
+    print("homomorphism:", ", ".join(f"{u}->{w}" for u, w in zip(g.vertices, images)))
     return EXIT_YES
 
 

@@ -597,7 +597,21 @@ class MatchPlan:
     decided at compile time.
 
     The interpreter extends one binding dict in place.  A step writes only
-    names that no earlier step binds, so backtracking needs no undo.
+    names that no earlier step binds, so backtracking needs no undo.  It
+    also checks ahead (forward checking, Haralick and Elliott, AIJ 1980).
+    A step is determined when each argument is ground or bound earlier and
+    none is a function term.  A determined step j with a variable argument
+    is checked by the step i that binds the last of its names through its
+    `binds`, when i <= j - 2; a step whose names are bound by a nested
+    unification gets no check.  Once a candidate of step i passes its own
+    tests and writes its bindings, each of its checks looks the later
+    step's argument keys up in the set of its predicate's argument keys,
+    built once per `interpret` call on first use, and the candidate is
+    dropped, before it claims, when they are absent.  Only existence is
+    tested: step j still applies its timestamp bounds and claims.  So a
+    check drops only candidates no complete binding extends, and the
+    bindings, their order and the facts they carry do not change.  The
+    generated tier runs no checks (`_emit`).
 
     A precondition's plan knows which of its patterns the rule consumes and
     returns each binding with the fact objects matched for them, in the
@@ -670,11 +684,12 @@ class MatchPlan:
         bound = set(prebound)
         steps = []
         ordered = []
+        binder: dict[str, int] = {}  # name -> the step whose `binds` bind it
         while remaining:
             index = _next_pattern(remaining, bound, by_var) if precondition else 0
             pat = remaining.pop(index)
             claims = pat.atom.pred in shared
-            steps.append(_Step.compile(pat, bound, by_var, claims, slots.pop(index)))
+            steps.append(_Step.compile(pat, bound, binder, by_var, claims, slots.pop(index), steps))
             ordered.append(pat)
         self.steps = tuple(steps)
         self.patterns = tuple(ordered)  # in step order
@@ -727,7 +742,7 @@ class MatchPlan:
             return [sigma if held is None else (sigma, ())]
         out: list = []
         available = config.counts() if self.claims else None
-        _extend(self.steps, 0, by_pred, (config.clock,), sigma, available, held, out)
+        _extend(self.steps, 0, by_pred, (config.clock,), sigma, available, held, out, {})
         return out
 
 
@@ -744,7 +759,9 @@ class _Step(NamedTuple):
     non-ground function term instead unifies its `nested` arguments one by
     one from the `known` names.
     `slot` is the pattern's index among a rule's consumed patterns, None for
-    a side condition or a specification pattern.
+    a side condition or a specification pattern.  `checks` holds the
+    forward checks this step runs for later determined steps, each as that
+    step's (predicate, `fixed`); the plan appends them as it compiles them.
     """
 
     tvar: Optional[str]  # None when an earlier step binds it
@@ -761,18 +778,25 @@ class _Step(NamedTuple):
     known: tuple[str, ...]
     claims: bool  # claim a distinct fact occurrence
     slot: Optional[int]
+    checks: list[tuple[str, tuple]]  # (pred, fixed) of later steps
 
     @classmethod
     def compile(
         cls,
         pat: FactPattern,
         bound: set[str],
+        binder: dict[str, int],
         by_var: dict[str, list[TimeConstraint]],
         claims: bool,
         slot: Optional[int],
+        earlier: list["_Step"],
     ) -> "_Step":
-        """Compile `pat` after the names in `bound`, then add its names to
-        `bound`.  A constraint lands on the step binding its second variable."""
+        """Compile `pat` after the names in `bound` and the steps `earlier`,
+        then add its names to `bound`.  A constraint lands on the step
+        binding its second variable.  `binder` maps each name an earlier
+        step binds through its `binds` to that step's index, and gets this
+        step's.  A determined step whose last such name is bound two or more
+        steps back appends its forward check to that step's `checks`."""
         lows: list[tuple[str, int]] = []
         highs: list[tuple[str, int]] = []
         tvar: Optional[str] = pat.tvar
@@ -799,12 +823,17 @@ class _Step(NamedTuple):
         first_pos: dict[str, int] = {}
         nested = None
         known: tuple[str, ...] = ()
+        index = len(earlier)
+        # the latest step whose `binds` bind a name of `fixed`, -1 for no
+        # name; a name bound otherwise counts as this step, which checks none
+        last = -1
         for pos, a in enumerate(args):
             if isinstance(a, Variable):
                 if a.name in first_pos:
                     dups.append((pos, first_pos[a.name]))
                 elif a.name in bound:
                     fixed.append((pos, a.name, None))
+                    last = max(last, binder.get(a.name, index))
                 else:
                     first_pos[a.name] = pos
                     binds.append((pos, a.name, a.base_type))
@@ -819,13 +848,19 @@ class _Step(NamedTuple):
             fixed, binds, dups = [], [], []
         else:
             bound.update(first_pos)
+            for name in first_pos:
+                binder[name] = index
         determined = nested is None and len(fixed) == len(args)
         whole = None
-        if determined and all(n is None for _, n, _ in fixed):
-            whole = tuple(g for _, _, g in fixed)
+        fixed = tuple(fixed)
+        if determined:
+            if last < 0:
+                whole = tuple(g for _, _, g in fixed)
+            elif last <= index - 2:
+                earlier[last].checks.append((pat.atom.pred, fixed))
         return cls(
             tvar, pat.atom.pred, len(args), tuple(lows), tuple(highs), determined,
-            whole, tuple(fixed), tuple(binds), tuple(dups), nested, known, claims, slot,
+            whole, fixed, tuple(binds), tuple(dups), nested, known, claims, slot, [],
         )
 
 
@@ -838,6 +873,7 @@ def _extend(
     available: Optional[dict[TimedFact, int]],
     held: Optional[list[Optional[TimedFact]]],
     out: list,
+    seen: dict[str, set[tuple]],
 ) -> bool:
     """Match steps[i:] in place on `sigma`.  A step walks its predicate's
     group, or `clock`, the configuration's clock alone, for a `Time`
@@ -845,9 +881,12 @@ def _extend(
     puts its fact, and gets a copy of every complete binding with the held
     facts appended to `out`; a specification pair's plan passes None, gets
     the first binding alone, and True once it is found.  Arguments are
-    compared through sort keys, a bound term's kept in its ``_key``."""
+    compared through sort keys, a bound term's kept in its ``_key``.  A
+    candidate that leaves a later step's arguments without a fact is
+    dropped after writing its bindings and before claiming (`_possible`,
+    with the argument keys of each predicate's facts kept in `seen`)."""
     (tvar, pred, arity, lows, highs, determined, whole, fixed, binds, dups,
-     nested, known, claims, slot) = steps[i]
+     nested, known, claims, slot, checks) = steps[i]
     final = i + 1 == len(steps)
     lo, hi = 0, MAX_TIMESTAMP
     for name, k in lows:
@@ -864,7 +903,7 @@ def _extend(
         if whole is None:
             whole = tuple([g if n is None else sigma[n]._key for _, n, g in fixed])
     else:
-        checks = [(pos, g if n is None else sigma[n]._key) for pos, n, g in fixed]
+        tests = [(pos, g if n is None else sigma[n]._key) for pos, n, g in fixed]
     for fact in by_pred.get(pred, clock):  # only `Time` has no group here
         ts = fact.ts
         if ts < lo:
@@ -879,25 +918,27 @@ def _extend(
             view = _unify_args(nested, args, {n: sigma[n] for n in known})
             if view is None:
                 continue
-        elif len(args) != arity or not _fits(args, fact.sort_key[3], checks, dups, binds):
+        elif len(args) != arity or not _fits(args, fact.sort_key[3], tests, dups, binds):
             continue
-        if claims:
-            if available[fact] <= 0:
-                continue
-            available[fact] -= 1
         if tvar is not None:
             sigma[tvar] = ts
         for pos, name, _ in binds:
             sigma[name] = args[pos]
         if nested is not None:
             sigma.update(view)
+        if checks and not _possible(checks, by_pred, sigma, seen):
+            continue
+        if claims:
+            if available[fact] <= 0:
+                continue
+            available[fact] -= 1
         if slot is not None:
             held[slot] = fact
         if final:
             stop = held is None
             out.append(dict(sigma) if stop else (dict(sigma), tuple(held)))
         else:
-            stop = _extend(steps, i + 1, by_pred, clock, sigma, available, held, out)
+            stop = _extend(steps, i + 1, by_pred, clock, sigma, available, held, out, seen)
         if claims:
             available[fact] += 1
         if stop:
@@ -905,14 +946,32 @@ def _extend(
     return False
 
 
+def _possible(
+    checks: list[tuple[str, tuple]],
+    by_pred: dict[str, list[TimedFact]],
+    sigma: Binding,
+    seen: dict[str, set[tuple]],
+) -> bool:
+    """Does each checked step's predicate hold a fact with the arguments
+    `sigma` gives that step?  Timestamps and claims are left to the step
+    itself.  A predicate's set of argument keys is built on first use."""
+    for pred, fixed in checks:
+        keys = seen.get(pred)
+        if keys is None:
+            keys = seen[pred] = {f.sort_key[3] for f in by_pred[pred]}
+        if tuple([g if n is None else sigma[n]._key for _, n, g in fixed]) not in keys:
+            return False
+    return True
+
+
 def _fits(
     args: tuple[Term, ...],
     keys: tuple[tuple, ...],
-    checks: list[tuple[int, tuple]],
+    tests: list[tuple[int, tuple]],
     dups: tuple[tuple[int, int], ...],
     binds: tuple[tuple[int, str, str], ...],
 ) -> bool:
-    for pos, key in checks:
+    for pos, key in tests:
         if keys[pos] != key:
             return False
     for pos, first in dups:
@@ -942,12 +1001,17 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
     """Python source of `plan`'s function ``match(config)`` and the namespace
     it runs in, which holds the sort keys of the plan's ground terms.
 
-    The function does what `interpret` does, step for step: one ``for``
-    loop per step over the facts of its predicate, nested in the previous
-    step's loop, the step's timestamp bounds and argument keys computed
-    before its loop, each bound name kept in a local, and one dict literal
-    per complete binding, whose keys follow the order in which the
-    interpreter inserts them.  A fact's arguments are tested as the
+    The function does what `interpret` does, step for step, but runs no
+    forward checks (`MatchPlan`).  A check drops only candidates that no
+    complete binding extends, so both tiers still return the same list.
+    Among the engine's generated plans only travel's ``attend`` would get a
+    check, and generated checks moved criterion 6's runtime only within its
+    noise when measured.  The function has one ``for`` loop per step over
+    the facts of its predicate, nested in the previous step's loop, the
+    step's timestamp bounds and argument keys computed before its loop,
+    each bound name kept in a local, and one dict literal per complete
+    binding, whose keys follow the order in which the interpreter inserts
+    them.  A fact's arguments are tested as the
     interpreter tests them, by comparing their keys (`TimedFact.sort_key`
     holds them) with the keys the step stores for its ground arguments and
     the ``_key`` of each bound term: keys are total, so this is term

@@ -8,7 +8,10 @@ m^eta substitutions, which is why the checker tracks the eta measure.  Each
 pair is compiled once into a `rules.MatchPlan` that keeps the pattern's
 declaration order and the configuration's canonical order and stops at the
 first complete binding, so the substitution reported for a match is the
-first in that order.
+first in that order.  The enumeration skips a partial binding as soon as a
+later pattern it fully determines has no fact (the plan's forward checks).
+Such a binding has no completion, so the first substitution found is
+unchanged.
 """
 
 from __future__ import annotations

@@ -204,13 +204,16 @@ def random_guarded_rule(rng: random.Random, name: str) -> Rule:
             continue
 
 
-def random_spec(rng: random.Random, kind: SpecKind) -> ConfigSpec:
+def random_spec(
+    rng: random.Random, kind: SpecKind, sizes: tuple[int, int] = (1, 3)
+) -> ConfigSpec:
     """One to three pairs over the random-scenario predicates, with shared
-    variables, repeated predicates and constraints over all five relations."""
+    variables, repeated predicates and constraints over all five relations;
+    each pair has `sizes[0]` to `sizes[1]` patterns."""
     pairs = []
     for _ in range(rng.randint(1, 3)):
         tvars: list[str] = []
-        patterns = _random_patterns(rng, rng.randint(1, 3), tvars)
+        patterns = _random_patterns(rng, rng.randint(*sizes), tvars)
         constraints = _random_constraints(
             rng, sorted(set(tvars)), [p.tvar for p in patterns]
         )

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from msrplan.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, cli_dispatch
+from msrplan.reductions import parse_graph
 from msrplan.scenario import bundled_text
 
 QDIMACS_TRUE = "p cnf 3 2\ne 1 0\na 2 0\ne 3 0\n1 2 3 0\n-1 -2 -3 0\n"
@@ -322,6 +323,33 @@ class TestGraphGoal:
         assert code == EXIT_YES and "homomorphism:" in out
         code, out = run(capsys, "graph-goal", str(tri), str(k2), "--brute")
         assert code == EXIT_NO and "no homomorphism" in out
+
+    @pytest.mark.parametrize(
+        "pattern, host",
+        [
+            ("node d\na b\n", "x y\ny x\n"),  # an isolated vertex declared first
+            ("node a b\n", "node z\n"),  # no edge at all
+            # twelve vertices, so x10 and x11 sort before x2 as strings
+            ("".join(f"v{i} v{i + 1}\n" for i in range(11)) + "node w\n", "x y\ny x\n"),
+        ],
+        ids=["isolated-first", "edgeless", "twelve-vertices"],
+    )
+    def test_homomorphism_is_total_in_pattern_order(self, capsys, tmp_path, pattern, host):
+        """The printed map names every pattern vertex once, in the pattern's
+        order, and sends every pattern edge onto a host edge."""
+        g, k = tmp_path / "g.txt", tmp_path / "k.txt"
+        g.write_text(pattern, encoding="utf-8")
+        k.write_text(host, encoding="utf-8")
+        code, out = run(capsys, "graph-goal", str(g), str(k), "--brute")
+        assert code == EXIT_YES
+        line = next(x for x in out.splitlines() if x.startswith("homomorphism:"))
+        pairs = [item.split("->") for item in line.split(": ", 1)[1].split(", ")]
+        g_graph, k_graph = parse_graph(pattern), parse_graph(host)
+        assert [u for u, _ in pairs] == list(g_graph.vertices)
+        image = dict(pairs)
+        assert set(image.values()) <= set(k_graph.vertices)
+        for u, v in g_graph.edges:
+            assert (image[u], image[v]) in k_graph.edges
 
 
 class TestDelta:

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from conftest import (
 )
 from msrplan import resilience, search
 from msrplan.delta import abstract, delta_key
-from msrplan.kernel import TIME_PREDICATE
+from msrplan.kernel import TIME_PREDICATE, Configuration, TimedFact
 from msrplan.reductions import Qbf, evaluate_qbf, qbf_to_scenario
 from msrplan.resilience import (
     ResilienceQuery,
@@ -861,3 +862,54 @@ class TestTamperedCarriedFacts:
         ok, violations = verify_witness(scenario, query, result.witness)
         assert not ok
         assert violations == ["root.trace[2]: instance does not re-apply"]
+
+
+TRAVEL_STARTS = (42, 60, 107, 108, 120, 121)  # the benchmark's travel grid
+
+
+def _shift_sigmas(node, delta: int):
+    """`node`, a witness dict, with every integer binding moved by `delta`."""
+    if isinstance(node, list):
+        return [_shift_sigmas(item, delta) for item in node]
+    if not isinstance(node, dict):
+        return node
+    return {
+        key: (
+            {v: t + delta if isinstance(t, int) else t for v, t in value.items()}
+            if key == "sigma"
+            else _shift_sigmas(value, delta)
+        )
+        for key, value in node.items()
+    }
+
+
+class TestTimeShift:
+    """A metamorphic relation where no oracle reaches: shifting every initial
+    timestamp of travel by Δ keeps each verdict and moves every time in a
+    witness or refutation by exactly Δ.  Guards compare times with each
+    other, never with a constant, so nothing else may change."""
+
+    @pytest.mark.parametrize("delta", [1, 37, 1000])
+    def test_travel_grid(self, travel, delta):
+        times = re.compile(r"\b(T\w*=|t=)(\d+)")
+        verdicts = set()
+        for t0 in TRAVEL_STARTS:
+            base = travel_with_start(travel, t0)
+            shifted = base.with_initial(
+                Configuration([TimedFact(f.pred, f.args, f.ts + delta) for f in base.initial])
+            )
+            for n in (0, 1, 2):
+                query = ResilienceQuery(n, 12, 220)
+                want, got = check_resilience(base, query), check_resilience(shifted, query)
+                assert got.resilient == want.resilient, (t0, n)
+                verdicts.add(want.resilient)
+                if want.resilient:
+                    moved = _shift_sigmas(witness_to_dict(want.witness), delta)
+                    assert witness_to_json(got.witness) == witness_to_json(moved), (t0, n)
+                else:
+                    moved = tuple(
+                        times.sub(lambda m: f"{m[1]}{int(m[2]) + delta}", line)
+                        for line in want.refutation
+                    )
+                    assert got.refutation == moved, (t0, n)
+        assert verdicts == {True, False}

@@ -23,6 +23,7 @@ from conftest import (
     random_scenario,
     random_spec,
 )
+from msrplan import rules
 from msrplan.kernel import (
     Configuration,
     Constant,
@@ -953,6 +954,171 @@ def _long_rule() -> tuple[Rule, Configuration]:
     facts = [fact("Time", 0)] + [fact(f"P{k}", 0, a) for k in range(12)]
     facts += [fact(f"P{k}", 0, b) for k in (0, 5, 11)]
     return rule, Configuration(facts)
+
+
+def _unchecked(plan: MatchPlan) -> MatchPlan:
+    """`plan` with every forward check taken out of its steps."""
+    plan.steps = tuple(step._replace(checks=()) for step in plan.steps)
+    return plan
+
+
+def _items(found: list) -> list:
+    """A plan's result with each binding's key order and each precondition
+    binding's facts made comparable."""
+    return [
+        list(b.items()) if isinstance(b, dict) else (list(b[0].items()), b[1]) for b in found
+    ]
+
+
+def _digraph(rng: random.Random) -> Graph:
+    """A digraph drawn as the graph-goal benchmark draws its pairs."""
+    names = tuple("abcdef"[: rng.randint(4, 6)])
+    return Graph(names, tuple((u, v) for u in names for v in names if rng.random() < 0.35))
+
+
+class TestForwardChecks:
+    """The interpreter's forward checks (`MatchPlan`) drop only candidates
+    that no complete binding extends: every tier, with and without checks,
+    returns the same list, and brute force agrees on whether it is empty."""
+
+    @pytest.fixture()
+    def outcomes(self, monkeypatch) -> Counter:
+        """Counts of forward checks run and of candidates they dropped."""
+        seen = Counter()
+        possible = rules._possible
+
+        def counted(*args):
+            ok = possible(*args)
+            seen["run"] += 1
+            seen["dropped"] += not ok
+            return ok
+
+        monkeypatch.setattr(rules, "_possible", counted)
+        return seen
+
+    def test_random_specs(self, outcomes):
+        """Pairs of three to five patterns with checks, matched as
+        specification pairs and as preconditions, where patterns of one
+        predicate claim distinct facts, over configurations that hold each
+        ground atom of the random-scenario predicates at times 0-2, up to
+        twice, with one of three densities."""
+        rng = random.Random(23)
+        pool = [("R", ())]
+        pool += [(p, (Constant(x, "obj"),)) for p in ("P", "S0") for x in "abc"]
+        pool += [("Q", (Constant(x, "obj"), Constant(y, "obj"))) for x in "abc" for y in "abc"]
+        checked = found = matched = 0
+        for _ in range(150):
+            configs = []
+            for _ in range(8):
+                density = rng.choice((0.2, 0.35, 0.5))
+                facts = [fact(p, ts, *args) for p, args in pool for ts in (0, 1, 2, 2)]
+                configs.append(
+                    Configuration([fact("Time", 2)] + [f for f in facts if rng.random() < density])
+                )
+            for pair in random_spec(rng, SpecKind.GOAL, sizes=(3, 5)).pairs:
+                spec = ConfigSpec(SpecKind.GOAL, (pair,))
+                for kind in ({}, {"precondition": True, "consumed": len(pair.pattern)}):
+                    build = lambda: MatchPlan(pair.pattern, pair.constraints, **kind)
+                    plan, bare, hot = build(), _unchecked(build()), build()
+                    if not any(step.checks for step in plan.steps):
+                        continue
+                    checked += 1
+                    generated = hot.generate() if hot.generable else bare.interpret
+                    for config in configs:
+                        want = plan.interpret(config)
+                        for got in (bare.interpret(config), generated(config)):
+                            assert _items(got) == _items(want), (str(pair), kind)
+                        if not kind:
+                            assert bool(want) == brute_match_spec(spec, config), str(pair)
+                            matched += bool(want)
+                        found += len(want)
+        assert checked > 60 and matched > 80 and found > 1000
+        assert outcomes["dropped"] > 150 and outcomes["run"] > outcomes["dropped"]
+
+    def test_digraph_pairs(self, outcomes):
+        """Graph goal specifications against hosts, as the benchmark draws
+        them: the same first homomorphism on every tier, and one exactly
+        when brute force finds one."""
+        rng = random.Random(31)
+        hits = 0
+        for _ in range(150):
+            g, k = _digraph(rng), _digraph(rng)
+            [pair] = graph_goal_spec(g).pairs
+            host = graph_host(k)
+            plan, bare, hot = (MatchPlan(pair.pattern, ()) for _ in range(3))
+            want = plan.interpret(host)
+            assert _items(_unchecked(bare).interpret(host)) == _items(want)
+            if hot.generable:
+                assert _items(hot.generate()(host)) == _items(want)
+            assert bool(want) == (brute_force_homomorphism(g, k) is not None)
+            hits += bool(want)
+        assert 50 < hits < 140  # both verdicts occur
+        assert outcomes["dropped"] > 200
+
+    def test_checks_halve_the_join_on_digraph_pairs(self, monkeypatch):
+        """An effort pin by count, not time: over 300 seeded digraph pairs
+        the checked join makes at most half the `_extend` calls of the join
+        without checks."""
+        rng = random.Random(66)
+        instances = []
+        for _ in range(300):
+            g, k = _digraph(rng), _digraph(rng)
+            instances.append((graph_goal_spec(g).pairs[0].pattern, graph_host(k)))
+        calls = Counter()
+        extend = rules._extend
+
+        def counted(*args):
+            calls[mode] += 1
+            return extend(*args)
+
+        monkeypatch.setattr(rules, "_extend", counted)
+        for mode in ("checked", "bare"):
+            for pattern, host in instances:
+                plan = MatchPlan(pattern, ())
+                if mode == "bare":
+                    _unchecked(plan)
+                plan.interpret(host)
+        assert calls["checked"] * 2 <= calls["bare"], calls
+
+    def test_a_name_bound_by_unification_gives_no_check(self):
+        """``V(x, y)`` is determined two steps after ``S(y)``, but ``x`` is
+        bound by unifying ``f(x)``, so no step checks it; ``U(y)`` is."""
+        from msrplan.kernel import FuncApp
+
+        x, y = Variable("x", "t"), Variable("y", "t")
+        a, b = Constant("a", "t"), Constant("b", "t")
+        pattern = (
+            FactPattern(Atom("S", (y,)), "T1"),
+            FactPattern(Atom("W", (FuncApp("f", (x,)),)), "T2"),
+            FactPattern(Atom("V", (x, y)), "T3"),
+            FactPattern(Atom("U", (y,)), "T4"),
+        )
+        plan = MatchPlan(pattern, ())
+        assert [[p for p, _ in s.checks] for s in plan.steps] == [["U"], [], [], []]
+        pool = [fact("S", 0, a), fact("S", 0, b), fact("W", 0, FuncApp("f", (a,))),
+                fact("V", 0, a, b), fact("V", 0, a, a), fact("U", 0, b)]
+        for k in range(len(pool) + 1):
+            for facts in itertools.combinations(pool, k):
+                config = Configuration([fact("Time", 0), *facts])
+                want = _unchecked(MatchPlan(pattern, ())).interpret(config)
+                assert _items(plan.interpret(config)) == _items(want)
+
+    def test_engine_plans_with_checks(self, travel, minimal):
+        """Among the bundled scenarios' and QBF encodings' rules and pairs
+        only travel's ``attend`` gets a check: its consumed ``Done(e, no)``
+        is checked by the anchored ``Event(e, r)`` before ``At(DBV,
+        center)`` is matched."""
+        scenarios = [travel, minimal] + [qbf_to_scenario(q) for q in qbf_mix()[:40]]
+        owners = set()
+        for scenario in scenarios:
+            plans = [(r.name, r.plan) for r in scenario.rules()]
+            for spec in (scenario.goal_spec, scenario.critical_spec):
+                plans += [(str(pair), pair.plan) for pair in spec.pairs]
+            owners |= {name for name, plan in plans if any(s.checks for s in plan.steps)}
+        assert owners == {"attend"}
+        attend = next(r for r in travel.rules() if r.name == "attend")
+        [step] = [s for s in attend.plan.steps if s.checks]
+        assert step.pred == "Event" and [p for p, _ in step.checks] == ["Done"]
 
 
 class TestCarriedFacts:
