@@ -574,6 +574,23 @@ class Configuration:
         child._fill(tuple(facts), self._clock, digest & _HASH_MASK, groups)
         return child
 
+    def without_older(self, lags: dict[str, int]) -> "Configuration":
+        """This configuration without each fact P@ts older than its
+        predicate's lag allows, ts + lags[P] < t at global time t; a
+        predicate absent from `lags` keeps every fact, as a lag of t would.
+        Returns this one when nothing is dropped; the result's hash is
+        summed from the facts it keeps, and its groups are computed on first
+        use."""
+        facts, clock, get = self._facts, self._clock, lags.get
+        t = clock.ts
+        kept = tuple([f for f in facts if f.ts + get(f.pred, t) >= t])
+        if len(kept) == len(facts):
+            return self
+        child = _new(Configuration)
+        digest = (clock._hash + sum(map(_FACT_HASH, kept))) & _HASH_MASK
+        child._fill(kept, clock, digest, None)
+        return child
+
     def __len__(self) -> int:
         return len(self._facts) + 1
 

@@ -266,6 +266,15 @@ class _Dbm:
         # a >= b  iff  b - a <= 0 is forced
         return self._dist[self._idx[b]][self._idx[a]] <= 0
 
+    def upper(self, a: str, b: str) -> float:
+        """The least upper bound on a - b the constraint set forces, inf
+        when it forces none."""
+        if a == b:
+            return 0
+        if a not in self._idx or b not in self._idx:
+            return float("inf")
+        return self._dist[self._idx[a]][self._idx[b]]
+
 
 class ProgressCheck(NamedTuple):
     """The classification checks that read only the rule (`Rule.progress`)."""
@@ -280,9 +289,9 @@ class Rule:
     """An instantaneous guarded rewrite with a role tag.
 
     A rule may be shared by several scenarios (the QBF generator reuses its
-    rules across formulas).  Its cached properties, `plan`, `progress` and
-    `fresh`, are computed from the rule alone, so sharing them is sound;
-    anything that depends on a signature is computed per call.
+    rules across formulas).  Its cached properties, `plan`, `progress`,
+    `lags` and `fresh`, are computed from the rule alone, so sharing them is
+    sound; anything that depends on a signature is computed per call.
     """
 
     name: str
@@ -359,6 +368,17 @@ class Rule:
         return MatchPlan(
             (*self.side, *self.consumed), self.guard,
             precondition=True, consumed=len(self.consumed),
+        )
+
+    @cached_property
+    def lags(self) -> tuple[tuple[str, float], ...]:
+        """Each precondition pattern's predicate with the most its timestamp
+        can lag behind the global time, the guard's bound on T - tvar (inf
+        when it has none): a match reads no fact older than T - lag."""
+        dbm = _Dbm(self.guard)
+        return tuple(
+            (p.atom.pred, dbm.upper(GLOBAL_TIME_VAR, p.tvar))
+            for p in (*self.side, *self.consumed)
         )
 
     @cached_property

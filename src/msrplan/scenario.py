@@ -15,6 +15,7 @@ from importlib import resources
 from typing import Callable, Iterable, Optional, TypeVar
 
 from .kernel import (
+    MAX_TIMESTAMP,
     TIME_PREDICATE,
     Configuration,
     Constant,
@@ -62,6 +63,11 @@ class ScenarioError(ValueError):
         super().__init__("\n".join(d.render(filename) for d in diagnostics))
 
 
+# The expiry of a predicate no pattern reads: ts < t - AT_ONCE for every
+# timestamp ts and global time t, so each of its facts is expired at once.
+AT_ONCE = -MAX_TIMESTAMP - 1
+
+
 @dataclass(frozen=True)
 class PlanningScenario:
     """Signature, rules, goal/critical specifications, initial configuration."""
@@ -93,6 +99,32 @@ class PlanningScenario:
         """The timed relaxation of the system rules and the goal, prepared
         on first use and kept with the scenario."""
         return Relaxation(self.system_rules, self.goal_spec)
+
+    @cached_property
+    def expiry(self) -> dict[str, int]:
+        """Predicate P -> the largest c such that every pattern of P, in a
+        rule precondition or a goal or critical pair, matches only facts
+        timestamped at or after T - c, where T is the global time: the
+        patterns' lags (`Rule.lags`, `SpecPair.lags`).  A fact P@ts with
+        ts < t - c is expired at global time t, and at every later time, so
+        no move or specification at or after t reads it.  A predicate
+        absent from the table never expires; one that a rule creates and no
+        pattern reads expires at once (`AT_ONCE`).  A rule with fresh
+        variables reads every constant of the configuration when it picks
+        them, so then nothing expires and the table is empty.  Built on
+        first use and kept with the scenario."""
+        rules = self.rules()
+        if any(r.fresh for r in rules):
+            return {}
+        lags: dict[str, float] = {}
+        pairs = (*self.goal_spec.pairs, *self.critical_spec.pairs)
+        for owner in (*rules, *pairs):
+            for pred, lag in owner.lags:
+                lags[pred] = max(lags.get(pred, lag), lag)
+        for rule in rules:
+            for c in rule.created:
+                lags.setdefault(c.atom.pred, AT_ONCE)
+        return {pred: lag for pred, lag in lags.items() if lag != float("inf")}
 
     def eta(self) -> int:
         return eta_measure(self.critical_spec)

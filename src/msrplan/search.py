@@ -21,9 +21,22 @@ the move that proved it, and `trace` follows those recorded moves to rebuild
 the leftmost certified trace.
 
 The scenario configures the engine.  In a progressing scenario the search
-is depth first and its memo is keyed on (configuration, n).  The clock
-fixes the window left, so the time abstraction of `delta` could never merge
-two such keys and the search does not compute it.  A key omits the
+is depth first and its memo is keyed on (configuration, n); the clock fixes
+the window left, so a key holds no window.  Past the deadline no update is
+admitted, and a fact P@ts with ts < t - c_P, c_P from the scenario's expiry
+table (`PlanningScenario.expiry`), is read by no rule or specification at
+the global time t or later.  So once the checker applies its first update,
+if states past the deadline lie ahead (b > 0), it keys each such state on
+(the state without its expired facts, 0), and re-keys the entries already
+made there once.  States with one such live key have the same verdict and
+the same moves, up to expired facts, so a reaction whose walk differs from
+the one it replaces only in expired facts shares that walk's entries and
+the outputs are those of exact keys.  Before that update every key is
+exact and the table is not built: queries whose window holds no update,
+and every query with b = 0.  An entry recorded at another state than its
+key's configuration keeps that state, and `trace`, where it follows such an
+entry from a different state, applies the recorded move to its own state,
+so every trace step holds the real configuration.  A key omits the
 remaining path length, which is sound because the search's one cutoff, its
 path bound, cannot fire in a progressing scenario; reaching it raises
 `EngineError`.  A configuration's hash is its multiset hash, which each move
@@ -106,8 +119,12 @@ class Checker:
         self.m = len(scenario.initial)
         self.progressing = scenario.progressing
         # (configuration, n) -> False, True (a goal state), or the winning
-        # move as (annotation, successor)
+        # move as (annotation, successor, the successor's key), plus the
+        # state it was recorded at where that is not the key's configuration
         self.memo: dict[tuple[Configuration, int], Union[bool, tuple]] = {}
+        # the scenario's expiry table once the first update is applied with
+        # states past the deadline ahead; None before
+        self.expiry: Optional[dict[str, int]] = None
         # otherwise each explored state's kept moves, and goal distances
         self.moves: dict[Configuration, list[tuple]] = {}
         self.distance: dict[Configuration, int] = {}
@@ -123,14 +140,50 @@ class Checker:
         before the deadline."""
         return n > 0 and config.global_time <= self.deadline
 
+    def _key(self, config: Configuration, n: int) -> tuple[Configuration, int]:
+        """The memo key of `config` with n updates left: (config, n), or,
+        once keys are live, (config without its expired facts, 0) past the
+        deadline, where no update is admitted and no move or specification
+        reads those facts (`PlanningScenario.expiry`)."""
+        if self.expiry is None or config.global_time <= self.deadline:
+            return (config, n)
+        return (config.without_older(self.expiry), 0)
+
+    def _go_live(self) -> None:
+        """Key states past the deadline on their live facts from now on, and
+        re-key the entries already made there, and the successor keys the
+        winning moves hold.  An entry whose key drops facts keeps the state
+        it was recorded at, for `trace`."""
+        self.expiry = expiry = self.scenario.expiry
+        memo, deadline = self.memo, self.deadline
+        moved = {
+            key: (key[0].without_older(expiry), 0)
+            for key in memo
+            if key[0].global_time > deadline
+        }
+        entries = list(memo.items())
+        memo.clear()
+        for key, verdict in entries:
+            live = moved.get(key, key)
+            if type(verdict) is tuple:
+                annotation, successor, after = verdict
+                verdict = (annotation, successor, moved.get(after, after))
+                if live[0] is not key[0]:
+                    verdict += (key[0],)
+            memo.setdefault(live, verdict)
+
     def _covered(self, config: Configuration, n: int) -> bool:
         """Every update applicable at an admitting state must lead to a state
         that is resilient one update level down.  On failure `refutation` is
-        one chain: the defeating update, then what the inner decision left."""
+        one chain: the defeating update, then what the inner decision left.
+        The first update switches keys to live ones when some state can lie
+        past the deadline (b > 0)."""
         if not self.admits_updates(config, n):
             return True
         updates = successors(config, self.scenario.update_rules, advance=False)
         for inst, updated in updates:
+            if self.expiry is None and self.b:
+                self._go_live()
             self.refutation = ()
             if not self.decide(updated, n - 1):
                 window = self.deadline - config.global_time
@@ -199,58 +252,77 @@ class Checker:
             return False
         if not self.progressing:
             return self._reaches_goal(config)
-        key = (config, n)
-        verdict = self.memo.get(key)
+        memo = self.memo
+        key = self._key(config, n)
+        verdict = memo.get(key)
         if verdict is not None:
             return bool(verdict)
         verdict = self._goal_verdict(config, n, goal)
         if verdict is None and self._dead(config):
             verdict = False
         if verdict is not None:
-            self.memo[key] = verdict
+            memo[key] = verdict
             return verdict
 
-        # frames: (annotation leading here, configuration, moves); the time
-        # advance is offered while the clock is short of the horizon
-        horizon, limit = self.horizon, self._depth_limit(config)
+        # frames: (annotation leading here, configuration, moves, memo key);
+        # the time advance is offered while the clock is short of the horizon.
+        # No frame past the deadline is on the stack when keys turn live,
+        # since the update that turns them is at or before the deadline, so
+        # a frame's key stays its key.
+        horizon, limit, deadline = self.horizon, self._depth_limit(config), self.deadline
         rules = self.scenario.system_rules
         every, after_tick = (critical, goal), (critical.clocked, goal.clocked)
         moves = successors(config, rules, advance=config.global_time < horizon)
-        stack = [(None, config, moves)]
+        stack = [(None, config, moves, key)]
         pending: Union[None, bool, tuple] = None  # verdict of the last successor
         last: tuple = ()  # that successor as (annotation, configuration)
+        after: tuple = ()  # and its memo key
         while stack:
             frame = stack[-1]
-            _, cfg, moves = frame
+            _, cfg, moves, key = frame
             if pending:
-                # a good successor proves the state iff its update points are covered
-                verdict = last if self._covered(cfg, n) else False
+                # a good successor proves the state iff its update points are
+                # covered; the first update turns keys live, the successor's
+                # among them
+                expiry = self.expiry
+                if self._covered(cfg, n):
+                    if self.expiry is not expiry:
+                        after = self._key(last[1], n)
+                    verdict = (*last, after)
+                else:
+                    verdict = False
             elif (move := next(moves, None)) is not None:
                 annotation, cfg2 = last = move
                 critical2, goal2 = after_tick if annotation is TICK_STEP else every
                 if critical2 is not None and match_spec(critical2, cfg2) is not None:
                     continue
-                pending = self.memo.get((cfg2, n))
+                if self.expiry is None or cfg2.global_time <= deadline:
+                    key2 = (cfg2, n)
+                else:
+                    key2 = (cfg2.without_older(self.expiry), 0)
+                pending, after = memo.get(key2), key2
                 if pending is not None:
                     continue
                 pending = self._goal_verdict(cfg2, n, goal2)
                 if pending is not None:
-                    self.memo[cfg2, n] = pending
+                    memo[key2] = pending
                 elif annotation is not TICK_STEP and self._dead(cfg2, annotation.rule):
                     pending = False  # a bad move, decided without a memo entry
                 elif len(stack) == limit:
                     raise EngineError("memoized search reached its path bound")
                 else:
                     moves = successors(cfg2, rules, advance=cfg2.global_time < horizon)
-                    stack.append((annotation, cfg2, moves))
+                    stack.append((annotation, cfg2, moves, key2))
                 continue
             else:
                 verdict = False
-            self.memo[cfg, n] = verdict
+            if verdict and key[0] is not cfg:
+                verdict = (*verdict, cfg)
+            memo[key] = verdict
             stack.pop()
-            last = frame[:2]
+            last, after = frame[:2], key
             pending = verdict
-        return bool(self.memo[key])
+        return bool(verdict)
 
     def _reaches_goal(self, root: Configuration) -> bool:
         """Is a goal state within the path bound L of `root`, a non-critical
@@ -306,14 +378,18 @@ class Checker:
     def trace(self, config: Configuration, n: int) -> Trace:
         """The trace certified by `decide(config, n)`, which must hold: the
         recorded winning moves, the leftmost decide-approved ones in search
-        order.  Without a memo it takes, with r steps left, the leftmost kept
-        move to a state at goal distance below r, the move a search keyed on
-        (state, steps left) records."""
+        order, each followed by the successor key it holds.  Where an entry
+        was recorded at another state with the same live key, the trace
+        applies the recorded move to its own state instead of taking the
+        recorded successor.  Without a memo it takes, with r steps left, the
+        leftmost kept move to a state at goal distance below r, the move a
+        search keyed on (state, steps left) records."""
         steps: list[TraceStep] = []
         state, left, distance = config, self._depth_limit(config), self.distance
+        progressing, key = self.progressing, self._key(config, n)
         while True:
-            if self.progressing:
-                entry = self.memo.get((state, n))
+            if progressing:
+                entry = self.memo.get(key)
             else:  # True at a goal state; a state without a distance reaches none
                 kept = self.moves.get(state, ())
                 entry = distance.get(state) == 0 or next(
@@ -323,8 +399,19 @@ class Checker:
                 return Trace(config, tuple(steps))
             if not isinstance(entry, tuple):
                 raise EngineError("witness reconstruction lost the certified path")
-            steps.append(TraceStep(*entry))
-            state, left = entry[1], left - 1
+            annotation, result = entry[0], entry[1]
+            if progressing:
+                recorded = entry[3] if len(entry) == 4 else key[0]
+                if recorded is not state and recorded != state:
+                    # recorded at a state with other expired facts: the same
+                    # move from this one
+                    if annotation is TICK_STEP:
+                        result = tick(state)
+                    else:
+                        result = apply_instance(state, annotation, trusted=True)
+                key = entry[2]
+            steps.append(TraceStep(annotation, result))
+            state, left = result, left - 1
 
 
 def find_compliant_goal_trace(

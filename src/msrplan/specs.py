@@ -29,6 +29,7 @@ from .rules import (
     MatchPlan,
     RuleInstance,
     TimeConstraint,
+    _Dbm,
     reapply,
     tick,
 )
@@ -64,6 +65,21 @@ class SpecPair:
         """The compiled matcher, built on first use and kept with the pair:
         declaration order, several patterns may share one fact."""
         return MatchPlan(self.pattern, self.constraints)
+
+    @cached_property
+    def lags(self) -> tuple[tuple[str, float], ...]:
+        """Each non-`Time` pattern's predicate with the most its timestamp
+        can lag behind the global time, the constraints' bound on
+        T - tvar where a `Time@T` pattern binds T (inf when they force
+        none, or when the pair reads no clock): a match reads no fact
+        older than T - lag."""
+        clock = [p.tvar for p in self.pattern if p.atom.pred == TIME_PREDICATE]
+        dbm = _Dbm(self.constraints)
+        return tuple(
+            (p.atom.pred, dbm.upper(clock[0], p.tvar) if clock else float("inf"))
+            for p in self.pattern
+            if p.atom.pred != TIME_PREDICATE
+        )
 
     def variables(self) -> set[str]:
         out = {p.tvar for p in self.pattern}

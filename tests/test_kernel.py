@@ -393,6 +393,41 @@ class TestTick:
             Configuration([fact("Time", 0)]).replace([], [clock])
 
 
+class TestWithoutOlder:
+    """`Configuration.without_older` drops each fact older than its
+    predicate's lag allows and equals the configuration built from scratch
+    over the facts it keeps."""
+
+    def test_a_fact_at_its_lag_is_kept(self):
+        config = Configuration(
+            [fact("Time", 10), fact("P", 7), fact("P", 6), fact("P", 6), fact("Q", 0), fact("R", 12)]
+        )
+        kept = config.without_older({"P": 3, "R": -3})
+        want = Configuration([fact("Time", 10), fact("P", 7), fact("Q", 0)])
+        assert kept == want and hash(kept) == hash(want)
+        assert kept.by_pred() == want.by_pred() and kept.counts() == want.counts()
+        # R@12 lies before 10 + 3; a lag of 2 keeps it
+        assert config.without_older({"R": -2}).count(fact("R", 12)) == 1
+
+    def test_nothing_dropped_returns_the_same_configuration(self):
+        for config in _explored_configurations()[:40]:
+            assert config.without_older({}) is config
+            assert config.without_older({"Nothing": 0}) is config
+
+    def test_equals_configuration_built_from_scratch(self):
+        configs = _explored_configurations()
+        rng = random.Random(7)
+        for config in configs:
+            t = config.global_time
+            preds = sorted({f.pred for f in config} - {"Time"})
+            lags = {p: rng.randint(-2, 3) for p in preds if rng.random() < 0.7}
+            kept = config.without_older(lags)
+            want = Configuration([f for f in config if f.pred not in lags or f.ts >= t - lags[f.pred]])
+            assert kept == want and hash(kept) == hash(want), lags
+            assert kept.canonical_order() == want.canonical_order()
+        assert len(configs) > 150
+
+
 def _views(c: Configuration) -> tuple:
     """The hash, the groups (lists copied) and the counts of `c`."""
     return hash(c), {p: list(g) for p, g in c.by_pred().items()}, c.counts()

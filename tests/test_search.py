@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -15,11 +16,17 @@ from conftest import (
     trace_annotations,
     travel_with_start,
 )
-from msrplan.kernel import Configuration
+from msrplan.kernel import Configuration, TimedFact
 from msrplan.reductions import Qbf, qbf_to_scenario
 from msrplan.relax import Relaxation
+from msrplan.resilience import (
+    ResilienceQuery,
+    check_resilience,
+    verify_witness,
+    witness_to_json,
+)
 from msrplan.rules import EngineError, tick
-from msrplan.scenario import PlanningScenario, parse_scenario
+from msrplan.scenario import AT_ONCE, PlanningScenario, parse_scenario
 from msrplan.search import (
     Checker,
     SearchStats,
@@ -28,6 +35,7 @@ from msrplan.search import (
     successors,
 )
 from msrplan.specs import ConfigSpec, SpecKind, check_compliance, match_spec, replay_errors
+from test_resilience import PERIODIC, PERIODIC_CASES, TRAVEL_STARTS
 
 
 class TestSuccessors:
@@ -264,3 +272,214 @@ class TestGoalDistance:
         ]
         assert verdicts == [None] * 160
         assert stats.visited <= 5_055
+
+
+# `P` is read by the system rule `go` at the global time, and by the update
+# `bump` up to five ticks later.
+LATE_READER = """
+predicates P: system, Q: system, Done: goal, Halt: critical;
+init { Time@0, P@0, Halt@9 }
+rule system go { consume: P@T1; create: Q@T+1; guard: T1 = T; }
+rule system_update bump { consume: P@T1; create: P@T+1; guard: T1 + 5 >= T, T1 <= T; }
+goal { Done@T1 }
+critical { Time@T, Halt@T }
+"""
+
+# `mint` creates `Token(k)` for a fresh constant k.
+FRESH = """
+types key;
+predicates Seed: system, Token(key): system, Done: goal, Halt: critical;
+init { Time@0, Seed@0, Halt@9 }
+rule system mint { consume: Seed@T1; create: Token(k)@T+1; guard: T1 = T; }
+goal { Done@T1 }
+critical { Time@T, Halt@T }
+"""
+
+
+class TestExpiryTable:
+    """`PlanningScenario.expiry`: the most each predicate's facts can lag
+    behind the global time and still be read."""
+
+    def test_travel(self, travel):
+        # boarding and delaying read a flight at its departure, the deadline
+        # is critical only at its instant; every other predicate is read
+        # without a lower bound or by a goal pair without a clock
+        assert travel.expiry == {"Flight1": 0, "Flight2": 0, "Deadline": 0}
+
+    def test_periodic(self):
+        # `Halt@T1 | T < T1` reads a fact only before its time, and `spend`
+        # creates `Used`, which nothing reads
+        scenario = parse_scenario(PERIODIC, "periodic")
+        assert scenario.expiry == {"Halt": -1, "Used": AT_ONCE}
+
+    def test_update_rules_read_too(self):
+        scenario = parse_scenario(LATE_READER, "late")
+        assert scenario.expiry == {"P": 5, "Q": AT_ONCE, "Halt": 0}
+
+    def test_fresh_variables_empty_the_table(self):
+        scenario = parse_scenario(FRESH, "fresh")
+        assert scenario.system_rules[0].fresh
+        assert scenario.expiry == {}
+
+    def test_built_only_when_needed(self, travel):
+        """Only a query whose window holds an update with states past the
+        deadline ahead builds the table."""
+        for t0, n, a, b, built in [
+            (60, 2, 12, 220, False),  # no flight departs in the window
+            (42, 0, 12, 220, False),
+            (42, 1, 12, 0, False),  # b = 0: nothing lies past the deadline
+            (42, 1, 12, 220, True),
+        ]:
+            scenario = travel_with_start(travel, t0)
+            checker = Checker(scenario, a, b)
+            checker.decide(scenario.initial, n)
+            assert ("expiry" in scenario.__dict__) is built, (t0, n, a, b)
+            assert (checker.expiry is not None) is built
+
+
+def _outcome(scenario: PlanningScenario, query: ResilienceQuery) -> tuple:
+    """A query's verdict, witness JSON and refutation lines."""
+    result = check_resilience(scenario, query)
+    witness = witness_to_json(result.witness) if result.resilient else None
+    return result.resilient, witness, result.refutation
+
+
+def _nodes(witness):
+    yield witness
+    for _, _, sub in witness.children:
+        yield from _nodes(sub)
+
+
+@pytest.fixture
+def full_keys(monkeypatch):
+    """Empties every scenario's expiry table, once called: states past the
+    deadline are then keyed on all their facts."""
+    return lambda: monkeypatch.setattr(PlanningScenario, "expiry", property(lambda self: {}))
+
+
+class TestLiveKeys:
+    """Past the deadline, after the first update, states are keyed on their
+    live facts with n read as 0.  Equal keys have the same verdicts and the
+    same moves, so every output equals that of keys on all facts."""
+
+    def test_travel_outputs_equal_full_keys(self, travel, full_keys):
+        cases = [
+            (travel_with_start(travel, t0), ResilienceQuery(n, a, b))
+            for t0 in TRAVEL_STARTS
+            for n in (0, 1, 2)
+            for a, b in ((12, 220), (30, 200), (5, 240))
+        ]
+        merged = [_outcome(scenario, query) for scenario, query in cases]
+        assert {verdict for verdict, _, _ in merged} == {True, False}
+        full_keys()
+        assert [_outcome(scenario, query) for scenario, query in cases] == merged
+
+    def test_random_outputs_equal_full_keys(self, full_keys):
+        """The queries of seeded random scenarios that apply an update with
+        states past the deadline ahead."""
+        cases = []
+        for seed in range(150):
+            scenario = random_scenario(seed, progressing=True, with_updates=True)
+            for n, a, b in itertools.product((1, 2), (1, 2, 3), (1, 2, 3)):
+                checker = Checker(scenario, a, b)
+                checker.decide(scenario.initial, n)
+                if checker.expiry is not None:
+                    cases.append((scenario, ResilienceQuery(n, a, b)))
+        assert len(cases) >= 150
+        merged = [_outcome(scenario, query) for scenario, query in cases]
+        full_keys()
+        assert [_outcome(scenario, query) for scenario, query in cases] == merged
+
+    def test_traces_hold_the_real_configurations(self, travel):
+        """Reactions at start 42 follow entries recorded at other states; the
+        trace rebuilds each move there, so every step replays."""
+        scenario = travel_with_start(travel, 42)
+        query = ResilienceQuery(2, 12, 220)
+        checker = Checker(scenario, query.a, query.b)
+        assert checker.decide(scenario.initial, query.n)
+        recorded = [v for v in checker.memo.values() if isinstance(v, tuple) and len(v) == 4]
+        assert len(recorded) > 100
+        result = check_resilience(scenario, query)
+        nodes = list(_nodes(result.witness))
+        assert len(nodes) == 13
+        for node in nodes:
+            assert not replay_errors(node.trace)
+            for index, inst, sub in node.children:
+                assert sub.trace.initial == node.trace.config_at(index).replace(
+                    inst.consumed_facts(), inst.created_facts()
+                )
+        assert verify_witness(scenario, query, result.witness) == (True, [])
+
+    def test_entries_certify_every_state_they_share(self, travel):
+        """A good entry past the deadline answers for every state with its
+        key: from the state it was recorded at and from the key's own
+        configuration, which holds no expired fact, the trace replays and
+        ends in a goal state."""
+        periodic = parse_scenario(PERIODIC, "periodic")
+        cases = [(periodic, 1, 4, 3, 1), (periodic, 2, 4, 3, 1)]
+        cases.append((travel_with_start(travel, 108), 1, 12, 220, 8))
+        traced = recorded = 0
+        for scenario, n, a, b, every in cases:
+            checker = Checker(scenario, a, b)
+            checker.decide(scenario.initial, n)
+            good = [
+                (key[0], entry)
+                for key, entry in checker.memo.items()
+                if key[0].global_time > checker.deadline and isinstance(entry, tuple)
+            ]
+            for live, entry in good[::every]:
+                assert live.without_older(checker.expiry) is live
+                recorded += len(entry) == 4
+                for config in (live, *entry[3:]):
+                    trace = checker.trace(config, 0)
+                    assert trace.initial is config
+                    assert not replay_errors(trace)
+                    assert match_spec(scenario.goal_spec, trace.final) is not None
+                    traced += 1
+        assert recorded > 40 and traced > 80
+
+    def test_switch_rekeys_successor_keys(self, full_keys):
+        """Regression: an entry made before the first update held its
+        successor's key from before the switch, and the trace of PERIODIC at
+        (1,3,3) lost the certified path."""
+        scenario = parse_scenario(PERIODIC, "periodic")
+        query = ResilienceQuery(1, 3, 3)
+        merged = _outcome(scenario, query)
+        assert merged[0]
+        assert verify_witness(scenario, query, json.loads(merged[1])) == (True, [])
+        full_keys()
+        assert _outcome(scenario, query) == merged
+
+
+class TestUnmatchableFacts:
+    """A metamorphic relation: a fact no pattern can ever match changes no
+    verdict, witness byte or refutation line, and every configuration of a
+    witness holds it."""
+
+    def _check(self, base: PlanningScenario, extra: TimedFact, query: ResilienceQuery):
+        more = base.with_initial(Configuration([*base.initial, extra]))
+        want, got = _outcome(base, query), _outcome(more, query)
+        assert got == want, query
+        if got[0]:
+            witness = check_resilience(more, query).witness
+            assert verify_witness(more, query, witness) == (True, [])
+            for node in _nodes(witness):
+                assert all(config.count(extra) == 1 for config in node.trace.configurations())
+        return got[0]
+
+    def test_departed_flight(self, travel):
+        verdicts = set()
+        for t0 in TRAVEL_STARTS:
+            base = travel_with_start(travel, t0)
+            flight = next(f for f in base.initial if f.pred == "Flight2")
+            for n in (0, 1, 2):
+                verdicts.add(self._check(base, flight.at(1), ResilienceQuery(n, 12, 220)))
+        assert verdicts == {True, False}
+
+    def test_unread_fact(self):
+        base = parse_scenario(PERIODIC, "periodic")
+        verdicts = {
+            self._check(base, TimedFact("Used", (), 0), ResilienceQuery(*nab))
+            for nab in PERIODIC_CASES
+        }
+        assert verdicts == {True, False}
