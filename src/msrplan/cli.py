@@ -205,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-a", type=int, required=True)
     p.add_argument("-b", type=int, required=True)
-    p.add_argument("--witness", help="write the witness tree to this JSON file")
-    p.add_argument("--verify", help="verify a witness JSON file instead of checking")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--witness", help="write the witness tree to this JSON file")
+    out.add_argument("--verify", help="verify a witness JSON file instead of checking")
     p.set_defaults(func=_cmd_resilience)
 
     p = sub.add_parser("qbf", help="quantified Boolean formula oracle pipeline")

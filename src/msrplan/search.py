@@ -27,16 +27,18 @@ admitted, and a fact P@ts with ts < t - c_P, c_P from the scenario's expiry
 table (`PlanningScenario.expiry`), is read by no rule or specification at
 the global time t or later.  So once the checker applies its first update,
 if states past the deadline lie ahead (b > 0), it keys each such state on
-(the state without its expired facts, 0), and re-keys the entries already
-made there once.  States with one such live key have the same verdict and
-the same moves, up to expired facts, so a reaction whose walk differs from
-the one it replaces only in expired facts shares that walk's entries and
-the outputs are those of exact keys.  Before that update every key is
-exact and the table is not built: queries whose window holds no update,
-and every query with b = 0.  An entry recorded at another state than its
-key's configuration keeps that state, and `trace`, where it follows such an
-entry from a different state, applies the recorded move to its own state,
-so every trace step holds the real configuration.  A key omits the
+(the state without its expired facts, 0), and moves the entries already
+made there to their live keys once.  States with one such live key have
+the same verdict and the same moves, up to expired facts, so a reaction
+whose walk differs from the one it replaces only in expired facts shares
+that walk's entries and the outputs are those of exact keys.  Before that
+update every key is exact and the table is not built: queries whose window
+holds no update, and every query with b = 0.  A winning entry links the
+successor's entry and keeps the state it was recorded at, so keys serve
+lookups alone and no entry changes when keys turn live.  `trace` looks up
+its root's entry once and follows the links; where it follows an entry
+recorded at a different state, it applies the recorded move to its own
+state, so every trace step holds the real configuration.  A key omits the
 remaining path length, which is sound because the search's one cutoff, its
 path bound, cannot fire in a progressing scenario; reaching it raises
 `EngineError`.  A configuration's hash is its multiset hash, which each move
@@ -119,8 +121,8 @@ class Checker:
         self.m = len(scenario.initial)
         self.progressing = scenario.progressing
         # (configuration, n) -> False, True (a goal state), or the winning
-        # move as (annotation, successor, the successor's key), plus the
-        # state it was recorded at where that is not the key's configuration
+        # move as (annotation, successor, the successor's entry, the state it
+        # was recorded at); keys serve lookups alone
         self.memo: dict[tuple[Configuration, int], Union[bool, tuple]] = {}
         # the scenario's expiry table once the first update is applied with
         # states past the deadline ahead; None before
@@ -151,26 +153,13 @@ class Checker:
 
     def _go_live(self) -> None:
         """Key states past the deadline on their live facts from now on, and
-        re-key the entries already made there, and the successor keys the
-        winning moves hold.  An entry whose key drops facts keeps the state
-        it was recorded at, for `trace`."""
+        move the entries already made there to their live keys.  No value
+        holds a key, so no value is read or rebuilt; where two entries share
+        a live key the first one made keeps it."""
         self.expiry = expiry = self.scenario.expiry
         memo, deadline = self.memo, self.deadline
-        moved = {
-            key: (key[0].without_older(expiry), 0)
-            for key in memo
-            if key[0].global_time > deadline
-        }
-        entries = list(memo.items())
-        memo.clear()
-        for key, verdict in entries:
-            live = moved.get(key, key)
-            if type(verdict) is tuple:
-                annotation, successor, after = verdict
-                verdict = (annotation, successor, moved.get(after, after))
-                if live[0] is not key[0]:
-                    verdict += (key[0],)
-            memo.setdefault(live, verdict)
+        for key in [key for key in memo if key[0].global_time > deadline]:
+            memo.setdefault((key[0].without_older(expiry), 0), memo.pop(key))
 
     def _covered(self, config: Configuration, n: int) -> bool:
         """Every update applicable at an admitting state must lead to a state
@@ -266,31 +255,22 @@ class Checker:
 
         # frames: (annotation leading here, configuration, moves, memo key);
         # the time advance is offered while the clock is short of the horizon.
-        # No frame past the deadline is on the stack when keys turn live,
-        # since the update that turns them is at or before the deadline, so
-        # a frame's key stays its key.
+        # A frame's key is taken when it is pushed and stays its key: keys
+        # turn live at an update, which is at or before the deadline, and so
+        # is every frame below it on the stack.
         horizon, limit, deadline = self.horizon, self._depth_limit(config), self.deadline
         rules = self.scenario.system_rules
         every, after_tick = (critical, goal), (critical.clocked, goal.clocked)
         moves = successors(config, rules, advance=config.global_time < horizon)
         stack = [(None, config, moves, key)]
-        pending: Union[None, bool, tuple] = None  # verdict of the last successor
+        pending: Union[None, bool, tuple] = None  # the last successor's entry
         last: tuple = ()  # that successor as (annotation, configuration)
-        after: tuple = ()  # and its memo key
         while stack:
             frame = stack[-1]
             _, cfg, moves, key = frame
             if pending:
-                # a good successor proves the state iff its update points are
-                # covered; the first update turns keys live, the successor's
-                # among them
-                expiry = self.expiry
-                if self._covered(cfg, n):
-                    if self.expiry is not expiry:
-                        after = self._key(last[1], n)
-                    verdict = (*last, after)
-                else:
-                    verdict = False
+                # a good successor proves the state iff its update points are covered
+                verdict = self._covered(cfg, n) and (*last, pending, cfg)
             elif (move := next(moves, None)) is not None:
                 annotation, cfg2 = last = move
                 critical2, goal2 = after_tick if annotation is TICK_STEP else every
@@ -300,7 +280,7 @@ class Checker:
                     key2 = (cfg2, n)
                 else:
                     key2 = (cfg2.without_older(self.expiry), 0)
-                pending, after = memo.get(key2), key2
+                pending = memo.get(key2)
                 if pending is not None:
                     continue
                 pending = self._goal_verdict(cfg2, n, goal2)
@@ -316,12 +296,9 @@ class Checker:
                 continue
             else:
                 verdict = False
-            if verdict and key[0] is not cfg:
-                verdict = (*verdict, cfg)
             memo[key] = verdict
             stack.pop()
-            last, after = frame[:2], key
-            pending = verdict
+            last, pending = frame[:2], verdict
         return bool(verdict)
 
     def _reaches_goal(self, root: Configuration) -> bool:
@@ -376,21 +353,22 @@ class Checker:
         return root in distance
 
     def trace(self, config: Configuration, n: int) -> Trace:
-        """The trace certified by `decide(config, n)`, which must hold: the
-        recorded winning moves, the leftmost decide-approved ones in search
-        order, each followed by the successor key it holds.  Where an entry
-        was recorded at another state with the same live key, the trace
-        applies the recorded move to its own state instead of taking the
-        recorded successor.  Without a memo it takes, with r steps left, the
-        leftmost kept move to a state at goal distance below r, the move a
-        search keyed on (state, steps left) records."""
+        """The trace certified by `decide(config, n)`, which must hold: from
+        the memo entry of `config`, the recorded winning moves, the leftmost
+        decide-approved ones in search order, each entry followed by the
+        successor's entry it links.  Where an entry was recorded at another
+        state with the same live key, the trace applies the recorded move to
+        its own state instead of taking the recorded successor.  Without a
+        memo it takes, with r steps left, the leftmost kept move to a state at
+        goal distance below r, the move a search keyed on (state, steps left)
+        records."""
         steps: list[TraceStep] = []
         state, left, distance = config, self._depth_limit(config), self.distance
-        progressing, key = self.progressing, self._key(config, n)
+        progressing = self.progressing
+        entry = self.memo.get(self._key(config, n)) if progressing else None
         while True:
-            if progressing:
-                entry = self.memo.get(key)
-            else:  # True at a goal state; a state without a distance reaches none
+            if not progressing:
+                # True at a goal state; a state without a distance reaches none
                 kept = self.moves.get(state, ())
                 entry = distance.get(state) == 0 or next(
                     (m for m in kept if distance.get(m[1], left) < left), None
@@ -401,7 +379,7 @@ class Checker:
                 raise EngineError("witness reconstruction lost the certified path")
             annotation, result = entry[0], entry[1]
             if progressing:
-                recorded = entry[3] if len(entry) == 4 else key[0]
+                recorded = entry[3]
                 if recorded is not state and recorded != state:
                     # recorded at a state with other expired facts: the same
                     # move from this one
@@ -409,7 +387,7 @@ class Checker:
                         result = tick(state)
                     else:
                         result = apply_instance(state, annotation, trusted=True)
-                key = entry[2]
+                entry = entry[2]
             steps.append(TraceStep(annotation, result))
             state, left = result, left - 1
 

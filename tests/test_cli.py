@@ -173,6 +173,18 @@ class TestResilience:
         code, _ = run(capsys, "resilience", minimal_file, "-n", "0")
         assert code == EXIT_ERROR
 
+    def test_verify_excludes_witness(self, capsys, minimal_file, tmp_path):
+        """`--verify` checks no query, so it has no witness to write: the
+        pair is a usage error and no file is written."""
+        witness = tmp_path / "w.json"
+        argv = ("resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1")
+        assert run(capsys, *argv, "--witness", str(witness))[0] == EXIT_YES
+        out = tmp_path / "out.json"
+        code, text = run(capsys, *argv, "--verify", str(witness), "--witness", str(out))
+        assert code == EXIT_ERROR
+        assert "not allowed with argument" in text and "usage:" in text
+        assert not out.exists()
+
 
 class TestMalformedInput:
     """Each malformed input exits 2 with one `error:` line on stderr."""

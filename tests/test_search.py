@@ -21,6 +21,7 @@ from msrplan.reductions import Qbf, qbf_to_scenario
 from msrplan.relax import Relaxation
 from msrplan.resilience import (
     ResilienceQuery,
+    _build_witness,
     check_resilience,
     verify_witness,
     witness_to_json,
@@ -397,7 +398,11 @@ class TestLiveKeys:
         query = ResilienceQuery(2, 12, 220)
         checker = Checker(scenario, query.a, query.b)
         assert checker.decide(scenario.initial, query.n)
-        recorded = [v for v in checker.memo.values() if isinstance(v, tuple) and len(v) == 4]
+        recorded = [
+            key
+            for key, entry in checker.memo.items()
+            if isinstance(entry, tuple) and entry[3] is not key[0]
+        ]
         assert len(recorded) > 100
         result = check_resilience(scenario, query)
         nodes = list(_nodes(result.witness))
@@ -429,8 +434,8 @@ class TestLiveKeys:
             ]
             for live, entry in good[::every]:
                 assert live.without_older(checker.expiry) is live
-                recorded += len(entry) == 4
-                for config in (live, *entry[3:]):
+                recorded += entry[3] is not live
+                for config in (live,) if entry[3] is live else (live, entry[3]):
                     trace = checker.trace(config, 0)
                     assert trace.initial is config
                     assert not replay_errors(trace)
@@ -449,6 +454,79 @@ class TestLiveKeys:
         assert verify_witness(scenario, query, json.loads(merged[1])) == (True, [])
         full_keys()
         assert _outcome(scenario, query) == merged
+
+
+class _CountingMemo(dict):
+    """A memo that counts its `get` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+class TestLinkedMemo:
+    """A winning entry is (move, successor, the successor's entry, the state
+    it was recorded at): it links the entry that proved its successor, so no
+    entry holds a memo key, switching keys live moves entries without
+    touching one, and `trace` probes the memo once."""
+
+    def test_winning_entries_link_winning_entries(self, travel):
+        winning = 0
+        for t0 in TRAVEL_STARTS:
+            scenario = travel_with_start(travel, t0)
+            for n in (0, 1, 2):
+                checker = Checker(scenario, 12, 220)
+                checker.decide(scenario.initial, n)
+                for entry in checker.memo.values():
+                    if entry is True or entry is False:
+                        continue
+                    winning += 1
+                    assert type(entry) is tuple and len(entry) == 4
+                    link = entry[2]
+                    assert link is True or (type(link) is tuple and len(link) == 4)
+        assert winning > 1000
+
+    def test_switch_moves_entries_untouched(self, travel, monkeypatch):
+        """Each entry before the switch is the value at its live key after
+        it, unless an earlier entry took that key; nothing else is stored."""
+        switches = []
+        go_live = Checker._go_live
+
+        def checked(self):
+            before = list(self.memo.items())
+            go_live(self)
+            kept = {}
+            for key, entry in before:
+                kept.setdefault(self._key(*key), entry)
+            assert len(self.memo) == len(kept)
+            assert all(self.memo[key] is entry for key, entry in kept.items())
+            switches.append(len(before))
+
+        monkeypatch.setattr(Checker, "_go_live", checked)
+        for t0 in TRAVEL_STARTS:
+            scenario = travel_with_start(travel, t0)
+            for n in (1, 2):
+                Checker(scenario, 12, 220).decide(scenario.initial, n)
+        periodic = parse_scenario(PERIODIC, "periodic")
+        for n, a, b in PERIODIC_CASES:
+            Checker(periodic, a, b).decide(periodic.initial, n)
+        assert len(switches) >= 6 and sum(switches) > 1000
+
+    def test_trace_probes_the_memo_once(self, travel):
+        scenario = travel_with_start(travel, 42)
+        checker = Checker(scenario, 12, 220)
+        assert checker.decide(scenario.initial, 2)
+        checker.memo = memo = _CountingMemo(checker.memo)
+        trace = checker.trace(scenario.initial, 2)
+        assert memo.gets == 1 and len(trace.steps) > 100
+        # one trace per distinct (state, n): 11 of the witness's 13 nodes,
+        # two subtrees being shared
+        memo.gets, built = 0, {}
+        witness = _build_witness(checker, scenario.initial, 2, built)
+        assert len(list(_nodes(witness))) == 13
+        assert memo.gets == len(built) == 11
 
 
 class TestUnmatchableFacts:
