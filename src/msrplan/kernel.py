@@ -97,7 +97,11 @@ class Variable:
 
 @dataclass(frozen=True)
 class FuncApp:
-    """Application of a declared function symbol to argument terms."""
+    """Application of a declared function symbol to argument terms.
+
+    A function term over a variable can be built, but it has no sort key, so
+    no fact holds it, and `rules.Atom` rejects it: patterns hold variables
+    and ground terms only."""
 
     func: str
     args: tuple["Term", ...]
@@ -127,17 +131,6 @@ def is_ground(term: Term) -> bool:
     if isinstance(term, FuncApp):
         return all(is_ground(a) for a in term.args)
     return True
-
-
-def term_variables(term: Term) -> set[str]:
-    if isinstance(term, Variable):
-        return {term.name}
-    if isinstance(term, FuncApp):
-        out: set[str] = set()
-        for a in term.args:
-            out |= term_variables(a)
-        return out
-    return set()
 
 
 def subterms(term: Term) -> Iterator[Term]:

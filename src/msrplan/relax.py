@@ -27,8 +27,7 @@ gets an earlier fact, until a fixpoint; the state is refuted when no goal
 pair then has a relaxed match at a global time in [t, horizon], which is
 what a `Time` pattern binds.  A relevant rule with a fresh variable could
 build unboundedly many facts, so with one the relaxation always answers
-True; so it does when a relevant rule or goal pattern holds a function
-term over variables, which no scenario file can write.
+True.
 
 The answer is monotone in time.  `project` splits what `possible` reads of
 a configuration into a time-free signature (the exact-predicate facts with
@@ -53,9 +52,8 @@ from .kernel import (
     Constant,
     FreshConstant,
     Variable,
-    is_ground,
 )
-from .rules import GLOBAL_TIME_VAR, Atom, FactPattern, Rule, TimeConstraint, _Dbm
+from .rules import GLOBAL_TIME_VAR, FactPattern, Rule, TimeConstraint, _Dbm
 from .specs import ConfigSpec
 
 INF = float("inf")
@@ -145,10 +143,9 @@ class _Join:
 
 
 def _known(args: tuple, bound: set[str]) -> bool:
-    """Are all of a pattern's arguments ground or variables in `bound`?"""
-    return all(
-        a.name in bound if isinstance(a, Variable) else is_ground(a) for a in args
-    )
+    """Are all of a pattern's variables in `bound`?  Its other arguments
+    are ground (`rules.Atom`)."""
+    return all(a.name in bound for a in args if isinstance(a, Variable))
 
 
 def _arg_test(arg) -> tuple:
@@ -156,11 +153,6 @@ def _arg_test(arg) -> tuple:
     if isinstance(arg, Variable):
         return (arg.name, arg.base_type, None)
     return (None, None, arg._key)
-
-
-def _plain(atom: Atom) -> bool:
-    """Is every argument a variable or a ground term?"""
-    return all(isinstance(a, Variable) or is_ground(a) for a in atom.args)
 
 
 def _bind(tests: tuple, args: tuple, keys: tuple, sigma: dict) -> Optional[dict]:
@@ -213,9 +205,7 @@ class Relaxation:
             r.name for r in system_rules
             if any(p.atom.pred in relevant for p in (*r.consumed, *r.created))
         )
-        atoms = [p.atom for pair in goal.pairs for p in pair.pattern]
-        atoms += [p.atom for r in rules for p in (*r.side, *r.consumed, *r.created)]
-        self.trivial = any(r.fresh for r in rules) or not all(map(_plain, atoms))
+        self.trivial = any(r.fresh for r in rules)
         if self.trivial:
             return
         self.rules = [
@@ -280,7 +270,7 @@ class Relaxation:
                     continue
                 dirty[i] = False
                 for sigma, now in join.matches(store, t, horizon):
-                    for pred, slots, delay, _ in created:
+                    for pred, slots, delay in created:
                         args = tuple([g if n is None else sigma[n] for n, g in slots])
                         keys = tuple([a._key for a in args])
                         ts, facts = now + delay, store[pred]

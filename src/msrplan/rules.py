@@ -22,17 +22,21 @@ and argument keys as locals or constants, and compiles it.  Both tiers test
 a fact's arguments by comparing sort keys, never calling a term's
 ``__eq__``.  Generation costs as much as a few hundred interpreted calls, so
 a specification built for a single query (the graph reduction builds one
-per pair) stays interpreted.  So do a plan with a non-ground function term
-and one of more than `MAX_LOOPS` steps, since CPython rejects more nested
-loops.  The plan chooses its own tier: `find_matches` and
-`specs.match_spec` call `MatchPlan.bindings` and test no tier.  On a cold
-plan that is the counting method; on a hot one it is the generated function,
-stored under the same name, so a (state, rule) or (state, pair) match costs
-one call into the layer and one into that function, which reads the
-configuration's groups and clock from their slots.  The witness verifier
-matches only through the interpreter (`MatchPlan.interpret`,
-`interpret_matches`), so the oracle that certifies the engine never runs
-generated code.
+per pair) stays interpreted.  So does a plan of more than `MAX_LOOPS`
+steps, since CPython rejects more nested loops.  The plan chooses its own
+tier: `find_matches` and `specs.match_spec` call `MatchPlan.bindings` and
+test no tier.  On a cold plan that is the counting method; on a hot one it
+is the generated function, stored under the same name, so a (state, rule)
+or (state, pair) match costs one call into the layer and one into that
+function, which reads the configuration's groups and clock from their
+slots.  The witness verifier matches only through the interpreter
+(`MatchPlan.interpret`, `interpret_matches`), so the oracle that certifies
+the engine never runs generated code.
+
+A pattern's arguments are variables and ground terms: an `Atom` with a
+function term over a variable is rejected when it is built, so a match
+compares every argument by its sort key or binds it to a variable, and
+never unifies.
 
 A move reuses what its match found.  A rule's plan returns each binding
 with the fact objects it matched for the consumed patterns, and the
@@ -66,9 +70,6 @@ from .kernel import (
     TimedFact,
     Variable,
     is_ground,
-    subterms,
-    term_sort_key,
-    term_variables,
 )
 
 GLOBAL_TIME_VAR = "T"
@@ -100,16 +101,24 @@ class RuleRole(enum.Enum):
 
 @dataclass(frozen=True)
 class Atom:
-    """An atomic formula; arguments may contain variables."""
+    """An atomic formula whose arguments are variables and ground terms.
+
+    A function term over a variable is rejected here, so it can occur in no
+    rule precondition, created atom or specification pair."""
 
     pred: str
     args: tuple[Term, ...] = ()
 
-    def variables(self) -> set[str]:
-        out: set[str] = set()
+    def __post_init__(self) -> None:
         for a in self.args:
-            out |= term_variables(a)
-        return out
+            if type(a) is FuncApp and not is_ground(a):
+                raise RuleError(
+                    f"atom {self.pred}: function term {a} holds a variable; "
+                    "arguments are variables and ground terms"
+                )
+
+    def variables(self) -> set[str]:
+        return {a.name for a in self.args if isinstance(a, Variable)}
 
     def __str__(self) -> str:
         if self.args:
@@ -276,6 +285,23 @@ class _Dbm:
         return self._dist[self._idx[a]][self._idx[b]]
 
 
+def pattern_lags(
+    patterns: Iterable[FactPattern],
+    constraints: Iterable[TimeConstraint],
+    clock: Optional[str],
+) -> tuple[tuple[str, float], ...]:
+    """Each pattern's predicate with the most its timestamp can lag behind
+    the global time `clock` names: the constraints' bound on clock - tvar,
+    inf when they force none or `clock` is None.  A match reads no fact
+    older than the global time minus the lag.  The expiry table
+    (`scenario.PlanningScenario.expiry`) reads rules and specification
+    pairs through it alike."""
+    if clock is None:
+        return tuple((p.atom.pred, float("inf")) for p in patterns)
+    dbm = _Dbm(constraints)
+    return tuple((p.atom.pred, dbm.upper(clock, p.tvar)) for p in patterns)
+
+
 class ProgressCheck(NamedTuple):
     """The classification checks that read only the rule (`Rule.progress`)."""
 
@@ -372,31 +398,20 @@ class Rule:
 
     @cached_property
     def lags(self) -> tuple[tuple[str, float], ...]:
-        """Each precondition pattern's predicate with the most its timestamp
-        can lag behind the global time, the guard's bound on T - tvar (inf
-        when it has none): a match reads no fact older than T - lag."""
-        dbm = _Dbm(self.guard)
-        return tuple(
-            (p.atom.pred, dbm.upper(GLOBAL_TIME_VAR, p.tvar))
-            for p in (*self.side, *self.consumed)
-        )
+        """`pattern_lags` of the precondition under the guard, with ``T``
+        the global time."""
+        return pattern_lags((*self.side, *self.consumed), self.guard, GLOBAL_TIME_VAR)
 
     @cached_property
-    def creation(self) -> tuple[tuple[str, Optional[tuple], int, Atom], ...]:
-        """The created atoms compiled once, as (predicate, slots, delay,
-        atom): each slot is (variable name, None) or (None, ground term).
-        Slots are None for an atom with a non-ground function term, which
-        `ground_atom` grounds instead."""
-        out = []
-        for c in self.created:
-            slots: Optional[tuple] = tuple(
-                (a.name, None) if isinstance(a, Variable) else (None, a)
-                for a in c.atom.args
-            )
-            if not all(n is not None or is_ground(g) for n, g in slots):
-                slots = None
-            out.append((c.atom.pred, slots, c.delay, c.atom))
-        return tuple(out)
+    def creation(self) -> tuple[tuple[str, tuple, int], ...]:
+        """The created atoms compiled once, as (predicate, slots, delay):
+        each slot is (variable name, None) or (None, ground term)."""
+        return tuple(
+            (c.atom.pred, tuple(
+                (a.name, None) if isinstance(a, Variable) else (None, a) for a in c.atom.args
+            ), c.delay)
+            for c in self.created
+        )
 
     @cached_property
     def fresh(self) -> tuple[tuple[str, str], ...]:
@@ -404,10 +419,9 @@ class Rule:
         names = self.fresh_vars
         types: dict[str, str] = {}
         for c in self.created:
-            for arg in c.atom.args:
-                for t in subterms(arg):
-                    if isinstance(t, Variable) and t.name in names:
-                        types.setdefault(t.name, t.base_type)
+            for a in c.atom.args:
+                if isinstance(a, Variable) and a.name in names:
+                    types.setdefault(a.name, a.base_type)
         return tuple(sorted(types.items()))
 
     @cached_property
@@ -485,14 +499,7 @@ def substitute(term: Term, sigma: Binding) -> Term:
         if isinstance(value, int):
             raise RuleError(f"time value bound to first-order variable {term.name}")
         return value
-    if isinstance(term, FuncApp):
-        return FuncApp(term.func, tuple(substitute(a, sigma) for a in term.args))
     return term
-
-
-def ground_atom(atom: Atom, sigma: Binding, ts: int) -> TimedFact:
-    args = tuple(substitute(a, sigma) for a in atom.args)
-    return TimedFact(atom.pred, args, ts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -551,53 +558,23 @@ def _ts_of(sigma: Binding, tvar: str) -> int:
 
 
 def _ground(patterns: tuple[FactPattern, ...], sigma: Binding) -> list[TimedFact]:
-    return [ground_atom(p.atom, sigma, _ts_of(sigma, p.tvar)) for p in patterns]
+    out = []
+    for p in patterns:
+        ts = _ts_of(sigma, p.tvar)
+        out.append(TimedFact(p.atom.pred, tuple([substitute(a, sigma) for a in p.atom.args]), ts))
+    return out
 
 
 def _created(rule: Rule, sigma: Binding) -> list[TimedFact]:
     """The created facts, filled into the rule's `creation` template."""
     now = _ts_of(sigma, GLOBAL_TIME_VAR)
     out = []
-    for pred, slots, delay, atom in rule.creation:
+    for pred, slots, delay in rule.creation:
         ts = now + delay
         if ts > MAX_TIMESTAMP:
             raise EngineError("created timestamp overflow")
-        if slots is None:
-            out.append(ground_atom(atom, sigma, ts))
-        else:
-            args = tuple([g if n is None else sigma[n] for n, g in slots])
-            out.append(TimedFact(pred, args, ts))
+        out.append(TimedFact(pred, tuple([g if n is None else sigma[n] for n, g in slots]), ts))
     return out
-
-
-def _unify(pattern: Term, ground: Term, sigma: Binding) -> Optional[Binding]:
-    if isinstance(pattern, Variable):
-        bound = sigma.get(pattern.name)
-        if bound is None:
-            if pattern.base_type and _ground_type_mismatch(pattern, ground):
-                return None
-            out = dict(sigma)
-            out[pattern.name] = ground
-            return out
-        return sigma if bound == ground else None
-    if isinstance(pattern, FuncApp):
-        if not isinstance(ground, FuncApp) or pattern.func != ground.func:
-            return None
-        if len(pattern.args) != len(ground.args):
-            return None
-        for p, g in zip(pattern.args, ground.args):
-            next_sigma = _unify(p, g, sigma)
-            if next_sigma is None:
-                return None
-            sigma = next_sigma
-        return sigma
-    return sigma if pattern == ground else None
-
-
-def _ground_type_mismatch(var: Variable, ground: Term) -> bool:
-    if isinstance(ground, (Constant, FreshConstant)):
-        return ground.base_type != var.base_type
-    return False  # function results are type-checked at construction
 
 
 class MatchPlan:
@@ -619,19 +596,17 @@ class MatchPlan:
     The interpreter extends one binding dict in place.  A step writes only
     names that no earlier step binds, so backtracking needs no undo.  It
     also checks ahead (forward checking, Haralick and Elliott, AIJ 1980).
-    A step is determined when each argument is ground or bound earlier and
-    none is a function term.  A determined step j with a variable argument
-    is checked by the step i that binds the last of its names through its
-    `binds`, when i <= j - 2; a step whose names are bound by a nested
-    unification gets no check.  Once a candidate of step i passes its own
-    tests and writes its bindings, each of its checks looks the later
-    step's argument keys up in the set of its predicate's argument keys,
-    built once per `interpret` call on first use, and the candidate is
-    dropped, before it claims, when they are absent.  Only existence is
-    tested: step j still applies its timestamp bounds and claims.  So a
-    check drops only candidates no complete binding extends, and the
-    bindings, their order and the facts they carry do not change.  The
-    generated tier runs no checks (`_emit`).
+    A step is determined when each argument is ground or bound earlier.  A
+    determined step j with a variable argument is checked by the step i
+    that binds the last of its names through its `binds`, when i <= j - 2.
+    Once a candidate of step i passes its own tests and writes its
+    bindings, each of its checks looks the later step's argument keys up in
+    the set of its predicate's argument keys, built once per `interpret`
+    call on first use, and the candidate is dropped, before it claims, when
+    they are absent.  Only existence is tested: step j still applies its
+    timestamp bounds and claims.  So a check drops only candidates no
+    complete binding extends, and the bindings, their order and the facts
+    they carry do not change.  The generated tier runs no checks (`_emit`).
 
     A precondition's plan knows which of its patterns the rule consumes and
     returns each binding with the fact objects matched for them, in the
@@ -690,11 +665,7 @@ class MatchPlan:
         fo_names: set[str] = set()
         for p in remaining:
             time_names.add(p.tvar)
-            for a in p.atom.args:
-                if isinstance(a, Variable):
-                    fo_names.add(a.name)
-                elif isinstance(a, FuncApp):
-                    fo_names |= term_variables(a)
+            fo_names |= p.atom.variables()
         if not fo_names.isdisjoint(time_names):
             self.never = True  # a timestamp never equals a term
         preds = [p.atom.pred for p in remaining]
@@ -715,8 +686,7 @@ class MatchPlan:
         self.patterns = tuple(ordered)  # in step order
         self.calls = 0
         self.source: Optional[str] = None  # the generated source, once hot
-        nested = any(s.nested is not None for s in self.steps)
-        self.generable = not (self.never or nested) and 0 < len(self.steps) <= MAX_LOOPS
+        self.generable = not self.never and 0 < len(self.steps) <= MAX_LOOPS
 
     def bindings(self, config: Configuration) -> list:
         """The complete bindings in step order over the configuration's
@@ -736,10 +706,10 @@ class MatchPlan:
     def generate(self) -> Callable[[Configuration], list]:
         """Emit and compile this plan's function, keep it and its source on
         the plan, as `bindings` and `source`, and return it.  Only a
-        `generable` plan may be generated: one that can match, has one to
-        `MAX_LOOPS` steps, and holds no nested function term.  The code is
-        compiled under a file name that lists the plan's patterns in step
-        order, so profiles tell plans apart."""
+        `generable` plan may be generated: one that can match and has one to
+        `MAX_LOOPS` steps.  The code is compiled under a file name that
+        lists the plan's patterns in step order, so profiles tell plans
+        apart."""
         source, namespace = _emit(self)
         filename = f"<match plan {', '.join(map(str, self.patterns))}>"
         exec(compile(source, filename, "exec"), namespace)
@@ -775,9 +745,7 @@ class _Step(NamedTuple):
     None) or (position, None, the ground term's sort key); `binds` the first
     occurrences of new variables as (position, name, base type); `dups` their
     later occurrences as (position, first position).  `whole` is the tuple of
-    the arguments' keys when every argument is ground.  A pattern with a
-    non-ground function term instead unifies its `nested` arguments one by
-    one from the `known` names.
+    the arguments' keys when every argument is ground.
     `slot` is the pattern's index among a rule's consumed patterns, None for
     a side condition or a specification pattern.  `checks` holds the
     forward checks this step runs for later determined steps, each as that
@@ -794,8 +762,6 @@ class _Step(NamedTuple):
     fixed: tuple[tuple[int, Optional[str], Optional[tuple]], ...]
     binds: tuple[tuple[int, str, str], ...]
     dups: tuple[tuple[int, int], ...]
-    nested: Optional[tuple[Term, ...]]
-    known: tuple[str, ...]
     claims: bool  # claim a distinct fact occurrence
     slot: Optional[int]
     checks: list[tuple[str, tuple]]  # (pred, fixed) of later steps
@@ -841,8 +807,6 @@ class _Step(NamedTuple):
         binds: list[tuple[int, str, str]] = []
         dups: list[tuple[int, int]] = []
         first_pos: dict[str, int] = {}
-        nested = None
-        known: tuple[str, ...] = ()
         index = len(earlier)
         # the latest step whose `binds` bind a name of `fixed`, -1 for no
         # name; a name bound otherwise counts as this step, which checks none
@@ -857,20 +821,12 @@ class _Step(NamedTuple):
                 else:
                     first_pos[a.name] = pos
                     binds.append((pos, a.name, a.base_type))
-            elif is_ground(a):
-                fixed.append((pos, None, term_sort_key(a)))
             else:
-                nested = args
-        if nested is not None:
-            names = pat.atom.variables()
-            known = tuple(sorted(names & bound))
-            bound |= names
-            fixed, binds, dups = [], [], []
-        else:
-            bound.update(first_pos)
-            for name in first_pos:
-                binder[name] = index
-        determined = nested is None and len(fixed) == len(args)
+                fixed.append((pos, None, a._key))
+        bound.update(first_pos)
+        for name in first_pos:
+            binder[name] = index
+        determined = len(fixed) == len(args)
         whole = None
         fixed = tuple(fixed)
         if determined:
@@ -880,7 +836,7 @@ class _Step(NamedTuple):
                 earlier[last].checks.append((pat.atom.pred, fixed))
         return cls(
             tvar, pat.atom.pred, len(args), tuple(lows), tuple(highs), determined,
-            whole, fixed, tuple(binds), tuple(dups), nested, known, claims, slot, [],
+            whole, fixed, tuple(binds), tuple(dups), claims, slot, [],
         )
 
 
@@ -906,7 +862,7 @@ def _extend(
     dropped after writing its bindings and before claiming (`_possible`,
     with the argument keys of each predicate's facts kept in `seen`)."""
     (tvar, pred, arity, lows, highs, determined, whole, fixed, binds, dups,
-     nested, known, claims, slot, checks) = steps[i]
+     claims, slot, checks) = steps[i]
     final = i + 1 == len(steps)
     lo, hi = 0, MAX_TIMESTAMP
     for name, k in lows:
@@ -934,18 +890,12 @@ def _extend(
         if determined:
             if fact.sort_key[3] != whole:
                 continue
-        elif nested is not None:
-            view = _unify_args(nested, args, {n: sigma[n] for n in known})
-            if view is None:
-                continue
         elif len(args) != arity or not _fits(args, fact.sort_key[3], tests, dups, binds):
             continue
         if tvar is not None:
             sigma[tvar] = ts
         for pos, name, _ in binds:
             sigma[name] = args[pos]
-        if nested is not None:
-            sigma.update(view)
         if checks and not _possible(checks, by_pred, sigma, seen):
             continue
         if claims:
@@ -1003,18 +953,6 @@ def _fits(
             if isinstance(g, (Constant, FreshConstant)) and g.base_type != btype:
                 return False
     return True
-
-
-def _unify_args(
-    patterns: tuple[Term, ...], args: tuple[Term, ...], sigma: Binding
-) -> Optional[Binding]:
-    if len(patterns) != len(args):
-        return None
-    for p, g in zip(patterns, args):
-        sigma = _unify(p, g, sigma)
-        if sigma is None:
-            return None
-    return sigma
 
 
 def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:

@@ -785,8 +785,8 @@ def validate_scenario(scenario: PlanningScenario) -> ValidationReport:
                 failures.append(f"rule {r.name} creates {c.atom} of size {size}")
     return ValidationReport(
         classifications=classifications,
-        progressing=all(c.progressing for c in classifications.values()),
-        eta=eta_measure(scenario.critical_spec),
+        progressing=scenario.progressing,
+        eta=scenario.eta(),
         dmax=infer_dmax(scenario),
         fact_size_bound=scenario.fact_size_bound,
         fact_size_failures=tuple(failures),

@@ -29,7 +29,7 @@ from .rules import (
     MatchPlan,
     RuleInstance,
     TimeConstraint,
-    _Dbm,
+    pattern_lags,
     reapply,
     tick,
 )
@@ -68,17 +68,14 @@ class SpecPair:
 
     @cached_property
     def lags(self) -> tuple[tuple[str, float], ...]:
-        """Each non-`Time` pattern's predicate with the most its timestamp
-        can lag behind the global time, the constraints' bound on
-        T - tvar where a `Time@T` pattern binds T (inf when they force
-        none, or when the pair reads no clock): a match reads no fact
-        older than T - lag."""
+        """`rules.pattern_lags` of the non-`Time` patterns under the
+        constraints, with the global time named by the first `Time@T`
+        pattern's T (every lag is inf when the pair reads no clock)."""
         clock = [p.tvar for p in self.pattern if p.atom.pred == TIME_PREDICATE]
-        dbm = _Dbm(self.constraints)
-        return tuple(
-            (p.atom.pred, dbm.upper(clock[0], p.tvar) if clock else float("inf"))
-            for p in self.pattern
-            if p.atom.pred != TIME_PREDICATE
+        return pattern_lags(
+            [p for p in self.pattern if p.atom.pred != TIME_PREDICATE],
+            self.constraints,
+            clock[0] if clock else None,
         )
 
     def variables(self) -> set[str]:

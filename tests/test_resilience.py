@@ -6,6 +6,8 @@ import hashlib
 import itertools
 import random
 import re
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -913,3 +915,56 @@ class TestTimeShift:
                     )
                     assert got.refutation == moved, (t0, n)
         assert verdicts == {True, False}
+
+
+@pytest.fixture(scope="module")
+def bench_table() -> dict:
+    """The globals of the benchmark's workload module, for its frozen
+    travel table."""
+    return runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+
+
+class TestRuleOrder:
+    """A metamorphic relation where no oracle reaches: declaring travel's
+    system and update rules in another order changes the move order, and
+    so the witnesses, but no verdict.  Each verdict of the benchmark's
+    travel grid equals its frozen table, and each witness verifies on the
+    shuffled scenario and on the original."""
+
+    @pytest.fixture(scope="class")
+    def declared(self, travel, bench_table) -> dict[int, str]:
+        """Witness JSON of the declared order at n = 0, by start: the cheap
+        queries, enough to show that a new order moves the witnesses."""
+        query = ResilienceQuery(0, bench_table["TRAVEL_A"], bench_table["TRAVEL_B"])
+        out = {}
+        for t0 in bench_table["TRAVEL_STARTS"]:
+            result = check_resilience(travel_with_start(travel, t0), query)
+            if result.resilient:
+                out[t0] = witness_to_json(result.witness)
+        return out
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_travel_grid(self, travel, bench_table, declared, seed):
+        rng = random.Random(seed)
+        system, update = list(travel.system_rules), list(travel.update_rules)
+        rng.shuffle(system)
+        rng.shuffle(update)
+        assert system != list(travel.system_rules) and update != list(travel.update_rules)
+        shuffled = dataclasses.replace(travel, system_rules=tuple(system), update_rules=tuple(update))
+        verdicts, moved = set(), 0
+        for t0 in bench_table["TRAVEL_STARTS"]:
+            original = travel_with_start(travel, t0)
+            scenario = shuffled.with_initial(original.initial)
+            for n in bench_table["TRAVEL_N"]:
+                query = ResilienceQuery(n, bench_table["TRAVEL_A"], bench_table["TRAVEL_B"])
+                result = check_resilience(scenario, query)
+                assert result.resilient == bench_table["travel_expected"](t0, n), (t0, n)
+                verdicts.add(result.resilient)
+                if result.resilient:
+                    for host in (scenario, original):
+                        ok, violations = verify_witness(host, query, result.witness)
+                        assert ok, (t0, n, violations[:3])
+                    if n == 0:
+                        moved += witness_to_json(result.witness) != declared[t0]
+        assert verdicts == {True, False}
+        assert moved > 0
