@@ -4,7 +4,6 @@ from .kernel import (
     Configuration,
     Constant,
     FreshConstant,
-    FuncApp,
     Role,
     Signature,
     TimedFact,

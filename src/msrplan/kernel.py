@@ -1,5 +1,9 @@
 """Terms, timestamped facts, and configurations for timed multiset rewriting.
 
+A ground term is a constant: a declared one, or a fresh constant ``#type:k``
+that a rule mints; a pattern's term may also be a variable.  There are no
+function terms: no scenario file, reduction or rule can build one.
+
 A configuration is a multiset of timestamped facts containing exactly one
 occurrence of the global-time fact ``Time@t``, its clock.  It is stored as the
 tuple of its other facts in sort-key order, the clock apart, and a multiset
@@ -95,53 +99,16 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True)
-class FuncApp:
-    """Application of a declared function symbol to argument terms.
+Term = Union[Constant, FreshConstant, Variable]
+GroundTerm = Union[Constant, FreshConstant]
 
-    A function term over a variable can be built, but it has no sort key, so
-    no fact holds it, and `rules.Atom` rejects it: patterns hold variables
-    and ground terms only."""
-
-    func: str
-    args: tuple["Term", ...]
-
-    def __post_init__(self) -> None:
-        try:
-            key = (2, self.func, tuple(map(_TERM_KEY, self.args)))
-        except AttributeError:
-            return  # not ground: it has no key
-        object.__setattr__(self, "_key", key)
-
-    def __str__(self) -> str:
-        return f"{self.func}({','.join(str(a) for a in self.args)})"
-
-
-Term = Union[Constant, FreshConstant, Variable, FuncApp]
-GroundTerm = Union[Constant, FreshConstant, FuncApp]
-
-# A ground term's sort key, computed when the term is built; a variable, or
-# a function term over one, has none
+# A ground term's sort key, computed when the term is built; a variable has
+# none
 _TERM_KEY = attrgetter("_key")
 
 
-def is_ground(term: Term) -> bool:
-    if isinstance(term, Variable):
-        return False
-    if isinstance(term, FuncApp):
-        return all(is_ground(a) for a in term.args)
-    return True
-
-
-def subterms(term: Term) -> Iterator[Term]:
-    yield term
-    if isinstance(term, FuncApp):
-        for a in term.args:
-            yield from subterms(a)
-
-
 def term_sort_key(term: Term) -> tuple:
-    """Total order on ground terms by preorder spelling.
+    """Total order on ground terms.
 
     Declared constants compare before fresh constants; declared constants
     compare by name then base type, fresh constants by base type then
@@ -151,22 +118,12 @@ def term_sort_key(term: Term) -> tuple:
     key = getattr(term, "_key", None)
     if key is not None:
         return key
-    if isinstance(term, FuncApp):
-        for a in term.args:
-            term_sort_key(a)  # names the innermost term without a key
     raise KernelError(f"cannot order non-ground term {term}")
-
-
-def term_size(term: Term) -> int:
-    """Number of symbols in a term, counting repetitions."""
-    if isinstance(term, FuncApp):
-        return 1 + sum(term_size(a) for a in term.args)
-    return 1
 
 
 @dataclass(frozen=True)
 class Signature:
-    """Predicate/function/constant declarations plus the role partition.
+    """Base type, constant and predicate declarations plus the role partition.
 
     The role partition is total over predicates and houses the goal, critical,
     and system predicate classes next to the distinguished nullary ``Time``
@@ -175,7 +132,6 @@ class Signature:
 
     base_types: frozenset[str]
     constants: dict[str, str]
-    functions: dict[str, tuple[tuple[str, ...], str]]
     predicates: dict[str, tuple[str, ...]]
     predicate_roles: dict[str, Role]
 
@@ -197,10 +153,6 @@ class Signature:
         for name, btype in self.constants.items():
             if btype not in self.base_types:
                 raise KernelError(f"constant {name}: unknown type {btype}")
-        for name, (args, result) in self.functions.items():
-            for t in (*args, result):
-                if t not in self.base_types:
-                    raise KernelError(f"function {name}: unknown type {t}")
         for name, args in self.predicates.items():
             for t in args:
                 if t not in self.base_types:
@@ -208,21 +160,6 @@ class Signature:
 
     def role(self, pred: str) -> Role:
         return self.predicate_roles[pred]
-
-    def term_type(self, term: Term) -> str:
-        if isinstance(term, (Constant, FreshConstant, Variable)):
-            return term.base_type
-        if term.func not in self.functions:
-            raise KernelError(f"undeclared function {term.func}")
-        arg_types, result = self.functions[term.func]
-        if len(arg_types) != len(term.args):
-            raise KernelError(f"function {term.func}: wrong arity")
-        for sub, expected in zip(term.args, arg_types):
-            if self.term_type(sub) != expected:
-                raise KernelError(
-                    f"function {term.func}: argument {sub} is not of type {expected}"
-                )
-        return result
 
     def check_fact_args(self, pred: str, args: tuple[Term, ...]) -> None:
         if pred not in self.predicates:
@@ -233,7 +170,7 @@ class Signature:
                 f"predicate {pred} expects {len(expected)} arguments, got {len(args)}"
             )
         for arg, etype in zip(args, expected):
-            if self.term_type(arg) != etype:
+            if arg.base_type != etype:
                 raise KernelError(f"{pred}: argument {arg} is not of type {etype}")
 
 
@@ -242,7 +179,6 @@ def make_signature(
     constants: dict[str, str],
     predicates: dict[str, tuple[str, ...]],
     roles: dict[str, Role],
-    functions: Optional[dict[str, tuple[tuple[str, ...], str]]] = None,
 ) -> Signature:
     """Build a signature, adding the distinguished Time predicate."""
     preds = dict(predicates)
@@ -252,7 +188,6 @@ def make_signature(
     return Signature(
         base_types=frozenset(base_types),
         constants=dict(constants),
-        functions=dict(functions or {}),
         predicates=preds,
         predicate_roles=all_roles,
     )
@@ -345,13 +280,9 @@ def _fill_fact(fact: TimedFact, pred: str, args: tuple, ts: int, keys: tuple) ->
 
 def _not_ground(args: tuple) -> KernelError:
     """The error for fact arguments one of which has no sort key: it names
-    the first non-ground argument, or else what `term_sort_key` rejects."""
-    for a in args:
-        if not is_ground(a):
-            return KernelError(f"fact argument {a} is not ground")
-    for a in args:
-        term_sort_key(a)
-    raise AssertionError("every argument has a sort key")  # pragma: no cover
+    the first such argument."""
+    bad = next(a for a in args if not hasattr(a, "_key"))
+    return KernelError(f"fact argument {bad} is not ground")
 
 
 # C-level accessors for sorting, bisecting and hashing facts
@@ -361,12 +292,11 @@ _HASH_MASK = 2**64 - 1
 
 
 def fact_size(fact: TimedFact) -> int:
-    """Symbol count of the untimed fact, counting repetitions.
-
-    The predicate, every function symbol, and every constant (declared or
-    fresh) count once per occurrence; the timestamp is excluded.
+    """Symbol count of the untimed fact: the predicate plus its arguments,
+    each constant (declared or fresh) counted once per occurrence; the
+    timestamp is excluded.
     """
-    return 1 + sum(term_size(a) for a in fact.args)
+    return 1 + len(fact.args)
 
 
 class Configuration:
@@ -494,12 +424,11 @@ class Configuration:
         return True
 
     def values(self) -> set[Union[GroundTerm, int]]:
-        """All ground terms (including subterms) and timestamps occurring here."""
+        """All constants and timestamps occurring here."""
         out: set[Union[GroundTerm, int]] = {self._clock.ts}
         for f in self._facts:
             out.add(f.ts)
-            for a in f.args:
-                out.update(subterms(a))
+            out.update(f.args)
         return out
 
     def at(self, time: int) -> "Configuration":

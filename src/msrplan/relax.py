@@ -46,18 +46,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .kernel import (
-    TIME_PREDICATE,
-    Configuration,
-    Constant,
-    FreshConstant,
-    Variable,
-)
+from .kernel import TIME_PREDICATE, Configuration, Variable
 from .rules import GLOBAL_TIME_VAR, FactPattern, Rule, TimeConstraint, _Dbm
 from .specs import ConfigSpec
 
 INF = float("inf")
-_NAMED = (Constant, FreshConstant)
 
 
 class _Join:
@@ -144,7 +137,7 @@ class _Join:
 
 def _known(args: tuple, bound: set[str]) -> bool:
     """Are all of a pattern's variables in `bound`?  Its other arguments
-    are ground (`rules.Atom`)."""
+    are constants."""
     return all(a.name in bound for a in args if isinstance(a, Variable))
 
 
@@ -170,7 +163,7 @@ def _bind(tests: tuple, args: tuple, keys: tuple, sigma: dict) -> Optional[dict]
             if bound._key != key:
                 return None
             continue
-        if btype and isinstance(arg, _NAMED) and arg.base_type != btype:
+        if btype and arg.base_type != btype:
             return None
         if out is sigma:
             out = dict(sigma)

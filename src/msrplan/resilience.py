@@ -29,7 +29,7 @@ from .kernel import (
     Configuration,
     Constant,
     FreshConstant,
-    FuncApp,
+    GroundTerm,
     Signature,
     Term,
 )
@@ -169,50 +169,25 @@ def check_resilience(
 # Witness serialization
 # ---------------------------------------------------------------------------
 
-_TERM_TOKEN = re.compile(r"#[A-Za-z_][A-Za-z0-9_]*:\d+|[A-Za-z_][A-Za-z0-9_]*|[(),]")
+_TERM = re.compile(r"#([A-Za-z_][A-Za-z0-9_]*):(\d+)|[A-Za-z_][A-Za-z0-9_]*")
 
 
-def parse_ground_term(text: str, sig: Signature) -> Term:
-    """Parse the rendered form of a ground term (constants, #type:k, f(..))."""
-    tokens = _TERM_TOKEN.findall(text)
-    if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
+def parse_ground_term(text: str, sig: Signature) -> GroundTerm:
+    """Read a term as the engine writes it: a declared constant of `sig` or
+    a fresh constant ``#type:k``."""
+    match = _TERM.fullmatch(text)
+    if match is None:
         raise EngineError(f"unparseable term {text!r}")
-    pos = 0
-
-    def parse() -> Term:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise EngineError(f"unparseable term {text!r}")
-        tok = tokens[pos]
-        pos += 1
-        if tok.startswith("#"):
-            base, index = tok[1:].split(":")
-            try:
-                return FreshConstant(base, int(index))
-            except ValueError:  # more digits than `int` converts
-                message = f"fresh constant index of {len(index)} digits out of range"
-                raise EngineError(message) from None
-        if pos < len(tokens) and tokens[pos] == "(":
-            pos += 1
-            args = []
-            while True:
-                args.append(parse())
-                if pos < len(tokens) and tokens[pos] == ",":
-                    pos += 1
-                    continue
-                break
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise EngineError(f"unparseable term {text!r}")
-            pos += 1
-            return FuncApp(tok, tuple(args))
-        if tok in sig.constants:
-            return Constant(tok, sig.constants[tok])
-        raise EngineError(f"unknown constant {tok!r} in witness")
-
-    term = parse()
-    if pos != len(tokens):
-        raise EngineError(f"unparseable term {text!r}")
-    return term
+    base, index = match.groups()
+    if base is None:
+        if text not in sig.constants:
+            raise EngineError(f"unknown constant {text!r} in witness")
+        return Constant(text, sig.constants[text])
+    try:
+        return FreshConstant(base, int(index))
+    except ValueError:  # more digits than `int` converts
+        message = f"fresh constant index of {len(index)} digits out of range"
+        raise EngineError(message) from None
 
 
 def _instance_to_dict(inst: RuleInstance) -> dict:

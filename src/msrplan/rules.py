@@ -33,10 +33,9 @@ slots.  The witness verifier matches only through the interpreter
 (`MatchPlan.interpret`, `interpret_matches`), so the oracle that certifies
 the engine never runs generated code.
 
-A pattern's arguments are variables and ground terms: an `Atom` with a
-function term over a variable is rejected when it is built, so a match
-compares every argument by its sort key or binds it to a variable, and
-never unifies.
+A pattern's arguments are variables and constants, so a match compares
+every argument by its sort key or binds it to a variable, and never
+unifies.
 
 A move reuses what its match found.  A rule's plan returns each binding
 with the fact objects it matched for the consumed patterns, and the
@@ -61,15 +60,12 @@ from .kernel import (
     MAX_TIMESTAMP,
     TIME_PREDICATE,
     Configuration,
-    Constant,
     FreshConstant,
-    FuncApp,
     Role,
     Signature,
     Term,
     TimedFact,
     Variable,
-    is_ground,
 )
 
 GLOBAL_TIME_VAR = "T"
@@ -101,21 +97,10 @@ class RuleRole(enum.Enum):
 
 @dataclass(frozen=True)
 class Atom:
-    """An atomic formula whose arguments are variables and ground terms.
-
-    A function term over a variable is rejected here, so it can occur in no
-    rule precondition, created atom or specification pair."""
+    """An atomic formula whose arguments are variables and constants."""
 
     pred: str
     args: tuple[Term, ...] = ()
-
-    def __post_init__(self) -> None:
-        for a in self.args:
-            if type(a) is FuncApp and not is_ground(a):
-                raise RuleError(
-                    f"atom {self.pred}: function term {a} holds a variable; "
-                    "arguments are variables and ground terms"
-                )
 
     def variables(self) -> set[str]:
         return {a.name for a in self.args if isinstance(a, Variable)}
@@ -948,10 +933,8 @@ def _fits(
         if keys[pos] != keys[first]:
             return False
     for pos, _, btype in binds:
-        if btype:
-            g = args[pos]
-            if isinstance(g, (Constant, FreshConstant)) and g.base_type != btype:
-                return False
+        if btype and args[pos].base_type != btype:
+            return False
     return True
 
 
@@ -978,14 +961,14 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
     computed, and its clock from the clock's slot: a `Time` pattern's loop
     runs over the clock alone.  A precondition's plan pairs each binding
     with the tuple of its consumed steps' loop variables."""
-    namespace: dict[str, object] = {"_TYPED": (Constant, FreshConstant)}
+    namespace: dict[str, object] = {}
     facts = {pred: f"p{j}" for j, pred in enumerate(plan.preds)}
     names: dict[str, str] = {}  # binding name -> local, in binding order
     carried: dict[int, str] = {}  # consumed slot -> loop variable
     first = not plan.precondition
 
     def const(value: object) -> str:
-        name = f"k{len(namespace) - 1}"
+        name = f"k{len(namespace)}"
         namespace[name] = value
         return name
 
@@ -1079,8 +1062,7 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
                 lines.append(f"{pad}{value} = {args}[{pos}]")
                 if btype:
                     lines += [
-                        f"{pad}if isinstance({value}, _TYPED)"
-                        f" and {value}.base_type != {btype!r}:",
+                        f"{pad}if {value}.base_type != {btype!r}:",
                         f"{pad}    continue",
                     ]
         if step.claims:

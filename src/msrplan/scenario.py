@@ -644,7 +644,10 @@ class _Parser:
 
 
 def _atom_size(atom: Atom) -> int:
-    return 1 + len(atom.args)  # variables stand for terms of size >= 1
+    """The size of each fact `atom` matches or creates (`kernel.fact_size`):
+    its predicate plus its arguments, since a variable stands for one
+    constant."""
+    return 1 + len(atom.args)
 
 
 def _max_fact_size(init_facts: Iterable[TimedFact], rules: Iterable[Rule]) -> int:

@@ -398,7 +398,7 @@ def qbf_mix(seed: int = 5) -> list[Qbf]:
 # ---------------------------------------------------------------------------
 
 def _term_type(sig: Signature, term) -> str:
-    return sig.term_type(term)
+    return term.base_type
 
 
 def _ground_pattern(atom: Atom, tvar: str, sigma: dict):

@@ -14,7 +14,6 @@ from msrplan.kernel import (
     Configuration,
     Constant,
     FreshConstant,
-    FuncApp,
     KernelError,
     MAX_TIMESTAMP,
     Role,
@@ -24,7 +23,6 @@ from msrplan.kernel import (
     clock_invert,
     fact_size,
     make_signature,
-    subterms,
     term_sort_key,
 )
 from msrplan.reductions import Qbf, qbf_to_scenario
@@ -108,12 +106,10 @@ class TestConfigurationInvariants:
             fact("P", MAX_TIMESTAMP + 1)
 
     def test_non_ground_argument_is_named(self):
-        """A fact names its first non-ground argument, nested or not."""
+        """A fact names its first non-ground argument."""
         a, x = Constant("a", "t"), Variable("x", "t")
         with pytest.raises(KernelError, match=r"^fact argument x is not ground$"):
             fact("P", 0, a, x)
-        with pytest.raises(KernelError, match=r"^fact argument f\(a,x\) is not ground$"):
-            fact("P", 0, FuncApp("f", (a, x)), x)
 
     def test_by_pred_groups_distinct_facts_in_canonical_order(self):
         a, b = Constant("a", "t"), Constant("b", "t")
@@ -482,22 +478,18 @@ def _reference_key(term) -> tuple:
     """A ground term's sort key by its definition, from the term's fields."""
     if isinstance(term, Constant):
         return (0, term.name, term.base_type)
-    if isinstance(term, FreshConstant):
-        return (1, term.base_type, term.index)
-    assert isinstance(term, FuncApp)
-    return (2, term.func, tuple(map(_reference_key, term.args)))
+    assert isinstance(term, FreshConstant)
+    return (1, term.base_type, term.index)
 
 
 def _facts_with_terms() -> list[TimedFact]:
-    """The facts of explored states, each also wrapped into ground function
-    terms next to a fresh constant, so every kind of ground term occurs."""
+    """The facts of explored states, each also copied next to a fresh
+    constant, so both kinds of ground term occur."""
     out = []
     for k, config in enumerate(_explored_configurations()):
         for f in config:
             out.append(f)
-            fresh = FreshConstant("obj", k % 3)
-            wrapped = (FuncApp("f", f.args), FuncApp("g", (FuncApp("h", f.args), fresh)))
-            out.append(TimedFact("W", wrapped, f.ts))
+            out.append(TimedFact("W", (*f.args, FreshConstant("obj", k % 3)), f.ts))
     return out
 
 
@@ -523,8 +515,8 @@ class TestFactContract:
             assert keys == tuple(map(_reference_key, f.args))
             assert f.sort_key == (f.ts, 0 if f.pred == "Time" else 1, f.pred, keys)
             assert f.at(f.ts + 1).sort_key == (f.ts + 1, *f.sort_key[1:])
-            kinds.update(type(t) for a in f.args for t in subterms(a))
-        assert kinds == {Constant, FreshConstant, FuncApp} and len(facts) > 1000
+            kinds.update(map(type, f.args))
+        assert kinds == {Constant, FreshConstant} and len(facts) > 1000
 
     def test_equality_and_hash_follow_the_sort_key(self):
         facts = _facts_with_terms()[:400]
@@ -553,13 +545,13 @@ class TestFactContract:
             fact("P", MAX_TIMESTAMP, a).at(MAX_TIMESTAMP + 1)
         with pytest.raises(KernelError, match=r"^fact argument x is not ground$"):
             fact("P", 0, a, x)
-        with pytest.raises(KernelError, match=r"^fact argument f\(a,g\(x\)\) is not ground$"):
-            fact("P", 0, FuncApp("f", (a, FuncApp("g", (x,)))))
+        with pytest.raises(KernelError, match=r"^fact argument y is not ground$"):
+            fact("P", 0, a, Variable("y", "t"), x)
         with pytest.raises(KernelError, match=r"^cannot order non-ground term x$"):
-            term_sort_key(FuncApp("f", (a, x)))
+            term_sort_key(x)
 
     def test_copies_are_equal_facts(self):
-        f = fact("P", 3, FuncApp("f", (Constant("a", "t"), FreshConstant("t", 2))))
+        f = fact("P", 3, Constant("a", "t"), FreshConstant("t", 2))
         for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert copied == f and hash(copied) == hash(f) and copied.sort_key == f.sort_key
         assert repr(fact("P", 1)) == "TimedFact(pred='P', args=(), ts=1)"
@@ -600,13 +592,9 @@ class TestFactSize:
     def test_nullary(self):
         assert fact_size(fact("Time", 5202)) == 1
 
-    def test_function_application(self):
-        term = FuncApp("f", (Constant("a", "t"), Constant("b", "t")))
-        assert fact_size(fact("R", 7, term)) == 4
-
     @given(st.integers(0, 100), st.integers(0, 100))
     def test_invariant_under_timestamp(self, t1, t2):
-        args = (Constant("a", "t"), FuncApp("f", (Constant("b", "t"),)))
+        args = (Constant("a", "t"), FreshConstant("t", 0))
         assert fact_size(fact("P", t1, *args)) == fact_size(fact("P", t2, *args))
 
 
@@ -632,19 +620,6 @@ class TestSignature:
             sig.check_fact_args("P", (Constant("a", "t"),))
         with pytest.raises(KernelError):
             sig.check_fact_args("P", ())
-
-    def test_function_typing(self):
-        sig = make_signature(
-            ["t"],
-            {"a": "t"},
-            {"P": ("t",)},
-            {"P": Role.SYSTEM},
-            functions={"f": (("t",), "t")},
-        )
-        good = FuncApp("f", (Constant("a", "t"),))
-        sig.check_fact_args("P", (good,))
-        with pytest.raises(KernelError):
-            sig.check_fact_args("P", (FuncApp("f", ()),))
 
 
 def test_term_sort_key_rejects_variables():

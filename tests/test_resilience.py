@@ -23,12 +23,13 @@ from conftest import (
 )
 from msrplan import resilience, search
 from msrplan.delta import abstract, delta_key
-from msrplan.kernel import TIME_PREDICATE, Configuration, TimedFact
-from msrplan.reductions import Qbf, evaluate_qbf, qbf_to_scenario
+from msrplan.kernel import TIME_PREDICATE, Configuration, Constant, FreshConstant, TimedFact
+from msrplan.reductions import Qbf, evaluate_qbf, qbf_to_msr_text, qbf_to_scenario
 from msrplan.resilience import (
     ResilienceQuery,
     check_resilience,
     enumerate_update_points,
+    parse_ground_term,
     verify_witness,
     witness_from_json,
     witness_to_dict,
@@ -376,7 +377,7 @@ REJECTIONS = [
     ("game", _put("trace", 0, "sigma", "y1", "#bool:0"),
      "root.trace[0]: instance does not re-apply"),
     ("game", _put("trace", 0, "sigma", "y1", "f(true, false)"),
-     "root.trace[0]: instance does not re-apply"),
+     "root.trace[0]: unparseable term 'f(true, false)'"),
     ("game", _use_update_in_trace,
      "root.trace[0]: trace uses non-system rule assign_a_2"),
     ("minimal", _land_before_tick, "root.trace[1]: instance does not re-apply"),
@@ -491,6 +492,35 @@ class TestWitnessRejections:
         assert witnesses[0] == witnesses[1]
         for scenario in (*scenarios, *reversed(scenarios)):
             assert verify_witness(scenario, query, witnesses[0]) == (True, [])
+
+
+class TestTermReader:
+    """The witness reader reads back every term the engine writes: each
+    term bound in the witnesses of the benchmark's travel grid, of QBF
+    encodings and of a scenario whose rule mints a fresh constant."""
+
+    def test_round_trip(self, travel):
+        cases = [
+            (travel_with_start(travel, t0), ResilienceQuery(n, 12, 220))
+            for t0 in TRAVEL_STARTS
+            for n in (0, 1, 2)
+        ]
+        cases += [(qbf_to_scenario(q), ResilienceQuery(q.n, 1, 0)) for q in qbf_mix()[:40]]
+        cases.append((parse_scenario(FRESH, "fresh"), ResilienceQuery(0, 1, 0)))
+        kinds = set()
+        for scenario, query in cases:
+            result = check_resilience(scenario, query)
+            if not result.resilient:
+                continue
+            for node in _walk(result.witness):
+                instances = [s.instance for s in node.trace.steps if not s.is_tick]
+                instances += [inst for _, inst, _ in node.children]
+                for inst in instances:
+                    for _, term in inst.bindings:
+                        if not isinstance(term, int):
+                            assert parse_ground_term(str(term), scenario.signature) == term
+                            kinds.add(type(term))
+        assert kinds == {Constant, FreshConstant}
 
 
 # A staged walk s0 -> s5 beside a Beat fact refreshed to T+1, with no clock
@@ -968,3 +998,34 @@ class TestRuleOrder:
                         moved += witness_to_json(result.witness) != declared[t0]
         assert verdicts == {True, False}
         assert moved > 0
+
+
+class TestRenaming:
+    """A metamorphic relation where no oracle reaches: renaming the QBF
+    encoding's constants so that their order reverses changes sort keys, and
+    so the search order and the witnesses, but no verdict, and each witness
+    verifies on the renamed scenario.  Travel is no use here: reversing its
+    constants' order moved no witness."""
+
+    def test_reversed_boolean_constants(self):
+        names = {"true": "aa_true", "false": "zz_false"}
+        back = {new: old for old, new in names.items()}
+        word = re.compile(r"\b(true|false)\b")
+        renamed_word = re.compile(r"\b(aa_true|zz_false)\b")
+        verdicts, positive, moved = set(), 0, 0
+        for q in qbf_mix()[:20]:
+            text = qbf_to_msr_text(q)
+            assert not renamed_word.search(text)
+            original = parse_scenario(text, "original")
+            renamed = parse_scenario(word.sub(lambda m: names[m[1]], text), "renamed")
+            query = ResilienceQuery(q.n, 1, 0)
+            want, got = check_resilience(original, query), check_resilience(renamed, query)
+            assert got.resilient == want.resilient, q
+            verdicts.add(got.resilient)
+            if got.resilient:
+                assert verify_witness(renamed, query, got.witness) == (True, []), q
+                mapped = renamed_word.sub(lambda m: back[m[1]], witness_to_json(got.witness))
+                positive += 1
+                moved += mapped != witness_to_json(want.witness)
+        assert verdicts == {True, False}
+        assert 2 * moved >= positive > 0

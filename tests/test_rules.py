@@ -269,66 +269,23 @@ class TestMatching:
         assert apply_instance(config, inst) == apply_instance(config, inst)
         assert config.count(fact("N", 0)) == 1  # input untouched
 
-    def test_created_function_terms(self):
-        """Created atoms fill variables, constants and ground function terms
-        into the rule's template."""
-        from msrplan.kernel import FuncApp
-
-        x, a = Variable("x", "t"), Constant("a", "t")
+    def test_created_template(self):
+        """Created atoms fill variables and constants into the rule's
+        template."""
+        x, a, b = Variable("x", "t"), Constant("a", "t"), Constant("b", "t")
         rule = Rule(
-            "wrap",
+            "copy",
             (),
             (FactPattern(Atom("P", (x,)), "T1"),),
-            (CreatedFact(Atom("R", (FuncApp("g", (a,)), x, a)), 1),),
+            (CreatedFact(Atom("R", (b, x, a)), 1),),
             (),
         ).with_past_consumption()
-        assert rule.creation == (
-            ("R", ((None, FuncApp("g", (a,))), ("x", None), (None, a)), 1),
-        )
+        assert rule.creation == (("R", ((None, b), ("x", None), (None, a)), 1),)
         config = Configuration([fact("Time", 0), fact("P", 0, a)])
         [inst] = find_matches(rule, config)
-        want = [fact("R", 1, FuncApp("g", (a,)), a, a)]
+        want = [fact("R", 1, b, a, a)]
         assert inst.created_facts() == want
         assert apply_instance(config, inst) == Configuration([fact("Time", 0), *want])
-
-    def test_ground_function_terms_match_by_key(self):
-        """A ground function term in a pattern is one of the step's fixed
-        argument keys, as a constant is: both tiers match it by key, in a
-        rule precondition and in a specification pair."""
-        from msrplan.kernel import FuncApp
-
-        x = Variable("x", "t")
-        a, b = Constant("a", "t"), Constant("b", "t")
-        fa, fb = FuncApp("f", (a,)), FuncApp("f", (b,))
-        gfa = FuncApp("g", (fa,))
-        pattern = (
-            FactPattern(Atom("P", (x,)), "T1"),
-            FactPattern(Atom("W", (fa, x)), "T2"),
-            FactPattern(Atom("V", (gfa,)), "T3"),
-        )
-        rule_plan = MatchPlan(pattern, (), precondition=True, consumed=1)
-        pair_plan = MatchPlan(pattern, ())
-        for plan in (rule_plan, pair_plan):
-            by_pred = {s.pred: s for s in plan.steps}
-            assert by_pred["W"].fixed[0] == (0, None, fa._key)
-            assert by_pred["V"].whole == (gfa._key,)
-            assert plan.generable
-        pool = [fact("P", 0, a), fact("P", 0, b), fact("W", 0, fa, a), fact("W", 0, fb, b),
-                fact("W", 0, fa, b), fact("V", 0, gfa), fact("V", 0, FuncApp("g", (fb,)))]
-        configs = [
-            Configuration([fact("Time", 0), *facts])
-            for k in range(len(pool) + 1) for facts in itertools.combinations(pool, k)
-        ]
-        assert _same_tiers([rule_plan, pair_plan], configs) > 50
-        spec = ConfigSpec(SpecKind.GOAL, (SpecPair(pattern),))
-        hits = [bool(pair_plan.interpret(c)) for c in configs]
-        assert hits == [brute_match_spec(spec, c) for c in configs]
-        assert 0 < sum(hits) < len(configs)
-        config = Configuration([fact("Time", 0), *pool])
-        assert [b for b, _ in rule_plan.interpret(config)] == [
-            {"T": 0, "T1": 0, "x": a, "T2": 0, "T3": 0},
-            {"T": 0, "T1": 0, "x": b, "T2": 0, "T3": 0},
-        ]
 
 
 class TestRuleWellFormedness:
@@ -380,28 +337,6 @@ class TestRuleWellFormedness:
             (),
         )
         assert typed.fresh == (("v", "u"), ("w", "t"))
-
-    def test_function_terms_over_variables_rejected(self):
-        """Patterns hold variables and ground terms only: an atom with a
-        function term over a variable, in a precondition, a created atom or
-        a specification pair, is rejected when it is built, naming the
-        term.  A ground function term is legal."""
-        from msrplan.kernel import FuncApp
-
-        x, a = Variable("x", "t"), Constant("a", "t")
-        named = r"atom P: function term f\(x\) holds a variable"
-        with pytest.raises(RuleError, match=named):
-            Rule("peel", (), (FactPattern(Atom("P", (FuncApp("f", (x,)),)), "T1"),),
-                 (CreatedFact(Atom("M"), 1),), ())
-        with pytest.raises(RuleError, match=named):
-            Rule("wrap", (), (FactPattern(Atom("N", (x,)), "T1"),),
-                 (CreatedFact(Atom("P", (FuncApp("f", (x,)),)), 1),), ())
-        with pytest.raises(RuleError, match=named):
-            SpecPair((FactPattern(Atom("P", (a, FuncApp("f", (x,)))), "T1"),))
-        # nested below a ground head, the term is still named
-        with pytest.raises(RuleError, match=r"function term g\(a,f\(x\)\) holds a variable"):
-            Atom("P", (FuncApp("g", (a, FuncApp("f", (x,)))),))
-        assert Atom("P", (x, FuncApp("g", (a, FuncApp("f", (a,)))))).variables() == {"x"}
 
     def test_noop_rewrites_banned(self):
         # consuming and recreating the same formula at the current instant
@@ -980,7 +915,7 @@ class TestGeneratedTier:
         plan.generate()
         digest = hashlib.sha256(plan.source.encode()).hexdigest()
         assert digest == (
-            "cfae6bb25d92cd11f7460a991ccee6052d617ace3149295f439934d03d22d33f"
+            "412307b342d8c73b9b4b360778cbe61b19e9f27996a94c5e6fb09bd949dcb678"
         ), plan.source
 
 
@@ -1120,37 +1055,6 @@ class TestForwardChecks:
                     _unchecked(plan)
                 plan.interpret(host)
         assert calls["checked"] * 2 <= calls["bare"], calls
-
-    def test_ground_function_terms_in_checks(self):
-        """A ground function term is one of a step's fixed keys: ``V(y,
-        f(a))`` is determined once ``S(y)`` binds ``y``, so ``S`` checks it
-        two steps on, and the ground ``U(f(b))`` is matched by its whole key
-        and checked by no step."""
-        from msrplan.kernel import FuncApp
-
-        x, y = Variable("x", "t"), Variable("y", "t")
-        a, b = Constant("a", "t"), Constant("b", "t")
-        fa = FuncApp("f", (a,))
-        pattern = (
-            FactPattern(Atom("S", (y,)), "T1"),
-            FactPattern(Atom("W", (x, fa)), "T2"),
-            FactPattern(Atom("V", (y, fa)), "T3"),
-            FactPattern(Atom("U", (FuncApp("f", (b,)),)), "T4"),
-        )
-        plan = MatchPlan(pattern, ())
-        assert [[p for p, _ in s.checks] for s in plan.steps] == [["V"], [], [], []]
-        assert plan.steps[3].whole == (FuncApp("f", (b,))._key,)
-        pool = [fact("S", 0, a), fact("S", 0, b), fact("W", 0, a, fa),
-                fact("V", 0, b, fa), fact("V", 0, a, FuncApp("f", (b,))),
-                fact("U", 0, FuncApp("f", (b,)))]
-        found = 0
-        for k in range(len(pool) + 1):
-            for facts in itertools.combinations(pool, k):
-                config = Configuration([fact("Time", 0), *facts])
-                want = _unchecked(MatchPlan(pattern, ())).interpret(config)
-                assert _items(plan.interpret(config)) == _items(want)
-                found += bool(want)
-        assert found > 0
 
     def test_engine_plans_with_checks(self, travel, minimal):
         """Among the bundled scenarios' and QBF encodings' rules and pairs
