@@ -142,18 +142,20 @@ def _known(args: tuple, bound: set[str]) -> bool:
 
 
 def _arg_test(arg) -> tuple:
-    """(variable name, its base type, None) or (None, None, ground key)."""
+    """(variable name, None) or (None, ground key)."""
     if isinstance(arg, Variable):
-        return (arg.name, arg.base_type, None)
-    return (None, None, arg._key)
+        return (arg.name, None)
+    return (None, arg._key)
 
 
 def _bind(tests: tuple, args: tuple, keys: tuple, sigma: dict) -> Optional[dict]:
-    """`sigma` extended so the pattern's arguments equal `args`, or None."""
+    """`sigma` extended so the pattern's arguments equal `args`, or None.
+    A variable binds an argument of any type: a type test could only drop
+    bindings, and the relaxation may over-approximate."""
     if len(args) != len(tests):
         return None
     out = sigma
-    for (name, btype, want), arg, key in zip(tests, args, keys):
+    for (name, want), arg, key in zip(tests, args, keys):
         if name is None:
             if key != want:
                 return None
@@ -163,8 +165,6 @@ def _bind(tests: tuple, args: tuple, keys: tuple, sigma: dict) -> Optional[dict]
             if bound._key != key:
                 return None
             continue
-        if btype and arg.base_type != btype:
-            return None
         if out is sigma:
             out = dict(sigma)
         out[name] = arg

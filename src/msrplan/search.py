@@ -36,9 +36,12 @@ update every key is exact and the table is not built: queries whose window
 holds no update, and every query with b = 0.  A winning entry links the
 successor's entry and keeps the state it was recorded at, so keys serve
 lookups alone and no entry changes when keys turn live.  `trace` looks up
-its root's entry once and follows the links; where it follows an entry
-recorded at a different state, it applies the recorded move to its own
-state, so every trace step holds the real configuration.  A key omits the
+its root's entry once and follows the links.  From the first entry it
+follows that was recorded at a different state, each step is the recorded
+move from the trace's own state, and its configuration is replayed when the
+step's result is first read (`specs.TraceStep`).  Those states lie past the
+deadline, where a witness reads no configuration, so a witness replays
+none of them; any reader that asks gets the real one.  A key omits the
 remaining path length, which is sound because the search's one cutoff, its
 path bound, cannot fire in a progressing scenario; reaching it raises
 `EngineError`.  A configuration's hash is its multiset hash, which each move
@@ -356,15 +359,17 @@ class Checker:
         """The trace certified by `decide(config, n)`, which must hold: from
         the memo entry of `config`, the recorded winning moves, the leftmost
         decide-approved ones in search order, each entry followed by the
-        successor's entry it links.  Where an entry was recorded at another
-        state with the same live key, the trace applies the recorded move to
-        its own state instead of taking the recorded successor.  Without a
-        memo it takes, with r steps left, the leftmost kept move to a state at
-        goal distance below r, the move a search keyed on (state, steps left)
-        records."""
+        successor's entry it links.  From the first entry recorded at
+        another state with the same live key on, a step does not take the
+        recorded successor: it holds the recorded move, and its result is
+        replayed from this trace's own state when first read
+        (`specs.TraceStep`).  Without a memo it takes, with r steps left, the
+        leftmost kept move to a state at goal distance below r, the move a
+        search keyed on (state, steps left) records."""
         steps: list[TraceStep] = []
         state, left, distance = config, self._depth_limit(config), self.distance
         progressing = self.progressing
+        after: Union[None, Configuration, TraceStep] = None  # a deferred tail's last link
         entry = self.memo.get(self._key(config, n)) if progressing else None
         while True:
             if not progressing:
@@ -379,15 +384,16 @@ class Checker:
                 raise EngineError("witness reconstruction lost the certified path")
             annotation, result = entry[0], entry[1]
             if progressing:
-                recorded = entry[3]
-                if recorded is not state and recorded != state:
-                    # recorded at a state with other expired facts: the same
-                    # move from this one
-                    if annotation is TICK_STEP:
-                        result = tick(state)
-                    else:
-                        result = apply_instance(state, annotation, trusted=True)
-                entry = entry[2]
+                recorded, entry = entry[3], entry[2]
+                if after is None and recorded is not state and recorded != state:
+                    # recorded at a state with other expired facts: from here
+                    # on each step is the recorded move from this trace's
+                    # state, replayed when its result is first read
+                    after = state
+                if after is not None:
+                    after = TraceStep(annotation, after=after)
+                    steps.append(after)
+                    continue
             steps.append(TraceStep(annotation, result))
             state, left = result, left - 1
 

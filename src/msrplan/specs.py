@@ -29,6 +29,7 @@ from .rules import (
     MatchPlan,
     RuleInstance,
     TimeConstraint,
+    apply_instance,
     pattern_lags,
     reapply,
     tick,
@@ -150,12 +151,61 @@ def interpret_spec(
     return None
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    """One step annotation plus the configuration it produced."""
+    """One step annotation plus the configuration it produced.
 
-    instance: Union[RuleInstance, str]  # a RuleInstance or the Tick marker
-    result: Configuration
+    A step made with `after`, the step before it or the configuration it
+    starts from, in place of `result` holds no configuration until `result`
+    is first read.  That read replays the trusted `apply_instance` or `tick`
+    from the last configuration known along the `after` links, in a loop, and
+    fills in every step it passes.  `search.Checker.trace` defers the steps
+    past the deadline that it takes from entries recorded at other states.
+    Equality and hashing read `result`, so a deferred step equals the step
+    built with its configuration in place."""
+
+    __slots__ = ("instance", "_result", "_after")
+
+    def __init__(
+        self,
+        instance: Union[RuleInstance, str],  # a RuleInstance or the Tick marker
+        result: Optional[Configuration] = None,
+        *,
+        after: Union["TraceStep", Configuration, None] = None,
+    ):
+        if (result is None) == (after is None):
+            raise ValueError("a trace step takes its result or the step it follows")
+        self.instance = instance
+        self._result = result
+        self._after = after
+
+    @property
+    def result(self) -> Configuration:
+        if self._result is None:
+            chain, source = [], self
+            while isinstance(source, TraceStep):
+                if source._result is None:
+                    chain.append(source)
+                    source = source._after
+                else:
+                    source = source._result
+            for step in reversed(chain):
+                if step.is_tick:
+                    source = tick(source)
+                else:
+                    source = apply_instance(source, step.instance, trusted=True)
+                step._result, step._after = source, None
+        return self._result
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TraceStep:
+            return NotImplemented
+        return self.instance == other.instance and self.result == other.result
+
+    def __hash__(self) -> int:
+        return hash((self.instance, self.result))
+
+    def __repr__(self) -> str:
+        return f"TraceStep(instance={self.instance!r}, result={self.result!r})"
 
     @property
     def is_tick(self) -> bool:

@@ -11,6 +11,7 @@ from operator import le
 import pytest
 
 from conftest import explored_states, random_scenario, random_spec, travel_with_start
+from msrplan import relax
 from msrplan.relax import Relaxation
 from msrplan.resilience import ResilienceQuery, check_resilience
 from msrplan.scenario import PlanningScenario, parse_scenario
@@ -254,6 +255,46 @@ class TestRefutationStore:
         full_bypassed, without = run({})
         assert full_bypassed == full_stored
         assert without - with_store >= 1400
+
+
+class TestJoin:
+    def test_every_bound_argument_has_its_variable_type(self, travel, monkeypatch):
+        """The relaxed join binds a variable to an argument of any type.  On
+        the benchmark's grids and the random corpus every argument it binds
+        has the variable's type, so a type test there would drop nothing."""
+
+        class Typed(tuple):
+            base_type = None
+
+        arg_test, bind = relax._arg_test, relax._bind
+        bound = [0]
+
+        def typed_test(arg):
+            test = Typed(arg_test(arg))
+            if test[0] is not None:
+                test.base_type = arg.base_type
+            return test
+
+        def checked_bind(tests, args, keys, sigma):
+            out = bind(tests, args, keys, sigma)
+            if out is not None:
+                for test, arg in zip(tests, args):
+                    if test[0] is not None:
+                        assert arg.base_type == test.base_type, (test, arg)
+                        bound[0] += 1
+            return out
+
+        monkeypatch.setattr(relax, "_arg_test", typed_test)
+        monkeypatch.setattr(relax, "_bind", checked_bind)
+        for starts, a, b, levels in GRIDS:
+            for start in starts:
+                scenario = travel_with_start(travel, start)
+                for n in levels:
+                    Checker(scenario, a, b).decide(scenario.initial, n)
+        for _, scenario in _corpus(range(30)):
+            if scenario.progressing:
+                Checker(scenario, 2, 2).decide(scenario.initial, 1)
+        assert bound[0] > 1000
 
 
 class TestWhereItIsConsulted:

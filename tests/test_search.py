@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     trace_annotations,
     travel_with_start,
 )
+from msrplan import specs
 from msrplan.kernel import Configuration, TimedFact
 from msrplan.reductions import Qbf, qbf_to_scenario
 from msrplan.relax import Relaxation
@@ -35,7 +37,15 @@ from msrplan.search import (
     instantaneous_run_lengths,
     successors,
 )
-from msrplan.specs import ConfigSpec, SpecKind, check_compliance, match_spec, replay_errors
+from msrplan.specs import (
+    ConfigSpec,
+    SpecKind,
+    Trace,
+    TraceStep,
+    check_compliance,
+    match_spec,
+    replay_errors,
+)
 from test_resilience import PERIODIC, PERIODIC_CASES, TRAVEL_STARTS
 
 
@@ -527,6 +537,88 @@ class TestLinkedMemo:
         witness = _build_witness(checker, scenario.initial, 2, built)
         assert len(list(_nodes(witness))) == 13
         assert memo.gets == len(built) == 11
+
+
+def _deferred(trace: Trace) -> int:
+    """The steps of `trace` whose configuration has not been replayed yet."""
+    return sum(step._result is None for step in trace.steps)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDeferredTail:
+    """From the first entry recorded at another state, a trace's steps hold
+    their moves, and each step's configuration is replayed when it is first
+    read.  A witness reads none of them."""
+
+    def _witness(self, travel, n: int):
+        scenario = travel_with_start(travel, 42)
+        return check_resilience(scenario, ResilienceQuery(n, 12, 220)).witness
+
+    def test_witness_replays_no_tail(self, travel, monkeypatch):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(specs, "tick", counted(specs.tick))
+        monkeypatch.setattr(specs, "apply_instance", counted(specs.apply_instance))
+        witness = self._witness(travel, 2)
+        witness_to_json(witness)
+        traces = list({id(node.trace): node.trace for node in _nodes(witness)}.values())
+        deferred = sum(map(_deferred, traces))
+        assert calls[0] == 0 and deferred >= 3000
+        for trace in traces:
+            for step in trace.steps:
+                step.result
+        assert calls[0] == deferred and not any(map(_deferred, traces))
+        for node in _nodes(witness):
+            assert not replay_errors(node.trace)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_deferred_traces_equal_eager_ones(self, travel, n):
+        """Each reader, the first to read a fresh witness, gets what it gets
+        from the same traces built with every configuration in place."""
+        eager = [
+            Trace(trace.initial, tuple(TraceStep(s.instance, s.result) for s in trace.steps))
+            for trace in (node.trace for node in _nodes(self._witness(travel, n)))
+        ]
+        assert all(not replay_errors(trace) for trace in eager)
+        readers = (
+            lambda trace: trace,
+            hash,
+            Trace.format_lines,
+            lambda trace: trace.final,
+            Trace.tick_count,
+            lambda trace: [trace.config_at(i) for i in range(len(trace), -1, -1)],
+        )
+        for read in readers:
+            deferred = [node.trace for node in _nodes(self._witness(travel, n))]
+            assert sum(map(_deferred, deferred)) > 1000
+            assert [read(trace) for trace in deferred] == [read(trace) for trace in eager]
+
+    def test_last_step_first_without_recursion(self, travel):
+        traces = [node.trace for node in _nodes(self._witness(travel, 2))]
+        longest = max(traces, key=_deferred)
+        tail = _deferred(longest)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 50)
+        try:
+            assert sys.getrecursionlimit() < tail
+            final = longest.steps[-1].result
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not _deferred(longest) and final is longest.final
+        assert not replay_errors(longest)
 
 
 class TestUnmatchableFacts:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import brute_match_spec, random_scenario
 from msrplan.kernel import Configuration, Constant, TimedFact, Variable
-from msrplan.rules import Atom, FactPattern, TimeConstraint
+from msrplan.rules import Atom, FactPattern, TimeConstraint, tick
 from msrplan.search import find_compliant_goal_trace, successors
 from msrplan.specs import (
     ConfigSpec,
@@ -125,6 +125,25 @@ class TestMatchSpec:
                 (FactPattern(Atom("P"), "T1"),),
                 (TimeConstraint("T1", ">", "T9"),),
             )
+
+
+class TestTraceStep:
+    def test_deferred_steps_replay_on_first_read(self):
+        c0 = Configuration([fact("Time", 0), fact("K", 2)])
+        c1, c2 = tick(c0), tick(tick(c0))
+        first = TraceStep("Tick", after=c0)
+        second = TraceStep("Tick", after=first)
+        assert second.result == c2 and first._result == c1
+        assert (first, second) == (TraceStep("Tick", c1), TraceStep("Tick", c2))
+        assert hash(second) == hash(TraceStep("Tick", c2))
+        assert repr(second) == repr(TraceStep("Tick", c2))
+
+    def test_result_or_the_step_before(self):
+        c0 = Configuration([fact("Time", 0)])
+        with pytest.raises(ValueError):
+            TraceStep("Tick")
+        with pytest.raises(ValueError):
+            TraceStep("Tick", tick(c0), after=c0)
 
 
 class TestCompliance:
