@@ -1,0 +1,874 @@
+"""Witness files and their independent checker.
+
+A witness is the strategy tree `resilience.check_resilience` certifies a
+positive verdict with.  Its file format lives here: `witness_to_dict` and
+`witness_to_json` write it, `witness_from_json` and `parse_ground_term`
+read it.
+
+`verify_witness` re-derives every obligation of a witness, and it shares no
+code path with the engine that found it (McConnell, Mehlhorn, Näher and
+Schweitzer, *Certifying algorithms*, 2011).  It keeps its own state and its
+own matcher:
+
+- A `_State` is a configuration as the checker keeps it: for each predicate
+  that has a fact, a dict from (argument keys, timestamp) to the number of
+  copies, plus the global time.  A node's trace is replayed on one state,
+  updated in place at each step; a state is copied only at an admissible
+  update point, to give each child its start state.  The replay builds no
+  `Configuration` and makes no engine move (`rules.reapply`, `tick`,
+  `Configuration.replace`).
+- `_join` is a plain backtracking matcher.  Patterns are matched in
+  declaration order, after the names bound from the start: ``T`` of a rule
+  is the global time, and a specification's `Time` patterns bind their
+  variables to the clock.  A pattern whose arguments and timestamp are
+  bound is one dict lookup; an equality with a bound name fixes a
+  timestamp.  Each time constraint is checked once both its variables are
+  bound, and a precondition claims fact occurrences by count.  Each rule
+  and specification pair is compiled once (`_rule_code`, `_spec_code`).
+
+Terms are handled as their sort keys (`kernel.term_sort_key`), which are
+total: equal keys, equal terms.  Update points are enumerated as the engine
+does: each fresh variable gets the engine's canonical fresh constant, a
+variable binds only a term of its type, and a configuration repeated within
+a trace gives its points once, at its first index.
+"""
+
+from __future__ import annotations
+
+import json
+import operator
+import re
+import weakref
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable, NamedTuple, Optional, Union
+
+from .kernel import (
+    MAX_TIMESTAMP,
+    TIME_PREDICATE,
+    Configuration,
+    Constant,
+    FreshConstant,
+    GroundTerm,
+    Signature,
+    TimedFact,
+    Variable,
+    term_sort_key,
+)
+from .rules import GLOBAL_TIME_VAR, TICK_STEP, EngineError, Rule, RuleInstance, RuleRole
+from .scenario import PlanningScenario
+from .specs import ConfigSpec, SpecPair, Trace
+
+# ---------------------------------------------------------------------------
+# Witness serialization
+# ---------------------------------------------------------------------------
+
+_TERM = re.compile(r"#([A-Za-z_][A-Za-z0-9_]*):(\d+)|[A-Za-z_][A-Za-z0-9_]*")
+
+
+def parse_ground_term(text: str, sig: Signature) -> GroundTerm:
+    """Read a term as the engine writes it: a declared constant of `sig` or
+    a fresh constant ``#type:k``."""
+    match = _TERM.fullmatch(text)
+    if match is None:
+        raise EngineError(f"unparseable term {text!r}")
+    base, index = match.groups()
+    if base is None:
+        if text not in sig.constants:
+            raise EngineError(f"unknown constant {text!r} in witness")
+        return Constant(text, sig.constants[text])
+    try:
+        return FreshConstant(base, int(index))
+    except ValueError:  # more digits than `int` converts
+        message = f"fresh constant index of {len(index)} digits out of range"
+        raise EngineError(message) from None
+
+
+def _instance_to_dict(inst: RuleInstance) -> dict:
+    sigma = {v: (t if isinstance(t, int) else str(t)) for v, t in inst.bindings}
+    return {"rule": inst.rule.name, "sigma": sigma}
+
+
+def witness_to_dict(witness) -> dict:
+    """The JSON object of a `resilience.WitnessTree`."""
+    children = sorted(witness.children, key=lambda c: (c[0], c[1].key()))
+    return {
+        "query": {"n": witness.query.n, "a": witness.query.a, "b": witness.query.b},
+        "trace": [
+            {"rule": TICK_STEP} if s.is_tick else _instance_to_dict(s.instance)
+            for s in witness.trace.steps
+        ],
+        "children": [
+            {
+                "step": i,
+                "instance": _instance_to_dict(inst),
+                "subtree": witness_to_dict(sub),
+            }
+            for i, inst, sub in children
+        ],
+    }
+
+
+def witness_to_json(witness) -> str:
+    """A witness tree or its JSON object as ``json.dumps(data, indent=2,
+    sort_keys=True)`` writes it, plus a newline.  `json` encodes in C only
+    without `indent`, so the containers are written here and the strings
+    by `json`'s own escaping."""
+    data = witness if isinstance(witness, dict) else witness_to_dict(witness)
+    out: list[str] = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append `value` as JSON to `out`, its items on lines that start with
+    `newline` plus two spaces."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        head = "{" + inner
+        for key in sorted(value):
+            out.append(head + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out)
+            head = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        head = "[" + inner
+        for item in value:
+            out.append(head)
+            _write(item, inner, out)
+            head = "," + inner
+        out.append(newline + "]")
+    else:  # empty containers and the other scalars need no indentation
+        out.append(json.dumps(value))
+
+
+def witness_from_json(text: str) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise EngineError(f"witness file is not JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep
+        raise EngineError(f"witness file exceeds the JSON reader's limits: {exc}") from None
+    if not isinstance(data, dict):
+        raise EngineError("witness file must contain a JSON object")
+    return data
+
+
+# ---------------------------------------------------------------------------
+# The checker's state
+# ---------------------------------------------------------------------------
+
+# A fact as the state keys it: (argument keys, timestamp), under its predicate
+Fact = tuple[tuple[tuple, ...], int]
+
+
+class _State:
+    """A configuration as the checker keeps it.  `groups` maps each
+    predicate that has a fact to a dict from (argument keys, timestamp) to
+    the number of copies; no group and no count is empty, so equal
+    multisets give equal dicts.  `clock` is the global time, the one
+    `Time` fact."""
+
+    __slots__ = ("groups", "clock")
+
+    def __init__(self, groups: dict[str, dict[Fact, int]], clock: int):
+        self.groups = groups
+        self.clock = clock
+
+    @classmethod
+    def of(cls, config: Configuration) -> "_State":
+        groups: dict[str, dict[Fact, int]] = {}
+        for fact in config:
+            if fact.pred != TIME_PREDICATE:
+                group = groups.setdefault(fact.pred, {})
+                key = (tuple(map(term_sort_key, fact.args)), fact.ts)
+                group[key] = group.get(key, 0) + 1
+        return cls(groups, config.global_time)
+
+    def copy(self) -> "_State":
+        return _State({pred: group.copy() for pred, group in self.groups.items()}, self.clock)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _State):
+            return NotImplemented
+        return self.clock == other.clock and self.groups == other.groups
+
+    __hash__ = None  # mutable
+
+    def advance(self) -> None:
+        """Advance the global time by one."""
+        if self.clock >= MAX_TIMESTAMP:
+            raise EngineError("global time overflow")
+        self.clock += 1
+
+    def configuration(self) -> Configuration:
+        facts = [TimedFact(TIME_PREDICATE, (), self.clock)]
+        for pred, group in self.groups.items():
+            for (keys, ts), count in group.items():
+                facts += [TimedFact(pred, tuple(map(_term, keys)), ts)] * count
+        return Configuration(facts)
+
+    def fresh_taken(self) -> set[tuple]:
+        """The keys of the fresh constants some fact holds."""
+        return {
+            key
+            for group in self.groups.values()
+            for keys, _ in group
+            for key in keys
+            if key[0] == 1
+        }
+
+
+def _term(key: tuple) -> GroundTerm:
+    """The term whose sort key is `key`: (0, name, type) for a declared
+    constant, (1, type, index) for a fresh one."""
+    return Constant(key[1], key[2]) if key[0] == 0 else FreshConstant(key[1], key[2])
+
+
+def _text(value: Union[int, tuple]) -> str:
+    """A binding as a witness writes it: a timestamp, or a term's text."""
+    if isinstance(value, int):
+        return str(value)
+    return value[1] if value[0] == 0 else f"#{value[1]}:{value[2]}"
+
+
+def _instance_text(rule: str, sigma: dict) -> str:
+    """`RuleInstance.key` of the instance of `rule` under `sigma`."""
+    inner = ",".join(f"{v}={_text(t)}" for v, t in sorted(sigma.items()))
+    return f"{rule}{{{inner}}}"
+
+
+# ---------------------------------------------------------------------------
+# Compiled rules and specification pairs
+# ---------------------------------------------------------------------------
+
+_OPS = {">": operator.gt, ">=": operator.ge, "=": operator.eq, "<=": operator.le, "<": operator.lt}
+
+# (left, op, right, offset): holds when op(sigma[left], sigma[right] + offset)
+Check = tuple[str, Any, str, int]
+
+# How to ground an argument list: per argument (variable name, None) or
+# (None, a constant's key), and the keys themselves when all are constants
+Slots = tuple[tuple[tuple[Optional[str], Optional[tuple]], ...], Optional[tuple]]
+
+
+def _slots(args: Iterable) -> Slots:
+    slots = tuple(
+        (a.name, None) if isinstance(a, Variable) else (None, term_sort_key(a)) for a in args
+    )
+    whole = None if any(name for name, _ in slots) else tuple(k for _, k in slots)
+    return slots, whole
+
+
+def _ground(slots: Slots, sigma: dict) -> tuple:
+    each, whole = slots
+    if whole is not None:
+        return whole
+    return tuple([k if n is None else sigma[n] for n, k in each])
+
+
+def _checks(constraints: Iterable) -> list[tuple[Check, str]]:
+    return [((c.left, _OPS[c.rel], c.right, c.offset), c.rel) for c in constraints]
+
+
+def _hold(checks: tuple[Check, ...], sigma: dict) -> bool:
+    for left, op, right, offset in checks:
+        if not op(sigma[left], sigma[right] + offset):
+            return False
+    return True
+
+
+class _Step(NamedTuple):
+    """One pattern of a join.  `tvar` is bound by this step unless `bound`;
+    `pin` is (name, offset) when an equality fixes the timestamp at
+    sigma[name] + offset.  `fixed` grounds the arguments known on entry,
+    which sit at `positions`; the step is `determined` when they are all
+    its arguments.  `binds` lists the first occurrences of new variables as
+    (position, name, type), `dups` their later ones as (position, first
+    position)."""
+
+    pred: str
+    tvar: str
+    bound: bool
+    pin: Optional[tuple[str, int]]
+    arity: int
+    positions: tuple[int, ...]
+    fixed: Slots
+    determined: bool
+    binds: tuple[tuple[int, str, str], ...]
+    dups: tuple[tuple[int, int], ...]
+    checks: tuple[Check, ...]  # the constraints whose later variable this step binds
+    claims: bool  # claim a fact occurrence of its own
+    final: bool
+
+
+def _compile_join(
+    patterns: list, constraints: Iterable, bound: set[str], claims: bool
+) -> tuple[Optional[tuple[Check, ...]], tuple[_Step, ...]]:
+    """The constraints over the names in `bound` alone, and the steps that
+    match `patterns` in their order after them.  With `claims`, patterns of
+    a predicate that several share claim distinct occurrences.  The
+    constraints are None when no binding can complete: a timestamp never
+    equals a term, so a name may not be a time and a term variable both."""
+    times = bound | {p.tvar for p in patterns}
+    if any(a.name in times for p in patterns for a in p.atom.args if isinstance(a, Variable)):
+        return None, ()
+    pending = _checks(constraints)
+    before = tuple(c for c, _ in pending if c[0] in bound and c[2] in bound)
+    pending = [(c, rel) for c, rel in pending if c not in before]
+    preds = [p.atom.pred for p in patterns]
+    shared = {q for q in preds if preds.count(q) > 1} if claims else set()
+    steps = []
+    for index, pat in enumerate(patterns):
+        tvar, args = pat.tvar, pat.atom.args
+        known = tvar in bound
+        pin = None
+        for c, rel in [] if known else pending:
+            left, _, right, offset = c
+            if rel == "=" and left == tvar and right in bound:
+                pin = (right, offset)
+            elif rel == "=" and right == tvar and left in bound:
+                pin = (left, -offset)
+            else:
+                continue
+            pending.remove((c, rel))  # the timestamp meets it exactly
+            break
+        positions, fixed, binds, dups = [], [], [], []
+        first: dict[str, int] = {}
+        for pos, arg in enumerate(args):
+            if isinstance(arg, Variable) and arg.name in first:
+                dups.append((pos, first[arg.name]))
+            elif isinstance(arg, Variable) and arg.name not in bound:
+                first[arg.name] = pos
+                binds.append((pos, arg.name, arg.base_type))
+            else:
+                positions.append(pos)
+                fixed.append(arg)
+        bound |= {tvar, *first}
+        ready = [(c, rel) for c, rel in pending if c[0] in bound and c[2] in bound]
+        pending = [item for item in pending if item not in ready]
+        steps.append(_Step(
+            pat.atom.pred, tvar, known, pin, len(args), tuple(positions), _slots(fixed),
+            len(fixed) == len(args), tuple(binds), tuple(dups), tuple(c for c, _ in ready),
+            pat.atom.pred in shared, index + 1 == len(patterns),
+        ))
+    return before, tuple(steps)
+
+
+class _RuleCode(NamedTuple):
+    """A rule compiled for the checker.  `pre` grounds the side condition
+    then the consumed patterns, the last `consumed` of them, as
+    (predicate, time variable, slots); `repeats` tells whether two of them
+    share a predicate.  `created` grounds the created facts as (predicate,
+    slots, delay).  `before` and `join` match the precondition."""
+
+    rule: Rule
+    variables: frozenset[str]
+    times: frozenset[str]
+    pre: tuple[tuple[str, str, Slots], ...]
+    repeats: bool
+    consumed: int
+    created: tuple[tuple[str, Slots, int], ...]
+    guard: tuple[Check, ...]
+    fresh: tuple[tuple[str, str], ...]
+    before: Optional[tuple[Check, ...]]  # None: it never matches
+    join: tuple[_Step, ...]
+
+
+class _PairCode(NamedTuple):
+    clocked: tuple[str, ...]  # the variables of its `Time` patterns
+    before: Optional[tuple[Check, ...]]
+    join: tuple[_Step, ...]
+
+
+def _compile_rule(rule: Rule) -> _RuleCode:
+    patterns = [*rule.side, *rule.consumed]
+    preds = [p.atom.pred for p in patterns]
+    before, join = _compile_join(patterns, rule.guard, {GLOBAL_TIME_VAR}, True)
+    return _RuleCode(
+        rule, rule.all_variables, rule.pre_time_vars,
+        tuple((p.atom.pred, p.tvar, _slots(p.atom.args)) for p in patterns),
+        len(set(preds)) < len(preds), len(rule.consumed),
+        tuple((c.atom.pred, _slots(c.atom.args), c.delay) for c in rule.created),
+        tuple(c for c, _ in _checks(rule.guard)), rule.fresh, before, join,
+    )
+
+
+def _compile_pair(pair: SpecPair) -> _PairCode:
+    """A `Time` pattern has one fact, the clock, so its variable is bound to
+    the clock before the other patterns are matched, in their order."""
+    clocked = {p.tvar for p in pair.pattern if p.atom.pred == TIME_PREDICATE}
+    rest = [p for p in pair.pattern if p.atom.pred != TIME_PREDICATE]
+    before, join = _compile_join(rest, pair.constraints, set(clocked), False)
+    return _PairCode(tuple(sorted(clocked)), before, join)
+
+
+# Compiled forms by the id of their rule or pair, dropped when it is freed
+_CODES: dict[int, Any] = {}
+
+
+def _code(owner: object, compile_) -> Any:
+    code = _CODES.get(id(owner))
+    if code is None:
+        code = _CODES[id(owner)] = compile_(owner)
+        weakref.finalize(owner, _CODES.pop, id(owner), None)
+    return code
+
+
+def _rule_code(rule: Rule) -> _RuleCode:
+    return _code(rule, _compile_rule)
+
+
+def _spec_code(spec: ConfigSpec) -> tuple[_PairCode, ...]:
+    return tuple(_code(pair, _compile_pair) for pair in spec.pairs)
+
+
+# ---------------------------------------------------------------------------
+# Matching and rewriting
+# ---------------------------------------------------------------------------
+
+def _join(
+    steps: tuple[_Step, ...],
+    i: int,
+    groups: dict[str, dict[Fact, int]],
+    sigma: dict,
+    used: Optional[dict],
+    out: Optional[list],
+) -> bool:
+    """Match steps[i:] on `groups`, extending `sigma` in place (a step
+    writes only names no earlier step binds).  Every complete binding is
+    copied to `out`; with `out` None the first one ends the search and True
+    is returned.  `used` counts the occurrences claiming steps hold."""
+    (pred, tvar, bound, pin, arity, positions, fixed, determined, binds, dups,
+     checks, claims, final) = steps[i]
+    group = groups.get(pred)
+    if group is None:
+        return False
+    ts = sigma[tvar] if bound else None if pin is None else sigma[pin[0]] + pin[1]
+    known = _ground(fixed, sigma)
+    if determined and ts is not None:
+        count = group.get((known, ts))
+        if not count:
+            return False
+        facts: Iterable = (((known, ts), count),)
+    else:
+        facts = group.items()
+    for fact, count in facts:
+        args, at = fact
+        if ts is not None and at != ts:
+            continue
+        if determined:
+            if args != known:
+                continue
+        elif not _fits(args, arity, positions, known, dups, binds):
+            continue
+        else:
+            for pos, name, _ in binds:
+                sigma[name] = args[pos]
+        if not bound:
+            sigma[tvar] = at
+        if checks and not _hold(checks, sigma):
+            continue
+        if claims:
+            held = used.get((pred, fact), 0)
+            if held >= count:
+                continue
+            used[(pred, fact)] = held + 1
+        if final:
+            if out is None:
+                return True
+            out.append(dict(sigma))
+        elif _join(steps, i + 1, groups, sigma, used, out):
+            return True
+        if claims:
+            used[(pred, fact)] = held
+    return False
+
+
+def _fits(
+    args: tuple,
+    arity: int,
+    positions: tuple[int, ...],
+    known: tuple,
+    dups: tuple[tuple[int, int], ...],
+    binds: tuple[tuple[int, str, str], ...],
+) -> bool:
+    """Do a fact's argument keys have the step's arity, its known keys, its
+    repeated variables' keys twice and its new variables' types?"""
+    if len(args) != arity:
+        return False
+    for pos, key in zip(positions, known):
+        if args[pos] != key:
+            return False
+    for pos, other in dups:
+        if args[pos] != args[other]:
+            return False
+    for pos, _, btype in binds:
+        key = args[pos]  # (0, name, type) or (1, type, index)
+        if btype and key[2 - key[0]] != btype:
+            return False
+    return True
+
+
+def _holds(codes: tuple[_PairCode, ...], state: _State) -> bool:
+    """Does some pair of the compiled specification match `state`?"""
+    for clocked, before, join in codes:
+        sigma = dict.fromkeys(clocked, state.clock)
+        if before is None or not _hold(before, sigma):
+            continue
+        if not join or _join(join, 0, state.groups, sigma, None, None):
+            return True
+    return False
+
+
+def _matches(code: _RuleCode, state: _State) -> list[dict]:
+    """Every binding of the rule's variables under which it applies to
+    `state`, each fresh variable bound to its canonical fresh constant: in
+    name order, the smallest index of its type that no fact holds and no
+    earlier fresh variable took."""
+    sigma = {GLOBAL_TIME_VAR: state.clock}
+    if code.before is None or not _hold(code.before, sigma):
+        return []
+    if not code.join:
+        found = [sigma]
+    else:
+        found = []
+        _join(code.join, 0, state.groups, sigma, {}, found)
+    if found and code.fresh:
+        taken = state.fresh_taken()
+        assigned = {}
+        for name, btype in code.fresh:
+            index = 0
+            while (1, btype, index) in taken:
+                index += 1
+            taken.add(assigned.setdefault(name, (1, btype, index)))
+        for sigma in found:
+            sigma.update(assigned)
+    return found
+
+
+def _rewrite(
+    code: _RuleCode, sigma: dict, consumed: Iterable[tuple[str, Fact]], groups: dict
+) -> None:
+    """Take the `consumed` facts, which `groups` holds, out of it and put
+    the facts the rule creates under `sigma` in."""
+    for pred, fact in consumed:
+        group = groups[pred]
+        count = group[fact]
+        if count > 1:
+            group[fact] = count - 1
+        elif len(group) > 1:
+            del group[fact]
+        else:
+            del groups[pred]
+    now = sigma[GLOBAL_TIME_VAR]
+    for pred, slots, delay in code.created:
+        ts = now + delay
+        if ts > MAX_TIMESTAMP:
+            raise EngineError("created timestamp overflow")
+        fact = (_ground(slots, sigma), ts)
+        group = groups.get(pred)
+        if group is None:
+            groups[pred] = {fact: 1}
+        else:
+            group[fact] = group.get(fact, 0) + 1
+
+
+def _apply(code: _RuleCode, sigma: dict, state: _State) -> None:
+    """Apply a binding `_matches` found for the rule on `state`."""
+    consumed = [
+        (pred, (_ground(slots, sigma), sigma[tvar]))
+        for pred, tvar, slots in code.pre[len(code.pre) - code.consumed:]
+    ]
+    _rewrite(code, sigma, consumed, state.groups)
+
+
+def _replay(code: _RuleCode, sigma: dict, state: _State) -> bool:
+    """Apply the rule to `state` under `sigma`, a binding of each of its
+    variables, when it applies there; else return False.  It applies when
+    its ``T`` is the global time, its side and consumed facts are in
+    `state` as a multiset, its guard holds, and each fresh variable holds a
+    fresh constant of its type, no two the same and none held by a fact."""
+    if sigma[GLOBAL_TIME_VAR] != state.clock:
+        return False
+    groups = state.groups
+    pre = [(pred, (_ground(slots, sigma), sigma[tvar])) for pred, tvar, slots in code.pre]
+    if code.repeats:
+        wanted: dict[tuple, int] = {}
+        for item in pre:
+            wanted[item] = wanted.get(item, 0) + 1
+    else:
+        wanted = dict.fromkeys(pre, 1)
+    for (pred, fact), count in wanted.items():
+        group = groups.get(pred)
+        if group is None or group.get(fact, 0) < count:
+            return False
+    if code.guard and not _hold(code.guard, sigma):
+        return False
+    if code.fresh:
+        terms = [sigma[name] for name, _ in code.fresh]
+        for key, (_, btype) in zip(terms, code.fresh):
+            if key[0] != 1 or key[1] != btype:
+                return False
+        if len(set(terms)) != len(terms) or not state.fresh_taken().isdisjoint(terms):
+            return False
+    _rewrite(code, sigma, pre[len(pre) - code.consumed:], groups)
+    return True
+
+
+def _update_points(
+    codes: list[_RuleCode], state: _State, earlier: dict[int, list[_State]]
+) -> tuple[Optional[_State], list[tuple[str, _RuleCode, dict]]]:
+    """The update points of `state` as (instance key, rule, binding), by
+    rule and then key, with a copy of `state` to apply them to.  Of two
+    bindings with one key (an untyped variable over constants that share a
+    name) the smaller is kept.  A state equal to one in `earlier` that had
+    points has them already: it gets none.  `earlier` maps a global time to
+    its states with points."""
+    points = []
+    for code in codes:
+        found: dict[str, dict] = {}
+        for sigma in sorted(_matches(code, state), key=lambda s: sorted(s.items())):
+            found.setdefault(_instance_text(code.rule.name, sigma), sigma)
+        points += [(text, code, found[text]) for text in sorted(found)]
+    if not points:
+        return None, []
+    same_time = earlier.setdefault(state.clock, [])
+    if state in same_time:
+        return None, []
+    snapshot = state.copy()
+    same_time.append(snapshot)
+    return snapshot, points
+
+
+def enumerate_update_points(
+    scenario: PlanningScenario, trace: Trace, window: int
+) -> list[tuple[int, RuleInstance, Configuration]]:
+    """Every admissible (configuration index, update instance, result).
+
+    Covers every configuration of the trace, including the initial and final
+    ones, whose elapsed time lies within the window.  Identical
+    (configuration, instance) pairs arising from repeated configurations are
+    reported once, at their first index.
+    """
+    t0 = trace.initial.global_time
+    codes = [_rule_code(rule) for rule in scenario.update_rules]
+    earlier: dict[int, list[_State]] = {}
+    out: list[tuple[int, RuleInstance, Configuration]] = []
+    for index, config in enumerate(trace.configurations()):
+        if config.global_time - t0 > window:
+            continue
+        snapshot, points = _update_points(codes, _State.of(config), earlier)
+        for _, code, sigma in points:
+            updated = snapshot.copy()
+            _apply(code, sigma, updated)
+            bindings = tuple(sorted(
+                (v, t if isinstance(t, int) else _term(t)) for v, t in sigma.items()
+            ))
+            out.append((index, RuleInstance(code.rule, bindings), updated.configuration()))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Verification
+# ---------------------------------------------------------------------------
+
+def verify_witness(
+    scenario: PlanningScenario, query, witness
+) -> tuple[bool, list[str]]:
+    """Re-derive every obligation of a witness tree (a
+    `resilience.WitnessTree` or its JSON object) for `query`, a
+    `resilience.ResilienceQuery`, on the checker's own state and matcher.
+
+    Checks per node: the query matches, annotations re-apply exactly, the
+    trace is compliant and goal-terminated within the tick budget, children
+    cover exactly the admissible update points, and each child verifies
+    against the reduced query from the updated configuration.
+    """
+    data = witness if isinstance(witness, dict) else witness_to_dict(witness)
+    verifier = _Verifier(scenario)
+    verifier.node(_State.of(scenario.initial), (query.n, query.a, query.b), data, "root")
+    violations = verifier.violations
+    return (not violations, violations)
+
+
+class _Verifier:
+    """One `verify_witness` call: the scenario's compiled rules by name and
+    specifications, the keys of the term texts read so far (each parsed
+    once, against this scenario's signature) and the violations found."""
+
+    def __init__(self, scenario: PlanningScenario):
+        self.signature = scenario.signature
+        self.rules = {r.name: _rule_code(r) for r in scenario.rules()}
+        self.updates = [_rule_code(rule) for rule in scenario.update_rules]
+        self.critical = _spec_code(scenario.critical_spec)
+        self.goal = _spec_code(scenario.goal_spec)
+        self.keys: dict[str, tuple] = {}
+        self.violations: list[str] = []
+
+    def instance(self, data: dict, where: str) -> Optional[tuple[_RuleCode, dict]]:
+        """The rule a witness instance names and its substitution, each
+        term as its key; None after a violation."""
+        violations = self.violations
+        name = data.get("rule")
+        code = self.rules.get(name) if isinstance(name, str) else None
+        if code is None:
+            violations.append(f"{where}: unknown rule {name!r}")
+            return None
+        sigma = data.get("sigma", {})
+        if not isinstance(sigma, dict):
+            violations.append(f"{where}: malformed substitution")
+            return None
+        # the substitution binds exactly the rule's variables, each time
+        # variable to a timestamp and each first-order one to a term
+        wanted, times = code.variables, code.times
+        bindings = {}
+        try:
+            for var in sorted(sigma):
+                value = sigma[var]
+                if isinstance(value, bool) or not isinstance(value, (int, str)):
+                    raise EngineError(f"binding {var} is neither timestamp nor term")
+                if var not in wanted:
+                    raise EngineError(f"binding {var} names no variable of rule {name}")
+                if isinstance(value, int) != (var in times):
+                    kind = "a timestamp" if var in times else "a term"
+                    raise EngineError(f"binding {var} must be {kind}")
+                if isinstance(value, str):
+                    key = self.keys.get(value)
+                    if key is None:
+                        term = parse_ground_term(value, self.signature)
+                        key = self.keys[value] = term_sort_key(term)
+                    value = key
+                elif not 0 <= value <= MAX_TIMESTAMP:
+                    raise EngineError(f"binding {var}: timestamp {value} out of range")
+                bindings[var] = value
+        except EngineError as exc:
+            violations.append(f"{where}: {exc}")
+            return None
+        if len(bindings) < len(wanted):
+            violations.append(f"{where}: substitution misses {sorted(wanted - bindings.keys())}")
+            return None
+        return code, bindings
+
+    def node(self, state: _State, query: tuple[int, int, int], node: dict, where: str) -> None:
+        """Verify `node` against `query` (n, a, b) from `state`, which the
+        replay of its trace updates in place."""
+        violations = self.violations
+        n, a, b = query
+        q = node.get("query", {})
+        if not isinstance(q, dict):
+            violations.append(f"{where}: malformed query")
+            return
+        said = (q.get("n"), q.get("a"), q.get("b"))
+        # type(), not only ==: a JSON true equals 1
+        if said != query or any(type(v) is not int for v in said):
+            violations.append(
+                f"{where}: query mismatch: node says ({said[0]},{said[1]},{said[2]}), "
+                f"expected ({n},{a},{b})"
+            )
+        steps = node.get("trace", [])
+        if not isinstance(steps, list):
+            violations.append(f"{where}: malformed trace")
+            return
+        # One pass replays the trace.  Each configuration is checked against
+        # the critical specification until one is critical, and, while
+        # updates are left and the window is open, its update points are
+        # kept; both are reported only once the whole trace re-applies.
+        start, critical = state.clock, self.critical
+        unsafe = 0 if _holds(critical, state) else None
+        points: dict[tuple[int, str], tuple[_RuleCode, dict, _State]] = {}
+        earlier: dict[int, list[_State]] = {}
+        open_ = n > 0 and a >= 0 and unsafe is None
+        if open_:
+            self._collect(state, 0, points, earlier)
+        ticks = 0
+        for k, raw in enumerate(steps):
+            if isinstance(raw, dict) and raw.get("rule") == TICK_STEP:
+                state.advance()
+                ticks += 1
+                open_ = open_ and state.clock - start <= a
+            else:
+                label = f"{where}.trace[{k}]"
+                if not isinstance(raw, dict):
+                    violations.append(f"{label}: malformed step")
+                    return
+                parsed = self.instance(raw, label)
+                if parsed is None:
+                    return
+                code, sigma = parsed
+                if code.rule.role is not RuleRole.SYSTEM:
+                    violations.append(f"{label}: trace uses non-system rule {code.rule.name}")
+                    return
+                if not _replay(code, sigma, state):
+                    violations.append(f"{label}: instance does not re-apply")
+                    return
+            if unsafe is None and _holds(critical, state):
+                unsafe, open_ = k + 1, False
+            if open_:
+                self._collect(state, k + 1, points, earlier)
+        if unsafe is not None:
+            violations.append(f"{where}: not compliant at step {unsafe}")
+            return
+        if not _holds(self.goal, state):
+            violations.append(f"{where}: trace does not end in a goal configuration")
+            return
+        if ticks > a + b:
+            violations.append(f"{where}: tick budget exceeded ({ticks} > {a}+{b})")
+            return
+        children = node.get("children", [])
+        if not isinstance(children, list):
+            violations.append(f"{where}: malformed children")
+            return
+        if n == 0:
+            if children:
+                violations.append(f"{where}: children present at n=0")
+            return
+        seen_keys: set[tuple[int, str]] = set()
+        for c_index, child in enumerate(children):
+            label = f"{where}.children[{c_index}]"
+            step = child.get("step") if isinstance(child, dict) else None
+            # type(), not isinstance(): a JSON true is not a step index
+            if type(step) is not int or not isinstance(child.get("instance"), dict):
+                violations.append(f"{label}: malformed update point")
+                continue
+            parsed = self.instance(child["instance"], label)
+            if parsed is None:
+                continue
+            key = (step, _instance_text(parsed[0].rule.name, parsed[1]))
+            if key not in points:
+                violations.append(f"{label}: unknown update point {key}")
+                continue
+            if key in seen_keys:
+                violations.append(f"{label}: duplicate update point {key}")
+                continue
+            seen_keys.add(key)
+            code, sigma, snapshot = points[key]
+            child_query = (n - 1, a - (snapshot.clock - start), b)
+            subtree = child.get("subtree")
+            if not isinstance(subtree, dict):
+                violations.append(f"{label}: missing subtree")
+                continue
+            updated = snapshot.copy()
+            _apply(code, sigma, updated)
+            self.node(updated, child_query, subtree, label)
+        for key in points:
+            if key not in seen_keys:
+                violations.append(f"{where}: uncovered update point {key}")
+
+    def _collect(
+        self,
+        state: _State,
+        index: int,
+        points: dict[tuple[int, str], tuple[_RuleCode, dict, _State]],
+        earlier: dict[int, list[_State]],
+    ) -> None:
+        """Add the update points of `state`, configuration `index` of the
+        trace, to `points`, each with the state it applies to."""
+        snapshot, found = _update_points(self.updates, state, earlier)
+        for text, code, sigma in found:
+            points[(index, text)] = (code, sigma, snapshot)

@@ -29,9 +29,10 @@ test no tier.  On a cold plan that is the counting method; on a hot one it
 is the generated function, stored under the same name, so a (state, rule)
 or (state, pair) match costs one call into the layer and one into that
 function, which reads the configuration's groups and clock from their
-slots.  The witness verifier matches only through the interpreter
-(`MatchPlan.interpret`, `interpret_matches`), so the oracle that certifies
-the engine never runs generated code.
+slots.  Trace compliance (`specs.check_compliance`) matches through the
+interpreter alone (`MatchPlan.interpret`).  The witness verifier
+(`certify`) uses none of this module's matching or application: it has its
+own matcher and state.
 
 A pattern's arguments are variables and constants, so a match compares
 every argument by its sort key or binds it to a variable, and never
@@ -44,9 +45,9 @@ instances of `find_matches` carry them, so `apply_instance` hands them to
 filled into a template each rule compiles once (`Rule.creation`).  Only
 that path reads carried facts.  Every check grounds the substitution
 instead, and one function makes it: `is_applicable` asks it, and `reapply`,
-the entry of trace replay (`specs.replay_errors`) and the witness verifier,
-applies the instance with the facts it grounded, each step's facts built
-once.  `interpret_matches` returns instances without facts.
+the entry of trace replay (`specs.replay_errors`), applies the instance
+with the facts it grounded, each step's facts built once.
+`interpret_matches` returns instances without facts.
 """
 
 from __future__ import annotations
@@ -502,8 +503,9 @@ class RuleInstance:
     the rule's consumed order.
     They are neither compared nor shown, and only a trusted
     `apply_instance` reads them.  Every check (`is_applicable`, `reapply`,
-    trace replay, the witness verifier) grounds the substitution instead,
-    so carried facts that disagree with it cannot pass one.
+    trace replay) grounds the substitution instead, so carried facts that
+    disagree with it cannot pass one; the witness verifier reads only the
+    substitutions a witness file holds.
     """
 
     rule: Rule
@@ -607,7 +609,7 @@ class MatchPlan:
     and its last reference frees it (the graph reduction builds one plan per
     query).  A plan that cannot be generated has `generable` false and
     interprets for good.  `interpret` never counts and never generates: it
-    is the verifier's entry.  The count is the plan's only state that
+    is the entry of trace compliance.  The count is the plan's only state that
     changes during matching, besides the generated function set once; a
     lost increment under concurrent use only delays generation.
     """
@@ -1159,7 +1161,7 @@ def find_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
 
 def interpret_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     """`find_matches` on the plan's interpreter alone, which never runs
-    generated code: the entry of the witness verifier.  Its instances carry
+    generated code, so the two tiers can be compared.  Its instances carry
     no facts, so applying them grounds every consumed fact."""
     raw = rule.plan.interpret(config)
     return _instances(rule, config, raw, False) if raw else []
@@ -1231,7 +1233,7 @@ def reapply(inst: RuleInstance, config: Configuration) -> Optional[Configuration
     """`inst` applied to `config` when it applies there (`is_applicable`),
     else None.  It removes the consumed facts its check grounded from the
     bindings, so facts an instance carries are never read: the entry of
-    trace replay and the witness verifier."""
+    trace replay."""
     checked = _applicable(inst, config)
     if checked is None:
         return None

@@ -143,7 +143,7 @@ def interpret_spec(
     spec: ConfigSpec, config: Configuration
 ) -> Optional[tuple[int, Binding]]:
     """`match_spec` on the plans' interpreter alone, which never runs
-    generated code: the entry of the witness verifier."""
+    generated code: the entry of `check_compliance`."""
     for i, pair in enumerate(spec.pairs):
         found = pair.plan.interpret(config)
         if found:

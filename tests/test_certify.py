@@ -1,0 +1,238 @@
+"""The witness checker, `msrplan.certify`: it shares no code path with the
+engine, it enumerates update points as the engine does, and it writes
+witness files byte for byte as `json` does."""
+
+from __future__ import annotations
+
+import ast
+import copy
+import json
+import random
+from pathlib import Path
+from types import SimpleNamespace
+
+from conftest import (
+    explored_states,
+    qbf_mix,
+    random_guarded_rule,
+    random_scenario,
+    random_spec,
+    travel_with_start,
+)
+from msrplan import certify
+from msrplan.kernel import Configuration, Constant, TimedFact, Variable
+from msrplan.reductions import qbf_to_scenario
+from msrplan.resilience import (
+    ResilienceQuery,
+    check_resilience,
+    enumerate_update_points,
+    verify_witness,
+    witness_to_dict,
+    witness_to_json,
+)
+from msrplan.rules import (
+    RELATIONS,
+    Atom,
+    CreatedFact,
+    FactPattern,
+    Rule,
+    TimeConstraint,
+    apply_instance,
+    find_matches,
+)
+from msrplan.scenario import parse_scenario
+from msrplan.search import successors
+from msrplan.specs import ConfigSpec, SpecKind, SpecPair, Trace, TraceStep, match_spec
+from test_resilience import TRAVEL_STARTS
+
+# The engine's matching and replay entries
+ENGINE_NAMES = {
+    "reapply", "apply_instance", "tick", "MatchPlan", "interpret_matches", "interpret_spec",
+    "check_compliance", "match_spec", "find_matches", "successors", "replay_errors", "Checker",
+}
+# and its methods: Configuration.replace, .at and .contains, MatchPlan.interpret
+# and .generate, Rule.plan and SpecPair.plan
+ENGINE_METHODS = {"replace", "at", "contains", "interpret", "generate", "plan"}
+
+
+class TestIndependence:
+    def test_no_engine_matching_or_replay(self):
+        tree = ast.parse(Path(certify.__file__).read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        imported = {
+            alias.asname or alias.name
+            for node in nodes
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        modules = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+        assert not (imported | names) & ENGINE_NAMES
+        assert not attributes & ENGINE_METHODS
+        assert not modules & {"search", "resilience", "delta", "relax"}
+
+
+class TestWitnessJson:
+    def test_bytes_equal_json_dumps(self, travel):
+        cases = [
+            (travel_with_start(travel, t0), ResilienceQuery(n, 12, 220))
+            for t0 in TRAVEL_STARTS
+            for n in (0, 1, 2)
+        ]
+        cases += [(qbf_to_scenario(q), ResilienceQuery(q.n, 1, 0)) for q in qbf_mix()]
+        written = 0
+        for scenario, query in cases:
+            result = check_resilience(scenario, query)
+            if result.resilient:
+                data = witness_to_dict(result.witness)
+                expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
+                assert witness_to_json(result.witness) == expected, query
+                assert witness_to_json(data) == expected, query
+                written += 1
+        assert written >= 100
+
+    def test_other_values(self):
+        data = {
+            "z": [],
+            "b": {},
+            "a": [True, False, None, 0.5, -3, 2**70, "é\n\"\\", [[]], {"": {"k": []}}],
+        }
+        assert witness_to_json(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# Two rules that undo each other at one instant, so the trace [ab, ba]
+# returns to its initial configuration, and an update that fits all three.
+REVISIT = """
+predicates A: system, B: system, U: system, Done: goal;
+init { Time@0, A@0, U@0, Done@0 }
+rule system ab { consume: A@T1; create: B@T; guard: T1 <= T; }
+rule system ba { consume: B@T1; create: A@T; guard: T1 <= T; }
+rule system_update poke { consume: U@T1; create: U@T; guard: T1 <= T; }
+goal { Done@T1, A@T2 }
+"""
+
+
+def _step(rule: str) -> dict:
+    return {"rule": rule, "sigma": {"T": 0, "T1": 0}}
+
+
+class TestUpdatePoints:
+    """Update points where typing, a clash of variable kinds or a revisited
+    configuration decide them."""
+
+    def test_variable_binds_only_its_type(self):
+        a, a2, b2 = Constant("a", "obj"), Constant("a", "obj2"), Constant("b", "obj2")
+        facts = (("Time", ()), ("G", (a,)), ("G", (a2,)), ("G", (b2,)), ("G", (a,)))
+        config = Configuration([TimedFact(p, args, 0) for p, args in facts])
+        for btype in ("obj", ""):
+            rule = Rule(
+                "take", (), (FactPattern(Atom("G", (Variable("x", btype),)), "T1"),),
+                (CreatedFact(Atom("N"), 1),), (),
+            )
+            engine = [inst.sigma["x"] for inst in find_matches(rule, config)]
+            assert engine == ([a] if btype else [a, a2, b2])
+            points = enumerate_update_points(
+                SimpleNamespace(update_rules=(rule,)), Trace(config), 0
+            )
+            # an untyped x binds all three, and the two instances that bind
+            # an `a` share a key: that point is reported once
+            assert [inst.sigma["x"] for _, inst, _ in points] == ([a] if btype else [a, b2])
+
+    def test_time_and_term_variable_never_match(self):
+        # `P(x)@x` parses, but a timestamp never equals a term
+        scenario = parse_scenario(
+            "types t; consts c: t; predicates P(t): system, G: goal;"
+            "init { Time@0, P(c)@0, G@0 }"
+            "rule system_update u { consume: P(x)@x; create: P(x)@T+1; }"
+            "goal { G@T1 }",
+            "clash",
+        )
+        [rule] = scenario.update_rules
+        assert find_matches(rule, scenario.initial) == []
+        assert enumerate_update_points(scenario, Trace(scenario.initial), 0) == []
+
+    def test_repeated_configuration_reported_at_first_index(self):
+        scenario = parse_scenario(REVISIT, "revisit")
+        config = scenario.initial
+        steps = []
+        for name in ("ab", "ba"):
+            [rule] = [r for r in scenario.system_rules if r.name == name]
+            [inst] = find_matches(rule, config)
+            config = apply_instance(config, inst)
+            steps.append(TraceStep(inst, config))
+        trace = Trace(scenario.initial, tuple(steps))
+        assert trace.final == trace.initial
+        points = enumerate_update_points(scenario, trace, 1)
+        assert [(i, inst.key()) for i, inst, _ in points] == [
+            (0, "poke{T=0,T1=0}"), (1, "poke{T=0,T1=0}"),
+        ]
+
+        leaf = {"query": {"n": 0, "a": 1, "b": 0}, "children": []}
+        witness = {
+            "query": {"n": 1, "a": 1, "b": 0},
+            "trace": [_step("ab"), _step("ba")],
+            "children": [
+                {"step": 0, "instance": _step("poke"), "subtree": dict(leaf, trace=[])},
+                {"step": 1, "instance": _step("poke"), "subtree": dict(leaf, trace=[_step("ba")])},
+            ],
+        }
+        query = ResilienceQuery(1, 1, 0)
+        assert verify_witness(scenario, query, witness) == (True, [])
+        again = copy.deepcopy(witness)
+        again["children"].append(dict(again["children"][0], step=2))
+        assert verify_witness(scenario, query, again) == (
+            False, ["root.children[2]: unknown update point (2, 'poke{T=0,T1=0}')"],
+        )
+
+
+class TestMatcher:
+    """The checker's matcher decides as the engine's (update points as
+    `search.successors` finds them without the time advance), on the random
+    generators' anchored guards, offsets, equality chains, side conditions,
+    repeated predicates and fresh variables, and on specification pairs
+    with `Time` patterns and constraints between clock variables."""
+
+    def test_rules(self):
+        """Each random scenario's own update rules and ten random guarded
+        rules, as update points of explored states."""
+        rng = random.Random(29)
+        matched = fresh = 0
+        for seed in range(30):
+            scenario = random_scenario(seed, progressing=False, with_updates=True)
+            rules = [*scenario.update_rules, *(random_guarded_rule(rng, f"g{i}") for i in range(10))]
+            for config in explored_states(scenario, 8):
+                for rule in rules:
+                    got = enumerate_update_points(
+                        SimpleNamespace(update_rules=(rule,)), Trace(config), 0
+                    )
+                    want = list(successors(config, (rule,), advance=False))
+                    assert [(inst, result) for _, inst, result in got] == want, (seed, str(rule))
+                    matched += bool(want)
+                    fresh += sum(bool(inst.fresh_assignment) for _, inst, _ in got)
+        assert matched > 100
+        assert fresh > 100  # fresh variables got the engine's canonical constants
+
+    def test_clocked_specs(self):
+        rng = random.Random(29)
+        hits = 0
+        for seed in range(30):
+            scenario = random_scenario(seed, progressing=False, with_updates=True)
+            pairs = []
+            for pair in random_spec(rng, SpecKind.GOAL).pairs:
+                names = sorted({p.tvar for p in pair.pattern} | {"T", "U"})
+                extra = [TimeConstraint("T", rng.choice(sorted(RELATIONS)), "U", rng.randint(-1, 1))]
+                extra.append(TimeConstraint(
+                    rng.choice(names), rng.choice(sorted(RELATIONS)), rng.choice(names),
+                    rng.randint(-2, 2),
+                ))
+                clock = [FactPattern(Atom("Time"), "T"), FactPattern(Atom("Time"), "U")]
+                pairs += [pair, SpecPair((clock[0], *pair.pattern, clock[1]), (*pair.constraints, *extra))]
+            for config in explored_states(scenario, 8):
+                state = certify._State.of(config)
+                for pair in pairs:
+                    spec = ConfigSpec(SpecKind.GOAL, (pair,))
+                    want = match_spec(spec, config) is not None
+                    assert certify._holds(certify._spec_code(spec), state) == want, (seed, str(pair))
+                    hits += want
+        assert hits > 100

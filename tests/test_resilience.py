@@ -21,7 +21,7 @@ from conftest import (
     trace_annotations,
     travel_with_start,
 )
-from msrplan import resilience, search
+from msrplan import certify, resilience, search
 from msrplan.delta import abstract, delta_key
 from msrplan.kernel import TIME_PREDICATE, Configuration, Constant, FreshConstant, TimedFact
 from msrplan.reductions import Qbf, evaluate_qbf, qbf_to_msr_text, qbf_to_scenario
@@ -35,10 +35,10 @@ from msrplan.resilience import (
     witness_to_dict,
     witness_to_json,
 )
-from msrplan.rules import EngineError, apply_instance, find_matches, tick
+from msrplan.rules import EngineError, MatchPlan, apply_instance
 from msrplan.scenario import bundled_text, infer_dmax, parse_scenario
 from msrplan.search import find_compliant_goal_trace
-from msrplan.specs import TICK_STEP, match_spec, replay_errors
+from msrplan.specs import TICK_STEP, replay_errors
 
 Q_GAME = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((1, 2, 3), (-1, -2, -3)))
 Q_FALSE = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((2, 2, 2),))
@@ -618,50 +618,64 @@ class TestVerifierFuzz:
             assert accepted <= count // 10, query
 
 
-def _reference_resilient(scenario, query, matches=match_spec) -> bool:
+def _certified_match(spec, state) -> bool:
+    return certify._holds(certify._spec_code(spec), state)
+
+
+def _reference_resilient(scenario, query, matches=_certified_match) -> bool:
     """(n,a,b)-resilience by plain recursion over the definition in the
     search module's docstring, without memoization: a state is good when it
     is non-critical, every update applicable while the window is open leads
     to a state good one level down, and either the goal is matched or some
     system move leads to a good state.  Time advances close the window and
     are allowed while w + b >= 1; each level's paths are bounded by
-    (max(w, 0) + b + 2) * m steps.  `matches(spec, config)` recognizes a
-    specification, None for no match."""
+    (max(w, 0) + b + 2) * m steps.  States, moves and rule matching are the
+    witness checker's (`msrplan.certify`), which shares no code path with
+    the engine.  `matches(spec, state)` recognizes a specification."""
     critical, goal = scenario.critical_spec, scenario.goal_spec
     m = len(scenario.initial)
     b = query.b
 
-    def results(config, rules):
-        return [
-            apply_instance(config, inst)
-            for rule in rules
-            for inst in find_matches(rule, config)
-        ]
+    def results(state, rules):
+        out = []
+        for rule in rules:
+            code = certify._rule_code(rule)
+            for sigma in certify._matches(code, state):
+                nxt = state.copy()
+                certify._apply(code, sigma, nxt)
+                out.append(nxt)
+        return out
 
-    def covered(config, n, w):
+    def later(state):
+        nxt = state.copy()
+        nxt.advance()
+        return nxt
+
+    def covered(state, n, w):
         if n == 0 or w < 0:
             return True
         steps = (max(w, 0) + b + 2) * m
         return all(
             good(updated, n - 1, w, steps)
-            for updated in results(config, scenario.update_rules)
+            for updated in results(state, scenario.update_rules)
         )
 
-    def good(config, n, w, steps):
-        if matches(critical, config) is not None:
+    def good(state, n, w, steps):
+        if matches(critical, state):
             return False
-        if not covered(config, n, w):
+        if not covered(state, n, w):
             return False
-        if matches(goal, config) is not None:
+        if matches(goal, state):
             return True
         if steps == 0:
             return False
-        moves = [(nxt, w) for nxt in results(config, scenario.system_rules)]
+        moves = [(nxt, w) for nxt in results(state, scenario.system_rules)]
         if w + b >= 1:
-            moves.append((tick(config), w - 1))
+            moves.append((later(state), w - 1))
         return any(good(nxt, n, w2, steps - 1) for nxt, w2 in moves)
 
-    return good(scenario.initial, query.n, query.a, (query.a + b + 2) * m)
+    initial = certify._State.of(scenario.initial)
+    return good(initial, query.n, query.a, (query.a + b + 2) * m)
 
 
 class TestDifferentialOracle:
@@ -714,7 +728,7 @@ class TestClockedPairs:
             query = ResilienceQuery(n, a, b)
             result = check_resilience(scenario, query)
             assert result.resilient == _reference_resilient(
-                scenario, query, brute_spec_match
+                scenario, query, lambda spec, state: brute_spec_match(spec, state.configuration())
             ), query
             verdicts.add(result.resilient)
         assert verdicts == {True, False}
@@ -894,6 +908,66 @@ class TestTamperedCarriedFacts:
         ok, violations = verify_witness(scenario, query, result.witness)
         assert not ok
         assert violations == ["root.trace[2]: instance does not re-apply"]
+
+
+def _drop_first_step(data: dict) -> None:
+    # [hop, Tick, land] becomes [Tick, land]: land consumes Mid@1, which
+    # only hop creates
+    del data["trace"][0]
+
+
+def _repeat_last_step(data: dict) -> None:
+    # land again: its Mid@1 is gone, but goal and guard would still hold
+    data["trace"].append(copy.deepcopy(data["trace"][-1]))
+
+
+def _drop_first_child(data: dict) -> None:
+    del data["children"][0]
+
+
+class TestEngineDefects:
+    """The verifier shares no code path with the engine: with one engine
+    defect in place, it still rejects a tampered witness that it rejects
+    without the defect.  The witness is built before the defect goes in."""
+
+    # (scenario, engine defect, mutation, expected violation); "minimal" is
+    # the bundled file at (1,2,1), whose trace is [hop, Tick, land], "game"
+    # is Q_GAME at (1,1,0), whose root has two children
+    CASES = [
+        ("minimal", "contains", _drop_first_step,
+         "root.trace[1]: instance does not re-apply"),
+        ("game", "interpret", _drop_first_child, "root: uncovered update point"),
+        ("minimal", "replace", _repeat_last_step,
+         "root.trace[3]: instance does not re-apply"),
+    ]
+
+    @staticmethod
+    def defect(monkeypatch, name: str) -> None:
+        if name == "contains":  # every multiset is included
+            monkeypatch.setattr(Configuration, "contains", lambda self, facts: True)
+        elif name == "interpret":  # no plan matches
+            monkeypatch.setattr(MatchPlan, "interpret", lambda self, config: [])
+        else:  # a rewrite takes nothing out
+            replace = Configuration.replace
+            monkeypatch.setattr(
+                Configuration, "replace", lambda self, removed, added: replace(self, (), added)
+            )
+
+    @pytest.mark.parametrize("name, defect, mutate, expected", CASES, ids=[c[1] for c in CASES])
+    def test_tampered_witness_stays_rejected(self, monkeypatch, minimal, name, defect, mutate, expected):
+        scenario, query = {
+            "minimal": (minimal, ResilienceQuery(1, 2, 1)),
+            "game": (qbf_to_scenario(Q_GAME), ResilienceQuery(1, 1, 0)),
+        }[name]
+        data = witness_to_dict(check_resilience(scenario, query).witness)
+        assert verify_witness(scenario, query, data) == (True, [])
+        mutate(data)
+        for broken in (False, True):
+            if broken:
+                self.defect(monkeypatch, defect)
+            ok, violations = verify_witness(scenario, query, data)
+            assert not ok, (defect, broken)
+            assert any(v.startswith(expected) for v in violations), (defect, broken, violations)
 
 
 TRAVEL_STARTS = (42, 60, 107, 108, 120, 121)  # the benchmark's travel grid
