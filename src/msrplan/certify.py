@@ -27,10 +27,12 @@ own matcher:
   and specification pair is compiled once (`_rule_code`, `_spec_code`).
 
 Terms are handled as their sort keys (`kernel.term_sort_key`), which are
-total: equal keys, equal terms.  Update points are enumerated as the engine
-does: each fresh variable gets the engine's canonical fresh constant, a
-variable binds only a term of its type, and a configuration repeated within
-a trace gives its points once, at its first index.
+total: equal keys, equal terms.  Sorts are the rule's and the scenario's
+business: a rule or pair keeps its time and term variables apart, and a
+scenario's configurations are typed, so the matcher tests no type.  Update
+points are enumerated as the engine does: each fresh variable gets the
+engine's canonical fresh constant, and a configuration repeated within a
+trace gives its points once, at its first index.
 """
 
 from __future__ import annotations
@@ -289,7 +291,7 @@ class _Step(NamedTuple):
     sigma[name] + offset.  `fixed` grounds the arguments known on entry,
     which sit at `positions`; the step is `determined` when they are all
     its arguments.  `binds` lists the first occurrences of new variables as
-    (position, name, type), `dups` their later ones as (position, first
+    (position, name), `dups` their later ones as (position, first
     position)."""
 
     pred: str
@@ -300,7 +302,7 @@ class _Step(NamedTuple):
     positions: tuple[int, ...]
     fixed: Slots
     determined: bool
-    binds: tuple[tuple[int, str, str], ...]
+    binds: tuple[tuple[int, str], ...]
     dups: tuple[tuple[int, int], ...]
     checks: tuple[Check, ...]  # the constraints whose later variable this step binds
     claims: bool  # claim a fact occurrence of its own
@@ -309,15 +311,10 @@ class _Step(NamedTuple):
 
 def _compile_join(
     patterns: list, constraints: Iterable, bound: set[str], claims: bool
-) -> tuple[Optional[tuple[Check, ...]], tuple[_Step, ...]]:
+) -> tuple[tuple[Check, ...], tuple[_Step, ...]]:
     """The constraints over the names in `bound` alone, and the steps that
     match `patterns` in their order after them.  With `claims`, patterns of
-    a predicate that several share claim distinct occurrences.  The
-    constraints are None when no binding can complete: a timestamp never
-    equals a term, so a name may not be a time and a term variable both."""
-    times = bound | {p.tvar for p in patterns}
-    if any(a.name in times for p in patterns for a in p.atom.args if isinstance(a, Variable)):
-        return None, ()
+    a predicate that several share claim distinct occurrences."""
     pending = _checks(constraints)
     before = tuple(c for c, _ in pending if c[0] in bound and c[2] in bound)
     pending = [(c, rel) for c, rel in pending if c not in before]
@@ -345,7 +342,7 @@ def _compile_join(
                 dups.append((pos, first[arg.name]))
             elif isinstance(arg, Variable) and arg.name not in bound:
                 first[arg.name] = pos
-                binds.append((pos, arg.name, arg.base_type))
+                binds.append((pos, arg.name))
             else:
                 positions.append(pos)
                 fixed.append(arg)
@@ -376,13 +373,13 @@ class _RuleCode(NamedTuple):
     created: tuple[tuple[str, Slots, int], ...]
     guard: tuple[Check, ...]
     fresh: tuple[tuple[str, str], ...]
-    before: Optional[tuple[Check, ...]]  # None: it never matches
+    before: tuple[Check, ...]
     join: tuple[_Step, ...]
 
 
 class _PairCode(NamedTuple):
     clocked: tuple[str, ...]  # the variables of its `Time` patterns
-    before: Optional[tuple[Check, ...]]
+    before: tuple[Check, ...]
     join: tuple[_Step, ...]
 
 
@@ -465,10 +462,10 @@ def _join(
         if determined:
             if args != known:
                 continue
-        elif not _fits(args, arity, positions, known, dups, binds):
+        elif not _fits(args, arity, positions, known, dups):
             continue
         else:
-            for pos, name, _ in binds:
+            for pos, name in binds:
                 sigma[name] = args[pos]
         if not bound:
             sigma[tvar] = at
@@ -496,10 +493,9 @@ def _fits(
     positions: tuple[int, ...],
     known: tuple,
     dups: tuple[tuple[int, int], ...],
-    binds: tuple[tuple[int, str, str], ...],
 ) -> bool:
-    """Do a fact's argument keys have the step's arity, its known keys, its
-    repeated variables' keys twice and its new variables' types?"""
+    """Do a fact's argument keys have the step's arity, its known keys and
+    its repeated variables' keys twice?"""
     if len(args) != arity:
         return False
     for pos, key in zip(positions, known):
@@ -508,10 +504,6 @@ def _fits(
     for pos, other in dups:
         if args[pos] != args[other]:
             return False
-    for pos, _, btype in binds:
-        key = args[pos]  # (0, name, type) or (1, type, index)
-        if btype and key[2 - key[0]] != btype:
-            return False
     return True
 
 
@@ -519,7 +511,7 @@ def _holds(codes: tuple[_PairCode, ...], state: _State) -> bool:
     """Does some pair of the compiled specification match `state`?"""
     for clocked, before, join in codes:
         sigma = dict.fromkeys(clocked, state.clock)
-        if before is None or not _hold(before, sigma):
+        if not _hold(before, sigma):
             continue
         if not join or _join(join, 0, state.groups, sigma, None, None):
             return True
@@ -532,7 +524,7 @@ def _matches(code: _RuleCode, state: _State) -> list[dict]:
     name order, the smallest index of its type that no fact holds and no
     earlier fresh variable took."""
     sigma = {GLOBAL_TIME_VAR: state.clock}
-    if code.before is None or not _hold(code.before, sigma):
+    if not _hold(code.before, sigma):
         return []
     if not code.join:
         found = [sigma]
@@ -625,17 +617,15 @@ def _update_points(
     codes: list[_RuleCode], state: _State, earlier: dict[int, list[_State]]
 ) -> tuple[Optional[_State], list[tuple[str, _RuleCode, dict]]]:
     """The update points of `state` as (instance key, rule, binding), by
-    rule and then key, with a copy of `state` to apply them to.  Of two
-    bindings with one key (an untyped variable over constants that share a
-    name) the smaller is kept.  A state equal to one in `earlier` that had
-    points has them already: it gets none.  `earlier` maps a global time to
-    its states with points."""
+    rule and then key, with a copy of `state` to apply them to.  Within a
+    signature a name identifies a constant, so no two bindings share a key.
+    A state equal to one in `earlier` that had points has them already: it
+    gets none.  `earlier` maps a global time to its states with points."""
     points = []
     for code in codes:
-        found: dict[str, dict] = {}
-        for sigma in sorted(_matches(code, state), key=lambda s: sorted(s.items())):
-            found.setdefault(_instance_text(code.rule.name, sigma), sigma)
-        points += [(text, code, found[text]) for text in sorted(found)]
+        name = code.rule.name
+        found = [(_instance_text(name, sigma), code, sigma) for sigma in _matches(code, state)]
+        points += sorted(found, key=lambda point: point[0])
     if not points:
         return None, []
     same_time = earlier.setdefault(state.clock, [])

@@ -1,8 +1,10 @@
 """Terms, timestamped facts, and configurations for timed multiset rewriting.
 
 A ground term is a constant: a declared one, or a fresh constant ``#type:k``
-that a rule mints; a pattern's term may also be a variable.  There are no
-function terms: no scenario file, reduction or rule can build one.
+that a rule mints; a pattern's term may also be a variable, typed by the
+positions it fills.  There are no function terms: no scenario file,
+reduction or rule can build one.  A scenario checks its initial
+configuration against its `Signature` once, and moves keep facts typed.
 
 A configuration is a multiset of timestamped facts containing exactly one
 occurrence of the global-time fact ``Time@t``, its clock.  It is stored as the

@@ -36,7 +36,10 @@ own matcher and state.
 
 A pattern's arguments are variables and constants, so a match compares
 every argument by its sort key or binds it to a variable, and never
-unifies.
+unifies.  Sorts are decided once, when a rule or pair is built: a name is
+a time or a term variable, never both (`Rule`, `specs.SpecPair`), and a
+term variable's type is fixed by its positions.  Configurations are typed
+(`scenario.PlanningScenario`), so no matcher tests a type.
 
 A move reuses what its match found.  A rule's plan returns each binding
 with the fact objects it matched for the consumed patterns, and the
@@ -331,6 +334,12 @@ class Rule:
         for name, btype in self.fresh:
             if not btype:
                 raise RuleError(f"rule {self.name}: fresh variable {name} has no type")
+        # a name has one sort: a timestamp never equals a term
+        clash = self.pre_time_vars & (self.pre_fo_vars | self.fresh_vars)
+        if clash:
+            raise RuleError(
+                f"rule {self.name}: {min(clash)} is both a time variable and a term variable"
+            )
         pre_tvars = self.pre_time_vars
         for c in self.guard:
             for v in c.variables():
@@ -578,7 +587,10 @@ class MatchPlan:
     in canonical order, which is ascending timestamp, so a step skips facts
     below its lower bound and stops at the first fact above its upper bound
     before looking at any argument.  Constraints over a single variable are
-    decided at compile time.
+    decided at compile time; one no timestamp meets makes the plan `never`
+    match.  A plan tests no sort: the rule or pair it is built from keeps
+    time and term variables apart, and a variable binds an argument of a
+    typed configuration, which is of the variable's type.
 
     The interpreter extends one binding dict in place.  A step writes only
     names that no earlier step binds, so backtracking needs no undo.  It
@@ -648,13 +660,6 @@ class MatchPlan:
                 by_var.setdefault(c.right, []).append(c)
             elif not (0 > c.offset if c.rel == ">" else c.offset == 0):
                 self.never = True
-        time_names = set(prebound)
-        fo_names: set[str] = set()
-        for p in remaining:
-            time_names.add(p.tvar)
-            fo_names |= p.atom.variables()
-        if not fo_names.isdisjoint(time_names):
-            self.never = True  # a timestamp never equals a term
         preds = [p.atom.pred for p in remaining]
         shared = {q for q in preds if preds.count(q) > 1} if precondition else ()
         self.preds = tuple(dict.fromkeys(preds))
@@ -730,9 +735,10 @@ class _Step(NamedTuple):
     k`` and ``ts <= binding[name] + k`` for the candidate fact's timestamp.
     `fixed` lists the arguments determined on entry as (position, bound name,
     None) or (position, None, the ground term's sort key); `binds` the first
-    occurrences of new variables as (position, name, base type); `dups` their
-    later occurrences as (position, first position).  `whole` is the tuple of
-    the arguments' keys when every argument is ground.
+    occurrences of new variables as (position, name), with no type to test,
+    since a typed configuration holds a term of the variable's type there;
+    `dups` their later occurrences as (position, first position).  `whole`
+    is the tuple of the arguments' keys when every argument is ground.
     `slot` is the pattern's index among a rule's consumed patterns, None for
     a side condition or a specification pattern.  `checks` holds the
     forward checks this step runs for later determined steps, each as that
@@ -747,7 +753,7 @@ class _Step(NamedTuple):
     determined: bool  # every argument is in `fixed`
     whole: Optional[tuple[tuple, ...]]
     fixed: tuple[tuple[int, Optional[str], Optional[tuple]], ...]
-    binds: tuple[tuple[int, str, str], ...]
+    binds: tuple[tuple[int, str], ...]
     dups: tuple[tuple[int, int], ...]
     claims: bool  # claim a distinct fact occurrence
     slot: Optional[int]
@@ -791,7 +797,7 @@ class _Step(NamedTuple):
             bound.add(tvar)
         args = pat.atom.args
         fixed: list[tuple[int, Optional[str], Optional[tuple]]] = []
-        binds: list[tuple[int, str, str]] = []
+        binds: list[tuple[int, str]] = []
         dups: list[tuple[int, int]] = []
         first_pos: dict[str, int] = {}
         index = len(earlier)
@@ -807,7 +813,7 @@ class _Step(NamedTuple):
                     last = max(last, binder.get(a.name, index))
                 else:
                     first_pos[a.name] = pos
-                    binds.append((pos, a.name, a.base_type))
+                    binds.append((pos, a.name))
             else:
                 fixed.append((pos, None, a._key))
         bound.update(first_pos)
@@ -877,11 +883,11 @@ def _extend(
         if determined:
             if fact.sort_key[3] != whole:
                 continue
-        elif len(args) != arity or not _fits(args, fact.sort_key[3], tests, dups, binds):
+        elif len(args) != arity or not _fits(fact.sort_key[3], tests, dups):
             continue
         if tvar is not None:
             sigma[tvar] = ts
-        for pos, name, _ in binds:
+        for pos, name in binds:
             sigma[name] = args[pos]
         if checks and not _possible(checks, by_pred, sigma, seen):
             continue
@@ -922,20 +928,15 @@ def _possible(
 
 
 def _fits(
-    args: tuple[Term, ...],
     keys: tuple[tuple, ...],
     tests: list[tuple[int, tuple]],
     dups: tuple[tuple[int, int], ...],
-    binds: tuple[tuple[int, str, str], ...],
 ) -> bool:
     for pos, key in tests:
         if keys[pos] != key:
             return False
     for pos, first in dups:
         if keys[pos] != keys[first]:
-            return False
-    for pos, _, btype in binds:
-        if btype and args[pos].base_type != btype:
             return False
     return True
 
@@ -1059,14 +1060,8 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
             ]
             if step.binds:
                 lines.append(f"{pad}{args} = {fact}.args")
-            for pos, name, btype in step.binds:
-                value = local(name)
-                lines.append(f"{pad}{value} = {args}[{pos}]")
-                if btype:
-                    lines += [
-                        f"{pad}if {value}.base_type != {btype!r}:",
-                        f"{pad}    continue",
-                    ]
+            for pos, name in step.binds:
+                lines.append(f"{pad}{local(name)} = {args}[{pos}]")
         if step.claims:
             lines += [
                 f"{pad}if available[{fact}] <= 0:",

@@ -70,7 +70,11 @@ AT_ONCE = -MAX_TIMESTAMP - 1
 
 @dataclass(frozen=True)
 class PlanningScenario:
-    """Signature, rules, goal/critical specifications, initial configuration."""
+    """Signature, rules, goal/critical specifications, initial configuration.
+
+    Building one, parsed, reduced or re-based (`with_initial`), checks each
+    initial fact against the signature (`KernelError`); moves keep the
+    configurations it reaches typed."""
 
     signature: Signature
     system_rules: tuple[Rule, ...]
@@ -81,6 +85,10 @@ class PlanningScenario:
     fact_size_bound: int
     declared_bound: bool = False
     inject_past: bool = True  # add T >= T_i for consumed facts of every rule
+
+    def __post_init__(self) -> None:
+        for f in self.initial:
+            self.signature.check_fact_args(f.pred, f.args)
 
     def rules(self) -> tuple[Rule, ...]:
         return self.system_rules + self.update_rules
@@ -619,28 +627,21 @@ class _Parser:
             raise ScenarioError(self.diags)
         if not self.saw_init:
             raise ScenarioError([Diagnostic(1, 1, "missing init block")])
+        inferred = _max_fact_size(self.init_facts, self.rules)
         try:
-            signature = make_signature(
-                self.types, self.consts, self.preds, self.roles
+            return PlanningScenario(
+                signature=make_signature(self.types, self.consts, self.preds, self.roles),
+                system_rules=tuple(r for r in self.rules if r.role is RuleRole.SYSTEM),
+                update_rules=tuple(r for r in self.rules if r.role is not RuleRole.SYSTEM),
+                goal_spec=ConfigSpec(SpecKind.GOAL, tuple(self.goal_pairs)),
+                critical_spec=ConfigSpec(SpecKind.CRITICAL, tuple(self.critical_pairs)),
+                initial=Configuration(self.init_facts),
+                fact_size_bound=self.bound if self.bound is not None else inferred,
+                declared_bound=self.bound is not None,
+                inject_past=self.inject_past,
             )
-            initial = Configuration(self.init_facts)
-            for f in initial:
-                signature.check_fact_args(f.pred, f.args)
         except KernelError as exc:
             raise ScenarioError([Diagnostic(1, 1, str(exc))]) from exc
-        inferred = _max_fact_size(self.init_facts, self.rules)
-        bound = self.bound if self.bound is not None else inferred
-        return PlanningScenario(
-            signature=signature,
-            system_rules=tuple(r for r in self.rules if r.role is RuleRole.SYSTEM),
-            update_rules=tuple(r for r in self.rules if r.role is not RuleRole.SYSTEM),
-            goal_spec=ConfigSpec(SpecKind.GOAL, tuple(self.goal_pairs)),
-            critical_spec=ConfigSpec(SpecKind.CRITICAL, tuple(self.critical_pairs)),
-            initial=initial,
-            fact_size_bound=bound,
-            declared_bound=self.bound is not None,
-            inject_past=self.inject_past,
-        )
 
 
 def _atom_size(atom: Atom) -> int:

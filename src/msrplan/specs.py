@@ -60,6 +60,10 @@ class SpecPair:
                     raise SpecError(
                         f"constraint variable {v} does not occur in the pair's pattern"
                     )
+        # a name has one sort: a timestamp never equals a term
+        clash = tvars & set().union(*(p.atom.variables() for p in self.pattern))
+        if clash:
+            raise SpecError(f"{min(clash)} is both a time variable and a term variable")
 
     @cached_property
     def plan(self) -> MatchPlan:

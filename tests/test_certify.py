@@ -11,6 +11,8 @@ import random
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from conftest import (
     explored_states,
     qbf_mix,
@@ -36,13 +38,16 @@ from msrplan.rules import (
     CreatedFact,
     FactPattern,
     Rule,
+    RuleError,
     TimeConstraint,
     apply_instance,
     find_matches,
 )
-from msrplan.scenario import parse_scenario
+from msrplan.scenario import ScenarioError, parse_scenario
 from msrplan.search import successors
-from msrplan.specs import ConfigSpec, SpecKind, SpecPair, Trace, TraceStep, match_spec
+from msrplan.specs import (
+    ConfigSpec, SpecError, SpecKind, SpecPair, Trace, TraceStep, match_spec,
+)
 from test_resilience import TRAVEL_STARTS
 
 # The engine's matching and replay entries
@@ -118,10 +123,14 @@ def _step(rule: str) -> dict:
 
 
 class TestUpdatePoints:
-    """Update points where typing, a clash of variable kinds or a revisited
-    configuration decide them."""
+    """Update points where the matcher's lack of a type test, a clash of
+    variable kinds or a revisited configuration decide them."""
 
-    def test_variable_binds_only_its_type(self):
+    def test_points_over_constants_that_share_a_name(self):
+        """Neither matcher tests a type, so a variable binds each constant its
+        position holds, also in a configuration no scenario admits, where
+        two constants share a name; the checker then keeps both points that
+        share a key, as the engine keeps both instances."""
         a, a2, b2 = Constant("a", "obj"), Constant("a", "obj2"), Constant("b", "obj2")
         facts = (("Time", ()), ("G", (a,)), ("G", (a2,)), ("G", (b2,)), ("G", (a,)))
         config = Configuration([TimedFact(p, args, 0) for p, args in facts])
@@ -131,26 +140,43 @@ class TestUpdatePoints:
                 (CreatedFact(Atom("N"), 1),), (),
             )
             engine = [inst.sigma["x"] for inst in find_matches(rule, config)]
-            assert engine == ([a] if btype else [a, a2, b2])
+            assert engine == [a, a2, b2]
             points = enumerate_update_points(
                 SimpleNamespace(update_rules=(rule,)), Trace(config), 0
             )
-            # an untyped x binds all three, and the two instances that bind
-            # an `a` share a key: that point is reported once
-            assert [inst.sigma["x"] for _, inst, _ in points] == ([a] if btype else [a, b2])
+            assert [inst.sigma["x"] for _, inst, _ in points] == engine
 
-    def test_time_and_term_variable_never_match(self):
-        # `P(x)@x` parses, but a timestamp never equals a term
-        scenario = parse_scenario(
-            "types t; consts c: t; predicates P(t): system, G: goal;"
-            "init { Time@0, P(c)@0, G@0 }"
-            "rule system_update u { consume: P(x)@x; create: P(x)@T+1; }"
-            "goal { G@T1 }",
-            "clash",
+    def test_time_and_term_variable_rejected(self):
+        """A timestamp never equals a term, so a name that is both a time and
+        a term variable is refused when the rule or pair is built, and the
+        parser reports it at the rule's name or the pair's head."""
+        head = (
+            "types t; consts c: t; predicates P(t): system, G(t): goal;\n"
+            "init { Time@0, P(c)@0 }\n"
         )
-        [rule] = scenario.update_rules
-        assert find_matches(rule, scenario.initial) == []
-        assert enumerate_update_points(scenario, Trace(scenario.initial), 0) == []
+        cases = (
+            ("rule system_update u { consume: P(x)@x; create: P(x)@T+1; }",
+             "clash:3:20: rule u: x is both a time variable and a term variable"),
+            ("goal { G(x)@x }", "clash:3:1: x is both a time variable and a term variable"),
+        )
+        for text, diagnostic in cases:
+            with pytest.raises(ScenarioError) as caught:
+                parse_scenario(head + text, "clash")
+            assert str(caught.value) == diagnostic
+        x, big_t = Variable("x", "t"), Variable("T", "t")
+        made = (CreatedFact(Atom("P", (x,)), 1),)
+        with pytest.raises(RuleError, match="rule u: x is both"):
+            Rule("u", (), (FactPattern(Atom("P", (x,)), "x"),), made, ())
+        # `T` is the global time in every rule, also as a fresh variable
+        with pytest.raises(RuleError, match="rule u: T is both"):
+            Rule("u", (), (FactPattern(Atom("P", (big_t,)), "T1"),), made, ())
+        minted = (CreatedFact(Atom("P", (big_t,)), 1),)
+        with pytest.raises(RuleError, match="rule u: T is both"):
+            Rule("u", (), (FactPattern(Atom("G", (x,)), "T1"),), minted, ())
+        with pytest.raises(SpecError, match="^x is both"):
+            SpecPair((FactPattern(Atom("G", (x,)), "x"),))
+        # in a pair `T` is a name like any other
+        SpecPair((FactPattern(Atom("Time"), "T1"), FactPattern(Atom("G", (big_t,)), "T2")))
 
     def test_repeated_configuration_reported_at_first_index(self):
         scenario = parse_scenario(REVISIT, "revisit")

@@ -51,6 +51,26 @@ class TestValidate:
         assert code == EXIT_ERROR
         assert f"{bad}:2:11: unknown type u" in out
 
+    @pytest.mark.parametrize(
+        "block, where",
+        [
+            ("rule system_update u { consume: P(x)@x; create: P(x)@T+1; }", "3:20: rule u: "),
+            ("goal { G(x)@x }", "3:1: "),
+        ],
+    )
+    def test_time_and_term_variable_is_a_located_diagnostic(
+        self, capsys, tmp_path, block, where
+    ):
+        bad = tmp_path / "clash.msr"
+        head = "types t; consts c: t; predicates P(t): system, G(t): goal;\ninit { Time@0 }\n"
+        bad.write_text(head + block + "\n", encoding="utf-8")
+        code = cli_dispatch(["validate", str(bad)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        message = "x is both a time variable and a term variable"
+        assert captured.err == f"{bad}:{where}{message}\n"
+
 
 class TestTraceAndGoal:
     def test_seeded_walk_is_reproducible(self, capsys, minimal_file):

@@ -1103,3 +1103,95 @@ class TestRenaming:
                 moved += mapped != witness_to_json(want.witness)
         assert verdicts == {True, False}
         assert 2 * moved >= positive > 0
+
+
+def _without_update(scenario, k: int):
+    """`scenario` without its k-th update rule."""
+    rules = scenario.update_rules
+    return dataclasses.replace(scenario, update_rules=rules[:k] + rules[k + 1:])
+
+
+class TestDroppedUpdateRule:
+    """A metamorphic relation where no oracle reaches, monotonicity beyond
+    criterion 5: dropping an update rule leaves the adversary fewer update
+    points, so a resilient verdict stays resilient, and each witness of the
+    smaller scenario verifies on it.  A not-resilient verdict may turn
+    resilient, and some do, so the relation is not vacuous."""
+
+    def _check(self, scenario, query, resilient: bool) -> int:
+        """Assert the relation for each update rule of `scenario` dropped in
+        turn; return how many drops turned the verdict resilient."""
+        gained = 0
+        for k in range(len(scenario.update_rules)):
+            smaller = _without_update(scenario, k)
+            result = check_resilience(smaller, query)
+            if resilient:
+                assert result.resilient, (scenario.update_rules[k].name, query)
+            elif result.resilient:
+                gained += 1
+            if result.resilient:
+                assert verify_witness(smaller, query, result.witness) == (True, [])
+        return gained
+
+    def test_travel_grid(self, travel, bench_table):
+        gained = kept = 0
+        for t0 in bench_table["TRAVEL_STARTS"]:
+            base = travel_with_start(travel, t0)
+            for n in bench_table["TRAVEL_N"]:
+                query = ResilienceQuery(n, bench_table["TRAVEL_A"], bench_table["TRAVEL_B"])
+                resilient = bench_table["travel_expected"](t0, n)
+                assert check_resilience(base, query).resilient == resilient
+                gained += self._check(base, query, resilient)
+                kept += resilient * len(base.update_rules)
+        assert kept > 0 and gained > 0
+
+    def test_qbf_mix(self):
+        gained = kept = 0
+        for q in qbf_mix()[:20]:
+            scenario = qbf_to_scenario(q)
+            query = ResilienceQuery(q.n, 1, 0)
+            resilient = check_resilience(scenario, query).resilient
+            assert resilient == evaluate_qbf(q), q
+            gained += self._check(scenario, query, resilient)
+            kept += resilient * len(scenario.update_rules)
+        assert kept > 0 and gained > 0
+
+
+class TestRandomTimeShift:
+    """`TestTimeShift`'s relation on random progressing scenarios with
+    updates: shifting every initial timestamp, the clock's included, by k
+    keeps each verdict; each witness verifies on its own scenario and is
+    the original's with every time binding moved by k, and each refutation
+    line moves its times by k.  Few draws of this family reach an update,
+    so the test counts the witnesses with children and the refutations that
+    name an update, and asks for some of each."""
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_random_progressing_scenarios(self, k):
+        times = re.compile(r"\b(T\w*=|t=)(\d+)")
+        verdicts, positive, children, updates = set(), 0, 0, 0
+        for seed in range(200):
+            base = random_scenario(seed, progressing=True, with_updates=True)
+            shifted = base.with_initial(
+                Configuration([TimedFact(f.pred, f.args, f.ts + k) for f in base.initial])
+            )
+            for nab in ((0, 1, 1), (1, 2, 2), (2, 3, 3)):
+                query = ResilienceQuery(*nab)
+                want, got = check_resilience(base, query), check_resilience(shifted, query)
+                assert got.resilient == want.resilient, (seed, nab)
+                verdicts.add(got.resilient)
+                if got.resilient:
+                    positive += 1
+                    children += bool(got.witness.children)
+                    assert verify_witness(shifted, query, got.witness) == (True, [])
+                    moved = _shift_sigmas(witness_to_dict(want.witness), k)
+                    assert witness_to_json(got.witness) == witness_to_json(moved), (seed, nab)
+                else:
+                    updates += any(line.lstrip().startswith("update") for line in want.refutation)
+                    moved = tuple(
+                        times.sub(lambda m: f"{m[1]}{int(m[2]) + k}", line)
+                        for line in want.refutation
+                    )
+                    assert got.refutation == moved, (seed, nab)
+        assert verdicts == {True, False}
+        assert positive > 200 and children >= 10 and updates >= 5

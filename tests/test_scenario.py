@@ -6,8 +6,16 @@ import re
 
 import pytest
 
-from conftest import WORKED_EXAMPLE, qbf_mix, random_scenario
+from conftest import (
+    WORKED_EXAMPLE,
+    explored_states,
+    qbf_mix,
+    random_scenario,
+    travel_with_start,
+)
+from msrplan.kernel import Configuration, Constant, KernelError, TimedFact
 from msrplan.reductions import qbf_to_scenario
+from msrplan.resilience import ResilienceQuery, check_resilience
 from msrplan.scenario import (
     ScenarioError,
     bundled_text,
@@ -376,10 +384,74 @@ def _render_diagnostics(text: str) -> str:
 def test_diagnostics_digest():
     # taken with the parser that had separate atom parsers for init facts and
     # patterns, a hand-written loop per list, and its own global-time checks;
-    # text, line, column and order of every diagnostic must stay the same
+    # text, line, column and order of every diagnostic must stay the same;
+    # since a name used as both a time and a term variable is rejected where
+    # its rule or pair is built, three mutants carry that diagnostic too
     rendered = [_render_diagnostics(text) for text in _diagnostics_corpus()]
     assert len(rendered) == 2000 + len(_HANDWRITTEN)
     digest = hashlib.sha256("\n\x00".join(rendered).encode("utf-8")).hexdigest()
     assert digest == (
-        "d6423d68cda37173d967843d49e7e41ab90dd0d04c677df07ae6a7c215639e8c"
+        "5708d2d015a13c76b3e3860ddfff2de22fd4c48027ec1a211f257ed6e3bd6593"
     )
+
+
+# ---------------------------------------------------------------------------
+# Typed configurations
+# ---------------------------------------------------------------------------
+
+def _witness_configurations(witness):
+    """Every configuration of a witness tree's traces, children included."""
+    yield from witness.trace.configurations()
+    for _, _, sub in witness.children:
+        yield from _witness_configurations(sub)
+
+
+class TestTypedConfigurations:
+    """Sorts are checked once, at the scenario boundary: every initial
+    configuration is checked against the signature, and moves keep
+    configurations typed, which is why no matcher tests a type."""
+
+    def test_initial_configuration_is_checked(self, travel):
+        clock = TimedFact("Time", (), 45)
+        fra = Constant("FRA", "city")
+        ill_typed = TimedFact("At", (fra, fra), 0)
+        for fact, message in (
+            (ill_typed, "At: argument FRA is not of type place"),
+            (TimedFact("Nowhere", (), 0), "undeclared predicate Nowhere"),
+            (TimedFact("At", (fra,), 0), "predicate At expects 2 arguments, got 1"),
+        ):
+            with pytest.raises(KernelError, match=message):
+                travel.with_initial(Configuration([clock, fact]))
+        assert travel.with_initial(travel.initial).initial == travel.initial
+
+    def test_explored_and_witness_configurations_are_typed(self, travel):
+        """Configurations reached by system and update moves, and those of
+        the witnesses' traces, hold only facts their signature admits: on
+        the travel starts, the first 20 `qbf_mix` formulas and 20 random
+        progressing scenarios with updates."""
+        cases = [
+            (travel_with_start(travel, t0), 120, ResilienceQuery(n, 12, 220))
+            for t0, n in ((42, 2), (60, 1), (107, 2), (108, 0), (120, 0), (121, 0))
+        ]
+        cases += [
+            (qbf_to_scenario(q), 60, ResilienceQuery(q.n, 1, 0)) for q in qbf_mix()[:20]
+        ]
+        cases += [
+            (random_scenario(seed, progressing=True, with_updates=True), 60,
+             ResilienceQuery(1, 2, 2))
+            for seed in range(20)
+        ]
+        facts = witnesses = 0
+        for scenario, limit, query in cases:
+            configs = explored_states(scenario, limit)
+            result = check_resilience(scenario, query)
+            if result.resilient:
+                witnesses += 1
+                configs += list(_witness_configurations(result.witness))
+            check = scenario.signature.check_fact_args
+            for config in configs:
+                for f in config:
+                    check(f.pred, f.args)
+                    facts += 1
+        assert witnesses > 20
+        assert facts > 50_000
