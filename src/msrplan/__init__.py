@@ -9,7 +9,6 @@ from .kernel import (
     TimedFact,
     Variable,
     clock_convert,
-    clock_invert,
     fact_size,
     make_signature,
 )
@@ -47,7 +46,7 @@ from .scenario import (
     validate_scenario,
 )
 from .search import find_compliant_goal_trace, successors
-from .delta import DeltaRep, INF, abstract, delta_key, is_progressing_delta, lift, tock
+from .delta import DeltaRep, INF, abstract, delta_key, lift, tock
 from .resilience import (
     ResilienceQuery,
     WitnessTree,

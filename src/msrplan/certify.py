@@ -1,22 +1,26 @@
-"""Witness files and their independent checker.
+"""Witness files and the independent checker of witnesses and traces.
 
 A witness is the strategy tree `resilience.check_resilience` certifies a
 positive verdict with.  Its file format lives here: `witness_to_dict` and
 `witness_to_json` write it, `witness_from_json` and `parse_ground_term`
 read it.
 
-`verify_witness` re-derives every obligation of a witness, and it shares no
-code path with the engine that found it (McConnell, Mehlhorn, Näher and
-Schweitzer, *Certifying algorithms*, 2011).  It keeps its own state and its
-own matcher:
+`verify_witness` re-derives every obligation of a witness, and
+`trace_errors` (behind `specs.replay_errors`) checks that each recorded
+configuration of a trace is the exact result of its step.  Neither shares a
+code path with the engine that found what it checks (McConnell, Mehlhorn,
+Näher and Schweitzer, *Certifying algorithms*, 2011).  They keep their own
+state and matcher:
 
 - A `_State` is a configuration as the checker keeps it: for each predicate
   that has a fact, a dict from (argument keys, timestamp) to the number of
-  copies, plus the global time.  A node's trace is replayed on one state,
-  updated in place at each step; a state is copied only at an admissible
-  update point, to give each child its start state.  The replay builds no
+  copies, plus the global time.  A trace is replayed on one state, updated
+  in place at each step; a state is copied only at an admissible update
+  point, to give each child its start state.  The replay builds no
   `Configuration` and makes no engine move (`rules.reapply`, `tick`,
-  `Configuration.replace`).
+  `Configuration.replace`).  `trace_errors` compares each recorded
+  configuration, as the sorted list of its facts' sort keys, with the list
+  the replay expects, which it updates by the facts each step changes.
 - `_join` is a plain backtracking matcher.  Patterns are matched in
   declaration order, after the names bound from the start: ``T`` of a rule
   is the global time, and a specification's `Time` patterns bind their
@@ -41,6 +45,7 @@ import json
 import operator
 import re
 import weakref
+from bisect import bisect_left, insort
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, NamedTuple, Optional, Union
 
@@ -51,6 +56,7 @@ from .kernel import (
     Constant,
     FreshConstant,
     GroundTerm,
+    KernelError,
     Signature,
     TimedFact,
     Variable,
@@ -546,9 +552,9 @@ def _matches(code: _RuleCode, state: _State) -> list[dict]:
 
 def _rewrite(
     code: _RuleCode, sigma: dict, consumed: Iterable[tuple[str, Fact]], groups: dict
-) -> None:
+) -> list[tuple[str, Fact]]:
     """Take the `consumed` facts, which `groups` holds, out of it and put
-    the facts the rule creates under `sigma` in."""
+    the facts the rule creates under `sigma` in; return those."""
     for pred, fact in consumed:
         group = groups[pred]
         count = group[fact]
@@ -559,16 +565,19 @@ def _rewrite(
         else:
             del groups[pred]
     now = sigma[GLOBAL_TIME_VAR]
+    created = []
     for pred, slots, delay in code.created:
         ts = now + delay
         if ts > MAX_TIMESTAMP:
             raise EngineError("created timestamp overflow")
         fact = (_ground(slots, sigma), ts)
+        created.append((pred, fact))
         group = groups.get(pred)
         if group is None:
             groups[pred] = {fact: 1}
         else:
             group[fact] = group.get(fact, 0) + 1
+    return created
 
 
 def _apply(code: _RuleCode, sigma: dict, state: _State) -> None:
@@ -580,37 +589,43 @@ def _apply(code: _RuleCode, sigma: dict, state: _State) -> None:
     _rewrite(code, sigma, consumed, state.groups)
 
 
-def _replay(code: _RuleCode, sigma: dict, state: _State) -> bool:
+def _replay(
+    code: _RuleCode, sigma: dict, state: _State
+) -> Optional[tuple[list[tuple[str, Fact]], list[tuple[str, Fact]]]]:
     """Apply the rule to `state` under `sigma`, a binding of each of its
-    variables, when it applies there; else return False.  It applies when
-    its ``T`` is the global time, its side and consumed facts are in
-    `state` as a multiset, its guard holds, and each fresh variable holds a
-    fresh constant of its type, no two the same and none held by a fact."""
+    variables, when it applies there, and return the facts it consumed and
+    created; else return None.  It applies when its ``T`` is the global
+    time, its side and consumed facts are in `state` as a multiset, its
+    guard holds, and each fresh variable holds a fresh constant of its
+    type, no two the same and none held by a fact."""
     if sigma[GLOBAL_TIME_VAR] != state.clock:
-        return False
+        return None
     groups = state.groups
     pre = [(pred, (_ground(slots, sigma), sigma[tvar])) for pred, tvar, slots in code.pre]
     if code.repeats:
         wanted: dict[tuple, int] = {}
         for item in pre:
             wanted[item] = wanted.get(item, 0) + 1
+        for (pred, fact), count in wanted.items():
+            group = groups.get(pred)
+            if group is None or group.get(fact, 0) < count:
+                return None
     else:
-        wanted = dict.fromkeys(pre, 1)
-    for (pred, fact), count in wanted.items():
-        group = groups.get(pred)
-        if group is None or group.get(fact, 0) < count:
-            return False
+        for pred, fact in pre:
+            group = groups.get(pred)
+            if group is None or fact not in group:
+                return None
     if code.guard and not _hold(code.guard, sigma):
-        return False
+        return None
     if code.fresh:
         terms = [sigma[name] for name, _ in code.fresh]
         for key, (_, btype) in zip(terms, code.fresh):
             if key[0] != 1 or key[1] != btype:
-                return False
+                return None
         if len(set(terms)) != len(terms) or not state.fresh_taken().isdisjoint(terms):
-            return False
-    _rewrite(code, sigma, pre[len(pre) - code.consumed:], groups)
-    return True
+            return None
+    consumed = pre[len(pre) - code.consumed:]
+    return consumed, _rewrite(code, sigma, consumed, groups)
 
 
 def _update_points(
@@ -662,6 +677,80 @@ def enumerate_update_points(
             ))
             out.append((index, RuleInstance(code.rule, bindings), updated.configuration()))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Trace replay
+# ---------------------------------------------------------------------------
+
+# A fact's sort key as `kernel.TimedFact` builds it: (timestamp, 1 for a
+# fact other than the clock, predicate, argument keys)
+_SORT_KEY = operator.attrgetter("sort_key")
+
+
+def _trace_sigma(code: _RuleCode, bindings: Iterable[tuple[str, Any]]) -> Optional[dict]:
+    """A trace step's substitution with each term as its key; None unless
+    it binds exactly the rule's variables, each time variable to an integer
+    and each other one to a ground term.  A time variable is ``T`` or a
+    timestamp of the precondition, so a value out of range matches none."""
+    times = code.times
+    sigma = {}
+    for var, value in bindings:
+        if value.__class__ is int:  # not a bool
+            if var not in times:
+                return None
+            sigma[var] = value
+        elif var in times:
+            return None
+        else:
+            try:
+                sigma[var] = term_sort_key(value)
+            except KernelError:
+                return None
+    return sigma if sigma.keys() == code.variables else None
+
+
+def trace_errors(trace: Trace) -> list[str]:
+    """The steps of `trace` whose recorded configuration is not the exact
+    result of its annotation, each replayed on one `_State` from the
+    configuration recorded before it.  A tick moves the clock by one and
+    keeps the facts.  A rule step must apply under its substitution alone
+    (`_replay`), and leaves the facts before it without those it consumed
+    and with those it created.  A recorded configuration must have the
+    replay's clock, and the facts other than its clock (`others`) the sort
+    keys the replay expects, kept as one sorted list.  After a failed step
+    the replay goes on from its recorded configuration."""
+    errors: list[str] = []
+    state = _State.of(trace.initial)
+    checked = trace.initial.others
+    keys = list(map(_SORT_KEY, checked))
+    for k, step in enumerate(trace.steps, 1):
+        recorded, inst = step.result, step.instance
+        others = recorded.others
+        if isinstance(inst, str):  # a tick
+            state.advance()
+            # the facts stay, so the very tuple checked last holds them
+            got = keys if others is checked else list(map(_SORT_KEY, others))
+        else:
+            code = _rule_code(inst.rule)
+            sigma = _trace_sigma(code, inst.bindings)
+            change = None if sigma is None else _replay(code, sigma, state)
+            if change is None:
+                errors.append(f"step {k}: instance {inst.key()} not applicable")
+                state, checked = _State.of(recorded), others
+                keys = list(map(_SORT_KEY, others))
+                continue
+            consumed, created = change
+            for pred, (args, ts) in consumed:
+                del keys[bisect_left(keys, (ts, 1, pred, args))]
+            for pred, (args, ts) in created:
+                insort(keys, (ts, 1, pred, args))
+            got = list(map(_SORT_KEY, others))
+        if recorded.global_time != state.clock or got != keys:
+            errors.append(f"step {k}: recorded configuration does not match replay")
+            state = _State.of(recorded)
+        keys, checked = got, others
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +883,7 @@ class _Verifier:
                 if code.rule.role is not RuleRole.SYSTEM:
                     violations.append(f"{label}: trace uses non-system rule {code.rule.name}")
                     return
-                if not _replay(code, sigma, state):
+                if _replay(code, sigma, state) is None:
                     violations.append(f"{label}: instance does not re-apply")
                     return
             if unsafe is None and _holds(critical, state):

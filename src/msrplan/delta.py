@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .kernel import TIME_PREDICATE, Configuration, GroundTerm, TimedFact
-from .rules import EngineError, tick
+from .rules import EngineError
 
 INF = float("inf")
 Gap = Union[int, float]
@@ -119,8 +119,8 @@ def tock(d: DeltaRep) -> DeltaRep:
     """Advance the global time by one directly on the abstraction.
 
     Defined only for future-bounded abstractions.  The contract is agreement
-    with tick on any concrete representative; this is the case-analysis fast
-    path, and `tock_oracle` realizes the same contract by lifting.
+    with tick on any concrete representative, which lifting, ticking and
+    abstracting again realizes; this is the case-analysis fast path.
     """
     if not d.future_bounded():
         raise EngineError("tock requires a future-bounded abstraction")
@@ -162,57 +162,3 @@ def tock(d: DeltaRep) -> DeltaRep:
         new_gaps.append(int(gaps[j]) - 1)
         new_gaps.extend(gaps[j + 1 :])
     return DeltaRep(tuple(new_facts), tuple(new_gaps), d.dmax)
-
-
-def tock_oracle(d: DeltaRep) -> DeltaRep:
-    """Reference Tock: lift to a concrete configuration, tick, re-abstract."""
-    if not d.future_bounded():
-        raise EngineError("tock requires a future-bounded abstraction")
-    return abstract(tick(lift(d)), d.dmax)
-
-
-def _future_profile(d: DeltaRep) -> tuple[list[tuple[UntimedFact, int]], int]:
-    """Strictly-future facts with their distance to the global time, plus the
-    total future spread (the sum of those distances over all later facts)."""
-    i = d.time_index
-    out: list[tuple[UntimedFact, int]] = []
-    cum = 0
-    spread = 0
-    for k in range(i, len(d.facts) - 1):
-        gap = d.gaps[k]
-        if gap is INF:
-            raise EngineError("future profile requires a future-bounded abstraction")
-        cum += int(gap)
-        spread += cum
-        if cum > 0:
-            out.append((d.facts[k + 1], cum))
-    return out, spread
-
-
-def is_progressing_delta(before: DeltaRep, after: DeltaRep) -> bool:
-    """Progressing check for one abstract step.
-
-    Holds when (i) the length is preserved, (ii) every strictly-future fact of
-    the enabling abstraction survives with the same distance to the global
-    time, and (iii) the global-time fact moves left while the total future
-    spread strictly grows.  Time advancement steps (Tock) count as progressing.
-    """
-    if before.dmax != after.dmax:
-        raise DeltaError("abstractions compare only at equal dmax")
-    if not before.future_bounded() or not after.future_bounded():
-        raise EngineError("progressing check requires future-bounded abstractions")
-    if tock(before) == after:
-        return True
-    if len(before.facts) != len(after.facts):
-        return False
-    before_future, before_total = _future_profile(before)
-    after_future, after_total = _future_profile(after)
-    remaining = list(after_future)
-    for item in before_future:
-        if item in remaining:
-            remaining.remove(item)
-        else:
-            return False
-    if after.time_index >= before.time_index:
-        return False
-    return before_total < after_total

@@ -311,9 +311,10 @@ class Configuration:
     facts.  Configurations holding the same multiset have the same tuple,
     clock and hash.  The public views put the clock back: `canonical_order()`
     inserts it at its sort position, and iteration, `len`, `str`, the counts
-    and equality count it as one fact.  The multiset counts and the groups
-    are computed from the tuple on first use; a group holds each distinct
-    fact once, as the object of its first copy in the tuple.
+    and equality count it as one fact; `others` is the tuple alone.  The
+    multiset counts and the groups are computed from the tuple on first
+    use; a group holds each distinct fact once, as the object of its first
+    copy in the tuple.
 
     A successor is built in O(changes) Python steps.  `at` moves the clock
     alone: it shares this configuration's tuple and groups and updates the
@@ -364,6 +365,12 @@ class Configuration:
     def clock(self) -> TimedFact:
         """The one global-time fact."""
         return self._clock
+
+    @property
+    def others(self) -> tuple[TimedFact, ...]:
+        """The facts other than the clock in the order of their sort keys,
+        copies side by side: the tuple this configuration is stored as."""
+        return self._facts
 
     def canonical_order(self) -> tuple[TimedFact, ...]:
         """All facts in the total order of their sort keys: the clock goes
@@ -572,12 +579,3 @@ def clock_convert(days: int, hours: int, minutes: int) -> int:
     if total > MAX_TIMESTAMP:
         raise KernelError("timestamp overflow")
     return total
-
-
-def clock_invert(total: int) -> tuple[int, int, int]:
-    """Exact inverse of clock_convert."""
-    if total < 0:
-        raise KernelError("time units must be non-negative")
-    days, rem = divmod(total, MINUTES_PER_DAY)
-    hours, minutes = divmod(rem, MINUTES_PER_HOUR)
-    return (days, hours, minutes)

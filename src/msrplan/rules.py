@@ -30,9 +30,9 @@ is the generated function, stored under the same name, so a (state, rule)
 or (state, pair) match costs one call into the layer and one into that
 function, which reads the configuration's groups and clock from their
 slots.  Trace compliance (`specs.check_compliance`) matches through the
-interpreter alone (`MatchPlan.interpret`).  The witness verifier
-(`certify`) uses none of this module's matching or application: it has its
-own matcher and state.
+interpreter alone (`MatchPlan.interpret`).  The witness verifier and trace
+replay (`certify`) use none of this module's matching or application: they
+have their own matcher and state.
 
 A pattern's arguments are variables and constants, so a match compares
 every argument by its sort key or binds it to a variable, and never
@@ -48,9 +48,9 @@ instances of `find_matches` carry them, so `apply_instance` hands them to
 filled into a template each rule compiles once (`Rule.creation`).  Only
 that path reads carried facts.  Every check grounds the substitution
 instead, and one function makes it: `is_applicable` asks it, and `reapply`,
-the entry of trace replay (`specs.replay_errors`), applies the instance
-with the facts it grounded, each step's facts built once.
-`interpret_matches` returns instances without facts.
+the path of an untrusted `apply_instance`, applies the instance with the
+facts it grounded, each step's facts built once.  Trace replay
+(`specs.replay_errors`) is the witness checker's and uses neither.
 """
 
 from __future__ import annotations
@@ -511,10 +511,10 @@ class RuleInstance:
     `facts`: the fact objects its match found for the consumed patterns, in
     the rule's consumed order.
     They are neither compared nor shown, and only a trusted
-    `apply_instance` reads them.  Every check (`is_applicable`, `reapply`,
-    trace replay) grounds the substitution instead, so carried facts that
-    disagree with it cannot pass one; the witness verifier reads only the
-    substitutions a witness file holds.
+    `apply_instance` reads them.  Every check (`is_applicable`, `reapply`)
+    grounds the substitution instead, so carried facts that disagree with
+    it cannot pass one; trace replay and the witness verifier read only the
+    substitutions a trace or a witness file holds.
     """
 
     rule: Rule
@@ -1151,15 +1151,7 @@ def find_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     `apply_instance`.
     """
     raw = rule.plan.bindings(config)
-    return _instances(rule, config, raw, True) if raw else []
-
-
-def interpret_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
-    """`find_matches` on the plan's interpreter alone, which never runs
-    generated code, so the two tiers can be compared.  Its instances carry
-    no facts, so applying them grounds every consumed fact."""
-    raw = rule.plan.interpret(config)
-    return _instances(rule, config, raw, False) if raw else []
+    return _instances(rule, config, raw) if raw else []
 
 
 _new = object.__new__
@@ -1168,10 +1160,10 @@ _SET_BINDINGS = RuleInstance.bindings.__set__  # type: ignore[attr-defined]
 _SET_FACTS = RuleInstance.facts.__set__  # type: ignore[attr-defined]
 
 
-def _instances(rule: Rule, config: Configuration, raw: list, carry: bool) -> list[RuleInstance]:
+def _instances(rule: Rule, config: Configuration, raw: list) -> list[RuleInstance]:
     """Instances from a rule plan's nonempty list of (binding, facts) pairs,
-    carrying the facts when `carry` is set.  Each is filled through its
-    slots' descriptors, as the dataclass constructor would fill it."""
+    each carrying its facts.  Each is filled through its slots'
+    descriptors, as the dataclass constructor would fill it."""
     fresh = _canonical_fresh(rule, config)
     instances = []
     for sigma, facts in raw:
@@ -1180,7 +1172,7 @@ def _instances(rule: Rule, config: Configuration, raw: list, carry: bool) -> lis
         inst = _new(RuleInstance)
         _SET_RULE(inst, rule)
         _SET_BINDINGS(inst, tuple(sorted(sigma.items())))
-        _SET_FACTS(inst, facts if carry else None)
+        _SET_FACTS(inst, facts)
         instances.append(inst)
     if len(instances) > 1:
         instances.sort(key=RuleInstance.key)
@@ -1227,8 +1219,8 @@ def is_applicable(inst: RuleInstance, config: Configuration) -> bool:
 def reapply(inst: RuleInstance, config: Configuration) -> Optional[Configuration]:
     """`inst` applied to `config` when it applies there (`is_applicable`),
     else None.  It removes the consumed facts its check grounded from the
-    bindings, so facts an instance carries are never read: the entry of
-    trace replay."""
+    bindings, so facts an instance carries are never read: the path of an
+    untrusted `apply_instance`."""
     checked = _applicable(inst, config)
     if checked is None:
         return None

@@ -31,7 +31,6 @@ from .rules import (
     TimeConstraint,
     apply_instance,
     pattern_lags,
-    reapply,
     tick,
 )
 
@@ -261,22 +260,17 @@ class Trace:
 def replay_errors(trace: Trace) -> list[str]:
     """Check that every step's configuration is the exact result of its
     annotation, rebuilt from the step's substitution alone: facts an engine
-    instance carries are never read."""
-    errors = []
-    current = trace.initial
-    for i, step in enumerate(trace.steps):
-        if step.is_tick:
-            expected = tick(current)
-        else:
-            expected = reapply(step.instance, current)
-            if expected is None:
-                errors.append(f"step {i + 1}: instance {step.instance.key()} not applicable")
-                current = step.result
-                continue
-        if expected != step.result:
-            errors.append(f"step {i + 1}: recorded configuration does not match replay")
-        current = step.result
-    return errors
+    instance carries are never read.  A step whose instance does not apply
+    to the configuration before it, or whose substitution does not bind
+    exactly its rule's variables with values of their sorts, is reported as
+    not applicable; a step whose recorded configuration differs from the
+    replay's, as a mismatch.  Each step is replayed from the configuration
+    recorded before it.  The replay is the witness checker's
+    (`certify.trace_errors`), on its own state, so it shares no code path
+    with the engine whose traces it checks."""
+    from .certify import trace_errors  # certify imports this module
+
+    return trace_errors(trace)
 
 
 @dataclass(frozen=True)

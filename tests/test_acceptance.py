@@ -22,7 +22,7 @@ from conftest import (
     trace_annotations,
     travel_with_start,
 )
-from msrplan.delta import abstract, lift, tock, tock_oracle
+from msrplan.delta import abstract, lift, tock
 from msrplan.kernel import Configuration, Constant, TimedFact, Variable
 from msrplan.reductions import (
     Graph,
@@ -44,6 +44,7 @@ from msrplan.rules import Atom, FactPattern, apply_instance, find_matches, tick
 from msrplan.scenario import infer_dmax
 from msrplan.search import find_compliant_goal_trace, instantaneous_run_lengths, successors
 from msrplan.specs import TICK_STEP, ConfigSpec, SpecKind, SpecPair, match_spec
+from reference import tock_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

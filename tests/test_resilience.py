@@ -21,7 +21,7 @@ from conftest import (
     trace_annotations,
     travel_with_start,
 )
-from msrplan import certify, resilience, search
+from msrplan import certify, resilience, rules, search, specs
 from msrplan.delta import abstract, delta_key
 from msrplan.kernel import TIME_PREDICATE, Configuration, Constant, FreshConstant, TimedFact
 from msrplan.reductions import Qbf, evaluate_qbf, qbf_to_msr_text, qbf_to_scenario
@@ -38,7 +38,7 @@ from msrplan.resilience import (
 from msrplan.rules import EngineError, MatchPlan, apply_instance
 from msrplan.scenario import bundled_text, infer_dmax, parse_scenario
 from msrplan.search import find_compliant_goal_trace
-from msrplan.specs import TICK_STEP, replay_errors
+from msrplan.specs import TICK_STEP, Trace, TraceStep, replay_errors
 
 Q_GAME = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((1, 2, 3), (-1, -2, -3)))
 Q_FALSE = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((2, 2, 2),))
@@ -947,6 +947,11 @@ class TestEngineDefects:
             monkeypatch.setattr(Configuration, "contains", lambda self, facts: True)
         elif name == "interpret":  # no plan matches
             monkeypatch.setattr(MatchPlan, "interpret", lambda self, config: [])
+        elif name == "at":  # the clock stays
+            monkeypatch.setattr(Configuration, "at", lambda self, time: self)
+        elif name == "reapply":  # a checked rewrite changes nothing
+            for module in (rules, specs):
+                monkeypatch.setattr(module, "reapply", lambda inst, config: config, raising=False)
         else:  # a rewrite takes nothing out
             replace = Configuration.replace
             monkeypatch.setattr(
@@ -968,6 +973,47 @@ class TestEngineDefects:
             ok, violations = verify_witness(scenario, query, data)
             assert not ok, (defect, broken)
             assert any(v.startswith(expected) for v in violations), (defect, broken, violations)
+
+    @pytest.mark.parametrize("defect", ["contains", "replace", "at", "reapply"])
+    def test_tampered_trace_stays_rejected(self, monkeypatch, travel, defect):
+        """Trace replay too: the travel goal trace and its tamperings, all
+        built and read before the defect goes in, are judged the same with
+        it in place."""
+        trace = find_compliant_goal_trace(travel, 232)
+        steps = trace.steps
+        first_move = next(k for k, s in enumerate(steps) if not s.is_tick)
+        first_tick = next(k for k, s in enumerate(steps) if s.is_tick)
+        ticked = steps[first_tick].result
+        late = Configuration([*ticked.others, ticked.clock.at(ticked.global_time + 1)])
+        tampered = {
+            "dropped step": steps[:first_move] + steps[first_move + 1:],
+            "repeated last step": steps + steps[-1:],
+            "clock one off": (
+                steps[:first_tick]
+                + (TraceStep(TICK_STEP, late),)
+                + steps[first_tick + 1:]
+            ),
+        }
+        traces = {name: Trace(trace.initial, s) for name, s in tampered.items()}
+        for each in (trace, *traces.values()):
+            list(each.configurations())
+        expected = {name: replay_errors(t) for name, t in traces.items()}
+        assert expected == {
+            "dropped step": [
+                f"step {first_move + 1}: recorded configuration does not match replay"
+            ],
+            "repeated last step": [
+                f"step {len(steps) + 1}: instance {steps[-1].instance.key()} not applicable"
+            ],
+            "clock one off": [
+                f"step {first_tick + 1}: recorded configuration does not match replay",
+                f"step {first_tick + 2}: instance {steps[first_tick + 1].instance.key()} "
+                "not applicable",
+            ],
+        }
+        self.defect(monkeypatch, defect)
+        assert replay_errors(trace) == []
+        assert {name: replay_errors(t) for name, t in traces.items()} == expected
 
 
 TRAVEL_STARTS = (42, 60, 107, 108, 120, 121)  # the benchmark's travel grid

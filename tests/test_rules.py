@@ -58,7 +58,6 @@ from msrplan.rules import (
     apply_instance,
     classify_rule,
     find_matches,
-    interpret_matches,
     is_applicable,
     reapply,
     tick,
@@ -66,6 +65,7 @@ from msrplan.rules import (
 from msrplan.scenario import load_bundled
 from msrplan.search import find_compliant_goal_trace, successors
 from msrplan.specs import ConfigSpec, SpecKind, SpecPair, interpret_spec, match_spec
+from reference import interpret_matches
 
 
 def fact(pred: str, ts: int, *args) -> TimedFact:
