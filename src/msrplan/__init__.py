@@ -47,15 +47,13 @@ from .scenario import (
 )
 from .search import find_compliant_goal_trace, successors
 from .delta import DeltaRep, INF, abstract, delta_key, lift, tock
-from .resilience import (
-    ResilienceQuery,
-    WitnessTree,
-    check_resilience,
+from .certify import (
     enumerate_update_points,
     verify_witness,
     witness_from_json,
     witness_to_json,
 )
+from .resilience import ResilienceQuery, WitnessTree, check_resilience
 from .reductions import (
     Graph,
     Qbf,

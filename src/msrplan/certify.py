@@ -17,8 +17,8 @@ state and matcher:
   copies, plus the global time.  A trace is replayed on one state, updated
   in place at each step; a state is copied only at an admissible update
   point, to give each child its start state.  The replay builds no
-  `Configuration` and makes no engine move (`rules.reapply`, `tick`,
-  `Configuration.replace`).  `trace_errors` compares each recorded
+  `Configuration` and makes no engine move (`rules.apply_instance`,
+  `tick`, `Configuration.replace`).  `trace_errors` compares each recorded
   configuration, as the sorted list of its facts' sort keys, with the list
   the replay expects, which it updates by the facts each step changes.
 - `_join` is a plain backtracking matcher.  Patterns are matched in

@@ -11,6 +11,7 @@ import random
 import sys
 from pathlib import Path
 
+from .certify import verify_witness, witness_from_json, witness_to_json
 from .delta import DeltaError, abstract
 from .kernel import KernelError
 from .reductions import (
@@ -22,13 +23,7 @@ from .reductions import (
     parse_qdimacs,
     qbf_to_msr_text,
 )
-from .resilience import (
-    ResilienceQuery,
-    check_resilience,
-    verify_witness,
-    witness_from_json,
-    witness_to_json,
-)
+from .resilience import ResilienceQuery, check_resilience
 from .rules import EngineError, RuleError
 from .scenario import (
     PlanningScenario,

@@ -413,25 +413,6 @@ class Configuration:
     def count(self, fact: TimedFact) -> int:
         return self._multiset().get(fact, 0)
 
-    def contains(self, facts: Iterable[TimedFact]) -> bool:
-        """Multiset inclusion of `facts` in this configuration.  Copies of a
-        fact sit side by side in the sorted tuple, so the n-th copy asked
-        for is present when the n-th fact from the first of its key still
-        has that key."""
-        seq, clock = self._facts, self._clock.sort_key
-        n, prev = 0, None
-        for key in sorted(map(_SORT_KEY, facts)):
-            n = n + 1 if key == prev else 1
-            prev = key
-            if key[1] == 0:  # a Time fact: the clock, once
-                if n > 1 or key != clock:
-                    return False
-                continue
-            i = bisect_left(seq, key, key=_SORT_KEY) + n - 1
-            if i >= len(seq) or seq[i].sort_key != key:
-                return False
-        return True
-
     def values(self) -> set[Union[GroundTerm, int]]:
         """All constants and timestamps occurring here."""
         out: set[Union[GroundTerm, int]] = {self._clock.ts}

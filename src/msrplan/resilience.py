@@ -11,7 +11,9 @@ every admissible update point on it, the witness one update level down.
 
 The witness file format and its checker, `verify_witness` with its own
 `enumerate_update_points`, live in `certify`, which shares no code path
-with the engine; they are exported here too.
+with the engine; import them from there.  `verify_witness`,
+`witness_to_json` and `enumerate_update_points` are still imported here
+because the benchmark names them on this module.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .certify import (
-    enumerate_update_points,
-    parse_ground_term,
-    verify_witness,
-    witness_from_json,
-    witness_to_dict,
-    witness_to_json,
-)
+from .certify import enumerate_update_points, verify_witness, witness_to_json
 from .kernel import Configuration
 from .rules import EngineError, RuleInstance
 from .scenario import PlanningScenario

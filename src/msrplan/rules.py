@@ -45,12 +45,13 @@ A move reuses what its match found.  A rule's plan returns each binding
 with the fact objects it matched for the consumed patterns, and the
 instances of `find_matches` carry them, so `apply_instance` hands them to
 `Configuration.replace` instead of grounding them again; created facts are
-filled into a template each rule compiles once (`Rule.creation`).  Only
-that path reads carried facts.  Every check grounds the substitution
-instead, and one function makes it: `is_applicable` asks it, and `reapply`,
-the path of an untrusted `apply_instance`, applies the instance with the
-facts it grounded, each step's facts built once.  Trace replay
-(`specs.replay_errors`) is the witness checker's and uses neither.
+filled into a template each rule compiles once (`Rule.creation`).
+`apply_instance` is the only way to apply a move, and it checks nothing:
+its instance must be one `find_matches` found on the configuration it
+applies to.  An instance read from outside, a trace step or a witness
+file, is checked by replaying its substitution in `certify`
+(`specs.replay_errors`, `certify.verify_witness`), which reads no carried
+fact.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class RuleError(ValueError):
 
 
 class EngineError(RuntimeError):
-    """Raised for runtime misuse: stale instances, overflow, bad inputs."""
+    """Raised for runtime misuse: overflow, bad inputs."""
 
 
 class RuleRole(enum.Enum):
@@ -509,12 +510,10 @@ class RuleInstance:
     `find_matches` fills its instances' slots through their descriptors,
     bypassing the dataclass constructor.  An instance from it also carries
     `facts`: the fact objects its match found for the consumed patterns, in
-    the rule's consumed order.
-    They are neither compared nor shown, and only a trusted
-    `apply_instance` reads them.  Every check (`is_applicable`, `reapply`)
-    grounds the substitution instead, so carried facts that disagree with
-    it cannot pass one; trace replay and the witness verifier read only the
-    substitutions a trace or a witness file holds.
+    the rule's consumed order.  They are neither compared nor shown, and
+    only `apply_instance` reads them; an instance built without them is
+    grounded from its substitution there.  Trace replay and the witness
+    verifier read only the substitutions a trace or a witness file holds.
     """
 
     rule: Rule
@@ -1179,72 +1178,18 @@ def _instances(rule: Rule, config: Configuration, raw: list) -> list[RuleInstanc
     return instances
 
 
-def _applicable(
-    inst: RuleInstance, config: Configuration
-) -> Optional[tuple[Binding, list[TimedFact]]]:
-    """The substitution of `inst` and its consumed facts, each built once
-    from the bindings, when `inst` applies to `config`; else None.  It
-    applies when its `T` is the global time, its side and consumed facts
-    are in `config` as a multiset, its guard holds, and each fresh variable
-    holds a fresh constant of its own type, no two the same and none
-    already in `config`."""
-    rule = inst.rule
-    sigma = dict(inst.bindings)
-    if _ts_of(sigma, GLOBAL_TIME_VAR) != config.global_time:
-        return None
-    side = _ground(rule.side, sigma)
-    consumed = _ground(rule.consumed, sigma)
-    if not config.contains(side + consumed):
-        return None
-    # every guard variable occurs in the precondition, so grounding found
-    # it bound to a timestamp
-    for c in rule.guard:
-        if not c.satisfied(sigma):
-            return None
-    if rule.fresh:
-        fresh = [sigma.get(v) for v, _ in rule.fresh]
-        for term, (_, btype) in zip(fresh, rule.fresh):
-            if not isinstance(term, FreshConstant) or term.base_type != btype:
-                return None
-        distinct = set(fresh)
-        if len(distinct) != len(fresh) or distinct & config.values():
-            return None
-    return sigma, consumed
-
-
-def is_applicable(inst: RuleInstance, config: Configuration) -> bool:
-    return _applicable(inst, config) is not None
-
-
-def reapply(inst: RuleInstance, config: Configuration) -> Optional[Configuration]:
-    """`inst` applied to `config` when it applies there (`is_applicable`),
-    else None.  It removes the consumed facts its check grounded from the
-    bindings, so facts an instance carries are never read: the path of an
-    untrusted `apply_instance`."""
-    checked = _applicable(inst, config)
-    if checked is None:
-        return None
-    sigma, consumed = checked
-    return config.replace(consumed, _created(inst.rule, sigma))
-
-
-def apply_instance(
-    config: Configuration, inst: RuleInstance, *, trusted: bool = False
-) -> Configuration:
+def apply_instance(config: Configuration, inst: RuleInstance) -> Configuration:
     """Apply a rule instance: remove consumed facts, add created ones.
 
-    Side-condition facts and the global-time fact are untouched.  A stale
-    instance (no longer applicable to `config`) is rejected through
-    `reapply`.  `trusted` skips that check for instances just produced by
-    find_matches on `config`: it removes the consumed facts the instance
-    carries, which `replace` then finds without building them again, and
-    grounds them from the substitution only for an instance without them.
+    Side-condition facts and the global-time fact are untouched.  The
+    instance must be one `find_matches` found on `config`; nothing here
+    checks it.  It removes the consumed facts the instance carries, which
+    `replace` then finds without building them again, and grounds them from
+    the substitution only for an instance built without them.  A consumed
+    fact `config` lacks raises `KernelError`.  An instance from anywhere
+    else, a trace or a witness file, is checked by replaying it in
+    `certify`.
     """
-    if not trusted:
-        result = reapply(inst, config)
-        if result is None:
-            raise EngineError(f"stale instance {inst.key()} on {config}")
-        return result
     removed = inst.facts
     if removed is None:
         removed = inst.consumed_facts()

@@ -92,7 +92,7 @@ def successors(
     given, then the time advance unless `advance` is False."""
     for rule in rules:
         for inst in find_matches(rule, config):
-            yield inst, apply_instance(config, inst, trusted=True)
+            yield inst, apply_instance(config, inst)
     if advance:
         yield TICK_STEP, tick(config)
 

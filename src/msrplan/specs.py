@@ -159,8 +159,8 @@ class TraceStep:
 
     A step made with `after`, the step before it or the configuration it
     starts from, in place of `result` holds no configuration until `result`
-    is first read.  That read replays the trusted `apply_instance` or `tick`
-    from the last configuration known along the `after` links, in a loop, and
+    is first read.  That read replays `apply_instance` or `tick` from the
+    last configuration known along the `after` links, in a loop, and
     fills in every step it passes.  `search.Checker.trace` defers the steps
     past the deadline that it takes from entries recorded at other states.
     Equality and hashing read `result`, so a deferred step equals the step
@@ -195,7 +195,7 @@ class TraceStep:
                 if step.is_tick:
                     source = tick(source)
                 else:
-                    source = apply_instance(source, step.instance, trusted=True)
+                    source = apply_instance(source, step.instance)
                 step._result, step._after = source, None
         return self._result
 

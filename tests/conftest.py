@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -449,6 +450,7 @@ def brute_find_matches(
         fresh_assignment[name] = FreshConstant(btype, index)
 
     names = sorted(fo_vars)
+    have = Counter(config.counts())
     keys: set[str] = set()
     candidates = {
         n: [t for t in terms if _term_type(sig, t) == fo_vars[n]] for n in names
@@ -462,7 +464,7 @@ def brute_find_matches(
                 _ground_pattern(p.atom, p.tvar, sigma)
                 for p in (*rule.side, *rule.consumed)
             ]
-            if not config.contains(needed):
+            if any(have[f] < k for f, k in Counter(needed).items()):
                 continue
             times = {v: t for v, t in sigma.items() if isinstance(t, int)}
             if not all(c.satisfied(times) for c in rule.guard):

@@ -1,24 +1,71 @@
 """Reference implementations the tests compare the package against.
 
 Each computes what a package function computes, along a plainer path or
-on the engine's side of a checker: trace replay through `rules.reapply`,
-Tock by lifting, the progressing check for one abstract step, the inverse
-of `clock_convert`, and rule matching on the interpreter alone.  The
-package uses none of them.
+on the engine's side of a checker: the applicability check of a rule
+instance and trace replay through it, Tock by lifting, the progressing
+check for one abstract step, the inverse of `clock_convert`, and rule
+matching on the interpreter alone.  The package uses none of them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import Optional
+
 from msrplan.delta import DeltaError, DeltaRep, INF, UntimedFact, abstract, lift, tock
-from msrplan.kernel import MINUTES_PER_DAY, MINUTES_PER_HOUR, FreshConstant, KernelError
-from msrplan.rules import EngineError, RuleInstance, reapply, tick
+from msrplan.kernel import (
+    MINUTES_PER_DAY,
+    MINUTES_PER_HOUR,
+    Configuration,
+    FreshConstant,
+    KernelError,
+)
+from msrplan.rules import (
+    GLOBAL_TIME_VAR,
+    EngineError,
+    RuleInstance,
+    _created,
+    _ground,
+    _ts_of,
+    tick,
+)
+
+
+def reapply(inst: RuleInstance, config: Configuration) -> Optional[Configuration]:
+    """`inst` applied to `config` when it applies there, else None.  It
+    applies when its `T` is the global time, its side and consumed facts
+    are in `config` as a multiset, its guard holds, and each fresh variable
+    holds a fresh constant of its own type, no two the same and none
+    already in `config`.  It removes the consumed facts it grounded from the
+    bindings, so facts an instance carries are never read.  A substitution
+    that misses or mistypes a variable raises."""
+    rule = inst.rule
+    sigma = dict(inst.bindings)
+    if _ts_of(sigma, GLOBAL_TIME_VAR) != config.global_time:
+        return None
+    consumed = _ground(rule.consumed, sigma)
+    if not Counter(_ground(rule.side, sigma) + consumed) <= Counter(config.counts()):
+        return None
+    # every guard variable occurs in the precondition, so grounding found
+    # it bound to a timestamp
+    if not all(c.satisfied(sigma) for c in rule.guard):
+        return None
+    if rule.fresh:
+        fresh = [sigma.get(v) for v, _ in rule.fresh]
+        for term, (_, btype) in zip(fresh, rule.fresh):
+            if not isinstance(term, FreshConstant) or term.base_type != btype:
+                return None
+        distinct = set(fresh)
+        if len(distinct) != len(fresh) or distinct & config.values():
+            return None
+    return config.replace(consumed, _created(rule, sigma))
 
 
 def engine_replay_errors(trace) -> list[str]:
     """`specs.replay_errors` on the engine's path: each step is re-applied
-    with `rules.reapply` or `rules.tick` to the configuration recorded
-    before it, and the result compared with the recorded one.  A
-    substitution that misses or mistypes a variable raises here."""
+    with `reapply` or `rules.tick` to the configuration recorded before
+    it, and the result compared with the recorded one.  A substitution
+    that misses or mistypes a variable raises here."""
     errors = []
     current = trace.initial
     for i, step in enumerate(trace.steps):

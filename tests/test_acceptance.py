@@ -34,12 +34,8 @@ from msrplan.reductions import (
     graph_to_goal_instance,
     qbf_to_scenario,
 )
-from msrplan.resilience import (
-    ResilienceQuery,
-    check_resilience,
-    verify_witness,
-    witness_to_dict,
-)
+from msrplan.certify import witness_to_dict
+from msrplan.resilience import ResilienceQuery, check_resilience, verify_witness
 from msrplan.rules import Atom, FactPattern, apply_instance, find_matches, tick
 from msrplan.scenario import infer_dmax
 from msrplan.search import find_compliant_goal_trace, instantaneous_run_lengths, successors

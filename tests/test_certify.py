@@ -25,12 +25,12 @@ from conftest import (
 from msrplan import certify, specs
 from msrplan.kernel import Configuration, Constant, FreshConstant, TimedFact, Variable
 from msrplan.reductions import qbf_to_scenario
+from msrplan.certify import witness_to_dict
 from msrplan.resilience import (
     ResilienceQuery,
     check_resilience,
     enumerate_update_points,
     verify_witness,
-    witness_to_dict,
     witness_to_json,
 )
 from msrplan.rules import (
@@ -55,12 +55,12 @@ from test_resilience import TRAVEL_STARTS
 
 # The engine's matching and replay entries
 ENGINE_NAMES = {
-    "reapply", "apply_instance", "tick", "MatchPlan", "interpret_matches", "interpret_spec",
+    "apply_instance", "tick", "MatchPlan", "interpret_matches", "interpret_spec",
     "check_compliance", "match_spec", "find_matches", "successors", "Checker",
 }
-# and its methods: Configuration.replace, .at and .contains, MatchPlan.interpret
-# and .generate, Rule.plan and SpecPair.plan
-ENGINE_METHODS = {"replace", "at", "contains", "interpret", "generate", "plan"}
+# and its methods: Configuration.replace and .at, MatchPlan.interpret and
+# .generate, Rule.plan and SpecPair.plan
+ENGINE_METHODS = {"replace", "at", "interpret", "generate", "plan"}
 
 
 def _named(tree: ast.AST) -> tuple[set[str], set[str], set[str]]:

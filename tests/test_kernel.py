@@ -181,8 +181,6 @@ def _assert_multiset_views(c: Configuration) -> None:
     expected = Counter(facts)
     assert c.counts() == dict(expected)
     assert all(c.count(f) == n for f, n in expected.items())
-    assert c.contains(facts) and c.contains(facts[1:])
-    assert not c.contains([*facts, facts[0]])
     groups: dict[str, list[TimedFact]] = {}
     for f in facts:
         if f.pred == "Time":
@@ -289,61 +287,6 @@ class TestReplace:
             config.counts()[p] = 7
             config.counts().clear()
             assert config.count(p) == n and config.counts()[p] == n
-            assert config.contains([p] * n) and not config.contains([p] * (n + 1))
-
-
-# Facts that differ only in timestamp, only in a constant's type, or in
-# arity; the clock is drawn apart.
-_A, _A2 = Constant("a", "t"), Constant("a", "u")
-_POOL = [fact(p, ts, *args) for p in ("P", "Q") for ts in (0, 1, 2) for args in ((), (_A,), (_A2,))]
-_CLOCK, _OTHER_CLOCK = len(_POOL), len(_POOL) + 1
-
-
-class TestContains:
-    """`contains` finds copies by bisection; it must agree with `Counter`
-    inclusion, on configurations built fresh and derived by `replace` and
-    `at`, with their groups computed or not."""
-
-    @given(
-        start=st.lists(st.sampled_from(_POOL), max_size=8),
-        clock=st.integers(0, 3),
-        grouped=st.booleans(),
-        removed=st.lists(st.sampled_from(_POOL), max_size=3),
-        added=st.lists(st.sampled_from(_POOL), max_size=3),
-        later=st.none() | st.integers(0, 4),
-        wanted=st.lists(st.integers(0, _OTHER_CLOCK), max_size=5),
-    )
-    def test_agrees_with_counter_inclusion(
-        self, start, clock, grouped, removed, added, later, wanted
-    ):
-        config = Configuration([fact("Time", clock), *start])
-        have = Counter(start)
-        if grouped:
-            config.by_pred()
-        present = []
-        for f in removed:
-            if have[f] > 0:
-                have[f] -= 1
-                present.append(f)
-        config = config.replace(present, added)
-        have.update(added)
-        if later is not None:
-            config = config.at(later)
-        now = config.global_time
-        have[fact("Time", now)] += 1
-        facts = [
-            _POOL[i] if i < _CLOCK else fact("Time", now + (i == _OTHER_CLOCK))
-            for i in wanted
-        ]
-        assert config.contains(facts) == (not Counter(facts) - have)
-        # each present fact in each multiplicity it has, and one copy more,
-        # and the clock at another time beside every present fact
-        for f, n in have.items():
-            if n > 0:
-                assert config.contains([f] * n) and not config.contains([f] * (n + 1))
-        for other in (now - 1, now + 1):
-            if other >= 0:
-                assert not config.contains([*have.elements(), fact("Time", other)])
 
 
 class TestTick:

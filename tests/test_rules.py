@@ -28,6 +28,7 @@ from msrplan.kernel import (
     Configuration,
     Constant,
     FreshConstant,
+    KernelError,
     Role,
     TimedFact,
     Variable,
@@ -58,14 +59,21 @@ from msrplan.rules import (
     apply_instance,
     classify_rule,
     find_matches,
-    is_applicable,
-    reapply,
     tick,
 )
 from msrplan.scenario import load_bundled
 from msrplan.search import find_compliant_goal_trace, successors
-from msrplan.specs import ConfigSpec, SpecKind, SpecPair, interpret_spec, match_spec
-from reference import interpret_matches
+from msrplan.specs import (
+    ConfigSpec,
+    SpecKind,
+    SpecPair,
+    Trace,
+    TraceStep,
+    interpret_spec,
+    match_spec,
+    replay_errors,
+)
+from reference import interpret_matches, reapply
 
 
 def fact(pred: str, ts: int, *args) -> TimedFact:
@@ -208,9 +216,10 @@ class TestMatching:
         assert inst.fresh_assignment["w"] == FreshConstant("t", 1)
 
     def test_applicable_only_with_distinct_unused_fresh_constants_of_their_type(self):
-        from msrplan.kernel import FreshConstant
-        from msrplan.rules import RuleInstance, is_applicable
-
+        """Trace replay and the reference check apply a minting step only
+        when its fresh variables hold distinct fresh constants of their type
+        that no fact holds; replay reports any other step as not
+        applicable."""
         rule = Rule(
             "mint2",
             (),
@@ -227,23 +236,28 @@ class TestMatching:
         assert inst.fresh_assignment == {
             "v": FreshConstant("t", 1), "w": FreshConstant("t", 2)
         }
-        assert is_applicable(inst, config)
 
         def rebound(**terms) -> RuleInstance:
             sigma = {**inst.sigma, **terms}
             return RuleInstance(rule, tuple(sorted(sigma.items())))
 
-        assert is_applicable(rebound(w=FreshConstant("t", 7)), config)
+        def replayed(step: RuleInstance, result: Configuration = config) -> list[str]:
+            return replay_errors(Trace(config, (TraceStep(step, result),)))
+
+        for good in (inst, rebound(w=FreshConstant("t", 7))):
+            after = apply_instance(config, good)
+            assert replayed(good, after) == [] and reapply(good, config) == after
+        missing = RuleInstance(rule, tuple(b for b in inst.bindings if b[0] != "w"))
         for bad in (
             rebound(w=a),  # a declared constant already in the configuration
             rebound(w=Constant("b", "t")),  # a declared constant, even if absent
             rebound(w=FreshConstant("u", 2)),  # a fresh constant of another type
             rebound(w=FreshConstant("t", 1)),  # the same constant as v
             rebound(w=used),  # a fresh constant already in the configuration
+            missing,  # no binding for w
         ):
-            assert not is_applicable(bad, config)
-        missing = RuleInstance(rule, tuple(b for b in inst.bindings if b[0] != "w"))
-        assert not is_applicable(missing, config)
+            assert replayed(bad) == [f"step 1: instance {bad.key()} not applicable"]
+            assert reapply(bad, config) is None
 
     def test_stale_instance_rejected(self):
         rule = Rule(
@@ -256,7 +270,7 @@ class TestMatching:
         config = Configuration([fact("Time", 0), fact("N", 0)])
         [inst] = find_matches(rule, config)
         after = apply_instance(config, inst)
-        with pytest.raises(EngineError):
+        with pytest.raises(KernelError, match=r"^cannot remove absent fact N@0$"):
             apply_instance(after, inst)
 
     def test_apply_is_pure(self):
@@ -1097,7 +1111,7 @@ class TestCarriedFacts:
                     assert plain == inst and plain.facts is None
                     assert list(inst.facts) == plain.consumed_facts()
                     assert all(id(f) in present for f in inst.facts)
-                    carried = apply_instance(config, inst, trusted=True)
+                    carried = apply_instance(config, inst)
                     grounded = apply_instance(config, plain)
                     assert carried == grounded
                     assert carried.canonical_order() == grounded.canonical_order()
@@ -1135,7 +1149,7 @@ class TestCarriedFacts:
         for inst in found:
             assert [f.pred for f in inst.facts] == [f"P{k}" for k in range(4, 12)]
             assert list(inst.facts) == RuleInstance(rule, inst.bindings).consumed_facts()
-            after = apply_instance(config, inst, trusted=True)
+            after = apply_instance(config, inst)
             assert after == apply_instance(config, RuleInstance(rule, inst.bindings))
             assert len(after) == len(config) - 8 + 1
 
@@ -1158,9 +1172,10 @@ def _variants(inst: RuleInstance, constants: list[Constant]) -> list[RuleInstanc
 
 
 class TestReapply:
-    """`reapply`, `is_applicable` and `apply_instance` make one check: they
-    agree on every match and on every match with one binding changed, and a
-    changed instance applies exactly when the matcher finds it too."""
+    """The reference check (`reference.reapply`) agrees with the engine: on
+    every match and on every match with one binding changed that it finds
+    applicable, it builds what `apply_instance` builds, and a changed
+    instance applies exactly when the matcher finds it too."""
 
     def _check(self, scenario, configs: list[Configuration]) -> Counter:
         constants = sorted(
@@ -1172,19 +1187,13 @@ class TestReapply:
             for rule in scenario.rules():
                 found = find_matches(rule, config)
                 for inst in found:
-                    assert reapply(inst, config) == apply_instance(config, inst, trusted=True)
+                    assert reapply(inst, config) == apply_instance(config, inst)
                     for variant in [inst, *_variants(inst, constants)]:
                         got = reapply(variant, config)
-                        assert is_applicable(variant, config) == (got is not None)
-                        try:
-                            applied = apply_instance(config, variant)
-                        except EngineError:
-                            applied = None
-                        assert applied == got
                         if got is not None:
-                            trusted = apply_instance(config, variant, trusted=True)
-                            assert got.canonical_order() == trusted.canonical_order()
-                            assert got == trusted and hash(got) == hash(trusted)
+                            applied = apply_instance(config, variant)
+                            assert got.canonical_order() == applied.canonical_order()
+                            assert got == applied and hash(got) == hash(applied)
                         # the matcher finds every applicable instance with
                         # the canonical fresh constants
                         if variant.fresh_assignment == inst.fresh_assignment:
