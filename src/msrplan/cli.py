@@ -61,6 +61,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.file)
+    if args.ticks < 0:
+        raise EngineError("tick count must be a natural number")
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
     config = scenario.initial

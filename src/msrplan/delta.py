@@ -3,7 +3,9 @@
 Two configurations are equivalent (for a given truncation bound) exactly when
 their abstractions coincide; the abstraction is invariant under uniform time
 shifts.  For progressing scenarios concrete traces and traces over
-abstractions are bisimilar.  The search does not key its memo on these
+abstractions are bisimilar.  Time moves on an abstraction by `tock`, the
+tick of `lift`'s representative abstracted again, defined when no infinite
+gap follows the clock.  The search does not key its memo on these
 abstractions: it keys on concrete configurations, whose clock fixes the
 window left, so the abstraction could never merge two of its keys.  They
 serve the `delta` command and the bisimulation checks.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .kernel import TIME_PREDICATE, Configuration, GroundTerm, TimedFact
-from .rules import EngineError
+from .rules import EngineError, tick
 
 INF = float("inf")
 Gap = Union[int, float]
@@ -116,49 +118,10 @@ def lift(d: DeltaRep) -> Configuration:
 
 
 def tock(d: DeltaRep) -> DeltaRep:
-    """Advance the global time by one directly on the abstraction.
-
-    Defined only for future-bounded abstractions.  The contract is agreement
-    with tick on any concrete representative, which lifting, ticking and
-    abstracting again realizes; this is the case-analysis fast path.
-    """
+    """Advance the global time by one on the abstraction: the tick of
+    `lift`'s representative, abstracted again.  Defined when no infinite
+    gap follows the clock, where every representative's tick abstracts to
+    the same result."""
     if not d.future_bounded():
         raise EngineError("tock requires a future-bounded abstraction")
-    n = len(d.facts)
-    i = d.time_index
-    if n == 1:
-        return d
-    gaps = list(d.gaps)
-    facts = list(d.facts)
-
-    # Facts tied to the current instant (zero gaps after Time) end up strictly
-    # in the past of the advanced clock, so they move in front of it.
-    j = i
-    while j + 1 < n and gaps[j] == 0:
-        j += 1
-
-    def bump(gap: Gap) -> Gap:
-        if gap is INF:
-            return INF
-        return gap + 1 if gap + 1 <= d.dmax else INF
-
-    if j == i:
-        # No tied facts: only the gaps around Time change.
-        if i > 0:
-            gaps[i - 1] = bump(gaps[i - 1])
-        if i < n - 1:
-            gaps[i] = int(gaps[i]) - 1
-        return DeltaRep(tuple(facts), tuple(gaps), d.dmax)
-
-    moved = facts[i + 1 : j + 1]
-    moved_gaps = gaps[i + 1 : j]  # all zeros, between the moved facts
-    before_facts = facts[:i]
-    before_gaps = gaps[: max(i - 1, 0)]
-    bridge = [] if i == 0 else [gaps[i - 1]]  # Time..first moved had gap 0
-    after_facts = facts[j + 1 :]
-    new_facts = before_facts + moved + [facts[i]] + after_facts
-    new_gaps: list[Gap] = list(before_gaps) + bridge + list(moved_gaps) + [1]
-    if after_facts:
-        new_gaps.append(int(gaps[j]) - 1)
-        new_gaps.extend(gaps[j + 1 :])
-    return DeltaRep(tuple(new_facts), tuple(new_gaps), d.dmax)
+    return abstract(tick(lift(d)), d.dmax)

@@ -410,9 +410,6 @@ class Configuration:
             _SET_GROUPS(self, cached)
         return cached
 
-    def count(self, fact: TimedFact) -> int:
-        return self._multiset().get(fact, 0)
-
     def values(self) -> set[Union[GroundTerm, int]]:
         """All constants and timestamps occurring here."""
         out: set[Union[GroundTerm, int]] = {self._clock.ts}

@@ -137,9 +137,6 @@ class PlanningScenario:
     def eta(self) -> int:
         return eta_measure(self.critical_spec)
 
-    def is_eta_simple(self, eta: int) -> bool:
-        return self.eta() < eta
-
     def with_initial(self, initial: Configuration) -> "PlanningScenario":
         return replace(self, initial=initial)
 
@@ -724,10 +721,6 @@ class ValidationReport:
     dmax: int
     fact_size_bound: int
     fact_size_failures: tuple[str, ...]
-    role_warnings: tuple[str, ...]
-
-    def is_eta_simple(self, eta: int) -> bool:
-        return self.eta < eta
 
     def render(self) -> str:
         lines = []
@@ -772,11 +765,6 @@ def infer_dmax(scenario: PlanningScenario) -> int:
 def validate_scenario(scenario: PlanningScenario) -> ValidationReport:
     """Pure, total report: classifications, progressing, eta, Dmax, size audit."""
     classifications = scenario.classify()
-    role_warnings = []
-    for name, c in classifications.items():
-        for v in c.violations:
-            if v.startswith("role("):
-                role_warnings.append(f"{name}: {v}")
     failures = []
     for f in scenario.initial:
         size = fact_size(f)
@@ -794,7 +782,6 @@ def validate_scenario(scenario: PlanningScenario) -> ValidationReport:
         dmax=infer_dmax(scenario),
         fact_size_bound=scenario.fact_size_bound,
         fact_size_failures=tuple(failures),
-        role_warnings=tuple(role_warnings),
     )
 
 

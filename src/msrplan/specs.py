@@ -142,18 +142,6 @@ def match_spec(
     return None
 
 
-def interpret_spec(
-    spec: ConfigSpec, config: Configuration
-) -> Optional[tuple[int, Binding]]:
-    """`match_spec` on the plans' interpreter alone, which never runs
-    generated code: the entry of `check_compliance`."""
-    for i, pair in enumerate(spec.pairs):
-        found = pair.plan.interpret(config)
-        if found:
-            return (i, found[0])
-    return None
-
-
 class TraceStep:
     """One step annotation plus the configuration it produced.
 
@@ -214,12 +202,6 @@ class TraceStep:
     def is_tick(self) -> bool:
         return isinstance(self.instance, str)
 
-    @property
-    def label(self) -> str:
-        if self.is_tick:
-            return TICK_STEP
-        return self.instance.rule.name
-
     def __str__(self) -> str:
         """``name σ={...} ⇒ |S|=size t=time``; a tick renders as ``Tick σ={}``."""
         move = f"{TICK_STEP} σ={{}}" if self.is_tick else str(self.instance)
@@ -237,11 +219,6 @@ class Trace:
         yield self.initial
         for step in self.steps:
             yield step.result
-
-    def config_at(self, index: int) -> Configuration:
-        if index == 0:
-            return self.initial
-        return self.steps[index - 1].result
 
     @property
     def final(self) -> Configuration:
@@ -295,19 +272,21 @@ class ComplianceResult:
 
 def check_compliance(trace: Trace, critical: ConfigSpec) -> ComplianceResult:
     """OK iff no configuration in the trace (including the initial one) is
-    critical.  A checker of traces, it matches on the interpreter alone."""
+    critical.  A checker of traces, it matches each pair's plan on its
+    interpreter alone, which never runs generated code, and reports the
+    first pair matched at the first critical configuration."""
     if critical.kind is not SpecKind.CRITICAL:
         raise SpecError("compliance is checked against a critical specification")
     for index, config in enumerate(trace.configurations()):
-        hit = interpret_spec(critical, config)
-        if hit is not None:
-            pair_index, sigma = hit
-            return ComplianceResult(
-                ok=False,
-                violation=Violation(
-                    step_index=index,
-                    pair_index=pair_index,
-                    substitution=tuple(sorted(sigma.items())),
-                ),
-            )
+        for pair_index, pair in enumerate(critical.pairs):
+            found = pair.plan.interpret(config)
+            if found:
+                return ComplianceResult(
+                    ok=False,
+                    violation=Violation(
+                        step_index=index,
+                        pair_index=pair_index,
+                        substitution=tuple(sorted(found[0].items())),
+                    ),
+                )
     return ComplianceResult(ok=True)

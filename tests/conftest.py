@@ -485,6 +485,7 @@ def brute_match_spec(spec: ConfigSpec, config: Configuration) -> bool:
     """Specification recognition by exhaustive substitution enumeration."""
     terms = [v for v in config.values() if not isinstance(v, int)]
     stamps = sorted(v for v in config.values() if isinstance(v, int))
+    counts = config.counts()
     for pair in spec.pairs:
         fo_vars = sorted(
             {
@@ -504,7 +505,7 @@ def brute_match_spec(spec: ConfigSpec, config: Configuration) -> bool:
                 ]
                 # collapsing substitutions are fine: every substituted pattern
                 # must occur, occurrences need not be distinct
-                if not all(config.count(f) >= 1 for f in needed):
+                if not all(f in counts for f in needed):
                     continue
                 times = {v: t for v, t in sigma.items() if isinstance(t, int)}
                 if all(c.satisfied(times) for c in pair.constraints):

@@ -2,9 +2,9 @@
 
 Each computes what a package function computes, along a plainer path or
 on the engine's side of a checker: the applicability check of a rule
-instance and trace replay through it, Tock by lifting, the progressing
-check for one abstract step, the inverse of `clock_convert`, and rule
-matching on the interpreter alone.  The package uses none of them.
+instance and trace replay through it, the progressing check for one
+abstract step, the inverse of `clock_convert`, and rule matching on the
+interpreter alone.  The package uses none of them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from msrplan.delta import DeltaError, DeltaRep, INF, UntimedFact, abstract, lift, tock
+from msrplan.delta import DeltaError, DeltaRep, INF, UntimedFact, tock
 from msrplan.kernel import (
     MINUTES_PER_DAY,
     MINUTES_PER_HOUR,
@@ -81,13 +81,6 @@ def engine_replay_errors(trace) -> list[str]:
             errors.append(f"step {i + 1}: recorded configuration does not match replay")
         current = step.result
     return errors
-
-
-def tock_oracle(d: DeltaRep) -> DeltaRep:
-    """Reference Tock: lift to a concrete configuration, tick, re-abstract."""
-    if not d.future_bounded():
-        raise EngineError("tock requires a future-bounded abstraction")
-    return abstract(tick(lift(d)), d.dmax)
 
 
 def _future_profile(d: DeltaRep) -> tuple[list[tuple[UntimedFact, int]], int]:

@@ -55,8 +55,8 @@ from test_resilience import TRAVEL_STARTS
 
 # The engine's matching and replay entries
 ENGINE_NAMES = {
-    "apply_instance", "tick", "MatchPlan", "interpret_matches", "interpret_spec",
-    "check_compliance", "match_spec", "find_matches", "successors", "Checker",
+    "apply_instance", "tick", "MatchPlan", "interpret_matches", "check_compliance",
+    "match_spec", "find_matches", "successors", "Checker",
 }
 # and its methods: Configuration.replace and .at, MatchPlan.interpret and
 # .generate, Rule.plan and SpecPair.plan

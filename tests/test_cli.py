@@ -80,6 +80,18 @@ class TestTraceAndGoal:
         assert out1 == out2
         assert "seed: 9" in out1
 
+    def test_negative_tick_count_is_an_error(self, capsys, minimal_file):
+        code = cli_dispatch(["trace", minimal_file, "--ticks", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: tick count must be a natural number\n"
+
+    def test_zero_ticks_prints_the_seed_alone(self, capsys, minimal_file):
+        code, out = run(capsys, "trace", minimal_file, "--ticks", "0")
+        assert code == EXIT_YES
+        assert out == "seed: 0\n"
+
     def test_goal_found(self, capsys, minimal_file):
         code, out = run(capsys, "goal", minimal_file, "--budget", "2")
         assert code == EXIT_YES

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import random
 import re
@@ -111,8 +112,9 @@ class TestUpdatePoints:
         names = {inst.rule.name for _, inst, _ in points}
         assert names == {"delay_flight1", "delay_flight2"}
         t0 = early.initial.global_time
+        configs = list(result.witness.trace.configurations())
         for i, inst, _ in points:
-            assert result.witness.trace.config_at(i).global_time - t0 <= 12
+            assert configs[i].global_time - t0 <= 12
 
     def test_points_cover_initial_and_final_configurations(self):
         scenario = qbf_to_scenario(Q_GAME)
@@ -787,9 +789,9 @@ class TestAbstractionSharing:
             nodes = list(_walk(memo.witness))
             for node in nodes:
                 assert not replay_errors(node.trace)
+                configs = list(node.trace.configurations())
                 for index, inst, sub in node.children:
-                    start = node.trace.config_at(index)
-                    assert sub.trace.initial == apply_instance(start, inst)
+                    assert sub.trace.initial == apply_instance(configs[index], inst)
             # the abstraction would merge distinct configurations on the witness
             by_key: dict[tuple, set] = {}
             for node in nodes:
@@ -1098,6 +1100,36 @@ def bench_table() -> dict:
     """The globals of the benchmark's workload module, for its frozen
     travel table."""
     return runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+
+
+class TestBenchmarkCalls:
+    """The benchmark under `bench/` is frozen, so what it calls in the
+    package must stay: every layer its tracer wraps resolves, and a first
+    pass of each workload reports no problem."""
+
+    def test_wrapped_names_resolve(self):
+        spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "spans.py"))
+        for module, attr, _ in spans["WRAPPED"]:
+            target = importlib.import_module(f"msrplan.{module}")
+            for part in attr.split("."):
+                target = getattr(target, part)
+
+    def test_first_pass_of_every_workload(self, bench_table):
+        """Pass 0 at seed 1, query by query as `bench/run.py` runs it:
+        decide, certify a positive verdict, output, check."""
+        assert bench_table["table_problems"]() == []
+        for name, wl in bench_table["WORKLOADS"].items():
+            wl.prepare(bench_table["parse_sources"](name))
+            verdicts = set()
+            for q in wl.make_pass(1, 0):
+                result = wl.decide(q)
+                positive = wl.verdict(result)
+                verdicts.add(positive)
+                problems = wl.certify(q, result) if positive else []
+                assert isinstance(wl.output(result), str)
+                problems += wl.check(q, result)
+                assert problems == [], (name, q.key)
+            assert True in verdicts, name
 
 
 class TestRuleOrder:

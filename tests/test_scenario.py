@@ -31,11 +31,13 @@ class TestParseBundled:
         report = validate_scenario(travel)
         assert report.progressing
         assert report.eta == 2
-        assert report.is_eta_simple(3)
+        assert report.eta < 3
         assert not report.fact_size_failures
         # the clock-forcing idiom needs one system rule touching the beat fact
-        assert all("advance_clock" in w for w in report.role_warnings)
-        assert report.role_warnings
+        flagged = {n for n, c in report.classifications.items() if not c.role_valid}
+        assert flagged == {"advance_clock"}
+        violations = report.classifications["advance_clock"].violations
+        assert any(v.startswith("role(") for v in violations)
 
     def test_minimal_smoke(self, minimal):
         report = validate_scenario(minimal)

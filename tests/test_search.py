@@ -90,7 +90,7 @@ class TestGoalSearch:
         assert trace is not None
         assert len(trace) == 2
         assert trace.tick_count() == 0
-        assert [s.label for s in trace.steps] == ["assign_e_1", "pos_elim_1_1"]
+        assert [s.instance.rule.name for s in trace.steps] == ["assign_e_1", "pos_elim_1_1"]
 
     def test_unsatisfiable_core_has_no_trace(self):
         q = Qbf((("e", (1,)),), ((1, 1, 1), (-1, -1, -1)))
@@ -419,8 +419,9 @@ class TestLiveKeys:
         assert len(nodes) == 13
         for node in nodes:
             assert not replay_errors(node.trace)
+            configs = list(node.trace.configurations())
             for index, inst, sub in node.children:
-                assert sub.trace.initial == node.trace.config_at(index).replace(
+                assert sub.trace.initial == configs[index].replace(
                     inst.consumed_facts(), inst.created_facts()
                 )
         assert verify_witness(scenario, query, result.witness) == (True, [])
@@ -599,7 +600,7 @@ class TestDeferredTail:
             Trace.format_lines,
             lambda trace: trace.final,
             Trace.tick_count,
-            lambda trace: [trace.config_at(i) for i in range(len(trace), -1, -1)],
+            lambda trace: [s.result for s in reversed(trace.steps)] + [trace.initial],
         )
         for read in readers:
             deferred = [node.trace for node in _nodes(self._witness(travel, n))]
@@ -634,7 +635,7 @@ class TestUnmatchableFacts:
             witness = check_resilience(more, query).witness
             assert verify_witness(more, query, witness) == (True, [])
             for node in _nodes(witness):
-                assert all(config.count(extra) == 1 for config in node.trace.configurations())
+                assert all(config.counts().get(extra) == 1 for config in node.trace.configurations())
         return got[0]
 
     def test_departed_flight(self, travel):

@@ -196,8 +196,8 @@ class TestCompliance:
 class TestEtaMeasure:
     def test_travel_is_three_simple(self, travel):
         assert eta_measure(travel.critical_spec) == 2
-        assert travel.is_eta_simple(3)
-        assert not travel.is_eta_simple(2)
+        assert travel.eta() < 3
+        assert not travel.eta() < 2
 
     def test_empty_spec(self):
         assert eta_measure(ConfigSpec(SpecKind.CRITICAL, ())) == 0
@@ -208,7 +208,7 @@ class TestEtaMeasure:
         q = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((1, 2, 3),))
         scenario = qbf_to_scenario(q)
         assert eta_measure(scenario.critical_spec) == 0
-        assert scenario.is_eta_simple(1)
+        assert scenario.eta() < 1
 
     def test_counts_first_order_and_time_variables(self):
         pair = SpecPair(
