@@ -718,8 +718,10 @@ def trace_errors(trace: Trace) -> list[str]:
     (`_replay`), and leaves the facts before it without those it consumed
     and with those it created.  A recorded configuration must have the
     replay's clock, and the facts other than its clock (`others`) the sort
-    keys the replay expects, kept as one sorted list.  After a failed step
-    the replay goes on from its recorded configuration."""
+    keys the replay expects, kept as one sorted list.  A step that does not
+    apply, or whose clock or created timestamp passes the timestamp range,
+    is reported with its reason; after a failed step the replay goes on from
+    its recorded configuration."""
     errors: list[str] = []
     state = _State.of(trace.initial)
     checked = trace.initial.others
@@ -727,19 +729,25 @@ def trace_errors(trace: Trace) -> list[str]:
     for k, step in enumerate(trace.steps, 1):
         recorded, inst = step.result, step.instance
         others = recorded.others
-        if isinstance(inst, str):  # a tick
-            state.advance()
-            # the facts stay, so the very tuple checked last holds them
+        try:
+            if isinstance(inst, str):  # a tick
+                state.advance()
+                change = None
+            else:
+                code = _rule_code(inst.rule)
+                sigma = _trace_sigma(code, inst.bindings)
+                change = None if sigma is None else _replay(code, sigma, state)
+                if change is None:
+                    raise EngineError(f"instance {inst.key()} not applicable")
+        except EngineError as exc:
+            errors.append(f"step {k}: {exc}")
+            state, checked = _State.of(recorded), others
+            keys = list(map(_SORT_KEY, others))
+            continue
+        if change is None:
+            # a tick keeps the facts, so the very tuple checked last holds them
             got = keys if others is checked else list(map(_SORT_KEY, others))
         else:
-            code = _rule_code(inst.rule)
-            sigma = _trace_sigma(code, inst.bindings)
-            change = None if sigma is None else _replay(code, sigma, state)
-            if change is None:
-                errors.append(f"step {k}: instance {inst.key()} not applicable")
-                state, checked = _State.of(recorded), others
-                keys = list(map(_SORT_KEY, others))
-                continue
             consumed, created = change
             for pred, (args, ts) in consumed:
                 del keys[bisect_left(keys, (ts, 1, pred, args))]
@@ -868,7 +876,11 @@ class _Verifier:
         ticks = 0
         for k, raw in enumerate(steps):
             if isinstance(raw, dict) and raw.get("rule") == TICK_STEP:
-                state.advance()
+                try:
+                    state.advance()
+                except EngineError as exc:
+                    violations.append(f"{where}.trace[{k}]: {exc}")
+                    return
                 ticks += 1
                 open_ = open_ and state.clock - start <= a
             else:
@@ -883,7 +895,12 @@ class _Verifier:
                 if code.rule.role is not RuleRole.SYSTEM:
                     violations.append(f"{label}: trace uses non-system rule {code.rule.name}")
                     return
-                if _replay(code, sigma, state) is None:
+                try:
+                    replayed = _replay(code, sigma, state)
+                except EngineError as exc:
+                    violations.append(f"{label}: {exc}")
+                    return
+                if replayed is None:
                     violations.append(f"{label}: instance does not re-apply")
                     return
             if unsafe is None and _holds(critical, state):
@@ -933,7 +950,11 @@ class _Verifier:
                 violations.append(f"{label}: missing subtree")
                 continue
             updated = snapshot.copy()
-            _apply(code, sigma, updated)
+            try:
+                _apply(code, sigma, updated)
+            except EngineError as exc:
+                violations.append(f"{label}: {exc}")
+                continue
             self.node(updated, child_query, subtree, label)
         for key in points:
             if key not in seen_keys:

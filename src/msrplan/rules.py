@@ -41,15 +41,16 @@ a time or a term variable, never both (`Rule`, `specs.SpecPair`), and a
 term variable's type is fixed by its positions.  Configurations are typed
 (`scenario.PlanningScenario`), so no matcher tests a type.
 
-A move reuses what its match found.  A rule's plan returns each binding
-with the fact objects it matched for the consumed patterns, and the
-instances of `find_matches` carry them, so `apply_instance` hands them to
-`Configuration.replace` instead of grounding them again; created facts are
-filled into a template each rule compiles once (`Rule.creation`).
-`apply_instance` is the only way to apply a move, and it checks nothing:
-its instance must be one `find_matches` found on the configuration it
-applies to.  An instance read from outside, a trace step or a witness
-file, is checked by replaying its substitution in `certify`
+A move is what its match found.  A rule's plan returns each binding with
+the fact objects it matched for the consumed patterns, and the instances
+of `find_matches` carry them, so `apply_instance` hands them to
+`Configuration.replace`; nothing here grounds a pattern from a
+substitution.  Created facts are filled into a template each rule compiles
+once (`Rule.creation`).  `apply_instance` is the only way to apply a move,
+and it checks nothing: its instance must be one `find_matches` found on
+the configuration it applies to, and one built without carried facts is
+refused.  An instance read from outside, a trace step or a witness file,
+is checked by replaying its substitution in `certify`
 (`specs.replay_errors`, `certify.verify_witness`), which reads no carried
 fact.
 """
@@ -87,7 +88,7 @@ MAX_LOOPS = 20
 
 
 class RuleError(ValueError):
-    """Raised for ill-formed rules or inapplicable instances."""
+    """Raised for ill-formed rules, created facts and time constraints."""
 
 
 class EngineError(RuntimeError):
@@ -179,19 +180,6 @@ class TimeConstraint:
 
     def variables(self) -> set[str]:
         return {self.left, self.right}
-
-    def satisfied(self, binding: dict[str, int]) -> bool:
-        lhs = binding[self.left]
-        rhs = binding[self.right] + self.offset
-        if self.rel == ">":
-            return lhs > rhs
-        if self.rel == ">=":
-            return lhs >= rhs
-        if self.rel == "=":
-            return lhs == rhs
-        if self.rel == "<=":
-            return lhs <= rhs
-        return lhs < rhs
 
     def __str__(self) -> str:
         if self.offset > 0:
@@ -487,17 +475,6 @@ class Rule:
 Binding = dict[str, Union[Term, int]]
 
 
-def substitute(term: Term, sigma: Binding) -> Term:
-    if isinstance(term, Variable):
-        value = sigma.get(term.name)
-        if value is None:
-            raise RuleError(f"unbound variable {term.name}")
-        if isinstance(value, int):
-            raise RuleError(f"time value bound to first-order variable {term.name}")
-        return value
-    return term
-
-
 @dataclass(frozen=True, slots=True)
 class RuleInstance:
     """A rule paired with a total ground substitution.
@@ -511,9 +488,9 @@ class RuleInstance:
     bypassing the dataclass constructor.  An instance from it also carries
     `facts`: the fact objects its match found for the consumed patterns, in
     the rule's consumed order.  They are neither compared nor shown, and
-    only `apply_instance` reads them; an instance built without them is
-    grounded from its substitution there.  Trace replay and the witness
-    verifier read only the substitutions a trace or a witness file holds.
+    only `apply_instance` reads them; it refuses an instance built without
+    them.  Trace replay and the witness verifier read only the
+    substitutions a trace or a witness file holds.
     """
 
     rule: Rule
@@ -524,45 +501,18 @@ class RuleInstance:
     def sigma(self) -> Binding:
         return dict(self.bindings)
 
-    @property
-    def fresh_assignment(self) -> dict[str, Union[Term, int]]:
-        """What each bound fresh variable of the rule holds."""
-        fresh = dict(self.rule.fresh)
-        return {v: t for v, t in self.bindings if v in fresh}
-
     def key(self) -> str:
         inner = ",".join(f"{v}={t}" for v, t in sorted(self.bindings))
         return f"{self.rule.name}{{{inner}}}"
-
-    def consumed_facts(self) -> list[TimedFact]:
-        return _ground(self.rule.consumed, self.sigma)
-
-    def created_facts(self) -> list[TimedFact]:
-        return _created(self.rule, self.sigma)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{v}={t}" for v, t in sorted(self.bindings))
         return f"{self.rule.name} σ={{{inner}}}"
 
 
-def _ts_of(sigma: Binding, tvar: str) -> int:
-    value = sigma[tvar]
-    if not isinstance(value, int):
-        raise RuleError(f"time variable {tvar} bound to non-timestamp {value}")
-    return value
-
-
-def _ground(patterns: tuple[FactPattern, ...], sigma: Binding) -> list[TimedFact]:
-    out = []
-    for p in patterns:
-        ts = _ts_of(sigma, p.tvar)
-        out.append(TimedFact(p.atom.pred, tuple([substitute(a, sigma) for a in p.atom.args]), ts))
-    return out
-
-
 def _created(rule: Rule, sigma: Binding) -> list[TimedFact]:
     """The created facts, filled into the rule's `creation` template."""
-    now = _ts_of(sigma, GLOBAL_TIME_VAR)
+    now = sigma[GLOBAL_TIME_VAR]
     out = []
     for pred, slots, delay in rule.creation:
         ts = now + delay
@@ -1184,16 +1134,18 @@ def apply_instance(config: Configuration, inst: RuleInstance) -> Configuration:
     Side-condition facts and the global-time fact are untouched.  The
     instance must be one `find_matches` found on `config`; nothing here
     checks it.  It removes the consumed facts the instance carries, which
-    `replace` then finds without building them again, and grounds them from
-    the substitution only for an instance built without them.  A consumed
+    `replace` finds without building them again.  An instance that carries
+    none, one built by the constructor, raises `EngineError`; a consumed
     fact `config` lacks raises `KernelError`.  An instance from anywhere
     else, a trace or a witness file, is checked by replaying it in
     `certify`.
     """
-    removed = inst.facts
-    if removed is None:
-        removed = inst.consumed_facts()
-    return config.replace(removed, _created(inst.rule, inst.sigma))
+    if inst.facts is None:
+        raise EngineError(
+            f"instance {inst.key()} carries no matched facts: only an instance "
+            "find_matches returned can be applied"
+        )
+    return config.replace(inst.facts, _created(inst.rule, inst.sigma))
 
 
 def tick(config: Configuration) -> Configuration:

@@ -37,6 +37,7 @@ from msrplan.reductions import Qbf
 from msrplan.scenario import PlanningScenario, load_bundled, parse_scenario
 from msrplan.search import successors
 from msrplan.specs import TICK_STEP, ConfigSpec, SpecKind, SpecPair, match_spec
+from reference import ground, satisfied
 
 WORKED_EXAMPLE = """
 types city loc status eid ref fid;
@@ -402,16 +403,6 @@ def _term_type(sig: Signature, term) -> str:
     return term.base_type
 
 
-def _ground_pattern(atom: Atom, tvar: str, sigma: dict):
-    args = []
-    for arg in atom.args:
-        if isinstance(arg, Variable):
-            args.append(sigma[arg.name])
-        else:
-            args.append(arg)
-    return TimedFact(atom.pred, tuple(args), sigma[tvar])
-
-
 def brute_find_matches(
     rule: Rule, config: Configuration, sig: Signature
 ) -> set[str]:
@@ -460,14 +451,11 @@ def brute_find_matches(
             sigma: dict = dict(zip(names, fo_choice))
             sigma.update(dict(zip(tvars, t_choice)))
             sigma[GLOBAL_TIME_VAR] = config.global_time
-            needed = [
-                _ground_pattern(p.atom, p.tvar, sigma)
-                for p in (*rule.side, *rule.consumed)
-            ]
+            needed = ground((*rule.side, *rule.consumed), sigma)
             if any(have[f] < k for f, k in Counter(needed).items()):
                 continue
             times = {v: t for v, t in sigma.items() if isinstance(t, int)}
-            if not all(c.satisfied(times) for c in rule.guard):
+            if not all(satisfied(c, times) for c in rule.guard):
                 continue
             sigma.update(fresh_assignment)
             inst = RuleInstance(rule, tuple(sorted(sigma.items())))
@@ -500,14 +488,12 @@ def brute_match_spec(spec: ConfigSpec, config: Configuration) -> bool:
             for t_choice in itertools.product(stamps, repeat=len(tvars)):
                 sigma: dict = dict(zip(fo_vars, fo_choice))
                 sigma.update(dict(zip(tvars, t_choice)))
-                needed = [
-                    _ground_pattern(p.atom, p.tvar, sigma) for p in pair.pattern
-                ]
+                needed = ground(pair.pattern, sigma)
                 # collapsing substitutions are fine: every substituted pattern
                 # must occur, occurrences need not be distinct
                 if not all(f in counts for f in needed):
                     continue
                 times = {v: t for v, t in sigma.items() if isinstance(t, int)}
-                if all(c.satisfied(times) for c in pair.constraints):
+                if all(satisfied(c, times) for c in pair.constraints):
                     return True
     return False

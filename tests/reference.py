@@ -4,12 +4,16 @@ Each computes what a package function computes, along a plainer path or
 on the engine's side of a checker: the applicability check of a rule
 instance and trace replay through it, the progressing check for one
 abstract step, the inverse of `clock_convert`, and rule matching on the
-interpreter alone.  The package uses none of them.
+interpreter alone.  The package uses none of them.  They import only
+public names from the package: grounding a pattern or a created atom and
+deciding a time constraint are done here again, plainly, so an oracle
+shares no such code with the engine it checks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from operator import eq, ge, gt, le, lt
 from typing import Optional
 
 from msrplan.delta import DeltaError, DeltaRep, INF, UntimedFact, tock
@@ -19,16 +23,43 @@ from msrplan.kernel import (
     Configuration,
     FreshConstant,
     KernelError,
+    TimedFact,
+    Variable,
 )
 from msrplan.rules import (
     GLOBAL_TIME_VAR,
+    Atom,
     EngineError,
+    FactPattern,
+    Rule,
     RuleInstance,
-    _created,
-    _ground,
-    _ts_of,
+    TimeConstraint,
     tick,
 )
+
+
+_RELATIONS = {">": gt, ">=": ge, "=": eq, "<=": le, "<": lt}
+
+
+def satisfied(c: TimeConstraint, binding: dict[str, int]) -> bool:
+    """Does ``left REL right + offset`` hold under `binding`?"""
+    return _RELATIONS[c.rel](binding[c.left], binding[c.right] + c.offset)
+
+
+def _fill(atom: Atom, sigma: dict, ts: int) -> TimedFact:
+    args = tuple(sigma[a.name] if isinstance(a, Variable) else a for a in atom.args)
+    return TimedFact(atom.pred, args, ts)
+
+
+def ground(patterns: tuple[FactPattern, ...], sigma: dict) -> list[TimedFact]:
+    """The facts `patterns` denote under `sigma`, in pattern order."""
+    return [_fill(p.atom, sigma, sigma[p.tvar]) for p in patterns]
+
+
+def created(rule: Rule, sigma: dict) -> list[TimedFact]:
+    """The facts `rule` creates under `sigma`, in declaration order."""
+    now = sigma[GLOBAL_TIME_VAR]
+    return [_fill(c.atom, sigma, now + c.delay) for c in rule.created]
 
 
 def reapply(inst: RuleInstance, config: Configuration) -> Optional[Configuration]:
@@ -38,17 +69,18 @@ def reapply(inst: RuleInstance, config: Configuration) -> Optional[Configuration
     holds a fresh constant of its own type, no two the same and none
     already in `config`.  It removes the consumed facts it grounded from the
     bindings, so facts an instance carries are never read.  A substitution
-    that misses or mistypes a variable raises."""
+    that misses a variable, or binds a pattern's variable to a value of the
+    other sort, raises."""
     rule = inst.rule
     sigma = dict(inst.bindings)
-    if _ts_of(sigma, GLOBAL_TIME_VAR) != config.global_time:
+    if sigma[GLOBAL_TIME_VAR] != config.global_time:
         return None
-    consumed = _ground(rule.consumed, sigma)
-    if not Counter(_ground(rule.side, sigma) + consumed) <= Counter(config.counts()):
+    consumed = ground(rule.consumed, sigma)
+    if not Counter(ground(rule.side, sigma) + consumed) <= Counter(config.counts()):
         return None
     # every guard variable occurs in the precondition, so grounding found
     # it bound to a timestamp
-    if not all(c.satisfied(sigma) for c in rule.guard):
+    if not all(satisfied(c, sigma) for c in rule.guard):
         return None
     if rule.fresh:
         fresh = [sigma.get(v) for v, _ in rule.fresh]
@@ -58,7 +90,7 @@ def reapply(inst: RuleInstance, config: Configuration) -> Optional[Configuration
         distinct = set(fresh)
         if len(distinct) != len(fresh) or distinct & config.values():
             return None
-    return config.replace(consumed, _created(rule, sigma))
+    return config.replace(consumed, created(rule, sigma))
 
 
 def engine_replay_errors(trace) -> list[str]:
@@ -163,8 +195,8 @@ def canonical_fresh(rule, config) -> dict[str, FreshConstant]:
 def interpret_matches(rule, config) -> list[RuleInstance]:
     """`rules.find_matches` on the plan's interpreter alone, which never runs
     generated code, so the two tiers can be compared.  Its instances are
-    built by the constructor and carry no facts, so applying them grounds
-    every consumed fact."""
+    built by the constructor and carry no facts, so `rules.apply_instance`
+    refuses them; `reapply` applies them."""
     fresh = canonical_fresh(rule, config)
     instances = [
         RuleInstance(rule, tuple(sorted({**sigma, **fresh}.items())))

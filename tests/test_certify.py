@@ -23,7 +23,9 @@ from conftest import (
     travel_with_start,
 )
 from msrplan import certify, specs
-from msrplan.kernel import Configuration, Constant, FreshConstant, TimedFact, Variable
+from msrplan.kernel import (
+    MAX_TIMESTAMP, Configuration, Constant, FreshConstant, TimedFact, Variable,
+)
 from msrplan.reductions import qbf_to_scenario
 from msrplan.certify import witness_to_dict
 from msrplan.resilience import (
@@ -48,10 +50,11 @@ from msrplan.rules import (
 from msrplan.scenario import ScenarioError, parse_scenario
 from msrplan.search import find_compliant_goal_trace, successors
 from msrplan.specs import (
-    ConfigSpec, SpecError, SpecKind, SpecPair, Trace, TraceStep, match_spec, replay_errors,
+    TICK_STEP, ConfigSpec, SpecError, SpecKind, SpecPair, Trace, TraceStep, match_spec,
+    replay_errors,
 )
 from reference import engine_replay_errors
-from test_resilience import TRAVEL_STARTS
+from test_resilience import TOP, TRAVEL_STARTS
 
 # The engine's matching and replay entries
 ENGINE_NAMES = {
@@ -100,6 +103,26 @@ class TestIndependence:
         assert not names & ENGINE_NAMES
         assert not attributes & ENGINE_METHODS
         assert "trace_errors" in names and modules == {"certify"}
+
+
+def _private_imports(tree: ast.AST) -> set[str]:
+    """The underscore-prefixed names `tree` imports from `msrplan`."""
+    return {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "msrplan"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+class TestOracleIndependence:
+    @pytest.mark.parametrize("name", ["reference.py", "conftest.py"])
+    def test_no_private_engine_names(self, name):
+        """The test oracles ground patterns and decide guards on their own:
+        they import no private name of the package."""
+        path = Path(__file__).with_name(name)
+        assert _private_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()
 
 
 class TestWitnessJson:
@@ -259,7 +282,7 @@ class TestMatcher:
                     want = list(successors(config, (rule,), advance=False))
                     assert [(inst, result) for _, inst, result in got] == want, (seed, str(rule))
                     matched += bool(want)
-                    fresh += sum(bool(inst.fresh_assignment) for _, inst, _ in got)
+                    fresh += sum(bool(inst.rule.fresh) for _, inst, _ in got)
         assert matched > 100
         assert fresh > 100  # fresh variables got the engine's canonical constants
 
@@ -369,6 +392,22 @@ class TestTraceReplay:
         inst = RuleInstance(step.instance.rule, self.MALFORMED[case])
         assert replay_errors(_with_step(trace, 1, inst)) == [
             f"step 2: instance {inst.key()} not applicable"
+        ]
+
+    def test_timestamp_overflow_is_reported_at_its_step(self):
+        """From one unit below the top of the timestamp range: a tick, the
+        goal rule at the top, whose created fact is out of range, and a
+        tick from the top; the replay goes on from each recorded step."""
+        scenario = parse_scenario(TOP, "top")
+        finish = next(r for r in scenario.rules() if r.name == "finish")
+        top = MAX_TIMESTAMP
+        at_top = Configuration([
+            TimedFact("Time", (), top), TimedFact("A", (), top - 1), TimedFact("U", (), top - 1),
+        ])
+        late = RuleInstance(finish, (("T", top), ("T1", top - 1)))
+        steps = tuple(TraceStep(inst, at_top) for inst in (TICK_STEP, late, TICK_STEP))
+        assert replay_errors(Trace(scenario.initial, steps)) == [
+            "step 2: created timestamp overflow", "step 3: global time overflow",
         ]
 
     def test_sort_key_layout(self):

@@ -8,9 +8,39 @@ import pytest
 from msrplan.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, cli_dispatch
 from msrplan.reductions import parse_graph
 from msrplan.scenario import bundled_text
+from test_resilience import TOP
 
 QDIMACS_TRUE = "p cnf 3 2\ne 1 0\na 2 0\ne 3 0\n1 2 3 0\n-1 -2 -3 0\n"
 QDIMACS_FALSE = "p cnf 3 1\ne 1 0\na 2 0\ne 3 0\n2 2 2 0\n"
+
+
+CLASSIFY = """\
+types t;
+consts a: t;
+predicates P(t): system, N: system, G: goal, K: critical;
+bound facts 1;
+init { Time@0, N@0, G@0, K@0 }
+rule system never { consume: N@T1; create: P(a)@T+1; guard: T1 > T + 2, T > T1; }
+rule system_update u { consume: G@T1; create: G@T+1; }
+rule goal_update v { consume: K@T1; create: G@T+1; }
+goal { G@T1 }
+critical { K@T1 }
+"""
+
+CLASSIFY_REPORT = """\
+rule never: balanced, NOT-PROGRESSING, role-ok
+  - progressing(ii): guard is unsatisfiable
+rule u: balanced, progressing, role-warnings
+  - role(system-update): consumes G; planning facts may only occur in the side condition
+  - role(system-update): creates G; planning facts may only occur in the side condition
+rule v: balanced, progressing, role-warnings
+  - role(goal-update): consumes K; critical facts may only occur in the side condition
+scenario progressing: no
+eta measure: 1 (2-simple)
+inferred Dmax: 2
+fact size bound: 1
+fact size violation: rule never creates P(a) of size 2
+"""
 
 
 @pytest.fixture()
@@ -39,6 +69,15 @@ class TestValidate:
         assert code == EXIT_YES
         assert "scenario progressing: yes" in out
         assert "eta measure: 2 (3-simple)" in out
+
+    def test_classification_messages(self, capsys, tmp_path):
+        """An unsatisfiable guard, an update rule that consumes a goal fact,
+        a goal update that consumes a critical fact, and a created fact over
+        the declared bound: each is reported, and the file still validates."""
+        path = tmp_path / "classify.msr"
+        path.write_text(CLASSIFY, encoding="utf-8")
+        code, out = run(capsys, "validate", str(path))
+        assert (code, out) == (EXIT_YES, CLASSIFY_REPORT)
 
     def test_unreadable_file(self, capsys):
         code, out = run(capsys, "validate", "/nonexistent.msr")
@@ -312,6 +351,31 @@ class TestMalformedInput:
             "--verify", str(witness),
         )
         assert line.startswith("error: witness file exceeds the JSON reader's limits: ")
+
+    @pytest.mark.parametrize(
+        "trace, line",
+        [
+            ("ticks", "root.trace[1]: global time overflow"),
+            ("late", "root.trace[1]: created timestamp overflow"),
+        ],
+    )
+    def test_verify_names_a_timestamp_overflow_at_its_step(
+        self, capsys, tmp_path, trace, line
+    ):
+        """Two ticks from one unit below the top of the timestamp range, or
+        the goal rule one tick later, whose created fact is out of range:
+        exit 1 at the step, not 2 with an unlocated error."""
+        scenario, witness = tmp_path / "top.msr", tmp_path / "w.json"
+        scenario.write_text(TOP, encoding="utf-8")
+        query = ("-n", "0", "-a", "1", "-b", "0")
+        run(capsys, "resilience", str(scenario), *query, "--witness", str(witness))
+        data = json.loads(witness.read_text(encoding="utf-8"))
+        finish = data["trace"][0]
+        finish["sigma"]["T"] += 1
+        data["trace"] = {"ticks": [{"rule": "Tick"}] * 2, "late": [{"rule": "Tick"}, finish]}[trace]
+        witness.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run(capsys, "resilience", str(scenario), *query, "--verify", str(witness))
+        assert (code, out) == (EXIT_NO, line + "\n")
 
     def test_verify_names_an_overlong_fresh_index(self, capsys, travel_file, tmp_path):
         """A readable witness whose term does not parse: exit 1 at its step."""

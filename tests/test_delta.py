@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -51,6 +52,30 @@ class TestAbstract:
 
     def test_rendering(self):
         assert str(abstract(BASE, 3)) == "[P |2| Time |inf| Q]"
+
+
+T, P = ("Time", ()), ("P", ())
+
+
+class TestDeltaRepChecks:
+    """Each check of the constructor, on an otherwise valid `[P |1| Time]`."""
+
+    @pytest.mark.parametrize(
+        "facts, gaps, dmax, message",
+        [
+            ((P, T), (1,), 0, "dmax must be at least 1"),
+            ((P, T), (), 2, "gap count must be one less than fact count"),
+            ((P, P), (1,), 2, "exactly one global-time fact required"),
+            ((T, T), (1,), 2, "exactly one global-time fact required"),
+            ((P, T), (3,), 2, "gap 3 out of range for dmax=2"),
+            ((P, T), (-1,), 2, "gap -1 out of range for dmax=2"),
+            ((P, T), (1.5,), 2, "gap 1.5 out of range for dmax=2"),
+        ],
+    )
+    def test_rejects(self, facts, gaps, dmax, message):
+        assert str(DeltaRep((P, T), (1,), 2)) == "[P |1| Time]"
+        with pytest.raises(DeltaError, match=f"^{re.escape(message)}$"):
+            DeltaRep(facts, gaps, dmax)
 
 
 class TestDeltaKey:

@@ -26,7 +26,9 @@ from conftest import (
 from msrplan import certify, resilience, rules, search, specs
 from msrplan.certify import parse_ground_term, witness_from_json, witness_to_dict
 from msrplan.delta import abstract, delta_key
-from msrplan.kernel import TIME_PREDICATE, Configuration, Constant, FreshConstant, TimedFact
+from msrplan.kernel import (
+    MAX_TIMESTAMP, TIME_PREDICATE, Configuration, Constant, FreshConstant, TimedFact,
+)
 from msrplan.reductions import Qbf, evaluate_qbf, qbf_to_msr_text, qbf_to_scenario
 from msrplan.resilience import (
     ResilienceQuery,
@@ -350,9 +352,28 @@ critical { K@T1 }
 """
 
 
+# One unit below the top of the timestamp range: the goal rule creates at
+# T+1, so it applies only now, and the update rule at T+2, so it never does.
+TOP = f"""
+predicates A: system, U: system, Done: goal;
+init {{ Time@{MAX_TIMESTAMP - 1}, A@{MAX_TIMESTAMP - 1}, U@{MAX_TIMESTAMP - 1} }}
+rule system finish {{ consume: A@T1; create: Done@T+1; }}
+rule system_update bump {{ consume: U@T1; create: U@T+2; }}
+goal {{ Done@T1 }}
+"""
+
+
+def _finish_at_the_top(data: dict) -> None:
+    # the goal rule one tick later, at T = MAX_TIMESTAMP: Done@T+1 is out of range
+    finish = data["trace"][0]
+    finish["sigma"]["T"] += 1
+    data["trace"] = [{"rule": TICK_STEP}, finish]
+
+
 # (scenario, mutation, start of the expected violation); "game" is Q_GAME at
 # (1,1,0), whose root has two children, "minimal" the bundled file at (1,2,1),
-# "fresh" the FRESH scenario at (0,1,0), whose trace binds w to #t:0
+# "fresh" the FRESH scenario at (0,1,0), whose trace binds w to #t:0, "top"
+# the TOP scenario at (0,1,0)
 REJECTIONS = [
     ("game", _put("query", []), "root: malformed query"),
     ("game", _put("trace", {}), "root: malformed trace"),
@@ -425,6 +446,9 @@ REJECTIONS = [
      "root.trace[0]: binding T1: timestamp 100000000000000000000 out of range"),
     ("game", _put("children", 0, "instance", "sigma", "T", 2**63),
      f"root.children[0]: binding T: timestamp {2**63} out of range"),
+    # a clock or a created timestamp past the range
+    ("top", _put("trace", [{"rule": TICK_STEP}] * 2), "root.trace[1]: global time overflow"),
+    ("top", _finish_at_the_top, "root.trace[1]: created timestamp overflow"),
 ]
 
 
@@ -435,6 +459,7 @@ class TestWitnessRejections:
             "game": (qbf_to_scenario(Q_GAME), ResilienceQuery(1, 1, 0)),
             "minimal": (minimal, ResilienceQuery(1, 2, 1)),
             "fresh": (parse_scenario(FRESH, "fresh"), ResilienceQuery(0, 1, 0)),
+            "top": (parse_scenario(TOP, "top"), ResilienceQuery(0, 1, 0)),
         }
         out = {}
         for name, (scenario, query) in cases.items():
@@ -470,6 +495,23 @@ class TestWitnessRejections:
         mutated["query"][field] = flag
         _, violations = verify_witness(scenario, query, mutated)
         assert any(v.startswith(mismatch) for v in violations), violations
+
+    def test_update_past_the_range_fails_its_child(self, emitted):
+        """An admissible update whose created fact is out of the timestamp
+        range is a violation of its child, not an error of the check."""
+        scenario, _, data = emitted["top"]
+        top = MAX_TIMESTAMP - 1
+        mutated = copy.deepcopy(data)
+        mutated["query"]["n"] = 1
+        bump = {"rule": "bump", "sigma": {"T": top, "T1": top}}
+        # bump matches before and after the goal step
+        mutated["children"] = [
+            {"step": step, "instance": bump, "subtree": data} for step in (0, 1)
+        ]
+        assert verify_witness(scenario, ResilienceQuery(1, 1, 0), mutated) == (False, [
+            "root.children[0]: created timestamp overflow",
+            "root.children[1]: created timestamp overflow",
+        ])
 
     def test_witness_file_must_hold_an_object(self):
         with pytest.raises(EngineError, match="must contain a JSON object"):

@@ -72,7 +72,7 @@ from msrplan.specs import (
     match_spec,
     replay_errors,
 )
-from reference import interpret_matches, reapply
+from reference import ground, interpret_matches, reapply, satisfied
 
 
 def fact(pred: str, ts: int, *args) -> TimedFact:
@@ -190,10 +190,10 @@ class TestMatching:
         ).with_past_consumption()
         config = Configuration([fact("Time", 0), fact("N", 0), fact("N", 0)])
         [inst] = find_matches(rule, config)
-        assert str(inst.fresh_assignment["w"]) == "#t:0"
+        assert str(inst.sigma["w"]) == "#t:0"
         after = apply_instance(config, inst)
         [inst2] = find_matches(rule, after)
-        assert str(inst2.fresh_assignment["w"]) == "#t:1"
+        assert str(inst2.sigma["w"]) == "#t:1"
         final = apply_instance(after, inst2)
         names = sorted(str(f) for f in final if f.pred == "P")
         assert names == ["P(#t:0)@1", "P(#t:1)@1"]
@@ -212,7 +212,7 @@ class TestMatching:
             [fact("Time", 0), fact("N", 0), fact("P", 0, FreshConstant("t", 0))]
         )
         [inst] = find_matches(rule, config)
-        assert inst.fresh_assignment["w"] == FreshConstant("t", 1)
+        assert inst.sigma["w"] == FreshConstant("t", 1)
 
     def test_applicable_only_with_distinct_unused_fresh_constants_of_their_type(self):
         """Trace replay and the reference check apply a minting step only
@@ -232,9 +232,7 @@ class TestMatching:
             [fact("Time", 0), fact("N", 0), fact("P", 0, a), fact("P", 0, used)]
         )
         [inst] = find_matches(rule, config)
-        assert inst.fresh_assignment == {
-            "v": FreshConstant("t", 1), "w": FreshConstant("t", 2)
-        }
+        assert (inst.sigma["v"], inst.sigma["w"]) == (FreshConstant("t", 1), FreshConstant("t", 2))
 
         def rebound(**terms) -> RuleInstance:
             sigma = {**inst.sigma, **terms}
@@ -243,9 +241,10 @@ class TestMatching:
         def replayed(step: RuleInstance, result: Configuration = config) -> list[str]:
             return replay_errors(Trace(config, (TraceStep(step, result),)))
 
+        assert reapply(inst, config) == apply_instance(config, inst)
         for good in (inst, rebound(w=FreshConstant("t", 7))):
-            after = apply_instance(config, good)
-            assert replayed(good, after) == [] and reapply(good, config) == after
+            after = reapply(good, config)
+            assert after is not None and replayed(good, after) == []
         missing = RuleInstance(rule, tuple(b for b in inst.bindings if b[0] != "w"))
         for bad in (
             rebound(w=a),  # a declared constant already in the configuration
@@ -271,6 +270,26 @@ class TestMatching:
         after = apply_instance(config, inst)
         with pytest.raises(KernelError, match=r"^cannot remove absent fact N@0$"):
             apply_instance(after, inst)
+
+    def test_instance_without_matched_facts_is_refused(self):
+        """Only an instance `find_matches` returned applies: one built from
+        the same bindings carries no facts and raises."""
+        rule = Rule(
+            "eat",
+            (),
+            (FactPattern(Atom("N"), "T1"),),
+            (CreatedFact(Atom("M"), 1),),
+            (),
+        ).with_past_consumption()
+        config = Configuration([fact("Time", 0), fact("N", 0)])
+        [inst] = find_matches(rule, config)
+        plain = RuleInstance(rule, inst.bindings)
+        message = (
+            r"^instance eat\{T=0,T1=0\} carries no matched facts: only an instance "
+            r"find_matches returned can be applied$"
+        )
+        with pytest.raises(EngineError, match=message):
+            apply_instance(config, plain)
 
     def test_apply_is_pure(self):
         rule = Rule(
@@ -300,7 +319,6 @@ class TestMatching:
         config = Configuration([fact("Time", 0), fact("P", 0, a)])
         [inst] = find_matches(rule, config)
         want = [fact("R", 1, b, a, a)]
-        assert inst.created_facts() == want
         assert apply_instance(config, inst) == Configuration([fact("Time", 0), *want])
 
 
@@ -386,7 +404,7 @@ class TestGuardNormalization:
         n = c.normalized()
         assert n.rel in (">", "=")
         binding = {"A": t1, "B": t2}
-        assert c.satisfied(binding) == n.satisfied(binding)
+        assert satisfied(c, binding) == satisfied(n, binding)
 
 
 class TestClassification:
@@ -1096,9 +1114,10 @@ class TestCarriedFacts:
     matched for the consumed patterns, which `find_matches` instances carry."""
 
     def _check(self, scenario, configs: list[Configuration], checked: Counter) -> None:
-        """Carried facts equal the grounded ones, and the configuration built
-        from them equals the one built from grounded facts; counts the
-        instances checked by tier, "generated" or "interpreted"."""
+        """Carried facts equal the ones the reference grounds from the
+        substitution, and the configuration built from them equals the one
+        the reference builds from grounded facts; counts the instances
+        checked by tier, "generated" or "interpreted"."""
         for config in configs:
             present = {id(f) for group in config.by_pred().values() for f in group}
             for rule in scenario.rules():
@@ -1109,10 +1128,10 @@ class TestCarriedFacts:
                 for inst in found:
                     plain = RuleInstance(inst.rule, inst.bindings)
                     assert plain == inst and plain.facts is None
-                    assert list(inst.facts) == plain.consumed_facts()
+                    assert list(inst.facts) == ground(rule.consumed, inst.sigma)
                     assert all(id(f) in present for f in inst.facts)
                     carried = apply_instance(config, inst)
-                    grounded = apply_instance(config, plain)
+                    grounded = reapply(plain, config)
                     assert carried == grounded
                     assert carried.canonical_order() == grounded.canonical_order()
                     assert hash(carried) == hash(grounded)
@@ -1148,9 +1167,9 @@ class TestCarriedFacts:
         assert len(found) == 8
         for inst in found:
             assert [f.pred for f in inst.facts] == [f"P{k}" for k in range(4, 12)]
-            assert list(inst.facts) == RuleInstance(rule, inst.bindings).consumed_facts()
+            assert list(inst.facts) == ground(rule.consumed, inst.sigma)
             after = apply_instance(config, inst)
-            assert after == apply_instance(config, RuleInstance(rule, inst.bindings))
+            assert after == reapply(RuleInstance(rule, inst.bindings), config)
             assert len(after) == len(config) - 8 + 1
 
 
@@ -1173,9 +1192,10 @@ def _variants(inst: RuleInstance, constants: list[Constant]) -> list[RuleInstanc
 
 class TestReapply:
     """The reference check (`reference.reapply`) agrees with the engine: on
-    every match and on every match with one binding changed that it finds
-    applicable, it builds what `apply_instance` builds, and a changed
-    instance applies exactly when the matcher finds it too."""
+    every match and on every match with one binding changed that the
+    matcher finds too, it builds what `apply_instance` builds from the
+    found instance, and a changed instance with the canonical fresh
+    constants applies exactly when the matcher finds it."""
 
     def _check(self, scenario, configs: list[Configuration]) -> Counter:
         constants = sorted(
@@ -1190,13 +1210,14 @@ class TestReapply:
                     assert reapply(inst, config) == apply_instance(config, inst)
                     for variant in [inst, *_variants(inst, constants)]:
                         got = reapply(variant, config)
-                        if got is not None:
-                            applied = apply_instance(config, variant)
+                        if got is not None and variant in found:
+                            match = found[found.index(variant)]
+                            applied = apply_instance(config, match)
                             assert got.canonical_order() == applied.canonical_order()
                             assert got == applied and hash(got) == hash(applied)
                         # the matcher finds every applicable instance with
                         # the canonical fresh constants
-                        if variant.fresh_assignment == inst.fresh_assignment:
+                        if all(variant.sigma[v] == inst.sigma[v] for v, _ in rule.fresh):
                             assert (got is not None) == (variant in found)
                         seen["applies" if got is not None else "rejected"] += 1
         return seen

@@ -219,6 +219,21 @@ class TestRoundTrip:
         scenario = qbf_to_scenario(q)
         assert parse_scenario(pretty_print(scenario)) == scenario
 
+    def test_directives_round_trip(self):
+        """Travel with a declared fact bound and without implicit past
+        constraints: both directives are printed and read back."""
+        text = bundled_text("travel.msr")
+        at = text.index("init")
+        text = text[:at] + "bound facts 7;\noption explicit_constraints;\n\n" + text[at:]
+        scenario = parse_scenario(text)
+        assert (scenario.declared_bound, scenario.inject_past) == (True, False)
+        printed = pretty_print(scenario)
+        assert "\nbound facts 7;\noption explicit_constraints;\n" in printed
+        back = parse_scenario(printed)
+        assert back == scenario
+        assert (back.declared_bound, back.inject_past, back.fact_size_bound) == (True, False, 7)
+        assert pretty_print(back) == printed
+
     def test_pretty_is_idempotent(self, travel):
         once = pretty_print(travel)
         assert pretty_print(parse_scenario(once)) == once

@@ -46,6 +46,7 @@ from msrplan.specs import (
     match_spec,
     replay_errors,
 )
+from reference import reapply
 from test_resilience import PERIODIC, PERIODIC_CASES, TRAVEL_STARTS
 
 
@@ -421,9 +422,7 @@ class TestLiveKeys:
             assert not replay_errors(node.trace)
             configs = list(node.trace.configurations())
             for index, inst, sub in node.children:
-                assert sub.trace.initial == configs[index].replace(
-                    inst.consumed_facts(), inst.created_facts()
-                )
+                assert sub.trace.initial == reapply(inst, configs[index])
         assert verify_witness(scenario, query, result.witness) == (True, [])
 
     def test_entries_certify_every_state_they_share(self, travel):
