@@ -131,7 +131,9 @@ def parse_qdimacs(text: str) -> Qbf:
     """Prenex 3-CNF in QDIMACS-style text with e/a block headers.
 
     The problem line's counts are checked: no quantified variable may exceed
-    its variable count, and the clause count must match it exactly.
+    its variable count, and the clause count must match it exactly.  There
+    is one problem line, and it comes before every quantifier and clause
+    line.
     """
     blocks: list[tuple[str, tuple[int, ...]]] = []
     clauses: list[tuple[int, int, int]] = []
@@ -141,6 +143,10 @@ def parse_qdimacs(text: str) -> Qbf:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if problem is not None:
+                raise QbfError(f"line {lineno}: second problem line")
+            if blocks or clauses:
+                raise QbfError(f"line {lineno}: problem line after the prefix or clauses")
             fields = line.split()
             if (
                 fields[:2] != ["p", "cnf"]

@@ -22,8 +22,9 @@ can hold:
 Guards and goal constraints are difference constraints, closed once by
 `rules._Dbm`.  With the closure d, unary bounds lo <= v <= hi are feasible
 iff lo[u] - hi[v] <= d[u][v] for every pair, and the least T is the maximum
-over v of lo[v] - d[v][T].  Rules fire again only when a predicate they read
-gets an earlier fact, until a fixpoint; the state is refuted when no goal
+over v of lo[v] - d[v][T].  Every rule fires again, in a plain loop, until
+no fact gets an earlier timestamp; the least fixpoint is unique, so the
+order of firing changes no answer.  The state is refuted when no goal
 pair then has a relaxed match at a global time in [t, horizon], which is
 what a `Time` pattern binds.  A relevant rule with a fresh variable could
 build unboundedly many facts, so with one the relaxation always answers
@@ -206,13 +207,6 @@ class Relaxation:
             for r in rules
             if (join := _Join((*r.side, *r.consumed), r.guard, (GLOBAL_TIME_VAR,))).feasible
         ]
-        self.readers = {
-            pred: [
-                i for i, (join, _) in enumerate(self.rules)
-                if any(step[0] == pred for step in join.steps)
-            ]
-            for pred in self.creatable
-        }
         self.goals = [
             join
             for pair in goal.pairs
@@ -256,12 +250,10 @@ class Relaxation:
                 keys = f.sort_key[3]
                 if keys not in facts:  # ascending timestamps: the earliest copy
                     facts[keys] = [(f.args, f.ts, INF)]
-        dirty = [True] * len(self.rules)
-        while True in dirty:
-            for i, (join, created) in enumerate(self.rules):
-                if not dirty[i]:
-                    continue
-                dirty[i] = False
+        changed = True
+        while changed:
+            changed = False
+            for join, created in self.rules:
                 for sigma, now in join.matches(store, t, horizon):
                     for pred, slots, delay in created:
                         args = tuple([g if n is None else sigma[n] for n, g in slots])
@@ -270,6 +262,5 @@ class Relaxation:
                         old = facts.get(keys)
                         if old is None or ts < old[0][1]:
                             facts[keys] = [(args, ts, INF)]
-                            for r in self.readers[pred]:
-                                dirty[r] = True
+                            changed = True
         return any(join.matches(store, t, horizon) for join in self.goals)

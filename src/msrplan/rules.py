@@ -29,10 +29,10 @@ test no tier.  On a cold plan that is the counting method; on a hot one it
 is the generated function, stored under the same name, so a (state, rule)
 or (state, pair) match costs one call into the layer and one into that
 function, which reads the configuration's groups and clock from their
-slots.  Trace compliance (`specs.check_compliance`) matches through the
-interpreter alone (`MatchPlan.interpret`).  The witness verifier and trace
-replay (`certify`) use none of this module's matching or application: they
-have their own matcher and state.
+slots.  `MatchPlan.interpret` runs the interpreter alone and is the
+reference the tests hold the generated tier to.  The witness verifier and
+trace replay (`certify`) use none of this module's matching or
+application: they have their own matcher and state.
 
 A pattern's arguments are variables and constants, so a match compares
 every argument by its sort key or binds it to a variable, and never
@@ -484,13 +484,12 @@ class RuleInstance:
     with fresh variables sent injectively to fresh constants absent from the
     matched configuration.
 
-    `find_matches` fills its instances' slots through their descriptors,
-    bypassing the dataclass constructor.  An instance from it also carries
-    `facts`: the fact objects its match found for the consumed patterns, in
-    the rule's consumed order.  They are neither compared nor shown, and
-    only `apply_instance` reads them; it refuses an instance built without
-    them.  Trace replay and the witness verifier read only the
-    substitutions a trace or a witness file holds.
+    An instance from `find_matches` also carries `facts`: the fact objects
+    its match found for the consumed patterns, in the rule's consumed
+    order.  They are neither compared nor shown, and only `apply_instance`
+    reads them; it refuses an instance built without them.  Trace replay
+    and the witness verifier read only the substitutions a trace or a
+    witness file holds.
     """
 
     rule: Rule
@@ -570,9 +569,10 @@ class MatchPlan:
     and its last reference frees it (the graph reduction builds one plan per
     query).  A plan that cannot be generated has `generable` false and
     interprets for good.  `interpret` never counts and never generates: it
-    is the entry of trace compliance.  The count is the plan's only state that
-    changes during matching, besides the generated function set once; a
-    lost increment under concurrent use only delays generation.
+    is the cold tier alone, the reference for the generated one.  The count
+    is the plan's only state that changes during matching, besides the
+    generated function set once; a lost increment under concurrent use only
+    delays generation.
     """
 
     def __init__(
@@ -1103,26 +1103,15 @@ def find_matches(rule: Rule, config: Configuration) -> list[RuleInstance]:
     return _instances(rule, config, raw) if raw else []
 
 
-_new = object.__new__
-_SET_RULE = RuleInstance.rule.__set__  # type: ignore[attr-defined]
-_SET_BINDINGS = RuleInstance.bindings.__set__  # type: ignore[attr-defined]
-_SET_FACTS = RuleInstance.facts.__set__  # type: ignore[attr-defined]
-
-
 def _instances(rule: Rule, config: Configuration, raw: list) -> list[RuleInstance]:
     """Instances from a rule plan's nonempty list of (binding, facts) pairs,
-    each carrying its facts.  Each is filled through its slots'
-    descriptors, as the dataclass constructor would fill it."""
+    each built by the constructor and carrying its facts."""
     fresh = _canonical_fresh(rule, config)
     instances = []
     for sigma, facts in raw:
         if fresh:
             sigma.update(fresh)
-        inst = _new(RuleInstance)
-        _SET_RULE(inst, rule)
-        _SET_BINDINGS(inst, tuple(sorted(sigma.items())))
-        _SET_FACTS(inst, facts)
-        instances.append(inst)
+        instances.append(RuleInstance(rule, tuple(sorted(sigma.items())), facts))
     if len(instances) > 1:
         instances.sort(key=RuleInstance.key)
     return instances
@@ -1135,7 +1124,7 @@ def apply_instance(config: Configuration, inst: RuleInstance) -> Configuration:
     instance must be one `find_matches` found on `config`; nothing here
     checks it.  It removes the consumed facts the instance carries, which
     `replace` finds without building them again.  An instance that carries
-    none, one built by the constructor, raises `EngineError`; a consumed
+    none, one built without them, raises `EngineError`; a consumed
     fact `config` lacks raises `KernelError`.  An instance from anywhere
     else, a trace or a witness file, is checked by replaying it in
     `certify`.

@@ -574,8 +574,6 @@ class _Parser:
         except RuleError as exc:
             self.error(name_tok, str(exc))
             return
-        if self.inject_past:
-            rule = rule.with_past_consumption()
         if any(r.name == rule.name for r in self.rules):
             self.error(name_tok, f"duplicate rule name {rule.name}")
             return
@@ -625,11 +623,15 @@ class _Parser:
         if not self.saw_init:
             raise ScenarioError([Diagnostic(1, 1, "missing init block")])
         inferred = _max_fact_size(self.init_facts, self.rules)
+        # the option holds for the whole file, wherever it is written
+        rules = (
+            [r.with_past_consumption() for r in self.rules] if self.inject_past else self.rules
+        )
         try:
             return PlanningScenario(
                 signature=make_signature(self.types, self.consts, self.preds, self.roles),
-                system_rules=tuple(r for r in self.rules if r.role is RuleRole.SYSTEM),
-                update_rules=tuple(r for r in self.rules if r.role is not RuleRole.SYSTEM),
+                system_rules=tuple(r for r in rules if r.role is RuleRole.SYSTEM),
+                update_rules=tuple(r for r in rules if r.role is not RuleRole.SYSTEM),
                 goal_spec=ConfigSpec(SpecKind.GOAL, tuple(self.goal_pairs)),
                 critical_spec=ConfigSpec(SpecKind.CRITICAL, tuple(self.critical_pairs)),
                 initial=Configuration(self.init_facts),

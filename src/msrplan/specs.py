@@ -272,21 +272,20 @@ class ComplianceResult:
 
 def check_compliance(trace: Trace, critical: ConfigSpec) -> ComplianceResult:
     """OK iff no configuration in the trace (including the initial one) is
-    critical.  A checker of traces, it matches each pair's plan on its
-    interpreter alone, which never runs generated code, and reports the
-    first pair matched at the first critical configuration."""
+    critical.  It matches each configuration with `match_spec` and reports
+    the first pair matched at the first critical configuration."""
     if critical.kind is not SpecKind.CRITICAL:
         raise SpecError("compliance is checked against a critical specification")
     for index, config in enumerate(trace.configurations()):
-        for pair_index, pair in enumerate(critical.pairs):
-            found = pair.plan.interpret(config)
-            if found:
-                return ComplianceResult(
-                    ok=False,
-                    violation=Violation(
-                        step_index=index,
-                        pair_index=pair_index,
-                        substitution=tuple(sorted(found[0].items())),
-                    ),
-                )
+        found = match_spec(critical, config)
+        if found is not None:
+            pair_index, sigma = found
+            return ComplianceResult(
+                ok=False,
+                violation=Violation(
+                    step_index=index,
+                    pair_index=pair_index,
+                    substitution=tuple(sorted(sigma.items())),
+                ),
+            )
     return ComplianceResult(ok=True)

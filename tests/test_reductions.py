@@ -100,6 +100,22 @@ class TestQdimacs:
             (1, 3, 5),
         )
 
+    def test_second_problem_line_rejected(self):
+        """A repeated problem line is an error, not an override of the
+        first one's counts."""
+        text = self.TEXT.replace("p cnf 3 2\n", "p cnf 3 1\np cnf 3 2\n")
+        with pytest.raises(QbfError, match="line 2: second problem line"):
+            parse_qdimacs(text)
+
+    def test_problem_line_after_prefix_or_clauses_rejected(self):
+        body = self.TEXT.replace("p cnf 3 2\n", "")
+        with pytest.raises(QbfError, match="line 6: problem line after the prefix or clauses"):
+            parse_qdimacs(body + "p cnf 3 2\n")
+        with pytest.raises(QbfError, match="line 2: problem line after the prefix or clauses"):
+            parse_qdimacs("e 1 0\np cnf 3 2\na 2 0\ne 3 0\n1 2 3 0\n-1 -2 -3 0\n")
+        # comments before the problem line are fine
+        assert parse_qdimacs("c first\n" + self.TEXT) == parse_qdimacs(self.TEXT)
+
     def test_render_gives_largest_variable_index(self):
         q = Qbf((("e", (1,)), ("a", (5,)), ("e", (3,))), ((1, -5, 3),))
         text = render_qdimacs(q)

@@ -234,6 +234,21 @@ class TestRoundTrip:
         assert (back.declared_bound, back.inject_past, back.fact_size_bound) == (True, False, 7)
         assert pretty_print(back) == printed
 
+    def test_option_after_a_rule_covers_that_rule(self):
+        """`option explicit_constraints;` holds for the whole file: a rule
+        written before it gets no implicit `T >= T1` either, and the
+        printed form, which puts the option first, reads back equal."""
+        head = "predicates A: system, B: system, Done: goal;\ninit { Time@0, A@0 }\n"
+        ab = "rule system ab { consume: A@T1; create: B@T; }\n"
+        fin = "rule system fin { consume: B@T1; create: Done@T; }\ngoal { Done@T1 }\n"
+        before = parse_scenario(head + ab + "option explicit_constraints;\n" + fin)
+        first = parse_scenario(head + "option explicit_constraints;\n" + ab + fin)
+        assert before == first
+        assert [r.guard for r in before.system_rules] == [(), ()]
+        assert parse_scenario(pretty_print(before)) == before
+        implicit = parse_scenario(head + ab + fin)
+        assert all(len(r.guard) == 1 for r in implicit.system_rules)
+
     def test_pretty_is_idempotent(self, travel):
         once = pretty_print(travel)
         assert pretty_print(parse_scenario(once)) == once

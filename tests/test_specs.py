@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+from typing import Optional
+
 import pytest
 
-from conftest import brute_match_spec, random_scenario
+from conftest import brute_match_spec, random_scenario, travel_with_start
 from msrplan.kernel import Configuration, Constant, TimedFact, Variable
 from msrplan.rules import Atom, FactPattern, TimeConstraint, tick
 from msrplan.search import find_compliant_goal_trace, successors
@@ -13,6 +16,7 @@ from msrplan.specs import (
     SpecPair,
     Trace,
     TraceStep,
+    Violation,
     check_compliance,
     eta_measure,
     match_spec,
@@ -247,6 +251,67 @@ class TestBruteAgreement:
             scenario, config = graph_to_goal_instance(g, k)
             engine = match_spec(scenario.goal_spec, config) is not None
             assert engine == (brute_force_homomorphism(g, k) is not None)
+
+
+def _random_walk(scenario, rng: random.Random, length: int) -> Trace:
+    """A trace of `length` moves, each drawn uniformly from `successors`
+    over the scenario's system and update rules."""
+    config, steps = scenario.initial, []
+    for _ in range(length):
+        inst, config = rng.choice(list(successors(config, scenario.rules())))
+        steps.append(TraceStep(inst, config))
+    return Trace(scenario.initial, tuple(steps))
+
+
+def _first_critical(trace: Trace, critical: ConfigSpec) -> Optional[Violation]:
+    """The first configuration brute force finds critical, each pair asked
+    on its own, with the first pair it finds there and that pair's first
+    binding on the plan's interpreter; None if no configuration is."""
+    for index, config in enumerate(trace.configurations()):
+        for pair_index, pair in enumerate(critical.pairs):
+            if brute_match_spec(ConfigSpec(SpecKind.CRITICAL, (pair,)), config):
+                sigma = pair.plan.interpret(config)[0]
+                return Violation(
+                    step_index=index,
+                    pair_index=pair_index,
+                    substitution=tuple(sorted(sigma.items())),
+                )
+    return None
+
+
+class TestComplianceOracle:
+    """`check_compliance` against exhaustive substitution enumeration, which
+    shares no code with `match_spec`: seeded random walks on travel re-based
+    near its deadline and on random scenarios, every prefix checked."""
+
+    def test_first_violation_matches_brute_force(self, travel):
+        scenarios = [(f"travel@{t0}", travel_with_start(travel, t0)) for t0 in range(266, 276)]
+        scenarios += [
+            (
+                f"random{seed}",
+                random_scenario(seed, progressing=seed % 2 == 0, with_updates=seed % 3 == 0),
+            )
+            for seed in range(12)
+        ]
+        violated, pairs_reported = 0, set()
+        for label, scenario in scenarios:
+            critical = scenario.critical_spec
+            rng = random.Random(label)
+            for _ in range(4):
+                trace = _random_walk(scenario, rng, 16)
+                first = _first_critical(trace, critical)
+                violated += first is not None
+                for cut in range(len(trace) + 1):
+                    result = check_compliance(Trace(trace.initial, trace.steps[:cut]), critical)
+                    if first is None or first.step_index > cut:
+                        assert result.ok, (label, cut)
+                    else:
+                        assert result.violation == first, (label, cut)
+                        pairs_reported.add((label.startswith("travel"), first.pair_index))
+            # the engine's tier: every critical plan was called past HOT_CALLS
+            assert all(pair.plan.source is not None for pair in critical.pairs), label
+        assert violated >= 50
+        assert {(True, 0), (True, 1), (False, 0)} <= pairs_reported
 
 
 def _substitution_corpus():
