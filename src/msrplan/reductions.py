@@ -154,25 +154,16 @@ def parse_qdimacs(text: str) -> Qbf:
                 or not all(f.isdecimal() for f in fields[2:])
             ):
                 raise QbfError(f"line {lineno}: malformed problem line")
-            try:
-                problem = (lineno, int(fields[2]), int(fields[3]))
-            except ValueError as exc:  # more digits than `int` converts
-                raise QbfError(f"line {lineno}: {exc}") from None
+            n_vars, n_clauses = _integers(fields[2:], lineno)
+            problem = (lineno, n_vars, n_clauses)
             continue
         fields = line.split()
         if fields[0] in ("e", "a"):
             if fields[-1] != "0":
                 raise QbfError(f"line {lineno}: quantifier line must end with 0")
-            try:
-                block_vars = tuple(int(v) for v in fields[1:-1])
-            except ValueError as exc:
-                raise QbfError(f"line {lineno}: {exc}") from None
-            blocks.append((fields[0], block_vars))
+            blocks.append((fields[0], _integers(fields[1:-1], lineno)))
             continue
-        try:
-            lits = tuple(int(v) for v in fields)
-        except ValueError as exc:
-            raise QbfError(f"line {lineno}: {exc}") from None
+        lits = _integers(fields, lineno)
         if lits[-1] != 0:
             raise QbfError(f"line {lineno}: clause must end with 0")
         lits = lits[:-1]
@@ -194,14 +185,21 @@ def parse_qdimacs(text: str) -> Qbf:
     return Qbf(tuple(blocks), tuple(clauses))
 
 
-def render_qdimacs(q: Qbf) -> str:
-    # QDIMACS gives the largest variable index, not the variable count
-    lines = [f"p cnf {max(q.variables)} {len(q.clauses)}"]
-    for quant, block_vars in q.blocks:
-        lines.append(" ".join([quant, *map(str, block_vars), "0"]))
-    for clause in q.clauses:
-        lines.append(" ".join([*map(str, clause), "0"]))
-    return "\n".join(lines) + "\n"
+def _integers(fields: list[str], lineno: int) -> tuple[int, ...]:
+    """The fields of line `lineno` as integers, or a `QbfError` that names
+    the first field that is not one."""
+    out = []
+    for field in fields:
+        try:
+            out.append(int(field))
+        except ValueError:
+            digits = field[1:] if field[0] in "+-" else field
+            if digits.isdecimal():  # more digits than `int` converts
+                message = f"number of {len(digits)} digits out of range"
+            else:
+                message = f"{field!r} is not an integer"
+            raise QbfError(f"line {lineno}: {message}") from None
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +212,10 @@ def render_qdimacs(q: Qbf) -> str:
 # frozen and nothing writes to a signature after `make_signature`; a shared
 # rule compiles its plan and classifies itself once.  Criterion 1's population
 # needs 11 assignment rules, 2 win rules, 386 elimination rules, 54 signatures
-# and 5 goal specs; each builder keeps at most this many pieces.
+# and 5 goal specs.  The graph reduction below shares its pieces the same way:
+# criterion 6 needs 169 edge patterns, 25 edge facts, 5 pattern variables and
+# 5 host constants, and the graph-goal benchmark's 500 pairs 343, 36, 6 and 6.
+# Each builder keeps at most this many pieces.
 PIECE_CACHE_SIZE = 1024
 
 _TRUE = Constant("true", "bool")
@@ -470,6 +471,12 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(edges))
 
 
+# Graph instances are assembled from shared pieces too.  A piece is keyed by
+# vertex indices and an edge position, never by a graph, so graphs over the
+# same indices share it; per graph only the index map, the pattern tuple, the
+# pair and its specification, the host configuration and the scenario are
+# built.
+
 @lru_cache(maxsize=PIECE_CACHE_SIZE)
 def _vertex_signature(n: int) -> Signature:
     return make_signature(
@@ -480,15 +487,40 @@ def _vertex_signature(n: int) -> Signature:
     )
 
 
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _pattern_var(i: int) -> Variable:
+    return Variable(f"x{i}", "vertex")
+
+
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _host_const(i: int) -> Constant:
+    return Constant(f"kv_{i}", "vertex")
+
+
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _edge_pattern(i: int, j: int, idx: int) -> FactPattern:
+    """The pattern of edge number `idx` (from 1), from vertex i to vertex j."""
+    return FactPattern(Atom("R", (_pattern_var(i), _pattern_var(j))), f"T{idx}")
+
+
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _edge_fact(i: int, j: int) -> TimedFact:
+    return TimedFact("R", (_host_const(i), _host_const(j)), 0)
+
+
+_CLOCK = TimedFact("Time", (), 0)
+_NO_CRITICAL = ConfigSpec(SpecKind.CRITICAL, ())
+
+
 def graph_goal_spec(g: Graph) -> ConfigSpec:
     """The goal specification with one edge atom per edge of `g` over
     per-vertex variables; it matches `graph_host(k)` exactly when a
     homomorphism g -> k exists."""
     if not g.vertices:
         raise QbfError("graphs must be nonempty")
-    g_var = {name: Variable(f"x{i}", "vertex") for i, name in enumerate(g.vertices)}
+    index = {name: i for i, name in enumerate(g.vertices)}
     pattern = tuple(
-        FactPattern(Atom("R", (g_var[u], g_var[v])), f"T{idx}")
+        _edge_pattern(index[u], index[v], idx)
         for idx, (u, v) in enumerate(g.edges, start=1)
     )
     return ConfigSpec(SpecKind.GOAL, (SpecPair(pattern),))
@@ -498,11 +530,9 @@ def graph_host(k: Graph) -> Configuration:
     """The configuration holding the edges of `k` as ground facts."""
     if not k.vertices:
         raise QbfError("graphs must be nonempty")
-    k_const = {
-        name: Constant(f"kv_{i}", "vertex") for i, name in enumerate(k.vertices)
-    }
-    facts = [TimedFact("Time", (), 0)]
-    facts += [TimedFact("R", (k_const[u], k_const[v]), 0) for u, v in k.edges]
+    index = {name: i for i, name in enumerate(k.vertices)}
+    facts = [_CLOCK]
+    facts += [_edge_fact(index[u], index[v]) for u, v in k.edges]
     return Configuration(facts)
 
 
@@ -521,7 +551,7 @@ def graph_to_goal_instance(
         system_rules=(),
         update_rules=(),
         goal_spec=goal,
-        critical_spec=ConfigSpec(SpecKind.CRITICAL, ()),
+        critical_spec=_NO_CRITICAL,
         initial=config,
         fact_size_bound=3,
     )

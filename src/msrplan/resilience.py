@@ -28,6 +28,7 @@ from .scenario import PlanningScenario
 from .search import Checker, successors
 from .specs import Trace
 
+# the most variables one critical pair's join may bind (`specs.eta_measure`)
 ETA_CAP = 6
 
 
@@ -100,9 +101,9 @@ def check_resilience(
 ) -> ResilienceResult:
     """Decide (n,a,b)-resilience; emit a witness tree on success.
 
-    Requires a validated planning scenario whose eta measure does not exceed
-    `ETA_CAP` (compliance checking costs m^eta), and a progressing one when
-    n > 0.
+    Requires a validated planning scenario whose eta measure, the number of
+    variables a critical pair's join binds, does not exceed `ETA_CAP`, and a
+    progressing one when n > 0.
     """
     if query.a < 1:
         raise EngineError("the disruption window a must be positive")
@@ -110,7 +111,7 @@ def check_resilience(
     if eta > ETA_CAP:
         raise EngineError(
             f"critical specification uses {eta} variables per pair; cap is "
-            f"{ETA_CAP} (compliance is brute force in m^eta)"
+            f"{ETA_CAP} variables bound by one critical pair's join"
         )
     checker = Checker(scenario, query.a, query.b)
     if not checker.decide(scenario.initial, query.n):

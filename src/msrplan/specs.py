@@ -3,15 +3,15 @@
 A specification is a set of pairs (pattern multiset, constraint set).  A
 configuration satisfies the specification when some pair has a grounding
 substitution embedding its pattern into the configuration with the
-constraints satisfied.  Recognition is a brute-force enumeration over at most
-m^eta substitutions, which is why the checker tracks the eta measure.  Each
-pair is compiled once into a `rules.MatchPlan` that keeps the pattern's
-declaration order and the configuration's canonical order and stops at the
-first complete binding, so the substitution reported for a match is the
-first in that order.  The enumeration skips a partial binding as soon as a
-later pattern it fully determines has no fact (the plan's forward checks).
-Such a binding has no completion, so the first substitution found is
-unchanged.
+constraints satisfied.  Recognition is a join: each pair is compiled once
+into a `rules.MatchPlan` that keeps the pattern's declaration order and the
+configuration's canonical order and stops at the first complete binding, so
+the substitution reported for a match is the first in that order.  The join
+binds each of the pair's variables; the eta measure is the most any pair has,
+and the resilience checker caps it for the critical specification.  The join
+skips a partial binding as soon as a later pattern it fully determines has
+no fact (the plan's forward checks).  Such a binding has no completion, so
+the first substitution found is unchanged.
 """
 
 from __future__ import annotations

@@ -269,6 +269,23 @@ class TestMalformedInput:
         assert line.startswith("error: ")
         return line
 
+    def test_eta_cap_refusal_names_the_join(self, capsys, minimal_file):
+        """A critical pair of more variables than the cap is refused with the
+        cap worded as what it bounds."""
+        text = Path(minimal_file).read_text(encoding="utf-8")
+        pattern = ", ".join(f"Fuse@T{i}" for i in range(1, 8))
+        Path(minimal_file).write_text(
+            text.replace("critical { Time@T, Fuse@T }", f"critical {{ {pattern} }}"),
+            encoding="utf-8",
+        )
+        line = self.error_line(
+            capsys, "resilience", minimal_file, "-n", "0", "-a", "1", "-b", "0"
+        )
+        assert line == (
+            "error: critical specification uses 7 variables per pair; cap is 6 "
+            "variables bound by one critical pair's join"
+        )
+
     def test_delta_rejects_dmax_zero(self, capsys, minimal_file):
         line = self.error_line(capsys, "delta", minimal_file, "--dmax", "0")
         assert line == "error: dmax must be at least 1"

@@ -7,25 +7,39 @@ import random
 import pytest
 
 from conftest import E1_A2_E3, qbf_mix, random_formula
-from msrplan import rules
+from msrplan import reductions, rules
 from msrplan.reductions import (
+    PIECE_CACHE_SIZE,
     Graph,
     Qbf,
     QbfError,
     brute_force_homomorphism,
     evaluate_qbf,
+    graph_goal_spec,
+    graph_host,
     graph_to_goal_instance,
     parse_graph,
     parse_qdimacs,
     qbf_to_msr_text,
     qbf_to_scenario,
-    render_qdimacs,
 )
 from msrplan.resilience import ResilienceQuery, check_resilience
 from msrplan.rules import EngineError
 from msrplan.scenario import parse_scenario, validate_scenario
 from msrplan.search import find_compliant_goal_trace
 from msrplan.specs import match_spec
+from test_acceptance import _per_pair_instance
+
+
+def render_qdimacs(q: Qbf) -> str:
+    """The formula as QDIMACS text, the input `parse_qdimacs` reads back."""
+    # QDIMACS gives the largest variable index, not the variable count
+    lines = [f"p cnf {max(q.variables)} {len(q.clauses)}"]
+    for quant, block_vars in q.blocks:
+        lines.append(" ".join([quant, *map(str, block_vars), "0"]))
+    for clause in q.clauses:
+        lines.append(" ".join([*map(str, clause), "0"]))
+    return "\n".join(lines) + "\n"
 
 
 class TestEvaluate:
@@ -115,6 +129,25 @@ class TestQdimacs:
             parse_qdimacs("e 1 0\np cnf 3 2\na 2 0\ne 3 0\n1 2 3 0\n-1 -2 -3 0\n")
         # comments before the problem line are fine
         assert parse_qdimacs("c first\n" + self.TEXT) == parse_qdimacs(self.TEXT)
+
+    def test_overlong_number_is_worded_by_the_parser(self):
+        """A number of more digits than `int` converts is reported in the
+        parser's words, on the problem line and in a literal alike."""
+        big = "9" * 5000
+        with pytest.raises(QbfError) as err:
+            parse_qdimacs(self.TEXT.replace("p cnf 3 2", f"p cnf {big} 2"))
+        assert str(err.value) == "line 1: number of 5000 digits out of range"
+        with pytest.raises(QbfError) as err:
+            parse_qdimacs(self.TEXT.replace("-1 -2 -3 0", f"-1 -{big} -3 0"))
+        assert str(err.value) == "line 6: number of 5000 digits out of range"
+
+    def test_non_integer_is_worded_by_the_parser(self):
+        with pytest.raises(QbfError) as err:
+            parse_qdimacs("p cnf 1 1\ne 1 x 0\n1 1 1 0\n")
+        assert str(err.value) == "line 2: 'x' is not an integer"
+        with pytest.raises(QbfError) as err:
+            parse_qdimacs(self.TEXT.replace("1 2 3 0", "1 --2 3 0"))
+        assert str(err.value) == "line 5: '--2' is not an integer"
 
     def test_render_gives_largest_variable_index(self):
         q = Qbf((("e", (1,)), ("a", (5,)), ("e", (3,))), ((1, -5, 3),))
@@ -257,6 +290,49 @@ class TestGraphs:
     def test_nonempty_required(self):
         with pytest.raises(QbfError):
             graph_to_goal_instance(Graph((), ()), Graph(("u",), ()))
+
+
+class TestGraphPieces:
+    def test_shared_pieces_equal_the_unshared_construction(self):
+        """`graph_goal_spec` and `graph_host` equal the goal and host built
+        from fresh terms, facts and patterns, on seeded random graphs and on
+        one graph of more distinct edge patterns than the piece cache holds,
+        which is built twice: the second time over evicted pieces."""
+        rng = random.Random(11)
+        graphs = [
+            _shuffled_graph(rng, "abcdef"[: rng.randint(1, 6)], rng.choice((0.2, 0.5, 0.8)))
+            for _ in range(200)
+        ]
+        names = tuple(f"v{i}" for i in range(33))
+        dense = Graph(names, tuple((u, v) for u in names for v in names))
+        assert len(dense.edges) > PIECE_CACHE_SIZE
+        graphs += [dense, dense]
+        for g, k in zip(graphs, graphs[1:] + graphs[:1]):
+            goal, config = _per_pair_instance(g, k)
+            assert graph_goal_spec(g) == goal
+            assert graph_host(k) == config
+            scenario, initial = graph_to_goal_instance(g, k)
+            assert scenario.goal_spec == goal and initial == config
+        info = reductions._edge_pattern.cache_info()
+        assert info.currsize == info.maxsize == PIECE_CACHE_SIZE
+
+    def test_graphs_that_share_an_edge_share_its_pieces(self):
+        """Both graphs' first edge runs from vertex 0 to vertex 1, so their
+        specifications hold one pattern object for it and their hosts one
+        fact object; each graph still gets its own pair and configuration."""
+        g = Graph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+        h = Graph(("u", "v"), (("u", "v"), ("v", "v")))
+        [g_pair], [h_pair] = graph_goal_spec(g).pairs, graph_goal_spec(h).pairs
+        assert g_pair.pattern[0] is h_pair.pattern[0]
+        assert g_pair.pattern[1] != h_pair.pattern[1]
+        assert graph_goal_spec(g).pairs[0] is not g_pair
+        g_host, h_host = graph_host(g), graph_host(h)
+        assert g_host.others[0] is h_host.others[0]
+        assert g_host.clock is h_host.clock
+        assert graph_host(g) is not g_host
+        g_scenario, _ = graph_to_goal_instance(g, h)
+        h_scenario, _ = graph_to_goal_instance(h, g)
+        assert g_scenario.critical_spec is h_scenario.critical_spec
 
 
 class TestHomomorphismOracle:
