@@ -85,15 +85,10 @@ class _Join:
         while patterns:
             p = next((p for p in patterns if _known(p.atom.args, bound)), patterns[0])
             patterns.remove(p)
-            args = p.atom.args
-            if _known(args, bound):
-                probe = tuple(
-                    (a.name, None) if isinstance(a, Variable) else (None, a._key)
-                    for a in args
-                )
-                steps.append((p.atom.pred, idx[p.tvar], probe, None))
+            tests = tuple(map(_arg_test, p.atom.args))
+            if _known(p.atom.args, bound):
+                steps.append((p.atom.pred, idx[p.tvar], tests, None))
             else:
-                tests = tuple(_arg_test(a) for a in args)
                 steps.append((p.atom.pred, idx[p.tvar], None, tests))
             bound |= p.atom.variables()
         self.steps = tuple(steps)

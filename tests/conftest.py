@@ -1,14 +1,16 @@
-"""Shared fixtures: the worked flight example, travel variants, random
-scenario generators, and independent brute-force oracles."""
+"""Shared fixtures: the worked flight example, travel variants, the CLI
+runner, random scenario generators, and independent brute-force oracles."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from msrplan.cli import cli_dispatch
 from msrplan.kernel import (
     Configuration,
     Constant,
@@ -34,7 +36,7 @@ from msrplan.rules import (
     tick,
 )
 from msrplan.reductions import Qbf
-from msrplan.scenario import PlanningScenario, load_bundled, parse_scenario
+from msrplan.scenario import PlanningScenario, bundled_text, load_bundled, parse_scenario
 from msrplan.search import successors
 from msrplan.specs import TICK_STEP, ConfigSpec, SpecKind, SpecPair, match_spec
 from reference import ground, satisfied
@@ -84,6 +86,37 @@ def travel_with_start(travel: PlanningScenario, t0: int) -> PlanningScenario:
         else:
             facts.append(f)
     return travel.with_initial(Configuration(facts))
+
+
+# ---------------------------------------------------------------------------
+# The command line, in-process
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def bundled_file(tmp_path: Path):
+    """Writes a bundled scenario into the test's directory and returns its
+    path; `start` re-bases travel.msr (start 45, clock beat at 46) to that
+    start time, as `travel_with_start` does."""
+
+    def write(name: str, start: int | None = None) -> str:
+        text = bundled_text(name)
+        if start is not None:
+            text = text.replace("Time@45,", f"Time@{start},").replace(
+                "ClockBeat@46,", f"ClockBeat@{start + 1},"
+            )
+            name = f"{Path(name).stem}{start}.msr"
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    return write
+
+
+def run(capsys, *argv: str) -> tuple[int, str]:
+    """The CLI's exit code on `argv` and what it printed, stdout then stderr."""
+    code = cli_dispatch(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out + captured.err
 
 
 # ---------------------------------------------------------------------------

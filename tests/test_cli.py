@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import msrplan
+from conftest import run
 from msrplan.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, cli_dispatch
 from msrplan.reductions import parse_graph
-from msrplan.scenario import bundled_text
 from test_resilience import TOP
 
 QDIMACS_TRUE = "p cnf 3 2\ne 1 0\na 2 0\ne 3 0\n1 2 3 0\n-1 -2 -3 0\n"
@@ -43,29 +47,56 @@ fact size violation: rule never creates P(a) of size 2
 """
 
 
-@pytest.fixture()
-def travel_file(tmp_path: Path) -> str:
-    path = tmp_path / "travel.msr"
-    path.write_text(bundled_text("travel.msr"), encoding="utf-8")
-    return str(path)
+# the option holds for the whole file: rule ab, written before it, gets no
+# implicit T >= T1 and so may consume a future fact
+OPTION_AFTER_RULE = """\
+predicates A: system, B: system, Done: goal;
+init { Time@0, A@0 }
+rule system ab { consume: A@T1; create: B@T+1; }
+option explicit_constraints;
+rule system fin { consume: B@T1; create: Done@T+1; guard: T1 <= T; }
+goal { Done@T1 }
+"""
+
+# four instantaneous rules from A to Done, m = 2: not progressing, so the
+# goal search is bounded by path length (budget + 1) * m, not by ticks
+CHAIN = """\
+predicates A: system, B: system, C: system, D: system, Done: goal;
+init { Time@0, A@0 }
+rule system ab { consume: A@T1; create: B@T; guard: T1 <= T; }
+rule system bc { consume: B@T1; create: C@T; guard: T1 <= T; }
+rule system cd { consume: C@T1; create: D@T; guard: T1 <= T; }
+rule system finish { consume: D@T1; create: Done@T; guard: T1 <= T; }
+goal { Done@T1 }
+"""
+
+QUERIES = {
+    "minimal.msr": ("-n", "1", "-a", "2", "-b", "1"),
+    "travel.msr": ("-n", "1", "-a", "12", "-b", "220"),
+}
+
+NO_GOAL = "no compliant goal trace within budget\n"
 
 
 @pytest.fixture()
-def minimal_file(tmp_path: Path) -> str:
-    path = tmp_path / "minimal.msr"
-    path.write_text(bundled_text("minimal.msr"), encoding="utf-8")
-    return str(path)
+def minimal_file(bundled_file) -> str:
+    return bundled_file("minimal.msr")
 
 
-def run(capsys, *argv: str) -> tuple[int, str]:
-    code = cli_dispatch(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out + captured.err
+def verify_tampered(capsys, scenario: str, query: tuple, tamper) -> tuple[int, str]:
+    """`--verify`'s exit code and output on the scenario's witness at `query`
+    after `tamper` edits its JSON in place."""
+    witness = Path(scenario).with_suffix(".json")
+    assert run(capsys, "resilience", scenario, *query, "--witness", str(witness))[0] == EXIT_YES
+    data = json.loads(witness.read_text(encoding="utf-8"))
+    tamper(data)
+    witness.write_text(json.dumps(data), encoding="utf-8")
+    return run(capsys, "resilience", scenario, *query, "--verify", str(witness))
 
 
 class TestValidate:
-    def test_travel_report(self, capsys, travel_file):
-        code, out = run(capsys, "validate", travel_file)
+    def test_travel_report(self, capsys, bundled_file):
+        code, out = run(capsys, "validate", bundled_file("travel.msr"))
         assert code == EXIT_YES
         assert "scenario progressing: yes" in out
         assert "eta measure: 2 (3-simple)" in out
@@ -78,6 +109,16 @@ class TestValidate:
         path.write_text(CLASSIFY, encoding="utf-8")
         code, out = run(capsys, "validate", str(path))
         assert (code, out) == (EXIT_YES, CLASSIFY_REPORT)
+
+    def test_option_holds_for_rules_written_before_it(self, capsys, tmp_path):
+        path = tmp_path / "option.msr"
+        path.write_text(OPTION_AFTER_RULE, encoding="utf-8")
+        code, out = run(capsys, "validate", str(path))
+        assert code == EXIT_YES
+        assert out.splitlines()[:2] == [
+            "rule ab: balanced, NOT-PROGRESSING, role-ok",
+            "  - progressing(ii): consumed fact A@T1 may lie in the future",
+        ]
 
     def test_unreadable_file(self, capsys):
         code, out = run(capsys, "validate", "/nonexistent.msr")
@@ -136,9 +177,11 @@ class TestTraceAndGoal:
         assert code == EXIT_YES
         assert "goal reached at t=1" in out
 
-    def test_goal_not_found(self, capsys, minimal_file):
-        code, out = run(capsys, "goal", minimal_file, "--budget", "0")
-        assert code == EXIT_NO
+    def test_goal_not_found(self, capsys, bundled_file):
+        # travel's goal takes 232 ticks (test_goal_travel_stdout)
+        for name, budget in (("minimal.msr", "0"), ("travel.msr", "220")):
+            code, out = run(capsys, "goal", bundled_file(name), "--budget", budget)
+            assert (code, out) == (EXIT_NO, NO_GOAL)
 
     @pytest.mark.parametrize("command", [
         ("goal", "--budget", str(2**63)),
@@ -154,74 +197,96 @@ class TestResilience:
     def test_positive_with_witness(self, capsys, minimal_file, tmp_path):
         witness = tmp_path / "w.json"
         code, out = run(
-            capsys,
-            "resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1",
-            "--witness", str(witness),
+            capsys, "resilience", minimal_file, *QUERIES["minimal.msr"], "--witness", str(witness)
         )
         assert code == EXIT_YES
         assert "resilient at (n=1, a=2, b=1)" in out
         data = json.loads(witness.read_text())
         assert data["query"] == {"n": 1, "a": 2, "b": 1}
 
-    def test_verify_round_trip(self, capsys, minimal_file, tmp_path):
+    def test_verify_round_trip(self, capsys, bundled_file, tmp_path):
         witness = tmp_path / "w.json"
-        run(
-            capsys,
-            "resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1",
-            "--witness", str(witness),
-        )
-        code, out = run(
-            capsys,
-            "resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1",
-            "--verify", str(witness),
-        )
-        assert code == EXIT_YES and "witness verified" in out
+        for name, query in QUERIES.items():
+            scenario = bundled_file(name)
+            run(capsys, "resilience", scenario, *query, "--witness", str(witness))
+            code, out = run(capsys, "resilience", scenario, *query, "--verify", str(witness))
+            assert (code, out) == (EXIT_YES, "witness verified\n")
 
-    def test_verify_mutated_witness_fails_with_clause(
-        self, capsys, minimal_file, tmp_path
-    ):
-        witness = tmp_path / "w.json"
-        run(
-            capsys,
-            "resilience", minimal_file, "-n", "0", "-a", "1", "-b", "0",
-            "--witness", str(witness),
-        )
-        data = json.loads(witness.read_text())
-        data["trace"] = data["trace"] + [{"rule": "Tick"}] * 3
-        witness.write_text(json.dumps(data), encoding="utf-8")
-        code, out = run(
-            capsys,
-            "resilience", minimal_file, "-n", "0", "-a", "1", "-b", "0",
-            "--verify", str(witness),
+    def test_verify_mutated_witness_fails_with_clause(self, capsys, minimal_file):
+        code, out = verify_tampered(
+            capsys, minimal_file, ("-n", "0", "-a", "1", "-b", "0"),
+            lambda w: w["trace"].extend([{"rule": "Tick"}] * 3),
         )
         assert code == EXIT_NO
         assert "tick budget" in out
 
     @pytest.mark.parametrize(
-        "path, value, clause",
+        "name, path, value, line",
         [
-            (("trace", 0, "sigma", "T1"), -1, "binding T1: timestamp -1 out of range"),
-            (("trace", 0, "sigma", "T1"), 10**20, "timestamp 100000000000000000000 out"),
-            (("query", "b"), True, "root: query mismatch: node says (1,2,True)"),
+            ("minimal.msr", ("trace", 0, "sigma", "T1"), -1,
+             "root.trace[0]: binding T1: timestamp -1 out of range"),
+            ("minimal.msr", ("trace", 0, "sigma", "T1"), 10**20,
+             "root.trace[0]: binding T1: timestamp 100000000000000000000 out of range"),
+            ("minimal.msr", ("query", "b"), True,
+             "root: query mismatch: node says (1,2,True), expected (1,2,1)"),
+            # travel's first rule step is advance_clock at T = 46; its fourth
+            # step, board1, binds x to FRA
+            ("travel.msr", ("trace", 1, "sigma", "zz"), 5,
+             "root.trace[1]: binding zz names no variable of rule advance_clock"),
+            ("travel.msr", ("trace", 1, "sigma", "T"), 47,
+             "root.trace[1]: instance does not re-apply"),
+            ("travel.msr", ("trace", 3, "sigma", "x"), "f(FRA)",
+             "root.trace[3]: unparseable term 'f(FRA)'"),
+            # True == 1 in Python, so only the JSON type tells it from n = 1
+            ("travel.msr", ("query", "n"), True,
+             "root: query mismatch: node says (True,12,220), expected (1,12,220)"),
         ],
-        ids=["T1=-1", "T1=10**20", "b=true"],
+        ids=["T1=-1", "T1=10**20", "b=true", "zz", "T+1", "f(FRA)", "n=true"],
     )
     def test_verify_names_a_malformed_value_at_its_place(
-        self, capsys, minimal_file, tmp_path, path, value, clause
+        self, capsys, bundled_file, name, path, value, line
     ):
         """Exit 1 with the violation, not 2 with an unlocated error."""
-        witness = tmp_path / "w.json"
-        query = ("-n", "1", "-a", "2", "-b", "1")
-        run(capsys, "resilience", minimal_file, *query, "--witness", str(witness))
-        data = json.loads(witness.read_text())
-        node = data
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        witness.write_text(json.dumps(data), encoding="utf-8")
-        code, out = run(capsys, "resilience", minimal_file, *query, "--verify", str(witness))
-        assert code == EXIT_NO
-        assert clause in out
+
+        def tamper(node):
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+
+        assert verify_tampered(capsys, bundled_file(name), QUERIES[name], tamper) == (
+            EXIT_NO, line + "\n"
+        )
+
+    def test_refutation_names_the_update_at_the_deadline(self, capsys, bundled_file):
+        """Rebased to start 108, delaying the last direct flight at the
+        deadline defeats n = 2."""
+        travel = bundled_file("travel.msr", 108)
+        assert run(capsys, "resilience", travel, "-n", "2", "-a", "12", "-b", "220") == (
+            EXIT_NO, "not resilient at (n=2, a=12, b=220)\n  update delay_flight1"
+            "{T=120,T1=120,a=id15,x=FRA,y=DBV} at t=120 admits no (1,0,220)-resilient reaction\n"
+        )
+
+    @pytest.mark.parametrize(
+        "tamper, code, out",
+        [
+            (lambda w: None, EXIT_YES, "witness verified\n"),
+            (lambda w: w["children"][0]["instance"]["sigma"].update(T1=48), EXIT_NO,
+             "root.children[0]: unknown update point "
+             "(9, 'delay_flight1{T=47,T1=48,a=id16,x=FRA,y=ZAG}')\n"
+             "root: uncovered update point (9, 'delay_flight1{T=47,T1=47,a=id16,x=FRA,y=ZAG}')\n"),
+            (lambda w: w["children"].pop(0), EXIT_NO,
+             "root: uncovered update point (9, 'delay_flight1{T=47,T1=47,a=id16,x=FRA,y=ZAG}')\n"),
+        ],
+        ids=["intact", "moved", "dropped"],
+    )
+    def test_start_42_witness_covers_each_update_point(
+        self, capsys, bundled_file, tamper, code, out
+    ):
+        """The first child reacts to delaying flight id16 at t = 47; moved
+        to T1 = 48 it answers no update point, and moved or dropped it leaves
+        that point uncovered."""
+        travel, query = bundled_file("travel.msr", 42), ("-n", "2", "-a", "12", "-b", "220")
+        assert verify_tampered(capsys, travel, query, tamper) == (code, out)
 
     def test_negative_verdict_exit_code(self, capsys, tmp_path):
         scenario = tmp_path / "s.msr"
@@ -248,7 +313,7 @@ class TestResilience:
         """`--verify` checks no query, so it has no witness to write: the
         pair is a usage error and no file is written."""
         witness = tmp_path / "w.json"
-        argv = ("resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1")
+        argv = ("resilience", minimal_file, *QUERIES["minimal.msr"])
         assert run(capsys, *argv, "--witness", str(witness))[0] == EXIT_YES
         out = tmp_path / "out.json"
         code, text = run(capsys, *argv, "--verify", str(witness), "--witness", str(out))
@@ -296,9 +361,7 @@ class TestMalformedInput:
         witness = tmp_path / "w.json"
         witness.write_text("{ not json", encoding="utf-8")
         line = self.error_line(
-            capsys,
-            "resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1",
-            "--verify", str(witness),
+            capsys, "resilience", minimal_file, *QUERIES["minimal.msr"], "--verify", str(witness)
         )
         assert line.startswith("error: witness file is not JSON: ")
 
@@ -314,9 +377,7 @@ class TestMalformedInput:
         witness = tmp_path / "w.json"
         witness.write_text("{}", encoding="utf-8")
         line = self.error_line(
-            capsys,
-            "resilience", str(bad), "-n", "1", "-a", "2", "-b", "1",
-            "--verify", str(witness),
+            capsys, "resilience", str(bad), *QUERIES["minimal.msr"], "--verify", str(witness)
         )
         assert line.startswith(f"error: {bad}: ")
         assert "can't decode byte 0xff" in line
@@ -325,9 +386,7 @@ class TestMalformedInput:
         witness = tmp_path / "w.json"
         witness.write_bytes(b"\xff\xfe")
         line = self.error_line(
-            capsys,
-            "resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1",
-            "--verify", str(witness),
+            capsys, "resilience", minimal_file, *QUERIES["minimal.msr"], "--verify", str(witness)
         )
         assert line.startswith(f"error: {witness}: ")
         assert "can't decode byte 0xff" in line
@@ -350,7 +409,14 @@ class TestMalformedInput:
         formula = tmp_path / "big.qdimacs"
         formula.write_text(f"p cnf {'9' * 5000} 1\ne 1 0\n1 1 1 0\n", encoding="utf-8")
         line = self.error_line(capsys, "qbf", "eval", str(formula))
-        assert line.startswith("error: line 1: ") and "5000 digits" in line
+        assert line == "error: line 1: number of 5000 digits out of range"
+
+    def test_second_problem_line(self, capsys, tmp_path):
+        """A second problem line is an error, not an override of the first."""
+        formula = tmp_path / "twice.qdimacs"
+        formula.write_text("p cnf 3 1\n" + QDIMACS_TRUE, encoding="utf-8")
+        line = self.error_line(capsys, "qbf", "eval", str(formula))
+        assert line == "error: line 2: second problem line"
 
     @pytest.mark.parametrize(
         "text",
@@ -363,9 +429,7 @@ class TestMalformedInput:
         witness = tmp_path / "w.json"
         witness.write_text(text, encoding="utf-8")
         line = self.error_line(
-            capsys,
-            "resilience", minimal_file, "-n", "1", "-a", "2", "-b", "1",
-            "--verify", str(witness),
+            capsys, "resilience", minimal_file, *QUERIES["minimal.msr"], "--verify", str(witness)
         )
         assert line.startswith("error: witness file exceeds the JSON reader's limits: ")
 
@@ -382,27 +446,23 @@ class TestMalformedInput:
         """Two ticks from one unit below the top of the timestamp range, or
         the goal rule one tick later, whose created fact is out of range:
         exit 1 at the step, not 2 with an unlocated error."""
-        scenario, witness = tmp_path / "top.msr", tmp_path / "w.json"
+        scenario = tmp_path / "top.msr"
         scenario.write_text(TOP, encoding="utf-8")
-        query = ("-n", "0", "-a", "1", "-b", "0")
-        run(capsys, "resilience", str(scenario), *query, "--witness", str(witness))
-        data = json.loads(witness.read_text(encoding="utf-8"))
-        finish = data["trace"][0]
-        finish["sigma"]["T"] += 1
-        data["trace"] = {"ticks": [{"rule": "Tick"}] * 2, "late": [{"rule": "Tick"}, finish]}[trace]
-        witness.write_text(json.dumps(data), encoding="utf-8")
-        code, out = run(capsys, "resilience", str(scenario), *query, "--verify", str(witness))
-        assert (code, out) == (EXIT_NO, line + "\n")
 
-    def test_verify_names_an_overlong_fresh_index(self, capsys, travel_file, tmp_path):
+        def tamper(data):
+            finish = data["trace"][0]
+            finish["sigma"]["T"] += 1
+            data["trace"] = [{"rule": "Tick"}, finish if trace == "late" else {"rule": "Tick"}]
+
+        query = ("-n", "0", "-a", "1", "-b", "0")
+        assert verify_tampered(capsys, str(scenario), query, tamper) == (EXIT_NO, line + "\n")
+
+    def test_verify_names_an_overlong_fresh_index(self, capsys, bundled_file):
         """A readable witness whose term does not parse: exit 1 at its step."""
-        witness = tmp_path / "w.json"
-        query = ("-n", "0", "-a", "12", "-b", "220")
-        run(capsys, "resilience", travel_file, *query, "--witness", str(witness))
-        data = json.loads(witness.read_text(encoding="utf-8"))
-        data["trace"][3]["sigma"]["a"] = "#loc:" + "9" * 5000
-        witness.write_text(json.dumps(data), encoding="utf-8")
-        code, out = run(capsys, "resilience", travel_file, *query, "--verify", str(witness))
+        code, out = verify_tampered(
+            capsys, bundled_file("travel.msr"), ("-n", "0", "-a", "12", "-b", "220"),
+            lambda w: w["trace"][3]["sigma"].update(a="#loc:" + "9" * 5000),
+        )
         assert (code, out) == (
             EXIT_NO, "root.trace[3]: fresh constant index of 5000 digits out of range\n"
         )
@@ -450,16 +510,20 @@ class TestGraphGoal:
         assert code == EXIT_NO and "no homomorphism" in out
 
     @pytest.mark.parametrize(
-        "pattern, host",
+        "pattern, host, printed",
         [
-            ("node d\na b\n", "x y\ny x\n"),  # an isolated vertex declared first
-            ("node a b\n", "node z\n"),  # no edge at all
+            # an isolated vertex declared first maps to the host's first vertex
+            ("node d\na b\n", "x y\ny x\n", "d->x, a->x, b->y"),
+            ("node a b\n", "node z\n", "a->z, b->z"),  # no edge at all
             # twelve vertices, so x10 and x11 sort before x2 as strings
-            ("".join(f"v{i} v{i + 1}\n" for i in range(11)) + "node w\n", "x y\ny x\n"),
+            ("".join(f"v{i} v{i + 1}\n" for i in range(11)) + "node w\n", "x y\ny x\n",
+             ", ".join(f"v{i}->{'xy'[i % 2]}" for i in range(12)) + ", w->x"),
         ],
         ids=["isolated-first", "edgeless", "twelve-vertices"],
     )
-    def test_homomorphism_is_total_in_pattern_order(self, capsys, tmp_path, pattern, host):
+    def test_homomorphism_is_total_in_pattern_order(
+        self, capsys, tmp_path, pattern, host, printed
+    ):
         """The printed map names every pattern vertex once, in the pattern's
         order, and sends every pattern edge onto a host edge."""
         g, k = tmp_path / "g.txt", tmp_path / "k.txt"
@@ -467,7 +531,8 @@ class TestGraphGoal:
         k.write_text(host, encoding="utf-8")
         code, out = run(capsys, "graph-goal", str(g), str(k), "--brute")
         assert code == EXIT_YES
-        line = next(x for x in out.splitlines() if x.startswith("homomorphism:"))
+        line = f"homomorphism: {printed}"
+        assert out == f"oracle agreement: yes\n{line}\n"
         pairs = [item.split("->") for item in line.split(": ", 1)[1].split(", ")]
         g_graph, k_graph = parse_graph(pattern), parse_graph(host)
         assert [u for u, _ in pairs] == list(g_graph.vertices)
@@ -478,13 +543,67 @@ class TestGraphGoal:
 
 
 class TestDelta:
-    def test_prints_abstraction(self, capsys, minimal_file):
-        code, out = run(capsys, "delta", minimal_file)
+    def test_prints_abstraction(self, capsys, bundled_file):
+        code, out = run(capsys, "delta", bundled_file("minimal.msr"))
         assert code == EXIT_YES
         assert out.strip() == "[Time |0| Start |0| Target(here) |6| Fuse]"
+        assert run(capsys, "delta", bundled_file("travel.msr")) == (EXIT_YES, (
+            "[At(FRA,airport) |0| Attended(main,no) |0| Done(main,no) |45| Time |1| ClockBeat "
+            "|1| Flight1(id16,FRA,ZAG) |3| Flight2(id14,FRA,DBV) |70| Flight1(id15,FRA,DBV) "
+            "|19| Flight1(id17,ZAG,DBV) |136| Deadline(main) |0| Event(main,id215)]\n"
+        ))
 
     def test_explicit_dmax(self, capsys, minimal_file):
         code, out = run(capsys, "delta", minimal_file, "--dmax", "3")
         assert code == EXIT_YES
         assert out.strip() == "[Time |0| Start |0| Target(here) |inf| Fuse]"
 
+
+class TestNonProgressingChain:
+    @pytest.fixture()
+    def chain(self, tmp_path) -> str:
+        path = tmp_path / "chain.msr"
+        path.write_text(CHAIN, encoding="utf-8")
+        return str(path)
+
+    def test_goal_within_the_path_bound(self, capsys, chain):
+        # budget 0 allows (0 + 1) * 2 = 2 steps, short of the four
+        assert run(capsys, "goal", chain, "--budget", "0") == (EXIT_NO, NO_GOAL)
+        code, out = run(capsys, "goal", chain, "--budget", "1")
+        assert code == EXIT_YES
+        assert out.splitlines()[-2:] == [
+            "4: finish σ={T=0, T1=0} ⇒ |S|=2 t=0",
+            "goal reached at t=0 with 0 ticks",
+        ]
+
+    def test_base_case_witness_round_trip(self, capsys, chain, tmp_path):
+        witness = tmp_path / "chain.json"
+        query = ("-n", "0", "-a", "1", "-b", "0")
+        assert run(capsys, "resilience", chain, *query, "--witness", str(witness)) == (
+            EXIT_YES, f"resilient at (n=0, a=1, b=0)\nwitness written to {witness}\n"
+        )
+        assert run(capsys, "resilience", chain, *query, "--verify", str(witness)) == (
+            EXIT_YES, "witness verified\n"
+        )
+
+    def test_an_update_round_needs_a_progressing_scenario(self, capsys, chain):
+        assert run(capsys, "resilience", chain, "-n", "1", "-a", "1", "-b", "0") == (
+            EXIT_ERROR, "error: resilience checking requires a progressing planning scenario\n"
+        )
+
+
+def test_module_entry_point_passes_each_exit_code(minimal_file):
+    """`python -m msrplan.cli` exits with `cli_dispatch`'s code through
+    `main`; the only test that starts a process."""
+    src = str(Path(msrplan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for argv, code, out in [
+        (("goal", minimal_file, "--budget", "0"), EXIT_NO, NO_GOAL),
+        (("delta", minimal_file, "--dmax", "0"), EXIT_ERROR, ""),
+        (("delta", minimal_file), EXIT_YES, "[Time |0| Start |0| Target(here) |6| Fuse]\n"),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "msrplan.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stdout) == (code, out)
