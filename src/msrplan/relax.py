@@ -19,8 +19,10 @@ can hold:
 - a fact of any other relevant predicate keeps its exact timestamps, since
   no move can create it.
 
-Guards and goal constraints are difference constraints, closed once by
-`rules._Dbm`.  With the closure d, unary bounds lo <= v <= hi are feasible
+Guards and goal constraints are difference constraints, whose closure
+each rule and goal pair computes once and keeps (`rules.Rule.closure`,
+`specs.SpecPair.closure`), so scenarios that share a rule or pair share
+its closure.  With the closure d, unary bounds lo <= v <= hi are feasible
 iff lo[u] - hi[v] <= d[u][v] for every pair, and the least T is the maximum
 over v of lo[v] - d[v][T].  Every rule fires again, in a plain loop, until
 no fact gets an earlier timestamp; the least fixpoint is unique, so the
@@ -48,14 +50,16 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .kernel import TIME_PREDICATE, Configuration, Variable
-from .rules import GLOBAL_TIME_VAR, FactPattern, Rule, TimeConstraint, _Dbm
+from .rules import GLOBAL_TIME_VAR, FactPattern, Rule, _Dbm
 from .specs import ConfigSpec
 
 INF = float("inf")
 
 
 class _Join:
-    """Patterns matched against relaxed facts under closed time constraints.
+    """Patterns matched against relaxed facts under closed time constraints,
+    given as the closure of their rule or pair, which registers each of
+    their time variables.
 
     The relaxed facts of a predicate map argument keys to a list of
     (args, lo, hi): that fact holds at every timestamp in [lo, hi].  `clock`
@@ -66,15 +70,12 @@ class _Join:
     def __init__(
         self,
         patterns: Iterable[FactPattern],
-        constraints: Iterable[TimeConstraint],
+        closure: _Dbm,
         clock: Iterable[str],
     ):
         patterns, clock = list(patterns), tuple(clock)
-        tvars = {p.tvar for p in patterns} | set(clock)
-        # v >= v adds every time variable to the closure without constraining it
-        dbm = _Dbm((*constraints, *(TimeConstraint(v, ">=", v) for v in sorted(tvars))))
-        self.feasible = dbm.satisfiable()
-        idx, dist = dbm._idx, dbm._dist
+        self.feasible = closure.satisfiable()
+        idx, dist = closure.idx, closure.dist
         self.size, self.zero = len(idx), idx["__zero__"]
         self.clock = tuple(idx[v] for v in clock)
         self.pairs = [
@@ -200,14 +201,14 @@ class Relaxation:
         self.rules = [
             (join, [c for c in r.creation if c[0] in relevant])
             for r in rules
-            if (join := _Join((*r.side, *r.consumed), r.guard, (GLOBAL_TIME_VAR,))).feasible
+            if (join := _Join((*r.side, *r.consumed), r.closure, (GLOBAL_TIME_VAR,))).feasible
         ]
         self.goals = [
             join
             for pair in goal.pairs
             if (join := _Join(
                 (p for p in pair.pattern if p.atom.pred != TIME_PREDICATE),
-                pair.constraints,
+                pair.closure,
                 sorted({p.tvar for p in pair.pattern if p.atom.pred == TIME_PREDICATE}),
             )).feasible
         ]

@@ -8,12 +8,13 @@ variable ``T`` always denotes the global time.
 
 Matching runs on a `MatchPlan`, compiled once per rule (`Rule.plan`) and per
 specification pair (`specs.SpecPair.plan`) and kept on that object.  The
-plan fixes the order in which patterns bind their variables, so it knows
-statically which arguments are ground or bound at each step and turns every
-guard constraint into a bound on one step's fact timestamp: an ``=``
-constraint against a bound variable anchors the timestamp exactly, and
-candidates are filtered on it before any binding is made.  A rule plan may
-put anchored patterns first because `find_matches` sorts its instances.
+plan binds patterns in declaration order, so it knows statically which
+arguments are ground or bound at each step and turns every guard constraint
+into a bound on one step's fact timestamp: an ``=`` constraint against a
+bound variable anchors the timestamp exactly, and candidates are filtered
+on it before any binding is made.  A guard's difference-bound closure is
+likewise computed once per rule and pair (`Rule.closure`,
+`specs.SpecPair.closure`) and read by every analysis of the guard.
 
 A plan runs in two tiers.  A cold plan is interpreted: `_extend` walks its
 steps.  After `HOT_CALLS` calls the plan emits Python source from the same
@@ -192,10 +193,19 @@ class TimeConstraint:
 
 
 class _Dbm:
-    """Difference-bound closure over a constraint set, for entailment checks."""
+    """The difference-bound closure of a constraint set over named time
+    variables: the all-pairs shortest paths of its simple temporal network
+    (Dechter, Meiri and Pearl, *Temporal constraint networks*, AIJ 1991).
+    Every name in `names` is registered, constrained or not, together with
+    ``__zero__``, the origin that keeps timestamps natural; the constraints
+    name no other variable.  `idx` maps a name to its row and column, and
+    ``dist[idx[a]][idx[b]]`` is the least upper bound on a - b the
+    constraints force, inf when they force none.
+    Each rule and specification pair closes its guard once (`Rule.closure`,
+    `specs.SpecPair.closure`), and every analysis reads that closure."""
 
-    def __init__(self, constraints: Iterable[TimeConstraint]):
-        self.vars: set[str] = {"__zero__"}
+    def __init__(self, constraints: Iterable[TimeConstraint], names: Iterable[str]):
+        known: set[str] = {"__zero__", *names}
         bounds: dict[tuple[str, str], int] = {}
 
         def add(u: str, v: str, w: int) -> None:
@@ -206,19 +216,17 @@ class _Dbm:
 
         for c in constraints:
             n = c.normalized()
-            self.vars.update((n.left, n.right))
             if n.rel == ">":
                 # left > right + off  iff  right - left <= -(off + 1)
                 add(n.right, n.left, -(n.offset + 1))
             else:
                 add(n.left, n.right, n.offset)
                 add(n.right, n.left, -n.offset)
-        for v in self.vars:
+        for v in known:
             if v != "__zero__":
                 add("__zero__", v, 0)  # timestamps are naturals: v >= 0
-        names = sorted(self.vars)
-        idx = {v: i for i, v in enumerate(names)}
-        n = len(names)
+        idx = {v: i for i, v in enumerate(sorted(known))}
+        n = len(idx)
         inf = float("inf")
         dist = [[inf] * n for _ in range(n)]
         for i in range(n):
@@ -238,46 +246,18 @@ class _Dbm:
                     alt = dik + dk[j]
                     if alt < di[j]:
                         di[j] = alt
-        self._idx = idx
-        self._dist = dist
+        self.idx = idx
+        self.dist = dist
 
     def satisfiable(self) -> bool:
-        return all(self._dist[i][i] >= 0 for i in range(len(self._idx)))
-
-    def entails_ge(self, a: str, b: str) -> bool:
-        """Does the constraint set entail a >= b?"""
-        if a == b:
-            return True
-        if a not in self._idx or b not in self._idx:
-            return False
-        # a >= b  iff  b - a <= 0 is forced
-        return self._dist[self._idx[b]][self._idx[a]] <= 0
+        return all(self.dist[i][i] >= 0 for i in range(len(self.idx)))
 
     def upper(self, a: str, b: str) -> float:
         """The least upper bound on a - b the constraint set forces, inf
         when it forces none."""
-        if a == b:
+        if a == b:  # 0 even where an unsatisfiable closure's diagonal is negative
             return 0
-        if a not in self._idx or b not in self._idx:
-            return float("inf")
-        return self._dist[self._idx[a]][self._idx[b]]
-
-
-def pattern_lags(
-    patterns: Iterable[FactPattern],
-    constraints: Iterable[TimeConstraint],
-    clock: Optional[str],
-) -> tuple[tuple[str, float], ...]:
-    """Each pattern's predicate with the most its timestamp can lag behind
-    the global time `clock` names: the constraints' bound on clock - tvar,
-    inf when they force none or `clock` is None.  A match reads no fact
-    older than the global time minus the lag.  The expiry table
-    (`scenario.PlanningScenario.expiry`) reads rules and specification
-    pairs through it alike."""
-    if clock is None:
-        return tuple((p.atom.pred, float("inf")) for p in patterns)
-    dbm = _Dbm(constraints)
-    return tuple((p.atom.pred, dbm.upper(clock, p.tvar)) for p in patterns)
+        return self.dist[self.idx[a]][self.idx[b]]
 
 
 class ProgressCheck(NamedTuple):
@@ -293,9 +273,10 @@ class Rule:
     """An instantaneous guarded rewrite with a role tag.
 
     A rule may be shared by several scenarios (the QBF generator reuses its
-    rules across formulas).  Its cached properties, `plan`, `progress`,
-    `lags` and `fresh`, are computed from the rule alone, so sharing them is
-    sound; anything that depends on a signature is computed per call.
+    rules across formulas).  Its cached properties, `plan`, `closure`,
+    `progress` and `fresh`, are computed from the rule alone, so sharing
+    them is sound; anything that depends on a signature is computed per
+    call.
     """
 
     name: str
@@ -381,10 +362,12 @@ class Rule:
         )
 
     @cached_property
-    def lags(self) -> tuple[tuple[str, float], ...]:
-        """`pattern_lags` of the precondition under the guard, with ``T``
-        the global time."""
-        return pattern_lags((*self.side, *self.consumed), self.guard, GLOBAL_TIME_VAR)
+    def closure(self) -> _Dbm:
+        """The guard's closure over the precondition's time variables, built
+        on first use and kept with the rule.  The progressing check, the
+        expiry table (`scenario.PlanningScenario.expiry`) and the timed
+        relaxation (`relax.Relaxation`) all read it."""
+        return _Dbm(self.guard, self.pre_time_vars)
 
     @cached_property
     def creation(self) -> tuple[tuple[str, tuple, int], ...]:
@@ -420,14 +403,15 @@ class Rule:
                 f"{len(self.created)} created"
             )
 
-        dbm = _Dbm(self.guard)
+        closure = self.closure
         past_ok = True
-        if not dbm.satisfiable():
+        if not closure.satisfiable():
             past_ok = False
             violations.append("progressing(ii): guard is unsatisfiable")
         else:
             for p in self.consumed:
-                if not dbm.entails_ge(GLOBAL_TIME_VAR, p.tvar):
+                # the guard entails T >= tvar iff it bounds tvar - T by 0
+                if closure.upper(p.tvar, GLOBAL_TIME_VAR) > 0:
                     past_ok = False
                     violations.append(
                         f"progressing(ii): consumed fact {p} may lie in the future"
@@ -583,23 +567,20 @@ class MatchPlan:
         precondition: bool = False,
         consumed: int = 0,
     ):
-        """With `precondition` the plan matches a rule precondition: the
-        global time ``T`` is bound before matching starts, patterns of a
-        predicate that several patterns share claim distinct fact occurrences
-        (multiset inclusion), and anchored patterns go first, since callers
-        sort what they find.  Otherwise it matches a specification pair:
-        patterns keep declaration order, so the first binding found is the
-        first in that order, and several patterns may collapse onto one fact
-        (recognition asks only that every substituted pattern occurs).  The
-        last `consumed` patterns of a precondition are the rule's consumed
-        ones, whose matched facts each binding returns."""
+        """Patterns bind in the order given, one step each.  With
+        `precondition` the plan matches a rule precondition: the global time
+        ``T`` is bound before matching starts, and patterns of a predicate
+        that several patterns share claim distinct fact occurrences
+        (multiset inclusion).  Otherwise it matches a specification pair, so
+        the first binding found is the first in declaration order, and
+        several patterns may collapse onto one fact (recognition asks only
+        that every substituted pattern occurs).  The last `consumed`
+        patterns of a precondition are the rule's consumed ones, whose
+        matched facts each binding returns."""
         self.precondition = precondition
         self.consumed = consumed
-        prebound = (GLOBAL_TIME_VAR,) if precondition else ()
-        remaining = list(patterns)
-        # each pattern's index in the consumed order, None for the others
-        slots: list[Optional[int]] = [None] * (len(remaining) - consumed)
-        slots += range(consumed)
+        self.patterns = tuple(patterns)
+        first_consumed = len(self.patterns) - consumed
         self.never = False  # no binding can ever complete
         by_var: dict[str, list[TimeConstraint]] = {}
         for c in constraints:
@@ -609,22 +590,19 @@ class MatchPlan:
                 by_var.setdefault(c.right, []).append(c)
             elif not (0 > c.offset if c.rel == ">" else c.offset == 0):
                 self.never = True
-        preds = [p.atom.pred for p in remaining]
+        preds = [p.atom.pred for p in self.patterns]
         shared = {q for q in preds if preds.count(q) > 1} if precondition else ()
         self.preds = tuple(dict.fromkeys(preds))
         self.claims = bool(shared)
-        bound = set(prebound)
-        steps = []
-        ordered = []
+        bound = {GLOBAL_TIME_VAR} if precondition else set()
+        steps: list[_Step] = []
         binder: dict[str, int] = {}  # name -> the step whose `binds` bind it
-        while remaining:
-            index = _next_pattern(remaining, bound, by_var) if precondition else 0
-            pat = remaining.pop(index)
+        for index, pat in enumerate(self.patterns):
             claims = pat.atom.pred in shared
-            steps.append(_Step.compile(pat, bound, binder, by_var, claims, slots.pop(index), steps))
-            ordered.append(pat)
+            # the pattern's index in the consumed order, None for the others
+            slot = index - first_consumed if index >= first_consumed else None
+            steps.append(_Step.compile(pat, bound, binder, by_var, claims, slot, steps))
         self.steps = tuple(steps)
-        self.patterns = tuple(ordered)  # in step order
         self.calls = 0
         self.source: Optional[str] = None  # the generated source, once hot
         self.generable = not self.never and 0 < len(self.steps) <= MAX_LOOPS
@@ -1045,26 +1023,6 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
     del emit  # a recursive closure refers to itself and, through it, to the plan
     lines.append("    return out")
     return "\n".join(lines) + "\n", namespace
-
-
-def _next_pattern(
-    patterns: list[FactPattern], bound: set[str], by_var: dict[str, list[TimeConstraint]]
-) -> int:
-    """Index of the pattern to match next: the first whose timestamp is
-    anchored, else the first whose timestamp is bounded at all, else the
-    first."""
-    bounded = None
-    for index, pat in enumerate(patterns):
-        tvar = pat.tvar
-        if tvar in bound:
-            return index
-        for c in by_var.get(tvar, ()):
-            if (c.right if c.left == tvar else c.left) in bound:
-                if c.rel == "=":
-                    return index
-                if bounded is None:
-                    bounded = index
-    return bounded or 0
 
 
 def _canonical_fresh(rule: Rule, config: Configuration) -> dict[str, FreshConstant]:

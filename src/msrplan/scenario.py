@@ -112,8 +112,11 @@ class PlanningScenario:
     def expiry(self) -> dict[str, int]:
         """Predicate P -> the largest c such that every pattern of P, in a
         rule precondition or a goal or critical pair, matches only facts
-        timestamped at or after T - c, where T is the global time: the
-        patterns' lags (`Rule.lags`, `SpecPair.lags`).  A fact P@ts with
+        timestamped at or after T - c, where T is the global time: the most
+        a pattern's timestamp can lag behind the global time, the bound on
+        T - tvar that the closure of its rule's guard or its pair's
+        constraints forces (`Rule.closure`, `SpecPair.closure`; a pair
+        without a `Time` pattern bounds nothing).  A fact P@ts with
         ts < t - c is expired at global time t, and at every later time, so
         no move or specification at or after t reads it.  A predicate
         absent from the table never expires; one that a rule creates and no
@@ -124,11 +127,17 @@ class PlanningScenario:
         rules = self.rules()
         if any(r.fresh for r in rules):
             return {}
+        # (rule or pair, the variable bound to the global time, patterns)
+        reads = [(r, GLOBAL_TIME_VAR, (*r.side, *r.consumed)) for r in rules]
+        for pair in (*self.goal_spec.pairs, *self.critical_spec.pairs):
+            clock = next((p.tvar for p in pair.pattern if p.atom.pred == TIME_PREDICATE), None)
+            reads.append((pair, clock, pair.pattern))
         lags: dict[str, float] = {}
-        pairs = (*self.goal_spec.pairs, *self.critical_spec.pairs)
-        for owner in (*rules, *pairs):
-            for pred, lag in owner.lags:
-                lags[pred] = max(lags.get(pred, lag), lag)
+        for owner, clock, patterns in reads:
+            for p in patterns:
+                if p.atom.pred != TIME_PREDICATE:
+                    lag = float("inf") if clock is None else owner.closure.upper(clock, p.tvar)
+                    lags[p.atom.pred] = max(lags.get(p.atom.pred, lag), lag)
         for rule in rules:
             for c in rule.created:
                 lags.setdefault(c.atom.pred, AT_ONCE)
@@ -363,9 +372,13 @@ class _Parser:
         self.expect(";")
 
     def parse_bound(self) -> None:
-        self.expect("bound")
+        tok = self.expect("bound")
         self.expect("facts")
-        self.bound = self.expect_nat()
+        value = self.expect_nat()
+        if self.bound is not None:
+            self.error(tok, "duplicate bound declaration")
+        else:
+            self.bound = value
         self.expect(";")
 
     def parse_option(self) -> None:

@@ -29,8 +29,8 @@ from .rules import (
     MatchPlan,
     RuleInstance,
     TimeConstraint,
+    _Dbm,
     apply_instance,
-    pattern_lags,
     tick,
 )
 
@@ -71,16 +71,11 @@ class SpecPair:
         return MatchPlan(self.pattern, self.constraints)
 
     @cached_property
-    def lags(self) -> tuple[tuple[str, float], ...]:
-        """`rules.pattern_lags` of the non-`Time` patterns under the
-        constraints, with the global time named by the first `Time@T`
-        pattern's T (every lag is inf when the pair reads no clock)."""
-        clock = [p.tvar for p in self.pattern if p.atom.pred == TIME_PREDICATE]
-        return pattern_lags(
-            [p for p in self.pattern if p.atom.pred != TIME_PREDICATE],
-            self.constraints,
-            clock[0] if clock else None,
-        )
+    def closure(self) -> _Dbm:
+        """The constraints' closure over every time variable of the pattern,
+        built on first use and kept with the pair, as `rules.Rule.closure`
+        is with a rule."""
+        return _Dbm(self.constraints, {p.tvar for p in self.pattern})
 
     def variables(self) -> set[str]:
         out = {p.tvar for p in self.pattern}

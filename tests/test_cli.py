@@ -131,6 +131,17 @@ class TestValidate:
         assert code == EXIT_ERROR
         assert f"{bad}:2:11: unknown type u" in out
 
+    def test_second_bound_declaration_is_an_error(self, capsys, tmp_path):
+        bad = tmp_path / "bound.msr"
+        bad.write_text(
+            "types t;\nbound facts 2;\nbound facts 5;\ninit { Time@0 }\n", encoding="utf-8"
+        )
+        code = cli_dispatch(["validate", str(bad)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == f"{bad}:3:1: duplicate bound declaration\n"
+
     @pytest.mark.parametrize(
         "block, where",
         [

@@ -11,7 +11,7 @@ from operator import le
 import pytest
 
 from conftest import explored_states, random_scenario, random_spec, travel_with_start
-from msrplan import relax
+from msrplan import relax, rules
 from msrplan.relax import Relaxation
 from msrplan.resilience import ResilienceQuery, check_resilience
 from msrplan.scenario import PlanningScenario, parse_scenario
@@ -101,6 +101,22 @@ class TestSoundness:
         assert not named.relaxation.possible(named.initial, 8)
         for scenario in (fresh, named):
             assert find_compliant_goal_trace(scenario, 8) is None
+
+    def test_rebased_scenarios_share_each_guard_closure(self, travel, monkeypatch):
+        """A re-based scenario keeps its rules and pairs, so its relaxation
+        and expiry table read the closures the first start built and close
+        no guard again."""
+        first = travel_with_start(travel, 42)
+        assert not first.relaxation.trivial and first.expiry
+
+        def no_dbm(*args, **kwargs):
+            raise AssertionError("a shared guard was closed again")
+
+        monkeypatch.setattr(rules._Dbm, "__init__", no_dbm)
+        second = travel_with_start(travel, 108)
+        assert len(second.relaxation.rules) == len(first.relaxation.rules)
+        assert len(second.relaxation.goals) == len(first.relaxation.goals)
+        assert second.expiry == first.expiry
 
 
 def _count_possible(monkeypatch) -> list[int]:

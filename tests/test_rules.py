@@ -550,6 +550,8 @@ class TestBruteForceAgreement:
         for seed in range(30):
             scenario = random_scenario(seed, progressing=False, with_updates=True)
             rules = [random_guarded_rule(rng, f"g{i}") for i in range(10)]
+            for rule in rules:  # a plan binds in declaration order
+                assert rule.plan.patterns == (*rule.side, *rule.consumed), str(rule)
             configs = explored_states(scenario, 8)
             for rule in rules:
                 for inst in find_matches(rule, scenario.initial)[:1]:

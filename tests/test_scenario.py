@@ -143,6 +143,14 @@ class TestDiagnostics:
         err = self.parse_error("types t;\ninit { Time@0, Time@1 }\n")
         assert any("exactly one" in d.message for d in err.diagnostics)
 
+    def test_duplicate_bound_is_located_at_its_keyword(self):
+        err = self.parse_error(
+            "types t;\nbound facts 2;\n  bound facts 5;\ninit { Time@0 }\n"
+        )
+        assert [(d.line, d.col, d.message) for d in err.diagnostics] == [
+            (3, 3, "duplicate bound declaration")
+        ]
+
     def test_noop_rule_rejected(self):
         err = self.parse_error(
             """
