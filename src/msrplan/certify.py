@@ -403,12 +403,9 @@ def _compile_rule(rule: Rule) -> _RuleCode:
 
 
 def _compile_pair(pair: SpecPair) -> _PairCode:
-    """A `Time` pattern has one fact, the clock, so its variable is bound to
-    the clock before the other patterns are matched, in their order."""
-    clocked = {p.tvar for p in pair.pattern if p.atom.pred == TIME_PREDICATE}
-    rest = [p for p in pair.pattern if p.atom.pred != TIME_PREDICATE]
-    before, join = _compile_join(rest, pair.constraints, set(clocked), False)
-    return _PairCode(tuple(sorted(clocked)), before, join)
+    """Binds `SpecPair.clock` to the clock, then matches `SpecPair.joined`."""
+    before, join = _compile_join(pair.joined, pair.constraints, set(pair.clock), False)
+    return _PairCode(pair.clock, before, join)
 
 
 # Compiled forms by the id of their rule or pair, dropped when it is freed

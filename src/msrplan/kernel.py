@@ -398,15 +398,13 @@ class Configuration:
         cached = self._by_pred
         if cached is None:
             cached = {}
-            prev_hash, prev = None, None
+            prev = None
             for f in self._facts:
-                # facts with equal keys are equal, so copies sit side by side;
-                # the stored hashes rule most neighbours out before `==` runs
-                h = f._hash
-                if h == prev_hash and f == prev:
+                # facts with equal keys are equal, so copies sit side by side
+                if f.sort_key == prev:
                     continue
                 cached.setdefault(f.pred, []).append(f)
-                prev_hash, prev = h, f
+                prev = f.sort_key
             _SET_GROUPS(self, cached)
         return cached
 

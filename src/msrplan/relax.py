@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .kernel import TIME_PREDICATE, Configuration, Variable
+from .kernel import Configuration, Variable
 from .rules import GLOBAL_TIME_VAR, FactPattern, Rule, _Dbm
 from .specs import ConfigSpec
 
@@ -172,8 +172,7 @@ class Relaxation:
     """The relaxation of one scenario's system rules and goal, prepared once."""
 
     def __init__(self, system_rules: tuple[Rule, ...], goal: ConfigSpec):
-        relevant = {p.atom.pred for pair in goal.pairs for p in pair.pattern}
-        relevant.discard(TIME_PREDICATE)
+        relevant = {p.atom.pred for pair in goal.pairs for p in pair.joined}
         chosen: set[str] = set()
         while True:
             grown = [
@@ -206,11 +205,7 @@ class Relaxation:
         self.goals = [
             join
             for pair in goal.pairs
-            if (join := _Join(
-                (p for p in pair.pattern if p.atom.pred != TIME_PREDICATE),
-                pair.closure,
-                sorted({p.tvar for p in pair.pattern if p.atom.pred == TIME_PREDICATE}),
-            )).feasible
+            if (join := _Join(pair.joined, pair.closure, pair.clock)).feasible
         ]
 
     def project(self, config: Configuration) -> tuple[tuple, tuple[int, ...]]:

@@ -28,7 +28,7 @@ from .scenario import PlanningScenario
 from .search import Checker, successors
 from .specs import Trace
 
-# the most variables one critical pair's join may bind (`specs.eta_measure`)
+# the most variables one critical pair may bind (`specs.eta_measure`)
 ETA_CAP = 6
 
 
@@ -102,7 +102,7 @@ def check_resilience(
     """Decide (n,a,b)-resilience; emit a witness tree on success.
 
     Requires a validated planning scenario whose eta measure, the number of
-    variables a critical pair's join binds, does not exceed `ETA_CAP`, and a
+    variables one critical pair binds, does not exceed `ETA_CAP`, and a
     progressing one when n > 0.
     """
     if query.a < 1:

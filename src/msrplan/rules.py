@@ -8,7 +8,8 @@ variable ``T`` always denotes the global time.
 
 Matching runs on a `MatchPlan`, compiled once per rule (`Rule.plan`) and per
 specification pair (`specs.SpecPair.plan`) and kept on that object.  The
-plan binds patterns in declaration order, so it knows statically which
+plan binds its clock names (``T``, `specs.SpecPair.clock`) to the global
+time, then patterns in declaration order, so it knows statically which
 arguments are ground or bound at each step and turns every guard constraint
 into a bound on one step's fact timestamp: an ``=`` constraint against a
 bound variable anchors the timestamp exactly, and candidates are filtered
@@ -357,7 +358,7 @@ class Rule:
         """The compiled matcher for the precondition and guard, built on
         first use and kept with the rule."""
         return MatchPlan(
-            (*self.side, *self.consumed), self.guard,
+            (*self.side, *self.consumed), self.guard, clock=(GLOBAL_TIME_VAR,),
             precondition=True, consumed=len(self.consumed),
         )
 
@@ -518,11 +519,11 @@ class MatchPlan:
     pins the timestamp exactly; this is the step's anchor.  Candidates come
     in canonical order, which is ascending timestamp, so a step skips facts
     below its lower bound and stops at the first fact above its upper bound
-    before looking at any argument.  Constraints over a single variable are
-    decided at compile time; one no timestamp meets makes the plan `never`
-    match.  A plan tests no sort: the rule or pair it is built from keeps
-    time and term variables apart, and a variable binds an argument of a
-    typed configuration, which is of the variable's type.
+    before looking at any argument.  Constraints over a single variable or
+    two clock names are decided at compile time; one no timestamp meets
+    makes the plan `never` match.  A plan tests no sort: the rule or pair it
+    is built from keeps time and term variables apart, and a variable binds
+    an argument of a typed configuration, which is of the variable's type.
 
     The interpreter extends one binding dict in place.  A step writes only
     names that no earlier step binds, so backtracking needs no undo.  It
@@ -564,19 +565,21 @@ class MatchPlan:
         patterns: Iterable[FactPattern],
         constraints: Iterable[TimeConstraint],
         *,
+        clock: Iterable[str] = (),
         precondition: bool = False,
         consumed: int = 0,
     ):
-        """Patterns bind in the order given, one step each.  With
-        `precondition` the plan matches a rule precondition: the global time
-        ``T`` is bound before matching starts, and patterns of a predicate
-        that several patterns share claim distinct fact occurrences
+        """The `clock` names are bound to the global time, then patterns
+        bind in the order given, one step each; a `Time` pattern is refused.
+        With `precondition` the plan matches a rule precondition: patterns
+        of a predicate that several share claim distinct fact occurrences
         (multiset inclusion).  Otherwise it matches a specification pair, so
         the first binding found is the first in declaration order, and
         several patterns may collapse onto one fact (recognition asks only
         that every substituted pattern occurs).  The last `consumed`
         patterns of a precondition are the rule's consumed ones, whose
         matched facts each binding returns."""
+        self.clock = tuple(clock)
         self.precondition = precondition
         self.consumed = consumed
         self.patterns = tuple(patterns)
@@ -585,16 +588,18 @@ class MatchPlan:
         by_var: dict[str, list[TimeConstraint]] = {}
         for c in constraints:
             c = c.normalized()
-            if c.left != c.right:
+            if c.left != c.right and not {c.left, c.right} <= set(self.clock):
                 by_var.setdefault(c.left, []).append(c)
                 by_var.setdefault(c.right, []).append(c)
             elif not (0 > c.offset if c.rel == ">" else c.offset == 0):
-                self.never = True
+                self.never = True  # both sides hold one value
         preds = [p.atom.pred for p in self.patterns]
+        if TIME_PREDICATE in preds:
+            raise RuleError(f"a plan binds the global time by `clock`, not a {TIME_PREDICATE} step")
         shared = {q for q in preds if preds.count(q) > 1} if precondition else ()
         self.preds = tuple(dict.fromkeys(preds))
         self.claims = bool(shared)
-        bound = {GLOBAL_TIME_VAR} if precondition else set()
+        bound = set(self.clock)
         steps: list[_Step] = []
         binder: dict[str, int] = {}  # name -> the step whose `binds` bind it
         for index, pat in enumerate(self.patterns):
@@ -609,11 +614,11 @@ class MatchPlan:
 
     def bindings(self, config: Configuration) -> list:
         """The complete bindings in step order over the configuration's
-        canonical order.  A precondition's plan starts from ``T`` bound to the
-        global time and finds every binding, each paired with the facts it
-        matched for the consumed patterns, in their order: a list of
-        (binding, facts).  A specification pair's plan starts empty and stops
-        at the first binding, which it returns alone.  Both tiers return the
+        canonical order, from the clock names bound to the global time.  A
+        precondition's plan finds every binding, each paired with the facts
+        it matched for the consumed patterns, in their order: a list of
+        (binding, facts).  A specification pair's plan stops at the first
+        binding, which it returns alone.  Both tiers return the
         same list, key order and fact objects included.  This method is the
         cold tier; once the plan is generated, its function takes the name."""
         if self.generable:
@@ -643,15 +648,15 @@ class MatchPlan:
         if self.never:
             return []
         for pred in self.preds:
-            if pred not in by_pred and pred != TIME_PREDICATE:
+            if pred not in by_pred:
                 return []
-        sigma = {GLOBAL_TIME_VAR: config.global_time} if self.precondition else {}
+        sigma = dict.fromkeys(self.clock, config.global_time)
         held = [None] * self.consumed if self.precondition else None
         if not self.steps:
             return [sigma if held is None else (sigma, ())]
         out: list = []
         available = config.counts() if self.claims else None
-        _extend(self.steps, 0, by_pred, (config.clock,), sigma, available, held, out, {})
+        _extend(self.steps, 0, by_pred, sigma, available, held, out, {})
         return out
 
 
@@ -764,23 +769,21 @@ def _extend(
     steps: tuple[_Step, ...],
     i: int,
     by_pred: dict[str, list[TimedFact]],
-    clock: tuple[TimedFact],
     sigma: Binding,
     available: Optional[dict[TimedFact, int]],
     held: Optional[list[Optional[TimedFact]]],
     out: list,
     seen: dict[str, set[tuple]],
 ) -> bool:
-    """Match steps[i:] in place on `sigma`.  A step walks its predicate's
-    group, or `clock`, the configuration's clock alone, for a `Time`
-    pattern.  A precondition's plan passes `held`, where each consumed step
-    puts its fact, and gets a copy of every complete binding with the held
-    facts appended to `out`; a specification pair's plan passes None, gets
-    the first binding alone, and True once it is found.  Arguments are
+    """Match steps[i:] in place on `sigma`, which starts with the clock
+    names bound.  A precondition's plan passes `held`, where each consumed
+    step puts its fact, and gets a copy of every complete binding with the
+    held facts appended to `out`; a specification pair's plan passes None,
+    gets the first binding alone, and True once it is found.  Arguments are
     compared through sort keys, a bound term's kept in its ``_key``.  A
-    candidate that leaves a later step's arguments without a fact is
-    dropped after writing its bindings and before claiming (`_possible`,
-    with the argument keys of each predicate's facts kept in `seen`)."""
+    candidate that leaves a later step's arguments without a fact is dropped
+    after writing its bindings and before claiming (`_possible`, with the
+    argument keys of each predicate's facts kept in `seen`)."""
     (tvar, pred, arity, lows, highs, determined, whole, fixed, binds, dups,
      claims, slot, checks) = steps[i]
     final = i + 1 == len(steps)
@@ -800,7 +803,7 @@ def _extend(
             whole = tuple([g if n is None else sigma[n]._key for _, n, g in fixed])
     else:
         tests = [(pos, g if n is None else sigma[n]._key) for pos, n, g in fixed]
-    for fact in by_pred.get(pred, clock):  # only `Time` has no group here
+    for fact in by_pred[pred]:
         ts = fact.ts
         if ts < lo:
             continue
@@ -828,7 +831,7 @@ def _extend(
             stop = held is None
             out.append(dict(sigma) if stop else (dict(sigma), tuple(held)))
         else:
-            stop = _extend(steps, i + 1, by_pred, clock, sigma, available, held, out, seen)
+            stop = _extend(steps, i + 1, by_pred, sigma, available, held, out, seen)
         if claims:
             available[fact] += 1
         if stop:
@@ -888,9 +891,9 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
     the ``_key`` of each bound term: keys are total, so this is term
     equality, decided on built-in tuples.  It reads the configuration's
     groups from their slot, calling `by_pred` only when they were never
-    computed, and its clock from the clock's slot: a `Time` pattern's loop
-    runs over the clock alone.  A precondition's plan pairs each binding
-    with the tuple of its consumed steps' loop variables."""
+    computed, and the global time from the clock's slot, one local per
+    clock name.  A precondition's plan pairs each binding with the tuple of
+    its consumed steps' loop variables."""
     namespace: dict[str, object] = {}
     facts = {pred: f"p{j}" for j, pred in enumerate(plan.preds)}
     names: dict[str, str] = {}  # binding name -> local, in binding order
@@ -1006,17 +1009,14 @@ def _emit(plan: MatchPlan) -> tuple[str, dict[str, object]]:
         "        by_pred = config.by_pred()",
     ]
     for pred, var in facts.items():
-        if pred == TIME_PREDICATE:
-            lines.append(f"    {var} = (config._clock,)")
-            continue
         lines += [
             f"    {var} = by_pred.get({pred!r})",
             f"    if {var} is None:",
             "        return []",
         ]
     lines.append("    out = []")
-    if plan.precondition:
-        lines.append(f"    {local(GLOBAL_TIME_VAR)} = config._clock.ts")
+    for name in plan.clock:
+        lines.append(f"    {local(name)} = config._clock.ts")
     if plan.claims:
         lines.append("    available = config.counts()")
     emit(lines, 0, 1)

@@ -130,14 +130,12 @@ class PlanningScenario:
         # (rule or pair, the variable bound to the global time, patterns)
         reads = [(r, GLOBAL_TIME_VAR, (*r.side, *r.consumed)) for r in rules]
         for pair in (*self.goal_spec.pairs, *self.critical_spec.pairs):
-            clock = next((p.tvar for p in pair.pattern if p.atom.pred == TIME_PREDICATE), None)
-            reads.append((pair, clock, pair.pattern))
+            reads.append((pair, pair.clock[0] if pair.clock else None, pair.joined))
         lags: dict[str, float] = {}
         for owner, clock, patterns in reads:
             for p in patterns:
-                if p.atom.pred != TIME_PREDICATE:
-                    lag = float("inf") if clock is None else owner.closure.upper(clock, p.tvar)
-                    lags[p.atom.pred] = max(lags.get(p.atom.pred, lag), lag)
+                lag = float("inf") if clock is None else owner.closure.upper(clock, p.tvar)
+                lags[p.atom.pred] = max(lags.get(p.atom.pred, lag), lag)
         for rule in rules:
             for c in rule.created:
                 lags.setdefault(c.atom.pred, AT_ONCE)
@@ -612,11 +610,7 @@ class _Parser:
             self.error(head, str(exc))
             return
         wanted = Role.GOAL if kind is SpecKind.GOAL else Role.CRITICAL
-        roles = {
-            self.roles.get(p.atom.pred, Role.TIME if p.atom.pred == TIME_PREDICATE else None)
-            for p in pattern
-        }
-        if wanted not in roles:
+        if wanted not in {self.roles.get(p.atom.pred) for p in pattern}:
             self.error(
                 head,
                 f"{kind.value} pattern must contain at least one {wanted.value} "

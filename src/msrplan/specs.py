@@ -6,9 +6,11 @@ substitution embedding its pattern into the configuration with the
 constraints satisfied.  Recognition is a join: each pair is compiled once
 into a `rules.MatchPlan` that keeps the pattern's declaration order and the
 configuration's canonical order and stops at the first complete binding, so
-the substitution reported for a match is the first in that order.  The join
-binds each of the pair's variables; the eta measure is the most any pair has,
-and the resilience checker caps it for the critical specification.  The join
+the substitution reported for a match is the first in that order.  The plan
+binds the `Time` patterns' variables (`SpecPair.clock`) to the global time,
+as a rule's ``T`` is, and joins the rest (`SpecPair.joined`), so it binds
+each of the pair's variables; the eta measure is the most any pair has, and
+the resilience checker caps it for the critical specification.  The join
 skips a partial binding as soon as a later pattern it fully determines has
 no fact (the plan's forward checks).  Such a binding has no completion, so
 the first substitution found is unchanged.
@@ -65,10 +67,20 @@ class SpecPair:
             raise SpecError(f"{min(clash)} is both a time variable and a term variable")
 
     @cached_property
+    def clock(self) -> tuple[str, ...]:
+        """The `Time` patterns' time variables, in declaration order, each once."""
+        return tuple(dict.fromkeys([p.tvar for p in self.pattern if p.atom.pred == TIME_PREDICATE]))
+
+    @cached_property
+    def joined(self) -> tuple[FactPattern, ...]:
+        """The patterns other than the `Time` ones, in declaration order."""
+        return tuple([p for p in self.pattern if p.atom.pred != TIME_PREDICATE])
+
+    @cached_property
     def plan(self) -> MatchPlan:
         """The compiled matcher, built on first use and kept with the pair:
-        declaration order, several patterns may share one fact."""
-        return MatchPlan(self.pattern, self.constraints)
+        `clock` bound first, then `joined`, several patterns may share one fact."""
+        return MatchPlan(self.joined, self.constraints, clock=self.clock)
 
     @cached_property
     def closure(self) -> _Dbm:
@@ -100,10 +112,7 @@ class ConfigSpec:
         """The specification of the pairs that mention `Time`, the only ones
         whose match a change of the clock alone can alter; None when no
         pair does."""
-        pairs = tuple(
-            pair for pair in self.pairs
-            if any(p.atom.pred == TIME_PREDICATE for p in pair.pattern)
-        )
+        pairs = tuple(pair for pair in self.pairs if pair.clock)
         return ConfigSpec(self.kind, pairs) if pairs else None
 
 
@@ -123,11 +132,12 @@ def match_spec(
 ) -> Optional[tuple[int, Binding]]:
     """First (pair index, substitution) witnessing the specification, if any.
 
-    A pair's plan keeps declaration order and walks candidates in the
-    canonical order of the configuration, stopping at the first complete
-    binding, so the witness substitution is deterministic.  Distinct pattern
-    entries may map onto the same fact: the match requires only that every
-    substituted pattern occurs in the configuration.  Each plan runs on the
+    A pair's plan binds its clock variables, keeps declaration order and
+    walks candidates in the canonical order of the configuration, stopping
+    at the first complete binding, so the witness substitution is
+    deterministic.  Distinct pattern entries may map onto the same fact: the
+    match requires only that every substituted pattern occurs in the
+    configuration.  Each plan runs on the
     tier it chose (`MatchPlan.bindings`).
     """
     for i, pair in enumerate(spec.pairs):

@@ -223,8 +223,17 @@ class TestConstruction:
             assert parse_scenario(qbf_to_msr_text(q)) == qbf_to_scenario(q), q
 
     def test_formulas_with_one_prefix_share_rules(self, monkeypatch):
-        first = qbf_to_scenario(Qbf(E1_A2_E3, ((1, -2, 3), (-1, 2, 2))))
+        """Formulas with one prefix share their rules, and one formula built
+        twice shares its rules and pairs, so neither closes a guard again:
+        not to classify its rules, nor for its expiry table or relaxation.
+        The patch is on `rules._Dbm.__init__`, which every construction
+        runs, whatever name the constructing module imported it under."""
+        formula = Qbf(E1_A2_E3, ((1, -2, 3), (-1, 2, 2)))
+        first = qbf_to_scenario(formula)
         assert first.progressing
+        assert first.expiry and not first.relaxation.trivial and first.relaxation.goals
+        again = qbf_to_scenario(formula)
+        assert again is not first
         second = qbf_to_scenario(Qbf(E1_A2_E3, ((1, -2, 3),)))
         assert all(
             a is b for a, b in zip(second.system_rules, first.system_rules)
@@ -233,10 +242,12 @@ class TestConstruction:
         assert second.initial is not first.initial
 
         def no_dbm(*args, **kwargs):
-            raise AssertionError("a shared rule was classified again")
+            raise AssertionError("a shared guard was closed again")
 
-        monkeypatch.setattr(rules, "_Dbm", no_dbm)
+        monkeypatch.setattr(rules._Dbm, "__init__", no_dbm)
         assert second.progressing
+        assert again.expiry == first.expiry
+        assert len(again.relaxation.goals) == len(first.relaxation.goals)
 
     def test_parameter_insensitivity(self):
         rng = random.Random(21)

@@ -586,8 +586,16 @@ class TestBalancePreservation:
 def _rule_plan(rule: Rule) -> MatchPlan:
     """A new plan for `rule`'s precondition, built as `Rule.plan` builds it."""
     return MatchPlan(
-        (*rule.side, *rule.consumed), rule.guard, precondition=True, consumed=len(rule.consumed)
+        (*rule.side, *rule.consumed), rule.guard, clock=("T",),
+        precondition=True, consumed=len(rule.consumed),
     )
+
+
+def _pair_plan(pattern, constraints=()) -> MatchPlan:
+    """A new plan for the pair of `pattern` and `constraints`, built by
+    `SpecPair.plan`, which binds the variables of `Time` patterns to the
+    global time."""
+    return SpecPair(tuple(pattern), tuple(constraints)).plan
 
 
 def _fresh_plans(scenario) -> list[MatchPlan]:
@@ -595,7 +603,7 @@ def _fresh_plans(scenario) -> list[MatchPlan]:
     test sees a tier that another one brought about."""
     plans = [_rule_plan(r) for r in scenario.rules()]
     for spec in (scenario.goal_spec, scenario.critical_spec):
-        plans += [MatchPlan(pair.pattern, pair.constraints) for pair in spec.pairs]
+        plans += [_pair_plan(pair.pattern, pair.constraints) for pair in spec.pairs]
     return plans
 
 
@@ -666,10 +674,10 @@ class TestGeneratedTier:
         assert found > 1000
 
     def test_time_pattern_plans(self, travel):
-        """Specification pairs that mention `Time` anywhere: a `Time`
-        pattern binds its variable from the clock on both tiers, also when
-        it is not first, when there are two, and when an earlier step
-        constrains it."""
+        """Specification pairs that mention `Time` anywhere: the pair's plan
+        binds a `Time` pattern's variable to the global time on both tiers,
+        also when the pattern is not first, when there are two, and when an
+        earlier pattern's variable constrains it."""
         clock = lambda tvar: FactPattern(Atom("Time"), tvar)
         beat = FactPattern(Atom("ClockBeat"), "T1")
         deadline = FactPattern(Atom("Deadline", (Variable("e", "eid"),)), "T2")
@@ -682,7 +690,7 @@ class TestGeneratedTier:
                 (TimeConstraint("T", "<=", "T2", -60), TimeConstraint("T", ">=", "T1", -1)),
             ),
         ]
-        plans = [MatchPlan(pattern, constraints) for pattern, constraints in pairs]
+        plans = [_pair_plan(pattern, constraints) for pattern, constraints in pairs]
         assert _same_tiers(plans, explored_states(travel, 80)) > 100
         rng = random.Random(16)
         found = 0
@@ -699,7 +707,7 @@ class TestGeneratedTier:
                     "T", rng.choice(("<", "<=", "=", ">=", ">")), rng.choice(others),
                     rng.randint(-2, 2),
                 )
-                plans.append(MatchPlan(pattern, (*pair.constraints, link)))
+                plans.append(_pair_plan(pattern, (*pair.constraints, link)))
             found += _same_tiers(plans, explored_states(scenario, 30))
         assert found > 200
 
@@ -724,7 +732,7 @@ class TestGeneratedTier:
         ]
         plans = [MatchPlan(pattern, ()) for pattern in patterns]
         plans += [
-            MatchPlan(pattern, (), precondition=True, consumed=len(pattern))
+            MatchPlan(pattern, (), clock=("T",), precondition=True, consumed=len(pattern))
             for pattern in patterns
         ]
         assert _same_tiers(plans, configs) > 100
@@ -947,13 +955,109 @@ class TestGeneratedTier:
                     found += len(got)
         assert found > 500
 
-    def test_generated_source_is_pinned(self, worked_example):
-        plan = _rule_plan(worked_example.system_rules[0])
-        plan.generate()
-        digest = hashlib.sha256(plan.source.encode()).hexdigest()
-        assert digest == (
-            "1ad453e631a5c8284d61a0685db6f1be1ebbfa3b4aa057f871c44319f665564b"
-        ), plan.source
+    def test_generated_source_is_pinned(self, worked_example, travel):
+        """The code generated for a rule and for a specification pair, so a
+        change to either shows in review."""
+        text = "Time@T, ClockBeat@T1 | T1 < T"
+        beat = next(p for p in travel.critical_spec.pairs if str(p) == text)
+        pins = [
+            (_rule_plan(worked_example.system_rules[0]),
+             "1ad453e631a5c8284d61a0685db6f1be1ebbfa3b4aa057f871c44319f665564b"),
+            (_pair_plan(beat.pattern, beat.constraints),
+             "8ce168a86cd06775120f81a51da89b432a108d7d8fad7923a458f4d2499636b0"),
+        ]
+        for plan, digest in pins:
+            plan.generate()
+            assert hashlib.sha256(plan.source.encode()).hexdigest() == digest, plan.source
+
+
+class TestClockVariables:
+    """A plan binds the variables that read the global time, a rule's ``T``
+    and a pair's `SpecPair.clock`, before its join: no step matches `Time`."""
+
+    @staticmethod
+    def _clocked_pairs(rng: random.Random, count: int, names=("T", "T9")) -> list[SpecPair]:
+        """`random_spec` pairs with ``Time@T``, and sometimes ``Time`` at the
+        other `names`, inserted anywhere, and ``T`` linked to a pattern's
+        variable."""
+        pairs = []
+        for _ in range(count):
+            pair = random_spec(rng, SpecKind.GOAL).pairs[0]
+            pattern = list(pair.pattern)
+            others = [p.tvar for p in pattern]
+            for tvar in names[: rng.randint(1, len(names))]:
+                pattern.insert(rng.randint(0, len(pattern)), FactPattern(Atom("Time"), tvar))
+            link = TimeConstraint(
+                "T", rng.choice(("<", "<=", "=", ">=", ">")), rng.choice(others),
+                rng.randint(-2, 2),
+            )
+            pairs.append(SpecPair(tuple(pattern), (*pair.constraints, link)))
+        return pairs
+
+    def test_no_plan_has_a_time_step(self, travel, minimal, worked_example):
+        scenarios = [travel, minimal, worked_example] + [qbf_to_scenario(q) for q in qbf_mix()]
+        plans = [r.plan for s in scenarios for r in s.rules()]
+        assert all(plan.clock == ("T",) for plan in plans)
+        pairs = [p for s in scenarios for p in (*s.goal_spec.pairs, *s.critical_spec.pairs)]
+        pairs += self._clocked_pairs(random.Random(41), 60)
+        for pair in pairs:
+            assert pair.plan.clock == pair.clock and pair.plan.patterns == pair.joined
+            plans.append(pair.plan)
+        assert sum(len(pair.clock) for pair in pairs) > 90
+        assert all(step.pred != "Time" for plan in plans for step in plan.steps)
+
+    def test_two_clock_patterns(self, travel):
+        """A further `Time` pattern, at ``U``, reads the global time again.
+        Linked by ``U = T + 1`` the pair never matches; linked by ``U >= T``
+        it matches where the pair without it matches, with the same binding
+        and ``U`` bound to the global time: on both tiers and as brute force
+        decides."""
+        rng = random.Random(43)
+        cases = [(pair, explored_states(travel, 40)) for pair in travel.critical_spec.pairs]
+        cases += [(pair, _dense_configs(rng, 4)) for pair in self._clocked_pairs(rng, 30, ("T",))]
+        clock = FactPattern(Atom("Time"), "U")
+        matched = total = 0
+        for base, configs in cases:
+            assert "T" in base.clock
+            step, link = TimeConstraint("U", "=", "T", 1), TimeConstraint("U", ">=", "T")
+            never = SpecPair((*base.pattern, clock), (*base.constraints, step))
+            later = SpecPair((clock, *base.pattern), (*base.constraints, link))
+            assert never.plan.never and later.clock == ("U", *base.clock)
+            hot = later.plan.generate() if later.plan.generable else later.plan.interpret
+            for config in configs:
+                want = [{**b, "U": config.global_time} for b in base.plan.interpret(config)]
+                assert later.plan.interpret(config) == want == hot(config), str(later)
+                assert never.plan.interpret(config) == []
+                for pair, hit in ((later, bool(want)), (never, False)):
+                    assert brute_match_spec(ConfigSpec(SpecKind.GOAL, (pair,)), config) == hit
+                matched += bool(want)
+                total += 1
+        assert 30 < matched < total
+
+    def test_clock_only_pairs(self, travel):
+        """A pair of `Time` patterns alone has no step: it matches every
+        configuration, binding its clock variables to the global time, or
+        none, as its constraints decide."""
+        clock = lambda tvar: FactPattern(Atom("Time"), tvar)
+        cases = [
+            (SpecPair((clock("T"),)), True),
+            (SpecPair((clock("T"), clock("T"))), True),
+            (SpecPair((clock("U"), clock("T")), (TimeConstraint("U", "<=", "T"),)), True),
+            (SpecPair((clock("T"), clock("U")), (TimeConstraint("U", ">", "T"),)), False),
+        ]
+        for pair, hit in cases:
+            spec = ConfigSpec(SpecKind.GOAL, (pair,))
+            assert pair.joined == () and pair.plan.steps == () and spec.clocked == spec
+            for config in explored_states(travel, 10):
+                want = (0, dict.fromkeys(pair.clock, config.global_time)) if hit else None
+                assert match_spec(spec, config) == want
+                assert brute_match_spec(spec, config) == hit
+
+    def test_a_plan_refuses_a_time_pattern(self):
+        """A caller that hands a plan a `Time` pattern, instead of its
+        variable as a clock name, fails instead of matching nothing."""
+        with pytest.raises(RuleError, match="Time"):
+            MatchPlan((FactPattern(Atom("P", ()), "T1"), FactPattern(Atom("Time"), "T")), ())
 
 
 def _long_rule() -> tuple[Rule, Configuration]:
@@ -981,6 +1085,23 @@ def _items(found: list) -> list:
     return [
         list(b.items()) if isinstance(b, dict) else (list(b[0].items()), b[1]) for b in found
     ]
+
+
+def _dense_configs(rng: random.Random, count: int) -> list[Configuration]:
+    """Configurations at global time 2 that hold each ground atom of the
+    random-scenario predicates at times 0-2, up to twice, each with one of
+    three densities."""
+    pool = [("R", ())]
+    pool += [(p, (Constant(x, "obj"),)) for p in ("P", "S0") for x in "abc"]
+    pool += [("Q", (Constant(x, "obj"), Constant(y, "obj"))) for x in "abc" for y in "abc"]
+    configs = []
+    for _ in range(count):
+        density = rng.choice((0.2, 0.35, 0.5))
+        facts = [fact(p, ts, *args) for p, args in pool for ts in (0, 1, 2, 2)]
+        configs.append(
+            Configuration([fact("Time", 2)] + [f for f in facts if rng.random() < density])
+        )
+    return configs
 
 
 def _digraph(rng: random.Random) -> Graph:
@@ -1016,21 +1137,13 @@ class TestForwardChecks:
         ground atom of the random-scenario predicates at times 0-2, up to
         twice, with one of three densities."""
         rng = random.Random(23)
-        pool = [("R", ())]
-        pool += [(p, (Constant(x, "obj"),)) for p in ("P", "S0") for x in "abc"]
-        pool += [("Q", (Constant(x, "obj"), Constant(y, "obj"))) for x in "abc" for y in "abc"]
         checked = found = matched = 0
         for _ in range(150):
-            configs = []
-            for _ in range(8):
-                density = rng.choice((0.2, 0.35, 0.5))
-                facts = [fact(p, ts, *args) for p, args in pool for ts in (0, 1, 2, 2)]
-                configs.append(
-                    Configuration([fact("Time", 2)] + [f for f in facts if rng.random() < density])
-                )
+            configs = _dense_configs(rng, 8)
             for pair in random_spec(rng, SpecKind.GOAL, sizes=(3, 5)).pairs:
                 spec = ConfigSpec(SpecKind.GOAL, (pair,))
-                for kind in ({}, {"precondition": True, "consumed": len(pair.pattern)}):
+                rule = {"clock": ("T",), "precondition": True, "consumed": len(pair.pattern)}
+                for kind in ({}, rule):
                     build = lambda: MatchPlan(pair.pattern, pair.constraints, **kind)
                     plan, bare, hot = build(), _unchecked(build()), build()
                     if not any(step.checks for step in plan.steps):
