@@ -62,7 +62,16 @@ from .kernel import (
     Variable,
     term_sort_key,
 )
-from .rules import GLOBAL_TIME_VAR, TICK_STEP, EngineError, Rule, RuleInstance, RuleRole
+from .rules import (
+    GLOBAL_TIME_VAR,
+    MAX_JOIN_STEPS,
+    TICK_STEP,
+    EngineError,
+    Rule,
+    RuleError,
+    RuleInstance,
+    RuleRole,
+)
 from .scenario import PlanningScenario
 from .specs import ConfigSpec, SpecPair, Trace
 
@@ -320,7 +329,14 @@ def _compile_join(
 ) -> tuple[tuple[Check, ...], tuple[_Step, ...]]:
     """The constraints over the names in `bound` alone, and the steps that
     match `patterns` in their order after them.  With `claims`, patterns of
-    a predicate that several share claim distinct occurrences."""
+    a predicate that several share claim distinct occurrences.  `_join`
+    recurses once per step, so a join longer than `rules.MAX_JOIN_STEPS`
+    is refused here."""
+    if len(patterns) > MAX_JOIN_STEPS:
+        raise RuleError(
+            f"a join of {len(patterns)} patterns exceeds the limit of "
+            f"{MAX_JOIN_STEPS} steps (MAX_JOIN_STEPS)"
+        )
     pending = _checks(constraints)
     before = tuple(c for c, _ in pending if c[0] in bound and c[2] in bound)
     pending = [(c, rel) for c, rel in pending if c not in before]

@@ -88,6 +88,13 @@ HOT_CALLS = 200
 # function nests one loop per step, so a longer plan stays interpreted.
 MAX_LOOPS = 20
 
+# The interpreter (`_extend`) and the witness checker's join (`certify`)
+# recurse one Python frame per step, and CPython's default recursion limit
+# is 1,000 frames, part of which the caller's own stack holds.  A longer
+# join is refused when it is compiled, with an error, where it would
+# otherwise fail mid-match with `RecursionError`.
+MAX_JOIN_STEPS = 256
+
 
 class RuleError(ValueError):
     """Raised for ill-formed rules, created facts and time constraints."""
@@ -578,11 +585,17 @@ class MatchPlan:
         several patterns may collapse onto one fact (recognition asks only
         that every substituted pattern occurs).  The last `consumed`
         patterns of a precondition are the rule's consumed ones, whose
-        matched facts each binding returns."""
+        matched facts each binding returns.  More than `MAX_JOIN_STEPS`
+        patterns raise `RuleError`."""
         self.clock = tuple(clock)
         self.precondition = precondition
         self.consumed = consumed
         self.patterns = tuple(patterns)
+        if len(self.patterns) > MAX_JOIN_STEPS:
+            raise RuleError(
+                f"a join of {len(self.patterns)} patterns exceeds the limit of "
+                f"{MAX_JOIN_STEPS} steps (MAX_JOIN_STEPS)"
+            )
         first_consumed = len(self.patterns) - consumed
         self.never = False  # no binding can ever complete
         by_var: dict[str, list[TimeConstraint]] = {}
@@ -602,11 +615,12 @@ class MatchPlan:
         bound = set(self.clock)
         steps: list[_Step] = []
         binder: dict[str, int] = {}  # name -> the step whose `binds` bind it
+        compile_step = _Step.compile
         for index, pat in enumerate(self.patterns):
             claims = pat.atom.pred in shared
             # the pattern's index in the consumed order, None for the others
             slot = index - first_consumed if index >= first_consumed else None
-            steps.append(_Step.compile(pat, bound, binder, by_var, claims, slot, steps))
+            steps.append(compile_step(pat, bound, binder, by_var, claims, slot, steps))
         self.steps = tuple(steps)
         self.calls = 0
         self.source: Optional[str] = None  # the generated source, once hot
@@ -708,14 +722,12 @@ class _Step(NamedTuple):
         step binds through its `binds` to that step's index, and gets this
         step's.  A determined step whose last such name is bound two or more
         steps back appends its forward check to that step's `checks`."""
-        lows: list[tuple[str, int]] = []
-        highs: list[tuple[str, int]] = []
         tvar: Optional[str] = pat.tvar
         if tvar in bound:
-            lows.append((tvar, 0))
-            highs.append((tvar, 0))
+            lows = highs = ((tvar, 0),)
             tvar = None
         else:
+            lows, highs = [], []
             for c in by_var.get(tvar, ()):
                 # c reads `left > right + offset` or `left = right + offset`
                 if c.left == tvar and c.right in bound:
@@ -727,7 +739,9 @@ class _Step(NamedTuple):
                     if c.rel == "=":
                         lows.append((c.left, -c.offset))
             bound.add(tvar)
-        args = pat.atom.args
+            lows, highs = tuple(lows), tuple(highs)
+        atom = pat.atom
+        args = atom.args
         fixed: list[tuple[int, Optional[str], Optional[tuple]]] = []
         binds: list[tuple[int, str]] = []
         dups: list[tuple[int, int]] = []
@@ -736,33 +750,39 @@ class _Step(NamedTuple):
         # the latest step whose `binds` bind a name of `fixed`, -1 for no
         # name; a name bound otherwise counts as this step, which checks none
         last = -1
-        for pos, a in enumerate(args):
-            if isinstance(a, Variable):
-                if a.name in first_pos:
-                    dups.append((pos, first_pos[a.name]))
-                elif a.name in bound:
-                    fixed.append((pos, a.name, None))
-                    last = max(last, binder.get(a.name, index))
+        pos = 0
+        for a in args:
+            if a.__class__ is Variable:
+                name = a.name
+                if name in first_pos:
+                    dups.append((pos, first_pos[name]))
+                elif name in bound:
+                    fixed.append((pos, name, None))
+                    step = binder.get(name, index)
+                    if step > last:
+                        last = step
                 else:
-                    first_pos[a.name] = pos
-                    binds.append((pos, a.name))
+                    first_pos[name] = pos
+                    binds.append((pos, name))
             else:
                 fixed.append((pos, None, a._key))
-        bound.update(first_pos)
-        for name in first_pos:
-            binder[name] = index
-        determined = len(fixed) == len(args)
+            pos += 1
+        if first_pos:
+            bound.update(first_pos)
+            for name in first_pos:
+                binder[name] = index
+        determined = len(fixed) == pos
         whole = None
         fixed = tuple(fixed)
         if determined:
             if last < 0:
-                whole = tuple(g for _, _, g in fixed)
+                whole = tuple([g for _, _, g in fixed])
             elif last <= index - 2:
-                earlier[last].checks.append((pat.atom.pred, fixed))
-        return cls(
-            tvar, pat.atom.pred, len(args), tuple(lows), tuple(highs), determined,
-            whole, fixed, tuple(binds), tuple(dups), claims, slot, [],
-        )
+                earlier[last].checks.append((atom.pred, fixed))
+        return tuple.__new__(cls, (
+            tvar, atom.pred, pos, lows, highs, determined, whole, fixed, tuple(binds),
+            tuple(dups), claims, slot, [],
+        ))
 
 
 def _extend(

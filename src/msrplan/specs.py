@@ -13,7 +13,9 @@ each of the pair's variables; the eta measure is the most any pair has, and
 the resilience checker caps it for the critical specification.  The join
 skips a partial binding as soon as a later pattern it fully determines has
 no fact (the plan's forward checks).  Such a binding has no completion, so
-the first substitution found is unchanged.
+the first substitution found is unchanged.  A pair computes `clock` and
+`joined` when it is built, in the one walk over its pattern that checks its
+sorts; its plan is compiled on first use.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
-from .kernel import TIME_PREDICATE, Configuration
+from .kernel import TIME_PREDICATE, Configuration, Variable
 from .rules import (
     TICK_STEP,
     Binding,
@@ -48,33 +50,47 @@ class SpecKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SpecPair:
-    """One (pattern, constraints) alternative of a specification."""
+    """One (pattern, constraints) alternative of a specification.
+
+    Building a pair walks its pattern once.  That walk checks that every
+    constraint variable is a time variable of the pattern and that no name
+    is both a time and a term variable, and it sets two plain attributes:
+    `clock`, the `Time` patterns' time variables in declaration order, each
+    once, and `joined`, the other patterns in declaration order.  The graph
+    reduction builds a pair per query, so both are computed when the pair is
+    built rather than on first read.  `plan` and `closure` are built on
+    first use and kept with the pair."""
 
     pattern: tuple[FactPattern, ...]
     constraints: tuple[TimeConstraint, ...] = ()
 
     def __post_init__(self) -> None:
-        tvars = {p.tvar for p in self.pattern}
+        tvars: set[str] = set()
+        terms: set[str] = set()
+        clock: dict[str, None] = {}
+        joined = []
+        for p in self.pattern:
+            tvars.add(p.tvar)
+            atom = p.atom
+            if atom.pred == TIME_PREDICATE:
+                clock[p.tvar] = None
+            else:
+                joined.append(p)
+            for a in atom.args:
+                if a.__class__ is Variable:
+                    terms.add(a.name)
         for c in self.constraints:
-            for v in c.variables():
+            for v in (c.left, c.right):
                 if v not in tvars:
                     raise SpecError(
                         f"constraint variable {v} does not occur in the pair's pattern"
                     )
         # a name has one sort: a timestamp never equals a term
-        clash = tvars & set().union(*(p.atom.variables() for p in self.pattern))
+        clash = tvars & terms
         if clash:
             raise SpecError(f"{min(clash)} is both a time variable and a term variable")
-
-    @cached_property
-    def clock(self) -> tuple[str, ...]:
-        """The `Time` patterns' time variables, in declaration order, each once."""
-        return tuple(dict.fromkeys([p.tvar for p in self.pattern if p.atom.pred == TIME_PREDICATE]))
-
-    @cached_property
-    def joined(self) -> tuple[FactPattern, ...]:
-        """The patterns other than the `Time` ones, in declaration order."""
-        return tuple([p for p in self.pattern if p.atom.pred != TIME_PREDICATE])
+        object.__setattr__(self, "clock", tuple(clock))
+        object.__setattr__(self, "joined", tuple(joined))
 
     @cached_property
     def plan(self) -> MatchPlan:

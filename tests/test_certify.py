@@ -26,7 +26,7 @@ from msrplan import certify, specs
 from msrplan.kernel import (
     MAX_TIMESTAMP, Configuration, Constant, FreshConstant, TimedFact, Variable,
 )
-from msrplan.reductions import qbf_to_scenario
+from msrplan.reductions import Graph, graph_to_goal_instance, qbf_to_scenario
 from msrplan.certify import witness_to_dict
 from msrplan.resilience import (
     ResilienceQuery,
@@ -36,6 +36,7 @@ from msrplan.resilience import (
     witness_to_json,
 )
 from msrplan.rules import (
+    MAX_JOIN_STEPS,
     RELATIONS,
     Atom,
     CreatedFact,
@@ -309,6 +310,26 @@ class TestMatcher:
                     assert certify._holds(certify._spec_code(spec), state) == want, (seed, str(pair))
                     hits += want
         assert hits > 100
+
+    def test_join_limit(self):
+        """The checker's join recurses once per step, as the engine's does,
+        and refuses the same joins: a path of `MAX_JOIN_STEPS` edges still
+        maps onto a self-loop, one edge more is an error."""
+        loop = Graph(("a",), (("a", "a"),))
+        for length in (MAX_JOIN_STEPS, MAX_JOIN_STEPS + 1):
+            names = tuple(f"v{i}" for i in range(length + 1))
+            path = Graph(names, tuple(zip(names, names[1:])))
+            scenario, config = graph_to_goal_instance(path, loop)
+            codes = lambda: certify._spec_code(scenario.goal_spec)
+            if length == MAX_JOIN_STEPS:
+                assert certify._holds(codes(), certify._State.of(config))
+                assert match_spec(scenario.goal_spec, config) is not None
+                continue
+            message = f"^a join of {length} patterns exceeds the limit of {MAX_JOIN_STEPS} steps"
+            with pytest.raises(RuleError, match=message):
+                codes()
+            with pytest.raises(RuleError, match=message):
+                match_spec(scenario.goal_spec, config)
 
 
 def _goal_trace(travel, budget: int = 232) -> Trace:

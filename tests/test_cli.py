@@ -12,6 +12,7 @@ import msrplan
 from conftest import run
 from msrplan.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, cli_dispatch
 from msrplan.reductions import parse_graph
+from msrplan.rules import MAX_JOIN_STEPS
 from test_resilience import TOP
 
 QDIMACS_TRUE = "p cnf 3 2\ne 1 0\na 2 0\ne 3 0\n1 2 3 0\n-1 -2 -3 0\n"
@@ -551,6 +552,31 @@ class TestGraphGoal:
         assert set(image.values()) <= set(k_graph.vertices)
         for u, v in g_graph.edges:
             assert (image[u], image[v]) in k_graph.edges
+
+    def test_a_join_past_the_limit_is_an_error(self, capsys, tmp_path):
+        """A complete digraph on 33 vertices is a pattern of 1,089 edges,
+        more join steps than `MAX_JOIN_STEPS`: the CLI reports an error
+        (exit 2) where the join used to die with `RecursionError`, whose
+        exit 1 reads as "no homomorphism"."""
+        names = [f"v{i}" for i in range(33)]
+        g, k = tmp_path / "g.txt", tmp_path / "k.txt"
+        g.write_text("".join(f"{u} {v}\n" for u in names for v in names), encoding="utf-8")
+        k.write_text("a a\n", encoding="utf-8")
+        code, out = run(capsys, "graph-goal", str(g), str(k))
+        assert code == EXIT_ERROR
+        assert out == (
+            "error: a join of 1089 patterns exceeds the limit of 256 steps (MAX_JOIN_STEPS)\n"
+        )
+
+    def test_a_join_of_the_limit_matches(self, capsys, tmp_path):
+        """A path of `MAX_JOIN_STEPS` edges maps onto a self-loop."""
+        g, k = tmp_path / "g.txt", tmp_path / "k.txt"
+        g.write_text("".join(f"v{i} v{i + 1}\n" for i in range(MAX_JOIN_STEPS)), encoding="utf-8")
+        k.write_text("a a\n", encoding="utf-8")
+        code, out = run(capsys, "graph-goal", str(g), str(k))
+        assert code == EXIT_YES
+        images = ", ".join(f"v{i}->a" for i in range(MAX_JOIN_STEPS + 1))
+        assert out == f"homomorphism: {images}\n"
 
 
 class TestDelta:

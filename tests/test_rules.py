@@ -971,6 +971,46 @@ class TestGeneratedTier:
             assert hashlib.sha256(plan.source.encode()).hexdigest() == digest, plan.source
 
 
+def _criterion6_patterns() -> list[Graph]:
+    """The 500 random pattern graphs of criterion 6, drawn as it draws them
+    (seed 66, each followed by its host graph's draws)."""
+    rng = random.Random(66)
+    graphs = []
+    for _ in range(500):
+        nv_g, nv_k = rng.randint(1, 5), rng.randint(1, 5)
+        names = "abcde"[:nv_g]
+        edges = tuple((u, v) for u in names for v in names if rng.random() < 0.35)
+        for _ in range(nv_k * nv_k):
+            rng.random()
+        graphs.append(Graph(tuple(names), edges))
+    return graphs
+
+
+class TestCompiledSteps:
+    def test_steps_are_pinned(self, travel, minimal):
+        """Every compiled step, forward checks included, of the plans of
+        the bundled scenarios, `qbf_mix()`, criterion 6's pattern graphs and
+        random rules and pairs, so a change to how a step is compiled shows
+        here even when no match changes."""
+        scenarios = [travel, minimal] + [qbf_to_scenario(q) for q in qbf_mix()]
+        plans = [r.plan for s in scenarios for r in s.rules()]
+        plans += [
+            p.plan for s in scenarios for p in (*s.goal_spec.pairs, *s.critical_spec.pairs)
+        ]
+        plans += [graph_goal_spec(g).pairs[0].plan for g in _criterion6_patterns()]
+        rng = random.Random(40)
+        for k in range(200):
+            plans += [pair.plan for pair in random_spec(rng, SpecKind.GOAL).pairs]
+            plans.append(random_guarded_rule(rng, f"g{k}").plan)
+        digest = hashlib.sha256()
+        for plan in plans:
+            digest.update(repr((plan.steps, plan.never, plan.preds, plan.claims)).encode())
+        assert sum(len(step.checks) for plan in plans for step in plan.steps) > 100
+        assert digest.hexdigest() == (
+            "5b7f0c6dc1223b159c966778f2aa3e58e9e2efb9c4c557578238aa62be18357d"
+        )
+
+
 class TestClockVariables:
     """A plan binds the variables that read the global time, a rule's ``T``
     and a pair's `SpecPair.clock`, before its join: no step matches `Time`."""

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import random
+import re
 from typing import Optional
 
 import pytest
 
-from conftest import brute_match_spec, random_scenario, travel_with_start
+from conftest import brute_match_spec, random_scenario, random_spec, travel_with_start
 from msrplan.kernel import Configuration, Constant, TimedFact, Variable
 from msrplan.rules import Atom, FactPattern, TimeConstraint, tick
 from msrplan.search import find_compliant_goal_trace, successors
@@ -129,6 +132,93 @@ class TestMatchSpec:
                 (FactPattern(Atom("P"), "T1"),),
                 (TimeConstraint("T1", ">", "T9"),),
             )
+
+
+def _old_clock(pair: SpecPair) -> tuple[str, ...]:
+    """`SpecPair.clock` as it was derived on first read."""
+    return tuple(dict.fromkeys([p.tvar for p in pair.pattern if p.atom.pred == "Time"]))
+
+
+def _old_joined(pair: SpecPair) -> tuple[FactPattern, ...]:
+    """`SpecPair.joined` as it was derived on first read."""
+    return tuple([p for p in pair.pattern if p.atom.pred != "Time"])
+
+
+def _clocked_pairs(rng: random.Random, count: int) -> list[SpecPair]:
+    """`random_spec` pairs with `Time` patterns inserted anywhere, at new
+    names, at names another `Time` pattern has and at a pattern's own time
+    variable."""
+    pairs = []
+    for _ in range(count):
+        for pair in random_spec(rng, SpecKind.GOAL).pairs:
+            pattern = list(pair.pattern)
+            names = ["T", "U", rng.choice(pattern).tvar]
+            for _ in range(rng.randint(0, 4)):
+                clock = FactPattern(Atom("Time"), rng.choice(names))
+                pattern.insert(rng.randint(0, len(pattern)), clock)
+            pairs.append(SpecPair(tuple(pattern), pair.constraints))
+    return pairs
+
+
+class TestEagerAttributes:
+    """`SpecPair.clock` and `SpecPair.joined` are plain attributes, set in
+    the walk that checks a pair when it is built."""
+
+    def test_equal_the_old_derivations(self):
+        pairs = _clocked_pairs(random.Random(77), 150)
+        repeated = 0
+        for pair in pairs:
+            assert pair.clock == _old_clock(pair) and pair.joined == _old_joined(pair)
+            repeated += len(pair.pattern) - len(pair.joined) > len(pair.clock)
+        assert sum(bool(pair.clock) for pair in pairs) > 150 and repeated > 50
+
+    def test_errors_are_unchanged(self):
+        p = FactPattern(Atom("P", (Variable("x", "t"),)), "T1")
+        unknown = "constraint variable T9 does not occur in the pair's pattern"
+        for constraint in (TimeConstraint("T1", ">", "T9"), TimeConstraint("T9", "=", "T1")):
+            with pytest.raises(SpecError, match=f"^{re.escape(unknown)}$"):
+                SpecPair((p,), (constraint,))
+        both = "x is both a time variable and a term variable"
+        for clash in (FactPattern(Atom("P"), "x"), FactPattern(Atom("Time"), "x")):
+            with pytest.raises(SpecError, match=f"^{both}$"):
+                SpecPair((p, clash))
+
+    def test_equal_pairs_hash_alike(self):
+        for pair in _clocked_pairs(random.Random(78), 40):
+            pair.plan  # a cached plan is not compared
+            twin = SpecPair(pair.pattern, pair.constraints)
+            assert twin == pair and hash(twin) == hash(pair) and twin is not pair
+            assert (twin.clock, twin.joined) == (pair.clock, pair.joined)
+            assert len({pair, twin}) == 1
+
+    def test_replace_recomputes_both(self):
+        clock = lambda tvar: FactPattern(Atom("Time"), tvar)
+        p = FactPattern(Atom("P", (Variable("x", "t"),)), "T1")
+        pair = SpecPair((clock("T"), p))
+        moved = dataclasses.replace(pair, pattern=(p, clock("U"), clock("T"), clock("U")))
+        assert (pair.clock, pair.joined) == (("T",), (p,))
+        assert (moved.clock, moved.joined) == (("U", "T"), (p,))
+        assert dataclasses.replace(moved, pattern=(p,)).clock == ()
+
+    def test_reading_them_enters_no_cached_property(self, monkeypatch):
+        """Each first read of a `functools.cached_property` costs a call into
+        its `__get__`, and on Python 3.11 a lock.  A patched `__get__`
+        records the names read through it: `plan` is one, `clock` and
+        `joined` are not."""
+        entered = []
+        get = functools.cached_property.__get__
+
+        def spy(self, instance, owner=None):
+            entered.append(self.attrname)
+            return get(self, instance, owner)
+
+        monkeypatch.setattr(functools.cached_property, "__get__", spy)
+        p = FactPattern(Atom("P", (Variable("x", "t"),)), "T1")
+        pair = SpecPair((FactPattern(Atom("Time"), "T"), p))
+        assert pair.clock == ("T",) and pair.joined == (p,)
+        assert entered == []
+        pair.plan
+        assert entered == ["plan"]
 
 
 class TestTraceStep:
