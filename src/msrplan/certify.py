@@ -29,6 +29,14 @@ state and matcher:
   timestamp.  Each time constraint is checked once both its variables are
   bound, and a precondition claims fact occurrences by count.  Each rule
   and specification pair is compiled once (`_rule_code`, `_spec_code`).
+- `verify_witness` checks a trace's first configuration against every
+  critical pair, and each step only against the pairs it can make match
+  (`_Verifier.recheck`): after a tick, the pairs with a `Time` pattern;
+  after a rule step, the pairs that join a predicate the rule creates.  A
+  pair matches on facts that are present and on the clock, and the
+  configuration before a checked step matched no pair.  A tick changes
+  only the clock; a rule step keeps it and adds only facts of the
+  predicates it creates.  So no other pair can match after the step.
 
 Terms are handled as their sort keys (`kernel.term_sort_key`), which are
 total: equal keys, equal terms.  Sorts are the rule's and the scenario's
@@ -530,7 +538,7 @@ def _holds(codes: tuple[_PairCode, ...], state: _State) -> bool:
     """Does some pair of the compiled specification match `state`?"""
     for clocked, before, join in codes:
         sigma = dict.fromkeys(clocked, state.clock)
-        if not _hold(before, sigma):
+        if before and not _hold(before, sigma):
             continue
         if not join or _join(join, 0, state.groups, sigma, None, None):
             return True
@@ -800,59 +808,70 @@ def verify_witness(
 class _Verifier:
     """One `verify_witness` call: the scenario's compiled rules by name and
     specifications, the keys of the term texts read so far (each parsed
-    once, against this scenario's signature) and the violations found."""
+    once, against this scenario's signature) and the violations found.
+    `recheck` holds, by step name, the critical pairs a step can make
+    match: for a tick those with a `Time` pattern, for a rule those that
+    join a predicate it creates."""
 
     def __init__(self, scenario: PlanningScenario):
         self.signature = scenario.signature
         self.rules = {r.name: _rule_code(r) for r in scenario.rules()}
         self.updates = [_rule_code(rule) for rule in scenario.update_rules]
-        self.critical = _spec_code(scenario.critical_spec)
+        self.critical = critical = _spec_code(scenario.critical_spec)
         self.goal = _spec_code(scenario.goal_spec)
+        self.recheck = {TICK_STEP: tuple(pair for pair in critical if pair.clocked)}
+        for name, code in self.rules.items():
+            made = {pred for pred, _, _ in code.created}
+            self.recheck[name] = tuple(
+                pair for pair in critical if any(step.pred in made for step in pair.join)
+            )
         self.keys: dict[str, tuple] = {}
         self.violations: list[str] = []
 
-    def instance(self, data: dict, where: str) -> Optional[tuple[_RuleCode, dict]]:
+    def instance(self, data: dict) -> tuple[_RuleCode, dict]:
         """The rule a witness instance names and its substitution, each
-        term as its key; None after a violation."""
-        violations = self.violations
+        term as its key.  An `EngineError` names what is wrong; of the
+        bindings, the failing one whose variable sorts first."""
         name = data.get("rule")
         code = self.rules.get(name) if isinstance(name, str) else None
         if code is None:
-            violations.append(f"{where}: unknown rule {name!r}")
-            return None
+            raise EngineError(f"unknown rule {name!r}")
         sigma = data.get("sigma", {})
         if not isinstance(sigma, dict):
-            violations.append(f"{where}: malformed substitution")
-            return None
+            raise EngineError("malformed substitution")
         # the substitution binds exactly the rule's variables, each time
         # variable to a timestamp and each first-order one to a term
-        wanted, times = code.variables, code.times
+        wanted, times, keys = code.variables, code.times, self.keys
         bindings = {}
-        try:
-            for var in sorted(sigma):
-                value = sigma[var]
-                if isinstance(value, bool) or not isinstance(value, (int, str)):
-                    raise EngineError(f"binding {var} is neither timestamp nor term")
+        failed: Optional[tuple[str, EngineError]] = None
+        for var, value in sigma.items():
+            try:
+                kind = value.__class__
+                if kind is not int and kind is not str:  # a subclass, or neither
+                    if isinstance(value, bool) or not isinstance(value, (int, str)):
+                        raise EngineError(f"binding {var} is neither timestamp nor term")
+                    kind = int if isinstance(value, int) else str
                 if var not in wanted:
                     raise EngineError(f"binding {var} names no variable of rule {name}")
-                if isinstance(value, int) != (var in times):
-                    kind = "a timestamp" if var in times else "a term"
-                    raise EngineError(f"binding {var} must be {kind}")
-                if isinstance(value, str):
-                    key = self.keys.get(value)
+                if (kind is int) != (var in times):
+                    want = "a timestamp" if var in times else "a term"
+                    raise EngineError(f"binding {var} must be {want}")
+                if kind is str:
+                    key = keys.get(value)
                     if key is None:
                         term = parse_ground_term(value, self.signature)
-                        key = self.keys[value] = term_sort_key(term)
+                        key = keys[value] = term_sort_key(term)
                     value = key
                 elif not 0 <= value <= MAX_TIMESTAMP:
                     raise EngineError(f"binding {var}: timestamp {value} out of range")
                 bindings[var] = value
-        except EngineError as exc:
-            violations.append(f"{where}: {exc}")
-            return None
+            except EngineError as exc:
+                if failed is None or var < failed[0]:
+                    failed = (var, exc)
+        if failed is not None:
+            raise failed[1]
         if len(bindings) < len(wanted):
-            violations.append(f"{where}: substitution misses {sorted(wanted - bindings.keys())}")
-            return None
+            raise EngineError(f"substitution misses {sorted(wanted - bindings.keys())}")
         return code, bindings
 
     def node(self, state: _State, query: tuple[int, int, int], node: dict, where: str) -> None:
@@ -879,8 +898,10 @@ class _Verifier:
         # the critical specification until one is critical, and, while
         # updates are left and the window is open, its update points are
         # kept; both are reported only once the whole trace re-applies.
-        start, critical = state.clock, self.critical
-        unsafe = 0 if _holds(critical, state) else None
+        # The configuration before a checked step matched no critical pair,
+        # so the step checks again only the pairs it can make match.
+        start, recheck = state.clock, self.recheck
+        unsafe = 0 if _holds(self.critical, state) else None
         points: dict[tuple[int, str], tuple[_RuleCode, dict, _State]] = {}
         earlier: dict[int, list[_State]] = {}
         open_ = n > 0 and a >= 0 and unsafe is None
@@ -888,35 +909,25 @@ class _Verifier:
             self._collect(state, 0, points, earlier)
         ticks = 0
         for k, raw in enumerate(steps):
-            if isinstance(raw, dict) and raw.get("rule") == TICK_STEP:
-                try:
+            try:
+                if isinstance(raw, dict) and raw.get("rule") == TICK_STEP:
                     state.advance()
-                except EngineError as exc:
-                    violations.append(f"{where}.trace[{k}]: {exc}")
-                    return
-                ticks += 1
-                open_ = open_ and state.clock - start <= a
-            else:
-                label = f"{where}.trace[{k}]"
-                if not isinstance(raw, dict):
-                    violations.append(f"{label}: malformed step")
-                    return
-                parsed = self.instance(raw, label)
-                if parsed is None:
-                    return
-                code, sigma = parsed
-                if code.rule.role is not RuleRole.SYSTEM:
-                    violations.append(f"{label}: trace uses non-system rule {code.rule.name}")
-                    return
-                try:
-                    replayed = _replay(code, sigma, state)
-                except EngineError as exc:
-                    violations.append(f"{label}: {exc}")
-                    return
-                if replayed is None:
-                    violations.append(f"{label}: instance does not re-apply")
-                    return
-            if unsafe is None and _holds(critical, state):
+                    ticks += 1
+                    open_ = open_ and state.clock - start <= a
+                    pairs = recheck[TICK_STEP]
+                else:
+                    if not isinstance(raw, dict):
+                        raise EngineError("malformed step")
+                    code, sigma = self.instance(raw)
+                    if code.rule.role is not RuleRole.SYSTEM:
+                        raise EngineError(f"trace uses non-system rule {code.rule.name}")
+                    if _replay(code, sigma, state) is None:
+                        raise EngineError("instance does not re-apply")
+                    pairs = recheck[code.rule.name]
+            except EngineError as exc:
+                violations.append(f"{where}.trace[{k}]: {exc}")
+                return
+            if unsafe is None and pairs and _holds(pairs, state):
                 unsafe, open_ = k + 1, False
             if open_:
                 self._collect(state, k + 1, points, earlier)
@@ -945,10 +956,12 @@ class _Verifier:
             if type(step) is not int or not isinstance(child.get("instance"), dict):
                 violations.append(f"{label}: malformed update point")
                 continue
-            parsed = self.instance(child["instance"], label)
-            if parsed is None:
+            try:
+                code, sigma = self.instance(child["instance"])
+            except EngineError as exc:
+                violations.append(f"{label}: {exc}")
                 continue
-            key = (step, _instance_text(parsed[0].rule.name, parsed[1]))
+            key = (step, _instance_text(code.rule.name, sigma))
             if key not in points:
                 violations.append(f"{label}: unknown update point {key}")
                 continue

@@ -101,6 +101,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.file)
     query = ResilienceQuery(args.n, args.a, args.b)
     if args.verify:
+        query.check_root()
         data = witness_from_json(_read(args.verify))
         ok, violations = verify_witness(scenario, query, data)
         if ok:

@@ -44,6 +44,13 @@ class ResilienceQuery:
         if self.n < 0 or self.a < 0 or self.b < 0:
             raise EngineError("resilience parameters must be natural numbers")
 
+    def check_root(self) -> None:
+        """Refuse a query no decision starts from, which `check_resilience`
+        and the command line's `--verify` share: a root's disruption window
+        is positive.  A child's may be 0, after an update at the deadline."""
+        if self.a < 1:
+            raise EngineError("the disruption window a must be positive")
+
 
 @dataclass(frozen=True)
 class WitnessTree:
@@ -101,12 +108,12 @@ def check_resilience(
 ) -> ResilienceResult:
     """Decide (n,a,b)-resilience; emit a witness tree on success.
 
-    Requires a validated planning scenario whose eta measure, the number of
-    variables one critical pair binds, does not exceed `ETA_CAP`, and a
-    progressing one when n > 0.
+    Requires a root query (`ResilienceQuery.check_root`) and a validated
+    planning scenario whose eta measure, the number of variables one
+    critical pair binds, does not exceed `ETA_CAP`, and a progressing one
+    when n > 0.
     """
-    if query.a < 1:
-        raise EngineError("the disruption window a must be positive")
+    query.check_root()
     eta = scenario.eta()
     if eta > ETA_CAP:
         raise EngineError(

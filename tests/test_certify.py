@@ -476,3 +476,102 @@ class TestTraceReplay:
             monkeypatch.setattr(cls, "__init__", counted)
         assert certify.trace_errors(trace) == []
         assert not built
+
+
+# Each critical fact is created by a system rule: `spoil` makes the pair
+# without a `Time` pattern match, `stall` the pair with one.
+SPOILED = """
+predicates A: system, B: system, Bad: critical, Late: critical, Done: goal;
+init { Time@0, A@0, B@0, Done@0 }
+rule system spoil { consume: A@T1; create: Bad@T; guard: T1 <= T; }
+rule system stall { consume: B@T1; create: Late@T; guard: T1 <= T; }
+goal { Done@T1 }
+critical { Bad@T1 }
+critical { Time@T, Late@T1 | T1 <= T }
+"""
+
+
+class TestCriticalRecheck:
+    """A trace step re-checks only the critical pairs it can make match:
+    after a tick those with a `Time` pattern, after a rule step those that
+    join a predicate the rule creates."""
+
+    def test_travel_tables(self, travel):
+        deadline, beat = certify._spec_code(travel.critical_spec)
+        assert [str(pair) for pair in travel.critical_spec.pairs] == [
+            "Time@T, Deadline(main)@T", "Time@T, ClockBeat@T1 | T1 < T",
+        ]
+        recheck = certify._Verifier(travel).recheck
+        assert recheck[TICK_STEP] == (deadline, beat)
+        assert recheck["advance_clock"] == (beat,)
+        for name in ("board1", "board2", "ride_to_airport", "ride_to_center", "attend"):
+            assert recheck[name] == (), name
+
+    def test_tables_of_rules_that_create_critical_facts(self):
+        scenario = parse_scenario(SPOILED, "spoiled")
+        bad, late = certify._spec_code(scenario.critical_spec)
+        recheck = certify._Verifier(scenario).recheck
+        assert (recheck[TICK_STEP], recheck["spoil"], recheck["stall"]) == ((late,), (bad,), (late,))
+
+    @pytest.mark.parametrize("rule", ["spoil", "stall"])
+    def test_critical_fact_of_a_rule_step_is_caught_at_its_step(self, rule):
+        """The step that creates the critical fact is reported, not the tick
+        after it."""
+        scenario = parse_scenario(SPOILED, "spoiled")
+        witness = {
+            "query": {"n": 0, "a": 1, "b": 2},
+            "trace": [
+                {"rule": TICK_STEP},
+                {"rule": rule, "sigma": {"T": 1, "T1": 0}},
+                {"rule": TICK_STEP},
+            ],
+            "children": [],
+        }
+        assert verify_witness(scenario, ResilienceQuery(0, 1, 2), witness) == (
+            False, ["root: not compliant at step 2"],
+        )
+        witness["trace"][1:] = []
+        assert verify_witness(scenario, ResilienceQuery(0, 1, 2), witness) == (True, [])
+
+
+class TestSubstitutionReader:
+    """A witness substitution is read in one pass in its own key order; a
+    verdict and its message do not depend on that order."""
+
+    @pytest.fixture(scope="class")
+    def emitted(self, travel):
+        query = ResilienceQuery(1, 12, 220)
+        data = witness_to_dict(check_resilience(travel, query).witness)
+        assert data["trace"][1] == {"rule": "advance_clock", "sigma": {"T": 46, "T1": 46}}
+        return travel, query, data
+
+    def verdict(self, emitted, sigma: dict) -> tuple[bool, list[str]]:
+        """The verdict on the witness with trace step 1 bound by `sigma`."""
+        travel, query, data = emitted
+        mutated = copy.deepcopy(data)
+        mutated["trace"][1]["sigma"] = sigma
+        return verify_witness(travel, query, mutated)
+
+    def test_two_bad_bindings_name_the_first_variable(self, emitted):
+        expected = (False, ["root.trace[1]: binding T must be a timestamp"])
+        for text in ('{"T1": true, "T": "FRA"}', '{"T": "FRA", "T1": true}'):
+            assert self.verdict(emitted, json.loads(text)) == expected, text
+
+    def test_kinds_of_values(self, emitted):
+        class Stamp(int):
+            pass
+
+        neither = (False, ["root.trace[1]: binding T1 is neither timestamp nor term"])
+        assert self.verdict(emitted, {"T": 46, "T1": True}) == neither
+        assert self.verdict(emitted, {"T": 46, "T1": 46.0}) == neither
+        assert self.verdict(emitted, {"T": 46, "T1": Stamp(46)}) == (True, [])
+
+    def test_child_labels(self, emitted):
+        travel, query, data = emitted
+        mutated = copy.deepcopy(data)
+        child = mutated["children"][0]["subtree"]
+        k = next(k for k, step in enumerate(child["trace"]) if step["rule"] != TICK_STEP)
+        child["trace"][k]["sigma"]["T1"] = True
+        assert verify_witness(travel, query, mutated) == (False, [
+            f"root.children[0].trace[{k}]: binding T1 is neither timestamp nor term",
+        ])

@@ -377,6 +377,25 @@ class TestMalformedInput:
         )
         assert line.startswith("error: witness file is not JSON: ")
 
+    def test_verify_refuses_a_root_window_of_zero(self, capsys, bundled_file, tmp_path):
+        """A root query with a = 0 is refused with and without `--verify`,
+        also for a witness whose root says (0, 0, 232), so the two paths
+        share one check; only a child's window may be 0."""
+        travel = bundled_file("travel.msr")
+        witness = tmp_path / "w.json"
+        written = ("-n", "0", "-a", "12", "-b", "220", "--witness", str(witness))
+        assert run(capsys, "resilience", travel, *written)[0] == EXIT_YES
+        data = json.loads(witness.read_text(encoding="utf-8"))
+        data["query"] = {"n": 0, "a": 0, "b": 232}
+        witness.write_text(json.dumps(data), encoding="utf-8")
+        query = ("resilience", travel, "-n", "0", "-a", "0", "-b", "232")
+        for argv in ([*query, "--verify", str(witness)], query):
+            assert cli_dispatch(list(argv)) == EXIT_ERROR
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "error: the disruption window a must be positive\n"
+            )
+
     def test_undecodable_input_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.msr"
         bad.write_bytes(b"types t;\n# caf\xe9\n")
