@@ -9,8 +9,14 @@ read it.
 `trace_errors` (behind `specs.replay_errors`) checks that each recorded
 configuration of a trace is the exact result of its step.  Neither shares a
 code path with the engine that found what it checks (McConnell, Mehlhorn,
-Näher and Schweitzer, *Certifying algorithms*, 2011).  They keep their own
-state and matcher:
+Näher and Schweitzer, *Certifying algorithms*, 2011).  `verify_witness`
+checks the engine's in-memory tree in place, under the same obligations and
+with the same messages as its JSON object: one walker (`_Verifier.node`)
+reads either through a thin reader.  The tree's reader reads each step's
+substitution, never the facts the engine matched or the configurations it
+recorded, and takes each term's key after checking the term against the
+signature; it writes no JSON and parses no text.  They keep their own state
+and matcher:
 
 - A `_State` is a configuration as the checker keeps it: for each predicate
   that has a fact, a dict from (argument keys, timestamp) to the number of
@@ -87,7 +93,8 @@ from .specs import ConfigSpec, SpecPair, Trace
 # Witness serialization
 # ---------------------------------------------------------------------------
 
-_TERM = re.compile(r"#([A-Za-z_][A-Za-z0-9_]*):(\d+)|[A-Za-z_][A-Za-z0-9_]*")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TERM = re.compile(rf"#({_NAME.pattern}):(\d+)|{_NAME.pattern}")
 
 
 def parse_ground_term(text: str, sig: Signature) -> GroundTerm:
@@ -113,9 +120,14 @@ def _instance_to_dict(inst: RuleInstance) -> dict:
     return {"rule": inst.rule.name, "sigma": sigma}
 
 
+def _child_order(child: tuple[int, RuleInstance, Any]) -> tuple[int, str]:
+    """A tree's children are listed by update step, then instance key."""
+    return child[0], child[1].key()
+
+
 def witness_to_dict(witness) -> dict:
     """The JSON object of a `resilience.WitnessTree`."""
-    children = sorted(witness.children, key=lambda c: (c[0], c[1].key()))
+    children = sorted(witness.children, key=_child_order)
     return {
         "query": {"n": witness.query.n, "a": witness.query.a, "b": witness.query.b},
         "trace": [
@@ -208,11 +220,11 @@ class _State:
     @classmethod
     def of(cls, config: Configuration) -> "_State":
         groups: dict[str, dict[Fact, int]] = {}
-        for fact in config:
-            if fact.pred != TIME_PREDICATE:
-                group = groups.setdefault(fact.pred, {})
-                key = (tuple(map(term_sort_key, fact.args)), fact.ts)
-                group[key] = group.get(key, 0) + 1
+        for fact in config.others:
+            group = groups.setdefault(fact.pred, {})
+            # a fact's sort key holds its arguments' keys (`_SORT_KEY`)
+            key = (fact.sort_key[3], fact.ts)
+            group[key] = group.get(key, 0) + 1
         return cls(groups, config.global_time)
 
     def copy(self) -> "_State":
@@ -789,32 +801,213 @@ def trace_errors(trace: Trace) -> list[str]:
 def verify_witness(
     scenario: PlanningScenario, query, witness
 ) -> tuple[bool, list[str]]:
-    """Re-derive every obligation of a witness tree (a
-    `resilience.WitnessTree` or its JSON object) for `query`, a
+    """Re-derive every obligation of a witness tree for `query`, a root
     `resilience.ResilienceQuery`, on the checker's own state and matcher.
+    The witness is a `resilience.WitnessTree`, read in place, or its JSON
+    object: the same obligations, checked by the same walker, with the same
+    messages.
 
     Checks per node: the query matches, annotations re-apply exactly, the
     trace is compliant and goal-terminated within the tick budget, children
     cover exactly the admissible update points, and each child verifies
-    against the reduced query from the updated configuration.
+    against the reduced query from the updated configuration.  The root's
+    disruption window must be positive (`ResilienceQuery.check_root`).
     """
-    data = witness if isinstance(witness, dict) else witness_to_dict(witness)
-    verifier = _Verifier(scenario)
-    verifier.node(_State.of(scenario.initial), (query.n, query.a, query.b), data, "root")
+    reader = _JsonReader if isinstance(witness, dict) else _TreeReader
+    verifier = _Verifier(scenario, reader)
+    try:
+        query.check_root()
+    except EngineError as exc:
+        verifier.violations.append(f"root: {exc}")
+    verifier.node(_State.of(scenario.initial), (query.n, query.a, query.b), witness, "root")
     violations = verifier.violations
     return (not violations, violations)
 
 
+# A tree's child: (step index, update instance, subtree), or a JSON child
+# read as one, each part None where it is malformed
+Child = tuple[Any, Any, Any]
+
+
+class _Reader:
+    """How `_Verifier.node` reads one form of witness: a node's query,
+    trace and children, and a step's rule and substitution, each term as
+    its key.  `terms` are the classes a term is written as; `key` gives a
+    term's key or names what is wrong with it."""
+
+    terms: tuple[type, ...]
+
+    def __init__(self, rules: dict[str, _RuleCode], signature: Signature):
+        self.rules = rules
+        self.signature = signature
+
+    def substitution(self, code: _RuleCode, items: Iterable[tuple[str, Any]]) -> dict:
+        """The substitution `items`, (variable, value) pairs, bind: exactly
+        the rule's variables, each time variable to a timestamp and each
+        first-order one to a term.  An `EngineError` names what is wrong;
+        of the bindings, the failing one whose variable sorts first."""
+        wanted, times, terms = code.variables, code.times, self.terms
+        sigma = {}
+        failed: Optional[tuple[str, EngineError]] = None
+        for var, value in items:
+            try:
+                stamp = value.__class__ is int
+                if not stamp and value.__class__ not in terms:  # a subclass, or neither
+                    if isinstance(value, bool) or not isinstance(value, (int, *terms)):
+                        raise EngineError(f"binding {var} is neither timestamp nor term")
+                    stamp = isinstance(value, int)
+                if var not in wanted:
+                    raise EngineError(f"binding {var} names no variable of rule {code.rule.name}")
+                if stamp != (var in times):
+                    want = "a timestamp" if var in times else "a term"
+                    raise EngineError(f"binding {var} must be {want}")
+                if not stamp:
+                    value = self.key(value)
+                elif not 0 <= value <= MAX_TIMESTAMP:
+                    raise EngineError(f"binding {var}: timestamp {value} out of range")
+                sigma[var] = value
+            except EngineError as exc:
+                if failed is None or var < failed[0]:
+                    failed = (var, exc)
+        if failed is not None:
+            raise failed[1]
+        if len(sigma) < len(wanted):
+            raise EngineError(f"substitution misses {sorted(wanted - sigma.keys())}")
+        return sigma
+
+    def rule(self, name: Any) -> _RuleCode:
+        code = self.rules.get(name) if isinstance(name, str) else None
+        if code is None:
+            raise EngineError(f"unknown rule {name!r}")
+        return code
+
+
+class _JsonReader(_Reader):
+    """Reads a witness's JSON object: terms are their text, each parsed
+    once against the scenario's signature (`keys`)."""
+
+    terms = (str,)
+
+    def __init__(self, rules: dict[str, _RuleCode], signature: Signature):
+        super().__init__(rules, signature)
+        self.keys: dict[str, tuple] = {}
+
+    def key(self, text: str) -> tuple:
+        key = self.keys.get(text)
+        if key is None:
+            key = self.keys[text] = term_sort_key(parse_ground_term(text, self.signature))
+        return key
+
+    @staticmethod
+    def query(node: dict) -> Optional[tuple]:
+        q = node.get("query", {})
+        return (q.get("n"), q.get("a"), q.get("b")) if isinstance(q, dict) else None
+
+    @staticmethod
+    def trace(node: dict) -> Optional[list]:
+        steps = node.get("trace", [])
+        return steps if isinstance(steps, list) else None
+
+    def step(self, raw: Any) -> Optional[tuple[_RuleCode, dict]]:
+        """None for a tick, else the step's rule and substitution."""
+        if not isinstance(raw, dict):
+            raise EngineError("malformed step")
+        return None if raw.get("rule") == TICK_STEP else self.instance(raw)
+
+    def instance(self, data: dict) -> tuple[_RuleCode, dict]:
+        code = self.rule(data.get("rule"))
+        sigma = data.get("sigma", {})
+        if not isinstance(sigma, dict):
+            raise EngineError("malformed substitution")
+        return code, self.substitution(code, sigma.items())
+
+    @staticmethod
+    def children(node: dict) -> Optional[list[Child]]:
+        children = node.get("children", [])
+        if not isinstance(children, list):
+            return None
+        out = []
+        for child in children:
+            if not isinstance(child, dict):
+                out.append((None, None, None))
+                continue
+            inst, subtree = child.get("instance"), child.get("subtree")
+            out.append((
+                child.get("step"),
+                inst if isinstance(inst, dict) else None,
+                subtree if isinstance(subtree, dict) else None,
+            ))
+        return out
+
+
+class _TreeReader(_Reader):
+    """Reads a `resilience.WitnessTree` in place: a step's
+    `RuleInstance.bindings`, never its matched facts or its recorded
+    configuration.  A term is checked once (`known`): a declared constant
+    of its declared type, or a fresh constant whose type is a name and
+    whose index a natural number, which are the terms a witness file can
+    write.  A term its JSON form could write gets that form's message."""
+
+    terms = (Constant, FreshConstant)
+
+    def __init__(self, rules: dict[str, _RuleCode], signature: Signature):
+        super().__init__(rules, signature)
+        self.known: set[tuple] = set()
+
+    def key(self, term: GroundTerm) -> tuple:
+        key = term_sort_key(term)
+        if key not in self.known:
+            if isinstance(term, Constant):
+                name, btype = term.name, term.base_type
+                declared = self.signature.constants.get(name)
+                if declared is None:
+                    if isinstance(name, str) and _NAME.fullmatch(name):
+                        raise EngineError(f"unknown constant {name!r} in witness")
+                    raise EngineError(f"unparseable term {str(name)!r}")
+                if declared != btype:
+                    raise EngineError(f"constant {name} is of type {declared}, not {btype}")
+            else:
+                btype, index = term.base_type, term.index
+                if not (
+                    isinstance(btype, str) and _NAME.fullmatch(btype)
+                    and isinstance(index, int) and not isinstance(index, bool) and index >= 0
+                ):
+                    raise EngineError(f"unparseable term {str(term)!r}")
+            self.known.add(key)
+        return key
+
+    @staticmethod
+    def query(node) -> tuple:
+        q = node.query
+        return (q.n, q.a, q.b)
+
+    @staticmethod
+    def trace(node) -> tuple:
+        return node.trace.steps
+
+    def step(self, raw) -> Optional[tuple[_RuleCode, dict]]:
+        """None for a tick, else the step's rule and substitution."""
+        inst = raw.instance
+        return None if isinstance(inst, str) else self.instance(inst)
+
+    def instance(self, inst: RuleInstance) -> tuple[_RuleCode, dict]:
+        code = self.rule(inst.rule.name)
+        return code, self.substitution(code, inst.bindings)
+
+    @staticmethod
+    def children(node) -> list[Child]:
+        """The children in the order a witness file lists them."""
+        return sorted(node.children, key=_child_order)
+
+
 class _Verifier:
     """One `verify_witness` call: the scenario's compiled rules by name and
-    specifications, the keys of the term texts read so far (each parsed
-    once, against this scenario's signature) and the violations found.
-    `recheck` holds, by step name, the critical pairs a step can make
-    match: for a tick those with a `Time` pattern, for a rule those that
-    join a predicate it creates."""
+    specifications, the reader of the witness's form and the violations
+    found.  `recheck` holds, by step name, the critical pairs a step can
+    make match: for a tick those with a `Time` pattern, for a rule those
+    that join a predicate it creates."""
 
-    def __init__(self, scenario: PlanningScenario):
-        self.signature = scenario.signature
+    def __init__(self, scenario: PlanningScenario, reader: type[_Reader] = _JsonReader):
         self.rules = {r.name: _rule_code(r) for r in scenario.rules()}
         self.updates = [_rule_code(rule) for rule in scenario.update_rules]
         self.critical = critical = _spec_code(scenario.critical_spec)
@@ -825,73 +1018,26 @@ class _Verifier:
             self.recheck[name] = tuple(
                 pair for pair in critical if any(step.pred in made for step in pair.join)
             )
-        self.keys: dict[str, tuple] = {}
+        self.read = reader(self.rules, scenario.signature)
         self.violations: list[str] = []
 
-    def instance(self, data: dict) -> tuple[_RuleCode, dict]:
-        """The rule a witness instance names and its substitution, each
-        term as its key.  An `EngineError` names what is wrong; of the
-        bindings, the failing one whose variable sorts first."""
-        name = data.get("rule")
-        code = self.rules.get(name) if isinstance(name, str) else None
-        if code is None:
-            raise EngineError(f"unknown rule {name!r}")
-        sigma = data.get("sigma", {})
-        if not isinstance(sigma, dict):
-            raise EngineError("malformed substitution")
-        # the substitution binds exactly the rule's variables, each time
-        # variable to a timestamp and each first-order one to a term
-        wanted, times, keys = code.variables, code.times, self.keys
-        bindings = {}
-        failed: Optional[tuple[str, EngineError]] = None
-        for var, value in sigma.items():
-            try:
-                kind = value.__class__
-                if kind is not int and kind is not str:  # a subclass, or neither
-                    if isinstance(value, bool) or not isinstance(value, (int, str)):
-                        raise EngineError(f"binding {var} is neither timestamp nor term")
-                    kind = int if isinstance(value, int) else str
-                if var not in wanted:
-                    raise EngineError(f"binding {var} names no variable of rule {name}")
-                if (kind is int) != (var in times):
-                    want = "a timestamp" if var in times else "a term"
-                    raise EngineError(f"binding {var} must be {want}")
-                if kind is str:
-                    key = keys.get(value)
-                    if key is None:
-                        term = parse_ground_term(value, self.signature)
-                        key = keys[value] = term_sort_key(term)
-                    value = key
-                elif not 0 <= value <= MAX_TIMESTAMP:
-                    raise EngineError(f"binding {var}: timestamp {value} out of range")
-                bindings[var] = value
-            except EngineError as exc:
-                if failed is None or var < failed[0]:
-                    failed = (var, exc)
-        if failed is not None:
-            raise failed[1]
-        if len(bindings) < len(wanted):
-            raise EngineError(f"substitution misses {sorted(wanted - bindings.keys())}")
-        return code, bindings
-
-    def node(self, state: _State, query: tuple[int, int, int], node: dict, where: str) -> None:
+    def node(self, state: _State, query: tuple[int, int, int], node: Any, where: str) -> None:
         """Verify `node` against `query` (n, a, b) from `state`, which the
         replay of its trace updates in place."""
-        violations = self.violations
+        violations, read = self.violations, self.read
         n, a, b = query
-        q = node.get("query", {})
-        if not isinstance(q, dict):
+        said = read.query(node)
+        if said is None:
             violations.append(f"{where}: malformed query")
             return
-        said = (q.get("n"), q.get("a"), q.get("b"))
         # type(), not only ==: a JSON true equals 1
         if said != query or any(type(v) is not int for v in said):
             violations.append(
                 f"{where}: query mismatch: node says ({said[0]},{said[1]},{said[2]}), "
                 f"expected ({n},{a},{b})"
             )
-        steps = node.get("trace", [])
-        if not isinstance(steps, list):
+        steps = read.trace(node)
+        if steps is None:
             violations.append(f"{where}: malformed trace")
             return
         # One pass replays the trace.  Each configuration is checked against
@@ -900,7 +1046,7 @@ class _Verifier:
         # kept; both are reported only once the whole trace re-applies.
         # The configuration before a checked step matched no critical pair,
         # so the step checks again only the pairs it can make match.
-        start, recheck = state.clock, self.recheck
+        start, recheck, read_step = state.clock, self.recheck, read.step
         unsafe = 0 if _holds(self.critical, state) else None
         points: dict[tuple[int, str], tuple[_RuleCode, dict, _State]] = {}
         earlier: dict[int, list[_State]] = {}
@@ -910,15 +1056,14 @@ class _Verifier:
         ticks = 0
         for k, raw in enumerate(steps):
             try:
-                if isinstance(raw, dict) and raw.get("rule") == TICK_STEP:
+                found = read_step(raw)
+                if found is None:
                     state.advance()
                     ticks += 1
                     open_ = open_ and state.clock - start <= a
                     pairs = recheck[TICK_STEP]
                 else:
-                    if not isinstance(raw, dict):
-                        raise EngineError("malformed step")
-                    code, sigma = self.instance(raw)
+                    code, sigma = found
                     if code.rule.role is not RuleRole.SYSTEM:
                         raise EngineError(f"trace uses non-system rule {code.rule.name}")
                     if _replay(code, sigma, state) is None:
@@ -940,8 +1085,8 @@ class _Verifier:
         if ticks > a + b:
             violations.append(f"{where}: tick budget exceeded ({ticks} > {a}+{b})")
             return
-        children = node.get("children", [])
-        if not isinstance(children, list):
+        children = read.children(node)
+        if children is None:
             violations.append(f"{where}: malformed children")
             return
         if n == 0:
@@ -949,15 +1094,14 @@ class _Verifier:
                 violations.append(f"{where}: children present at n=0")
             return
         seen_keys: set[tuple[int, str]] = set()
-        for c_index, child in enumerate(children):
+        for c_index, (step, inst, subtree) in enumerate(children):
             label = f"{where}.children[{c_index}]"
-            step = child.get("step") if isinstance(child, dict) else None
             # type(), not isinstance(): a JSON true is not a step index
-            if type(step) is not int or not isinstance(child.get("instance"), dict):
+            if type(step) is not int or inst is None:
                 violations.append(f"{label}: malformed update point")
                 continue
             try:
-                code, sigma = self.instance(child["instance"])
+                code, sigma = read.instance(inst)
             except EngineError as exc:
                 violations.append(f"{label}: {exc}")
                 continue
@@ -971,8 +1115,7 @@ class _Verifier:
             seen_keys.add(key)
             code, sigma, snapshot = points[key]
             child_query = (n - 1, a - (snapshot.clock - start), b)
-            subtree = child.get("subtree")
-            if not isinstance(subtree, dict):
+            if subtree is None:
                 violations.append(f"{label}: missing subtree")
                 continue
             updated = snapshot.copy()

@@ -41,7 +41,9 @@ class ResilienceQuery:
     b: int
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.a < 0 or self.b < 0:
+        # exactly `int`: a bool or a float would be written into the witness
+        # as `true` or `12.0`, which its own checker rejects
+        if any(type(v) is not int or v < 0 for v in (self.n, self.a, self.b)):
             raise EngineError("resilience parameters must be natural numbers")
 
     def check_root(self) -> None:

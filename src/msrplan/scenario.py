@@ -87,8 +87,15 @@ class PlanningScenario:
     inject_past: bool = True  # add T >= T_i for consumed facts of every rule
 
     def __post_init__(self) -> None:
+        # in canonical order, where copies sit side by side; a copy that is
+        # the very object just checked (the reductions share fact objects)
+        # is skipped, while comparing keys would cost a host of distinct
+        # facts more than it saves
+        prev = None
         for f in self.initial:
-            self.signature.check_fact_args(f.pred, f.args)
+            if f is not prev:
+                self.signature.check_fact_args(f.pred, f.args)
+                prev = f
 
     def rules(self) -> tuple[Rule, ...]:
         return self.system_rules + self.update_rules

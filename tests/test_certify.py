@@ -5,6 +5,7 @@ witness files byte for byte as `json` does."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import copy
 import json
 import random
@@ -575,3 +576,166 @@ class TestSubstitutionReader:
         assert verify_witness(travel, query, mutated) == (False, [
             f"root.children[0].trace[{k}]: binding T1 is neither timestamp nor term",
         ])
+
+
+def _nodes(tree):
+    yield tree
+    for _, _, sub in tree.children:
+        yield from _nodes(sub)
+
+
+def _with_trace_step(tree, k: int, instance):
+    """`tree` with trace step k annotated by `instance`, or with a tick
+    appended when k is the trace's length.  The verifier reads no recorded
+    configuration, so the step records the trace's first."""
+    trace = tree.trace
+    steps = list(trace.steps)
+    steps[k:k + 1] = [TraceStep(instance, trace.initial)]
+    return dataclasses.replace(tree, trace=Trace(trace.initial, tuple(steps)))
+
+
+def _rebound(inst: RuleInstance, var: str, value) -> RuleInstance:
+    return RuleInstance(inst.rule, tuple((v, value if v == var else t) for v, t in inst.bindings))
+
+
+class TestTreeReader:
+    """`verify_witness` reads an engine tree in place, with the walker and
+    the messages of the tree's JSON object."""
+
+    @pytest.fixture(scope="class")
+    def deep(self, travel):
+        """Travel from start 42 at n = 2: a tree with children and
+        grandchildren."""
+        scenario = travel_with_start(travel, 42)
+        query = ResilienceQuery(2, 12, 220)
+        witness = check_resilience(scenario, query).witness
+        assert witness.children and any(sub.children for _, _, sub in witness.children)
+        return scenario, query, witness
+
+    @staticmethod
+    def both(scenario, query, tree) -> tuple[bool, list[str]]:
+        """The verdict on `tree`, once it equals the verdict on its JSON
+        object."""
+        verdict = verify_witness(scenario, query, tree)
+        assert verdict == verify_witness(scenario, query, witness_to_dict(tree))
+        return verdict
+
+    def test_engine_witnesses(self, travel, minimal):
+        cases = [
+            (travel_with_start(travel, t0), ResilienceQuery(n, 12, 220))
+            for t0 in (42, 60)
+            for n in (0, 1, 2)
+        ]
+        cases.append((minimal, ResilienceQuery(1, 2, 1)))
+        cases += [(qbf_to_scenario(q), ResilienceQuery(q.n, 1, 0)) for q in qbf_mix()[:20]]
+        verified = 0
+        for scenario, query in cases:
+            result = check_resilience(scenario, query)
+            if result.resilient:
+                assert self.both(scenario, query, result.witness) == (True, [])
+                verified += 1
+        assert verified >= 12
+
+    def test_tree_mutations(self, deep, travel):
+        scenario, query, tree = deep
+        k = next(k for k, s in enumerate(tree.trace.steps) if not s.is_tick)
+        inst = tree.trace.steps[k].instance
+        first, *rest = tree.children
+        step, update, sub = first
+        ticks = len(tree.trace.steps)
+        mutants = {
+            "dropped child": dataclasses.replace(tree, children=tuple(rest)),
+            "moved child": dataclasses.replace(tree, children=((step + 1, update, sub), *rest)),
+            "wrong binding": _with_trace_step(tree, k, _rebound(inst, "T", inst.sigma["T"] + 1)),
+            "update rule in the trace": _with_trace_step(tree, k, update),
+            "extra tick": _with_trace_step(tree, ticks, TICK_STEP),
+            "wrong query": dataclasses.replace(
+                tree, query=ResilienceQuery(query.n, query.a + 1, query.b)
+            ),
+            "child's wrong binding": dataclasses.replace(tree, children=(
+                (step, update, _with_trace_step(sub, 0, _rebound(inst, "T", 0))), *rest,
+            )),
+            "timestamp out of range": _with_trace_step(
+                tree, k, _rebound(inst, "T", MAX_TIMESTAMP + 1)
+            ),
+            "boolean timestamp": _with_trace_step(tree, k, _rebound(inst, "T", True)),
+            "term for a timestamp": _with_trace_step(
+                tree, k, _rebound(inst, "T", Constant("FRA", "city"))
+            ),
+            "missing variable": _with_trace_step(
+                tree, k, RuleInstance(inst.rule, inst.bindings[1:])
+            ),
+            "extra variable": _with_trace_step(
+                tree, k, RuleInstance(inst.rule, (*inst.bindings, ("Z", 0)))
+            ),
+        }
+        for what, mutant in mutants.items():
+            ok, violations = self.both(scenario, query, mutant)
+            assert not ok and violations, what
+        assert self.both(scenario, query, mutants["update rule in the trace"])[1] == [
+            f"root.trace[{k}]: trace uses non-system rule {update.rule.name}",
+        ]
+        # the tree's substitutions are read by the JSON reader's loop
+        for what, message in {
+            "timestamp out of range": f"binding T: timestamp {MAX_TIMESTAMP + 1} out of range",
+            "boolean timestamp": "binding T is neither timestamp nor term",
+            "term for a timestamp": "binding T must be a timestamp",
+            "missing variable": "substitution misses ['T']",
+            "extra variable": f"binding Z names no variable of rule {inst.rule.name}",
+        }.items():
+            assert verify_witness(scenario, query, mutants[what])[1] == [
+                f"root.trace[{k}]: {message}",
+            ], what
+
+    def test_terms(self, deep):
+        """A term the JSON form can write gets that form's message; a
+        declared constant of the wrong type has no JSON form, and only the
+        tree can be rejected for it."""
+        scenario, query, tree = deep
+        k, inst, var, term = next(
+            (k, s.instance, v, t)
+            for k, s in enumerate(tree.trace.steps) if not s.is_tick
+            for v, t in s.instance.bindings if isinstance(t, Constant)
+        )
+        where = f"root.trace[{k}]"
+        for bad, message in (
+            (Constant("Nowhere", term.base_type), "unknown constant 'Nowhere' in witness"),
+            (Constant("no where", term.base_type), "unparseable term 'no where'"),
+            (FreshConstant(term.base_type, -1), f"unparseable term '#{term.base_type}:-1'"),
+            (FreshConstant("a b", 0), "unparseable term '#a b:0'"),
+        ):
+            mutant = _with_trace_step(tree, k, _rebound(inst, var, bad))
+            assert self.both(scenario, query, mutant) == (False, [f"{where}: {message}"])
+        other = next(t for t in scenario.signature.base_types if t != term.base_type)
+        mutant = _with_trace_step(tree, k, _rebound(inst, var, Constant(term.name, other)))
+        assert verify_witness(scenario, query, mutant) == (False, [
+            f"{where}: constant {term.name} is of type {term.base_type}, not {other}",
+        ])
+        assert verify_witness(scenario, query, witness_to_dict(mutant)) == (True, [])
+
+    def test_reads_no_json_no_text_no_recorded_configuration(self, deep, monkeypatch):
+        """The tree is checked without its JSON object, without term text,
+        and without replaying a step the engine deferred."""
+        scenario, query, tree = deep
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the tree reader must not call this")
+
+        monkeypatch.setattr(certify, "witness_to_dict", refuse)
+        monkeypatch.setattr(certify, "parse_ground_term", refuse)
+        monkeypatch.setattr(specs.TraceStep, "result", property(refuse))
+        assert verify_witness(scenario, query, tree) == (True, [])
+
+    def test_children_in_file_order(self, deep):
+        """Children are visited as the file lists them, by step and then
+        instance key, whatever order the tree holds them in: each child
+        below says the root's query, and its violation names the query
+        its step reduces to."""
+        scenario, query, tree = deep
+        children = [
+            (i, inst, dataclasses.replace(sub, query=tree.query)) for i, inst, sub in tree.children
+        ]
+        assert len({i for i, _, _ in children}) > 1
+        reordered = dataclasses.replace(tree, children=tuple(reversed(children)))
+        ok, violations = self.both(scenario, query, reordered)
+        assert not ok and len(violations) == len(children)

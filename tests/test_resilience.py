@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import importlib
 import itertools
@@ -29,7 +30,9 @@ from msrplan.delta import abstract, delta_key
 from msrplan.kernel import (
     MAX_TIMESTAMP, TIME_PREDICATE, Configuration, Constant, FreshConstant, TimedFact,
 )
-from msrplan.reductions import Qbf, evaluate_qbf, qbf_to_msr_text, qbf_to_scenario
+from msrplan.reductions import (
+    Graph, Qbf, evaluate_qbf, graph_to_goal_instance, qbf_to_msr_text, qbf_to_scenario,
+)
 from msrplan.resilience import (
     ResilienceQuery,
     check_resilience,
@@ -40,7 +43,7 @@ from msrplan.resilience import (
 from msrplan.rules import EngineError, MatchPlan, apply_instance
 from msrplan.scenario import bundled_text, infer_dmax, parse_scenario
 from msrplan.search import find_compliant_goal_trace
-from msrplan.specs import TICK_STEP, Trace, TraceStep, replay_errors
+from msrplan.specs import TICK_STEP, Trace, TraceStep, match_spec, replay_errors
 
 Q_GAME = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((1, 2, 3), (-1, -2, -3)))
 Q_FALSE = Qbf((("e", (1,)), ("a", (2,)), ("e", (3,))), ((2, 2, 2),))
@@ -53,9 +56,33 @@ class TestQueryValidation:
         with pytest.raises(EngineError):
             ResilienceQuery(0, 1, -1)
 
+    @pytest.mark.parametrize("nab", [(True, 12, 220), (0, 12.0, 220), (0, 12, False)])
+    def test_parameters_must_be_exactly_integers(self, nab):
+        """A bool or a float would reach the witness as `true` or `12.0`,
+        which its own checker rejects: such a query is refused."""
+        with pytest.raises(EngineError, match="resilience parameters must be natural numbers"):
+            ResilienceQuery(*nab)
+        with pytest.raises(EngineError, match="resilience parameters must be natural numbers"):
+            dataclasses.replace(ResilienceQuery(1, 12, 220), n=nab[0], a=nab[1], b=nab[2])
+
     def test_top_level_window_must_be_positive(self, minimal):
         with pytest.raises(EngineError):
             check_resilience(minimal, ResilienceQuery(0, 0, 5))
+
+    def test_verifier_refuses_a_root_window_below_one(self, minimal):
+        """`verify_witness` refuses the root queries `check_resilience`
+        refuses, and still reports the node's own query check."""
+        witness = check_resilience(minimal, ResilienceQuery(0, 1, 5)).witness
+        refused = "root: the disruption window a must be positive"
+        for form in (witness, witness_to_dict(witness)):
+            ok, violations = verify_witness(minimal, ResilienceQuery(0, 0, 5), form)
+            assert not ok and violations[0] == refused
+            assert violations[1].startswith("root: query mismatch: node says (0,1,5)")
+        data = witness_to_dict(witness)
+        data["query"]["a"] = 0
+        ok, violations = verify_witness(minimal, ResilienceQuery(0, 0, 5), data)
+        assert not ok and violations[0] == refused
+        assert not any(v.startswith("root: query mismatch") for v in violations)
 
     def test_eta_cap_refusal(self):
         def with_critical_variables(count):
@@ -1341,3 +1368,32 @@ class TestRandomTimeShift:
                     assert got.refutation == moved, (seed, nab)
         assert verdicts == {True, False}
         assert positive > 200 and children >= 10 and updates >= 5
+
+
+class TestNoCyclicGarbage:
+    """The engine and the checker free what they build by reference
+    counting alone (`rules.MatchPlan` claims no reference cycle): with the
+    cyclic collector paused over a travel resilience query with its
+    witness checked and written, a QBF formula, a graph-goal pair and a goal
+    search, run cold and then warm, the next collection finds nothing."""
+
+    def test_queries_leave_no_cycles(self, travel):
+        scenario = travel_with_start(travel, 42)
+        formula = qbf_mix()[0]
+        triangle = Graph(("a", "b", "c"), (("a", "b"), ("b", "c"), ("c", "a")))
+        edge = Graph(("a", "b"), (("a", "b"),))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(2):
+                query = ResilienceQuery(1, 12, 220)
+                result = check_resilience(scenario, query)
+                assert verify_witness(scenario, query, result.witness) == (True, [])
+                assert witness_to_json(result.witness)
+                check_resilience(qbf_to_scenario(formula), ResilienceQuery(formula.n, 1, 0))
+                goal, config = graph_to_goal_instance(edge, triangle)
+                assert match_spec(goal.goal_spec, config) is not None
+                assert find_compliant_goal_trace(scenario, 232) is not None
+        finally:
+            gc.enable()
+        assert gc.collect() == 0

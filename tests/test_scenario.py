@@ -464,6 +464,20 @@ class TestTypedConfigurations:
                 travel.with_initial(Configuration([clock, fact]))
         assert travel.with_initial(travel.initial).initial == travel.initial
 
+    def test_copies_of_an_ill_typed_fact_raise_its_message(self, travel):
+        """Facts are checked in canonical order, a run of copies of one fact
+        object once: copies of an ill-typed fact still raise its message,
+        before a later bad fact's."""
+        clock = TimedFact("Time", (), 45)
+        fra = Constant("FRA", "city")
+        ill_typed = TimedFact("At", (fra, fra), 0)
+        later = TimedFact("Nowhere", (), 1)
+        for facts in ([later, ill_typed, ill_typed], [ill_typed, later, ill_typed, ill_typed]):
+            with pytest.raises(KernelError, match="At: argument FRA is not of type place"):
+                travel.with_initial(Configuration([clock, *facts]))
+        with pytest.raises(KernelError, match="undeclared predicate Nowhere"):
+            travel.with_initial(Configuration([clock, later, later, *travel.initial.others]))
+
     def test_explored_and_witness_configurations_are_typed(self, travel):
         """Configurations reached by system and update moves, and those of
         the witnesses' traces, hold only facts their signature admits: on
