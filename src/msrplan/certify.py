@@ -15,8 +15,9 @@ with the same messages as its JSON object: one walker (`_Verifier.node`)
 reads either through a thin reader.  The tree's reader reads each step's
 substitution, never the facts the engine matched or the configurations it
 recorded, and takes each term's key after checking the term against the
-signature; it writes no JSON and parses no text.  They keep their own state
-and matcher:
+signature; it writes no JSON and parses no text.  Every substitution, of a
+witness or of a trace step, is read by one loop (`_Reader.substitution`).
+They keep their own state and matcher:
 
 - A `_State` is a configuration as the checker keeps it: for each predicate
   that has a fact, a dict from (argument keys, timestamp) to the number of
@@ -49,8 +50,8 @@ total: equal keys, equal terms.  Sorts are the rule's and the scenario's
 business: a rule or pair keeps its time and term variables apart, and a
 scenario's configurations are typed, so the matcher tests no type.  Update
 points are enumerated as the engine does: each fresh variable gets the
-engine's canonical fresh constant, and a configuration repeated within a
-trace gives its points once, at its first index.
+engine's canonical fresh constant, and each configuration in the window
+gives its points.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .kernel import (
     Constant,
     FreshConstant,
     GroundTerm,
-    KernelError,
     Signature,
     TimedFact,
     Variable,
@@ -229,13 +229,6 @@ class _State:
 
     def copy(self) -> "_State":
         return _State({pred: group.copy() for pred, group in self.groups.items()}, self.clock)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _State):
-            return NotImplemented
-        return self.clock == other.clock and self.groups == other.groups
-
-    __hash__ = None  # mutable
 
     def advance(self) -> None:
         """Advance the global time by one."""
@@ -661,27 +654,16 @@ def _replay(
     return consumed, _rewrite(code, sigma, consumed, groups)
 
 
-def _update_points(
-    codes: list[_RuleCode], state: _State, earlier: dict[int, list[_State]]
-) -> tuple[Optional[_State], list[tuple[str, _RuleCode, dict]]]:
+def _update_points(codes: list[_RuleCode], state: _State) -> list[tuple[str, _RuleCode, dict]]:
     """The update points of `state` as (instance key, rule, binding), by
-    rule and then key, with a copy of `state` to apply them to.  Within a
-    signature a name identifies a constant, so no two bindings share a key.
-    A state equal to one in `earlier` that had points has them already: it
-    gets none.  `earlier` maps a global time to its states with points."""
+    rule and then key.  Within a signature a name identifies a constant, so
+    no two bindings share a key."""
     points = []
     for code in codes:
         name = code.rule.name
         found = [(_instance_text(name, sigma), code, sigma) for sigma in _matches(code, state)]
         points += sorted(found, key=lambda point: point[0])
-    if not points:
-        return None, []
-    same_time = earlier.setdefault(state.clock, [])
-    if state in same_time:
-        return None, []
-    snapshot = state.copy()
-    same_time.append(snapshot)
-    return snapshot, points
+    return points
 
 
 def enumerate_update_points(
@@ -690,20 +672,20 @@ def enumerate_update_points(
     """Every admissible (configuration index, update instance, result).
 
     Covers every configuration of the trace, including the initial and final
-    ones, whose elapsed time lies within the window.  Identical
-    (configuration, instance) pairs arising from repeated configurations are
-    reported once, at their first index.
+    ones, whose elapsed time lies within the window.  Each gives its points,
+    also one that repeats an earlier configuration, as the engine's witness
+    lists them (`resilience._build_witness`); a progressing trace repeats
+    none, and only a progressing scenario has update rounds.
     """
     t0 = trace.initial.global_time
     codes = [_rule_code(rule) for rule in scenario.update_rules]
-    earlier: dict[int, list[_State]] = {}
     out: list[tuple[int, RuleInstance, Configuration]] = []
     for index, config in enumerate(trace.configurations()):
         if config.global_time - t0 > window:
             continue
-        snapshot, points = _update_points(codes, _State.of(config), earlier)
-        for _, code, sigma in points:
-            updated = snapshot.copy()
+        state = _State.of(config)
+        for _, code, sigma in _update_points(codes, state):
+            updated = state.copy()
             _apply(code, sigma, updated)
             bindings = tuple(sorted(
                 (v, t if isinstance(t, int) else _term(t)) for v, t in sigma.items()
@@ -721,41 +703,22 @@ def enumerate_update_points(
 _SORT_KEY = operator.attrgetter("sort_key")
 
 
-def _trace_sigma(code: _RuleCode, bindings: Iterable[tuple[str, Any]]) -> Optional[dict]:
-    """A trace step's substitution with each term as its key; None unless
-    it binds exactly the rule's variables, each time variable to an integer
-    and each other one to a ground term.  A time variable is ``T`` or a
-    timestamp of the precondition, so a value out of range matches none."""
-    times = code.times
-    sigma = {}
-    for var, value in bindings:
-        if value.__class__ is int:  # not a bool
-            if var not in times:
-                return None
-            sigma[var] = value
-        elif var in times:
-            return None
-        else:
-            try:
-                sigma[var] = term_sort_key(value)
-            except KernelError:
-                return None
-    return sigma if sigma.keys() == code.variables else None
-
-
 def trace_errors(trace: Trace) -> list[str]:
     """The steps of `trace` whose recorded configuration is not the exact
     result of its annotation, each replayed on one `_State` from the
     configuration recorded before it.  A tick moves the clock by one and
-    keeps the facts.  A rule step must apply under its substitution alone
-    (`_replay`), and leaves the facts before it without those it consumed
-    and with those it created.  A recorded configuration must have the
-    replay's clock, and the facts other than its clock (`others`) the sort
-    keys the replay expects, kept as one sorted list.  A step that does not
-    apply, or whose clock or created timestamp passes the timestamp range,
-    is reported with its reason; after a failed step the replay goes on from
-    its recorded configuration."""
+    keeps the facts.  A rule step's substitution is read as a witness's is
+    (`_Reader.substitution`), and one it refuses applies nowhere.  The step
+    must apply under its substitution alone (`_replay`), and leaves the
+    facts before it without those it consumed and with those it created.
+    A recorded configuration must have the replay's clock, and the facts
+    other than its clock (`others`) the sort keys the replay expects, kept
+    as one sorted list.  A step that does not apply, or whose clock or
+    created timestamp passes the timestamp range, is reported with its
+    reason; after a failed step the replay goes on from its recorded
+    configuration."""
     errors: list[str] = []
+    read = _Reader().substitution
     state = _State.of(trace.initial)
     checked = trace.initial.others
     keys = list(map(_SORT_KEY, checked))
@@ -768,7 +731,10 @@ def trace_errors(trace: Trace) -> list[str]:
                 change = None
             else:
                 code = _rule_code(inst.rule)
-                sigma = _trace_sigma(code, inst.bindings)
+                try:
+                    sigma = read(code, inst.bindings)
+                except EngineError:
+                    sigma = None
                 change = None if sigma is None else _replay(code, sigma, state)
                 if change is None:
                     raise EngineError(f"instance {inst.key()} not applicable")
@@ -810,13 +776,15 @@ def verify_witness(
     Checks per node: the query matches, annotations re-apply exactly, the
     trace is compliant and goal-terminated within the tick budget, children
     cover exactly the admissible update points, and each child verifies
-    against the reduced query from the updated configuration.  The root's
-    disruption window must be positive (`ResilienceQuery.check_root`).
+    against the reduced query from the updated configuration.  The root
+    query must be one checking decides (`ResilienceQuery.check_root`): a
+    positive disruption window, and a progressing scenario when n > 0.  A
+    refusal is the violation ``root: <reason>``, beside the node's own.
     """
     reader = _JsonReader if isinstance(witness, dict) else _TreeReader
     verifier = _Verifier(scenario, reader)
     try:
-        query.check_root()
+        query.check_root(scenario)
     except EngineError as exc:
         verifier.violations.append(f"root: {exc}")
     verifier.node(_State.of(scenario.initial), (query.n, query.a, query.b), witness, "root")
@@ -830,14 +798,20 @@ Child = tuple[Any, Any, Any]
 
 
 class _Reader:
-    """How `_Verifier.node` reads one form of witness: a node's query,
-    trace and children, and a step's rule and substitution, each term as
-    its key.  `terms` are the classes a term is written as; `key` gives a
-    term's key or names what is wrong with it."""
+    """How a substitution is read, and how `_Verifier.node` reads one form
+    of witness: a node's query, trace and children, and a step's rule and
+    substitution, each term as its key.  `terms` are the classes a term is
+    written as; `key` gives a term's key or names what is wrong with it.
+    The base reader, which knows no rules and no signature, reads a trace
+    step's `RuleInstance.bindings`: a term is a `Constant` or a
+    `FreshConstant`, and its key is its `term_sort_key`."""
 
-    terms: tuple[type, ...]
+    terms: tuple[type, ...] = (Constant, FreshConstant)
+    key = staticmethod(term_sort_key)
 
-    def __init__(self, rules: dict[str, _RuleCode], signature: Signature):
+    def __init__(
+        self, rules: Optional[dict[str, _RuleCode]] = None, signature: Optional[Signature] = None
+    ):
         self.rules = rules
         self.signature = signature
 
@@ -846,7 +820,7 @@ class _Reader:
         the rule's variables, each time variable to a timestamp and each
         first-order one to a term.  An `EngineError` names what is wrong;
         of the bindings, the failing one whose variable sorts first."""
-        wanted, times, terms = code.variables, code.times, self.terms
+        wanted, times, terms, key = code.variables, code.times, self.terms, self.key
         sigma = {}
         failed: Optional[tuple[str, EngineError]] = None
         for var, value in items:
@@ -862,7 +836,7 @@ class _Reader:
                     want = "a timestamp" if var in times else "a term"
                     raise EngineError(f"binding {var} must be {want}")
                 if not stamp:
-                    value = self.key(value)
+                    value = key(value)
                 elif not 0 <= value <= MAX_TIMESTAMP:
                     raise EngineError(f"binding {var}: timestamp {value} out of range")
                 sigma[var] = value
@@ -947,8 +921,6 @@ class _TreeReader(_Reader):
     of its declared type, or a fresh constant whose type is a name and
     whose index a natural number, which are the terms a witness file can
     write.  A term its JSON form could write gets that form's message."""
-
-    terms = (Constant, FreshConstant)
 
     def __init__(self, rules: dict[str, _RuleCode], signature: Signature):
         super().__init__(rules, signature)
@@ -1049,10 +1021,9 @@ class _Verifier:
         start, recheck, read_step = state.clock, self.recheck, read.step
         unsafe = 0 if _holds(self.critical, state) else None
         points: dict[tuple[int, str], tuple[_RuleCode, dict, _State]] = {}
-        earlier: dict[int, list[_State]] = {}
         open_ = n > 0 and a >= 0 and unsafe is None
         if open_:
-            self._collect(state, 0, points, earlier)
+            self._collect(state, 0, points)
         ticks = 0
         for k, raw in enumerate(steps):
             try:
@@ -1075,7 +1046,7 @@ class _Verifier:
             if unsafe is None and pairs and _holds(pairs, state):
                 unsafe, open_ = k + 1, False
             if open_:
-                self._collect(state, k + 1, points, earlier)
+                self._collect(state, k + 1, points)
         if unsafe is not None:
             violations.append(f"{where}: not compliant at step {unsafe}")
             return
@@ -1134,10 +1105,11 @@ class _Verifier:
         state: _State,
         index: int,
         points: dict[tuple[int, str], tuple[_RuleCode, dict, _State]],
-        earlier: dict[int, list[_State]],
     ) -> None:
         """Add the update points of `state`, configuration `index` of the
-        trace, to `points`, each with the state it applies to."""
-        snapshot, found = _update_points(self.updates, state, earlier)
-        for text, code, sigma in found:
-            points[(index, text)] = (code, sigma, snapshot)
+        trace, to `points`, each with a copy of `state` to apply it to."""
+        found = _update_points(self.updates, state)
+        if found:
+            snapshot = state.copy()
+            for text, code, sigma in found:
+                points[(index, text)] = (code, sigma, snapshot)

@@ -101,7 +101,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.file)
     query = ResilienceQuery(args.n, args.a, args.b)
     if args.verify:
-        query.check_root()
+        query.check_root(scenario)
         data = witness_from_json(_read(args.verify))
         ok, violations = verify_witness(scenario, query, data)
         if ok:
@@ -112,11 +112,13 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         return EXIT_NO
     result = check_resilience(scenario, query)
     if result.resilient:
-        print(f"resilient at (n={query.n}, a={query.a}, b={query.b})")
+        # written before any verdict line, so a failed write prints none
         if args.witness:
             Path(args.witness).write_text(
                 witness_to_json(result.witness), encoding="utf-8"
             )
+        print(f"resilient at (n={query.n}, a={query.a}, b={query.b})")
+        if args.witness:
             print(f"witness written to {args.witness}")
         return EXIT_YES
     print(f"not resilient at (n={query.n}, a={query.a}, b={query.b})")

@@ -46,12 +46,16 @@ class ResilienceQuery:
         if any(type(v) is not int or v < 0 for v in (self.n, self.a, self.b)):
             raise EngineError("resilience parameters must be natural numbers")
 
-    def check_root(self) -> None:
-        """Refuse a query no decision starts from, which `check_resilience`
-        and the command line's `--verify` share: a root's disruption window
-        is positive.  A child's may be 0, after an update at the deadline."""
+    def check_root(self, scenario: PlanningScenario) -> None:
+        """Refuse a query no decision starts from, which `check_resilience`,
+        `verify_witness` and the command line's `--verify` share: a root's
+        disruption window is positive, and an update round (n > 0) needs a
+        progressing scenario, where no configuration repeats along a trace.
+        A child's window may be 0, after an update at the deadline."""
         if self.a < 1:
             raise EngineError("the disruption window a must be positive")
+        if self.n and not scenario.progressing:
+            raise EngineError("resilience checking requires a progressing planning scenario")
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,9 @@ def check_resilience(
 
     Requires a root query (`ResilienceQuery.check_root`) and a validated
     planning scenario whose eta measure, the number of variables one
-    critical pair binds, does not exceed `ETA_CAP`, and a progressing one
-    when n > 0.
+    critical pair binds, does not exceed `ETA_CAP`.
     """
-    query.check_root()
+    query.check_root(scenario)
     eta = scenario.eta()
     if eta > ETA_CAP:
         raise EngineError(

@@ -171,6 +171,19 @@ def _step(rule: str) -> dict:
     return {"rule": rule, "sigma": {"T": 0, "T1": 0}}
 
 
+# A witness at (1, 1, 0) over the trace [ab, ba], with a child for `poke`
+# at each configuration
+_LEAF = {"query": {"n": 0, "a": 1, "b": 0}, "children": []}
+REVISIT_WITNESS = {
+    "query": {"n": 1, "a": 1, "b": 0},
+    "trace": [_step("ab"), _step("ba")],
+    "children": [
+        {"step": i, "instance": _step("poke"), "subtree": dict(_LEAF, trace=trace)}
+        for i, trace in enumerate([[], [_step("ba")], []])
+    ],
+}
+
+
 class TestUpdatePoints:
     """Update points where the matcher's lack of a type test, a clash of
     variable kinds or a revisited configuration decide them."""
@@ -227,8 +240,13 @@ class TestUpdatePoints:
         # in a pair `T` is a name like any other
         SpecPair((FactPattern(Atom("Time"), "T1"), FactPattern(Atom("G", (big_t,)), "T2")))
 
-    def test_repeated_configuration_reported_at_first_index(self):
+    def test_repeated_configuration_gives_its_points_at_each_index(self):
+        """A configuration that repeats gives its points again, as the
+        engine's witness lists them.  Only a non-progressing trace repeats
+        one, and an update round on a non-progressing scenario is refused
+        by the root check, as checking refuses it."""
         scenario = parse_scenario(REVISIT, "revisit")
+        assert not scenario.progressing
         config = scenario.initial
         steps = []
         for name in ("ab", "ba"):
@@ -240,24 +258,12 @@ class TestUpdatePoints:
         assert trace.final == trace.initial
         points = enumerate_update_points(scenario, trace, 1)
         assert [(i, inst.key()) for i, inst, _ in points] == [
-            (0, "poke{T=0,T1=0}"), (1, "poke{T=0,T1=0}"),
+            (0, "poke{T=0,T1=0}"), (1, "poke{T=0,T1=0}"), (2, "poke{T=0,T1=0}"),
         ]
 
-        leaf = {"query": {"n": 0, "a": 1, "b": 0}, "children": []}
-        witness = {
-            "query": {"n": 1, "a": 1, "b": 0},
-            "trace": [_step("ab"), _step("ba")],
-            "children": [
-                {"step": 0, "instance": _step("poke"), "subtree": dict(leaf, trace=[])},
-                {"step": 1, "instance": _step("poke"), "subtree": dict(leaf, trace=[_step("ba")])},
-            ],
-        }
-        query = ResilienceQuery(1, 1, 0)
-        assert verify_witness(scenario, query, witness) == (True, [])
-        again = copy.deepcopy(witness)
-        again["children"].append(dict(again["children"][0], step=2))
-        assert verify_witness(scenario, query, again) == (
-            False, ["root.children[2]: unknown update point (2, 'poke{T=0,T1=0}')"],
+        # the witness covers each point, so the refusal is its one violation
+        assert verify_witness(scenario, ResilienceQuery(1, 1, 0), REVISIT_WITNESS) == (
+            False, ["root: resilience checking requires a progressing planning scenario"],
         )
 
 
@@ -399,21 +405,37 @@ class TestTraceReplay:
     on its own state: it reports as the engine's replay did, and reports a
     malformed substitution instead of raising on it."""
 
-    # a malformed annotation of step 2, advance_clock{T=46,T1=46}
+    # the steps annotated: index 1 is step 2, index 3 step 4
+    STEPS = {1: "advance_clock{T=46,T1=46}", 3: "board1{T=47,T1=47,T2=0,a=id16,x=FRA,y=ZAG}"}
+    BOARD1 = {
+        "T": 47, "T1": 47, "T2": 0, "a": Constant("id16", "fid"),
+        "x": Constant("FRA", "city"), "y": Constant("ZAG", "city"),
+    }
+    # a malformed annotation of one of them, as (step index, bindings)
     MALFORMED = {
-        "missing T": (("T1", 46),),
-        "T1 a constant": (("T", 46), ("T1", Constant("FRA", "city"))),
-        "extra binding": (("T", 46), ("T1", 46), ("zz", 5)),
+        "missing T": (1, {"T1": 46}),
+        "T1 a constant": (1, {"T": 46, "T1": Constant("FRA", "city")}),
+        "extra binding": (1, {"T": 46, "T1": 46, "zz": 5}),
+        "T1 a bool": (3, {**BOARD1, "T1": True}),
+        "T1 a float": (3, {**BOARD1, "T1": 47.0}),
+        "T1 negative": (3, {**BOARD1, "T1": -1}),
+        "T1 past the range": (3, {**BOARD1, "T1": 2**63}),
+        "x an int": (3, {**BOARD1, "x": 5}),
+        "x a str": (3, {**BOARD1, "x": "FRA"}),
+        "x a variable": (3, {**BOARD1, "x": Variable("x", "city")}),
     }
 
     @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
     def test_malformed_substitution_is_not_applicable(self, travel, case):
+        """Only the substitution's read maps to "not applicable": it is the
+        read a witness gets, and whatever it refuses applies nowhere."""
+        index, bindings = self.MALFORMED[case]
         trace = _goal_trace(travel)
-        step = trace.steps[1]
-        assert step.instance.key() == "advance_clock{T=46,T1=46}"
-        inst = RuleInstance(step.instance.rule, self.MALFORMED[case])
-        assert replay_errors(_with_step(trace, 1, inst)) == [
-            f"step 2: instance {inst.key()} not applicable"
+        step = trace.steps[index]
+        assert step.instance.key() == self.STEPS[index]
+        inst = RuleInstance(step.instance.rule, tuple(bindings.items()))
+        assert replay_errors(_with_step(trace, index, inst)) == [
+            f"step {index + 1}: instance {inst.key()} not applicable"
         ]
 
     def test_timestamp_overflow_is_reported_at_its_step(self):

@@ -13,6 +13,7 @@ from conftest import run
 from msrplan.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, cli_dispatch
 from msrplan.reductions import parse_graph
 from msrplan.rules import MAX_JOIN_STEPS
+from test_certify import REVISIT, REVISIT_WITNESS
 from test_resilience import TOP
 
 QDIMACS_TRUE = "p cnf 3 2\ne 1 0\na 2 0\ne 3 0\n1 2 3 0\n-1 -2 -3 0\n"
@@ -395,6 +396,29 @@ class TestMalformedInput:
             assert (captured.out, captured.err) == (
                 "", "error: the disruption window a must be positive\n"
             )
+
+    def test_verify_refuses_an_update_round_without_progress(self, capsys, tmp_path):
+        """n = 1 on a non-progressing scenario is refused with and without
+        `--verify`, also for a witness that covers each update point."""
+        scenario, witness = tmp_path / "revisit.msr", tmp_path / "w.json"
+        scenario.write_text(REVISIT, encoding="utf-8")
+        witness.write_text(json.dumps(REVISIT_WITNESS), encoding="utf-8")
+        query = ("resilience", str(scenario), "-n", "1", "-a", "1", "-b", "0")
+        for argv in ([*query, "--verify", str(witness)], query):
+            assert self.error_line(capsys, *argv) == (
+                "error: resilience checking requires a progressing planning scenario"
+            )
+
+    def test_failed_witness_write_prints_no_verdict(self, capsys, minimal_file, tmp_path):
+        """The witness is written before the verdict is printed, so a write
+        that fails leaves stdout empty, as exit 2 says."""
+        witness = tmp_path / "missing" / "w.json"
+        line = self.error_line(
+            capsys, "resilience", minimal_file, "-n", "0", "-a", "1", "-b", "5",
+            "--witness", str(witness),
+        )
+        assert line.startswith("error: [Errno 2] ")
+        assert not witness.parent.exists()
 
     def test_undecodable_input_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.msr"
