@@ -31,11 +31,10 @@ They keep their own state and matcher:
 - `_join` is a plain backtracking matcher.  Patterns are matched in
   declaration order, after the names bound from the start: ``T`` of a rule
   is the global time, and a specification's `Time` patterns bind their
-  variables to the clock.  A pattern whose arguments and timestamp are
-  bound is one dict lookup; an equality with a bound name fixes a
-  timestamp.  Each time constraint is checked once both its variables are
-  bound, and a precondition claims fact occurrences by count.  Each rule
-  and specification pair is compiled once (`_rule_code`, `_spec_code`).
+  variables to the clock.  Each time constraint is checked once both its
+  variables are bound, and a precondition claims fact occurrences by count.
+  Each rule and specification pair is compiled once (`_rule_code`,
+  `_spec_code`).
 - `verify_witness` checks a trace's first configuration against every
   critical pair, and each step only against the pairs it can make match
   (`_Verifier.recheck`): after a tick, the pairs with a `Time` pattern;
@@ -314,18 +313,15 @@ def _hold(checks: tuple[Check, ...], sigma: dict) -> bool:
 
 
 class _Step(NamedTuple):
-    """One pattern of a join.  `tvar` is bound by this step unless `bound`;
-    `pin` is (name, offset) when an equality fixes the timestamp at
-    sigma[name] + offset.  `fixed` grounds the arguments known on entry,
-    which sit at `positions`; the step is `determined` when they are all
-    its arguments.  `binds` lists the first occurrences of new variables as
-    (position, name), `dups` their later ones as (position, first
-    position)."""
+    """One pattern of a join.  `tvar` is bound by this step unless `bound`.
+    `fixed` grounds the arguments known on entry, which sit at `positions`;
+    the step is `determined` when they are all its arguments.  `binds` lists
+    the first occurrences of new variables as (position, name), `dups` their
+    later ones as (position, first position)."""
 
     pred: str
     tvar: str
     bound: bool
-    pin: Optional[tuple[str, int]]
     arity: int
     positions: tuple[int, ...]
     fixed: Slots
@@ -359,17 +355,6 @@ def _compile_join(
     for index, pat in enumerate(patterns):
         tvar, args = pat.tvar, pat.atom.args
         known = tvar in bound
-        pin = None
-        for c, rel in [] if known else pending:
-            left, _, right, offset = c
-            if rel == "=" and left == tvar and right in bound:
-                pin = (right, offset)
-            elif rel == "=" and right == tvar and left in bound:
-                pin = (left, -offset)
-            else:
-                continue
-            pending.remove((c, rel))  # the timestamp meets it exactly
-            break
         positions, fixed, binds, dups = [], [], [], []
         first: dict[str, int] = {}
         for pos, arg in enumerate(args):
@@ -385,7 +370,7 @@ def _compile_join(
         ready = [(c, rel) for c, rel in pending if c[0] in bound and c[2] in bound]
         pending = [item for item in pending if item not in ready]
         steps.append(_Step(
-            pat.atom.pred, tvar, known, pin, len(args), tuple(positions), _slots(fixed),
+            pat.atom.pred, tvar, known, len(args), tuple(positions), _slots(fixed),
             len(fixed) == len(args), tuple(binds), tuple(dups), tuple(c for c, _ in ready),
             pat.atom.pred in shared, index + 1 == len(patterns),
         ))
@@ -473,21 +458,14 @@ def _join(
     writes only names no earlier step binds).  Every complete binding is
     copied to `out`; with `out` None the first one ends the search and True
     is returned.  `used` counts the occurrences claiming steps hold."""
-    (pred, tvar, bound, pin, arity, positions, fixed, determined, binds, dups,
+    (pred, tvar, bound, arity, positions, fixed, determined, binds, dups,
      checks, claims, final) = steps[i]
     group = groups.get(pred)
     if group is None:
         return False
-    ts = sigma[tvar] if bound else None if pin is None else sigma[pin[0]] + pin[1]
+    ts = sigma[tvar] if bound else None
     known = _ground(fixed, sigma)
-    if determined and ts is not None:
-        count = group.get((known, ts))
-        if not count:
-            return False
-        facts: Iterable = (((known, ts), count),)
-    else:
-        facts = group.items()
-    for fact, count in facts:
+    for fact, count in group.items():
         args, at = fact
         if ts is not None and at != ts:
             continue
@@ -777,9 +755,11 @@ def verify_witness(
     trace is compliant and goal-terminated within the tick budget, children
     cover exactly the admissible update points, and each child verifies
     against the reduced query from the updated configuration.  The root
-    query must be one checking decides (`ResilienceQuery.check_root`): a
-    positive disruption window, and a progressing scenario when n > 0.  A
-    refusal is the violation ``root: <reason>``, beside the node's own.
+    query must be one checking answers: `ResilienceQuery.check_root`, which
+    `check_resilience` and the command line call too, refuses the others
+    (the disruption window, progress, the eta cap, the tick budget and the
+    update rounds).  A refusal is the violation ``root: <reason>``, with the
+    message checking raises, beside the node's own violations.
     """
     reader = _JsonReader if isinstance(witness, dict) else _TreeReader
     verifier = _Verifier(scenario, reader)

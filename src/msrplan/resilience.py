@@ -3,11 +3,13 @@
 `check_resilience` runs the search engine (`search.Checker`) at (n, a, b):
 is there a compliant goal trace within a + b ticks that survives up to n
 adversarial update applications inside the disruption window a, replanning
-recursively after each?  Progressing scenarios take any n; other scenarios
-only n = 0, goal reachability within a + b ticks, which the same engine
-decides by goal distance.  On success the witness tree is rebuilt from the
-moves the engine recorded: the certified trace from each state plus, for
-every admissible update point on it, the witness one update level down.
+recursively after each?  Progressing scenarios take n up to
+`MAX_UPDATE_ROUNDS`; other scenarios only n = 0, goal reachability within
+a + b ticks, which the same engine decides by goal distance.  One check,
+`ResilienceQuery.check_root`, refuses every other query.  On success the
+witness tree is rebuilt from the moves the engine recorded: the certified
+trace from each state plus, for every admissible update point on it, the
+witness one update level down.
 
 The witness file format and its checker, `verify_witness` with its own
 `enumerate_update_points`, live in `certify`, which shares no code path
@@ -25,11 +27,24 @@ from .certify import enumerate_update_points, verify_witness, witness_to_json
 from .kernel import Configuration
 from .rules import EngineError, RuleInstance
 from .scenario import PlanningScenario
-from .search import Checker, successors
+from .search import Checker, horizon_at, successors
 from .specs import Trace
 
 # the most variables one critical pair may bind (`specs.eta_measure`)
 ETA_CAP = 6
+
+# Every path through a query recurses once or more per update round:
+# deciding takes two frames a round (`Checker.decide`, `Checker._covered`),
+# building the witness one, writing it three (`witness_to_dict` and, on
+# Python 3.11, its list comprehension), reading it back three nested JSON
+# containers and verifying it one.  CPython's default recursion limit is
+# 1,000 frames, part of which the caller's own stack holds, and a join
+# recurses up to `rules.MAX_JOIN_STEPS` frames deeper.  At 100 rounds no path
+# nests more than about 460 frames; from the command line, deciding and
+# writing a witness held at 320 rounds, and writing failed at 340.  A deeper
+# query is refused before it starts, where it would otherwise die mid-way
+# with `RecursionError`, whose exit 1 reads as "not resilient".
+MAX_UPDATE_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -47,15 +62,35 @@ class ResilienceQuery:
             raise EngineError("resilience parameters must be natural numbers")
 
     def check_root(self, scenario: PlanningScenario) -> None:
-        """Refuse a query no decision starts from, which `check_resilience`,
-        `verify_witness` and the command line's `--verify` share: a root's
-        disruption window is positive, and an update round (n > 0) needs a
-        progressing scenario, where no configuration repeats along a trace.
-        A child's window may be 0, after an update at the deadline."""
+        """Refuse a query no decision starts from.  This is the one place
+        that decides and words which root queries are answered:
+        `check_resilience`, `verify_witness` and the command line's
+        `--verify` all call it, so they refuse the same queries with the same
+        message.  In order, a query is refused unless
+        - its disruption window is positive (a child's may be 0, after an
+          update at the deadline);
+        - it has no update round (n = 0) or the scenario is progressing,
+          where no configuration repeats along a trace;
+        - one critical pair binds at most `ETA_CAP` variables;
+        - its horizon, a + b ticks after the initial configuration, is a
+          timestamp (`search.horizon_at`, which goal search shares);
+        - it has at most `MAX_UPDATE_ROUNDS` update rounds."""
         if self.a < 1:
             raise EngineError("the disruption window a must be positive")
         if self.n and not scenario.progressing:
             raise EngineError("resilience checking requires a progressing planning scenario")
+        eta = scenario.eta()
+        if eta > ETA_CAP:
+            raise EngineError(
+                f"critical specification uses {eta} variables per pair; cap is "
+                f"{ETA_CAP} variables bound by one critical pair's join"
+            )
+        horizon_at(scenario.initial.global_time, self.a + self.b)
+        if self.n > MAX_UPDATE_ROUNDS:
+            raise EngineError(
+                f"a query of {self.n} update rounds exceeds the limit of "
+                f"{MAX_UPDATE_ROUNDS} rounds (MAX_UPDATE_ROUNDS)"
+            )
 
 
 @dataclass(frozen=True)
@@ -112,19 +147,10 @@ def _build_witness(
 def check_resilience(
     scenario: PlanningScenario, query: ResilienceQuery
 ) -> ResilienceResult:
-    """Decide (n,a,b)-resilience; emit a witness tree on success.
-
-    Requires a root query (`ResilienceQuery.check_root`) and a validated
-    planning scenario whose eta measure, the number of variables one
-    critical pair binds, does not exceed `ETA_CAP`.
-    """
+    """Decide (n,a,b)-resilience of a validated planning scenario; emit a
+    witness tree on success.  A query `ResilienceQuery.check_root` refuses
+    raises its `EngineError` before any search."""
     query.check_root(scenario)
-    eta = scenario.eta()
-    if eta > ETA_CAP:
-        raise EngineError(
-            f"critical specification uses {eta} variables per pair; cap is "
-            f"{ETA_CAP} variables bound by one critical pair's join"
-        )
     checker = Checker(scenario, query.a, query.b)
     if not checker.decide(scenario.initial, query.n):
         refutation = checker.refutation or ("no compliant goal trace",)

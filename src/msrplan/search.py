@@ -15,10 +15,11 @@ global time, which its `Time` fact carries, so no window is passed along.  A
 state is good when it is non-critical, every update applicable at it (while
 its clock is at or before the deadline) leads to a state that is good one
 update level down, and either the goal is matched or some successor is good.
-The search is iterative within a level and recursive across levels, so the
-Python stack depth is bounded by n.  When it proves a state good it records
-the move that proved it, and `trace` follows those recorded moves to rebuild
-the leftmost certified trace.
+The search is iterative within a level and recursive across levels, two
+Python frames per update round, so `resilience.MAX_UPDATE_ROUNDS` bounds its
+stack depth.  When it proves a state good it records the move that proved
+it, and `trace` follows those recorded moves to rebuild the leftmost
+certified trace.
 
 The scenario configures the engine.  In a progressing scenario the search
 is depth first and its memo is keyed on (configuration, n); the clock fixes
@@ -97,6 +98,14 @@ def successors(
         yield TICK_STEP, tick(config)
 
 
+def horizon_at(start: int, budget: int) -> int:
+    """The global time `budget` ticks after `start`: the last one a query
+    from `start` reaches.  A budget past the timestamp range is refused."""
+    if start + budget > MAX_TIMESTAMP:
+        raise EngineError("tick budget overflows the timestamp range")
+    return start + budget
+
+
 @dataclass
 class SearchStats:
     visited: int = 0  # states decided depth first or explored breadth first
@@ -118,9 +127,7 @@ class Checker:
         self.scenario = scenario
         self.b = b
         self.deadline = scenario.initial.global_time + a
-        self.horizon = self.deadline + b
-        if self.horizon > MAX_TIMESTAMP:
-            raise EngineError("tick budget overflows the timestamp range")
+        self.horizon = horizon_at(scenario.initial.global_time, a + b)
         self.m = len(scenario.initial)
         self.progressing = scenario.progressing
         # (configuration, n) -> False, True (a goal state), or the winning
@@ -236,9 +243,11 @@ class Checker:
 
         A non-goal state that `_dead` refutes is bad without a search: the
         root is memoized as bad, a successor is a bad move without an entry.
+
+        Precondition: n = 0 unless the scenario is progressing;
+        `ResilienceQuery.check_root` refuses the queries that break it.
         """
-        if n and not self.progressing:
-            raise EngineError("resilience checking requires a progressing planning scenario")
+        assert not n or self.progressing
         critical, goal = self.scenario.critical_spec, self.scenario.goal_spec
         if match_spec(critical, config) is not None:
             return False

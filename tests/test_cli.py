@@ -10,9 +10,13 @@ import pytest
 
 import msrplan
 from conftest import run
+from msrplan.certify import verify_witness, witness_to_dict, witness_to_json
 from msrplan.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, cli_dispatch
+from msrplan.kernel import MAX_TIMESTAMP
 from msrplan.reductions import parse_graph
-from msrplan.rules import MAX_JOIN_STEPS
+from msrplan.resilience import MAX_UPDATE_ROUNDS, ResilienceQuery, check_resilience
+from msrplan.rules import MAX_JOIN_STEPS, EngineError
+from msrplan.scenario import bundled_text, parse_scenario
 from test_certify import REVISIT, REVISIT_WITNESS
 from test_resilience import TOP
 
@@ -78,6 +82,24 @@ QUERIES = {
 }
 
 NO_GOAL = "no compliant goal trace within budget\n"
+
+# minimal.msr with a critical pair of eight variables, above `ETA_CAP`
+WIDE = bundled_text("minimal.msr").replace(
+    "critical { Time@T, Fuse@T }",
+    "critical { Time@T, Fuse@T1, Target(a)@T2, Target(b)@T3, Reached(c)@T4 | T1 > T + 100 }",
+)
+
+# One update is applicable at every instant, and the goal holds only
+# `offset` ticks after `finish`, so a query at n = a nests n update rounds.
+LATE = """\
+types token; consts here: token;
+predicates Ticker: system, Start: system, Done(token): goal, Want(token): goal, Never: critical;
+init {{ Time@0, Ticker@0, Start@0, Want(here)@0, Never@0 }}
+rule system finish {{ consume: Start@T1; create: Done(here)@T+1; }}
+rule system_update bump {{ consume: Ticker@T1; create: Ticker@T+1; guard: T1 = T; }}
+goal {{ Time@T, Want(x)@T1, Done(x)@T2 | T > T2 + {offset} }}
+critical {{ Time@T, Never@T1 | T1 > T + 1000000 }}
+"""
 
 
 @pytest.fixture()
@@ -521,6 +543,103 @@ class TestMalformedInput:
         assert (code, out) == (
             EXIT_NO, "root.trace[3]: fresh constant index of 5000 digits out of range\n"
         )
+
+
+class TestRootRefusals:
+    """Each refusal of a root query is decided and worded once, by
+    `ResilienceQuery.check_root`: checking, the command line with and
+    without `--verify`, and `verify_witness` on the engine's tree and on its
+    JSON object refuse it with one message."""
+
+    # refusal -> (scenario text, (n, a, b), message)
+    CASES = {
+        "window": (
+            bundled_text("minimal.msr"), (0, 0, 5), "the disruption window a must be positive",
+        ),
+        "progress": (
+            REVISIT, (1, 1, 0), "resilience checking requires a progressing planning scenario",
+        ),
+        "eta": (WIDE, (0, 5, 5), (
+            "critical specification uses 8 variables per pair; cap is 6 variables "
+            "bound by one critical pair's join"
+        )),
+        "overflow": (
+            bundled_text("minimal.msr"), (0, MAX_TIMESTAMP - 2, 5),
+            "tick budget overflows the timestamp range",
+        ),
+        "rounds": (LATE.format(offset=5), (MAX_UPDATE_ROUNDS + 1, 1, 5), (
+            f"a query of {MAX_UPDATE_ROUNDS + 1} update rounds exceeds the limit of "
+            f"{MAX_UPDATE_ROUNDS} rounds (MAX_UPDATE_ROUNDS)"
+        )),
+    }
+
+    @pytest.mark.parametrize("entry", [
+        "check_resilience", "resilience", "resilience --verify", "verify tree", "verify json",
+    ])
+    @pytest.mark.parametrize("refusal", list(CASES))
+    def test_one_message_everywhere(self, capsys, tmp_path, minimal, refusal, entry):
+        text, nab, message = self.CASES[refusal]
+        scenario, query = parse_scenario(text, "refused"), ResilienceQuery(*nab)
+        # a witness checking accepts, which the refusal must precede
+        witness = check_resilience(minimal, ResilienceQuery(0, 5, 5)).witness
+        if entry == "check_resilience":
+            with pytest.raises(EngineError) as caught:
+                check_resilience(scenario, query)
+            assert str(caught.value) == message
+        elif entry.startswith("resilience"):
+            path, saved = tmp_path / "refused.msr", tmp_path / "w.json"
+            path.write_text(text, encoding="utf-8")
+            saved.write_text(witness_to_json(witness), encoding="utf-8")
+            n, a, b = map(str, nab)
+            argv = ["resilience", str(path), "-n", n, "-a", a, "-b", b]
+            verify = ["--verify", str(saved)] if entry.endswith("--verify") else []
+            code = cli_dispatch(argv + verify)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (EXIT_ERROR, "", f"error: {message}\n")
+        else:
+            form = witness if entry == "verify tree" else witness_to_dict(witness)
+            ok, violations = verify_witness(scenario, query, form)
+            assert not ok and violations[0] == f"root: {message}"
+
+
+class TestUpdateRoundLimit:
+    """Every path through a query nests Python frames per update round, so
+    more than `MAX_UPDATE_ROUNDS` rounds are refused (exit 2) where they used
+    to die with `RecursionError` (exit 1, read as "not resilient")."""
+
+    def test_the_limit_decides_writes_reads_and_verifies(self, capsys, tmp_path):
+        scenario, witness = tmp_path / "late.msr", tmp_path / "w.json"
+        scenario.write_text(LATE.format(offset=MAX_UPDATE_ROUNDS + 5), encoding="utf-8")
+        n = str(MAX_UPDATE_ROUNDS)
+        query = ("resilience", str(scenario), "-n", n, "-a", n, "-b", "10")
+        assert run(capsys, *query, "--witness", str(witness)) == (EXIT_YES, (
+            f"resilient at (n={n}, a={n}, b=10)\nwitness written to {witness}\n"
+        ))
+        depth, node = 0, json.loads(witness.read_text(encoding="utf-8"))
+        while node["children"]:
+            depth, node = depth + 1, node["children"][0]["subtree"]
+        assert depth == MAX_UPDATE_ROUNDS
+        assert run(capsys, *query, "--verify", str(witness)) == (EXIT_YES, "witness verified\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("-n", "1500", "-a", "1500", "-b", "3100"),
+        ("-n", "340", "-a", "340", "-b", "10", "--witness", "w.json"),
+    ], ids=["deep search", "deep witness"])
+    def test_past_the_limit_is_refused(self, capsys, tmp_path, argv):
+        """Queries that used to exhaust the stack while deciding and while
+        writing the witness; `TestRootRefusals` refuses one round past the
+        limit on every entry point."""
+        scenario = tmp_path / "late.msr"
+        scenario.write_text(LATE.format(offset=int(argv[1]) + 5), encoding="utf-8")
+        args = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        code = cli_dispatch(["resilience", str(scenario), *args])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_ERROR, "")
+        assert captured.err == (
+            f"error: a query of {argv[1]} update rounds exceeds the limit of "
+            f"{MAX_UPDATE_ROUNDS} rounds (MAX_UPDATE_ROUNDS)\n"
+        )
+        assert not (tmp_path / "w.json").exists()
 
 
 class TestQbfPipeline:
